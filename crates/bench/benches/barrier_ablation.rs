@@ -1,88 +1,59 @@
-//! Barrier ablations: central vs combining-tree algorithms, and the cost
-//! of the ORA events added to the implicit/explicit barrier runtime calls
-//! (the events are two of the three the paper's tool registers).
+//! Barrier micro-costs: solo, 2-thread and contended 8-thread episodes of
+//! the topology-shaped combining tree, and the cost of the ORA events
+//! added to the implicit/explicit barrier runtime calls (the events are
+//! two of the three the paper's tool registers).
 
-use omprt::{Barrier, BarrierKind, Config, OpenMp};
-use ora_bench::microbench::{BenchmarkId, Criterion};
+use omprt::{Barrier, OpenMp};
+use ora_bench::microbench::Criterion;
 use ora_bench::{criterion_group, criterion_main};
 use ora_core::event::Event;
 use ora_core::request::Request;
 use std::sync::Arc;
 
-fn bench_barrier_algorithms(c: &mut Criterion) {
-    let mut g = c.benchmark_group("barrier_algorithm");
-    g.sample_size(20);
+/// `threads`-wide runtime with its pool already spawned.
+fn warm_runtime(threads: usize) -> OpenMp {
+    let rt = OpenMp::with_threads(threads);
+    rt.parallel(|_| {});
+    rt
+}
+
+fn bench_barrier(c: &mut Criterion) {
+    let mut g = c.benchmark_group("barrier");
+    g.sample_size(10);
 
     // Single-thread episode cost: the arithmetic of arrival/release
-    // without contention (contended behaviour is covered by the runtime
-    // benches below).
-    for kind in [BarrierKind::Central, BarrierKind::Tree] {
-        g.bench_with_input(
-            BenchmarkId::new("solo_episode", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                let barrier = Barrier::new(kind, 1);
-                b.iter(|| barrier.wait(0));
-            },
-        );
-    }
-    g.finish();
+    // without contention.
+    g.bench_function("solo_episode", |b| {
+        let barrier = Barrier::new(1);
+        b.iter(|| barrier.wait(0));
+    });
 
-    let mut g = c.benchmark_group("runtime_barrier");
-    g.sample_size(10);
-    let threads = 2;
+    // The one-node tree every 2-thread team gets.
+    g.bench_function("explicit_barrier_region_2thr", |b| {
+        let rt = warm_runtime(2);
+        b.iter(|| {
+            rt.parallel(|ctx| {
+                for _ in 0..8 {
+                    ctx.barrier();
+                }
+            })
+        });
+    });
 
-    for kind in [BarrierKind::Central, BarrierKind::Tree] {
-        g.bench_with_input(
-            BenchmarkId::new("explicit_barrier_region", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                let rt = OpenMp::with_config(Config {
-                    num_threads: threads,
-                    barrier: kind,
-                    ..Config::default()
-                });
-                rt.parallel(|_| {});
-                b.iter(|| {
-                    rt.parallel(|ctx| {
-                        for _ in 0..8 {
-                            ctx.barrier();
-                        }
-                    })
-                });
-            },
-        );
-    }
-    g.finish();
-
-    // Contended episodes at 8 threads — the acceptance case for the
-    // parking/padding work: every episode crosses arrival, release,
-    // counter reset, and (oversubscribed) the park/unpark edge. 16
-    // episodes per region amortize the fork/join cost so the number is
-    // dominated by barrier latency.
-    let mut g = c.benchmark_group("barrier_contended_8thr");
-    g.sample_size(10);
-    for kind in [BarrierKind::Central, BarrierKind::Tree] {
-        g.bench_with_input(
-            BenchmarkId::new("episodes_x16", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                let rt = OpenMp::with_config(Config {
-                    num_threads: 8,
-                    barrier: kind,
-                    ..Config::default()
-                });
-                rt.parallel(|_| {});
-                b.iter(|| {
-                    rt.parallel(|ctx| {
-                        for _ in 0..16 {
-                            ctx.barrier();
-                        }
-                    })
-                });
-            },
-        );
-    }
+    // Contended episodes at 8 threads: every episode crosses arrival,
+    // release, counter reset, and (oversubscribed) the park/unpark edge.
+    // 16 episodes per region amortize the fork/join cost so the number
+    // is dominated by barrier latency.
+    g.bench_function("episodes_x16_8thr", |b| {
+        let rt = warm_runtime(8);
+        b.iter(|| {
+            rt.parallel(|ctx| {
+                for _ in 0..16 {
+                    ctx.barrier();
+                }
+            })
+        });
+    });
     g.finish();
 }
 
@@ -92,8 +63,7 @@ fn bench_barrier_event_cost(c: &mut Criterion) {
 
     // Barriers with no collector attached.
     {
-        let rt = OpenMp::with_threads(2);
-        rt.parallel(|_| {});
+        let rt = warm_runtime(2);
         g.bench_function("no_collector", |b| {
             b.iter(|| {
                 rt.parallel(|ctx| {
@@ -107,8 +77,7 @@ fn bench_barrier_event_cost(c: &mut Criterion) {
 
     // Barriers with EBAR events registered into an empty callback.
     {
-        let rt = OpenMp::with_threads(2);
-        rt.parallel(|_| {});
+        let rt = warm_runtime(2);
         let api = rt.collector_api();
         api.handle_request(Request::Start).unwrap();
         api.register_callback(Event::ThreadBeginExplicitBarrier, Arc::new(|_| {}))
@@ -129,5 +98,5 @@ fn bench_barrier_event_cost(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_barrier_algorithms, bench_barrier_event_cost);
+criterion_group!(benches, bench_barrier, bench_barrier_event_cost);
 criterion_main!(benches);

@@ -20,20 +20,6 @@
 //! omp_prof trace report --in run.oratrace --region 3 --from-us 100 --to-us 900
 //! ```
 //!
-//! The `bench` subcommand is the `ora-meter` front end: measure every
-//! meter workload under the five collector configurations and emit
-//! versioned `BENCH_<suite>.json` documents, or gate a new run against a
-//! baseline:
-//!
-//! ```text
-//! omp_prof bench run --quick --out-dir results
-//! omp_prof bench run --full --suite npb
-//! omp_prof bench compare results/baselines/BENCH_epcc.json BENCH_epcc.json --threshold 10
-//! ```
-//!
-//! `bench compare` exits 0 when the gate passes, 1 on a regression, and
-//! 2 on unusable input (parse errors, mismatched documents).
-//!
 //! The `health` and `suite` subcommands are the fault-isolation harness:
 //! `health` runs a short diagnostic workload — optionally with injected
 //! collector faults — and reports the runtime's `OMP_REQ_HEALTH`
@@ -307,129 +293,6 @@ fn trace_analyze() {
     // to gate on them, so surface "patterns found" as exit 4.
     if !report.findings.is_empty() {
         std::process::exit(4);
-    }
-}
-
-/// `bench run`: the `ora-meter` measurement loop (see `ora_bench::meter`).
-fn bench_run() {
-    use ora_bench::meter::{runner, RunnerConfig};
-    use workloads::meterwork::MeterSuite;
-
-    let has = |name: &str| std::env::args().any(|a| a == name);
-    let mut cfg = if has("--full") {
-        RunnerConfig::full()
-    } else {
-        // --quick is the default.
-        RunnerConfig::quick()
-    };
-    cfg.threads = arg("--threads", &cfg.threads.to_string())
-        .parse()
-        .unwrap_or(cfg.threads);
-    cfg.reps = arg("--reps", &cfg.reps.to_string())
-        .parse()
-        .unwrap_or(cfg.reps);
-    let out_dir = arg("--out-dir", ".");
-    let suites: Vec<MeterSuite> = match arg("--suite", "all").as_str() {
-        "all" => vec![
-            MeterSuite::Epcc,
-            MeterSuite::Npb,
-            MeterSuite::Sync,
-            MeterSuite::Dispatch,
-            MeterSuite::Tasks,
-            MeterSuite::Topo,
-        ],
-        key => match MeterSuite::from_key(key) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("unknown suite '{key}' — use epcc|npb|sync|dispatch|tasks|topo|all");
-                std::process::exit(2);
-            }
-        },
-    };
-
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-        eprintln!("cannot create {out_dir}: {e}");
-        std::process::exit(2);
-    });
-
-    for suite in suites {
-        println!(
-            "ora-meter: suite {} at scale {} ({} thread(s), {} warmup + {} rep(s))",
-            suite.key(),
-            cfg.scale.key(),
-            cfg.threads,
-            cfg.warmup,
-            cfg.reps
-        );
-        let doc = runner::run_suite_with_progress(suite, &cfg, |line| println!("{line}"))
-            .unwrap_or_else(|e| {
-                eprintln!("meter run failed: {e}");
-                std::process::exit(2);
-            });
-        let path = format!("{out_dir}/BENCH_{}.json", suite.key());
-        std::fs::write(&path, doc.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-        if let Some(sc) = &doc.sync_config {
-            println!(
-                "  sync config: {} barrier, spin budget {}/{} (short/long)",
-                sc.barrier, sc.spin_budget_short, sc.spin_budget_long
-            );
-        }
-        for w in &doc.workloads {
-            let ratios: Vec<String> = w
-                .configs
-                .iter()
-                .filter(|c| c.config != "absent")
-                .map(|c| format!("{} {:.2}x", c.config, c.overhead_ratio))
-                .collect();
-            println!("  {:<14} overhead: {}", w.name, ratios.join(" | "));
-        }
-    }
-}
-
-/// `bench compare`: gate a new run against a baseline document.
-fn bench_compare() {
-    use ora_bench::meter::{compare, BenchDoc};
-
-    // Positional args after `bench compare`, skipping flag pairs.
-    let argv: Vec<String> = std::env::args().collect();
-    let positional: Vec<&String> = argv[3..]
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || !argv[3 + i - 1].starts_with("--")))
-        .map(|(_, a)| a)
-        .collect();
-    let [old_path, new_path] = positional.as_slice() else {
-        eprintln!("usage: omp_prof bench compare <old.json> <new.json> [--threshold 10]");
-        std::process::exit(2);
-    };
-    let threshold: f64 = arg("--threshold", "10").parse().unwrap_or_else(|_| {
-        eprintln!("--threshold must be a number");
-        std::process::exit(2);
-    });
-
-    let load = |path: &str| -> BenchDoc {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        BenchDoc::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    let report = compare::compare(&old, &new, threshold).unwrap_or_else(|e| {
-        eprintln!("cannot compare {old_path} vs {new_path}: {e}");
-        std::process::exit(2);
-    });
-    print!("{}", report.render(threshold));
-    if !report.passed() {
-        std::process::exit(1);
     }
 }
 
@@ -1167,7 +1030,7 @@ fn npb_class(s: &str) -> NpbClass {
 }
 
 fn main() {
-    // Subcommand style: `omp_prof trace record ...` / `omp_prof bench run ...`
+    // Subcommand style: `omp_prof trace record ...` / `omp_prof fuzz ...`
     let argv: Vec<String> = std::env::args().collect();
     if argv.get(1).map(String::as_str) == Some("trace") {
         match argv.get(2).map(String::as_str) {
@@ -1200,19 +1063,6 @@ fn main() {
     if argv.get(1).map(String::as_str) == Some("fleet-rank") {
         return fleet_rank_child();
     }
-    if argv.get(1).map(String::as_str) == Some("bench") {
-        match argv.get(2).map(String::as_str) {
-            Some("run") => return bench_run(),
-            Some("compare") => return bench_compare(),
-            other => {
-                eprintln!(
-                    "unknown bench subcommand {other:?} — use `bench run` or `bench compare`"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
     let workload = arg("--workload", "cg");
     let tool = arg("--tool", "profile");
     let threads: usize = arg("--threads", "2").parse().unwrap_or(2);

@@ -12,11 +12,9 @@
 //! | `breakdown`      | §V-B       | measurement vs communication overhead split |
 //!
 //! All binaries accept `--scale smoke|quick|paper` (default `quick`).
-//! The [`meter`] module is the statistically rigorous successor to the
-//! ad-hoc harnesses: `omp_prof bench run` measures every workload under
-//! the four collector configurations and emits versioned
-//! `BENCH_<suite>.json` documents; `omp_prof bench compare` is the CI
-//! perf-regression gate over those documents.
+//! Overhead is *judged* by the repository's one benchmark
+//! (`BENCHMARK.json`, `benchmark/`); these harnesses print the paper's
+//! tables and figures.
 //! Micro-benches (`cargo bench -p ora-bench --features bench`) cover the
 //! micro costs the paper argues about: event-dispatch fast path,
 //! always-on state stores, callstack capture, wire protocol, and the
@@ -27,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod fleet_driver;
-pub mod meter;
 pub mod microbench;
 
 /// Scale of an experiment run.

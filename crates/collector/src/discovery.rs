@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use ora_core::api::CollectorApi;
+use ora_core::event::Event;
 use ora_core::governor::{GovernorConfig, GovernorDecision, GovernorStatus};
 use ora_core::message::RequestBatch;
 use ora_core::registry::Callback;
@@ -80,22 +81,24 @@ impl RuntimeHandle {
     /// Convenience: intern and register `cb` for `event` in one step.
     /// Returns the token so the caller can later [`unregister`] the event
     /// and [`forget_callback`] the interned entry — discarding it leaks
-    /// the registration for the life of the runtime.
+    /// the registration for the life of the runtime. Collectors register
+    /// through a [`Registrations`] guard, which does both for them.
     ///
     /// [`unregister`]: RuntimeHandle::unregister
     /// [`forget_callback`]: RuntimeHandle::forget_callback
-    pub fn register(
-        &self,
-        event: ora_core::event::Event,
-        cb: Callback,
-    ) -> OraResult<CallbackToken> {
+    pub fn register(&self, event: Event, cb: Callback) -> OraResult<CallbackToken> {
         let token = self.intern_callback(cb);
-        self.request_one(Request::Register { event, token })?;
-        Ok(token)
+        match self.request_one(Request::Register { event, token }) {
+            Ok(_) => Ok(token),
+            Err(e) => {
+                self.forget_callback(token);
+                Err(e)
+            }
+        }
     }
 
     /// Remove the callback registered for `event`.
-    pub fn unregister(&self, event: ora_core::event::Event) -> OraResult<()> {
+    pub fn unregister(&self, event: Event) -> OraResult<()> {
         self.request_one(Request::Unregister { event }).map(|_| ())
     }
 
@@ -144,6 +147,83 @@ impl RuntimeHandle {
     /// retune log the governed rung persists into the trace).
     pub fn take_governor_decisions(&self) -> Vec<GovernorDecision> {
         self.api.governor().take_decisions()
+    }
+}
+
+/// The event registrations one collector attachment made, and the only
+/// owner of the [`CallbackToken`]s behind them.
+///
+/// An interned callback lives in the runtime's token table until it is
+/// forgotten; a collector that drops its tokens pins whatever its
+/// callbacks captured — a tracer's whole ring set, or (through a captured
+/// [`RuntimeHandle`]) the `CollectorApi` itself — for the life of the
+/// runtime. This guard releases them: [`stop`](Registrations::stop) on
+/// the collector's `finish` path, [`release`](Registrations::release) (also
+/// run on drop) for an attachment abandoned while collection is live.
+#[must_use = "dropping the guard unregisters its callbacks"]
+pub struct Registrations {
+    handle: RuntimeHandle,
+    held: Vec<(Event, CallbackToken)>,
+}
+
+impl Registrations {
+    /// An empty guard registering through `handle`.
+    pub fn new(handle: RuntimeHandle) -> Registrations {
+        Registrations {
+            handle,
+            held: Vec::new(),
+        }
+    }
+
+    /// The handle registrations go through.
+    pub fn handle(&self) -> &RuntimeHandle {
+        &self.handle
+    }
+
+    /// Register `cb` for `event` and take ownership of its token.
+    pub fn register(&mut self, event: Event, cb: Callback) -> OraResult<()> {
+        let token = self.handle.register(event, cb)?;
+        self.held.push((event, token));
+        Ok(())
+    }
+
+    /// [`register`](Self::register), except that an event the runtime
+    /// does not implement is skipped rather than reported (the paper's
+    /// runtime rejects atomic-wait events, for instance).
+    pub fn register_if_supported(&mut self, event: Event, cb: Callback) -> OraResult<()> {
+        match self.register(event, cb) {
+            Err(OraError::UnsupportedEvent) => Ok(()),
+            other => other,
+        }
+    }
+
+    /// Send `OMP_REQ_STOP` — which clears every registration on the
+    /// runtime side — then forget the tokens. A runtime that was already
+    /// stopped refuses the request; the tokens are forgotten either way.
+    pub fn stop(&mut self) {
+        let _ = self.handle.request_one(Request::Stop);
+        for (_, token) in self.held.drain(..) {
+            self.handle.forget_callback(token);
+        }
+    }
+
+    /// Unregister every held event and forget its token, leaving the
+    /// collection phase alone. Idempotent; returns how many registrations
+    /// were released. Errors from an already-stopped runtime (which
+    /// clears registrations itself) are ignored.
+    pub fn release(&mut self) -> usize {
+        let n = self.held.len();
+        for (event, token) in self.held.drain(..) {
+            let _ = self.handle.unregister(event);
+            self.handle.forget_callback(token);
+        }
+        n
+    }
+}
+
+impl Drop for Registrations {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 

@@ -20,8 +20,8 @@
 //! * [`selective`] — overhead-controlled collection (duration gating and
 //!   calling-context dedup, the paper's §VI plan);
 //! * [`modes`] — the five-rung collector-intrusiveness ladder the
-//!   `ora-meter` overhead experiment attaches (absent / registered-paused
-//!   / state-queries / streaming-trace / governed);
+//!   benchmark and the fuzzer attach (absent / registered-paused /
+//!   state-queries / streaming-trace / governed);
 //! * [`suite`] — one-attachment multiplexer producing profile + trace +
 //!   state-times together (ORA has one callback slot per event);
 //! * [`analysis`] — offline trace analysis (region intervals, wait
@@ -61,7 +61,7 @@ pub mod tracer;
 
 pub use analysis::{analyze, RegionInterval, TraceAnalysis, WaitInterval};
 pub use diff::{diff, ProfileDiff, RegionDelta};
-pub use discovery::RuntimeHandle;
+pub use discovery::{Registrations, RuntimeHandle};
 pub use modes::{ActiveCollection, CollectionConfig, CollectionSummary};
 pub use ompt::{Endpoint, MutexKind, OmptAdapter, OmptRecord, SyncRegionKind};
 pub use profiler::{Mode, Profile, Profiler, ProfilerConfig, RegionProfile, ThreadProfile};

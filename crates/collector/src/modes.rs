@@ -1,11 +1,12 @@
-//! The five collection configurations the overhead meter compares.
+//! The five collection configurations overhead is compared across.
 //!
 //! The paper's evaluation (§V) reports workload slowdown for a ladder of
-//! collector intrusiveness, and `ora-meter` (in `crates/bench`) re-runs
-//! that ladder as an enforced CI experiment. This module is the collector
-//! side of that experiment: a [`CollectionConfig`] names one rung, and
-//! [`CollectionConfig::attach`] produces the corresponding live attachment
-//! so the measurement harness never hand-rolls tool setup. The rungs:
+//! collector intrusiveness; the repository's benchmark (`benchmark/`)
+//! times that ladder and the fuzzer (`ora-fuzz`) checks every rung
+//! against its oracle. This module is the collector side of both: a
+//! [`CollectionConfig`] names one rung, and [`CollectionConfig::attach`]
+//! produces the corresponding live attachment so no harness hand-rolls
+//! tool setup. The rungs:
 //!
 //! 1. [`Absent`](CollectionConfig::Absent) — no collector; the bare
 //!    runtime fast path (the `ora-core` registry's unmonitored dispatch).
@@ -75,7 +76,7 @@ impl CollectionConfig {
         CollectionConfig::Governed,
     ];
 
-    /// Stable machine-readable key (used by the `BENCH_*.json` schema).
+    /// Stable machine-readable key.
     pub const fn key(self) -> &'static str {
         match self {
             CollectionConfig::Absent => "absent",
@@ -118,11 +119,8 @@ impl CollectionConfig {
                 StateTimer::attach(handle.clone())?,
             )),
             CollectionConfig::StreamingTrace => {
-                let tracer = StreamingTracer::attach(
-                    handle.clone(),
-                    meter_trace_config(),
-                    MemorySink::new(),
-                )?;
+                let tracer =
+                    StreamingTracer::attach(handle.clone(), streaming_config(), MemorySink::new())?;
                 Ok(ActiveCollection::StreamingTrace(Box::new(tracer)))
             }
             CollectionConfig::Governed => {
@@ -132,11 +130,8 @@ impl CollectionConfig {
                 // final registration state. The governor shares the
                 // collector's trace clock, putting retune-decision ticks
                 // in the trace's time domain.
-                let tracer = StreamingTracer::attach(
-                    handle.clone(),
-                    meter_trace_config(),
-                    MemorySink::new(),
-                )?;
+                let tracer =
+                    StreamingTracer::attach(handle.clone(), streaming_config(), MemorySink::new())?;
                 let budget_ppm = std::env::var("OMP_ORA_BUDGET")
                     .ok()
                     .and_then(|raw| parse_budget(&raw))
@@ -165,7 +160,7 @@ impl CollectionConfig {
 /// scheduling luck into bimodal timings. The ring has ample capacity to
 /// buffer a measurement repetition; the final sweep in `finish` drains
 /// whatever the epochs didn't.
-fn meter_trace_config() -> TraceConfig {
+fn streaming_config() -> TraceConfig {
     TraceConfig {
         epoch: std::time::Duration::from_millis(25),
         ..TraceConfig::default()
@@ -190,7 +185,7 @@ pub enum ActiveCollection {
     Governed(Box<StreamingTracer<MemorySink>>),
 }
 
-/// What a finished collection observed — enough for the meter to sanity
+/// What a finished collection observed — enough for a harness to sanity
 /// check that each configuration actually did its job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectionSummary {
@@ -227,7 +222,7 @@ impl ActiveCollection {
     }
 
     /// Detach: stop collection, release callback registrations, and
-    /// discard the collected data (the meter measures cost, not content).
+    /// discard the collected data.
     pub fn finish(self) -> Result<CollectionSummary, StreamError> {
         self.finish_with_trace().map(|(summary, _)| summary)
     }

@@ -20,7 +20,7 @@ use ora_core::event::Event;
 use ora_core::registry::EventData;
 use ora_core::request::{OraResult, Request};
 
-use crate::discovery::RuntimeHandle;
+use crate::discovery::{Registrations, RuntimeHandle};
 
 /// OMPT's `ompt_scope_endpoint_t`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,10 +116,11 @@ pub struct OmptAdapter;
 impl OmptAdapter {
     /// Attach an OMPT-style tool to an ORA runtime: sends `Start` and
     /// registers the ORA events needed to synthesize the OMPT callbacks.
+    /// The tool is attached for as long as the returned guard lives.
     pub fn attach(
         handle: RuntimeHandle,
         sink: Arc<dyn Fn(OmptRecord) + Send + Sync>,
-    ) -> OraResult<()> {
+    ) -> OraResult<Registrations> {
         handle.request_one(Request::Start)?;
 
         type Translator = fn(&EventData) -> OmptRecord;
@@ -223,10 +224,11 @@ impl OmptAdapter {
             }),
         ];
 
+        let mut registrations = Registrations::new(handle);
         for &(event, f) in translate {
             let sink = sink.clone();
-            handle.register(event, Arc::new(move |d: &EventData| sink(f(d))))?;
+            registrations.register(event, Arc::new(move |d: &EventData| sink(f(d))))?;
         }
-        Ok(())
+        Ok(registrations)
     }
 }

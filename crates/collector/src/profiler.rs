@@ -24,7 +24,7 @@ use ora_core::request::{ApiHealth, OraResult, Request};
 use psx::unwind::Backtrace;
 
 use crate::clock;
-use crate::discovery::RuntimeHandle;
+use crate::discovery::{Registrations, RuntimeHandle};
 use crate::report;
 
 /// Highest thread ID the per-thread accumulators cover.
@@ -90,10 +90,11 @@ struct ProfState {
     events: AtomicU64,
 }
 
-/// An attached profiler. Dropping it without [`Profiler::finish`] leaves
-/// the runtime collecting into a dead buffer; always call `finish`.
+/// An attached profiler. Dropping it without [`Profiler::finish`]
+/// unregisters its callbacks but leaves collection started; always call
+/// `finish`.
 pub struct Profiler {
-    handle: RuntimeHandle,
+    registrations: Registrations,
     state: Arc<ProfState>,
 }
 
@@ -111,10 +112,11 @@ impl Profiler {
             stacks: Mutex::new(Vec::new()),
             events: AtomicU64::new(0),
         });
+        let mut registrations = Registrations::new(handle);
 
         {
             let s = state.clone();
-            handle.register(
+            registrations.register(
                 Event::Fork,
                 Arc::new(move |d: &EventData| {
                     s.events.fetch_add(1, Ordering::Relaxed);
@@ -128,7 +130,7 @@ impl Profiler {
         }
         {
             let s = state.clone();
-            handle.register(
+            registrations.register(
                 Event::Join,
                 Arc::new(move |d: &EventData| {
                     s.events.fetch_add(1, Ordering::Relaxed);
@@ -159,7 +161,7 @@ impl Profiler {
         }
         if config.track_barriers {
             let s = state.clone();
-            handle.register(
+            registrations.register(
                 Event::ThreadBeginImplicitBarrier,
                 Arc::new(move |d: &EventData| {
                     s.events.fetch_add(1, Ordering::Relaxed);
@@ -170,7 +172,7 @@ impl Profiler {
                 }),
             )?;
             let s = state.clone();
-            handle.register(
+            registrations.register(
                 Event::ThreadEndImplicitBarrier,
                 Arc::new(move |d: &EventData| {
                     s.events.fetch_add(1, Ordering::Relaxed);
@@ -188,7 +190,10 @@ impl Profiler {
             )?;
         }
 
-        Ok(Profiler { handle, state })
+        Ok(Profiler {
+            registrations,
+            state,
+        })
     }
 
     /// Attach with the default configuration (the paper's tool).
@@ -198,12 +203,18 @@ impl Profiler {
 
     /// Suspend event generation (`OMP_REQ_PAUSE`).
     pub fn pause(&self) -> OraResult<()> {
-        self.handle.request_one(Request::Pause).map(|_| ())
+        self.registrations
+            .handle()
+            .request_one(Request::Pause)
+            .map(|_| ())
     }
 
     /// Resume event generation.
     pub fn resume(&self) -> OraResult<()> {
-        self.handle.request_one(Request::Resume).map(|_| ())
+        self.registrations
+            .handle()
+            .request_one(Request::Resume)
+            .map(|_| ())
     }
 
     /// Events observed so far.
@@ -214,11 +225,15 @@ impl Profiler {
     /// Stop collection and assemble the offline profile ("reconstructing
     /// the callstack to provide a user view of the program is done offline
     /// after the application finishes", paper §IV).
-    pub fn finish(self) -> Profile {
-        let _ = self.handle.request_one(Request::Stop);
+    pub fn finish(mut self) -> Profile {
+        self.registrations.stop();
         // Health counters are lifetime totals and the query is answerable
         // in every phase, so post-Stop is fine.
-        let api_health = self.handle.query_health().unwrap_or_default();
+        let api_health = self
+            .registrations
+            .handle()
+            .query_health()
+            .unwrap_or_default();
         let state = self.state;
 
         let mut regions: Vec<RegionProfile> = state

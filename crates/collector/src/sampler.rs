@@ -11,11 +11,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ora_core::event::Event;
-use ora_core::request::{CallbackToken, OraResult, Request, Response};
+use ora_core::request::{OraResult, Request, Response};
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
 use ora_core::sync::Mutex;
 
-use crate::discovery::RuntimeHandle;
+use crate::discovery::{Registrations, RuntimeHandle};
 use crate::report;
 
 /// A histogram of observed thread states.
@@ -27,7 +27,7 @@ use crate::report;
 pub struct StateSampler {
     handle: RuntimeHandle,
     counts: Arc<[AtomicU64; STATE_COUNT]>,
-    registrations: Mutex<Vec<(Event, CallbackToken)>>,
+    registrations: Mutex<Registrations>,
 }
 
 impl StateSampler {
@@ -36,9 +36,9 @@ impl StateSampler {
     /// sampling.
     pub fn new(handle: RuntimeHandle) -> StateSampler {
         StateSampler {
+            registrations: Mutex::new(Registrations::new(handle.clone())),
             handle,
             counts: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            registrations: Mutex::new(Vec::new()),
         }
     }
 
@@ -60,7 +60,7 @@ impl StateSampler {
         for &event in events {
             let handle = self.handle.clone();
             let counts = self.counts.clone();
-            let token = self.handle.register(
+            self.registrations.lock().register(
                 event,
                 Arc::new(move |_| {
                     if let Ok(Response::State { state, .. }) =
@@ -70,7 +70,6 @@ impl StateSampler {
                     }
                 }),
             )?;
-            self.registrations.lock().push((event, token));
         }
         Ok(())
     }
@@ -80,13 +79,7 @@ impl StateSampler {
     /// registrations were released. Errors from an already-stopped
     /// runtime (which clears registrations itself) are ignored.
     pub fn detach(&self) -> usize {
-        let regs: Vec<_> = std::mem::take(&mut *self.registrations.lock());
-        let n = regs.len();
-        for (event, token) in regs {
-            let _ = self.handle.unregister(event);
-            self.handle.forget_callback(token);
-        }
-        n
+        self.registrations.lock().release()
     }
 
     /// Samples observed for `state`.
@@ -108,11 +101,5 @@ impl StateSampler {
                 .filter(|s| self.count(**s) > 0)
                 .map(|s| vec![s.name().to_string(), self.count(*s).to_string()]),
         )
-    }
-}
-
-impl Drop for StateSampler {
-    fn drop(&mut self) {
-        self.detach();
     }
 }

@@ -28,7 +28,7 @@ use ora_core::request::{OraResult, Request};
 use psx::unwind::Backtrace;
 
 use crate::clock;
-use crate::discovery::RuntimeHandle;
+use crate::discovery::{Registrations, RuntimeHandle};
 
 /// Policy knobs for selective collection.
 #[derive(Debug, Clone)]
@@ -78,7 +78,7 @@ fn signature(bt: &Backtrace) -> u64 {
 
 /// The selective profiler.
 pub struct SelectiveProfiler {
-    handle: RuntimeHandle,
+    registrations: Registrations,
     state: Arc<SelState>,
 }
 
@@ -95,10 +95,11 @@ impl SelectiveProfiler {
             skipped_small: AtomicU64::new(0),
             skipped_dedup: AtomicU64::new(0),
         });
+        let mut registrations = Registrations::new(handle);
 
         {
             let s = state.clone();
-            handle.register(
+            registrations.register(
                 Event::Fork,
                 Arc::new(move |d: &EventData| {
                     s.fork_tick.lock().insert(d.region_id, clock::ticks());
@@ -107,7 +108,7 @@ impl SelectiveProfiler {
         }
         {
             let s = state.clone();
-            handle.register(
+            registrations.register(
                 Event::Join,
                 Arc::new(move |d: &EventData| {
                     s.joins.fetch_add(1, Ordering::Relaxed);
@@ -139,12 +140,15 @@ impl SelectiveProfiler {
                 }),
             )?;
         }
-        Ok(SelectiveProfiler { handle, state })
+        Ok(SelectiveProfiler {
+            registrations,
+            state,
+        })
     }
 
     /// Stop and summarize.
-    pub fn finish(self) -> SelectiveReport {
-        let _ = self.handle.request_one(Request::Stop);
+    pub fn finish(mut self) -> SelectiveReport {
+        self.registrations.stop();
         let state = self.state;
         let distinct_sites = state.sites.lock().len() as u64;
         let table = psx::SymbolTable::global();

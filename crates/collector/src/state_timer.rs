@@ -15,11 +15,11 @@ use std::sync::Arc;
 use ora_core::sync::Mutex;
 
 use ora_core::event::ALL_EVENTS;
-use ora_core::request::{OraError, OraResult, Request, Response};
+use ora_core::request::{OraResult, Request, Response};
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
 
 use crate::clock;
-use crate::discovery::RuntimeHandle;
+use crate::discovery::{Registrations, RuntimeHandle};
 use crate::report;
 
 /// Highest thread ID tracked.
@@ -48,7 +48,7 @@ struct TimerState {
 
 /// An attached state-time profiler.
 pub struct StateTimer {
-    handle: RuntimeHandle,
+    registrations: Registrations,
     state: Arc<TimerState>,
 }
 
@@ -61,10 +61,11 @@ impl StateTimer {
             threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
         });
 
+        let mut registrations = Registrations::new(handle.clone());
         for event in ALL_EVENTS {
             let s = state.clone();
             let h = handle.clone();
-            let result = h.clone().register(
+            registrations.register_if_supported(
                 event,
                 Arc::new(move |d| {
                     if d.gtid >= MAX_THREADS {
@@ -85,19 +86,19 @@ impl StateTimer {
                     slot.last_tick = now;
                     slot.last_state = Some(now_state);
                 }),
-            );
-            if let Err(e) = result {
-                if e != OraError::UnsupportedEvent {
-                    return Err(e);
-                }
-            }
+            )?;
         }
-        Ok(StateTimer { handle, state })
+        Ok(StateTimer {
+            registrations,
+            state,
+        })
     }
 
     /// Stop collection and produce the per-thread state-time profile.
-    pub fn finish(self) -> StateProfile {
-        let _ = self.handle.request_one(Request::Stop);
+    /// The callbacks — each of which holds the runtime handle — are
+    /// released, so a finished timer keeps nothing of the runtime alive.
+    pub fn finish(mut self) -> StateProfile {
+        self.registrations.stop();
         let threads = self
             .state
             .threads

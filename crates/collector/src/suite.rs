@@ -20,7 +20,7 @@ use ora_core::request::{OraError, OraResult, Request, Response};
 use ora_core::state::{ThreadState, STATE_COUNT};
 
 use crate::clock;
-use crate::discovery::RuntimeHandle;
+use crate::discovery::{Registrations, RuntimeHandle};
 use crate::profiler::{Profile, RegionProfile, ThreadProfile, MAX_THREADS};
 use crate::state_timer::{StateProfile, ThreadStateTimes};
 use crate::tracer::{Trace, TraceRecord};
@@ -80,7 +80,7 @@ struct SuiteState {
 
 /// The multiplexing tool.
 pub struct ToolSuite {
-    handle: RuntimeHandle,
+    registrations: Registrations,
     state: Arc<SuiteState>,
 }
 
@@ -109,11 +109,15 @@ impl ToolSuite {
             events: AtomicU64::new(0),
         });
 
+        let mut registrations = Registrations::new(handle);
         for event in supported {
             let s = state.clone();
-            handle.register(event, Arc::new(move |d: &EventData| s.on_event(d)))?;
+            registrations.register(event, Arc::new(move |d: &EventData| s.on_event(d)))?;
         }
-        Ok(ToolSuite { handle, state })
+        Ok(ToolSuite {
+            registrations,
+            state,
+        })
     }
 
     /// Events observed so far.
@@ -122,9 +126,13 @@ impl ToolSuite {
     }
 
     /// Stop collection and assemble every configured report.
-    pub fn finish(self) -> SuiteReport {
-        let _ = self.handle.request_one(Request::Stop);
-        let api_health = self.handle.query_health().unwrap_or_default();
+    pub fn finish(mut self) -> SuiteReport {
+        self.registrations.stop();
+        let api_health = self
+            .registrations
+            .handle()
+            .query_health()
+            .unwrap_or_default();
         let s = self.state;
 
         let profile = s.cfg.profile.then(|| {

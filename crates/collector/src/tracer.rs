@@ -29,7 +29,7 @@ use ora_trace::{
 };
 
 use crate::clock;
-use crate::discovery::RuntimeHandle;
+use crate::discovery::{Registrations, RuntimeHandle};
 
 /// One trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,7 @@ struct CountState {
 
 /// A tracer streaming encoded chunks into an arbitrary [`TraceSink`].
 pub struct StreamingTracer<S: TraceSink + 'static> {
-    handle: RuntimeHandle,
+    registrations: Registrations,
     counts: Arc<CountState>,
     recorder: Recorder<S>,
 }
@@ -116,10 +116,12 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
                 .unwrap_or_else(|| ALL_EVENTS.to_vec()),
             Err(_) => ALL_EVENTS.to_vec(),
         };
+        let mut registrations = Registrations::new(handle);
         for event in supported {
             let rings = rings.clone();
             let counts = counts.clone();
-            let result = handle.register(
+            // Unsupported optional events are fine; anything else is not.
+            registrations.register_if_supported(
                 event,
                 Arc::new(move |d: &EventData| {
                     counts.counts[d.event.index()].fetch_add(1, Ordering::Relaxed);
@@ -132,17 +134,11 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
                         wait_id: d.wait_id,
                     });
                 }),
-            );
-            // Unsupported optional events are fine; anything else is not.
-            if let Err(e) = result {
-                if e != OraError::UnsupportedEvent {
-                    return Err(e.into());
-                }
-            }
+            )?;
         }
 
         Ok(StreamingTracer {
-            handle,
+            registrations,
             counts,
             recorder,
         })
@@ -161,7 +157,7 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
 
     /// The runtime handle this tracer is attached through.
     pub fn handle(&self) -> &RuntimeHandle {
-        &self.handle
+        self.registrations.handle()
     }
 
     /// Append the governor's sampling-rate decisions to the trace as
@@ -184,9 +180,10 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
     }
 
     /// Stop collection, drain everything in flight, write the footer,
-    /// and hand back the sink plus the recording's loss accounting.
-    pub fn finish(self) -> Result<(S, RecordingStats), StreamError> {
-        let _ = self.handle.request_one(Request::Stop);
+    /// and hand back the sink plus the recording's loss accounting. The
+    /// callbacks (and with them the ring set) are released.
+    pub fn finish(mut self) -> Result<(S, RecordingStats), StreamError> {
+        self.registrations.stop();
         Ok(self.recorder.finish()?)
     }
 

@@ -3,27 +3,31 @@
 
 use std::sync::{Arc, Mutex};
 
-use collector::{Endpoint, MutexKind, OmptAdapter, OmptRecord, RuntimeHandle, SyncRegionKind};
+use collector::{
+    Endpoint, MutexKind, OmptAdapter, OmptRecord, Registrations, RuntimeHandle, SyncRegionKind,
+};
 use omprt::OpenMp;
 
-fn attach(rt: &OpenMp) -> Arc<Mutex<Vec<OmptRecord>>> {
+/// The attachment guard (the tool stays attached while it lives) and the
+/// records the tool has received.
+fn attach(rt: &OpenMp) -> (Registrations, Arc<Mutex<Vec<OmptRecord>>>) {
     let handle = RuntimeHandle::discover_named(rt.symbol_name()).unwrap();
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = log.clone();
-    OmptAdapter::attach(
+    let attached = OmptAdapter::attach(
         handle,
         Arc::new(move |r| {
             l.lock().unwrap().push(r);
         }),
     )
     .unwrap();
-    log
+    (attached, log)
 }
 
 #[test]
 fn parallel_begin_end_pairs_with_ids() {
     let rt = OpenMp::with_threads(2);
-    let log = attach(&rt);
+    let (_attached, log) = attach(&rt);
     rt.parallel(|_| {});
     rt.parallel(|_| {});
     let log = log.lock().unwrap();
@@ -54,7 +58,7 @@ fn parallel_begin_end_pairs_with_ids() {
 #[test]
 fn sync_regions_carry_kind_and_endpoint() {
     let rt = OpenMp::with_threads(2);
-    let log = attach(&rt);
+    let (_attached, log) = attach(&rt);
     rt.parallel(|ctx| {
         ctx.barrier();
     });
@@ -92,7 +96,7 @@ fn sync_regions_carry_kind_and_endpoint() {
 #[test]
 fn mutex_callbacks_fire_on_contended_critical() {
     let rt = OpenMp::with_threads(4);
-    let log = attach(&rt);
+    let (_attached, log) = attach(&rt);
     rt.parallel(|ctx| {
         ctx.critical("ompt_test", || {
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -133,7 +137,7 @@ fn mutex_callbacks_fire_on_contended_critical() {
 #[test]
 fn work_callbacks_bracket_loops() {
     let rt = OpenMp::with_threads(2);
-    let log = attach(&rt);
+    let (_attached, log) = attach(&rt);
     rt.parallel(|ctx| {
         ctx.for_each(0, 31, |_| {});
     });
@@ -169,7 +173,7 @@ fn work_callbacks_bracket_loops() {
 #[test]
 fn taskwait_maps_to_sync_region() {
     let rt = OpenMp::with_threads(2);
-    let log = attach(&rt);
+    let (_attached, log) = attach(&rt);
     rt.parallel(|ctx| {
         if ctx.is_master() {
             ctx.task(|| {});

@@ -26,7 +26,7 @@
 //! 3. **The feedback loop.** When installed (collector rung
 //!    "governed"), the governor times every [`CAL_STRIDE`]-th sampled
 //!    dispatch with an injectable clock, runs the measurements through
-//!    the same [`crate::stats`] pipeline ora-meter uses offline, and at
+//!    the [`crate::stats`] pipeline (MAD rejection, bootstrap CI), and at
 //!    the end of each calibration window solves for per-event-pair
 //!    sampling shifts ([`plan_shifts`]) so the projected monitoring
 //!    cost fits the budget (`OMP_ORA_BUDGET`, e.g. `2%`). Decisions are

@@ -31,6 +31,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use crate::pad::CachePadded;
 use crate::sync::Mutex;
 
 /// Number of reader slots. Threads beyond this many *concurrently live*
@@ -48,15 +49,21 @@ struct ReaderSlot {
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
-const SLOT_INIT: ReaderSlot = ReaderSlot {
+const SLOT_INIT: CachePadded<ReaderSlot> = CachePadded::new(ReaderSlot {
     epoch: AtomicU64::new(QUIESCENT),
     claimed: AtomicBool::new(false),
-};
+});
 
-static SLOTS: [ReaderSlot; MAX_READERS] = [SLOT_INIT; MAX_READERS];
+/// One line per slot: a pin is two stores to the owner's slot on every
+/// monitored event, and slots are claimed in index order, so unpadded
+/// neighbours (a master and its first worker) would trade one cache line
+/// back and forth per event — or not, depending on where the linker
+/// happened to start the array.
+static SLOTS: [CachePadded<ReaderSlot>; MAX_READERS] = [SLOT_INIT; MAX_READERS];
 
 /// Global epoch. Starts at 1 so no retire stamp is ever [`QUIESCENT`].
-static EPOCH: AtomicU64 = AtomicU64::new(1);
+/// Read by every pin, so it gets a line no other static can write into.
+static EPOCH: CachePadded<AtomicU64> = CachePadded::new(AtomicU64::new(1));
 
 /// A thread's claim on one reader slot, released when the thread exits.
 struct ReaderHandle {

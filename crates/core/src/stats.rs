@@ -1,12 +1,10 @@
 //! Defensible statistics over timing samples.
 //!
-//! This pipeline started life inside ora-meter (the bench crate), where it
-//! makes `BENCH_*.json` overhead numbers reproducible; it lives in
-//! `ora_core` so the in-process overhead governor ([`crate::governor`])
-//! can reuse the exact same ratio machinery for its online calibration
-//! windows. Never report a bare mean: timings on a busy machine are
-//! right-skewed with occasional scheduler spikes, and a mean over them
-//! lies. Instead each sample set goes through a fixed pipeline:
+//! The in-process overhead governor ([`crate::governor`]) runs its online
+//! calibration windows through this pipeline. Never report a bare mean:
+//! timings on a busy machine are right-skewed with occasional scheduler
+//! spikes, and a mean over them lies. Instead each sample set goes
+//! through a fixed pipeline:
 //!
 //! 1. **MAD-based outlier rejection** — samples further than `mad_k`
 //!    scaled median-absolute-deviations from the median are dropped
@@ -22,9 +20,8 @@
 //!    sample median; its uncertainty is a seeded percentile-bootstrap
 //!    confidence interval (resample-with-replacement medians, 2.5th and
 //!    97.5th percentiles). The bootstrap uses the deterministic
-//!    [`XorShift64`], so the same samples always produce the same CI —
-//!    `BENCH_*.json` files are reproducible bit-for-bit from the raw
-//!    timings, std-only, no `rand`.
+//!    [`XorShift64`], so the same samples always produce the same CI,
+//!    std-only, no `rand`.
 
 use crate::testutil::XorShift64;
 
@@ -32,8 +29,8 @@ use crate::testutil::XorShift64;
 /// deviation for Gaussian data.
 pub const MAD_SCALE: f64 = 1.4826;
 
-/// Tuning knobs for [`analyze`]. The defaults are the meter's contract:
-/// change them and committed baselines' CIs no longer reproduce.
+/// Tuning knobs for [`analyze`]. The defaults are what the governor
+/// calibrates with.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatPolicy {
     /// Hampel fence width in scaled MADs.
@@ -79,14 +76,6 @@ pub struct SampleStats {
     pub min: f64,
     /// Largest analyzed sample.
     pub max: f64,
-}
-
-impl SampleStats {
-    /// True when this CI and `other`'s do not overlap — the meter's
-    /// criterion for "these two measurements are actually different".
-    pub fn ci_disjoint_from(&self, other: &SampleStats) -> bool {
-        self.ci_lo > other.ci_hi || other.ci_lo > self.ci_hi
-    }
 }
 
 /// Median of `samples` (not required to be sorted; empty → 0.0).
@@ -250,35 +239,5 @@ mod tests {
         assert_eq!(s.reps, 6);
         assert!(s.max < 11.0);
         assert!(s.ci_lo <= s.median && s.median <= s.ci_hi);
-    }
-
-    #[test]
-    fn disjoint_ci_detection() {
-        let lo = SampleStats {
-            reps: 5,
-            rejected: 0,
-            median: 1.0,
-            ci_lo: 0.9,
-            ci_hi: 1.1,
-            mad: 0.1,
-            min: 0.9,
-            max: 1.1,
-        };
-        let hi = SampleStats {
-            median: 2.0,
-            ci_lo: 1.8,
-            ci_hi: 2.2,
-            ..lo
-        };
-        let mid = SampleStats {
-            median: 1.05,
-            ci_lo: 1.0,
-            ci_hi: 1.9,
-            ..lo
-        };
-        assert!(lo.ci_disjoint_from(&hi));
-        assert!(hi.ci_disjoint_from(&lo));
-        assert!(!lo.ci_disjoint_from(&mid));
-        assert!(!mid.ci_disjoint_from(&hi));
     }
 }

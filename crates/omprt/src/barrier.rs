@@ -1,26 +1,37 @@
 //! Team barriers.
 //!
-//! Two implementations are provided: a central sense-reversing barrier
-//! (the default) and a combining-tree barrier, both with bounded spinning
-//! before parking. The runtime exposes *distinct* implicit and explicit
-//! barrier entry points built on these — the paper had to split its single
+//! One implementation: a sense-reversing combining tree whose shape is
+//! derived from the team size and the machine [`Topology`], with bounded
+//! spinning before parking. SMT siblings combine at the leaves, cores
+//! combine into per-package subtrees, and package representatives meet at
+//! a root of fan-in at most [`ROOT_FANIN`]. A level with a single unit
+//! allocates no node, so a team that fits one core or one SMT-less package
+//! gets a one-node tree — which *is* the classic central counter barrier,
+//! down to the memory it touches: the root lives inside the barrier
+//! itself, and only a team that needs more than one node allocates any.
+//! The runtime exposes *distinct* implicit and explicit barrier entry
+//! points built on this — the paper had to split its single
 //! `__ompc_barrier` call into implicit/explicit variants so the two could
 //! be distinguished by tools (§IV-C2); we mirror that split at the
 //! runtime-call layer (`crate::context`).
 //!
 //! ## Scalability notes
 //!
-//! Arrival counters (the central counter and every tree node) and the
-//! sense flag live in [`CachePadded`] cells so an arrival `fetch_add`
-//! never invalidates the line a late spinner is polling. Waiting is
-//! per-thread: each participant owns a [`ParkSlot`] and the releaser
-//! unparks only the slots whose owners actually blocked — threads still
-//! in their spin phase cost the releaser one uncontended atomic swap, and
-//! there is no shared mutex or `notify_all` herd anywhere on the path.
-//! Counter *reset* is part of the release edge: the releaser zeroes every
-//! counter and only then publishes the sense flip, so a next-episode
-//! arrival (which must first have observed the flip) can never read a
-//! stale count.
+//! Arrival counters (every tree node) and the sense flag live in
+//! [`CachePadded`] cells so an arrival `fetch_add` never invalidates the
+//! line a late spinner is polling. Waiting is per-thread: each
+//! participant owns a [`ParkSlot`] and the releaser unparks only the slots
+//! whose owners actually blocked — threads still in their spin phase cost
+//! the releaser one uncontended atomic swap, and there is no shared mutex
+//! or `notify_all` herd anywhere on the path. Counter *reset* is part of
+//! the release edge: the releaser zeroes every counter and only then
+//! publishes the sense flip, so a next-episode arrival (which must first
+//! have observed the flip) can never read a stale count.
+//!
+//! A fork builds its team's barrier, so construction is on the fork path:
+//! everything it allocates is line-aligned (no small heap blocks left to
+//! share cache lines with other threads' scratch buffers), and the walk
+//! that shapes the tree needs no scratch storage at all.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -28,36 +39,6 @@ use ora_core::pad::CachePadded;
 use ora_core::park::ParkSlot;
 
 use crate::topology::Topology;
-
-/// Which barrier algorithm a runtime instance uses (ablation knob for the
-/// `barrier_ablation` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BarrierKind {
-    /// Central sense-reversing barrier: one counter, one sense flag.
-    #[default]
-    Central,
-    /// Combining tree with fan-in 4: arrivals ascend a tree of counters,
-    /// release broadcasts through the shared sense flag.
-    Tree,
-    /// Topology-shaped combining tree: SMT siblings combine at the
-    /// leaves, cores combine into per-package subtrees, and package
-    /// representatives meet at a root whose fan-in is capped by
-    /// [`DEFAULT_ROOT_FANIN`]. The shape comes from
-    /// [`Topology::current`], so `OMP_ORA_TOPOLOGY` makes it
-    /// deterministic in tests and benches.
-    Shaped,
-}
-
-impl BarrierKind {
-    /// Stable lowercase name (used in BENCH json `config` blocks).
-    pub const fn name(self) -> &'static str {
-        match self {
-            BarrierKind::Central => "central",
-            BarrierKind::Tree => "tree",
-            BarrierKind::Shaped => "shaped",
-        }
-    }
-}
 
 /// A reusable barrier for a fixed-size team.
 pub struct Barrier {
@@ -67,32 +48,32 @@ pub struct Barrier {
     sense: CachePadded<AtomicBool>,
     /// One parking spot per participant, each on its own line.
     slots: Box<[CachePadded<ParkSlot>]>,
-    algo: Algo,
+    tree: Tree,
 }
 
-enum Algo {
-    Central {
-        count: CachePadded<AtomicUsize>,
-    },
-    Tree {
-        /// One arrival counter per tree node; node 0 is the root. A
-        /// thread's leaf node is `(size-1 + tid) / FANIN` in an implicit
-        /// heap layout over `ceil(size/FANIN)`-ary groups.
-        nodes: Vec<CachePadded<AtomicUsize>>,
-    },
-    Shaped {
-        nodes: Vec<ShapedNode>,
-        /// tid → index of the node this thread arrives at.
-        leaf_of: Vec<u32>,
-    },
+/// The combining tree: explicit parent-pointer nodes, so every node can
+/// have its own fan-in — SMT width at the leaves, cores per package above
+/// them, [`ROOT_FANIN`]-capped near the root. Nodes are indexed `below`
+/// first; index `below.len()` is the root.
+struct Tree {
+    root: CachePadded<Node>,
+    /// Every node but the root, one per line. Empty when the team fits
+    /// one group.
+    below: Vec<CachePadded<Node>>,
+    /// tid → index of the node this thread arrives at, [`LEAVES_PER_LINE`]
+    /// to a line; empty when `below` is (everyone arrives at the root).
+    /// Read-only after construction, so it stays off the slot lines the
+    /// releaser writes every episode.
+    leaf_of: Box<[LeafLine]>,
 }
 
-/// One node of the topology-shaped combining tree: an explicit
-/// parent-pointer structure (unlike the fixed-fan-in implicit heap) so
-/// every node can have its own fan-in — SMT width at the leaves, cores
-/// per package above them, [`DEFAULT_ROOT_FANIN`]-capped near the root.
-struct ShapedNode {
-    count: CachePadded<AtomicUsize>,
+type LeafLine = CachePadded<[u32; LEAVES_PER_LINE]>;
+const LEAVES_PER_LINE: usize = 32;
+
+/// The read-only shape shares the counter's line: whoever reads it is
+/// about to `fetch_add` the counter.
+struct Node {
+    count: AtomicUsize,
     /// Arrivals this node waits for (child climbers plus directly
     /// attached threads).
     fanin: u32,
@@ -100,82 +81,47 @@ struct ShapedNode {
     parent: u32,
 }
 
+impl Node {
+    fn new(fanin: usize) -> CachePadded<Node> {
+        CachePadded::new(Node {
+            count: AtomicUsize::new(0),
+            fanin: fanin as u32,
+            parent: NO_PARENT,
+        })
+    }
+}
+
 const NO_PARENT: u32 = u32::MAX;
 
-/// Fan-in of the combining tree.
-const FANIN: usize = 4;
-
-/// Root fan-in cap for the shaped tree: package representatives combine
-/// in groups of at most this many. Machines rarely have more than a
-/// handful of packages, so the root is usually a single node.
-pub const DEFAULT_ROOT_FANIN: usize = 8;
+/// Fan-in cap above the package level: package representatives (and,
+/// under oversubscription, wrapped-around groups) combine in groups of at
+/// most this many. Machines rarely have more than a handful of packages,
+/// so the root is usually a single node.
+pub const ROOT_FANIN: usize = 8;
 
 impl Barrier {
-    /// A barrier for `size` threads using `kind`'s algorithm.
-    pub fn new(kind: BarrierKind, size: usize) -> Self {
-        assert!(size >= 1, "barrier needs at least one participant");
-        let algo = match kind {
-            BarrierKind::Central => Algo::Central {
-                count: CachePadded::new(AtomicUsize::new(0)),
-            },
-            BarrierKind::Tree => {
-                let leaves = size.div_ceil(FANIN);
-                // Internal nodes above the leaf layer, down to a single root.
-                let mut node_count = leaves;
-                let mut layer = leaves;
-                while layer > 1 {
-                    layer = layer.div_ceil(FANIN);
-                    node_count += layer;
-                }
-                Algo::Tree {
-                    nodes: (0..node_count.max(1))
-                        .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                        .collect(),
-                }
-            }
-            BarrierKind::Shaped => {
-                return Barrier::new_shaped(size, Topology::current(), DEFAULT_ROOT_FANIN)
-            }
-        };
-        Barrier {
-            size,
-            sense: CachePadded::new(AtomicBool::new(false)),
-            slots: (0..size)
-                .map(|_| CachePadded::new(ParkSlot::new()))
-                .collect(),
-            algo,
-        }
+    /// A barrier for `size` threads shaped by the process-wide topology.
+    pub fn new(size: usize) -> Self {
+        Barrier::with_topology(size, Topology::current())
     }
 
-    /// A topology-shaped combining-tree barrier with an explicit machine
-    /// model and root fan-in cap (the configurable form behind
-    /// [`BarrierKind::Shaped`]; benches and shape-edge-case tests inject
-    /// topologies here directly).
-    pub fn new_shaped(size: usize, topo: Topology, root_fanin: usize) -> Self {
+    /// A barrier for `size` threads shaped by an explicit machine model
+    /// (tests inject shapes here).
+    pub fn with_topology(size: usize, topo: Topology) -> Self {
         assert!(size >= 1, "barrier needs at least one participant");
-        let (nodes, leaf_of) = build_shaped_tree(size, topo, root_fanin.max(2));
         Barrier {
             size,
             sense: CachePadded::new(AtomicBool::new(false)),
             slots: (0..size)
                 .map(|_| CachePadded::new(ParkSlot::new()))
                 .collect(),
-            algo: Algo::Shaped { nodes, leaf_of },
+            tree: Tree::build(size, topo),
         }
     }
 
     /// Number of participating threads.
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// The algorithm this barrier runs.
-    pub fn kind(&self) -> BarrierKind {
-        match self.algo {
-            Algo::Central { .. } => BarrierKind::Central,
-            Algo::Tree { .. } => BarrierKind::Tree,
-            Algo::Shaped { .. } => BarrierKind::Shaped,
-        }
     }
 
     /// Wait until all `size` threads have called `wait` for this episode.
@@ -186,29 +132,12 @@ impl Barrier {
             return; // solo team: nothing to synchronize
         }
         let local_sense = !self.sense.load(Ordering::Relaxed);
-        let is_releaser = match &self.algo {
-            Algo::Central { count } => count.fetch_add(1, Ordering::AcqRel) + 1 == self.size,
-            Algo::Tree { nodes } => self.tree_arrive(nodes, tid),
-            Algo::Shaped { nodes, leaf_of } => shaped_arrive(nodes, leaf_of[tid]),
-        };
-        if is_releaser {
+        if self.tree.arrive(tid) {
             // Reset *before* the sense flip so the reset is ordered into
             // the release edge: a thread can only start the next episode
             // after acquiring the flip, which makes these plain stores
             // visible to it.
-            match &self.algo {
-                Algo::Central { count } => count.store(0, Ordering::Relaxed),
-                Algo::Tree { nodes } => {
-                    for node in nodes.iter() {
-                        node.store(0, Ordering::Relaxed);
-                    }
-                }
-                Algo::Shaped { nodes, .. } => {
-                    for node in nodes.iter() {
-                        node.count.store(0, Ordering::Relaxed);
-                    }
-                }
-            }
+            self.tree.reset();
             self.sense.store(local_sense, Ordering::Release);
             // Targeted wake: one swap per slot, a syscall only for owners
             // that actually parked (ParkSlot reports PARKED state).
@@ -224,149 +153,133 @@ impl Barrier {
             });
         }
     }
-
-    /// Ascend the combining tree; returns whether this thread is the last
-    /// overall arrival (the releaser). Node counters are *not* reset here;
-    /// the releaser zeroes them all before publishing the sense flip.
-    fn tree_arrive(&self, nodes: &[CachePadded<AtomicUsize>], tid: usize) -> bool {
-        // Layer sizes from leaves up to the root.
-        let mut layer_sizes = Vec::new();
-        let mut layer = self.size;
-        loop {
-            layer = layer.div_ceil(FANIN);
-            layer_sizes.push(layer);
-            if layer <= 1 {
-                break;
-            }
-        }
-        // Node indices: leaves occupy the *end* of the flat vec, the root
-        // is index 0. Compute layer offsets root-first.
-        let mut offsets = vec![0usize; layer_sizes.len()];
-        {
-            let mut off = 0;
-            for (i, &sz) in layer_sizes.iter().enumerate().rev() {
-                offsets[i] = off;
-                off += sz;
-            }
-        }
-        let mut index_in_layer = tid;
-        let mut members = self.size; // members feeding into this layer
-        for (level, &layer_size) in layer_sizes.iter().enumerate() {
-            let node_in_layer = index_in_layer / FANIN;
-            // Fan-in of this specific node: last node may be partial.
-            let full = members / FANIN;
-            let fanin = if node_in_layer < full {
-                FANIN
-            } else {
-                members - full * FANIN
-            };
-            let fanin = if fanin == 0 { FANIN } else { fanin };
-            let node = &nodes[offsets[level] + node_in_layer];
-            let prev = node.fetch_add(1, Ordering::AcqRel);
-            if prev + 1 < fanin {
-                return false; // not the last into this node
-            }
-            index_in_layer = node_in_layer;
-            members = layer_size;
-            if layer_size == 1 {
-                return true; // climbed out of the root
-            }
-        }
-        true
-    }
 }
 
-/// Climb the shaped tree from `leaf`; returns whether this thread is the
-/// overall releaser. Counters are reset by the releaser before the sense
-/// flip, exactly like the fixed-fan-in tree.
-fn shaped_arrive(nodes: &[ShapedNode], leaf: u32) -> bool {
-    let mut idx = leaf;
-    loop {
-        let node = &nodes[idx as usize];
-        let prev = node.count.fetch_add(1, Ordering::AcqRel);
-        if prev + 1 < node.fanin as usize {
-            return false; // not the last arrival into this node
-        }
-        if node.parent == NO_PARENT {
-            return true; // climbed out of the root
-        }
-        idx = node.parent;
-    }
-}
-
-/// Builds the shaped combining tree for `size` threads on `topo`.
-///
-/// Construction walks the hierarchy bottom-up with one grouping extent
-/// per level — SMT width, then cores-per-package, then `root_fanin`
-/// repeatedly until a single root remains. Units (threads at the bottom,
-/// node representatives above) are chunked consecutively, which under the
-/// compact gtid assignment puts SMT siblings in one leaf and one
-/// package's cores in one subtree. A chunk with a single unit allocates
-/// no node: the unit passes through to the next level, so degenerate
-/// extents (SMT-less machines, 1-package shapes) cost nothing.
-fn build_shaped_tree(
-    size: usize,
-    topo: Topology,
-    root_fanin: usize,
-) -> (Vec<ShapedNode>, Vec<u32>) {
-    enum Unit {
-        Thread(u32),
-        Node(u32),
-    }
-    let mut nodes: Vec<ShapedNode> = Vec::new();
-    let mut leaf_of = vec![NO_PARENT; size];
-    let mut units: Vec<Unit> = (0..size as u32).map(Unit::Thread).collect();
-    let mut extents = vec![topo.smt_per_core(), topo.cores_per_package()];
-    // Enough root_fanin levels to always converge to one unit.
-    let mut width = topo.packages().max(units.len());
-    while width > 1 {
-        extents.push(root_fanin);
-        width = width.div_ceil(root_fanin);
-    }
-    for extent in extents {
-        if units.len() <= 1 {
-            break;
-        }
-        if extent <= 1 {
-            continue;
-        }
-        let mut next: Vec<Unit> = Vec::with_capacity(units.len().div_ceil(extent));
-        for chunk in units.chunks(extent) {
-            if chunk.len() == 1 {
-                // Pass the lone unit through; re-wrap to move ownership.
-                next.push(match chunk[0] {
-                    Unit::Thread(t) => Unit::Thread(t),
-                    Unit::Node(n) => Unit::Node(n),
-                });
-                continue;
-            }
-            let id = nodes.len() as u32;
-            nodes.push(ShapedNode {
-                count: CachePadded::new(AtomicUsize::new(0)),
-                fanin: chunk.len() as u32,
-                parent: NO_PARENT,
-            });
-            for unit in chunk {
-                match *unit {
-                    Unit::Thread(t) => leaf_of[t as usize] = id,
-                    Unit::Node(n) => nodes[n as usize].parent = id,
+impl Tree {
+    /// Builds the combining tree for `size` threads on `topo`.
+    ///
+    /// Construction walks the hierarchy bottom-up with one grouping extent
+    /// per level — SMT width, then cores-per-package, then [`ROOT_FANIN`]
+    /// repeatedly — until what is left fits one group, which becomes the
+    /// root. Units (threads at the bottom, node representatives above)
+    /// are grouped consecutively, which under the compact gtid assignment
+    /// puts SMT siblings in one leaf and one package's cores in one
+    /// subtree. A group of one allocates no node: the unit is carried up
+    /// to the next level, so degenerate extents (SMT-less machines,
+    /// 1-package shapes) cost nothing.
+    ///
+    /// Units are numbered in one space — thread `t` is unit `t`, node `n`
+    /// is unit `size + n` — so a level is a run of consecutive units (the
+    /// threads, or the nodes the level below created) plus at most one
+    /// unit carried up, and the walk keeps no list of them.
+    fn build(size: usize, topo: Topology) -> Tree {
+        fn attach(
+            unit: usize,
+            to: usize,
+            size: usize,
+            below: &mut [CachePadded<Node>],
+            leaf_of: &mut [LeafLine],
+        ) {
+            match unit.checked_sub(size) {
+                Some(node) => below[node].parent = to as u32,
+                // No table means a one-node tree: every leaf is the root.
+                None => {
+                    if let Some(line) = leaf_of.get_mut(unit / LEAVES_PER_LINE) {
+                        line[unit % LEAVES_PER_LINE] = to as u32;
+                    }
                 }
             }
-            next.push(Unit::Node(id));
         }
-        units = next;
+
+        let mut below: Vec<CachePadded<Node>> = Vec::new();
+        let mut leaf_of: Box<[LeafLine]> = Box::default();
+        let mut level = 0..size;
+        let mut carried: Option<usize> = None;
+        let mut extents = [topo.smt_per_core(), topo.cores_per_package()]
+            .into_iter()
+            .chain(std::iter::repeat(ROOT_FANIN))
+            .filter(|&extent| extent > 1);
+        loop {
+            let extent = extents.next().expect("repeat never ends");
+            let mut left = level.len() + carried.iter().len();
+            let mut units = level.chain(carried.take());
+            if left <= extent {
+                // What is left fits one group: the root.
+                let root = below.len();
+                for unit in units {
+                    attach(unit, root, size, &mut below, &mut leaf_of);
+                }
+                return Tree {
+                    root: Node::new(left),
+                    below,
+                    leaf_of,
+                };
+            }
+            if leaf_of.is_empty() {
+                let lines = size.div_ceil(LEAVES_PER_LINE);
+                leaf_of = vec![CachePadded::new([NO_PARENT; LEAVES_PER_LINE]); lines].into();
+                // Every node combines at least two units, so `size` leaves
+                // make at most `size - 1` nodes, root included.
+                below.reserve(size - 2);
+            }
+            let first_created = size + below.len();
+            while left > 0 {
+                let group = extent.min(left);
+                left -= group;
+                if group == 1 {
+                    carried = units.next(); // only ever the last group
+                    break;
+                }
+                let id = below.len();
+                below.push(Node::new(group));
+                for unit in units.by_ref().take(group) {
+                    attach(unit, id, size, &mut below, &mut leaf_of);
+                }
+            }
+            level = first_created..size + below.len();
+        }
     }
-    debug_assert!(units.len() <= 1);
-    debug_assert!(size < 2 || nodes.iter().filter(|n| n.parent == NO_PARENT).count() == 1);
-    debug_assert!(size < 2 || leaf_of.iter().all(|&l| l != NO_PARENT));
-    (nodes, leaf_of)
+
+    /// The node at `idx` (`below` first, then the root).
+    fn node(&self, idx: usize) -> &Node {
+        self.below.get(idx).unwrap_or(&self.root)
+    }
+
+    /// Climb from `tid`'s leaf; returns whether this thread is the last
+    /// overall arrival (the releaser). Node counters are *not* reset
+    /// here; the releaser zeroes them all before publishing the sense
+    /// flip.
+    fn arrive(&self, tid: usize) -> bool {
+        let mut idx = match self.leaf_of.get(tid / LEAVES_PER_LINE) {
+            Some(line) => line[tid % LEAVES_PER_LINE] as usize,
+            None => self.below.len(),
+        };
+        loop {
+            let node = self.node(idx);
+            let prev = node.count.fetch_add(1, Ordering::AcqRel);
+            if prev + 1 < node.fanin as usize {
+                return false; // not the last arrival into this node
+            }
+            if node.parent == NO_PARENT {
+                return true; // climbed out of the root
+            }
+            idx = node.parent as usize;
+        }
+    }
+
+    /// Zero every arrival counter (the releaser, before the sense flip).
+    fn reset(&self) {
+        for node in self.below.iter().chain([&self.root]) {
+            node.count.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 impl std::fmt::Debug for Barrier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Barrier")
             .field("size", &self.size)
-            .field("kind", &self.kind())
+            .field("nodes", &(self.tree.below.len() + 1))
             .finish()
     }
 }
@@ -374,11 +287,26 @@ impl std::fmt::Debug for Barrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ora_core::testutil::XorShift64;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    fn exercise(kind: BarrierKind, threads: usize, episodes: usize) {
-        let barrier = Arc::new(Barrier::new(kind, threads));
+    /// The tree as flat tables: `(fanin, parent)` per node with the root
+    /// last, and each thread's leaf.
+    fn tree(size: usize, topo: Topology) -> (Vec<(u32, u32)>, Vec<u32>) {
+        let tree = Tree::build(size, topo);
+        let nodes = (0..=tree.below.len())
+            .map(|idx| (tree.node(idx).fanin, tree.node(idx).parent))
+            .collect();
+        let leaf_of = match tree.leaf_of.len() {
+            0 => vec![tree.below.len() as u32; size],
+            _ => tree.leaf_of.iter().flat_map(|l| **l).take(size).collect(),
+        };
+        (nodes, leaf_of)
+    }
+
+    fn exercise(topo: Topology, threads: usize, episodes: usize) {
+        let barrier = Arc::new(Barrier::with_topology(threads, topo));
         let phase = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
@@ -406,36 +334,22 @@ mod tests {
     }
 
     #[test]
-    fn central_barrier_synchronizes_and_reuses() {
-        exercise(BarrierKind::Central, 4, 50);
+    fn barrier_synchronizes_and_reuses() {
+        exercise(Topology::current(), 4, 50);
+        exercise(Topology::new(2, 4, 2), 16, 20);
     }
 
     #[test]
-    fn tree_barrier_synchronizes_and_reuses() {
-        exercise(BarrierKind::Tree, 4, 50);
-    }
-
-    #[test]
-    fn tree_barrier_handles_odd_team_sizes() {
+    fn barrier_handles_odd_team_sizes() {
         for threads in [1, 2, 3, 5, 6, 7, 9, 13] {
-            exercise(BarrierKind::Tree, threads, 10);
-        }
-    }
-
-    #[test]
-    fn central_barrier_handles_odd_team_sizes() {
-        for threads in [1, 2, 3, 5, 7] {
-            exercise(BarrierKind::Central, threads, 10);
+            exercise(Topology::flat(4), threads, 10);
         }
     }
 
     #[test]
     fn single_thread_barrier_is_a_no_op() {
-        let b = Barrier::new(BarrierKind::Central, 1);
-        for _ in 0..10 {
-            b.wait(0);
-        }
-        let b = Barrier::new(BarrierKind::Tree, 1);
+        let b = Barrier::new(1);
+        assert!(b.tree.below.is_empty() && b.tree.leaf_of.is_empty());
         for _ in 0..10 {
             b.wait(0);
         }
@@ -444,7 +358,7 @@ mod tests {
     #[test]
     fn parked_waiters_are_released() {
         // Force parking by making one thread arrive long after the others.
-        let b = Arc::new(Barrier::new(BarrierKind::Central, 2));
+        let b = Arc::new(Barrier::new(2));
         let b2 = b.clone();
         let h = std::thread::spawn(move || b2.wait(1));
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -453,48 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_is_reported() {
-        assert_eq!(Barrier::new(BarrierKind::Tree, 3).kind(), BarrierKind::Tree);
-        assert_eq!(
-            Barrier::new(BarrierKind::Shaped, 3).kind(),
-            BarrierKind::Shaped
-        );
-        assert_eq!(BarrierKind::Central.name(), "central");
-        assert_eq!(BarrierKind::Tree.name(), "tree");
-        assert_eq!(BarrierKind::Shaped.name(), "shaped");
-    }
-
-    fn exercise_shaped(topo: Topology, threads: usize, episodes: usize) {
-        let barrier = Arc::new(Barrier::new_shaped(threads, topo, DEFAULT_ROOT_FANIN));
-        let phase = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let barrier = barrier.clone();
-                let phase = phase.clone();
-                std::thread::spawn(move || {
-                    for ep in 0..episodes {
-                        assert_eq!(phase.load(Ordering::SeqCst) / threads as u64, ep as u64);
-                        phase.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait(tid);
-                        assert!(phase.load(Ordering::SeqCst) >= ((ep + 1) * threads) as u64);
-                        barrier.wait(tid);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(phase.load(Ordering::SeqCst), (threads * episodes) as u64);
-    }
-
-    #[test]
-    fn shaped_barrier_synchronizes_under_matching_topology() {
-        exercise_shaped(Topology::new(2, 4, 2), 16, 20);
-    }
-
-    #[test]
-    fn shaped_barrier_handles_shape_edge_cases() {
+    fn barrier_handles_shape_edge_cases() {
         // 1-package, SMT-less, odd team sizes vs injected shapes, and
         // oversubscription past the slot count.
         for (topo, threads) in [
@@ -505,12 +378,80 @@ mod tests {
             (Topology::new(4, 1, 2), 9),  // many tiny packages
             (Topology::new(2, 3, 1), 13), // SMT-less, odd cores
         ] {
-            exercise_shaped(topo, threads, 10);
+            exercise(topo, threads, 10);
+        }
+    }
+
+    /// The team every benchmark workload runs: whatever the machine looks
+    /// like, two threads share one counter — the central barrier.
+    #[test]
+    fn two_threads_get_one_node_on_any_topology() {
+        for topo in [
+            Topology::new(2, 4, 2),
+            Topology::new(1, 8, 1),
+            Topology::new(8, 1, 1),
+            Topology::new(1, 1, 1),
+            Topology::current(),
+        ] {
+            let (nodes, leaf_of) = tree(2, topo);
+            assert_eq!(nodes, [(2, NO_PARENT)], "{topo:?}");
+            assert_eq!(leaf_of, [0, 0]);
+            // Nothing allocated beyond what the central barrier had.
+            let tree = Tree::build(2, topo);
+            assert!(tree.below.is_empty() && tree.leaf_of.is_empty());
+        }
+    }
+
+    /// 32 threads on 2x4x2 (oversubscribed 2x): 16 SMT-pair leaves, four
+    /// 4-core package subtrees, one root — node for node the table the
+    /// former topology-shaped variant built.
+    #[test]
+    fn thirty_two_threads_on_2x4x2_build_the_shaped_table() {
+        let (table, leaf_of) = tree(32, Topology::new(2, 4, 2));
+        let mut expected: Vec<(u32, u32)> = (0..16).map(|leaf| (2, 16 + leaf / 4)).collect();
+        expected.extend([(4, 20); 4]);
+        expected.push((4, NO_PARENT));
+        assert_eq!(table, expected);
+        let leaves: Vec<u32> = (0..32).map(|tid| tid / 2).collect();
+        assert_eq!(leaf_of, leaves);
+    }
+
+    /// For every team size and shape, whatever order threads arrive in,
+    /// exactly one of them climbs out of the root — and after the reset
+    /// the next episode behaves the same.
+    #[test]
+    fn exactly_one_releaser_per_episode() {
+        let mut rng = XorShift64::new(0xba44_1e42);
+        for topo in [
+            Topology::new(2, 4, 2),
+            Topology::new(1, 8, 1),
+            Topology::new(8, 1, 1),
+        ] {
+            for size in 2..=67 {
+                let b = Barrier::with_topology(size, topo);
+                for _episode in 0..3 {
+                    let mut order: Vec<usize> = (0..size).collect();
+                    for i in (1..size).rev() {
+                        order.swap(i, rng.range_usize(0, i + 1));
+                    }
+                    let releasers: Vec<usize> = order
+                        .iter()
+                        .copied()
+                        .filter(|&t| b.tree.arrive(t))
+                        .collect();
+                    assert_eq!(
+                        releasers,
+                        [*order.last().unwrap()],
+                        "{topo:?} size {size}: the last arrival releases"
+                    );
+                    b.tree.reset();
+                }
+            }
         }
     }
 
     #[test]
-    fn shaped_tree_structure_is_well_formed() {
+    fn tree_structure_is_well_formed() {
         for (topo, size) in [
             (Topology::new(2, 4, 2), 16),
             (Topology::new(2, 4, 2), 5),
@@ -518,36 +459,36 @@ mod tests {
             (Topology::new(1, 1, 1), 64),
             (Topology::new(16, 1, 1), 32),
         ] {
-            let (nodes, leaf_of) = build_shaped_tree(size, topo, 2);
+            let (nodes, leaf_of) = tree(size, topo);
             assert_eq!(leaf_of.len(), size);
             // Exactly one root; every thread reaches it.
             let roots: Vec<usize> = (0..nodes.len())
-                .filter(|&i| nodes[i].parent == NO_PARENT)
+                .filter(|&i| nodes[i].1 == NO_PARENT)
                 .collect();
             assert_eq!(roots.len(), 1, "topo {topo:?} size {size}");
             for &leaf in &leaf_of {
                 let mut idx = leaf as usize;
                 let mut hops = 0;
-                while nodes[idx].parent != NO_PARENT {
-                    idx = nodes[idx].parent as usize;
+                while nodes[idx].1 != NO_PARENT {
+                    idx = nodes[idx].1 as usize;
                     hops += 1;
-                    assert!(hops <= nodes.len(), "cycle in shaped tree");
+                    assert!(hops <= nodes.len(), "cycle in barrier tree");
                 }
                 assert_eq!(idx, roots[0]);
             }
             // Total arrivals across nodes = threads + one climb per
             // non-root node.
-            let total_fanin: usize = nodes.iter().map(|n| n.fanin as usize).sum();
+            let total_fanin: usize = nodes.iter().map(|n| n.0 as usize).sum();
             assert_eq!(total_fanin, size + nodes.len() - 1);
             // No degenerate single-arrival nodes survive construction.
-            assert!(nodes.iter().all(|n| n.fanin >= 2));
+            assert!(nodes.iter().all(|n| n.0 >= 2));
         }
     }
 
     #[test]
-    fn shaped_leaves_group_smt_siblings() {
+    fn leaves_group_smt_siblings() {
         let topo = Topology::new(2, 2, 2);
-        let (_, leaf_of) = build_shaped_tree(8, topo, 2);
+        let (_, leaf_of) = tree(8, topo);
         // Compact assignment: gtids (0,1), (2,3), … are SMT pairs and
         // must share a leaf; adjacent pairs must not.
         for pair in 0..4 {

@@ -1,6 +1,5 @@
 //! Runtime configuration — the `OMP_*` environment analogue.
 
-use crate::barrier::BarrierKind;
 use crate::schedule::Schedule;
 
 /// Configuration of one runtime instance.
@@ -10,8 +9,6 @@ pub struct Config {
     pub num_threads: usize,
     /// Default loop schedule (`OMP_SCHEDULE`).
     pub schedule: Schedule,
-    /// Barrier algorithm.
-    pub barrier: BarrierKind,
     /// Whether contended atomic updates raise `ATWT` state/events. The
     /// paper's OpenUH deliberately does not implement these because of the
     /// cost (§IV-C7); the default matches, and the ablation bench flips it.
@@ -22,11 +19,6 @@ pub struct Config {
     /// compiler": a fork event per nested region and live current/parent
     /// region IDs for the inner team (§IV-C1, §IV-E).
     pub nested: bool,
-    /// Force nested sub-teams to spawn ephemeral OS threads instead of
-    /// leasing parked pool workers. The default (off) is the pooled path;
-    /// this knob exists for the pooled-vs-ephemeral ablation in the
-    /// `topo` bench suite and has no effect unless `nested` is set.
-    pub nested_ephemeral: bool,
 }
 
 impl Default for Config {
@@ -36,10 +28,8 @@ impl Default for Config {
                 .map(|n| n.get())
                 .unwrap_or(1),
             schedule: Schedule::StaticEven,
-            barrier: BarrierKind::default(),
             atomic_events: false,
             nested: false,
-            nested_ephemeral: false,
         }
     }
 }
@@ -63,9 +53,7 @@ mod tests {
         let c = Config::default();
         assert!(!c.atomic_events, "paper leaves atomic events unimplemented");
         assert!(!c.nested, "paper's compiler serializes nested regions");
-        assert!(!c.nested_ephemeral, "pooled sub-teams are the default");
         assert_eq!(c.schedule, Schedule::StaticEven);
-        assert_eq!(c.barrier, BarrierKind::Central);
         assert!(c.num_threads >= 1);
     }
 

@@ -18,7 +18,6 @@ use crate::descriptor::ThreadDescriptor;
 use crate::runtime::{syms, Shared};
 use crate::schedule::{static_chunks, static_even, Chunk, DynamicLoop, Schedule};
 use crate::team::Team;
-use crate::topology::Topology;
 
 /// Execution context of one thread inside one parallel region.
 pub struct ParCtx<'a> {
@@ -198,19 +197,13 @@ impl<'a> ParCtx<'a> {
             }
             Schedule::Dynamic(_) | Schedule::Guided(_) => {
                 let nthreads = self.team.size;
-                // Teams spanning more than one package claim through a
-                // per-package intermediate cursor so the globally shared
-                // claim line is touched once per lease, not once per
-                // batch (see `schedule::DynamicLoop::new_hierarchical`).
-                let topo = Topology::current();
-                let n_packages = topo.packages_spanned(nthreads);
-                let shared_loop = self.team.dynamic_loop(seq, || {
-                    DynamicLoop::new_hierarchical(lo, hi, stride, schedule, nthreads, n_packages)
-                });
+                let shared_loop = self
+                    .team
+                    .dynamic_loop(seq, || DynamicLoop::new(lo, hi, stride, schedule, nthreads));
                 // Per-thread batched claimer: chunks are served from a
                 // thread-local cache and the shared claim counter is only
                 // touched once per batch (see `schedule::Claimer`).
-                let mut claimer = shared_loop.claimer_at(topo.package_of(self.gtid));
+                let mut claimer = shared_loop.claimer();
                 loop {
                     let claimed = {
                         let _frame = psx::enter(syms().dispatch);

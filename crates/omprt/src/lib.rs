@@ -54,7 +54,7 @@ pub mod topology;
 pub mod userapi;
 pub mod wordlock;
 
-pub use barrier::{Barrier, BarrierKind};
+pub use barrier::Barrier;
 pub use config::Config;
 pub use context::ParCtx;
 pub use descriptor::ThreadDescriptor;

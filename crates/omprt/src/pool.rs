@@ -175,10 +175,9 @@ impl TeamSlot {
 /// woken by global publication, so they are exactly the idle capacity)
 /// and hands each its own `LeaseSlot`: the sub-team work, the worker's
 /// member ID inside the sub-team, and a doorbell epoch. The worker serves
-/// the lease under its *registered* descriptor — unlike the ephemeral
-/// fallback's fresh descriptors, a leased worker stays visible to state
-/// queries and health tooling mid-region — and frees itself back to the
-/// lease pool after the sub-team's closing barrier.
+/// the lease under its *registered* descriptor — so it stays visible to
+/// state queries and health tooling mid-region — and frees itself back to
+/// the lease pool after the sub-team's closing barrier.
 ///
 /// Publication protocol mirrors [`TeamSlot`]: write the work cell and
 /// member ID, release-increment `epoch`, unpark the worker's descriptor
@@ -322,13 +321,10 @@ fn serve_region(shared: &Arc<Shared>, gtid: usize, desc: &Arc<crate::ThreadDescr
 
 /// Serve one nested sub-team lease, then return to the pool.
 ///
-/// Event emission deliberately matches the ephemeral-spawn fallback
-/// exactly (no idle transitions; the Fork was fired by the nested master
-/// before this worker woke), so the trace of a nested region is
-/// indistinguishable across the two fork paths. The difference is the
-/// descriptor: the worker keeps its registered one, binding it under the
-/// sub-team member ID, so state queries and health tooling see the thread
-/// mid-region.
+/// A lease raises no idle transitions (the Fork was fired by the nested
+/// master before this worker woke). The worker keeps its registered
+/// descriptor, binding it under the sub-team member ID, so state queries
+/// and health tooling see the thread mid-region.
 fn serve_lease(
     shared: &Arc<Shared>,
     lease: &LeaseSlot,

@@ -75,6 +75,11 @@ pub(crate) fn syms() -> &'static RuntimeSyms {
 
 static INSTANCE_IDS: AtomicU64 = AtomicU64::new(1);
 
+/// Hard cap on pool size (top-level team + all leases), so pathological
+/// nesting cannot spawn without limit. A nested fork that would exceed it
+/// gets a smaller team.
+const MAX_POOL: usize = 512;
+
 /// State shared between the master API, the worker pool, and the collector
 /// provider.
 pub(crate) struct Shared {
@@ -151,33 +156,6 @@ impl Shared {
         self.leases.read()[gtid].clone()
     }
 
-    /// Claim up to `want` parked pool workers for a nested sub-team.
-    ///
-    /// Leasable workers are exactly those outside the running top-level
-    /// team (`gtid >= slot.size()` — global publication never wakes
-    /// them) and not already leased to a sibling sub-team. Assignment is
-    /// topology-compact: workers on `near`'s package come first (in gtid
-    /// order, so SMT siblings stay adjacent), then the rest. Returns the
-    /// claimed gtids in inner-member order; the caller maps them to
-    /// inner gtids `1..` and must publish to each exactly once.
-    pub(crate) fn claim_lease_workers(&self, want: usize, near: usize) -> Vec<usize> {
-        if want == 0 {
-            return Vec::new();
-        }
-        let topo = Topology::current();
-        let near_pkg = topo.package_of(near);
-        let floor = self.slot.size().max(1);
-        let pool = self.descriptors.read().len();
-        let mut leased = self.leased.lock();
-        let mut free: Vec<usize> = (floor..pool).filter(|g| !leased.contains(g)).collect();
-        free.sort_by_key(|&g| (topo.package_of(g) != near_pkg, g));
-        free.truncate(want);
-        for &g in &free {
-            leased.insert(g);
-        }
-        free
-    }
-
     /// Publish sub-team work to a claimed worker and ring its doorbell.
     pub(crate) fn publish_lease(&self, gtid: usize, work: Work, inner_gtid: usize) {
         self.lease_slot(gtid).publish(work, inner_gtid);
@@ -188,11 +166,6 @@ impl Shared {
     /// fully restored its pool identity).
     pub(crate) fn release_lease(&self, gtid: usize) {
         self.leased.lock().remove(&gtid);
-    }
-
-    /// Workers currently leased to nested sub-teams.
-    pub(crate) fn leased_count(&self) -> usize {
-        self.leased.lock().len()
     }
 }
 
@@ -442,13 +415,8 @@ impl OpenMp {
             } else {
                 let (_gtid, desc, team) = tls::lookup(shared.instance).expect("bound");
                 let outer = team.expect("in_parallel implies a team");
-                let solo = Team::new_at_level(
-                    outer.region_id,
-                    outer.parent_region_id,
-                    1,
-                    crate::barrier::BarrierKind::Central,
-                    outer.level + 1,
-                );
+                let solo =
+                    Team::new_at_level(outer.region_id, outer.parent_region_id, 1, outer.level + 1);
                 // Make the solo team current for the duration of the
                 // body: `omp_get_level` counts serialized regions too,
                 // so a deeper serialized nest must see *this* level as
@@ -485,7 +453,7 @@ impl OpenMp {
 
         let region_id = shared.region_counter.fetch_add(1, Ordering::Relaxed) + 1;
         shared.region_calls.fetch_add(1, Ordering::Relaxed);
-        let team = Team::new(region_id, 0, n, shared.config.barrier);
+        let team = Team::new(region_id, 0, n);
 
         // The fork event fires before any worker is created or woken
         // (paper: "just before the call pthread_create()").
@@ -561,11 +529,10 @@ impl OpenMp {
     /// Sub-team members come from the persistent pool: parked workers
     /// outside the running top-level team are leased (topology-compactly,
     /// preferring the nested master's package) and woken through their
-    /// private [`LeaseSlot`] doorbells. Only the shortfall — pool
-    /// exhausted, or `Config::nested_ephemeral` forcing the old behaviour
-    /// for ablation — is covered by ephemeral scoped threads. Both paths
-    /// emit identical fork/join/level event streams; they differ only in
-    /// thread provenance (and therefore descriptor visibility).
+    /// private [`LeaseSlot`] doorbells. The inner team is sized to what
+    /// was leased — `1 + leased`, which is `n` until the pool reaches
+    /// [`MAX_POOL`]; OpenMP permits delivering fewer threads than a
+    /// `parallel` construct requests.
     fn nested_parallel<F: Fn(&ParCtx<'_>) + Sync>(&self, n: usize, region: &RegionHandle, f: &F) {
         let shared = &self.shared;
         let (outer_gtid, outer_desc, outer_team) = tls::lookup(shared.instance).expect("bound");
@@ -573,13 +540,6 @@ impl OpenMp {
 
         let region_id = shared.region_counter.fetch_add(1, Ordering::Relaxed) + 1;
         shared.region_calls.fetch_add(1, Ordering::Relaxed);
-        let team = Team::new_at_level(
-            region_id,
-            outer.region_id,
-            n,
-            shared.config.barrier,
-            outer.level + 1,
-        );
 
         let fork_frame = psx::enter(syms().fork);
         // The inner master is in the overhead state while forking, and the
@@ -588,18 +548,16 @@ impl OpenMp {
         let prev_state = outer_desc.state.replace(ThreadState::Overhead);
         shared.fire(Event::Fork, outer_gtid, region_id, outer.region_id, 0);
 
-        // Lease parked pool workers for the sub-team (growing the pool up
-        // to a bound first, so steady-state nested forking never spawns).
-        let leased = if n > 1 && !shared.config.nested_ephemeral {
-            self.ensure_lease_capacity(n - 1);
-            shared.claim_lease_workers(n - 1, outer_gtid)
-        } else {
-            Vec::new()
-        };
+        let leased = self.lease_workers(n - 1, outer_gtid);
+        let team = Team::new_at_level(
+            region_id,
+            outer.region_id,
+            1 + leased.len(),
+            outer.level + 1,
+        );
 
         // The inner master reuses its descriptor; leased workers keep
-        // their registered ones (bound under their inner gtids); only
-        // ephemeral fallback workers get fresh descriptors.
+        // their registered ones (bound under their inner gtids).
         tls::set_team(shared.instance, Some(team.clone()));
         outer_desc.state.set(ThreadState::Working);
 
@@ -616,35 +574,10 @@ impl OpenMp {
             );
         }
 
-        std::thread::scope(|scope| {
-            for inner_gtid in (1 + leased.len())..n {
-                let team = team.clone();
-                let shared = shared.clone();
-                let f = &f;
-                let region = region.clone();
-                scope.spawn(move || {
-                    let desc = Arc::new(ThreadDescriptor::new(inner_gtid));
-                    tls::bind(shared.instance, inner_gtid, desc.clone());
-                    tls::set_team(shared.instance, Some(team.clone()));
-                    desc.state.set(ThreadState::Working);
-                    {
-                        let ctx = ParCtx::new(&shared, &team, &desc, inner_gtid);
-                        let frame = psx::enter(region.outlined);
-                        let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                        drop(frame);
-                        if result.is_err() {
-                            team.set_panicked();
-                        }
-                        ctx.implicit_barrier();
-                    }
-                    tls::unbind(shared.instance);
-                });
-            }
-
-            // The inner master's share. Its implicit barrier releases
-            // only after every leased and ephemeral member arrived, so
-            // `f` (referenced by the erased lease closures) outlives all
-            // calls through them.
+        // The inner master's share. Its implicit barrier releases only
+        // after every leased member arrived, so `f` (referenced by the
+        // erased lease closures) outlives all calls through them.
+        {
             let ctx = ParCtx::new(shared, &team, &outer_desc, 0);
             let frame = psx::enter(region.outlined);
             let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
@@ -653,7 +586,7 @@ impl OpenMp {
                 team.set_panicked();
             }
             ctx.implicit_barrier();
-        });
+        }
 
         if team.tasks.used() {
             let (stolen, overflows, parks) = team.tasks.take_stats();
@@ -716,23 +649,39 @@ impl OpenMp {
         }
     }
 
-    /// Grow the pool so `want` workers are leasable for a nested
-    /// sub-team alongside the running top-level team and any sibling
-    /// leases. Bounded so pathological nesting cannot spawn without
-    /// limit; the shortfall past the bound falls back to ephemeral
-    /// threads in the caller.
-    fn ensure_lease_capacity(&self, want: usize) {
-        /// Hard cap on pool size (top-level team + all leases).
-        const MAX_POOL: usize = 512;
-        let target = self
-            .shared
-            .slot
-            .size()
-            .max(1)
-            .saturating_add(self.shared.leased_count())
+    /// Lease up to `want` parked pool workers for a nested sub-team,
+    /// growing the pool (up to [`MAX_POOL`]) first so steady-state nested
+    /// forking never spawns.
+    ///
+    /// Leasable workers are exactly those outside the running top-level
+    /// team (`gtid >= slot.size()` — global publication never wakes
+    /// them) and not already leased to a sibling sub-team. Sizing and
+    /// claiming happen under one hold of the lease table, so concurrent
+    /// sibling forks cannot take each other's headroom. Assignment is
+    /// topology-compact: workers on `near`'s package come first (in gtid
+    /// order, so SMT siblings stay adjacent), then the rest. Returns the
+    /// claimed gtids in inner-member order; the caller maps them to
+    /// inner gtids `1..` and must publish to each exactly once.
+    fn lease_workers(&self, want: usize, near: usize) -> Vec<usize> {
+        if want == 0 {
+            return Vec::new();
+        }
+        let shared = &self.shared;
+        let mut leased = shared.leased.lock();
+        let floor = shared.slot.size().max(1);
+        let target = floor
+            .saturating_add(leased.len())
             .saturating_add(want)
             .min(MAX_POOL);
         self.ensure_workers(target);
+        let pool = shared.descriptors.read().len();
+        let topo = Topology::current();
+        let near_pkg = topo.package_of(near);
+        let mut free: Vec<usize> = (floor..pool).filter(|g| !leased.contains(g)).collect();
+        free.sort_by_key(|&g| (topo.package_of(g) != near_pkg, g));
+        free.truncate(want);
+        leased.extend(&free);
+        free
     }
 
     /// Number of live worker threads (excluding the master).
@@ -742,10 +691,9 @@ impl OpenMp {
 
     /// Snapshot of every *registered* thread descriptor's state, indexed
     /// by pool gtid. This is the view health/monitoring tooling gets of
-    /// the runtime's threads: pooled workers (including ones leased to a
-    /// nested sub-team) appear here, while the ephemeral fallback's
-    /// fresh descriptors never do — which is why pooled nested forking
-    /// is required for sub-teams to be observable mid-region.
+    /// the runtime's threads: pooled workers, including ones leased to a
+    /// nested sub-team, appear here — so sub-teams are observable
+    /// mid-region.
     pub fn registered_thread_states(&self) -> Vec<ThreadState> {
         self.shared
             .descriptors

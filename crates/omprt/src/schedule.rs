@@ -8,9 +8,6 @@
 //! be property-tested in isolation from threading.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Mutex;
-
-use ora_core::pad::CachePadded;
 
 /// A loop schedule kind (the `schedule(...)` clause).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -124,10 +121,6 @@ pub fn static_chunks(
     out
 }
 
-/// One per-package intermediate cursor: the unserved `(next, limit)`
-/// remainder of a span leased from the global cursor.
-type PackageCursor = CachePadded<Mutex<(i64, i64)>>;
-
 /// Shared claim counter for dynamic and guided schedules: one per loop
 /// instance, owned by the team.
 #[derive(Debug)]
@@ -140,110 +133,26 @@ pub struct DynamicLoop {
     total: i64,
     schedule: Schedule,
     nthreads: usize,
-    /// Per-package intermediate cursors for hierarchical dynamic
-    /// claiming (empty = flat claiming). Each holds `(next, limit)` —
-    /// the unserved remainder of a span leased from the global cursor.
-    /// A `Mutex` keeps the pair consistent; the lock is package-local,
-    /// so contention on it never crosses a package boundary, which is
-    /// the point of the tier.
-    packages: Box<[PackageCursor]>,
-    /// Logical iterations leased to a package per refill.
-    lease_span: i64,
 }
 
 impl DynamicLoop {
     /// A claimable loop over `lo..=hi` by `stride`, for `nthreads` threads.
     pub fn new(lo: i64, hi: i64, stride: i64, schedule: Schedule, nthreads: usize) -> Self {
-        DynamicLoop::new_hierarchical(lo, hi, stride, schedule, nthreads, 1)
-    }
-
-    /// A claimable loop with `n_packages` per-package intermediate
-    /// cursors between the threads and the global counter. Dynamic
-    /// schedules lease [`BATCH_MAX`]`×threads-per-package×chunk`
-    /// iterations from the global cursor into a package cursor and claim
-    /// locally from it, so the globally shared cache line is touched once
-    /// per *lease* instead of once per batch; near the loop tail leasing
-    /// collapses back to direct global claims to keep the final chunks
-    /// exactly as balanced as the flat schedule. Guided and static
-    /// schedules ignore the package tier. With `n_packages <= 1` this is
-    /// exactly [`DynamicLoop::new`].
-    pub fn new_hierarchical(
-        lo: i64,
-        hi: i64,
-        stride: i64,
-        schedule: Schedule,
-        nthreads: usize,
-        n_packages: usize,
-    ) -> Self {
-        let total = trip_count(lo, hi, stride) as i64;
-        let nthreads = nthreads.max(1);
-        let n_packages = if matches!(schedule, Schedule::Dynamic(_)) {
-            n_packages.clamp(1, nthreads)
-        } else {
-            1
-        };
-        let (packages, lease_span) = if n_packages > 1 {
-            let chunk = match schedule {
-                Schedule::Dynamic(c) => c.max(1) as i64,
-                _ => 1,
-            };
-            let per_package_threads = nthreads.div_ceil(n_packages) as i64;
-            (
-                (0..n_packages)
-                    .map(|_| CachePadded::new(Mutex::new((0i64, 0i64))))
-                    .collect(),
-                BATCH_MAX * per_package_threads * chunk,
-            )
-        } else {
-            (Box::from([]), 0)
-        };
         DynamicLoop {
             lo,
             hi,
             stride,
             next: AtomicI64::new(0),
-            total,
+            total: trip_count(lo, hi, stride) as i64,
             schedule,
-            nthreads,
-            packages,
-            lease_span,
+            nthreads: nthreads.max(1),
         }
     }
 
-    /// Number of per-package intermediate cursors (0 = flat claiming).
-    pub fn package_tiers(&self) -> usize {
-        self.packages.len()
-    }
-
-    /// Claim up to `want` logical iterations through package `pkg`'s
-    /// intermediate cursor. Serves the current lease first; refills from
-    /// the global cursor in [`Self::lease_span`] units while the loop is
-    /// far from its tail. Returns `None` once leasing has collapsed (or
-    /// the loop is exhausted) — the caller then claims globally, so the
-    /// tail is partitioned exactly like the flat schedule.
-    fn claim_package_span(&self, pkg: usize, want: i64) -> Option<(i64, i64)> {
-        let mut lease = self.packages[pkg].lock().unwrap();
-        loop {
-            let (next, limit) = *lease;
-            if next < limit {
-                let count = want.min(limit - next);
-                lease.0 = next + count;
-                return Some((next, count));
-            }
-            // Lease exhausted. Only take a fresh one while every package
-            // could still get a full lease; otherwise collapse. (The
-            // global cursor may transiently overshoot `total`, which only
-            // shrinks `remaining` — collapsing early is always safe.)
-            let remaining = (self.total - self.next.load(Ordering::Relaxed)).max(0);
-            if remaining < self.lease_span * self.packages.len() as i64 {
-                return None;
-            }
-            let (start, count) = self.claim_span(self.lease_span)?;
-            *lease = (start, start + count);
-        }
-    }
-
-    /// Claim the next chunk, or `None` when the loop is exhausted.
+    /// Claim the next single chunk, or `None` when the loop is exhausted:
+    /// one shared claim per chunk. The runtime claims through a
+    /// [`Claimer`], which passes guided schedules through to this and is
+    /// tested against it for dynamic ones.
     pub fn claim(&self) -> Option<Chunk> {
         match self.schedule {
             Schedule::Dynamic(chunk) => self
@@ -261,24 +170,10 @@ impl DynamicLoop {
 
     /// A per-thread batched claimer for this loop. Each participating
     /// thread should create its own and pull chunks from it; see
-    /// [`Claimer`]. Claims go straight to the global cursor; use
-    /// [`DynamicLoop::claimer_at`] to route through a package tier.
+    /// [`Claimer`].
     pub fn claimer(&self) -> Claimer<'_> {
         Claimer {
             shared: self,
-            package: None,
-            cache_lo: 0,
-            cache_hi: 0,
-        }
-    }
-
-    /// A per-thread batched claimer whose batch refills route through
-    /// package `pkg`'s intermediate cursor (when this loop has package
-    /// tiers — otherwise identical to [`DynamicLoop::claimer`]).
-    pub fn claimer_at(&self, pkg: usize) -> Claimer<'_> {
-        Claimer {
-            shared: self,
-            package: (!self.packages.is_empty()).then(|| pkg % self.packages.len().max(1)),
             cache_lo: 0,
             cache_hi: 0,
         }
@@ -371,8 +266,6 @@ const BATCH_MAX: i64 = 8;
 #[derive(Debug)]
 pub struct Claimer<'a> {
     shared: &'a DynamicLoop,
-    /// Package tier this claimer refills through (`None` = global).
-    package: Option<usize>,
     /// Locally cached logical span `[cache_lo, cache_hi)`.
     cache_lo: i64,
     cache_hi: i64,
@@ -388,13 +281,7 @@ impl Claimer<'_> {
                 let chunk = chunk.max(1) as i64;
                 if self.cache_lo >= self.cache_hi {
                     let batch = self.batch_factor(chunk);
-                    // Package tier first (drains any outstanding lease
-                    // even after collapse); direct global claim once the
-                    // tier declines.
-                    let (start, count) = self
-                        .package
-                        .and_then(|p| l.claim_package_span(p, batch * chunk))
-                        .or_else(|| l.claim_span(batch * chunk))?;
+                    let (start, count) = l.claim_span(batch * chunk)?;
                     self.cache_lo = start;
                     self.cache_hi = start + count;
                 }
@@ -573,91 +460,6 @@ mod tests {
         assert!(sizes.windows(2).all(|w| w[0] >= w[1]));
         // Never below the minimum chunk except possibly the tail.
         assert!(sizes[..sizes.len() - 1].iter().all(|&s| s >= 4));
-    }
-
-    #[test]
-    fn hierarchical_claims_cover_everything_once() {
-        // Serial drain through two package tiers, alternating packages.
-        let l = DynamicLoop::new_hierarchical(0, 999, 1, Schedule::Dynamic(7), 8, 2);
-        assert_eq!(l.package_tiers(), 2);
-        let mut c0 = l.claimer_at(0);
-        let mut c1 = l.claimer_at(1);
-        let mut seen = Vec::new();
-        loop {
-            let a = c0.next_chunk();
-            let b = c1.next_chunk();
-            if a.is_none() && b.is_none() {
-                break;
-            }
-            for c in [a, b].into_iter().flatten() {
-                assert!(c.len(1) <= 7);
-                seen.extend(c.values(1));
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..=999).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn hierarchical_collapses_for_small_loops_and_few_threads() {
-        // A loop smaller than one lease never engages the package tier
-        // but must still partition exactly.
-        let l = DynamicLoop::new_hierarchical(0, 9, 1, Schedule::Dynamic(3), 4, 2);
-        let mut claimer = l.claimer_at(1);
-        let mut seen = Vec::new();
-        while let Some(c) = claimer.next_chunk() {
-            seen.extend(c.values(1));
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..=9).collect::<Vec<_>>());
-        // Non-dynamic schedules and single packages get no tier at all.
-        assert_eq!(
-            DynamicLoop::new_hierarchical(0, 99, 1, Schedule::Guided(4), 4, 2).package_tiers(),
-            0
-        );
-        assert_eq!(
-            DynamicLoop::new_hierarchical(0, 99, 1, Schedule::Dynamic(4), 4, 1).package_tiers(),
-            0
-        );
-        // More packages than threads clamps down instead of starving.
-        assert_eq!(
-            DynamicLoop::new_hierarchical(0, 99, 1, Schedule::Dynamic(1), 2, 8).package_tiers(),
-            2
-        );
-    }
-
-    #[test]
-    fn concurrent_hierarchical_claims_partition_exactly() {
-        use std::sync::Arc;
-        let nt = 8;
-        let l = Arc::new(DynamicLoop::new_hierarchical(
-            0,
-            19999,
-            1,
-            Schedule::Dynamic(13),
-            nt,
-            2,
-        ));
-        let handles: Vec<_> = (0..nt)
-            .map(|tid| {
-                let l = l.clone();
-                std::thread::spawn(move || {
-                    let mut claimer = l.claimer_at(tid / (nt / 2));
-                    let mut mine = Vec::new();
-                    while let Some(c) = claimer.next_chunk() {
-                        assert!(c.len(1) <= 13);
-                        mine.extend(c.values(1));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        let mut all: Vec<i64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..=19999).collect::<Vec<_>>());
     }
 
     #[test]
@@ -851,49 +653,6 @@ mod seeded_props {
                 l.total(),
                 "cursor must land exactly on total"
             );
-        }
-    }
-
-    /// Concurrent draining through package-tiered claimers is an exact
-    /// partition for any loop shape, thread count, chunk size, and
-    /// package count — including tails smaller than one lease and more
-    /// packages than threads.
-    #[test]
-    fn concurrent_hierarchical_claims_partition() {
-        let mut rng = XorShift64::new(0x5c4e_d008);
-        for _ in 0..48 {
-            let (lo, hi, stride, _) = loop_params(&mut rng);
-            let nt = rng.range_usize(2, 9);
-            let chunk = rng.range_usize(1, 20);
-            let pkgs = rng.range_usize(1, 5);
-            let l = std::sync::Arc::new(DynamicLoop::new_hierarchical(
-                lo,
-                hi,
-                stride,
-                Schedule::Dynamic(chunk),
-                nt,
-                pkgs,
-            ));
-            let handles: Vec<_> = (0..nt)
-                .map(|tid| {
-                    let l = l.clone();
-                    std::thread::spawn(move || {
-                        let mut claimer = l.claimer_at(tid % pkgs);
-                        let mut mine = Vec::new();
-                        while let Some(c) = claimer.next_chunk() {
-                            assert!(c.len(l.stride) <= chunk as u64);
-                            mine.extend(c.values(l.stride));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            let mut all: Vec<i64> = handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all, expected_space(lo, hi, stride));
         }
     }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use ora_core::pad::CachePadded;
 use ora_core::sync::Mutex;
 
-use crate::barrier::{Barrier, BarrierKind};
+use crate::barrier::Barrier;
 use crate::schedule::DynamicLoop;
 #[cfg(test)]
 use crate::schedule::Schedule;
@@ -89,13 +89,8 @@ struct LoopSlot<T> {
 
 impl Team {
     /// A team of `size` threads for region `region_id`.
-    pub fn new(
-        region_id: u64,
-        parent_region_id: u64,
-        size: usize,
-        barrier_kind: BarrierKind,
-    ) -> Arc<Team> {
-        Self::new_at_level(region_id, parent_region_id, size, barrier_kind, 1)
+    pub fn new(region_id: u64, parent_region_id: u64, size: usize) -> Arc<Team> {
+        Self::new_at_level(region_id, parent_region_id, size, 1)
     }
 
     /// A team at an explicit nesting level.
@@ -103,7 +98,6 @@ impl Team {
         region_id: u64,
         parent_region_id: u64,
         size: usize,
-        barrier_kind: BarrierKind,
         level: u32,
     ) -> Arc<Team> {
         Arc::new(Team {
@@ -111,7 +105,7 @@ impl Team {
             parent_region_id,
             size,
             level,
-            barrier: Arc::new(Barrier::new(barrier_kind, size)),
+            barrier: Arc::new(Barrier::new(size)),
             reduction_lock: WordLock::new(),
             single_claim: CachePadded::new(AtomicU64::new(0)),
             tasks: TaskPool::new(size),
@@ -126,7 +120,7 @@ impl Team {
     /// which keep the *outer* region IDs because the paper's runtime does
     /// not track IDs for serialized nesting (§IV-E).
     pub fn solo(region_id: u64, parent_region_id: u64) -> Arc<Team> {
-        Team::new(region_id, parent_region_id, 1, BarrierKind::Central)
+        Team::new(region_id, parent_region_id, 1)
     }
 
     /// Arbitrate a `single` construct: thread-local construct sequence
@@ -246,7 +240,7 @@ mod tests {
 
     #[test]
     fn single_claim_goes_to_exactly_one_thread_per_construct() {
-        let t = Team::new(1, 0, 4, BarrierKind::Central);
+        let t = Team::new(1, 0, 4);
         // Construct 0: first claimer wins, rest lose.
         assert!(t.claim_single(0));
         assert!(!t.claim_single(0));
@@ -258,7 +252,7 @@ mod tests {
 
     #[test]
     fn concurrent_single_claims_have_one_winner() {
-        let t = Team::new(1, 0, 8, BarrierKind::Central);
+        let t = Team::new(1, 0, 8);
         let t = Arc::new(t);
         for construct in 0..20u64 {
             let winners: usize = std::thread::scope(|s| {
@@ -276,7 +270,7 @@ mod tests {
 
     #[test]
     fn dynamic_loop_slot_is_shared_and_reclaimed() {
-        let t = Team::new(1, 0, 2, BarrierKind::Central);
+        let t = Team::new(1, 0, 2);
         let a = t.dynamic_loop(0, || DynamicLoop::new(0, 9, 1, Schedule::Dynamic(2), 2));
         let b = t.dynamic_loop(0, || panic!("must reuse the existing slot"));
         assert!(Arc::ptr_eq(&a, &b));
@@ -289,7 +283,7 @@ mod tests {
 
     #[test]
     fn ordered_state_tracks_turns() {
-        let t = Team::new(1, 0, 2, BarrierKind::Central);
+        let t = Team::new(1, 0, 2);
         let o = t.ordered_loop(0, 10);
         assert!(o.is_turn(10));
         assert!(!o.is_turn(11));
@@ -302,7 +296,7 @@ mod tests {
 
     #[test]
     fn panic_flag_latches() {
-        let t = Team::new(1, 0, 2, BarrierKind::Central);
+        let t = Team::new(1, 0, 2);
         assert!(!t.has_panicked());
         t.set_panicked();
         assert!(t.has_panicked());
@@ -310,7 +304,7 @@ mod tests {
 
     #[test]
     fn reduction_lock_provides_mutual_exclusion() {
-        let t = Team::new(1, 0, 4, BarrierKind::Central);
+        let t = Team::new(1, 0, 4);
         assert!(t.reduction_lock.try_lock());
         assert!(!t.reduction_lock.try_lock());
         t.reduction_lock.unlock();

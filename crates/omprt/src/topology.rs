@@ -1,11 +1,11 @@
 //! Machine-topology model for hierarchical scheduling.
 //!
-//! The runtime's hot paths (tree barriers, the batched loop claimer, and
-//! pooled nested-team assignment) all want to know how hardware threads
-//! group into cores and packages: SMT siblings share an L1/L2 and combine
-//! cheaply, threads on one package share a last-level cache, and crossing
-//! packages is the expensive hop. This module gives them a single regular
-//! model — `packages × cores-per-package × SMT-per-core` — detected from
+//! The team barrier's shape and pooled nested-team assignment both want
+//! to know how hardware threads group into cores and packages: SMT
+//! siblings share an L1/L2 and combine cheaply, threads on one package
+//! share a last-level cache, and crossing packages is the expensive hop.
+//! This module gives them a single regular model — `packages ×
+//! cores-per-package × SMT-per-core` — detected from
 //! `/sys/devices/system/cpu` on Linux, or injected deterministically via
 //! the `OMP_ORA_TOPOLOGY` environment variable (`"2x4x2"` means 2
 //! packages, 4 cores each, 2 SMT slots per core). Benches and CI use the
@@ -89,17 +89,16 @@ impl Topology {
     /// else the machine detected from `/sys`, else a flat fallback sized
     /// by [`std::thread::available_parallelism`].
     ///
-    /// The environment variable is consulted on every call (cheap, and it
-    /// lets one process host tests with different injected shapes), while
-    /// the `/sys` probe is done once and cached.
+    /// Resolved once per process: every fork shapes its team barrier from
+    /// this, so the fork path must not pay for an environment read.
     pub fn current() -> Self {
-        if let Ok(spec) = std::env::var(TOPOLOGY_ENV) {
-            if let Some(t) = Topology::parse(&spec) {
-                return t;
-            }
-        }
-        static DETECTED: OnceLock<Topology> = OnceLock::new();
-        *DETECTED.get_or_init(Topology::detect)
+        static CURRENT: OnceLock<Topology> = OnceLock::new();
+        *CURRENT.get_or_init(|| {
+            std::env::var(TOPOLOGY_ENV)
+                .ok()
+                .and_then(|spec| Topology::parse(&spec))
+                .unwrap_or_else(Topology::detect)
+        })
     }
 
     /// Probes `/sys/devices/system/cpu` (Linux) for the machine shape.
@@ -186,18 +185,6 @@ impl Topology {
     pub fn package_of(&self, gtid: usize) -> usize {
         self.location_of(gtid).package
     }
-
-    /// How many distinct packages a compact team of `size` threads spans
-    /// (at least 1, at most [`Self::packages`]).
-    pub fn packages_spanned(&self, size: usize) -> usize {
-        if size == 0 {
-            return 1;
-        }
-        if size >= self.slots() {
-            return self.packages;
-        }
-        size.div_ceil(self.package_size()).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -260,17 +247,6 @@ mod tests {
         // Oversubscription wraps.
         assert_eq!(t.location_of(8), locs[0]);
         assert_eq!(t.location_of(13), locs[5]);
-    }
-
-    #[test]
-    fn packages_spanned_is_compact() {
-        let t = Topology::new(2, 4, 2); // package_size 8, slots 16
-        assert_eq!(t.packages_spanned(1), 1);
-        assert_eq!(t.packages_spanned(8), 1);
-        assert_eq!(t.packages_spanned(9), 2);
-        assert_eq!(t.packages_spanned(16), 2);
-        assert_eq!(t.packages_spanned(64), 2);
-        assert_eq!(t.packages_spanned(0), 1);
     }
 
     #[test]

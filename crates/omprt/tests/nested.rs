@@ -300,48 +300,6 @@ fn leased_sub_team_workers_are_visible_to_state_queries() {
 }
 
 #[test]
-fn ephemeral_knob_preserves_nested_semantics() {
-    // The pooled-vs-ephemeral ablation knob must not change results,
-    // parent chains, or region accounting — only the thread source.
-    let rt = OpenMp::with_config(Config {
-        num_threads: 2,
-        nested: true,
-        nested_ephemeral: true,
-        ..Config::default()
-    });
-    let run = |rt: &OpenMp, sum: &Arc<AtomicUsize>| {
-        let s = sum.clone();
-        rt.parallel(|ctx| {
-            let outer_id = ctx.region_id();
-            if ctx.is_master() {
-                let s = s.clone();
-                rt.parallel_n(3, move |inner| {
-                    assert_eq!(inner.parent_region_id(), outer_id);
-                    assert_eq!(inner.level(), 2);
-                    let mut local = 0usize;
-                    inner.for_each(0, 99, |i| local += i as usize);
-                    s.fetch_add(local, Ordering::SeqCst);
-                });
-            }
-        });
-    };
-    let sum = Arc::new(AtomicUsize::new(0));
-    run(&rt, &sum);
-    // The first region lazily spawns the outer team's pool worker; the
-    // ephemeral nested fork must add nothing beyond that, ever.
-    let baseline = rt.spawned_workers();
-    assert_eq!(baseline, 1, "only the outer team lives in the pool");
-    run(&rt, &sum);
-    assert_eq!(sum.load(Ordering::SeqCst), 2 * (99 * 100 / 2));
-    assert_eq!(rt.region_calls(), 4);
-    assert_eq!(
-        rt.spawned_workers(),
-        baseline,
-        "ephemeral path must not grow the pool"
-    );
-}
-
-#[test]
 fn nested_panic_propagates() {
     let rt = nested_rt(1);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

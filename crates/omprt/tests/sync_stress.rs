@@ -11,8 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use omprt::barrier::DEFAULT_ROOT_FANIN;
-use omprt::{Barrier, BarrierKind, Config, OpenMp, Schedule, Topology};
+use omprt::{Barrier, Config, OpenMp, Schedule, Topology};
 use ora_core::park::ParkSlot;
 use ora_core::testutil::XorShift64;
 
@@ -38,63 +37,10 @@ fn jitter(rng: &mut XorShift64) {
 /// cores: every participant parks/unparks constantly, and each episode
 /// re-crosses the counter-reset edge the releaser publishes. A stale
 /// tree-node count or a missed wakeup shows up as an assertion failure
-/// (phase skew) or a hang.
-fn oversubscribed_barrier(kind: BarrierKind, threads: usize, episodes: usize, seed: u64) {
-    let barrier = Arc::new(Barrier::new(kind, threads));
-    let phase = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..threads)
-        .map(|tid| {
-            let barrier = barrier.clone();
-            let phase = phase.clone();
-            std::thread::spawn(move || {
-                let mut rng = XorShift64::new(seed ^ ((tid as u64 + 1) << 32));
-                for ep in 0..episodes {
-                    assert_eq!(
-                        phase.load(Ordering::SeqCst) / threads as u64,
-                        ep as u64,
-                        "tid {tid} entered episode {ep} before the team finished the last"
-                    );
-                    jitter(&mut rng);
-                    phase.fetch_add(1, Ordering::SeqCst);
-                    barrier.wait(tid);
-                    assert!(
-                        phase.load(Ordering::SeqCst) >= ((ep + 1) * threads) as u64,
-                        "tid {tid} released from episode {ep} before all arrivals"
-                    );
-                    barrier.wait(tid); // separates episodes
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(phase.load(Ordering::SeqCst), (threads * episodes) as u64);
-}
-
-#[test]
-fn central_barrier_oversubscribed_many_episodes() {
-    oversubscribed_barrier(BarrierKind::Central, 16, 300, seed());
-}
-
-#[test]
-fn tree_barrier_oversubscribed_many_episodes() {
-    // 17 threads → partial fan-in nodes on every tree layer, so the
-    // releaser-side reset covers full and partial nodes alike.
-    oversubscribed_barrier(BarrierKind::Tree, 17, 300, seed());
-}
-
-/// [`oversubscribed_barrier`] for the topology-shaped combining tree:
-/// same phase protocol, but the tree is built from an injected machine
+/// (phase skew) or a hang. The tree is built from an explicit machine
 /// model so the shape under test is independent of the host.
-fn oversubscribed_shaped_barrier(
-    topo: Topology,
-    root_fanin: usize,
-    threads: usize,
-    episodes: usize,
-    seed: u64,
-) {
-    let barrier = Arc::new(Barrier::new_shaped(threads, topo, root_fanin));
+fn oversubscribed_barrier(topo: Topology, threads: usize, episodes: usize, seed: u64) {
+    let barrier = Arc::new(Barrier::with_topology(threads, topo));
     let phase = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..threads)
         .map(|tid| {
@@ -115,7 +61,7 @@ fn oversubscribed_shaped_barrier(
                         phase.load(Ordering::SeqCst) >= ((ep + 1) * threads) as u64,
                         "tid {tid} released from episode {ep} early under {topo:?}"
                     );
-                    barrier.wait(tid);
+                    barrier.wait(tid); // separates episodes
                 }
             })
         })
@@ -126,14 +72,22 @@ fn oversubscribed_shaped_barrier(
     assert_eq!(phase.load(Ordering::SeqCst), (threads * episodes) as u64);
 }
 
+/// The process topology (whatever `OMP_ORA_TOPOLOGY` injects, else the
+/// host): 16 threads, and 17 so that some node on every layer is partial
+/// and the releaser-side reset covers full and partial nodes alike.
+#[test]
+fn barrier_oversubscribed_many_episodes() {
+    oversubscribed_barrier(Topology::current(), 16, 300, seed());
+    oversubscribed_barrier(Topology::current(), 17, 300, seed());
+}
+
 /// 32-thread oversubscription sweep over tree-shape edge cases: a team
 /// far wider than every injected machine, so gtids wrap the slot space
 /// and every leaf/subtree sees multiple attached threads. Covers the
 /// degenerate 1-package and SMT-less shapes plus an odd team size that
-/// leaves partial nodes on every layer, and both a tight and the
-/// default root fan-in.
+/// leaves partial nodes on every layer.
 #[test]
-fn shaped_barrier_oversubscribed_32_threads_across_topologies() {
+fn barrier_oversubscribed_32_threads_across_topologies() {
     let s = seed();
     for topo in [
         Topology::new(1, 4, 1), // 1 package, SMT-less: package layer degenerates
@@ -141,11 +95,9 @@ fn shaped_barrier_oversubscribed_32_threads_across_topologies() {
         Topology::new(2, 4, 2), // the CI-injected reference shape
         Topology::new(4, 3, 1), // odd cores per package, SMT-less
     ] {
-        for root_fanin in [2, DEFAULT_ROOT_FANIN] {
-            oversubscribed_shaped_barrier(topo, root_fanin, 32, 40, s);
-            // Odd team size: partial leaves and a ragged last package.
-            oversubscribed_shaped_barrier(topo, root_fanin, 29, 40, s);
-        }
+        oversubscribed_barrier(topo, 32, 40, s);
+        // Odd team size: partial leaves and a ragged last package.
+        oversubscribed_barrier(topo, 29, 40, s);
     }
 }
 
@@ -153,15 +105,15 @@ fn shaped_barrier_oversubscribed_32_threads_across_topologies() {
 /// more packages than the team spans compactly (the root combines
 /// everything) and a single giant package (no package layer at all).
 #[test]
-fn shaped_barrier_oversubscribed_64_threads_across_topologies() {
+fn barrier_oversubscribed_64_threads_across_topologies() {
     let s = seed();
     for topo in [
         Topology::new(1, 64, 1), // one giant SMT-less package
         Topology::new(2, 4, 2),  // reference shape, 4x oversubscribed
         Topology::new(8, 1, 1),  // package-per-core: the root does the work
     ] {
-        oversubscribed_shaped_barrier(topo, DEFAULT_ROOT_FANIN, 64, 25, s);
-        oversubscribed_shaped_barrier(topo, DEFAULT_ROOT_FANIN, 61, 25, s);
+        oversubscribed_barrier(topo, 64, 25, s);
+        oversubscribed_barrier(topo, 61, 25, s);
     }
 }
 

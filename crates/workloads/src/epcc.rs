@@ -102,28 +102,6 @@ impl EpccConfig {
             delay_len: 500,
         }
     }
-
-    /// Deterministic sizing for the `ora-meter` quick mode: small enough
-    /// that one [`iterate`] call is a few milliseconds, big enough that a
-    /// repetition is dominated by directive work rather than call
-    /// overhead. These numbers are part of the `BENCH_epcc.json` baseline
-    /// contract — changing them invalidates committed baselines.
-    pub fn meter_quick() -> Self {
-        EpccConfig {
-            outer_reps: 1,
-            inner_reps: 256,
-            delay_len: 128,
-        }
-    }
-
-    /// Deterministic sizing for the `ora-meter` full mode (~4× quick).
-    pub fn meter_full() -> Self {
-        EpccConfig {
-            outer_reps: 1,
-            inner_reps: 1_024,
-            delay_len: 128,
-        }
-    }
 }
 
 /// Statistics of one directive's overhead, in seconds per instance.
@@ -214,22 +192,6 @@ pub fn measure(rt: &OpenMp, directive: Directive, cfg: &EpccConfig) -> Stat {
     }
 
     stats(&samples, raw_total / cfg.outer_reps as f64)
-}
-
-/// Iteration hook for external measurement harnesses (`ora-meter`): run
-/// exactly one repetition of `directive` — `cfg.inner_reps` directive
-/// instances over the configured delay workload — without any internal
-/// timing or reference subtraction. The caller times the whole call,
-/// which is what makes per-repetition statistics (median, bootstrap CI)
-/// possible outside this module.
-pub fn iterate(rt: &OpenMp, directive: Directive, cfg: &EpccConfig) {
-    run_directive(
-        rt,
-        directive,
-        cfg.inner_reps,
-        cfg.delay_len,
-        rt.num_threads(),
-    );
 }
 
 fn run_directive(rt: &OpenMp, directive: Directive, inner: usize, dlen: usize, nthreads: usize) {

@@ -14,9 +14,6 @@
 //!   copyprivate cost by array size);
 //! * [`driver`] — with/without-collection overhead measurement and the
 //!   §V-B measurement-vs-communication breakdown;
-//! * [`meterwork`] — deterministic, repetition-shaped workload units for
-//!   the `ora-meter` overhead experiment (iteration hooks + fixed
-//!   work sizing per scale);
 //! * [`util`] — shared-array plumbing for the kernels.
 
 #![warn(missing_docs)]
@@ -24,7 +21,6 @@
 pub mod arraybench;
 pub mod driver;
 pub mod epcc;
-pub mod meterwork;
 pub mod mz;
 pub mod npb;
 pub mod schedbench;
@@ -32,6 +28,5 @@ pub mod util;
 
 pub use driver::{measure_breakdown, measure_overhead, OverheadBreakdown, OverheadResult};
 pub use epcc::{Directive, EpccConfig, ALL_DIRECTIVES};
-pub use meterwork::{meter_workloads, MeterScale, MeterSuite, MeterWorkload, METER_DIRECTIVES};
 pub use mz::{CollectMode, MzBenchmark, MzRunResult};
 pub use npb::{NpbClass, NpbKernel, RegionSpec, WorkKind};

@@ -145,24 +145,4 @@ mod tests {
             .count();
         assert_eq!(dynamics, 3);
     }
-
-    #[test]
-    fn dynamic_chunk_1_costs_more_than_static_even() {
-        // The classic schedbench shape: dynamic,1 claims every iteration
-        // through the shared counter, static computes bounds once.
-        let rt = OpenMp::with_threads(2);
-        let cfg = SchedConfig {
-            loop_iters: 2_000,
-            reps: 4,
-            delay_len: 0,
-        };
-        let stat = measure_schedule(&rt, Schedule::StaticEven, &cfg);
-        let dyn1 = measure_schedule(&rt, Schedule::Dynamic(1), &cfg);
-        assert!(
-            dyn1.raw_per_iter > stat.raw_per_iter,
-            "dynamic,1 {} <= static {}",
-            dyn1.raw_per_iter,
-            stat.raw_per_iter
-        );
-    }
 }

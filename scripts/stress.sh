@@ -67,14 +67,14 @@ done
 
 # Nested-team topology sweep: real nested forks (pooled sub-team
 # leasing, level/parent chains, leased-worker state visibility) and the
-# topology-shaped barrier and hierarchical claimer exercised under
-# several injected machine shapes — the 2x4x2 reference box, a
-# single-package SMT-less box, and a package-per-core box — plus the
-# curated nested-team fuzz cases replayed under each shape.
+# topology-shaped barrier exercised under several injected machine
+# shapes — the 2x4x2 reference box, a single-package SMT-less box, and
+# a package-per-core box — plus the curated nested-team fuzz cases
+# replayed under each shape.
 echo "== stress: nested-team topology sweep =="
 for shape in 2x4x2 1x8x1 8x1x1; do
   if ! OMP_ORA_TOPOLOGY="$shape" cargo test -q --offline -p omprt \
-      --test nested --test sync_stress; then
+      --test nested --test nested_pool_cap --test sync_stress; then
     echo "stress: nested/sync tests FAILED under OMP_ORA_TOPOLOGY=$shape" >&2
     echo "OMP_ORA_TOPOLOGY=$shape nested+sync_stress" >> stress-failures/failed-seeds.txt
     status=1

@@ -25,6 +25,12 @@ cargo test -q --offline --workspace
 cargo build -p ora-bench --features bench --offline
 cargo clippy -p ora-bench --features bench --all-targets --offline -- -D warnings
 
+# The standalone benchmark package builds against the crates' public
+# API from outside the workspace: a deletion that breaks it must fail
+# here, not in the benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Fuzzer smoke slice: replay every curated regression case through the
 # oracle-differential harness via the CLI (the deep seeded sweep is the
 # nightly fuzz job; this is the fast fixed net).

@@ -89,7 +89,7 @@ fn ompt_adapter_observes_nested_parallelism() {
     });
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = log.clone();
-    collector::OmptAdapter::attach(
+    let _attached = collector::OmptAdapter::attach(
         handle_for(&rt),
         Arc::new(move |r| {
             l.lock().unwrap().push(r);
