@@ -83,13 +83,13 @@ use std::sync::Arc;
 
 use collector::{
     report, Profiler, RuntimeHandle, SelectivePolicy, SelectiveProfiler, StateTimer, StreamError,
-    StreamingTracer, Tracer,
+    StreamingTracer,
 };
 use omprt::OpenMp;
 use ora_core::event::Event;
 use ora_trace::{
-    DropPolicy, FaultMode, FaultSink, FileSink, MemorySink, TraceConfig, TraceError, TraceEvent,
-    TraceReader, TraceSink,
+    DropPolicy, FaultMode, FaultSink, FileSink, MemorySink, RankedEvent, TraceConfig, TraceError,
+    TraceEvent, TraceReader, TraceSink,
 };
 use workloads::epcc::{self, EpccConfig};
 use workloads::{NpbClass, NpbKernel};
@@ -102,15 +102,28 @@ fn arg(name: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-fn run_workload(rt: &OpenMp, workload: &str, class: NpbClass) {
-    match workload {
+/// The EPCC pass every subcommand runs: short, but touching every
+/// directive.
+const EPCC: EpccConfig = EpccConfig {
+    outer_reps: 2,
+    inner_reps: 64,
+    delay_len: 64,
+};
+
+/// A `--threads`-wide runtime and its collector handle.
+fn runtime_from_args() -> (OpenMp, RuntimeHandle) {
+    let rt = OpenMp::with_threads(arg("--threads", "2").parse().unwrap_or(2));
+    let handle = RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime symbol");
+    (rt, handle)
+}
+
+/// Run `--workload` (or `default`) at `--class`, then let the workers'
+/// trailing end-of-barrier events land.
+fn run_workload(rt: &OpenMp, default: &str) {
+    let class = npb_class(&arg("--class", "s"));
+    match arg("--workload", default).as_str() {
         "epcc" => {
-            let cfg = EpccConfig {
-                outer_reps: 2,
-                inner_reps: 64,
-                delay_len: 64,
-            };
-            for (d, stat) in epcc::run_all(rt, &cfg) {
+            for (d, stat) in epcc::run_all(rt, &EPCC) {
                 println!(
                     "  epcc {:<12} overhead/instance {:>9.3} us",
                     d.name(),
@@ -150,14 +163,12 @@ fn run_workload(rt: &OpenMp, workload: &str, class: NpbClass) {
             }
         }
     }
+    std::thread::sleep(std::time::Duration::from_millis(100));
 }
 
 /// `trace record`: run a workload with a streaming tracer writing the
 /// full event stream to a binary trace file.
 fn trace_record() {
-    let workload = arg("--workload", "epcc");
-    let threads: usize = arg("--threads", "2").parse().unwrap_or(2);
-    let class = npb_class(&arg("--class", "s"));
     let out = arg("--out", "run.oratrace");
     let policy = drop_policy(&arg("--policy", "newest"));
     let config = TraceConfig {
@@ -165,16 +176,13 @@ fn trace_record() {
         ..TraceConfig::default()
     };
 
-    let rt = OpenMp::with_threads(threads);
-    let handle = RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime symbol");
+    let (rt, handle) = runtime_from_args();
     let sink = FileSink::create(&out).unwrap_or_else(|e| {
         eprintln!("cannot create {out}: {e}");
         std::process::exit(1);
     });
     let tracer = StreamingTracer::attach(handle, config, sink).expect("attach tracer");
-    run_workload(&rt, &workload, class);
-    // Workers fire trailing end-of-barrier events asynchronously.
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    run_workload(&rt, "epcc");
     let region_calls = tracer.region_calls();
     let (sink, stats) = tracer.finish().expect("finish trace");
     drop(sink.into_file().expect("flush trace file"));
@@ -202,6 +210,89 @@ fn trace_record() {
     }
 }
 
+/// The files under `dir` ending in `.ext`, sorted; exits with `code` if
+/// the directory cannot be read.
+fn files_with_extension(dir: &str, ext: &str, code: i32) -> Vec<std::path::PathBuf> {
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot read {dir}: {e}");
+            std::process::exit(code);
+        })
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some(ext))
+        .collect();
+    paths.sort();
+    paths
+}
+
+/// The per-rank trace files named on the command line: `--rank FILE`
+/// repeated, plus every `*.oratrace` under `--ranks-dir DIR`, sorted.
+fn rank_files() -> Vec<String> {
+    let argv: Vec<String> = std::env::args().collect();
+    let mut files: Vec<String> = argv
+        .windows(2)
+        .filter(|w| w[0] == "--rank")
+        .map(|w| w[1].clone())
+        .collect();
+    let ranks_dir = arg("--ranks-dir", "");
+    if !ranks_dir.is_empty() {
+        let paths = files_with_extension(&ranks_dir, "oratrace", 1);
+        files.extend(paths.iter().map(|p| p.display().to_string()));
+    }
+    files
+}
+
+fn open_trace(path: &String) -> TraceReader {
+    TraceReader::open(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+fn merge_ranks(readers: &[TraceReader]) -> Vec<RankedEvent> {
+    ora_trace::merge_ranks(readers).unwrap_or_else(|e| {
+        eprintln!("merge failed: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// The per-event occurrence table every timeline listing prints.
+fn print_event_counts(events: impl Iterator<Item = Event>) {
+    let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
+    for event in events {
+        *counts.entry(event.name()).or_insert(0) += 1;
+    }
+    println!(
+        "{}",
+        report::table(
+            &["event", "count"],
+            counts
+                .iter()
+                .map(|(name, n)| vec![name.to_string(), n.to_string()]),
+        )
+    );
+}
+
+/// The "first N records" listing; merged timelines name each record's
+/// rank.
+fn print_head<'a>(
+    head: usize,
+    records: impl ExactSizeIterator<Item = (Option<usize>, &'a TraceEvent)>,
+) {
+    println!("first {} records:", head.min(records.len()));
+    for (rank, r) in records.take(head) {
+        let rank = rank.map_or(String::new(), |k| format!("rank {k:<2} "));
+        println!(
+            "{:>12.3} us  {rank}t{:<3} {:<34} region={} wait={}",
+            collector::clock::to_micros(r.tick),
+            r.gtid,
+            r.event.name(),
+            r.region_id,
+            r.wait_id
+        );
+    }
+}
+
 /// `trace analyze`: replay a recorded trace and report detrimental
 /// task-parallel patterns (starvation windows, serialized spawn,
 /// barrier convoys) with tick-ranged evidence. Accepts a single trace
@@ -211,38 +302,13 @@ fn trace_analyze() {
     use ora_trace::analyze::{self, AnalyzeConfig};
 
     let mut cfg = AnalyzeConfig::default();
-    cfg.min_tasks = arg("--min-tasks", &cfg.min_tasks.to_string())
-        .parse()
-        .unwrap_or(cfg.min_tasks);
-    cfg.starvation_frac = arg("--starvation-frac", &cfg.starvation_frac.to_string())
-        .parse()
-        .unwrap_or(cfg.starvation_frac);
-    cfg.dominance_frac = arg("--dominance-frac", &cfg.dominance_frac.to_string())
-        .parse()
-        .unwrap_or(cfg.dominance_frac);
-
-    let argv: Vec<String> = std::env::args().collect();
-    let mut rank_files: Vec<String> = argv
-        .windows(2)
-        .filter(|w| w[0] == "--rank")
-        .map(|w| w[1].clone())
-        .collect();
-    let ranks_dir = arg("--ranks-dir", "");
-    if !ranks_dir.is_empty() {
-        let mut paths: Vec<_> = std::fs::read_dir(&ranks_dir)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read {ranks_dir}: {e}");
-                std::process::exit(1);
-            })
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("oratrace"))
-            .collect();
-        paths.sort();
-        rank_files.extend(paths.iter().map(|p| p.display().to_string()));
-    }
+    let frac = |name: &str, default: f64| arg(name, "").parse().unwrap_or(default);
+    cfg.min_tasks = arg("--min-tasks", "").parse().unwrap_or(cfg.min_tasks);
+    cfg.starvation_frac = frac("--starvation-frac", cfg.starvation_frac);
+    cfg.dominance_frac = frac("--dominance-frac", cfg.dominance_frac);
 
     let timeline = arg("--timeline", "");
-    let report = if !timeline.is_empty() {
+    let events = if !timeline.is_empty() {
         let bytes = std::fs::read(&timeline).unwrap_or_else(|e| {
             eprintln!("cannot read {timeline}: {e}");
             std::process::exit(1);
@@ -255,39 +321,19 @@ fn trace_analyze() {
             "analyzing fleet timeline {timeline} ({} records)",
             events.len()
         );
-        analyze::analyze(&events, &cfg)
-    } else if !rank_files.is_empty() {
-        let readers: Vec<TraceReader> = rank_files
-            .iter()
-            .map(|f| {
-                TraceReader::open(f).unwrap_or_else(|e| {
-                    eprintln!("cannot read {f}: {e}");
-                    std::process::exit(1);
-                })
-            })
-            .collect();
-        let merged = ora_trace::merge_ranks(&readers).unwrap_or_else(|e| {
-            eprintln!("merge failed: {e}");
-            std::process::exit(1);
-        });
-        println!(
-            "analyzing {} rank trace(s) ({} merged records)",
-            rank_files.len(),
-            merged.len()
-        );
-        analyze::analyze(&merged, &cfg)
+        events
     } else {
-        let input = arg("--in", "run.oratrace");
-        let reader = TraceReader::open(&input).unwrap_or_else(|e| {
-            eprintln!("cannot read {input}: {e}");
-            std::process::exit(1);
-        });
-        println!("analyzing {input} ({} records)", reader.record_count());
-        analyze::analyze_reader(&reader, &cfg).unwrap_or_else(|e| {
-            eprintln!("trace is damaged: {e}");
-            std::process::exit(1);
-        })
+        // One file is a fleet of one: rank 0.
+        let mut files = rank_files();
+        if files.is_empty() {
+            files.push(arg("--in", "run.oratrace"));
+        }
+        let readers: Vec<TraceReader> = files.iter().map(open_trace).collect();
+        let merged = merge_ranks(&readers);
+        println!("analyzing {} ({} records)", files.join(", "), merged.len());
+        merged
     };
+    let report = analyze::analyze(&events, &cfg);
     print!("{}", report.render());
     // Findings are an analysis outcome, not an error — but scripts want
     // to gate on them, so surface "patterns found" as exit 4.
@@ -299,18 +345,8 @@ fn trace_analyze() {
 /// `trace report --rank a.oratrace --rank b.oratrace` (or
 /// `--ranks-dir DIR`): print the merged `(tick, gtid, seq, rank)`
 /// timeline across per-rank trace files.
-fn trace_report_ranks(files: &[String]) {
-    let head: usize = arg("--head", "30").parse().unwrap_or(30);
-    let micros = |ticks: u64| collector::clock::to_micros(ticks);
-    let readers: Vec<TraceReader> = files
-        .iter()
-        .map(|f| {
-            TraceReader::open(f).unwrap_or_else(|e| {
-                eprintln!("cannot read {f}: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
+fn trace_report_ranks(files: &[String], head: usize) {
+    let readers: Vec<TraceReader> = files.iter().map(open_trace).collect();
     println!("merged fleet timeline over {} rank trace(s):", files.len());
     for (rank, (file, reader)) in files.iter().zip(&readers).enumerate() {
         println!(
@@ -319,75 +355,25 @@ fn trace_report_ranks(files: &[String]) {
             reader.dropped()
         );
     }
-    let merged = ora_trace::merge_ranks(&readers).unwrap_or_else(|e| {
-        eprintln!("merge failed: {e}");
-        std::process::exit(1);
-    });
+    let merged = merge_ranks(&readers);
     println!("  merged: {} records\n", merged.len());
-
-    let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
-    for e in &merged {
-        *counts.entry(e.record.event.name()).or_insert(0) += 1;
-    }
-    println!(
-        "{}",
-        report::table(
-            &["event", "count"],
-            counts
-                .iter()
-                .map(|(name, n)| vec![name.to_string(), n.to_string()]),
-        )
-    );
-    println!("first {} records:", head.min(merged.len()));
-    for e in merged.iter().take(head) {
-        println!(
-            "{:>12.3} us  rank {:<2} t{:<3} {:<34} region={} wait={}",
-            micros(e.record.tick),
-            e.rank,
-            e.record.gtid,
-            e.record.event.name(),
-            e.record.region_id,
-            e.record.wait_id
-        );
-    }
+    print_event_counts(merged.iter().map(|e| e.record.event));
+    print_head(head, merged.iter().map(|e| (Some(e.rank), &e.record)));
 }
 
 /// `trace report`: query a recorded binary trace offline.
 fn trace_report() {
+    let head: usize = arg("--head", "30").parse().unwrap_or(30);
     // Multi-rank mode: `--rank FILE` repeated and/or `--ranks-dir DIR`.
-    let argv: Vec<String> = std::env::args().collect();
-    let mut rank_files: Vec<String> = argv
-        .windows(2)
-        .filter(|w| w[0] == "--rank")
-        .map(|w| w[1].clone())
-        .collect();
-    let ranks_dir = arg("--ranks-dir", "");
-    if !ranks_dir.is_empty() {
-        let mut paths: Vec<_> = std::fs::read_dir(&ranks_dir)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read {ranks_dir}: {e}");
-                std::process::exit(1);
-            })
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("oratrace"))
-            .collect();
-        paths.sort();
-        rank_files.extend(paths.iter().map(|p| p.display().to_string()));
-    }
+    let rank_files = rank_files();
     if !rank_files.is_empty() {
-        return trace_report_ranks(&rank_files);
+        return trace_report_ranks(&rank_files, head);
     }
 
     let input = arg("--in", "run.oratrace");
-    let head: usize = arg("--head", "30").parse().unwrap_or(30);
-    let reader = TraceReader::open(&input).unwrap_or_else(|e| {
-        eprintln!("cannot read {input}: {e}");
-        std::process::exit(1);
-    });
-
-    let micros = |ticks: u64| collector::clock::to_micros(ticks);
+    let reader = open_trace(&input);
     let has = |name: &str| std::env::args().any(|a| a == name);
-    let records: Vec<TraceEvent> = if has("--thread") {
+    let records = if has("--thread") {
         let gtid: usize = arg("--thread", "0").parse().unwrap_or(0);
         reader.for_thread(gtid)
     } else if has("--region") {
@@ -408,7 +394,12 @@ fn trace_report() {
         eprintln!("trace is damaged: {e}");
         std::process::exit(1);
     });
+    print_trace_report(&input, &reader, &records, head);
+}
 
+/// The single-trace report: footer accounting, event counts, governor
+/// timeline, and the head of `records` (the query's matches).
+fn print_trace_report(input: &str, reader: &TraceReader, records: &[TraceEvent], head: usize) {
     let footer = reader.footer();
     println!("trace: {input}");
     println!(
@@ -423,20 +414,7 @@ fn trace_report() {
         println!("  loss detail: {lossy} lane(s) dropped records (see footer counters)");
     }
     println!("  query matched {} records\n", records.len());
-
-    let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
-    for r in &records {
-        *counts.entry(r.event.name()).or_insert(0) += 1;
-    }
-    println!(
-        "{}",
-        report::table(
-            &["event", "count"],
-            counts
-                .iter()
-                .map(|(name, n)| vec![name.to_string(), n.to_string()]),
-        )
-    );
+    print_event_counts(records.iter().map(|r| r.event));
 
     // Governor decision records (if the trace was captured under the
     // governed rung): the sampling-rate timeline, oldest first.
@@ -449,7 +427,7 @@ fn trace_report() {
         for s in &timeline {
             println!(
                 "{:>12.3} us  {:<34} period 2^{} -> 2^{} (overhead {:.2}% of budget window)",
-                micros(s.tick),
+                collector::clock::to_micros(s.tick),
                 s.event.name(),
                 s.old_shift,
                 s.new_shift,
@@ -458,18 +436,7 @@ fn trace_report() {
         }
         println!();
     }
-
-    println!("first {} records:", head.min(records.len()));
-    for r in records.iter().take(head) {
-        println!(
-            "{:>12.3} us  t{:<3} {:<34} region={} wait={}",
-            micros(r.tick),
-            r.gtid,
-            r.event.name(),
-            r.region_id,
-            r.wait_id
-        );
-    }
+    print_head(head, records.iter().map(|r| (None, r)));
 }
 
 /// Silence the default panic hook for *injected* faults only, so fault
@@ -537,9 +504,7 @@ fn attach_fault_harness(
 /// collector faults) and report the runtime's fault-isolation counters.
 fn health() {
     let has = |name: &str| std::env::args().any(|a| a == name);
-    let workload = arg("--workload", "epcc");
     let threads: usize = arg("--threads", "2").parse().unwrap_or(2);
-    let class = npb_class(&arg("--class", "s"));
     let inject = has("--inject-panic-cb");
     let kill = has("--kill-drainer");
     let policy = drop_policy(&arg("--policy", "newest"));
@@ -552,9 +517,7 @@ fn health() {
         rt.set_quarantine_threshold(n);
     }
     let (handle, tracer) = attach_fault_harness(&rt, policy, inject, kill);
-    run_workload(&rt, &workload, class);
-    // Workers fire trailing end-of-barrier events asynchronously.
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    run_workload(&rt, "epcc");
 
     let drainer = tracer.health();
     let finish = tracer.finish();
@@ -651,12 +614,7 @@ fn suite_run() {
         let (handle, tracer) = attach_fault_harness(&rt, policy, inject, kill);
 
         let result = if name == "epcc" {
-            let cfg = EpccConfig {
-                outer_reps: 2,
-                inner_reps: 64,
-                delay_len: 64,
-            };
-            let directives = epcc::run_all(&rt, &cfg).len();
+            let directives = epcc::run_all(&rt, &EPCC).len();
             format!("ok ({directives} directives)")
         } else {
             let kernel = NpbKernel::all()
@@ -792,15 +750,7 @@ fn fuzz_run() {
         load(std::path::Path::new(&case));
     }
     if !cases_dir.is_empty() {
-        let mut paths: Vec<_> = std::fs::read_dir(&cases_dir)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read {cases_dir}: {e}");
-                std::process::exit(2);
-            })
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("case"))
-            .collect();
-        paths.sort();
+        let paths = files_with_extension(&cases_dir, "case", 2);
         if paths.is_empty() {
             eprintln!("{cases_dir} contains no .case files");
             std::process::exit(2);
@@ -895,19 +845,7 @@ fn render_fleet_report(rep: &ora_fleet::FleetReport) {
         rep.store.len(),
         rep.store.late_events()
     );
-    let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
-    for e in rep.store.records() {
-        *counts.entry(e.record.event.name()).or_insert(0) += 1;
-    }
-    println!(
-        "{}",
-        report::table(
-            &["event", "count"],
-            counts
-                .iter()
-                .map(|(name, n)| vec![name.to_string(), n.to_string()]),
-        )
-    );
+    print_event_counts(rep.store.records().iter().map(|e| e.record.event));
 }
 
 /// `serve`: run the trace-aggregation daemon standalone until the given
@@ -1029,106 +967,105 @@ fn npb_class(s: &str) -> NpbClass {
     }
 }
 
+fn tool_profile() {
+    let (rt, handle) = runtime_from_args();
+    let p = Profiler::attach_default(handle).unwrap();
+    run_workload(&rt, "cg");
+    println!("\n{}", p.finish().render());
+}
+
+/// `--tool trace`: record into memory, then print what `trace report`
+/// prints for a file; `--csv` appends the records as
+/// `tick,gtid,event,region_id,wait_id` rows.
+fn tool_trace() {
+    let (rt, handle) = runtime_from_args();
+    let t = StreamingTracer::attach(handle, TraceConfig::default(), MemorySink::new()).unwrap();
+    run_workload(&rt, "cg");
+    let (sink, _) = t.finish().expect("memory sink cannot fail");
+    let reader = TraceReader::from_bytes(sink.into_bytes()).expect("self-encoded trace decodes");
+    let records = reader.records().expect("self-encoded trace decodes");
+    println!();
+    print_trace_report("<memory>", &reader, &records, 30);
+    if std::env::args().any(|a| a == "--csv") {
+        println!("\ntick,gtid,event,region_id,wait_id");
+        for r in &records {
+            println!(
+                "{},{},{},{},{}",
+                r.tick, r.gtid, r.event as u32, r.region_id, r.wait_id
+            );
+        }
+    }
+}
+
+fn tool_states() {
+    let (rt, handle) = runtime_from_args();
+    let t = StateTimer::attach(handle).unwrap();
+    run_workload(&rt, "cg");
+    println!("\n{}", t.finish().render());
+}
+
+fn tool_suite() {
+    let (rt, handle) = runtime_from_args();
+    let t = collector::ToolSuite::attach(handle, collector::SuiteConfig::default()).unwrap();
+    run_workload(&rt, "cg");
+    println!("\n{}", t.finish().render());
+}
+
+fn tool_selective() {
+    let (rt, handle) = runtime_from_args();
+    let p = SelectiveProfiler::attach(handle, SelectivePolicy::default()).unwrap();
+    run_workload(&rt, "cg");
+    let r = p.finish();
+    println!(
+        "\njoins {} | sampled {} | skipped small {} | deduped {} | savings {:.1}%",
+        r.joins,
+        r.sampled,
+        r.skipped_small,
+        r.skipped_dedup,
+        r.savings() * 100.0
+    );
+    println!("\ncall tree:\n{}", r.call_tree.render());
+}
+
+/// Every entry point, keyed by how the command line names it: a
+/// subcommand, a `trace` sub-subcommand, or (with no subcommand) a
+/// `--tool` name. Dispatch and both "unknown …" messages read this
+/// table, so neither can drift from it.
+const COMMANDS: &[(&str, fn())] = &[
+    ("trace record", trace_record),
+    ("trace report", trace_report),
+    ("trace analyze", trace_analyze),
+    ("health", health),
+    ("suite", suite_run),
+    ("fuzz", fuzz_run),
+    ("serve", fleet_serve),
+    ("fleet", fleet_run),
+    ("fleet-rank", fleet_rank_child),
+    ("--tool profile", tool_profile),
+    ("--tool trace", tool_trace),
+    ("--tool states", tool_states),
+    ("--tool selective", tool_selective),
+    ("--tool suite", tool_suite),
+];
+
 fn main() {
-    // Subcommand style: `omp_prof trace record ...` / `omp_prof fuzz ...`
     let argv: Vec<String> = std::env::args().collect();
-    if argv.get(1).map(String::as_str) == Some("trace") {
-        match argv.get(2).map(String::as_str) {
-            Some("record") => return trace_record(),
-            Some("report") => return trace_report(),
-            Some("analyze") => return trace_analyze(),
-            other => {
-                eprintln!(
-                    "unknown trace subcommand {other:?} — use `trace record`, `trace report`, or `trace analyze`"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if argv.get(1).map(String::as_str) == Some("health") {
-        return health();
-    }
-    if argv.get(1).map(String::as_str) == Some("suite") {
-        return suite_run();
-    }
-    if argv.get(1).map(String::as_str) == Some("fuzz") {
-        return fuzz_run();
-    }
-    if argv.get(1).map(String::as_str) == Some("serve") {
-        return fleet_serve();
-    }
-    if argv.get(1).map(String::as_str) == Some("fleet") {
-        return fleet_run();
-    }
-    if argv.get(1).map(String::as_str) == Some("fleet-rank") {
-        return fleet_rank_child();
-    }
-    let workload = arg("--workload", "cg");
-    let tool = arg("--tool", "profile");
-    let threads: usize = arg("--threads", "2").parse().unwrap_or(2);
-    let class = npb_class(&arg("--class", "s"));
-
-    let rt = OpenMp::with_threads(threads);
-    let handle = RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime symbol");
-
-    match tool.as_str() {
-        "profile" => {
-            let p = Profiler::attach_default(handle).unwrap();
-            run_workload(&rt, &workload, class);
-            let profile = p.finish();
-            println!("\n{}", profile.render());
-        }
-        "trace" => {
-            let t = Tracer::attach(handle, 1_000_000).unwrap();
-            run_workload(&rt, &workload, class);
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            let trace = t.finish();
-            println!("\nfirst 30 records:\n{}", trace.render_head(30));
-            println!(
-                "{}",
-                report::table(
-                    &["event", "count"],
-                    ora_core::event::ALL_EVENTS
-                        .iter()
-                        .filter(|e| trace.count(**e) > 0)
-                        .map(|e| vec![e.name().to_string(), trace.count(*e).to_string()]),
-                )
-            );
-            if std::env::args().any(|a| a == "--csv") {
-                println!("{}", trace.to_csv());
-            }
-        }
-        "states" => {
-            let t = StateTimer::attach(handle).unwrap();
-            run_workload(&rt, &workload, class);
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            let profile = t.finish();
-            println!("\n{}", profile.render());
-        }
-        "suite" => {
-            let t =
-                collector::ToolSuite::attach(handle, collector::SuiteConfig::default()).unwrap();
-            run_workload(&rt, &workload, class);
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            println!("\n{}", t.finish().render());
-        }
-        "selective" => {
-            let p = SelectiveProfiler::attach(handle, SelectivePolicy::default()).unwrap();
-            run_workload(&rt, &workload, class);
-            let r = p.finish();
-            println!(
-                "\njoins {} | sampled {} | skipped small {} | deduped {} | savings {:.1}%",
-                r.joins,
-                r.sampled,
-                r.skipped_small,
-                r.skipped_dedup,
-                r.savings() * 100.0
-            );
-            println!("\ncall tree:\n{}", r.call_tree.render());
-        }
-        other => {
-            eprintln!("unknown tool '{other}' — use profile|trace|states|selective|suite");
-            std::process::exit(2);
-        }
-    }
+    let word = |i: usize| argv.get(i).map_or("", String::as_str);
+    let key = match word(1) {
+        "trace" => format!("trace {}", word(2)),
+        cmd if COMMANDS.iter().any(|(name, _)| *name == cmd) => cmd.to_string(),
+        _ => format!("--tool {}", arg("--tool", "profile")),
+    };
+    let Some((_, run)) = COMMANDS.iter().find(|(name, _)| *name == key) else {
+        let (family, _) = key
+            .split_once(' ')
+            .expect("one-word keys come from the table");
+        let choices: Vec<&str> = COMMANDS
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix(family)?.strip_prefix(' '))
+            .collect();
+        eprintln!("unknown {key} — use {}", choices.join("|"));
+        std::process::exit(2);
+    };
+    run();
 }

@@ -2,9 +2,10 @@
 //! benchmark, with the call counts *measured* through ORA fork events (the
 //! same mechanism a collector would use), next to the paper's values.
 
-use collector::{report, RuntimeHandle, Tracer};
+use collector::{report, RuntimeHandle, StreamingTracer};
 use omprt::OpenMp;
 use ora_bench::Scale;
+use ora_trace::{MemorySink, TraceConfig};
 use workloads::{NpbClass, NpbKernel};
 
 const PAPER: [(&str, u64, u64); 8] = [
@@ -28,10 +29,11 @@ fn main() {
     for (kernel, (name, paper_regions, paper_calls)) in NpbKernel::all().iter().zip(PAPER) {
         let rt = OpenMp::with_threads(2);
         let handle = RuntimeHandle::discover_named(rt.symbol_name()).unwrap();
-        let tracer = Tracer::attach(handle, 1024).unwrap();
+        let tracer =
+            StreamingTracer::attach(handle, TraceConfig::default(), MemorySink::new()).unwrap();
         kernel.run(&rt, class);
         let measured_calls = tracer.region_calls();
-        let _ = tracer.finish();
+        tracer.finish().unwrap();
 
         rows.push(vec![
             name.to_string(),

@@ -11,7 +11,6 @@
 //! accounted as sampled or skipped, the sampling-rate decisions land in
 //! the trace, and rate changes never split a begin from its end.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use collector::clock;
@@ -20,7 +19,8 @@ use collector::modes::{CollectionConfig, CollectionSummary};
 use omprt::{Config, OpenMp};
 use ora_core::event::Event;
 use ora_core::governor::{parse_budget, GovernorConfig, GovernorStatus};
-use ora_trace::TraceReader;
+use ora_trace::analyze::pair_intervals;
+use ora_trace::{RankedEvent, TraceReader};
 
 /// The planted budgets from the env syntax a user would write.
 const BUDGETS: [&str; 3] = ["0.5%", "2%", "10%"];
@@ -204,12 +204,16 @@ fn rate_changes_never_drop_begin_end_pairing() {
         return;
     }
 
-    // Per-thread interval depth for the wait/construct pairs: within
-    // one thread's stream a begin must strictly precede its end, depth
-    // never goes negative, and every interval closes — whatever
-    // sampling rate was in force. (Idle intervals are excluded: a
-    // worker parks idle at shutdown and legitimately never closes it.)
-    let paired = [
+    // Every interval opened is closed, and nothing closes unopened —
+    // whatever sampling rate was in force. (Idle intervals are excluded:
+    // a worker parks idle at shutdown and legitimately never closes it.)
+    let ranked = records
+        .iter()
+        .map(|&record| RankedEvent { rank: 0, record });
+    let unpaired = pair_intervals(ranked, |_| {});
+    for begin in [
+        Event::Fork,
+        Event::LoopBegin,
         Event::ThreadBeginImplicitBarrier,
         Event::ThreadBeginExplicitBarrier,
         Event::ThreadBeginLockWait,
@@ -217,36 +221,12 @@ fn rate_changes_never_drop_begin_end_pairing() {
         Event::ThreadBeginOrderedWait,
         Event::ThreadBeginMaster,
         Event::ThreadBeginSingle,
-    ];
-    let mut depth: HashMap<(usize, Event), i64> = HashMap::new();
-    for r in &records {
-        let Some(partner) = r.event.pair() else {
-            continue;
-        };
-        if paired.contains(&r.event) {
-            *depth.entry((r.gtid, r.event)).or_insert(0) += 1;
-        } else if paired.contains(&partner) {
-            let d = depth.entry((r.gtid, partner)).or_insert(0);
-            *d -= 1;
-            assert!(
-                *d >= 0,
-                "thread {} saw {} close an interval that never opened",
-                r.gtid,
-                r.event.name()
-            );
-        }
-    }
-    for ((gtid, event), d) in depth {
+    ] {
         assert_eq!(
-            d,
-            0,
-            "thread {gtid} left {d} unclosed interval(s) for {}",
-            event.name()
+            (unpaired.begins[begin.index()], unpaired.ends[begin.index()]),
+            (0, 0),
+            "(unclosed, unopened) {} intervals",
+            begin.name()
         );
     }
-
-    // Fork/join and loop events pair globally, not per thread.
-    let count = |e: Event| records.iter().filter(|r| r.event == e).count();
-    assert_eq!(count(Event::Fork), count(Event::Join));
-    assert_eq!(count(Event::LoopBegin), count(Event::LoopEnd));
 }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use ora_core::api::CollectorApi;
-use ora_core::event::Event;
+use ora_core::event::{Event, ALL_EVENTS};
 use ora_core::governor::{GovernorConfig, GovernorDecision, GovernorStatus};
 use ora_core::message::RequestBatch;
 use ora_core::registry::Callback;
@@ -105,6 +105,16 @@ impl RuntimeHandle {
     /// Drop an interned callback token. Returns whether it was known.
     pub fn forget_callback(&self, token: CallbackToken) -> bool {
         self.api.forget_callback(token)
+    }
+
+    /// The events this runtime can generate, from its capabilities
+    /// bitmap — one round trip instead of per-event `UNSUPPORTED`
+    /// probing. A runtime that cannot answer is offered every event.
+    pub fn supported_events(&self) -> Vec<Event> {
+        self.request_one(Request::QueryCapabilities)
+            .ok()
+            .and_then(|resp| resp.supported_events())
+            .unwrap_or_else(|| ALL_EVENTS.to_vec())
     }
 
     /// Query the runtime's fault-isolation counters (`OMP_REQ_HEALTH`,

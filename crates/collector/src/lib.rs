@@ -12,8 +12,10 @@
 //!   user-model reconstruction, and the callbacks-only mode used by the
 //!   §V-B overhead breakdown;
 //! * [`tracer`] — full event tracing with per-event counters (measures
-//!   the region-call counts of Tables I/II), recording through
-//!   `ora-trace`'s lock-free rings and streaming pipeline;
+//!   the region-call counts of Tables I/II): the ORA-callback front of
+//!   `ora-trace`'s lock-free rings and streaming pipeline, whose
+//!   `TraceReader` and `analyze` module own everything read back from a
+//!   finished timeline;
 //! * [`sampler`] — `OMP_REQ_STATE` sampling and state histograms;
 //! * [`state_timer`] — per-thread time-in-state accounting built on the
 //!   event + state-query machinery;
@@ -23,9 +25,8 @@
 //!   benchmark and the fuzzer attach (absent / registered-paused /
 //!   state-queries / streaming-trace / governed);
 //! * [`suite`] — one-attachment multiplexer producing profile + trace +
-//!   state-times together (ORA has one callback slot per event);
-//! * [`analysis`] — offline trace analysis (region intervals, wait
-//!   intervals, concurrency);
+//!   state-times together (ORA has one callback slot per event), composed
+//!   from the three tools' own callback states;
 //! * [`ompt`] — an OMPT-vocabulary adapter over ORA (the successor
 //!   interface's callbacks synthesized from the paper's events);
 //! * [`diff`] — before/after profile comparison;
@@ -45,7 +46,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod clock;
 pub mod diff;
 pub mod discovery;
@@ -59,7 +59,6 @@ pub mod state_timer;
 pub mod suite;
 pub mod tracer;
 
-pub use analysis::{analyze, RegionInterval, TraceAnalysis, WaitInterval};
 pub use diff::{diff, ProfileDiff, RegionDelta};
 pub use discovery::{Registrations, RuntimeHandle};
 pub use modes::{ActiveCollection, CollectionConfig, CollectionSummary};
@@ -69,4 +68,4 @@ pub use sampler::StateSampler;
 pub use selective::{SelectivePolicy, SelectiveProfiler, SelectiveReport};
 pub use state_timer::{StateProfile, StateTimer, ThreadStateTimes};
 pub use suite::{SuiteConfig, SuiteReport, ToolSuite};
-pub use tracer::{StreamError, StreamingTracer, Trace, TraceRecord, Tracer};
+pub use tracer::{StreamError, StreamingTracer};

@@ -78,7 +78,7 @@ struct ThreadAccum {
     ibar_count: u64,
 }
 
-struct ProfState {
+pub(crate) struct ProfState {
     mode: Mode,
     capture_callstacks: bool,
     /// Fork tick per in-flight region (master-only writers).
@@ -88,6 +88,147 @@ struct ProfState {
     /// (region, duration ticks, implementation callstack) per join.
     stacks: Mutex<Vec<(u64, u64, Backtrace)>>,
     events: AtomicU64,
+}
+
+/// The four event callbacks, one method each: [`Profiler`] registers
+/// them individually, [`ToolSuite`](crate::ToolSuite)'s single callback
+/// reaches them through [`ProfState::on_event`].
+impl ProfState {
+    pub(crate) fn new(config: &ProfilerConfig) -> ProfState {
+        ProfState {
+            mode: config.mode,
+            capture_callstacks: config.capture_callstacks,
+            fork_tick: Mutex::new(HashMap::new()),
+            regions: Mutex::new(HashMap::new()),
+            threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
+            stacks: Mutex::new(Vec::new()),
+            events: AtomicU64::new(0),
+        }
+    }
+
+    #[inline]
+    fn on_fork(&self, d: &EventData) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if self.mode == Mode::CallbacksOnly {
+            return;
+        }
+        let t = clock::ticks();
+        self.fork_tick.lock().insert(d.region_id, t);
+    }
+
+    #[inline]
+    fn on_join(&self, d: &EventData) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if self.mode == Mode::CallbacksOnly {
+            return;
+        }
+        let now = clock::ticks();
+        let start = self.fork_tick.lock().remove(&d.region_id);
+        let dur = start.map(|t| now.saturating_sub(t)).unwrap_or(0);
+        {
+            let mut regions = self.regions.lock();
+            let acc = regions.entry(d.region_id).or_default();
+            acc.calls += 1;
+            acc.total_ticks += dur;
+            acc.min_ticks = if acc.calls == 1 {
+                dur
+            } else {
+                acc.min_ticks.min(dur)
+            };
+            acc.max_ticks = acc.max_ticks.max(dur);
+        }
+        if self.capture_callstacks {
+            let bt = psx::capture();
+            self.stacks.lock().push((d.region_id, dur, bt));
+        }
+    }
+
+    #[inline]
+    fn on_ibar_begin(&self, d: &EventData) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if self.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
+            return;
+        }
+        self.threads[d.gtid].lock().ibar_begin_tick = clock::ticks();
+    }
+
+    #[inline]
+    fn on_ibar_end(&self, d: &EventData) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if self.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
+            return;
+        }
+        let now = clock::ticks();
+        let mut acc = self.threads[d.gtid].lock();
+        if acc.ibar_begin_tick != 0 {
+            acc.ibar_ticks += now.saturating_sub(acc.ibar_begin_tick);
+            acc.ibar_count += 1;
+            acc.ibar_begin_tick = 0;
+        }
+    }
+
+    /// Route an event from a shared callback to its method.
+    pub(crate) fn on_event(&self, d: &EventData) {
+        match d.event {
+            Event::Fork => self.on_fork(d),
+            Event::Join => self.on_join(d),
+            Event::ThreadBeginImplicitBarrier => self.on_ibar_begin(d),
+            Event::ThreadEndImplicitBarrier => self.on_ibar_end(d),
+            _ => {}
+        }
+    }
+
+    /// Assemble the offline profile ("reconstructing the callstack to
+    /// provide a user view of the program is done offline after the
+    /// application finishes", paper §IV).
+    pub(crate) fn profile(&self, api_health: ApiHealth) -> Profile {
+        let mut regions: Vec<RegionProfile> = self
+            .regions
+            .lock()
+            .iter()
+            .map(|(&region_id, acc)| RegionProfile {
+                region_id,
+                calls: acc.calls,
+                total_secs: clock::to_secs(acc.total_ticks),
+                mean_secs: clock::to_secs(acc.total_ticks) / acc.calls.max(1) as f64,
+                min_secs: clock::to_secs(acc.min_ticks),
+                max_secs: clock::to_secs(acc.max_ticks),
+            })
+            .collect();
+        regions.sort_by_key(|r| r.region_id);
+
+        let threads: Vec<ThreadProfile> = self
+            .threads
+            .iter()
+            .enumerate()
+            .filter_map(|(gtid, acc)| {
+                let acc = acc.lock();
+                (acc.ibar_count > 0).then(|| ThreadProfile {
+                    gtid,
+                    ibar_secs: clock::to_secs(acc.ibar_ticks),
+                    ibar_count: acc.ibar_count,
+                })
+            })
+            .collect();
+
+        // Offline user-model reconstruction of the recorded join stacks.
+        let table = psx::SymbolTable::global();
+        let mut tree = psx::CallTree::new();
+        let stacks = self.stacks.lock();
+        for (_region, dur, bt) in stacks.iter() {
+            let user = psx::reconstruct(bt, table);
+            tree.add(&user, clock::to_secs(*dur));
+        }
+
+        Profile {
+            regions,
+            threads,
+            call_tree: tree,
+            events_observed: self.events.load(Ordering::Relaxed),
+            join_samples: stacks.len() as u64,
+            api_health,
+        }
+    }
 }
 
 /// An attached profiler. Dropping it without [`Profiler::finish`]
@@ -103,90 +244,23 @@ impl Profiler {
     /// optionally implicit-barrier) callbacks.
     pub fn attach(handle: RuntimeHandle, config: ProfilerConfig) -> OraResult<Profiler> {
         handle.request_one(Request::Start)?;
-        let state = Arc::new(ProfState {
-            mode: config.mode,
-            capture_callstacks: config.capture_callstacks,
-            fork_tick: Mutex::new(HashMap::new()),
-            regions: Mutex::new(HashMap::new()),
-            threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
-            stacks: Mutex::new(Vec::new()),
-            events: AtomicU64::new(0),
-        });
+        let state = Arc::new(ProfState::new(&config));
         let mut registrations = Registrations::new(handle);
 
-        {
-            let s = state.clone();
-            registrations.register(
-                Event::Fork,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly {
-                        return;
-                    }
-                    let t = clock::ticks();
-                    s.fork_tick.lock().insert(d.region_id, t);
-                }),
-            )?;
-        }
-        {
-            let s = state.clone();
-            registrations.register(
-                Event::Join,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly {
-                        return;
-                    }
-                    let now = clock::ticks();
-                    let start = s.fork_tick.lock().remove(&d.region_id);
-                    let dur = start.map(|t| now.saturating_sub(t)).unwrap_or(0);
-                    {
-                        let mut regions = s.regions.lock();
-                        let acc = regions.entry(d.region_id).or_default();
-                        acc.calls += 1;
-                        acc.total_ticks += dur;
-                        acc.min_ticks = if acc.calls == 1 {
-                            dur
-                        } else {
-                            acc.min_ticks.min(dur)
-                        };
-                        acc.max_ticks = acc.max_ticks.max(dur);
-                    }
-                    if s.capture_callstacks {
-                        let bt = psx::capture();
-                        s.stacks.lock().push((d.region_id, dur, bt));
-                    }
-                }),
-            )?;
-        }
+        let s = state.clone();
+        registrations.register(Event::Fork, Arc::new(move |d: &EventData| s.on_fork(d)))?;
+        let s = state.clone();
+        registrations.register(Event::Join, Arc::new(move |d: &EventData| s.on_join(d)))?;
         if config.track_barriers {
             let s = state.clone();
             registrations.register(
                 Event::ThreadBeginImplicitBarrier,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
-                        return;
-                    }
-                    s.threads[d.gtid].lock().ibar_begin_tick = clock::ticks();
-                }),
+                Arc::new(move |d: &EventData| s.on_ibar_begin(d)),
             )?;
             let s = state.clone();
             registrations.register(
                 Event::ThreadEndImplicitBarrier,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
-                        return;
-                    }
-                    let now = clock::ticks();
-                    let mut acc = s.threads[d.gtid].lock();
-                    if acc.ibar_begin_tick != 0 {
-                        acc.ibar_ticks += now.saturating_sub(acc.ibar_begin_tick);
-                        acc.ibar_count += 1;
-                        acc.ibar_begin_tick = 0;
-                    }
-                }),
+                Arc::new(move |d: &EventData| s.on_ibar_end(d)),
             )?;
         }
 
@@ -222,9 +296,7 @@ impl Profiler {
         self.state.events.load(Ordering::Relaxed)
     }
 
-    /// Stop collection and assemble the offline profile ("reconstructing
-    /// the callstack to provide a user view of the program is done offline
-    /// after the application finishes", paper §IV).
+    /// Stop collection and assemble the offline profile.
     pub fn finish(mut self) -> Profile {
         self.registrations.stop();
         // Health counters are lifetime totals and the query is answerable
@@ -234,54 +306,7 @@ impl Profiler {
             .handle()
             .query_health()
             .unwrap_or_default();
-        let state = self.state;
-
-        let mut regions: Vec<RegionProfile> = state
-            .regions
-            .lock()
-            .iter()
-            .map(|(&region_id, acc)| RegionProfile {
-                region_id,
-                calls: acc.calls,
-                total_secs: clock::to_secs(acc.total_ticks),
-                mean_secs: clock::to_secs(acc.total_ticks) / acc.calls.max(1) as f64,
-                min_secs: clock::to_secs(acc.min_ticks),
-                max_secs: clock::to_secs(acc.max_ticks),
-            })
-            .collect();
-        regions.sort_by_key(|r| r.region_id);
-
-        let threads: Vec<ThreadProfile> = state
-            .threads
-            .iter()
-            .enumerate()
-            .filter_map(|(gtid, acc)| {
-                let acc = acc.lock();
-                (acc.ibar_count > 0).then(|| ThreadProfile {
-                    gtid,
-                    ibar_secs: clock::to_secs(acc.ibar_ticks),
-                    ibar_count: acc.ibar_count,
-                })
-            })
-            .collect();
-
-        // Offline user-model reconstruction of the recorded join stacks.
-        let table = psx::SymbolTable::global();
-        let mut tree = psx::CallTree::new();
-        let stacks = state.stacks.lock();
-        for (_region, dur, bt) in stacks.iter() {
-            let user = psx::reconstruct(bt, table);
-            tree.add(&user, clock::to_secs(*dur));
-        }
-
-        Profile {
-            regions,
-            threads,
-            call_tree: tree,
-            events_observed: state.events.load(Ordering::Relaxed),
-            join_samples: stacks.len() as u64,
-            api_health,
-        }
+        self.state.profile(api_health)
     }
 }
 

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use ora_core::sync::Mutex;
 
 use ora_core::event::ALL_EVENTS;
+use ora_core::registry::EventData;
 use ora_core::request::{OraResult, Request, Response};
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
 
@@ -22,8 +23,7 @@ use crate::clock;
 use crate::discovery::{Registrations, RuntimeHandle};
 use crate::report;
 
-/// Highest thread ID tracked.
-pub const MAX_THREADS: usize = 256;
+pub use crate::profiler::MAX_THREADS;
 
 #[derive(Clone, Copy)]
 struct ThreadSlot {
@@ -42,65 +42,45 @@ impl Default for ThreadSlot {
     }
 }
 
-struct TimerState {
+pub(crate) struct TimerState {
+    handle: RuntimeHandle,
     threads: Vec<Mutex<ThreadSlot>>,
 }
 
-/// An attached state-time profiler.
-pub struct StateTimer {
-    registrations: Registrations,
-    state: Arc<TimerState>,
-}
-
-impl StateTimer {
-    /// Attach: send `Start` and register a sampling callback on every
-    /// supported event.
-    pub fn attach(handle: RuntimeHandle) -> OraResult<StateTimer> {
-        handle.request_one(Request::Start)?;
-        let state = Arc::new(TimerState {
+impl TimerState {
+    pub(crate) fn new(handle: RuntimeHandle) -> TimerState {
+        TimerState {
+            handle,
             threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
-        });
-
-        let mut registrations = Registrations::new(handle.clone());
-        for event in ALL_EVENTS {
-            let s = state.clone();
-            let h = handle.clone();
-            registrations.register_if_supported(
-                event,
-                Arc::new(move |d| {
-                    if d.gtid >= MAX_THREADS {
-                        return;
-                    }
-                    let Ok(Response::State {
-                        state: now_state, ..
-                    }) = h.request_one(Request::QueryState)
-                    else {
-                        return;
-                    };
-                    let now = clock::ticks();
-                    let mut slot = s.threads[d.gtid].lock();
-                    if let Some(prev) = slot.last_state {
-                        let elapsed = now.saturating_sub(slot.last_tick);
-                        slot.per_state[prev.index()] += elapsed;
-                    }
-                    slot.last_tick = now;
-                    slot.last_state = Some(now_state);
-                }),
-            )?;
         }
-        Ok(StateTimer {
-            registrations,
-            state,
-        })
     }
 
-    /// Stop collection and produce the per-thread state-time profile.
-    /// The callbacks — each of which holds the runtime handle — are
-    /// released, so a finished timer keeps nothing of the runtime alive.
-    pub fn finish(mut self) -> StateProfile {
-        self.registrations.stop();
+    /// The event callback: query the firing thread's state and charge
+    /// the time since its previous event to the state it was in then.
+    #[inline]
+    pub(crate) fn on_event(&self, d: &EventData) {
+        if d.gtid >= MAX_THREADS {
+            return;
+        }
+        let Ok(Response::State {
+            state: now_state, ..
+        }) = self.handle.request_one(Request::QueryState)
+        else {
+            return;
+        };
+        let now = clock::ticks();
+        let mut slot = self.threads[d.gtid].lock();
+        if let Some(prev) = slot.last_state {
+            let elapsed = now.saturating_sub(slot.last_tick);
+            slot.per_state[prev.index()] += elapsed;
+        }
+        slot.last_tick = now;
+        slot.last_state = Some(now_state);
+    }
+
+    /// The per-thread state-time profile accumulated so far.
+    pub(crate) fn profile(&self) -> StateProfile {
         let threads = self
-            .state
             .threads
             .iter()
             .enumerate()
@@ -114,6 +94,40 @@ impl StateTimer {
             })
             .collect();
         StateProfile { threads }
+    }
+}
+
+/// An attached state-time profiler.
+pub struct StateTimer {
+    registrations: Registrations,
+    state: Arc<TimerState>,
+}
+
+impl StateTimer {
+    /// Attach: send `Start` and register a sampling callback on every
+    /// supported event.
+    pub fn attach(handle: RuntimeHandle) -> OraResult<StateTimer> {
+        handle.request_one(Request::Start)?;
+        let state = Arc::new(TimerState::new(handle.clone()));
+
+        let mut registrations = Registrations::new(handle);
+        for event in ALL_EVENTS {
+            let s = state.clone();
+            registrations
+                .register_if_supported(event, Arc::new(move |d: &EventData| s.on_event(d)))?;
+        }
+        Ok(StateTimer {
+            registrations,
+            state,
+        })
+    }
+
+    /// Stop collection and produce the per-thread state-time profile.
+    /// The callbacks — each of which holds the runtime handle — are
+    /// released, so a finished timer keeps nothing of the runtime alive.
+    pub fn finish(mut self) -> StateProfile {
+        self.registrations.stop();
+        self.state.profile()
     }
 }
 

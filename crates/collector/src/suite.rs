@@ -8,22 +8,21 @@
 //! profiler's region/barrier report, the tracer's record stream, and the
 //! state-timer's per-thread accounting.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ora_core::sync::Mutex;
-
-use ora_core::event::{Event, ALL_EVENTS, EVENT_COUNT};
+use ora_core::event::Event;
 use ora_core::registry::EventData;
-use ora_core::request::{OraError, OraResult, Request, Response};
-use ora_core::state::{ThreadState, STATE_COUNT};
+use ora_core::request::{OraError, OraResult, Request};
+use ora_trace::analyze::{summarize, Summary};
+use ora_trace::{MemorySink, RankedEvent, Recorder, TraceConfig, TraceReader};
 
 use crate::clock;
 use crate::discovery::{Registrations, RuntimeHandle};
-use crate::profiler::{Profile, RegionProfile, ThreadProfile, MAX_THREADS};
-use crate::state_timer::{StateProfile, ThreadStateTimes};
-use crate::tracer::{Trace, TraceRecord};
+use crate::profiler::{ProfState, Profile, ProfilerConfig};
+use crate::report;
+use crate::state_timer::{StateProfile, TimerState};
+use crate::tracer::TraceLane;
 
 /// Which reports the suite assembles.
 #[derive(Debug, Clone)]
@@ -31,8 +30,8 @@ pub struct SuiteConfig {
     /// Produce the profiler report (region timings, barrier times, join
     /// callstacks).
     pub profile: bool,
-    /// Keep a trace with this capacity (None = no trace).
-    pub trace_capacity: Option<usize>,
+    /// Record the full event trace.
+    pub trace: bool,
     /// Produce per-thread time-in-state accounting.
     pub state_times: bool,
 }
@@ -41,47 +40,40 @@ impl Default for SuiteConfig {
     fn default() -> Self {
         SuiteConfig {
             profile: true,
-            trace_capacity: Some(65_536),
+            trace: true,
             state_times: true,
         }
     }
 }
 
-#[derive(Default, Clone, Copy)]
-struct RegionAccum {
-    calls: u64,
-    total_ticks: u64,
-    min_ticks: u64,
-    max_ticks: u64,
-}
-
-#[derive(Default)]
-struct PerThread {
-    ibar_begin_tick: u64,
-    ibar_ticks: u64,
-    ibar_count: u64,
-    last_tick: u64,
-    last_state: Option<ThreadState>,
-    state_ticks: [u64; STATE_COUNT],
-}
-
+/// The enabled tools' callback states, fed by the suite's one callback.
 struct SuiteState {
-    cfg: SuiteConfig,
-    handle: RuntimeHandle,
-    fork_tick: Mutex<HashMap<u64, u64>>,
-    regions: Mutex<HashMap<u64, RegionAccum>>,
-    threads: Vec<Mutex<PerThread>>,
-    stacks: Mutex<Vec<(u64, psx::Backtrace)>>,
-    trace: Mutex<Vec<TraceRecord>>,
-    trace_counts: [AtomicU64; EVENT_COUNT],
-    trace_dropped: AtomicU64,
+    profile: Option<ProfState>,
+    trace: Option<TraceLane>,
+    state_times: Option<TimerState>,
     events: AtomicU64,
+}
+
+impl SuiteState {
+    fn on_event(&self, d: &EventData) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if let Some(trace) = &self.trace {
+            trace.on_event(d);
+        }
+        if let Some(profile) = &self.profile {
+            profile.on_event(d);
+        }
+        if let Some(state_times) = &self.state_times {
+            state_times.on_event(d);
+        }
+    }
 }
 
 /// The multiplexing tool.
 pub struct ToolSuite {
     registrations: Registrations,
     state: Arc<SuiteState>,
+    recorder: Option<Recorder<MemorySink>>,
 }
 
 impl ToolSuite {
@@ -89,26 +81,20 @@ impl ToolSuite {
     /// supported event.
     pub fn attach(handle: RuntimeHandle, cfg: SuiteConfig) -> OraResult<ToolSuite> {
         handle.request_one(Request::Start)?;
-        let supported: Vec<Event> = match handle.request_one(Request::QueryCapabilities) {
-            Ok(resp) => resp
-                .supported_events()
-                .unwrap_or_else(|| ALL_EVENTS.to_vec()),
-            Err(_) => ALL_EVENTS.to_vec(),
-        };
-
+        let recorder = cfg.trace.then(|| {
+            Recorder::start(TraceConfig::default(), MemorySink::new())
+                .expect("memory sink cannot fail")
+        });
         let state = Arc::new(SuiteState {
-            cfg,
-            handle: handle.clone(),
-            fork_tick: Mutex::new(HashMap::new()),
-            regions: Mutex::new(HashMap::new()),
-            threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
-            stacks: Mutex::new(Vec::new()),
-            trace: Mutex::new(Vec::new()),
-            trace_counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            trace_dropped: AtomicU64::new(0),
+            profile: cfg
+                .profile
+                .then(|| ProfState::new(&ProfilerConfig::default())),
+            trace: recorder.as_ref().map(|r| TraceLane::new(r.rings())),
+            state_times: cfg.state_times.then(|| TimerState::new(handle.clone())),
             events: AtomicU64::new(0),
         });
 
+        let supported = handle.supported_events();
         let mut registrations = Registrations::new(handle);
         for event in supported {
             let s = state.clone();
@@ -117,6 +103,7 @@ impl ToolSuite {
         Ok(ToolSuite {
             registrations,
             state,
+            recorder,
         })
     }
 
@@ -133,158 +120,14 @@ impl ToolSuite {
             .handle()
             .query_health()
             .unwrap_or_default();
-        let s = self.state;
-
-        let profile = s.cfg.profile.then(|| {
-            let mut regions: Vec<RegionProfile> = s
-                .regions
-                .lock()
-                .iter()
-                .map(|(&region_id, acc)| RegionProfile {
-                    region_id,
-                    calls: acc.calls,
-                    total_secs: clock::to_secs(acc.total_ticks),
-                    mean_secs: clock::to_secs(acc.total_ticks) / acc.calls.max(1) as f64,
-                    min_secs: clock::to_secs(acc.min_ticks),
-                    max_secs: clock::to_secs(acc.max_ticks),
-                })
-                .collect();
-            regions.sort_by_key(|r| r.region_id);
-            let threads: Vec<ThreadProfile> = s
-                .threads
-                .iter()
-                .enumerate()
-                .filter_map(|(gtid, t)| {
-                    let t = t.lock();
-                    (t.ibar_count > 0).then(|| ThreadProfile {
-                        gtid,
-                        ibar_secs: clock::to_secs(t.ibar_ticks),
-                        ibar_count: t.ibar_count,
-                    })
-                })
-                .collect();
-            let table = psx::SymbolTable::global();
-            let mut tree = psx::CallTree::new();
-            let stacks = s.stacks.lock();
-            for (dur, bt) in stacks.iter() {
-                tree.add(&psx::reconstruct(bt, table), clock::to_secs(*dur));
-            }
-            Profile {
-                regions,
-                threads,
-                call_tree: tree,
-                events_observed: s.events.load(Ordering::Relaxed),
-                join_samples: stacks.len() as u64,
-                api_health,
-            }
+        let trace = self.recorder.map(|recorder| {
+            let (sink, _) = recorder.finish().expect("memory sink cannot fail");
+            TraceReader::from_bytes(sink.into_bytes()).expect("self-encoded trace decodes")
         });
-
-        let trace = s.cfg.trace_capacity.map(|_| {
-            let mut records = std::mem::take(&mut *s.trace.lock());
-            records.sort_by_key(|r| r.tick);
-            Trace {
-                records,
-                counts: std::array::from_fn(|i| s.trace_counts[i].load(Ordering::Relaxed)),
-                dropped: s.trace_dropped.load(Ordering::Relaxed),
-            }
-        });
-
-        let state_times = s.cfg.state_times.then(|| StateProfile {
-            threads: s
-                .threads
-                .iter()
-                .enumerate()
-                .filter_map(|(gtid, t)| {
-                    let t = t.lock();
-                    t.last_state?;
-                    Some(ThreadStateTimes {
-                        gtid,
-                        secs_per_state: std::array::from_fn(|i| clock::to_secs(t.state_ticks[i])),
-                    })
-                })
-                .collect(),
-        });
-
         SuiteReport {
-            profile,
+            profile: self.state.profile.as_ref().map(|p| p.profile(api_health)),
             trace,
-            state_times,
-        }
-    }
-}
-
-impl SuiteState {
-    fn on_event(&self, d: &EventData) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let now = clock::ticks();
-
-        // Trace lane.
-        if let Some(cap) = self.cfg.trace_capacity {
-            self.trace_counts[d.event.index()].fetch_add(1, Ordering::Relaxed);
-            let mut trace = self.trace.lock();
-            if trace.len() < cap {
-                trace.push(TraceRecord {
-                    tick: now,
-                    gtid: d.gtid,
-                    event: d.event,
-                    region_id: d.region_id,
-                    wait_id: d.wait_id,
-                });
-            } else {
-                self.trace_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // Profiler lane.
-        if self.cfg.profile {
-            match d.event {
-                Event::Fork => {
-                    self.fork_tick.lock().insert(d.region_id, now);
-                }
-                Event::Join => {
-                    let start = self.fork_tick.lock().remove(&d.region_id);
-                    let dur = start.map(|t| now.saturating_sub(t)).unwrap_or(0);
-                    {
-                        let mut regions = self.regions.lock();
-                        let acc = regions.entry(d.region_id).or_default();
-                        acc.calls += 1;
-                        acc.total_ticks += dur;
-                        acc.min_ticks = if acc.calls == 1 {
-                            dur
-                        } else {
-                            acc.min_ticks.min(dur)
-                        };
-                        acc.max_ticks = acc.max_ticks.max(dur);
-                    }
-                    self.stacks.lock().push((dur, psx::capture()));
-                }
-                Event::ThreadBeginImplicitBarrier if d.gtid < MAX_THREADS => {
-                    self.threads[d.gtid].lock().ibar_begin_tick = now;
-                }
-                Event::ThreadEndImplicitBarrier if d.gtid < MAX_THREADS => {
-                    let mut t = self.threads[d.gtid].lock();
-                    if t.ibar_begin_tick != 0 {
-                        t.ibar_ticks += now.saturating_sub(t.ibar_begin_tick);
-                        t.ibar_count += 1;
-                        t.ibar_begin_tick = 0;
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // State-timer lane: sample the firing thread's state.
-        if self.cfg.state_times && d.gtid < MAX_THREADS {
-            if let Ok(Response::State { state, .. }) = self.handle.request_one(Request::QueryState)
-            {
-                let mut t = self.threads[d.gtid].lock();
-                if let Some(prev) = t.last_state {
-                    let elapsed = now.saturating_sub(t.last_tick);
-                    t.state_ticks[prev.index()] += elapsed;
-                }
-                t.last_tick = now;
-                t.last_state = Some(state);
-            }
+            state_times: self.state.state_times.as_ref().map(TimerState::profile),
         }
     }
 }
@@ -293,8 +136,8 @@ impl SuiteState {
 pub struct SuiteReport {
     /// Region/barrier/call-tree profile (if configured).
     pub profile: Option<Profile>,
-    /// Event trace (if configured).
-    pub trace: Option<Trace>,
+    /// The encoded event trace, opened for querying (if configured).
+    pub trace: Option<TraceReader>,
     /// Per-thread state times (if configured).
     pub state_times: Option<StateProfile>,
 }
@@ -312,15 +155,59 @@ impl SuiteReport {
             out.push_str(&s.render());
         }
         if let Some(t) = &self.trace {
+            let records = t.records().expect("self-encoded trace decodes");
             out.push_str(&format!(
                 "\n=== trace === ({} records, {} dropped)\n",
-                t.records.len(),
-                t.dropped
+                records.len(),
+                t.dropped()
             ));
-            out.push_str(&crate::analysis::analyze(t).render());
+            let ranked = records
+                .into_iter()
+                .map(|record| RankedEvent { rank: 0, record });
+            out.push_str(&render_summary(&summarize(ranked)));
         }
         out
     }
+}
+
+/// The timeline summary as text: ticks become seconds on the collector's
+/// clock.
+fn render_summary(s: &Summary) -> String {
+    let span_secs = clock::to_secs(s.span_ticks);
+    let event_rate = if span_secs > 0.0 {
+        s.events as f64 / span_secs
+    } else {
+        0.0
+    };
+    let mut out = format!(
+        "span {:.6}s | {} regions ({:.6}s inside) | {:.0} events/s | peak concurrency {}\n",
+        span_secs,
+        s.regions.len(),
+        clock::to_secs(s.total_region_ticks()),
+        event_rate,
+        s.peak_region_concurrency()
+    );
+    let by_kind = [
+        Event::ThreadBeginImplicitBarrier,
+        Event::ThreadBeginExplicitBarrier,
+        Event::ThreadBeginLockWait,
+        Event::ThreadBeginCriticalWait,
+        Event::ThreadBeginOrderedWait,
+        Event::TaskWaitBegin,
+    ]
+    .into_iter()
+    .map(|e| {
+        let (n, ticks) = s
+            .waits_of(e)
+            .fold((0, 0), |(n, ticks), w| (n + 1, ticks + w.ticks()));
+        (e, clock::to_secs(ticks), n)
+    })
+    .filter(|(_, _, n)| *n > 0);
+    out.push_str(&report::table(
+        &["wait kind", "total (s)", "intervals"],
+        by_kind.map(|(e, secs, n)| vec![e.name().to_string(), format!("{secs:.6}"), n.to_string()]),
+    ));
+    out
 }
 
 /// Attaching two tools to one runtime clobbers registrations — make the
@@ -331,5 +218,49 @@ pub fn second_attachment_would_clobber(handle: &RuntimeHandle) -> OraResult<()> 
         Err(OraError::OutOfSequence) => Ok(()),
         Ok(_) => Err(OraError::Error),
         Err(e) => Err(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use omprt::OpenMp;
+    use ora_trace::RawRecord;
+
+    /// The suite's trace lane is the ring pipeline, so its finished trace
+    /// is keyed `(tick, gtid, seq)`: records with *colliding ticks* come
+    /// out gtid-ascending, per-thread arrival order within a gtid — not
+    /// in whatever order the threads reached a shared buffer.
+    #[test]
+    fn equal_tick_records_order_deterministically() {
+        let rt = OpenMp::with_threads(2);
+        let handle = RuntimeHandle::discover_named(rt.symbol_name()).unwrap();
+        let cfg = SuiteConfig {
+            profile: false,
+            trace: true,
+            state_times: false,
+        };
+        let tool = ToolSuite::attach(handle, cfg).unwrap();
+        // Thread 1's records arrive first at every tick collision.
+        let rings = tool.recorder.as_ref().unwrap().rings();
+        for i in 0..20u32 {
+            rings.record(RawRecord {
+                tick: 500,
+                gtid: (i + 1) % 2,
+                event: Event::Fork as u32,
+                region_id: u64::from(i),
+                ..RawRecord::default()
+            });
+        }
+        let records = tool.finish().trace.unwrap().records().unwrap();
+        assert_eq!(records.len(), 20);
+        assert!(records.windows(2).all(|w| w[0].key() < w[1].key()));
+        let t0: Vec<u64> = records
+            .iter()
+            .filter(|r| r.gtid == 0)
+            .map(|r| r.region_id)
+            .collect();
+        assert_eq!(t0, (0..20u64).filter(|i| i % 2 == 1).collect::<Vec<_>>());
+        assert!(records[..10].iter().all(|r| r.gtid == 0));
     }
 }

@@ -4,14 +4,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use collector::{Mode, Profiler, ProfilerConfig, RuntimeHandle, StateSampler, Tracer};
+use collector::{Mode, Profiler, ProfilerConfig, RuntimeHandle, StateSampler, StreamingTracer};
 use omprt::{OpenMp, SourceFunction};
 use ora_core::event::Event;
 use ora_core::request::{OraError, Request, Response};
 use ora_core::state::ThreadState;
+use ora_trace::analyze::pair_intervals;
+use ora_trace::{MemorySink, RankedEvent, TraceConfig, TraceReader};
 
 fn handle_for(rt: &OpenMp) -> RuntimeHandle {
     RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime exports its symbol")
+}
+
+fn tracer_for(rt: &OpenMp, config: TraceConfig) -> StreamingTracer<MemorySink> {
+    StreamingTracer::attach(handle_for(rt), config, MemorySink::new()).unwrap()
 }
 
 #[test]
@@ -108,7 +114,7 @@ fn pause_resume_windows_scope_collection() {
 #[test]
 fn tracer_counts_match_runtime_counters() {
     let rt = OpenMp::with_threads(2);
-    let tracer = Tracer::attach(handle_for(&rt), 100_000).unwrap();
+    let tracer = tracer_for(&rt, TraceConfig::default());
 
     for _ in 0..7 {
         rt.parallel(|ctx| {
@@ -122,30 +128,48 @@ fn tracer_counts_match_runtime_counters() {
     // master has already left the barrier; give them time to drain before
     // stopping, or the trace legitimately ends with unmatched begins.
     std::thread::sleep(std::time::Duration::from_millis(100));
-    let trace = tracer.finish();
-    assert_eq!(trace.count(Event::Fork), 7);
-    assert_eq!(trace.count(Event::Join), 7);
+    let (sink, stats) = tracer.finish().unwrap();
+    let reader = TraceReader::from_bytes(sink.into_bytes()).unwrap();
+    let counts = reader.event_counts().unwrap();
+    assert_eq!(counts[Event::Fork.index()], 7);
+    assert_eq!(counts[Event::Join.index()], 7);
     // 2 threads × 7 regions × (1 explicit + 1 implicit barrier).
-    assert_eq!(trace.count(Event::ThreadBeginExplicitBarrier), 14);
-    assert_eq!(trace.count(Event::ThreadBeginImplicitBarrier), 14);
-    assert_eq!(trace.dropped, 0);
+    assert_eq!(counts[Event::ThreadBeginExplicitBarrier.index()], 14);
+    assert_eq!(counts[Event::ThreadBeginImplicitBarrier.index()], 14);
+    assert_eq!((stats.dropped(), reader.dropped()), (0, 0));
     // Every begin has its end.
-    assert_eq!(trace.unmatched_begins(Event::ThreadBeginExplicitBarrier), 0);
-    assert_eq!(trace.unmatched_begins(Event::ThreadBeginImplicitBarrier), 0);
-    let head = trace.render_head(5);
-    assert_eq!(head.lines().count(), 5);
+    let records = reader.records().unwrap();
+    let ranked = records
+        .iter()
+        .map(|&record| RankedEvent { rank: 0, record });
+    let unpaired = pair_intervals(ranked, |_| {});
+    assert_eq!(unpaired.of(Event::ThreadBeginExplicitBarrier), 0);
+    assert_eq!(unpaired.of(Event::ThreadBeginImplicitBarrier), 0);
+    assert_eq!(unpaired.of(Event::Fork), 0);
 }
 
 #[test]
 fn tracer_capacity_drops_but_keeps_counting() {
     let rt = OpenMp::with_threads(2);
-    let tracer = Tracer::attach(handle_for(&rt), 64).unwrap();
+    // Two records per lane and no mid-run drain: 200 regions overflow.
+    let config = TraceConfig {
+        capacity_per_lane: 2,
+        epoch: std::time::Duration::from_secs(3600),
+        ..TraceConfig::default()
+    };
+    let tracer = tracer_for(&rt, config);
     for _ in 0..200 {
         rt.parallel(|_| {});
     }
-    let trace = tracer.finish();
-    assert_eq!(trace.count(Event::Fork), 200, "counters never drop");
-    assert!(trace.dropped > 0, "buffer should have overflowed");
+    assert_eq!(tracer.count(Event::Fork), 200, "counters never drop");
+    let (sink, stats) = tracer.finish().unwrap();
+    assert!(stats.dropped() > 0, "rings should have overflowed");
+    let reader = TraceReader::from_bytes(sink.into_bytes()).unwrap();
+    assert_eq!(
+        reader.dropped(),
+        stats.dropped(),
+        "the footer keeps the loss"
+    );
 }
 
 #[test]
@@ -223,8 +247,8 @@ fn stop_ends_collection_and_start_reinitializes() {
 fn two_collectors_on_two_runtimes_do_not_interfere() {
     let rt_a = OpenMp::with_threads(2);
     let rt_b = OpenMp::with_threads(2);
-    let trace_a = Tracer::attach(handle_for(&rt_a), 1000).unwrap();
-    let trace_b = Tracer::attach(handle_for(&rt_b), 1000).unwrap();
+    let trace_a = tracer_for(&rt_a, TraceConfig::default());
+    let trace_b = tracer_for(&rt_b, TraceConfig::default());
 
     rt_a.parallel(|_| {});
     rt_b.parallel(|_| {});

@@ -32,10 +32,10 @@ fn suite_produces_all_three_reports_consistently() {
     assert_eq!(profile.join_samples, 5);
 
     // Trace lane agrees with the profile on region counts.
-    let trace = report.trace.as_ref().unwrap();
-    assert_eq!(trace.count(Event::Fork), 5);
-    assert_eq!(trace.count(Event::Join), 5);
-    assert_eq!(trace.count(Event::ThreadBeginExplicitBarrier), 10);
+    let counts = report.trace.as_ref().unwrap().event_counts().unwrap();
+    assert_eq!(counts[Event::Fork.index()], 5);
+    assert_eq!(counts[Event::Join.index()], 5);
+    assert_eq!(counts[Event::ThreadBeginExplicitBarrier.index()], 10);
 
     // State lane saw work and barriers.
     let states = report.state_times.as_ref().unwrap();
@@ -48,6 +48,8 @@ fn suite_produces_all_three_reports_consistently() {
     assert!(text.contains("=== profile ==="));
     assert!(text.contains("=== state times ==="));
     assert!(text.contains("=== trace ==="));
+    assert!(text.contains("| 5 regions ("), "{text}");
+    assert!(text.contains("peak concurrency 1"), "{text}");
 }
 
 #[test]
@@ -57,7 +59,7 @@ fn suite_lanes_are_individually_optional() {
         handle_for(&rt),
         SuiteConfig {
             profile: true,
-            trace_capacity: None,
+            trace: false,
             state_times: false,
         },
     )

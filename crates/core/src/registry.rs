@@ -452,9 +452,7 @@ mod tests {
             r.invoke(&EventData::bare(Event::Fork, 0));
         }
         r.unregister(Event::Fork);
-        // No reader is pinned now; one more collection round frees all.
-        r.garbage.collect();
-        assert_eq!(r.pending_reclaims(), 0);
+        r.garbage.collect_until_quiescent();
     }
 
     #[test]
@@ -531,8 +529,7 @@ mod tests {
         assert_eq!(stats.callback_panics, DEFAULT_QUARANTINE_THRESHOLD);
         assert_eq!(stats.callbacks_quarantined, 1);
         assert_eq!(r.panic_count(Event::Fork), 0); // reset on quarantine
-        r.garbage.collect();
-        assert_eq!(r.pending_reclaims(), 0);
+        r.garbage.collect_until_quiescent();
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!    and its lane accounting must reconcile with the in-process chain.
 
 use collector::modes::CollectionConfig;
-use collector::tracer::Trace;
 use ora_core::event::Event;
-use ora_trace::{merge_ranks, TraceReader};
+use ora_trace::analyze::pair_intervals;
+use ora_trace::{merge_ranks, RankedEvent, TraceEvent, TraceReader};
 
 use crate::exec::{run_under, RunOutcome};
 use crate::oracle;
@@ -190,7 +190,7 @@ fn diff_outcome(
                 ));
             }
             match &outcome.trace {
-                Some(bytes) => diff_governed_trace(scenario, outcome, bytes, &mut push),
+                Some(bytes) => diff_trace(scenario, outcome, bytes, &mut push),
                 None => push("governed rung returned no trace bytes".into()),
             }
         }
@@ -206,100 +206,42 @@ fn diff_outcome(
     }
 }
 
-/// Reconcile the governed rung's persisted trace: the decision log
-/// round-trips through the reader's governor timeline, decision records
-/// stay out of the event stream, and — whatever sampling rates the
-/// governor settled on — begin/end pairing survives intact (the fate
-/// stack guarantees an end is sampled iff its begin was).
-fn diff_governed_trace(
+/// Every interval the runtime opens, it closes: no begin is left open
+/// and no end arrives unopened, for any pair a scenario can generate.
+/// Only checkable when nothing was lost to backpressure and no pause
+/// window could swallow one side of a pair. (Idle intervals are exempt:
+/// pooled workers sit idle across attach and finish.)
+fn diff_pairing(
     scenario: &Scenario,
     outcome: &RunOutcome,
-    bytes: &[u8],
+    records: &[TraceEvent],
     push: &mut impl FnMut(String),
 ) {
-    let s = &outcome.summary;
-    let reader = match TraceReader::from_bytes(bytes.to_vec()) {
-        Ok(r) => r,
-        Err(e) => return push(format!("governed trace does not decode: {e}")),
-    };
-    if reader.record_count() != s.records_drained {
-        push(format!(
-            "footer drained {} != summary drained {}",
-            reader.record_count(),
-            s.records_drained
-        ));
+    if outcome.summary.records_dropped != 0 || scenario.gates() != 0 {
+        return;
     }
-    if reader.dropped() != s.records_dropped {
-        push(format!(
-            "footer dropped {} != summary dropped {}",
-            reader.dropped(),
-            s.records_dropped
-        ));
-    }
-    match reader.governor_timeline() {
-        Ok(timeline) => {
-            if timeline.len() as u64 != s.governor_records {
-                push(format!(
-                    "governor timeline has {} decision(s), summary persisted {}",
-                    timeline.len(),
-                    s.governor_records
-                ));
-            }
-        }
-        Err(e) => push(format!("governor timeline does not decode: {e}")),
-    }
-    let records = match reader.records() {
-        Ok(r) => r,
-        Err(e) => return push(format!("governed trace records do not decode: {e}")),
-    };
-    if records.len() as u64 + s.governor_records != s.records_drained {
-        push(format!(
-            "decoded {} event record(s) + {} decision(s) != drained {}",
-            records.len(),
-            s.governor_records,
-            s.records_drained
-        ));
-    }
-
-    // Pairing survives sampling: checkable when nothing was lost to
-    // backpressure and no pause window could swallow one side.
-    if s.records_dropped == 0 && scenario.gates() == 0 {
-        let trace = match Trace::from_encoded(bytes) {
-            Ok(t) => t,
-            Err(e) => return push(format!("governed trace re-decode failed: {e}")),
-        };
-        if trace.count(Event::Fork) != trace.count(Event::Join) {
+    let ranked = records
+        .iter()
+        .map(|&record| RankedEvent { rank: 0, record });
+    let unpaired = pair_intervals(ranked, |_| {});
+    for begin in [
+        Event::Fork,
+        Event::LoopBegin,
+        Event::ThreadBeginImplicitBarrier,
+        Event::ThreadBeginExplicitBarrier,
+        Event::ThreadBeginLockWait,
+        Event::ThreadBeginCriticalWait,
+        Event::ThreadBeginOrderedWait,
+        Event::ThreadBeginMaster,
+        Event::ThreadBeginSingle,
+        Event::TaskBegin,
+        Event::TaskWaitBegin,
+    ] {
+        if unpaired.of(begin) != 0 {
             push(format!(
-                "sampled fork count {} != join count {}",
-                trace.count(Event::Fork),
-                trace.count(Event::Join)
+                "{} unmatched {begin:?} interval(s)",
+                unpaired.of(begin)
             ));
-        }
-        if trace.count(Event::LoopBegin) != trace.count(Event::LoopEnd) {
-            push(format!(
-                "sampled loop begin count {} != loop end count {}",
-                trace.count(Event::LoopBegin),
-                trace.count(Event::LoopEnd)
-            ));
-        }
-        for begin in [
-            Event::ThreadBeginImplicitBarrier,
-            Event::ThreadBeginExplicitBarrier,
-            Event::ThreadBeginLockWait,
-            Event::ThreadBeginCriticalWait,
-            Event::ThreadBeginOrderedWait,
-            Event::ThreadBeginMaster,
-            Event::ThreadBeginSingle,
-            Event::TaskBegin,
-            Event::TaskWaitBegin,
-        ] {
-            let unmatched = trace.unmatched_begins(begin);
-            if unmatched != 0 {
-                push(format!(
-                    "sampling broke pairing: {} unmatched {:?} interval(s)",
-                    unmatched, begin
-                ));
-            }
         }
     }
 }
@@ -419,9 +361,12 @@ fn diff_socket(outcome: &RunOutcome, bytes: &[u8], out: &mut Vec<Mismatch>) {
     }
 }
 
-/// Reconcile the persisted trace against the summary: footer counters,
-/// per-thread and per-region partitions, event pairing, rank-merge
-/// determinism.
+/// Reconcile a streaming rung's persisted trace against the summary:
+/// footer counters, the governor's decision log (round-tripped through
+/// the reader's timeline and kept out of the event stream; empty on the
+/// ungoverned rung), per-thread and per-region partitions, event pairing
+/// — which sampling must not break: the fate stack admits an end iff it
+/// admitted its begin — and rank-merge determinism.
 fn diff_trace(
     scenario: &Scenario,
     outcome: &RunOutcome,
@@ -447,14 +392,27 @@ fn diff_trace(
             s.records_dropped
         ));
     }
+    match reader.governor_timeline() {
+        Ok(timeline) => {
+            if timeline.len() as u64 != s.governor_records {
+                push(format!(
+                    "governor timeline has {} decision(s), summary persisted {}",
+                    timeline.len(),
+                    s.governor_records
+                ));
+            }
+        }
+        Err(e) => push(format!("governor timeline does not decode: {e}")),
+    }
     let records = match reader.records() {
         Ok(r) => r,
         Err(e) => return push(format!("trace records do not decode: {e}")),
     };
-    if records.len() as u64 != s.records_drained {
+    if records.len() as u64 + s.governor_records != s.records_drained {
         push(format!(
-            "decoded {} record(s) != drained {}",
+            "decoded {} event record(s) + {} decision(s) != drained {}",
             records.len(),
+            s.governor_records,
             s.records_drained
         ));
     }
@@ -517,44 +475,7 @@ fn diff_trace(
         ));
     }
 
-    // Event pairing: only checkable when nothing was lost and no pause
-    // window could swallow one side of a pair.
-    if s.records_dropped == 0 && scenario.gates() == 0 {
-        let trace = match Trace::from_encoded(bytes) {
-            Ok(t) => t,
-            Err(e) => return push(format!("trace re-decode failed: {e}")),
-        };
-        if trace.count(Event::Fork) != trace.count(Event::Join) {
-            push(format!(
-                "fork count {} != join count {}",
-                trace.count(Event::Fork),
-                trace.count(Event::Join)
-            ));
-        }
-        if trace.count(Event::LoopBegin) != trace.count(Event::LoopEnd) {
-            push(format!(
-                "loop begin count {} != loop end count {}",
-                trace.count(Event::LoopBegin),
-                trace.count(Event::LoopEnd)
-            ));
-        }
-        for begin in [
-            Event::ThreadBeginImplicitBarrier,
-            Event::ThreadBeginExplicitBarrier,
-            Event::ThreadBeginLockWait,
-            Event::ThreadBeginCriticalWait,
-            Event::ThreadBeginOrderedWait,
-            Event::ThreadBeginMaster,
-            Event::ThreadBeginSingle,
-            Event::TaskBegin,
-            Event::TaskWaitBegin,
-        ] {
-            let unmatched = trace.unmatched_begins(begin);
-            if unmatched != 0 {
-                push(format!("{} unmatched {:?} interval(s)", unmatched, begin));
-            }
-        }
-    }
+    diff_pairing(scenario, outcome, &records, push);
 
     // Multi-rank merge determinism: merging the trace with itself must
     // be stable and keyed `(tick, gtid, seq, rank)` — the rank strictly

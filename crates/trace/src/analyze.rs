@@ -1,7 +1,12 @@
-//! Detrimental-pattern trace analysis.
+//! Offline timeline analysis: the one begin/end pairing, the
+//! region/wait summary, and the detrimental-pattern detectors.
 //!
-//! Replays a recorded trace and reports the task-parallel performance
-//! pathologies catalogued for OpenMP tasking (arXiv 2406.03077):
+//! [`pair_intervals`] is the only place in the workspace that decides
+//! how a begin event finds its end; everything that reads intervals off
+//! a timeline — [`summarize`], [`analyze`], the fuzzer's pairing check —
+//! consumes it. [`analyze`] replays a recorded trace and reports the
+//! task-parallel performance pathologies catalogued for OpenMP tasking
+//! (arXiv 2406.03077):
 //!
 //! * **Starvation** — a thread sits in a task wait executing nothing
 //!   while a substantial number of tasks run elsewhere in the team.
@@ -18,18 +23,20 @@
 //!
 //! The analyzer consumes the rank-attributed timeline shape shared by
 //! every trace source in this workspace: a single-rank
-//! [`TraceReader`], the offline [`merge_ranks`](crate::reader::merge_ranks)
-//! output, or a fleet aggregator timeline export
+//! [`TraceReader`](crate::TraceReader) (rank 0), the offline
+//! [`merge_ranks`](crate::reader::merge_ranks) output, or a fleet
+//! aggregator timeline export
 //! ([`decode_timeline`]). All evidence is reported as tick ranges in
 //! the source trace's clock domain, so findings can be drilled into
 //! with the existing `trace report --from-us/--to-us` queries.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
-use ora_core::event::Event;
+use ora_core::event::{Event, EVENT_COUNT};
 
 use crate::format::{get_varint, put_varint};
-use crate::reader::{RankedEvent, TraceEvent, TraceReader};
+use crate::reader::{RankedEvent, TraceEvent};
 use crate::TraceError;
 
 /// Magic starting every exported fleet timeline (`ora-fleet` encodes
@@ -169,9 +176,201 @@ impl AnalysisReport {
     }
 }
 
-/// A closed `[begin, end]` tick interval attributed to a thread.
+/// One begin event matched with its end by [`pair_intervals`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Interval {
+    /// Rank both halves were recorded on.
+    pub rank: usize,
+    /// Thread that fired the begin.
+    pub gtid: usize,
+    /// The begin event (`Fork`, `TaskBegin`, `ThreadBeginLockWait`, …).
+    pub begin: Event,
+    /// Region the begin record carried.
+    pub region_id: u64,
+    /// Wait ID shared by both halves (0 for `Fork`).
+    pub wait_id: u64,
+    /// Begin tick.
+    pub start: u64,
+    /// End tick, never before `start`.
+    pub end: u64,
+}
+
+impl Interval {
+    /// Interval length in ticks.
+    pub fn ticks(&self) -> u64 {
+        self.end - self.start
+    }
+}
+
+/// The halves [`pair_intervals`] could not match, indexed by the *begin*
+/// event's [`Event::index`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Unpaired {
+    /// Begins still open when the timeline ended.
+    pub begins: [u64; EVENT_COUNT],
+    /// Ends that arrived with no open begin under their key.
+    pub ends: [u64; EVENT_COUNT],
+}
+
+impl Unpaired {
+    /// Unmatched halves of the pair opened by `begin`, both kinds.
+    pub fn of(&self, begin: Event) -> u64 {
+        self.begins[begin.index()] + self.ends[begin.index()]
+    }
+}
+
+/// What a begin and its end agree on: `(rank, gtid, begin event, wait
+/// id)` — or `(rank, 0, Fork, region)` for a region.
+type PairKey = (usize, usize, Event, u64);
+
+/// A begin waiting for its end.
+struct Open {
+    start: u64,
+    gtid: usize,
+    region_id: u64,
+}
+
+impl Open {
+    fn at(r: &TraceEvent) -> Open {
+        Open {
+            start: r.tick,
+            gtid: r.gtid,
+            region_id: r.region_id,
+        }
+    }
+}
+
+/// Match every begin event in `events` with its end and hand each
+/// completed [`Interval`] to `visit`, in end order.
+///
+/// `Fork`/`Join` pair per `(rank, region)` — the join may fire on
+/// another thread than the fork did. Every other pair is keyed by
+/// `(rank, gtid, begin event, wait id)`. Begins under one key stack, and
+/// an end closes the innermost: a nested team's master reuses the outer
+/// master's gtid and wait ID 0, and both intervals must close.
+pub fn pair_intervals(
+    events: impl IntoIterator<Item = RankedEvent>,
+    mut visit: impl FnMut(Interval),
+) -> Unpaired {
+    // Open begins per key: the innermost, then the ones it nests in
+    // (outermost first). Nesting under one key is rare, so the common
+    // begin/end costs one map operation and no allocation.
+    let mut open: HashMap<PairKey, (Open, Vec<Open>)> = HashMap::new();
+    let mut unpaired = Unpaired::default();
+    for RankedEvent { rank, record: r } in events {
+        let begin = if r.event.is_begin() {
+            r.event
+        } else {
+            r.event.pair().expect("every event is half of a pair")
+        };
+        let key = match begin {
+            Event::Fork => (rank, 0, begin, r.region_id),
+            _ => (rank, r.gtid, begin, r.wait_id),
+        };
+        match open.entry(key) {
+            Entry::Vacant(slot) if r.event == begin => {
+                slot.insert((Open::at(&r), Vec::new()));
+            }
+            Entry::Occupied(mut slot) if r.event == begin => {
+                let (innermost, outer) = slot.get_mut();
+                outer.push(std::mem::replace(innermost, Open::at(&r)));
+            }
+            Entry::Vacant(_) => unpaired.ends[begin.index()] += 1,
+            Entry::Occupied(mut slot) => {
+                let o = match slot.get_mut().1.pop() {
+                    Some(outer) => std::mem::replace(&mut slot.get_mut().0, outer),
+                    None => slot.remove().0,
+                };
+                visit(Interval {
+                    rank,
+                    gtid: o.gtid,
+                    begin,
+                    region_id: o.region_id,
+                    wait_id: r.wait_id,
+                    start: o.start,
+                    end: r.tick.max(o.start),
+                });
+            }
+        }
+    }
+    for ((_, _, begin, _), (_, outer)) in open {
+        unpaired.begins[begin.index()] += 1 + outer.len() as u64;
+    }
+    unpaired
+}
+
+/// The region/wait/concurrency view of a timeline — what a Vampir-style
+/// tool would plot. All quantities are in the source trace's ticks.
+#[derive(Debug, Clone, Default)]
+pub struct Summary {
+    /// Every completed fork→join interval, in join order.
+    pub regions: Vec<Interval>,
+    /// Every other completed begin→end interval, in end order.
+    pub waits: Vec<Interval>,
+    /// Records summarized.
+    pub events: u64,
+    /// Ticks from the earliest record to the latest.
+    pub span_ticks: u64,
+    /// Halves that found no partner.
+    pub unpaired: Unpaired,
+}
+
+/// Summarize a timeline (sorted or not).
+pub fn summarize(events: impl IntoIterator<Item = RankedEvent>) -> Summary {
+    let (mut count, mut lo, mut hi) = (0, u64::MAX, 0);
+    let events = events.into_iter().inspect(|e| {
+        count += 1;
+        lo = lo.min(e.record.tick);
+        hi = hi.max(e.record.tick);
+    });
+    let (mut regions, mut waits) = (Vec::new(), Vec::new());
+    let unpaired = pair_intervals(events, |iv| match iv.begin {
+        Event::Fork => regions.push(iv),
+        _ => waits.push(iv),
+    });
+    Summary {
+        regions,
+        waits,
+        events: count,
+        span_ticks: hi.saturating_sub(lo),
+        unpaired,
+    }
+}
+
+impl Summary {
+    /// Total ticks inside parallel regions.
+    pub fn total_region_ticks(&self) -> u64 {
+        self.regions.iter().map(Interval::ticks).sum()
+    }
+
+    /// The completed intervals opened by `begin`.
+    pub fn waits_of(&self, begin: Event) -> impl Iterator<Item = &Interval> {
+        self.waits.iter().filter(move |w| w.begin == begin)
+    }
+
+    /// The maximum number of parallel regions in flight at once (1 for a
+    /// single runtime; >1 indicates nested or multi-rank timelines).
+    pub fn peak_region_concurrency(&self) -> usize {
+        let mut edges: Vec<(u64, i32)> = Vec::with_capacity(self.regions.len() * 2);
+        for r in &self.regions {
+            edges.push((r.start, 1));
+            edges.push((r.end, -1));
+        }
+        edges.sort_unstable();
+        let mut cur = 0i32;
+        let mut peak = 0i32;
+        for (_, d) in edges {
+            cur += d;
+            peak = peak.max(cur);
+        }
+        peak.max(0) as usize
+    }
+}
+
+/// A closed `[begin, end]` tick span attributed to a thread — the
+/// detectors' compact form of an [`Interval`].
 #[derive(Debug, Clone, Copy)]
-struct Interval {
+struct Span {
     gtid: usize,
     begin: u64,
     end: u64,
@@ -181,41 +380,17 @@ struct Interval {
 #[derive(Debug, Default)]
 struct RegionActivity {
     /// Completed task executions: thread + begin/end ticks.
-    task_execs: Vec<Interval>,
+    task_execs: Vec<Span>,
     /// Completed task-wait intervals per thread.
-    task_waits: Vec<Interval>,
+    task_waits: Vec<Span>,
     /// Completed barrier-wait intervals, tagged implicit/explicit.
     /// Episode grouping happens later by tick overlap (see
     /// [`cluster_episodes`]) — the records' wait IDs pair a thread's
     /// own begin/end but are per-thread counters, so nested parallel
     /// regions push them out of lockstep across the team.
-    barrier_intervals: Vec<(bool, Interval)>,
+    barrier_intervals: Vec<(bool, Span)>,
     /// Threads that fired any event in the region.
     threads: std::collections::BTreeSet<usize>,
-    /// Overall tick extent of the region's events.
-    tick_lo: u64,
-    tick_hi: u64,
-}
-
-/// Pairs begin events with their ends per `(gtid, wait_id)`.
-#[derive(Debug, Default)]
-struct OpenIntervals {
-    open: BTreeMap<(usize, u64), u64>,
-}
-
-impl OpenIntervals {
-    fn begin(&mut self, gtid: usize, wait_id: u64, tick: u64) {
-        self.open.insert((gtid, wait_id), tick);
-    }
-
-    fn end(&mut self, gtid: usize, wait_id: u64, tick: u64) -> Option<Interval> {
-        let begin = self.open.remove(&(gtid, wait_id))?;
-        Some(Interval {
-            gtid,
-            begin,
-            end: tick.max(begin),
-        })
-    }
 }
 
 /// Analyze a rank-attributed event timeline. The input need not be
@@ -223,79 +398,36 @@ impl OpenIntervals {
 /// detectors order evidence internally.
 pub fn analyze(events: &[RankedEvent], cfg: &AnalyzeConfig) -> AnalysisReport {
     let mut regions: BTreeMap<(usize, u64), RegionActivity> = BTreeMap::new();
-    let mut tasks_open: BTreeMap<(usize, u64), OpenIntervals> = BTreeMap::new();
-    let mut waits_open: BTreeMap<(usize, u64), OpenIntervals> = BTreeMap::new();
-    let mut barriers_open: BTreeMap<(usize, u64, bool), OpenIntervals> = BTreeMap::new();
-
-    let mut events_scanned = 0u64;
     for e in events {
-        events_scanned += 1;
-        let r = &e.record;
-        if r.region_id == 0 {
-            continue;
-        }
-        let key = (e.rank, r.region_id);
-        let act = regions.entry(key).or_insert_with(|| RegionActivity {
-            tick_lo: u64::MAX,
-            ..RegionActivity::default()
-        });
-        act.threads.insert(r.gtid);
-        act.tick_lo = act.tick_lo.min(r.tick);
-        act.tick_hi = act.tick_hi.max(r.tick);
-        match r.event {
-            Event::TaskBegin => {
-                tasks_open
-                    .entry(key)
-                    .or_default()
-                    .begin(r.gtid, r.wait_id, r.tick);
-            }
-            Event::TaskEnd => {
-                if let Some(iv) = tasks_open
-                    .entry(key)
-                    .or_default()
-                    .end(r.gtid, r.wait_id, r.tick)
-                {
-                    act.task_execs.push(iv);
-                }
-            }
-            Event::TaskWaitBegin => {
-                waits_open
-                    .entry(key)
-                    .or_default()
-                    .begin(r.gtid, r.wait_id, r.tick);
-            }
-            Event::TaskWaitEnd => {
-                if let Some(iv) = waits_open
-                    .entry(key)
-                    .or_default()
-                    .end(r.gtid, r.wait_id, r.tick)
-                {
-                    act.task_waits.push(iv);
-                }
-            }
-            Event::ThreadBeginImplicitBarrier | Event::ThreadBeginExplicitBarrier => {
-                let implicit = r.event == Event::ThreadBeginImplicitBarrier;
-                barriers_open
-                    .entry((e.rank, r.region_id, implicit))
-                    .or_default()
-                    .begin(r.gtid, r.wait_id, r.tick);
-            }
-            Event::ThreadEndImplicitBarrier | Event::ThreadEndExplicitBarrier => {
-                let implicit = r.event == Event::ThreadEndImplicitBarrier;
-                if let Some(iv) = barriers_open
-                    .entry((e.rank, r.region_id, implicit))
-                    .or_default()
-                    .end(r.gtid, r.wait_id, r.tick)
-                {
-                    act.barrier_intervals.push((implicit, iv));
-                }
-            }
-            _ => {}
+        if e.record.region_id != 0 {
+            regions
+                .entry((e.rank, e.record.region_id))
+                .or_default()
+                .threads
+                .insert(e.record.gtid);
         }
     }
+    // The detectors keep only the interval kinds they read, compactly.
+    pair_intervals(events.iter().copied(), |iv| {
+        let Some(act) = regions.get_mut(&(iv.rank, iv.region_id)) else {
+            return;
+        };
+        let span = Span {
+            gtid: iv.gtid,
+            begin: iv.start,
+            end: iv.end,
+        };
+        match iv.begin {
+            Event::TaskBegin => act.task_execs.push(span),
+            Event::TaskWaitBegin => act.task_waits.push(span),
+            Event::ThreadBeginImplicitBarrier => act.barrier_intervals.push((true, span)),
+            Event::ThreadBeginExplicitBarrier => act.barrier_intervals.push((false, span)),
+            _ => {}
+        }
+    });
 
     let mut report = AnalysisReport {
-        events_scanned,
+        events_scanned: events.len() as u64,
         regions_scanned: regions.len(),
         ..AnalysisReport::default()
     };
@@ -308,21 +440,6 @@ pub fn analyze(events: &[RankedEvent], cfg: &AnalyzeConfig) -> AnalysisReport {
         .findings
         .sort_by_key(|f| (f.rank, f.region_id, f.tick_lo, f.gtid));
     report
-}
-
-/// Analyze one single-rank trace file (rank index 0).
-pub fn analyze_reader(
-    reader: &TraceReader,
-    cfg: &AnalyzeConfig,
-) -> Result<AnalysisReport, TraceError> {
-    let mut events = Vec::new();
-    for record in reader.events() {
-        events.push(RankedEvent {
-            rank: 0,
-            record: record?,
-        });
-    }
-    Ok(analyze(&events, cfg))
 }
 
 /// The task-active span of a region: first task begin to last task end.
@@ -437,10 +554,10 @@ fn detect_serialized_spawn(
 /// inner region, so its raw wait IDs fall out of lockstep with its
 /// outer teammates and would scatter one real episode across several
 /// phantom ones (misattributing the convoy to an innocent thread).
-fn cluster_episodes(mut intervals: Vec<Interval>) -> Vec<Vec<Interval>> {
+fn cluster_episodes(mut intervals: Vec<Span>) -> Vec<Vec<Span>> {
     intervals.sort_by_key(|iv| (iv.begin, iv.end, iv.gtid));
-    let mut episodes: Vec<Vec<Interval>> = Vec::new();
-    let mut current: Vec<Interval> = Vec::new();
+    let mut episodes: Vec<Vec<Span>> = Vec::new();
+    let mut current: Vec<Span> = Vec::new();
     let mut min_end = 0u64;
     for iv in intervals {
         let joins = !current.is_empty()
@@ -469,9 +586,9 @@ fn detect_barrier_convoy(
     cfg: &AnalyzeConfig,
     out: &mut Vec<Finding>,
 ) {
-    let mut clustered: Vec<Vec<Interval>> = Vec::new();
+    let mut clustered: Vec<Vec<Span>> = Vec::new();
     for implicit in [false, true] {
-        let class: Vec<Interval> = act
+        let class: Vec<Span> = act
             .barrier_intervals
             .iter()
             .filter(|(imp, _)| *imp == implicit)
@@ -485,7 +602,7 @@ fn detect_barrier_convoy(
     // episode can split around a member's inner-team excursion — and
     // must not be charged to this region's barrier discipline.
     let team = act.threads.len();
-    let episodes: Vec<&Vec<Interval>> = clustered
+    let episodes: Vec<&Vec<Span>> = clustered
         .iter()
         .filter(|arrivals| arrivals.len() >= 2 && arrivals.len() == team)
         .collect();
@@ -695,6 +812,90 @@ mod tests {
             }
         }
         out
+    }
+
+    fn intervals(events: &[RankedEvent]) -> (Vec<Interval>, Unpaired) {
+        let mut out = Vec::new();
+        let unpaired = pair_intervals(events.iter().copied(), |iv| out.push(iv));
+        (out, unpaired)
+    }
+
+    #[test]
+    fn same_key_nested_begins_both_close() {
+        // An outer `master` on gtid 0 forks an inner team whose master is
+        // gtid 0 again and also enters `master`: two begins under the
+        // key (rank 0, gtid 0, ThreadBeginMaster, wait 0). A single-slot
+        // open map overwrote the outer begin and orphaned its end.
+        let events = [
+            ev(10, 0, Event::ThreadBeginMaster, 1, 0),
+            ev(20, 0, Event::Fork, 2, 0),
+            ev(30, 0, Event::ThreadBeginMaster, 2, 0),
+            ev(40, 0, Event::ThreadEndMaster, 2, 0),
+            ev(50, 0, Event::Join, 2, 0),
+            ev(60, 0, Event::ThreadEndMaster, 1, 0),
+        ];
+        let (ivs, unpaired) = intervals(&events);
+        assert_eq!(unpaired, Unpaired::default());
+        let masters: Vec<(u64, u64, u64)> = ivs
+            .iter()
+            .filter(|iv| iv.begin == Event::ThreadBeginMaster)
+            .map(|iv| (iv.region_id, iv.start, iv.end))
+            .collect();
+        assert_eq!(masters, [(2, 30, 40), (1, 10, 60)], "innermost first");
+    }
+
+    #[test]
+    fn regions_pair_fork_with_join_across_threads() {
+        let s = summarize([
+            ev(100, 0, Event::Fork, 1, 0),
+            ev(200, 1, Event::Fork, 2, 0),
+            ev(300, 1, Event::Join, 2, 0),
+            ev(400, 0, Event::Join, 1, 0),
+            ev(600, 0, Event::Fork, 3, 0),
+            // The join of region 3 fires on another thread than its fork.
+            ev(900, 2, Event::Join, 3, 0),
+        ]);
+        assert_eq!(s.regions.len(), 3);
+        assert_eq!(s.regions[0].ticks(), 100);
+        assert_eq!((s.regions[2].gtid, s.regions[2].ticks()), (0, 300));
+        assert_eq!(s.total_region_ticks(), 100 + 300 + 300);
+        assert_eq!(s.peak_region_concurrency(), 2, "regions 1 and 2 nest");
+        assert_eq!((s.events, s.span_ticks), (6, 800));
+    }
+
+    #[test]
+    fn waits_pair_by_thread_and_wait_id() {
+        let s = summarize([
+            ev(10, 1, Event::ThreadBeginImplicitBarrier, 1, 7),
+            ev(15, 2, Event::ThreadBeginImplicitBarrier, 1, 3),
+            ev(40, 1, Event::ThreadEndImplicitBarrier, 1, 7),
+            ev(60, 2, Event::ThreadEndImplicitBarrier, 1, 3),
+        ]);
+        assert_eq!(s.waits.len(), 2);
+        let w1 = s.waits.iter().find(|w| w.gtid == 1).unwrap();
+        assert_eq!((w1.wait_id, w1.ticks()), (7, 30));
+        let total: u64 = s
+            .waits_of(Event::ThreadBeginImplicitBarrier)
+            .map(Interval::ticks)
+            .sum();
+        assert_eq!(total, 30 + 45);
+    }
+
+    #[test]
+    fn unpaired_halves_are_counted_per_begin_event() {
+        let s = summarize([
+            ev(10, 0, Event::Join, 9, 0),                       // join without fork
+            ev(20, 0, Event::ThreadEndExplicitBarrier, 1, 1),   // end without begin
+            ev(30, 0, Event::ThreadBeginExplicitBarrier, 1, 2), // begin without end
+        ]);
+        assert!(s.regions.is_empty() && s.waits.is_empty());
+        assert_eq!(s.unpaired.ends[Event::Fork.index()], 1);
+        assert_eq!(s.unpaired.of(Event::ThreadBeginExplicitBarrier), 2);
+        assert_eq!(s.unpaired.begins.iter().sum::<u64>(), 1);
+
+        let empty = summarize([]);
+        assert_eq!((empty.events, empty.span_ticks), (0, 0));
+        assert_eq!(empty.peak_region_concurrency(), 0);
     }
 
     #[test]

@@ -62,19 +62,6 @@ impl Default for TraceConfig {
     }
 }
 
-impl TraceConfig {
-    /// A config sized so all lanes together buffer about
-    /// `total_capacity` records (the legacy `Tracer::attach` contract).
-    pub fn with_total_capacity(total_capacity: usize) -> TraceConfig {
-        let cfg = TraceConfig::default();
-        let per_lane = (total_capacity / cfg.lanes).max(2);
-        TraceConfig {
-            capacity_per_lane: per_lane,
-            ..cfg
-        }
-    }
-}
-
 /// Result accounting for a finished recording.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingStats {

@@ -18,11 +18,16 @@
 //! * [`reader`] — offline querying: CRC-checked decode, time-range /
 //!   per-thread / per-region queries driven by the chunk index, a
 //!   stable `(tick, gtid, seq)` k-way merge, and a multi-rank merge for
-//!   ProcSim (`workloads::mz`) runs.
+//!   ProcSim (`workloads::mz`) runs;
+//! * [`analyze`] — everything read off a finished timeline: the one
+//!   begin/end pairing, the region/wait summary, and the
+//!   detrimental-pattern detectors.
 //!
-//! `collector::tracer` delegates to this crate; the `omp_prof` CLI
-//! exposes it as `trace record` / `trace report`. Like the rest of the
-//! workspace, the crate is std-only (see DESIGN.md §4).
+//! [`TraceEvent`] and [`RankedEvent`] are the workspace's only
+//! finished-timeline records. `collector::StreamingTracer` feeds the
+//! rings from ORA callbacks; the `omp_prof` CLI exposes the rest as
+//! `trace record` / `trace report` / `trace analyze`. Like the rest of
+//! the workspace, the crate is std-only (see DESIGN.md §4).
 //!
 //! ```
 //! use ora_trace::{MemorySink, RawRecord, Recorder, TraceConfig, TraceReader};
@@ -45,7 +50,9 @@ pub mod reader;
 pub mod ring;
 pub mod sink;
 
-pub use analyze::{AnalysisReport, AnalyzeConfig, Finding, PatternKind};
+pub use analyze::{
+    AnalysisReport, AnalyzeConfig, Finding, Interval, PatternKind, Summary, Unpaired,
+};
 pub use drain::{DrainerHealth, Recorder, RecordingStats, TraceConfig};
 pub use format::{
     pack_governor_decision, unpack_governor_decision, ChunkMeta, Footer, LaneStats,
@@ -139,16 +146,25 @@ mod tests {
     use super::*;
     use ora_core::event::Event;
 
-    fn sample_trace_bytes() -> Vec<u8> {
+    /// Record a batch through the real ring→drain→encode path.
+    fn encode(lanes: usize, records: impl IntoIterator<Item = RawRecord>) -> Vec<u8> {
         let cfg = TraceConfig {
-            lanes: 4,
+            lanes,
             epoch: std::time::Duration::from_secs(3600),
             ..TraceConfig::default()
         };
         let recorder = Recorder::start(cfg, MemorySink::new()).unwrap();
         let rings = recorder.rings();
-        for i in 0u64..200 {
-            rings.record(RawRecord {
+        for r in records {
+            rings.record(r);
+        }
+        recorder.finish().unwrap().0.into_bytes()
+    }
+
+    fn sample_trace_bytes() -> Vec<u8> {
+        encode(
+            4,
+            (0u64..200).map(|i| RawRecord {
                 tick: 1_000 + i * 10,
                 gtid: (i % 8) as u32,
                 event: if i % 2 == 0 {
@@ -159,10 +175,8 @@ mod tests {
                 region_id: i / 50,
                 wait_id: 0,
                 seq: 0,
-            });
-        }
-        let (sink, _) = recorder.finish().unwrap();
-        sink.into_bytes()
+            }),
+        )
     }
 
     #[test]
@@ -222,12 +236,52 @@ mod tests {
     }
 
     #[test]
-    fn event_counts_sum_to_record_count() {
+    fn event_counts_and_drops_are_rebuilt_from_the_file() {
         let reader = TraceReader::from_bytes(sample_trace_bytes()).unwrap();
         let counts = reader.event_counts().unwrap();
         assert_eq!(counts.iter().sum::<u64>(), 200);
         assert_eq!(counts[Event::Fork.index()], 100);
         assert_eq!(counts[Event::Join.index()], 100);
+        assert_eq!(reader.record_count(), 200);
+        assert_eq!(reader.dropped(), 0);
+    }
+
+    /// Regression: records with *colliding ticks* must come out in a
+    /// deterministic order — the merge is keyed by `(tick, gtid, seq)`,
+    /// not tick alone (a `sort_by_key(tick)` leaves equal-tick ordering
+    /// to the sorting algorithm and lane iteration order).
+    #[test]
+    fn equal_tick_records_order_deterministically() {
+        let round_trip = |records: &[RawRecord]| {
+            let reader = TraceReader::from_bytes(encode(4, records.iter().copied())).unwrap();
+            reader.records().unwrap()
+        };
+        // Interleave two threads, every record at the same tick, plus a
+        // same-thread run of identical ticks to exercise the seq key.
+        let batch: Vec<RawRecord> = (0..20u32)
+            .map(|i| RawRecord {
+                tick: 500,
+                gtid: i % 2,
+                event: Event::Fork as u32,
+                region_id: u64::from(i),
+                ..RawRecord::default()
+            })
+            .collect();
+        let first = round_trip(&batch);
+        assert_eq!(first.len(), 20);
+        // Deterministic: ten more encode/decode round trips agree exactly.
+        for _ in 0..10 {
+            assert_eq!(round_trip(&batch), first);
+        }
+        // And the order is the documented key: gtid ascending at equal
+        // ticks, per-thread arrival (seq) order within a gtid.
+        assert!(first.windows(2).all(|w| w[0].gtid <= w[1].gtid));
+        let t0: Vec<u64> = first
+            .iter()
+            .filter(|r| r.gtid == 0)
+            .map(|r| r.region_id)
+            .collect();
+        assert_eq!(t0, (0..20u64).filter(|i| i % 2 == 0).collect::<Vec<_>>());
     }
 
     #[test]
@@ -338,18 +392,11 @@ mod tests {
 
     #[test]
     fn unknown_event_is_a_typed_error() {
-        let cfg = TraceConfig {
-            lanes: 1,
-            epoch: std::time::Duration::from_secs(3600),
-            ..TraceConfig::default()
-        };
-        let recorder = Recorder::start(cfg, MemorySink::new()).unwrap();
-        recorder.rings().record(RawRecord {
+        let unknown = RawRecord {
             event: 999,
             ..RawRecord::default()
-        });
-        let (sink, _) = recorder.finish().unwrap();
-        let reader = TraceReader::from_bytes(sink.into_bytes()).unwrap();
+        };
+        let reader = TraceReader::from_bytes(encode(1, [unknown])).unwrap();
         assert_eq!(reader.records().unwrap_err(), TraceError::UnknownEvent(999));
     }
 

@@ -406,7 +406,7 @@ pub struct RankedEvent {
     pub record: TraceEvent,
 }
 
-///// The total-order key of a ranked record: the single-file merge key
+/// The total-order key of a ranked record: the single-file merge key
 /// with the rank index appended as the *final* tie-break component.
 pub type RankedKey = (u64, usize, u64, usize);
 

@@ -37,4 +37,25 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
   fuzz --cases tests/fuzz_cases
 
+# CLI smoke of the timeline surfaces no test drives: record → report →
+# analyze on a file, the in-memory `--tool trace` with its CSV export,
+# and the three-section `--tool suite`. Output goes to files first so a
+# short-circuiting grep cannot break the pipe under `pipefail`.
+omp_prof=target/release/omp_prof
+smoke="$(mktemp -d)"
+trap 'rm -rf "$smoke"' EXIT
+"$omp_prof" trace record --workload epcc --out "$smoke/run.oratrace" >/dev/null
+"$omp_prof" trace report --in "$smoke/run.oratrace" --head 5 >"$smoke/report.txt"
+grep -q '^first 5 records:$' "$smoke/report.txt"
+# analyze exits 4 when it has findings to report; both are a working CLI.
+"$omp_prof" trace analyze --in "$smoke/run.oratrace" >/dev/null || [ $? -eq 4 ]
+"$omp_prof" --workload epcc --tool trace --csv >"$smoke/trace.txt"
+# The CSV section follows the report: its first line is the header.
+[ "$(sed -n '/^tick,/,$p' "$smoke/trace.txt" | head -1)" = "tick,gtid,event,region_id,wait_id" ]
+sed -n '/^tick,/,$p' "$smoke/trace.txt" | sed -n 2p | grep -Eq '^[0-9]+(,[0-9]+){4}$'
+"$omp_prof" --workload epcc --tool suite >"$smoke/suite.txt"
+for section in profile 'state times' trace; do
+  grep -q "^=== $section ===" "$smoke/suite.txt"
+done
+
 echo "tier1: OK"

@@ -1,7 +1,8 @@
 //! Cross-crate end-to-end tests: the paper's experiments at smoke scale.
 
-use omp_profiling::collector::{Mode, RuntimeHandle, Tracer};
+use omp_profiling::collector::{Mode, RuntimeHandle, StreamingTracer};
 use omp_profiling::omprt::OpenMp;
+use omp_profiling::trace::{MemorySink, TraceConfig};
 use omp_profiling::workloads::{
     driver, epcc, CollectMode, EpccConfig, MzBenchmark, NpbClass, NpbKernel,
 };
@@ -13,7 +14,8 @@ fn table_1_counts_measured_through_ora() {
     for kernel in NpbKernel::all() {
         let rt = OpenMp::with_threads(2);
         let handle = RuntimeHandle::discover_named(rt.symbol_name()).unwrap();
-        let tracer = Tracer::attach(handle, 16).unwrap();
+        let tracer =
+            StreamingTracer::attach(handle, TraceConfig::default(), MemorySink::new()).unwrap();
         kernel.run(&rt, NpbClass::S);
         assert_eq!(
             tracer.region_calls(),
@@ -21,7 +23,7 @@ fn table_1_counts_measured_through_ora() {
             "{}",
             kernel.name
         );
-        tracer.finish();
+        tracer.finish().unwrap();
     }
 }
 

@@ -1,10 +1,12 @@
 //! Cross-crate integration of the extension features: the tool suite on a
 //! real workload, profile diffing across schedule changes, NPB
-//! verification, the OMPT adapter over nested parallelism, and trace CSV
-//! round-trips through offline analysis.
+//! verification, the OMPT adapter over nested parallelism, and the
+//! suite's trace through the offline summary.
 
-use omp_profiling::collector::{self, analyze, RuntimeHandle, SuiteConfig, ToolSuite, Trace};
+use omp_profiling::collector::{self, RuntimeHandle, SuiteConfig, ToolSuite};
 use omp_profiling::omprt::{Config, OpenMp, Schedule};
+use omp_profiling::trace::analyze::summarize;
+use omp_profiling::trace::RankedEvent;
 use omp_profiling::workloads::{npb::Verification, NpbClass, NpbKernel};
 
 fn handle_for(rt: &OpenMp) -> RuntimeHandle {
@@ -25,15 +27,19 @@ fn suite_on_npb_kernel_reports_consistently() {
     assert_eq!(profile.region_count() as u64, expected_regions);
 
     let trace = report.trace.unwrap();
-    assert_eq!(trace.count(ora_core::Event::Fork), expected_regions);
+    let forks = trace.event_counts().unwrap()[ora_core::Event::Fork.index()];
+    assert_eq!(forks, expected_regions);
 
-    // The trace round-trips through CSV and offline analysis still finds
-    // every region interval.
-    let csv = trace.to_csv();
-    let parsed = Trace::from_csv(&csv).unwrap();
-    let analysis = analyze(&parsed);
-    assert_eq!(analysis.regions.len() as u64, expected_regions);
-    assert_eq!(analysis.peak_region_concurrency(), 1);
+    // The encoded trace decodes and the offline summary finds every
+    // region interval.
+    let records = trace.records().unwrap();
+    let summary = summarize(
+        records
+            .into_iter()
+            .map(|record| RankedEvent { rank: 0, record }),
+    );
+    assert_eq!(summary.regions.len() as u64, expected_regions);
+    assert_eq!(summary.peak_region_concurrency(), 1);
 }
 
 #[test]
