@@ -1,21 +1,34 @@
 //! The aggregator daemon: one lane per rank, incremental watermark merge.
 //!
 //! Each accepted connection is one **lane**. The lane thread reads
-//! frames, validates the epoch sequence (a duplicate or a gap means the
-//! lane is misbehaving), classifies each CHUNK payload by its leading
-//! bytes — `ORATRC` header, `0x01` encoded chunk, `0x02` footer — and
-//! feeds decoded records into the shared merge heap before acking the
-//! epoch.
+//! frames and classifies each CHUNK payload by its leading bytes —
+//! `ORATRC` header, `0x01` encoded chunk, `0x02` footer. The unit of
+//! work is the **sorted run**, not the record: the lane thread checks
+//! the chunk's CRC, decodes it and converts it into one key-sorted run
+//! *before* taking the state lock (so lanes of different ranks decode
+//! in parallel; the rare chunk that is not already sorted — two threads
+//! sharing a ring lane — is sorted there too). Under the lock it
+//! validates the epoch sequence (a duplicate or a gap means the lane is
+//! misbehaving, and is reported ahead of any payload error), merges the
+//! run into the lane's own sorted *pending* buffer, and flushes; then
+//! it acks the epoch.
 //!
 //! **Watermark merge.** The daemon tracks, per live lane, the largest
 //! tick it has acked. The watermark is the minimum of those across live
 //! lanes: every record at or below it is safe to emit, because a live
 //! lane could still send records anywhere above its own acked tick but
-//! (to a good approximation) not below the fleet minimum. Records at or
-//! below the watermark settle out of the heap into the [`FleetStore`]
-//! incrementally; the rare record that still arrives below the settled
-//! frontier is counted late and inserted in place, so the final export
-//! is exactly the offline merge regardless of timing (see [`store`]).
+//! (to a good approximation) not below the fleet minimum. A flush takes
+//! each lane's pending prefix at or below the watermark; one lane's
+//! prefix is already the run to settle, several are merged through a
+//! frontier of one record per rank (`ora_trace::RankMergeHeap`, used
+//! exactly as offline `merge_ranks_iter` uses it). The run then settles
+//! into the [`FleetStore`] with one backward merge; the records of it
+//! that still arrive below the settled frontier are counted late and
+//! land at their sorted position, so the final export is exactly the
+//! offline merge regardless of timing (see [`store`]). A lane's pending
+//! buffer is touched only by that lane's chunks and by flushes that
+//! release its prefix: a lagging rank never makes another rank's
+//! buffered records move.
 //!
 //! **Quarantine.** A lane that violates the protocol — bad CRC,
 //! epoch replay/gap, undecodable payload, wrong version — is
@@ -35,10 +48,12 @@ use std::time::Duration;
 
 use ora_core::sync::Mutex;
 use ora_trace::format::{self, FILE_MAGIC, TAG_CHUNK, TAG_FOOTER};
-use ora_trace::{RankMergeHeap, TraceError, TraceEvent};
+use ora_trace::{RankMergeHeap, RankedEvent, TraceError, TraceEvent};
 
-use crate::protocol::{read_frame, write_frame, Message};
-use crate::store::FleetStore;
+use crate::protocol::{
+    chunk_parts, decode_frame, read_frame, read_frame_bytes, write_frame, Message,
+};
+use crate::store::{merge_run, FleetStore};
 use crate::transport::{FleetListener, FrameConn};
 use crate::FleetError;
 
@@ -138,6 +153,38 @@ impl FleetReport {
     }
 }
 
+/// One lane's records that are acked but still above the watermark,
+/// key-sorted. A released prefix is skipped by a cursor and reclaimed
+/// once it is at least half the buffer, so releasing costs what it
+/// releases and never moves what stays.
+#[derive(Debug, Default)]
+struct Pending {
+    buf: Vec<RankedEvent>,
+    /// `buf[..head]` has been released.
+    head: usize,
+}
+
+impl Pending {
+    fn merge(&mut self, run: &[RankedEvent]) {
+        merge_run(&mut self.buf, self.head, run);
+    }
+
+    /// The prefix at or below `watermark`.
+    fn ready(&self, watermark: u64) -> &[RankedEvent] {
+        let held = &self.buf[self.head..];
+        &held[..held.partition_point(|e| e.record.tick <= watermark)]
+    }
+
+    /// Drop the prefix [`ready`](Self::ready) returns for `watermark`.
+    fn release(&mut self, watermark: u64) {
+        self.head += self.ready(watermark).len();
+        if self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct LaneState {
     report: LaneReport,
@@ -146,19 +193,19 @@ struct LaneState {
     /// Live = contributing to the watermark: connected, not finished,
     /// not quarantined.
     live: bool,
+    pending: Pending,
 }
 
 #[derive(Default)]
 struct State {
     lanes: BTreeMap<u64, LaneState>,
-    heap: RankMergeHeap,
     store: FleetStore,
     rejected: Vec<String>,
 }
 
 impl State {
     /// Advance the watermark to the minimum acked tick across live
-    /// lanes and settle everything at or below it.
+    /// lanes and settle everything at or below it as one run.
     fn flush(&mut self) {
         let watermark = self
             .lanes
@@ -167,11 +214,79 @@ impl State {
             .map(|l| l.acked_tick)
             .min()
             .unwrap_or(u64::MAX);
-        while self.heap.peek_key().is_some_and(|k| k.0 <= watermark) {
-            let ev = self.heap.pop().expect("peeked");
-            self.store.settle(ev);
+        let ready: Vec<&[RankedEvent]> = self
+            .lanes
+            .values()
+            .map(|l| l.pending.ready(watermark))
+            .filter(|r| !r.is_empty())
+            .collect();
+        match ready[..] {
+            [] => return,
+            [run] => self.store.settle_run(run),
+            _ => self.store.settle_run(&merge_prefixes(&ready)),
+        }
+        for lane in self.lanes.values_mut() {
+            lane.pending.release(watermark);
         }
     }
+
+    /// Account one decoded sink write of `rank` under `epoch`. An epoch
+    /// violation is reported ahead of a payload that failed to decode.
+    fn ingest(
+        &mut self,
+        rank: u64,
+        epoch: u64,
+        unit: Result<Unit, FleetError>,
+    ) -> Result<(), FleetError> {
+        let lane = self.lanes.get_mut(&rank).expect("lane registered");
+        let expected = lane.report.epochs;
+        if epoch < expected {
+            return Err(FleetError::DuplicateEpoch { rank, epoch });
+        }
+        if epoch > expected {
+            return Err(FleetError::EpochGap {
+                rank,
+                expected,
+                got: epoch,
+            });
+        }
+        lane.report.epochs += 1;
+        match unit? {
+            Unit::Header => lane.report.header_seen = true,
+            Unit::Run(run) => {
+                lane.report.records += run.len() as u64;
+                if let Some(last) = run.last() {
+                    lane.acked_tick = lane.acked_tick.max(last.record.tick);
+                }
+                lane.pending.merge(&run);
+            }
+            Unit::Footer { drained, dropped } => lane.report.footer = Some((drained, dropped)),
+        }
+        self.flush();
+        Ok(())
+    }
+}
+
+/// Merge several ranks' key-sorted, non-empty prefixes (in rank order)
+/// into one run through a frontier of one record per rank.
+fn merge_prefixes(ready: &[&[RankedEvent]]) -> Vec<RankedEvent> {
+    let ranks: Vec<usize> = ready.iter().map(|r| r[0].rank).collect();
+    let mut rest: Vec<_> = ready.iter().map(|r| r.iter()).collect();
+    let mut frontier = RankMergeHeap::new();
+    for first in rest.iter_mut().filter_map(Iterator::next) {
+        frontier.push(first.rank, first.record);
+    }
+    let mut run = Vec::with_capacity(ready.iter().map(|r| r.len()).sum());
+    while let Some(ev) = frontier.pop() {
+        run.push(ev);
+        let i = ranks
+            .binary_search(&ev.rank)
+            .expect("a popped record's rank is one being merged");
+        if let Some(next) = rest[i].next() {
+            frontier.push(next.rank, next.record);
+        }
+    }
+    run
 }
 
 struct Shared {
@@ -323,12 +438,8 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
     }
 
     loop {
-        match read_frame(&mut conn) {
-            Ok(Message::Chunk { epoch, payload }) => {
-                if let Err(e) = ingest_chunk(shared, rank, epoch, &payload) {
-                    quarantine(shared, rank, &e);
-                    break;
-                }
+        match next_inbound(shared, rank, &mut conn) {
+            Ok(Inbound::Ingested { epoch }) => {
                 if !shared.config.slow_chunk.is_zero() {
                     std::thread::sleep(shared.config.slow_chunk);
                 }
@@ -340,11 +451,11 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
                     break;
                 }
             }
-            Ok(Message::Fin {
+            Ok(Inbound::Other(Message::Fin {
                 observed,
                 drained,
                 dropped,
-            }) => {
+            })) => {
                 let (stored, late) = finish_lane(
                     shared,
                     rank,
@@ -358,7 +469,7 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
                     .and_then(|()| conn.flush());
                 break;
             }
-            Ok(_) => {
+            Ok(Inbound::Other(_)) => {
                 quarantine(
                     shared,
                     rank,
@@ -378,24 +489,45 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
     }
 }
 
-/// Validate and merge one epoch-stamped payload.
-fn ingest_chunk(shared: &Shared, rank: u64, epoch: u64, payload: &[u8]) -> Result<(), FleetError> {
-    let mut state = shared.state.lock();
-    let lane = state.lanes.get_mut(&rank).expect("lane registered");
-    let expected = lane.report.epochs;
-    if epoch < expected {
-        return Err(FleetError::DuplicateEpoch { rank, epoch });
-    }
-    if epoch > expected {
-        return Err(FleetError::EpochGap {
-            rank,
-            expected,
-            got: epoch,
-        });
-    }
-    lane.report.epochs += 1;
+/// What [`next_inbound`] read off a lane's connection.
+enum Inbound {
+    /// A CHUNK, already merged; its epoch is owed an ACK.
+    Ingested { epoch: u64 },
+    /// Any other message.
+    Other(Message),
+}
 
-    // Classify the verbatim sink write by its leading bytes.
+/// Read one frame. A CHUNK is ingested straight from the frame's bytes
+/// (its payload is never copied out); anything else is decoded.
+fn next_inbound(
+    shared: &Shared,
+    rank: u64,
+    conn: &mut Box<dyn FrameConn>,
+) -> Result<Inbound, FleetError> {
+    let framed = read_frame_bytes(conn)?;
+    match chunk_parts(&framed)? {
+        Some((epoch, payload)) => {
+            ingest_chunk(shared, rank, epoch, payload)?;
+            Ok(Inbound::Ingested { epoch })
+        }
+        None => decode_frame(&framed).map(Inbound::Other),
+    }
+}
+
+/// One verbatim sink write, decoded.
+enum Unit {
+    Header,
+    /// A chunk's records as one key-sorted run.
+    Run(Vec<RankedEvent>),
+    Footer {
+        drained: u64,
+        dropped: u64,
+    },
+}
+
+/// Classify a sink write by its leading bytes and decode it. Touches no
+/// shared state: this is the part of ingest that runs outside the lock.
+fn decode_unit(rank: u64, payload: &[u8]) -> Result<Unit, FleetError> {
     match payload.first() {
         Some(_) if payload.starts_with(FILE_MAGIC) => {
             format::decode_header(payload).map_err(|e| match e {
@@ -405,7 +537,7 @@ fn ingest_chunk(shared: &Shared, rank: u64, epoch: u64, payload: &[u8]) -> Resul
             if payload.len() != 8 {
                 return Err(FleetError::Protocol("header payload has trailing bytes"));
             }
-            lane.report.header_seen = true;
+            Ok(Unit::Header)
         }
         Some(&TAG_CHUNK) => {
             let mut pos = 0usize;
@@ -413,36 +545,41 @@ fn ingest_chunk(shared: &Shared, rank: u64, epoch: u64, payload: &[u8]) -> Resul
             if pos != payload.len() {
                 return Err(FleetError::Protocol("chunk payload has trailing bytes"));
             }
-            let mut max_tick = lane.acked_tick;
-            let mut events = Vec::with_capacity(raws.len());
+            let rank = rank as usize;
+            let mut run: Vec<RankedEvent> = Vec::with_capacity(raws.len());
+            let mut sorted = true;
             for raw in &raws {
-                let event = ora_core::event::Event::from_u32(raw.event)
-                    .ok_or(FleetError::Trace(TraceError::UnknownEvent(raw.event)))?;
-                max_tick = max_tick.max(raw.tick);
-                events.push(TraceEvent {
-                    tick: raw.tick,
-                    gtid: raw.gtid as usize,
-                    seq: raw.seq,
-                    event,
-                    region_id: raw.region_id,
-                    wait_id: raw.wait_id,
-                });
+                let ev = RankedEvent {
+                    rank,
+                    record: TraceEvent::from_raw(raw)?,
+                };
+                sorted &= run.last().is_none_or(|prev| prev.key() <= ev.key());
+                run.push(ev);
             }
-            lane.report.records += events.len() as u64;
-            lane.acked_tick = max_tick;
-            let rank_idx = rank as usize;
-            for ev in events {
-                state.heap.push(rank_idx, ev);
+            // One thread per ring lane writes in key order; only threads
+            // sharing a lane can interleave out of it.
+            if !sorted {
+                run.sort_by_key(RankedEvent::key);
             }
+            Ok(Unit::Run(run))
         }
         Some(&TAG_FOOTER) => {
             let footer = format::decode_footer(payload)?;
-            lane.report.footer = Some((footer.total_drained(), footer.total_dropped()));
+            Ok(Unit::Footer {
+                drained: footer.total_drained(),
+                dropped: footer.total_dropped(),
+            })
         }
-        _ => return Err(FleetError::Protocol("unclassifiable chunk payload")),
+        _ => Err(FleetError::Protocol("unclassifiable chunk payload")),
     }
-    state.flush();
-    Ok(())
+}
+
+/// Validate and merge one epoch-stamped payload: decode on this lane's
+/// thread, then take the lock for the epoch check, the merge into the
+/// lane's pending run and the flush.
+fn ingest_chunk(shared: &Shared, rank: u64, epoch: u64, payload: &[u8]) -> Result<(), FleetError> {
+    let unit = decode_unit(rank, payload);
+    shared.state.lock().ingest(rank, epoch, unit)
 }
 
 fn finish_lane(shared: &Shared, rank: u64, fin: FinStats) -> (u64, u64) {
@@ -483,4 +620,224 @@ fn disconnect(shared: &Shared, rank: u64, why: &str) {
     state.flush();
     drop(state);
     lane_done(shared);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::timeline_bytes;
+    use ora_core::testutil::XorShift64;
+    use ora_trace::format::{encode_chunk, put_varint};
+    use ora_trace::RawRecord;
+
+    /// The per-record rule the run-merge replaced, kept as its
+    /// reference: every pending record in one pool, a flush takes what
+    /// is at or below the watermark in key order, and each record below
+    /// the settled frontier is counted late and inserted in place.
+    #[derive(Default)]
+    struct PerRecord {
+        acked: BTreeMap<u64, u64>,
+        pool: Vec<RankedEvent>,
+        settled: Vec<RankedEvent>,
+        late: u64,
+    }
+
+    impl PerRecord {
+        fn ingest(&mut self, rank: u64, run: &[RankedEvent]) {
+            let acked = self.acked.get_mut(&rank).expect("live rank");
+            *acked = run.iter().map(|e| e.record.tick).fold(*acked, u64::max);
+            self.pool.extend_from_slice(run);
+            self.flush();
+        }
+
+        fn finish(&mut self, rank: u64) {
+            self.acked.remove(&rank);
+            self.flush();
+        }
+
+        fn flush(&mut self) {
+            let watermark = self.acked.values().copied().min().unwrap_or(u64::MAX);
+            let (mut ready, held): (Vec<_>, Vec<_>) =
+                self.pool.iter().partition(|e| e.record.tick <= watermark);
+            self.pool = held;
+            ready.sort_by_key(RankedEvent::key);
+            for ev in ready {
+                match self.settled.last() {
+                    Some(last) if last.key() > ev.key() => {
+                        let pos = self.settled.partition_point(|e| e.key() <= ev.key());
+                        self.settled.insert(pos, ev);
+                        self.late += 1;
+                    }
+                    _ => self.settled.push(ev),
+                }
+            }
+        }
+    }
+
+    fn chunk_bytes(records: &[RawRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        if records.is_empty() {
+            // `encode_chunk` refuses an empty batch; the wire does not.
+            out.push(TAG_CHUNK);
+            for field in [0, 0, 0] {
+                put_varint(&mut out, field); // lane, count, payload_len
+            }
+            out.extend_from_slice(&format::crc32(&[]).to_le_bytes());
+        } else {
+            encode_chunk(&mut out, 0, 0, records);
+        }
+        out
+    }
+
+    /// Random mixes of sorted runs, internally unsorted runs, runs
+    /// wholly below the frontier, keys equal across ranks up to the
+    /// rank, and empty runs, through decode → lane pending → flush →
+    /// store: the store must hold the key-sort of everything fed, its
+    /// export must be the canonical bytes of that, and it must count
+    /// late exactly what the per-record rule counts on the same arrival
+    /// order — after every step, not only at the end.
+    #[test]
+    fn runs_settle_exactly_as_the_per_record_rule_did() {
+        const RANKS: u64 = 3;
+        let mut rng = XorShift64::new(0xf1ee_0100);
+        for _case in 0..40 {
+            let mut state = State::default();
+            let mut reference = PerRecord::default();
+            let mut fed: Vec<RankedEvent> = Vec::new();
+            let mut clock = [1_000u64; RANKS as usize];
+            let mut next_seq = [0u64; RANKS as usize];
+            let mut last_run: Vec<RawRecord> = Vec::new();
+            for rank in 0..RANKS {
+                state.lanes.entry(rank).or_default().live = true;
+                reference.acked.insert(rank, 0);
+            }
+            let steps = 20 + rng.below(40);
+            for step in 0..steps {
+                let live: Vec<u64> = reference.acked.keys().copied().collect();
+                let Some(&rank) = live.get(rng.below(live.len().max(1) as u64) as usize) else {
+                    break;
+                };
+                if step > 10 && rng.chance(1, 12) {
+                    // A lane finishes: it leaves the watermark.
+                    state.lanes.get_mut(&rank).expect("lane").live = false;
+                    state.flush();
+                    reference.finish(rank);
+                    assert_eq!(state.store.records(), &reference.settled[..]);
+                    continue;
+                }
+                let r = rank as usize;
+                let len = rng.below(24);
+                let mut records: Vec<RawRecord> = match rng.below(5) {
+                    // Empty.
+                    0 => Vec::new(),
+                    // The previous run again, seq and all, from
+                    // whichever rank this is: keys equal up to the rank.
+                    1 => last_run.clone(),
+                    // Wholly below everything settled so far.
+                    2 => (0..len)
+                        .map(|i| RawRecord {
+                            tick: 10 + i,
+                            seq: next_seq[r] + i,
+                            ..RawRecord::default()
+                        })
+                        .collect(),
+                    // Advancing ticks; ties and a small gtid domain on
+                    // purpose.
+                    _ => (0..len)
+                        .map(|i| {
+                            clock[r] += rng.below(6);
+                            RawRecord {
+                                tick: clock[r],
+                                gtid: rng.below(2) as u32,
+                                seq: next_seq[r] + i,
+                                ..RawRecord::default()
+                            }
+                        })
+                        .collect(),
+                };
+                next_seq[r] += len;
+                for rec in &mut records {
+                    rec.event = 1; // Fork
+                }
+                if rng.chance(1, 3) {
+                    // Internally unsorted: what two threads sharing a
+                    // ring lane produce.
+                    for i in (1..records.len()).rev() {
+                        records.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                }
+                last_run = records.clone();
+
+                let unit = decode_unit(rank, &chunk_bytes(&records));
+                let Ok(Unit::Run(run)) = &unit else {
+                    panic!("a chunk decodes to a run");
+                };
+                assert!(run.windows(2).all(|w| w[0].key() <= w[1].key()));
+                fed.extend_from_slice(run);
+                reference.ingest(rank, run);
+                let epoch = state.lanes[&rank].report.epochs;
+                state.ingest(rank, epoch, unit).expect("ingest");
+
+                assert_eq!(state.store.records(), &reference.settled[..]);
+                assert_eq!(state.store.late_events(), reference.late);
+            }
+            for lane in state.lanes.values_mut() {
+                lane.live = false;
+            }
+            state.flush();
+            for rank in 0..RANKS {
+                reference.finish(rank);
+            }
+            fed.sort_by_key(RankedEvent::key);
+            assert_eq!(state.store.records(), &fed[..]);
+            assert_eq!(state.store.export(), timeline_bytes(&fed));
+            assert_eq!(state.store.late_events(), reference.late);
+            assert!(state.lanes.values().all(|l| l.pending.buf.is_empty()));
+        }
+    }
+
+    #[test]
+    fn an_epoch_violation_outranks_an_undecodable_payload() {
+        let mut state = State::default();
+        state.lanes.entry(4).or_default().live = true;
+        let bad = || decode_unit(4, &[0x7f]);
+        assert_eq!(
+            state.ingest(4, 3, bad()),
+            Err(FleetError::EpochGap {
+                rank: 4,
+                expected: 0,
+                got: 3
+            })
+        );
+        assert_eq!(
+            state.ingest(4, 0, bad()),
+            Err(FleetError::Protocol("unclassifiable chunk payload"))
+        );
+        // The bad payload's epoch was still consumed, as before.
+        assert_eq!(state.lanes[&4].report.epochs, 1);
+    }
+
+    #[test]
+    fn releasing_a_prefix_never_moves_what_stays() {
+        let ev = |tick: u64| RankedEvent {
+            rank: 0,
+            record: TraceEvent::from_raw(&RawRecord {
+                tick,
+                event: 1,
+                ..RawRecord::default()
+            })
+            .expect("Fork"),
+        };
+        let mut pending = Pending::default();
+        pending.merge(&(0..100).map(ev).collect::<Vec<_>>());
+        pending.release(9);
+        assert_eq!((pending.head, pending.buf.len()), (10, 100), "skipped");
+        // A late run still lands above the released prefix.
+        pending.merge(&[ev(3), ev(50)]);
+        assert_eq!(pending.ready(10)[0].record.tick, 3);
+        assert_eq!(pending.ready(u64::MAX).len(), 92);
+        pending.release(60);
+        assert_eq!(pending.head, 0, "reclaimed once half the buffer");
+        assert_eq!(pending.ready(u64::MAX).len(), 39);
+    }
 }

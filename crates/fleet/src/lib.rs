@@ -23,10 +23,15 @@
 //! * [`daemon`] — the aggregator: one lane per connected rank with
 //!   health/drop counters mirroring the ring accounting, quarantine of
 //!   a misbehaving rank instead of poisoning the fleet, and an
-//!   incremental k-way merge (reusing `ora_trace::RankMergeHeap`) that
-//!   advances a watermark to the minimum acked tick across live lanes.
+//!   incremental merge whose unit of work is the sorted run: each lane
+//!   decodes its chunk into one key-sorted run outside the state lock
+//!   and merges it into its own pending buffer; a watermark at the
+//!   minimum acked tick across live lanes releases each lane's prefix,
+//!   several lanes' prefixes meeting in a frontier of one record per
+//!   rank (`ora_trace::RankMergeHeap`, as in offline `merge_ranks`).
 //! * [`store`] — the queryable merged timeline (time-range / per-rank /
-//!   per-region) whose [`export`](store::FleetStore::export) is
+//!   per-region), which takes each released run with one backward
+//!   merge and whose [`export`](store::FleetStore::export) is
 //!   byte-identical to offline `merge_ranks` over the same data.
 //!
 //! The `omp_prof serve` and `omp_prof fleet` subcommands drive this

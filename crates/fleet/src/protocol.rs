@@ -112,56 +112,70 @@ fn finish_body(buf: &[u8], pos: usize) -> Result<(), FleetError> {
     Ok(())
 }
 
+/// Build one complete frame: `fields` as varints, then `payload`
+/// verbatim — each byte is copied exactly once, into the frame.
+fn build_frame(tag: u8, fields: &[u64], payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + 1 + 10 * fields.len() + payload.len() + 4);
+    frame.extend_from_slice(&[0; 4]);
+    frame.push(tag);
+    for &field in fields {
+        put_varint(&mut frame, field);
+    }
+    frame.extend_from_slice(payload);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&crc32(&frame[4..]).to_le_bytes());
+    frame
+}
+
+/// Encode one CHUNK frame straight from the sink's borrowed bytes.
+pub(crate) fn encode_chunk_frame(epoch: u64, payload: &[u8]) -> Vec<u8> {
+    build_frame(MSG_CHUNK, &[epoch], payload)
+}
+
 /// Encode `msg` as one complete frame.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let (tag, payload): (u8, Option<&[u8]>) = match msg {
-        Message::Hello { .. } => (MSG_HELLO, None),
-        Message::Chunk { payload, .. } => (MSG_CHUNK, Some(payload)),
-        Message::Ack { .. } => (MSG_ACK, None),
-        Message::Fin { .. } => (MSG_FIN, None),
-        Message::FinAck { .. } => (MSG_FIN_ACK, None),
-    };
-    let mut body = Vec::new();
-    match msg {
+    match *msg {
         Message::Hello {
             rank,
             format_version,
             ticks_per_sec,
-        } => {
-            put_varint(&mut body, *rank);
-            put_varint(&mut body, u64::from(*format_version));
-            put_varint(&mut body, *ticks_per_sec);
-        }
-        Message::Chunk { epoch, .. } => put_varint(&mut body, *epoch),
-        Message::Ack { epoch } => put_varint(&mut body, *epoch),
+        } => build_frame(
+            MSG_HELLO,
+            &[rank, u64::from(format_version), ticks_per_sec],
+            &[],
+        ),
+        Message::Chunk { epoch, ref payload } => encode_chunk_frame(epoch, payload),
+        Message::Ack { epoch } => build_frame(MSG_ACK, &[epoch], &[]),
         Message::Fin {
             observed,
             drained,
             dropped,
-        } => {
-            put_varint(&mut body, *observed);
-            put_varint(&mut body, *drained);
-            put_varint(&mut body, *dropped);
-        }
-        Message::FinAck { stored, late } => {
-            put_varint(&mut body, *stored);
-            put_varint(&mut body, *late);
-        }
+        } => build_frame(MSG_FIN, &[observed, drained, dropped], &[]),
+        Message::FinAck { stored, late } => build_frame(MSG_FIN_ACK, &[stored, late], &[]),
     }
-    let payload = payload.unwrap_or(&[]);
-    let len = 1 + body.len() + payload.len();
-    let mut frame = Vec::with_capacity(len + 8);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(tag);
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&crc32(&frame[4..]).to_le_bytes());
-    frame
+}
+
+/// If `framed` (a CRC-verified `(tag | body)` section) is a CHUNK,
+/// its epoch and its payload, borrowed from the frame.
+pub(crate) fn chunk_parts(framed: &[u8]) -> Result<Option<(u64, &[u8])>, FleetError> {
+    let Some((&MSG_CHUNK, body)) = framed.split_first() else {
+        return Ok(None);
+    };
+    let mut pos = 0usize;
+    let epoch = body_varint(body, &mut pos)?;
+    Ok(Some((epoch, &body[pos..])))
 }
 
 /// Decode the `(tag | body)` section of a frame whose CRC has already
 /// been verified.
 pub fn decode_frame(framed: &[u8]) -> Result<Message, FleetError> {
+    if let Some((epoch, payload)) = chunk_parts(framed)? {
+        return Ok(Message::Chunk {
+            epoch,
+            payload: payload.to_vec(),
+        });
+    }
     let tag = *framed.first().ok_or(FleetError::Truncated)?;
     let body = &framed[1..];
     let mut pos = 0usize;
@@ -177,13 +191,6 @@ pub fn decode_frame(framed: &[u8]) -> Result<Message, FleetError> {
                 rank,
                 format_version,
                 ticks_per_sec,
-            })
-        }
-        MSG_CHUNK => {
-            let epoch = body_varint(body, &mut pos)?;
-            Ok(Message::Chunk {
-                epoch,
-                payload: body[pos..].to_vec(),
             })
         }
         MSG_ACK => {
@@ -223,12 +230,18 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 /// mid-frame is [`FleetError::Truncated`] — the distinction the daemon
 /// uses to tell an exited rank from a damaged stream.
 pub fn read_frame(r: &mut impl Read) -> Result<Message, FleetError> {
+    decode_frame(&read_frame_bytes(r)?)
+}
+
+/// Read one frame and verify its CRC; returns its `(tag | body)`
+/// section undecoded (what [`decode_frame`] and [`chunk_parts`] take).
+pub(crate) fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, FleetError> {
     let mut len_bytes = [0u8; 4];
     // First byte separately: EOF here is a clean close, not truncation.
     match r.read(&mut len_bytes[..1]) {
         Ok(0) => return Err(FleetError::Closed),
         Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame(r),
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame_bytes(r),
         Err(e) => return Err(FleetError::Io(e.to_string())),
     }
     read_fully(r, &mut len_bytes[1..])?;
@@ -239,15 +252,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Message, FleetError> {
     if len > MAX_FRAME_LEN {
         return Err(FleetError::FrameTooLarge(len));
     }
-    let mut framed = vec![0u8; len as usize + 4];
+    let len = len as usize;
+    let mut framed = vec![0u8; len + 4];
     read_fully(r, &mut framed)?;
-    let (content, crc_bytes) = framed.split_at(len as usize);
-    let expected = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    let actual = crc32(content);
+    let expected = u32::from_le_bytes(framed[len..].try_into().expect("four CRC bytes"));
+    framed.truncate(len);
+    let actual = crc32(&framed);
     if expected != actual {
         return Err(FleetError::CrcMismatch { expected, actual });
     }
-    decode_frame(content)
+    Ok(framed)
 }
 
 fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FleetError> {

@@ -3,7 +3,8 @@
 //! `ora_trace::Recorder` writes its sink exactly one self-contained
 //! unit per call — the 8-byte file header at start, one encoded chunk
 //! per drainer sweep, the footer at finish — so the sink frames each
-//! `write_all` as one epoch-stamped CHUNK message, verbatim. No
+//! `write_all` as one epoch-stamped CHUNK message, verbatim: the
+//! drainer's borrowed bytes are copied once, into the frame. No
 //! re-encoding happens on the hot path.
 //!
 //! **Backpressure.** The sink keeps at most `window` unacked chunks in
@@ -29,7 +30,7 @@ use std::path::Path;
 
 use ora_trace::TraceSink;
 
-use crate::protocol::{read_frame, write_frame, Message};
+use crate::protocol::{encode_chunk_frame, read_frame, write_frame, Message};
 use crate::transport::{connect, Endpoint, FrameConn};
 use crate::FleetError;
 
@@ -153,13 +154,8 @@ impl TraceSink for SocketSink {
         if let Some(tee) = &mut self.tee {
             tee.write_all(bytes)?;
         }
-        write_frame(
-            &mut self.conn,
-            &Message::Chunk {
-                epoch: self.next_epoch,
-                payload: bytes.to_vec(),
-            },
-        )?;
+        self.conn
+            .write_all(&encode_chunk_frame(self.next_epoch, bytes))?;
         self.next_epoch += 1;
         while self.next_epoch - self.acked > self.window {
             self.wait_ack()?;

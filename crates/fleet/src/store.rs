@@ -1,13 +1,18 @@
 //! The merged fleet timeline: queryable, exportable, byte-stable.
 //!
-//! The daemon settles records here in `(tick, gtid, seq, rank)` order
-//! as the watermark advances. The watermark is a *performance* frontier,
-//! not a correctness one: a record can legally arrive below it (a
-//! thread can stall between reading the clock and committing to its
-//! ring, so a later chunk may carry earlier ticks). Such late records
-//! are counted and binary-inserted, so the store is **always** fully
-//! sorted and [`FleetStore::export`] is byte-identical to offline
-//! `merge_ranks` over the same data, regardless of arrival timing.
+//! The daemon settles key-sorted **runs** here — everything a flush
+//! released, already in `(tick, gtid, seq, rank)` order — as the
+//! watermark advances. The watermark is a *performance* frontier, not a
+//! correctness one: a record can legally arrive below it (a thread can
+//! stall between reading the clock and committing to its ring, and one
+//! rank's ring lanes cover the same tick window, so a later chunk
+//! routinely carries earlier ticks). A run is therefore merged into
+//! the settled timeline from the back ([`merge_run`]): it costs the
+//! run plus the settled tail it displaces, never more, and the run's
+//! records below the previous frontier are counted late. The store is
+//! **always** fully sorted and [`FleetStore::export`] is byte-identical
+//! to offline `merge_ranks` over the same data, regardless of arrival
+//! timing.
 
 use ora_trace::RankedEvent;
 
@@ -38,19 +43,15 @@ impl FleetStore {
         FleetStore::default()
     }
 
-    /// Settle one record popped off the merge heap. Records normally
-    /// arrive in key order; one below the current frontier is counted
-    /// late and inserted at its sorted position.
-    pub(crate) fn settle(&mut self, ev: RankedEvent) {
-        match self.settled.last() {
-            Some(last) if last.key() > ev.key() => {
-                let key = ev.key();
-                let pos = self.settled.partition_point(|e| e.key() <= key);
-                self.settled.insert(pos, ev);
-                self.late_events += 1;
-            }
-            _ => self.settled.push(ev),
+    /// Settle one key-sorted run. Records of the run below the current
+    /// frontier (the last settled key) are counted late; the run is
+    /// merged in at sorted position either way.
+    pub(crate) fn settle_run(&mut self, run: &[RankedEvent]) {
+        if let Some(last) = self.settled.last() {
+            let frontier = last.key();
+            self.late_events += run.partition_point(|e| e.key() < frontier) as u64;
         }
+        merge_run(&mut self.settled, 0, run);
     }
 
     /// The merged timeline, in `(tick, gtid, seq, rank)` order.
@@ -105,6 +106,34 @@ impl FleetStore {
     }
 }
 
+/// Merge the key-sorted `run` into `dst[floor..]`, itself key-sorted,
+/// in place and from the back: the largest remaining record of either
+/// side moves to the highest free slot, and the merge stops as soon as
+/// the run is exhausted — what is left of `dst` is already where it
+/// belongs. `dst[..floor]` is never read or written. A record of the
+/// run goes after every `dst` record of equal key.
+pub(crate) fn merge_run(dst: &mut Vec<RankedEvent>, floor: usize, run: &[RankedEvent]) {
+    let Some(&first) = run.first() else {
+        return;
+    };
+    let mut i = dst.len();
+    if i == floor || dst[i - 1].key() <= first.key() {
+        dst.extend_from_slice(run);
+        return;
+    }
+    let mut j = run.len();
+    dst.resize(i + j, first);
+    while j > 0 {
+        if i > floor && dst[i - 1].key() > run[j - 1].key() {
+            dst[i + j - 1] = dst[i - 1];
+            i -= 1;
+        } else {
+            dst[i + j - 1] = run[j - 1];
+            j -= 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,23 +155,54 @@ mod tests {
     }
 
     #[test]
-    fn late_records_are_counted_and_inserted_in_order() {
+    fn late_records_are_counted_and_merged_in_order() {
         let mut store = FleetStore::new();
-        store.settle(ev(10, 0, 0, 0));
-        store.settle(ev(20, 0, 1, 0));
-        store.settle(ev(15, 1, 0, 1)); // below the frontier
-        assert_eq!(store.late_events(), 1);
-        assert_eq!(store.len(), 3);
+        store.settle_run(&[ev(10, 0, 0, 0), ev(20, 0, 1, 0)]);
+        assert_eq!(store.late_events(), 0);
+        // Two below the frontier, one at it (same tick, later rank),
+        // one above.
+        store.settle_run(&[
+            ev(5, 1, 0, 1),
+            ev(15, 1, 1, 1),
+            ev(20, 0, 1, 1),
+            ev(30, 1, 2, 1),
+        ]);
+        assert_eq!(store.late_events(), 2);
+        assert_eq!(store.len(), 6);
         let ticks: Vec<u64> = store.records().iter().map(|e| e.record.tick).collect();
-        assert_eq!(ticks, vec![10, 15, 20]);
+        assert_eq!(ticks, vec![5, 10, 15, 20, 20, 30]);
+        // A run wholly below the frontier, and an empty one.
+        store.settle_run(&[ev(1, 0, 0, 2), ev(2, 0, 1, 2)]);
+        store.settle_run(&[]);
+        assert_eq!(store.late_events(), 4);
+        let keys: Vec<_> = store.records().iter().map(RankedEvent::key).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+    }
+
+    #[test]
+    fn merge_run_leaves_everything_below_the_floor_alone() {
+        let mut dst = vec![
+            ev(50, 0, 0, 0),
+            ev(60, 0, 1, 0),
+            ev(10, 0, 2, 0),
+            ev(30, 0, 3, 0),
+        ];
+        merge_run(
+            &mut dst,
+            2,
+            &[ev(5, 1, 0, 1), ev(20, 1, 1, 1), ev(40, 1, 2, 1)],
+        );
+        let ticks: Vec<u64> = dst.iter().map(|e| e.record.tick).collect();
+        assert_eq!(ticks, vec![50, 60, 5, 10, 20, 30, 40]);
     }
 
     #[test]
     fn queries_slice_the_sorted_timeline() {
         let mut store = FleetStore::new();
-        for i in 0..50u64 {
-            store.settle(ev(i, (i % 3) as usize, i, (i % 2) as usize));
-        }
+        let run: Vec<_> = (0..50u64)
+            .map(|i| ev(i, (i % 3) as usize, i, (i % 2) as usize))
+            .collect();
+        store.settle_run(&run);
         assert_eq!(store.time_range(10, 19).len(), 10);
         assert_eq!(store.for_rank(0).len(), 25);
         assert_eq!(store.for_region(2).len(), 10);
@@ -153,10 +213,9 @@ mod tests {
     fn export_is_deterministic_and_magic_prefixed() {
         let mut a = FleetStore::new();
         let mut b = FleetStore::new();
-        for i in 0..20u64 {
-            a.settle(ev(i, 0, i, 0));
-            b.settle(ev(i, 0, i, 0));
-        }
+        let run: Vec<_> = (0..20u64).map(|i| ev(i, 0, i, 0)).collect();
+        a.settle_run(&run);
+        b.settle_run(&run);
         assert_eq!(a.export(), b.export());
         assert_eq!(&a.export()[..6], TIMELINE_MAGIC);
         assert_eq!(a.export(), timeline_bytes(a.records()));

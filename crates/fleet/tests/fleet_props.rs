@@ -13,9 +13,14 @@
 //!    byte-identical to offline `merge_ranks` over those files and the
 //!    per-lane ACK/drop accounting must reconcile exactly.
 //! 3. **Quarantine / degradation** — an epoch replay, an epoch gap, a
-//!    fault-injected (corrupting) transport, and a rank killed mid-run
-//!    each degrade exactly one lane; the rest of the fleet's merged
-//!    output is untouched.
+//!    fault-injected (corrupting) transport, a rank killed mid-run, and
+//!    a chunk whose header lies about its record count each degrade
+//!    exactly one lane; the rest of the fleet's merged output is
+//!    untouched.
+//! 4. **Run-merge edge cases** — threads sharing a ring lane (chunks
+//!    that are not key-sorted) and a rank lagging far behind the others
+//!    in tick-space, driven frame by frame so the arrival order is the
+//!    test's, not the scheduler's.
 
 use std::path::PathBuf;
 
@@ -25,6 +30,7 @@ use ora_fleet::{
     loopback, timeline_bytes, ConnFaultMode, Daemon, DaemonConfig, FaultConn, FleetError, Message,
     SocketSink,
 };
+use ora_trace::format::{self, ChunkMeta, Footer, LaneStats};
 use ora_trace::{
     merge_ranks, DropPolicy, RawRecord, Recorder, RecordingStats, TraceConfig, TraceReader,
 };
@@ -473,5 +479,260 @@ fn version_mismatch_is_rejected_before_a_lane_exists() {
         report.rejected[0].contains("version"),
         "{:?}",
         report.rejected
+    );
+}
+
+// ---------------------------------------------------------------------
+// 4. Run-merge edge cases.
+// ---------------------------------------------------------------------
+
+/// A rank driven by hand, one acked frame at a time, so a test decides
+/// the arrival order. Every sink write is kept: the same bytes read
+/// back as the rank's offline trace file.
+struct HandRank {
+    conn: Box<dyn ora_fleet::transport::FrameConn>,
+    epoch: u64,
+    file: Vec<u8>,
+    chunks: Vec<ChunkMeta>,
+    records: u64,
+}
+
+impl HandRank {
+    /// Connect, introduce `rank`, and send the trace header.
+    fn open(daemon: &mut Daemon, rank: u64) -> HandRank {
+        let (mut conn, server) = loopback().unwrap();
+        daemon.spawn_conn(server);
+        write_frame(
+            &mut conn,
+            &Message::Hello {
+                rank,
+                format_version: format::FORMAT_VERSION,
+                ticks_per_sec: 1_000_000_000,
+            },
+        )
+        .unwrap();
+        let mut hand = HandRank {
+            conn,
+            epoch: 0,
+            file: Vec::new(),
+            chunks: Vec::new(),
+            records: 0,
+        };
+        let mut header = Vec::new();
+        format::encode_header(&mut header);
+        hand.send(header);
+        hand
+    }
+
+    /// Send one sink write without waiting for its ACK.
+    fn send_unacked(&mut self, unit: Vec<u8>) {
+        write_frame(
+            &mut self.conn,
+            &Message::Chunk {
+                epoch: self.epoch,
+                payload: unit.clone(),
+            },
+        )
+        .unwrap();
+        self.epoch += 1;
+        self.file.extend_from_slice(&unit);
+    }
+
+    /// Send one sink write; returns once the daemon has merged it.
+    fn send(&mut self, unit: Vec<u8>) {
+        self.send_unacked(unit);
+        assert_eq!(
+            read_frame(&mut self.conn).unwrap(),
+            Message::Ack {
+                epoch: self.epoch - 1
+            }
+        );
+    }
+
+    fn chunk(&mut self, records: &[RawRecord]) {
+        let mut unit = Vec::new();
+        let meta = format::encode_chunk(&mut unit, self.file.len() as u64, 0, records);
+        self.chunks.push(meta);
+        self.records += records.len() as u64;
+        self.send(unit);
+    }
+
+    /// Footer, FIN handshake; returns what FIN-ACK said was stored and
+    /// the rank's file.
+    fn close(mut self) -> (u64, TraceReader) {
+        let footer = Footer {
+            lanes: vec![LaneStats {
+                written: self.records,
+                drained: self.records,
+                ..LaneStats::default()
+            }],
+            chunks: std::mem::take(&mut self.chunks),
+        };
+        let mut unit = Vec::new();
+        format::encode_footer(&mut unit, &footer);
+        self.send(unit);
+        write_frame(
+            &mut self.conn,
+            &Message::Fin {
+                observed: self.records,
+                drained: self.records,
+                dropped: 0,
+            },
+        )
+        .unwrap();
+        let Message::FinAck { stored, .. } = read_frame(&mut self.conn).unwrap() else {
+            panic!("expected FIN-ACK");
+        };
+        (stored, TraceReader::from_bytes(self.file).unwrap())
+    }
+}
+
+/// `count` records at ticks `from, from + step, ...`, stamped with the
+/// next sequence numbers of `seq`.
+fn ticks(seq: &mut u64, from: u64, step: u64, count: u64) -> Vec<RawRecord> {
+    (0..count)
+        .map(|i| {
+            *seq += 1;
+            RawRecord {
+                tick: from + i * step,
+                seq: *seq,
+                event: 1, // Fork
+                ..RawRecord::default()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_chunk_header_claiming_u64_max_records_quarantines_only_its_lane() {
+    let mut daemon = Daemon::new(DaemonConfig::default());
+    let mut honest = HandRank::open(&mut daemon, 0);
+    let mut hostile = HandRank::open(&mut daemon, 1);
+    let mut seq = 0;
+    honest.chunk(&ticks(&mut seq, 70_000, 2, 50));
+
+    // A well-formed one-record chunk, its count field rewritten to
+    // u64::MAX. The CRC covers only the payload, so it still matches.
+    let mut real = Vec::new();
+    format::encode_chunk(&mut real, 0, 0, &ticks(&mut 0, 70_001, 1, 1));
+    assert_eq!(&real[..3], &[format::TAG_CHUNK, 0, 1], "tag, lane, count");
+    let mut lying = vec![format::TAG_CHUNK, 0];
+    format::put_varint(&mut lying, u64::MAX);
+    lying.extend_from_slice(&real[3..]);
+    hostile.send_unacked(lying);
+    // The daemon quarantines and closes; no ACK arrives.
+    assert!(read_frame(&mut hostile.conn).is_err());
+
+    // The other lane carries on, above and below what it already sent.
+    honest.chunk(&ticks(&mut seq, 70_100, 2, 50));
+    honest.chunk(&ticks(&mut seq, 69_000, 2, 50));
+    let (stored, file) = honest.close();
+    assert_eq!(stored, 150);
+
+    let report = daemon.finish();
+    let bad = report.lane(1).expect("hostile lane registered");
+    let why = bad.quarantined.as_deref().expect("quarantined");
+    assert!(why.contains("count"), "{why}");
+    assert!(!bad.finished);
+    assert_eq!(bad.records, 0);
+    let good = report.lane(0).unwrap();
+    assert!(good.finished && good.reconciled());
+    assert_eq!(
+        report.store.export(),
+        timeline_bytes(&merge_ranks(&[file]).unwrap())
+    );
+    assert_eq!(report.store.late_events(), 50);
+}
+
+#[test]
+fn threads_sharing_a_ring_lane_merge_identically_to_offline() {
+    let mut daemon = Daemon::new(DaemonConfig::default());
+    let (client, server) = loopback().unwrap();
+    daemon.spawn_conn(server);
+    let tee = temp_path("shared_lane");
+    let sink = SocketSink::start(client, 0, 1_000_000_000, 4)
+        .unwrap()
+        .tee(&tee)
+        .unwrap();
+    // One ring lane for both producers, drained only at finish: gtid 0
+    // commits its first half (ticks from 60 000) before gtid 1 commits
+    // anything (ticks from 50 000), so whatever the two do after the
+    // barrier, the first chunk is not key-sorted.
+    let recorder = Recorder::start(quiet_config(1, 4096), sink).unwrap();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for gtid in 0..2u32 {
+            let (rings, start) = (recorder.rings(), &start);
+            scope.spawn(move || {
+                let base = 60_000 - 10_000 * u64::from(gtid);
+                for i in 0..1500u64 {
+                    if i == 750 * u64::from(1 - gtid) {
+                        start.wait();
+                    }
+                    rings.record(rec(base + i, gtid, i));
+                }
+            });
+        }
+    });
+    let (sink, stats) = recorder.finish().unwrap();
+    assert_eq!((stats.drained(), stats.dropped()), (3000, 0));
+    sink.finish(3000, 3000, 0).unwrap();
+
+    let report = daemon.finish();
+    assert!(report.reconciled());
+    assert_eq!(report.store.len(), 3000);
+    let offline = merge_ranks(&[TraceReader::open(&tee).unwrap()]).unwrap();
+    assert_eq!(report.store.export(), timeline_bytes(&offline));
+    let _ = std::fs::remove_file(tee);
+}
+
+#[test]
+fn a_rank_lagging_far_behind_in_tick_space_still_merges_identically() {
+    let mut daemon = Daemon::new(DaemonConfig::default());
+    let mut ahead: Vec<HandRank> = (0..2).map(|r| HandRank::open(&mut daemon, r)).collect();
+    let mut laggard = HandRank::open(&mut daemon, 2);
+    let mut seqs = [0u64; 3];
+
+    // Ranks 0 and 1 run a million ticks ahead, on the *same* ticks (the
+    // rank is the only tie-break), while rank 2 has acked nothing: the
+    // watermark holds all of it back.
+    for round in 0..10u64 {
+        for (r, rank) in ahead.iter_mut().enumerate() {
+            rank.chunk(&ticks(&mut seqs[r], 1_000_000 + round * 300, 3, 100));
+        }
+    }
+    // Rank 2 creeps forward from far below: each of its chunks moves the
+    // watermark a little and releases only its own records.
+    for round in 0..20u64 {
+        laggard.chunk(&ticks(&mut seqs[2], 1_000 + round * 50, 1, 50));
+        if round % 4 == 0 {
+            let r = (round / 4 % 2) as usize;
+            ahead[r].chunk(&ticks(&mut seqs[r], 1_003_000 + round * 300, 3, 100));
+        }
+    }
+    // It jumps into the middle of the others' window (a three-way
+    // flush), then sends a chunk below everything settled so far.
+    laggard.chunk(&ticks(&mut seqs[2], 1_001_500, 2, 200));
+    laggard.chunk(&ticks(&mut seqs[2], 500, 1, 40));
+
+    let mut files = Vec::new();
+    let mut sent = 0;
+    for rank in ahead.into_iter().chain([laggard]) {
+        sent += rank.records;
+        let records = rank.records;
+        let (stored, file) = rank.close();
+        assert_eq!(stored, records);
+        files.push(file);
+    }
+    let report = daemon.finish();
+    assert!(report.reconciled());
+    assert_eq!(report.store.len() as u64, sent);
+    // Only the last chunk settled below the frontier: a flush that
+    // releases several ranks' records settles them as one merged run,
+    // so ranks sharing a tick window are not late against each other.
+    assert_eq!(report.store.late_events(), 40);
+    assert_eq!(
+        report.store.export(),
+        timeline_bytes(&merge_ranks(&files).unwrap())
     );
 }

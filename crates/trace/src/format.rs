@@ -147,11 +147,14 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), byte-at-a-time table
+// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte's contribution `k` further bytes through the
+/// register, so eight lookups consume eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -164,19 +167,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// IEEE CRC-32 of `data`.
+/// IEEE CRC-32 of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -280,11 +307,14 @@ pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>)
     *pos += 1;
     let lane = get_varint(buf, pos)?;
     let count = get_varint(buf, pos)?;
-    let payload_len = get_varint(buf, pos)? as usize;
-    let payload = buf
-        .get(*pos..*pos + payload_len)
+    // Both lengths come from the input: bound them before they size
+    // a slice or an allocation.
+    let payload_end = usize::try_from(get_varint(buf, pos)?)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
         .ok_or(TraceError::Truncated)?;
-    *pos += payload_len;
+    let payload = buf.get(*pos..payload_end).ok_or(TraceError::Truncated)?;
+    *pos = payload_end;
     let crc_bytes = buf.get(*pos..*pos + 4).ok_or(TraceError::Truncated)?;
     *pos += 4;
     let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
@@ -296,6 +326,13 @@ pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>)
         });
     }
 
+    // Every record is six varints, so a count the payload cannot hold
+    // is a lie — refused here, before it sizes the allocation.
+    if count > (payload.len() / 6) as u64 {
+        return Err(TraceError::Malformed(
+            "chunk count exceeds what its payload can hold",
+        ));
+    }
     let mut records = Vec::with_capacity(count as usize);
     let mut p = 0usize;
     let mut prev: Option<RawRecord> = None;
@@ -526,11 +563,38 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
+    /// The byte-at-a-time table loop the slicing implementation
+    /// replaced, kept as its reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The classic zlib check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let mut rng = ora_core::testutil::XorShift64::new(0xc4c3_2001);
+        let buf: Vec<u8> = (0..80).map(|_| (rng.next_u64() & 0xff) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=70 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]

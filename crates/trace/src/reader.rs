@@ -43,7 +43,9 @@ impl TraceEvent {
         (self.tick, self.gtid, self.seq)
     }
 
-    fn from_raw(raw: &RawRecord) -> Result<TraceEvent, TraceError> {
+    /// Decode a ring record; its event code must be one this build
+    /// knows.
+    pub fn from_raw(raw: &RawRecord) -> Result<TraceEvent, TraceError> {
         Ok(TraceEvent {
             tick: raw.tick,
             gtid: raw.gtid as usize,
@@ -420,11 +422,9 @@ impl RankedEvent {
 }
 
 /// The k-way merge core shared by [`merge_ranks_iter`] and the fleet
-/// daemon's incremental merge: a min-heap of rank-attributed records
-/// keyed `(tick, gtid, seq, rank)`. Offline merging pushes one record
-/// per rank stream and refills on pop; the online aggregator pushes
-/// whole decoded chunks as they arrive and pops everything at or below
-/// its watermark.
+/// daemon's watermark flush: a min-heap of rank-attributed records
+/// keyed `(tick, gtid, seq, rank)`, used as a frontier — one record per
+/// rank stream, refilled from that rank on pop.
 #[derive(Debug, Default)]
 pub struct RankMergeHeap {
     heap: BinaryHeap<Reverse<RankKeyed>>,

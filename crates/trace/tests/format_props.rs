@@ -7,7 +7,9 @@
 //! records-written minus records-read.
 
 use ora_core::testutil::XorShift64;
-use ora_trace::format::{decode_chunk, decode_footer, encode_chunk, encode_footer, Footer};
+use ora_trace::format::{
+    crc32, decode_chunk, decode_footer, encode_chunk, encode_footer, put_varint, Footer, TAG_CHUNK,
+};
 use ora_trace::{
     DropPolicy, MemorySink, RawRecord, Recorder, TraceConfig, TraceError, TraceReader,
 };
@@ -95,6 +97,54 @@ fn corrupt_chunks_are_rejected_not_panicked() {
             ) => {}
             Err(other) => panic!("unexpected error kind: {other:?}"),
         }
+    }
+}
+
+/// The CRC covers the payload, not the header, and only guards against
+/// accidents: a chunk whose header claims more records than its payload
+/// can hold (six varints each) — or a payload longer than the address
+/// space — is a typed error before anything is allocated for it.
+#[test]
+fn lying_chunk_headers_are_rejected_before_allocation() {
+    let mut rng = XorShift64::new(0x0f0f_0006);
+    let batch = arb_batch(&mut rng, 8);
+    let mut honest = Vec::new();
+    encode_chunk(&mut honest, 0, 0, &batch);
+    let mut pos = 1;
+    for _ in 0..3 {
+        ora_trace::format::get_varint(&honest, &mut pos).unwrap(); // lane, count, payload_len
+    }
+    let payload = &honest[pos..honest.len() - 4];
+    let crafted = |count: u64, payload_len: u64| {
+        let mut chunk = vec![TAG_CHUNK];
+        put_varint(&mut chunk, 0);
+        put_varint(&mut chunk, count);
+        put_varint(&mut chunk, payload_len);
+        chunk.extend_from_slice(payload);
+        chunk.extend_from_slice(&crc32(payload).to_le_bytes());
+        chunk
+    };
+    let len = payload.len() as u64;
+    assert_eq!(
+        decode_chunk(&crafted(batch.len() as u64, len), &mut 0).map(|(_, r)| r),
+        Ok(batch.clone()),
+        "the crafted chunk with honest fields is the chunk"
+    );
+    for count in [u64::MAX, u64::MAX / 40, len / 6 + 1] {
+        assert!(
+            matches!(
+                decode_chunk(&crafted(count, len), &mut 0),
+                Err(TraceError::Malformed(_))
+            ),
+            "count {count} over a {len}-byte payload"
+        );
+    }
+    for payload_len in [u64::MAX, u64::MAX - 3, len + 5] {
+        assert_eq!(
+            decode_chunk(&crafted(1, payload_len), &mut 0),
+            Err(TraceError::Truncated),
+            "payload_len {payload_len}"
+        );
     }
 }
 

@@ -39,8 +39,10 @@ cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
 
 # CLI smoke of the timeline surfaces no test drives: record → report →
 # analyze on a file, the in-memory `--tool trace` with its CSV export,
-# and the three-section `--tool suite`. Output goes to files first so a
-# short-circuiting grep cannot break the pipe under `pipefail`.
+# the three-section `--tool suite`, and a two-rank `fleet` whose online
+# merge must equal the offline one (a merge-order regression fails the
+# push gate, not the nightly stress sweep). Output goes to files first
+# so a short-circuiting grep cannot break the pipe under `pipefail`.
 omp_prof=target/release/omp_prof
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
@@ -57,5 +59,8 @@ sed -n '/^tick,/,$p' "$smoke/trace.txt" | sed -n 2p | grep -Eq '^[0-9]+(,[0-9]+)
 for section in profile 'state times' trace; do
   grep -q "^=== $section ===" "$smoke/suite.txt"
 done
+"$omp_prof" fleet --ranks 2 --threads 2 --workload lu-mz --class s \
+  --out-dir "$smoke/fleet" >"$smoke/fleet.txt"
+grep -q 'export byte-identical to offline merge_ranks: yes' "$smoke/fleet.txt"
 
 echo "tier1: OK"
