@@ -10,6 +10,7 @@
 //! drives it exclusively through the byte protocol, so a collector built
 //! on this module shares no types with the runtime beyond `ora-core`.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use ora_core::api::CollectorApi;
@@ -18,6 +19,7 @@ use ora_core::governor::{GovernorConfig, GovernorDecision, GovernorStatus};
 use ora_core::message::RequestBatch;
 use ora_core::registry::Callback;
 use ora_core::request::{ApiHealth, CallbackToken, OraError, OraResult, Request, Response};
+use ora_core::state::{ThreadState, WaitIdKind};
 use ora_core::COLLECTOR_API_SYMBOL;
 use psx::dynsym::{self, CollectorEntry};
 
@@ -55,15 +57,47 @@ impl RuntimeHandle {
         &self.symbol
     }
 
+    /// Serve `batch` in place through the entry point — the one serve
+    /// path. A stream the runtime did not walk to its end fails as a
+    /// whole: no record of it was answered, whatever its bytes still say.
+    fn serve(&self, batch: &mut RequestBatch) -> OraResult<()> {
+        let n = (self.entry)(batch.as_mut_bytes());
+        if usize::try_from(n) == Ok(batch.len()) {
+            Ok(())
+        } else {
+            Err(OraError::Malformed)
+        }
+    }
+
     /// Send a batch of requests through the byte protocol and decode the
     /// per-request results.
     pub fn request(&self, requests: &[Request]) -> Vec<OraResult<Response>> {
         let mut batch = RequestBatch::new(requests);
-        let n = (self.entry)(batch.as_mut_bytes());
-        if n < 0 {
-            return requests.iter().map(|_| Err(OraError::Malformed)).collect();
+        match self.serve(&mut batch) {
+            Ok(()) => batch.responses(),
+            Err(e) => requests.iter().map(|_| Err(e)).collect(),
         }
-        batch.responses()
+    }
+
+    /// `OMP_REQ_STATE` for the calling thread: the calling thread's
+    /// state and wait ID, through the same bytes and entry point as
+    /// [`request`](Self::request) but allocation-free. Each thread keeps
+    /// one pre-encoded single-record batch and re-serves it in place; a
+    /// batch whose serve failed is dropped, so the next query re-encodes
+    /// and a failure never returns an earlier answer.
+    pub fn query_state(&self) -> OraResult<(ThreadState, Option<(WaitIdKind, u64)>)> {
+        thread_local! {
+            static STATE_QUERY: Cell<Option<RequestBatch>> = const { Cell::new(None) };
+        }
+        let mut batch = STATE_QUERY
+            .take()
+            .unwrap_or_else(|| RequestBatch::new(&[Request::QueryState]));
+        self.serve(&mut batch)?;
+        let Response::State { state, wait_id } = batch.response(0)? else {
+            return Err(OraError::Error);
+        };
+        STATE_QUERY.set(Some(batch));
+        Ok((state, wait_id))
     }
 
     /// Send a single request.

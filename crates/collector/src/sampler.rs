@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ora_core::event::Event;
-use ora_core::request::{OraResult, Request, Response};
+use ora_core::request::OraResult;
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
 use ora_core::sync::Mutex;
 
@@ -44,13 +44,9 @@ impl StateSampler {
 
     /// Take one sample on the calling thread.
     pub fn sample(&self) -> OraResult<ThreadState> {
-        match self.handle.request_one(Request::QueryState)? {
-            Response::State { state, .. } => {
-                self.counts[state.index()].fetch_add(1, Ordering::Relaxed);
-                Ok(state)
-            }
-            _ => Err(ora_core::request::OraError::Error),
-        }
+        let (state, _) = self.handle.query_state()?;
+        self.counts[state.index()].fetch_add(1, Ordering::Relaxed);
+        Ok(state)
     }
 
     /// Register sampling callbacks on `events`: every occurrence samples
@@ -63,9 +59,7 @@ impl StateSampler {
             self.registrations.lock().register(
                 event,
                 Arc::new(move |_| {
-                    if let Ok(Response::State { state, .. }) =
-                        handle.request_one(Request::QueryState)
-                    {
+                    if let Ok((state, _)) = handle.query_state() {
                         counts[state.index()].fetch_add(1, Ordering::Relaxed);
                     }
                 }),

@@ -12,11 +12,12 @@
 
 use std::sync::Arc;
 
+use ora_core::pad::CachePadded;
 use ora_core::sync::Mutex;
 
 use ora_core::event::ALL_EVENTS;
 use ora_core::registry::EventData;
-use ora_core::request::{OraResult, Request, Response};
+use ora_core::request::{OraResult, Request};
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
 
 use crate::clock;
@@ -44,14 +45,16 @@ impl Default for ThreadSlot {
 
 pub(crate) struct TimerState {
     handle: RuntimeHandle,
-    threads: Vec<Mutex<ThreadSlot>>,
+    /// One slot per thread, each on its own cache line: a thread's event
+    /// writes only its own slot.
+    threads: Vec<CachePadded<Mutex<ThreadSlot>>>,
 }
 
 impl TimerState {
     pub(crate) fn new(handle: RuntimeHandle) -> TimerState {
         TimerState {
             handle,
-            threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
+            threads: (0..MAX_THREADS).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -62,10 +65,7 @@ impl TimerState {
         if d.gtid >= MAX_THREADS {
             return;
         }
-        let Ok(Response::State {
-            state: now_state, ..
-        }) = self.handle.request_one(Request::QueryState)
-        else {
+        let Ok((now_state, _)) = self.handle.query_state() else {
             return;
         };
         let now = clock::ticks();

@@ -4,21 +4,21 @@
 //! and backs its exported `__omp_collector_api` entry point. It owns the
 //! callback table, the init/pause/resume/stop lifecycle (including the
 //! "out of sync" error on a second `Start` without an intervening `Stop`,
-//! paper §IV-B), the per-thread request queues, and the event-dispatch
+//! paper §IV-B), the per-thread request lanes, and the event-dispatch
 //! fast path with the paper's check ordering.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::event::Event;
 use crate::governor::{Admit, DispatchLane, Governor, GovernorConfig, GovernorStatus};
 use crate::message;
+use crate::pad::CachePadded;
 use crate::registry::{Callback, CallbackRegistry, EventData};
 use crate::request::{ApiHealth, CallbackToken, OraError, OraResult, Request, Response};
 use crate::state::{ThreadState, WaitIdKind};
-use crate::sync::{Mutex, RwLock};
+use crate::sync::Mutex;
 
 /// What the runtime must answer on behalf of the API.
 ///
@@ -58,61 +58,31 @@ pub enum Phase {
     Paused,
 }
 
-/// Number of shards backing the per-thread request queues.
+/// Number of per-thread request lanes.
 const QUEUE_SHARDS: usize = 64;
 
-#[derive(Default)]
-struct QueueShard {
-    pending: Vec<Request>,
-    processed: u64,
+static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The calling thread's request lane, assigned on its first request.
+    static LANE: usize = NEXT_LANE.fetch_add(1, Ordering::Relaxed) % QUEUE_SHARDS;
 }
 
-/// Per-thread request queues.
+/// Per-thread request lanes.
 ///
 /// "Future requests to the API are pushed onto a queue associated with a
 /// thread. In this manner, we were able to avoid the contention otherwise
 /// incurred if a single global queue processed requests." (paper §IV-B)
-/// Requests are sharded by calling thread; each shard is drained by the
-/// thread that filled it, so shard locks are effectively uncontended.
-struct RequestQueues {
-    shards: Vec<Mutex<QueueShard>>,
-}
+/// Requests are served inline on the calling thread, so what a lane keeps
+/// is that thread's served count, on a cache line of its own: a state
+/// query writes no line another thread writes.
+struct RequestLanes([CachePadded<AtomicU64>; QUEUE_SHARDS]);
 
-impl RequestQueues {
-    fn new() -> Self {
-        RequestQueues {
-            shards: (0..QUEUE_SHARDS).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    fn shard_index() -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        (h.finish() as usize) % QUEUE_SHARDS
-    }
-
-    /// Enqueue requests on the calling thread's shard, then drain the
-    /// shard through `serve`, returning one result per drained request.
-    fn submit_and_drain(
-        &self,
-        requests: &[Request],
-        mut serve: impl FnMut(Request) -> OraResult<Response>,
-    ) -> Vec<OraResult<Response>> {
-        let shard = &self.shards[Self::shard_index()];
-        let drained: Vec<Request> = {
-            let mut guard = shard.lock();
-            guard.pending.extend_from_slice(requests);
-            std::mem::take(&mut guard.pending)
-        };
-        let results: Vec<_> = drained.into_iter().map(&mut serve).collect();
-        shard.lock().processed += results.len() as u64;
-        results
-    }
-
-    /// Per-shard processed counts (diagnostics; shows the spread that
-    /// avoids a single hot queue).
-    fn processed_per_shard(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.lock().processed).collect()
+impl RequestLanes {
+    /// Count `n` requests served by the calling thread: one relaxed RMW
+    /// per call, however many records a batch carried.
+    fn note_served(&self, n: u64) {
+        LANE.with(|&lane| self.0[lane].fetch_add(n, Ordering::Relaxed));
     }
 }
 
@@ -129,7 +99,8 @@ pub struct ApiStats {
     pub resumes: u64,
     /// Requests rejected with [`OraError::OutOfSequence`].
     pub sequence_errors: u64,
-    /// Total requests served (including failed ones).
+    /// Total requests served (including failed ones): the sum of the
+    /// per-thread request lanes.
     pub requests: u64,
     /// Callback panics caught on the dispatch path (fault isolation).
     pub callback_panics: u64,
@@ -175,8 +146,9 @@ pub struct CollectorApi {
     registry: CallbackRegistry,
     tokens: Mutex<HashMap<u64, Callback>>,
     next_token: AtomicU64,
-    provider: RwLock<Option<Arc<dyn RuntimeInfoProvider>>>,
-    queues: RequestQueues,
+    provider: OnceLock<Arc<dyn RuntimeInfoProvider>>,
+    lanes: RequestLanes,
+    /// Lifecycle and out-of-sequence counters; `requests` lives in `lanes`.
     stats: Mutex<ApiStats>,
     /// Per-thread dispatch masks + the adaptive sampling feedback loop.
     /// Always present (the lanes are the fast path's first check); only
@@ -202,8 +174,8 @@ impl CollectorApi {
             registry: CallbackRegistry::new(),
             tokens: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(1),
-            provider: RwLock::new(None),
-            queues: RequestQueues::new(),
+            provider: OnceLock::new(),
+            lanes: RequestLanes(std::array::from_fn(|_| CachePadded::default())),
             stats: Mutex::new(ApiStats::default()),
             governor: Governor::new(),
             task_stats: RuntimeTaskStats::default(),
@@ -216,9 +188,12 @@ impl CollectorApi {
     }
 
     /// Install the runtime's info provider (done once, when the runtime
-    /// wires itself to the API).
-    pub fn set_provider(&self, provider: Arc<dyn RuntimeInfoProvider>) {
-        *self.provider.write() = Some(provider);
+    /// wires itself to the API). A second install is refused as out of
+    /// sequence and leaves the first provider in place.
+    pub fn set_provider(&self, provider: Arc<dyn RuntimeInfoProvider>) -> OraResult<()> {
+        self.provider
+            .set(provider)
+            .map_err(|_| OraError::OutOfSequence)
     }
 
     /// Current lifecycle phase.
@@ -237,6 +212,7 @@ impl CollectorApi {
     /// threads' dispatch paths up to the moment of the call.
     pub fn stats(&self) -> ApiStats {
         let mut stats = *self.stats.lock();
+        stats.requests = self.lane_distribution().iter().sum();
         let faults = self.registry.fault_stats();
         stats.callback_panics = faults.callback_panics;
         stats.callbacks_quarantined = faults.callbacks_quarantined;
@@ -269,9 +245,14 @@ impl CollectorApi {
         self.registry.set_quarantine_threshold(n);
     }
 
-    /// Per-shard request counts of the thread-sharded queues.
-    pub fn queue_distribution(&self) -> Vec<u64> {
-        self.queues.processed_per_shard()
+    /// Per-lane served counts of the per-thread request lanes (shows the
+    /// spread that avoids a single hot counter).
+    pub fn lane_distribution(&self) -> Vec<u64> {
+        self.lanes
+            .0
+            .iter()
+            .map(|l| l.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Intern a callback, obtaining the token the byte protocol carries in
@@ -288,22 +269,33 @@ impl CollectorApi {
         self.tokens.lock().remove(&token.0).is_some()
     }
 
-    /// Serve a batch of typed requests through the calling thread's queue.
+    /// Serve a batch of typed requests, in order, on the calling thread.
     pub fn handle_requests(&self, requests: &[Request]) -> Vec<OraResult<Response>> {
-        self.queues
-            .submit_and_drain(requests, |req| self.serve_one(req))
+        let results: Vec<_> = requests.iter().map(|&req| self.serve_one(req)).collect();
+        self.lanes.note_served(results.len() as u64);
+        results
     }
 
     /// Serve a single typed request.
     pub fn handle_request(&self, request: Request) -> OraResult<Response> {
-        self.handle_requests(&[request]).pop().expect("one result")
+        let result = self.serve_one(request);
+        self.lanes.note_served(1);
+        result
     }
 
     /// The byte-protocol entry point: the body of `__omp_collector_api`.
     /// Returns the number of records processed, or -1 on a malformed
     /// stream.
     pub fn handle_bytes(&self, buf: &mut [u8]) -> i32 {
-        message::serve_batch(buf, |req| self.serve_one(req))
+        // Counted here, not from the return value: a stream malformed
+        // after its first records still served those.
+        let mut served = 0;
+        let n = message::serve_batch(buf, |req| {
+            served += 1;
+            self.serve_one(req)
+        });
+        self.lanes.note_served(served);
+        n
     }
 
     /// Convenience: typed registration without token interning.
@@ -333,14 +325,14 @@ impl CollectorApi {
             // because the monitored path re-checks the registry.
             self.republish_masks();
         }
-        let mut stats = self.stats.lock();
-        stats.requests += 1;
+        // The shared stats lock is taken only by lifecycle transitions and
+        // out-of-sequence errors, never by a query.
         match (&req, &result) {
-            (Request::Start, Ok(_)) => stats.starts += 1,
-            (Request::Stop, Ok(_)) => stats.stops += 1,
-            (Request::Pause, Ok(_)) => stats.pauses += 1,
-            (Request::Resume, Ok(_)) => stats.resumes += 1,
-            (_, Err(OraError::OutOfSequence)) => stats.sequence_errors += 1,
+            (Request::Start, Ok(_)) => self.stats.lock().starts += 1,
+            (Request::Stop, Ok(_)) => self.stats.lock().stops += 1,
+            (Request::Pause, Ok(_)) => self.stats.lock().pauses += 1,
+            (Request::Resume, Ok(_)) => self.stats.lock().resumes += 1,
+            (_, Err(OraError::OutOfSequence)) => self.stats.lock().sequence_errors += 1,
             _ => {}
         }
         result
@@ -348,44 +340,23 @@ impl CollectorApi {
 
     fn serve_inner(&self, req: Request) -> OraResult<Response> {
         match req {
-            Request::Start => {
+            Request::Start | Request::Stop | Request::Pause | Request::Resume => {
                 let mut phase = self.phase.lock();
-                if *phase != Phase::Inactive {
+                let next = match (req, *phase) {
                     // "If two requests for initialization are made without
                     // a stop request in-between, an 'out of sync' error
                     // code is returned." (paper §IV-B)
-                    return Err(OraError::OutOfSequence);
+                    (Request::Start, Phase::Inactive) => Phase::Active,
+                    (Request::Stop, Phase::Active | Phase::Paused) => Phase::Inactive,
+                    (Request::Pause, Phase::Active) => Phase::Paused,
+                    (Request::Resume, Phase::Paused) => Phase::Active,
+                    _ => return Err(OraError::OutOfSequence),
+                };
+                *phase = next;
+                self.active.store(next == Phase::Active, Ordering::Release);
+                if next == Phase::Inactive {
+                    self.registry.clear();
                 }
-                *phase = Phase::Active;
-                self.active.store(true, Ordering::Release);
-                Ok(Response::Ack)
-            }
-            Request::Stop => {
-                let mut phase = self.phase.lock();
-                if *phase == Phase::Inactive {
-                    return Err(OraError::OutOfSequence);
-                }
-                *phase = Phase::Inactive;
-                self.active.store(false, Ordering::Release);
-                self.registry.clear();
-                Ok(Response::Ack)
-            }
-            Request::Pause => {
-                let mut phase = self.phase.lock();
-                if *phase != Phase::Active {
-                    return Err(OraError::OutOfSequence);
-                }
-                *phase = Phase::Paused;
-                self.active.store(false, Ordering::Release);
-                Ok(Response::Ack)
-            }
-            Request::Resume => {
-                let mut phase = self.phase.lock();
-                if *phase != Phase::Paused {
-                    return Err(OraError::OutOfSequence);
-                }
-                *phase = Phase::Active;
-                self.active.store(true, Ordering::Release);
                 Ok(Response::Ack)
             }
             Request::Register { event, token } => {
@@ -395,7 +366,7 @@ impl CollectorApi {
                         return Err(OraError::OutOfSequence);
                     }
                 }
-                if let Some(p) = self.provider.read().as_ref() {
+                if let Some(p) = self.provider.get() {
                     if !p.supports_event(event) {
                         return Err(OraError::UnsupportedEvent);
                     }
@@ -422,19 +393,16 @@ impl CollectorApi {
                 // "We made sure that this type of request could be
                 // requested at any given point during the execution of the
                 // program." (paper §IV-D) — no phase gating.
-                let provider = self.provider.read();
-                let p = provider.as_ref().ok_or(OraError::Error)?;
+                let p = self.provider.get().ok_or(OraError::Error)?;
                 let (state, wait_id) = p.thread_state();
                 Ok(Response::State { state, wait_id })
             }
             Request::QueryCurrentPrid => {
-                let provider = self.provider.read();
-                let p = provider.as_ref().ok_or(OraError::Error)?;
+                let p = self.provider.get().ok_or(OraError::Error)?;
                 p.current_region_id().map(Response::RegionId)
             }
             Request::QueryParentPrid => {
-                let provider = self.provider.read();
-                let p = provider.as_ref().ok_or(OraError::Error)?;
+                let p = self.provider.get().ok_or(OraError::Error)?;
                 p.parent_region_id().map(Response::RegionId)
             }
             Request::QueryHealth => {
@@ -444,8 +412,7 @@ impl CollectorApi {
                 Ok(Response::Health(self.health()))
             }
             Request::QueryCapabilities => {
-                let provider = self.provider.read();
-                let bits = match provider.as_ref() {
+                let bits = match self.provider.get() {
                     Some(p) => crate::event::ALL_EVENTS
                         .iter()
                         .filter(|e| p.supports_event(**e))
@@ -657,7 +624,7 @@ mod tests {
 
     fn armed_api() -> (CollectorApi, Arc<AtomicUsize>) {
         let api = CollectorApi::new();
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
@@ -768,7 +735,7 @@ mod tests {
     #[test]
     fn unsupported_event_is_rejected_at_registration() {
         let api = CollectorApi::new();
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
         let token = api.intern_callback(Arc::new(|_| {}));
         assert_eq!(
@@ -804,7 +771,7 @@ mod tests {
     #[test]
     fn state_query_works_in_every_phase() {
         let api = CollectorApi::new();
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         for _ in 0..2 {
             let r = api.handle_request(Request::QueryState).unwrap();
             assert_eq!(r.state(), Some(ThreadState::Serial));
@@ -818,7 +785,10 @@ mod tests {
     fn region_id_outside_region_is_out_of_sequence() {
         let api = CollectorApi::new();
         let provider = FakeProvider::new();
-        api.set_provider(provider.clone());
+        api.set_provider(provider.clone()).unwrap();
+        // A second provider is refused; the first keeps answering below.
+        let second = api.set_provider(FakeProvider::new());
+        assert_eq!(second, Err(OraError::OutOfSequence));
         assert_eq!(
             api.handle_request(Request::QueryCurrentPrid),
             Err(OraError::OutOfSequence)
@@ -837,7 +807,7 @@ mod tests {
     #[test]
     fn byte_protocol_drives_the_same_state_machine() {
         let api = CollectorApi::new();
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         let token = api.intern_callback(Arc::new(move |_| {
@@ -870,16 +840,26 @@ mod tests {
     }
 
     #[test]
-    fn requests_spread_across_thread_queues() {
+    fn requests_spread_across_thread_lanes() {
+        // Eight threads mix the byte entry point and the typed path while
+        // lifecycle transitions stay on this thread: every count is exact.
         let api = Arc::new(CollectorApi::new());
-        api.set_provider(FakeProvider::new());
-        api.handle_request(Request::Start).unwrap();
+        api.set_provider(FakeProvider::new()).unwrap();
+        for req in [Request::Start, Request::Pause, Request::Resume] {
+            api.handle_request(req).unwrap();
+        }
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let api = Arc::clone(&api);
                 std::thread::spawn(move || {
+                    let reqs = [Request::QueryState, Request::Start];
+                    let mut batch = message::RequestBatch::new(&reqs);
                     for _ in 0..50 {
-                        let _ = api.handle_request(Request::QueryState);
+                        assert_eq!(api.handle_bytes(batch.as_mut_bytes()), 2);
+                        assert_eq!(batch.response(1), Err(OraError::OutOfSequence));
+                        assert!(api.handle_request(Request::QueryState).is_ok());
+                        let again = api.handle_request(Request::Resume);
+                        assert_eq!(again, Err(OraError::OutOfSequence));
                     }
                 })
             })
@@ -887,13 +867,22 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let dist = api.queue_distribution();
-        let total: u64 = dist.iter().sum();
-        assert_eq!(total, 8 * 50 + 1); // +1 for the Start
-                                       // More than one shard should have been used by 8 distinct threads
-                                       // (collisions can happen, but all-in-one is effectively impossible).
+        api.handle_request(Request::Stop).unwrap();
+        let want = ApiStats {
+            starts: 1,
+            stops: 1,
+            pauses: 1,
+            resumes: 1,
+            sequence_errors: 8 * 50 * 2,
+            requests: 4 + 8 * 50 * 4,
+            ..ApiStats::default()
+        };
+        assert_eq!(api.stats(), want);
+        assert_eq!(api.health().requests, want.requests);
+        let dist = api.lane_distribution();
+        assert_eq!(dist.iter().sum::<u64>(), want.requests);
         let used = dist.iter().filter(|&&c| c > 0).count();
-        assert!(used > 1, "all requests landed in one shard: {dist:?}");
+        assert!(used > 1, "all requests landed in one lane: {dist:?}");
     }
 
     #[test]
@@ -924,7 +913,7 @@ mod tests {
         let h = resp.health().unwrap();
         assert_eq!(h.callback_panics, 0);
         assert!(h.sequence_errors >= 1);
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
         assert!(api.handle_request(Request::QueryHealth).is_ok());
         api.handle_request(Request::Stop).unwrap();
@@ -934,7 +923,7 @@ mod tests {
     #[test]
     fn panicking_callback_surfaces_in_stats_and_health() {
         let api = CollectorApi::new();
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
         let token = api.intern_callback(Arc::new(|_| panic!("injected")));
         api.handle_request(Request::Register {
@@ -994,7 +983,7 @@ mod tests {
     #[test]
     fn governed_dispatch_reconciles_and_publishes_in_batches() {
         let api = CollectorApi::new();
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
@@ -1052,7 +1041,7 @@ mod tests {
     #[test]
     fn health_round_trips_through_the_byte_protocol() {
         let api = CollectorApi::new();
-        api.set_provider(FakeProvider::new());
+        api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
         let token = api.intern_callback(Arc::new(|_| panic!("injected")));
         api.handle_request(Request::Register {

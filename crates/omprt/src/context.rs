@@ -570,14 +570,16 @@ impl<'a> ParCtx<'a> {
         let prev = self.desc.state.replace(ThreadState::TaskWait);
         self.fire(Event::TaskWaitBegin, wait_id);
         loop {
+            // Sample the epoch *before* the pop attempt it guards: a push
+            // landing after a failed pop then moves the epoch past `seen`
+            // and the park returns at once. A key sampled after the
+            // attempt already includes that push, and the thread sleeps
+            // past queued work nobody will ring for.
+            let seen = pool.epoch();
             if self.run_one_task() {
                 self.desc.state.set(ThreadState::TaskWait);
                 continue;
             }
-            // Sample the epoch *before* the quiescence check: a push
-            // between the check and the park moves the epoch, so the
-            // park returns immediately instead of missing the wakeup.
-            let seen = pool.epoch();
             if pool.outstanding() == 0 {
                 break;
             }

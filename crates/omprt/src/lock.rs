@@ -40,7 +40,10 @@ impl OmpLock {
         if self.raw.try_lock() {
             return;
         }
-        match tls::lookup(self.shared.instance) {
+        let binding = tls::with_binding(self.shared.instance, |gtid, desc, team| {
+            (gtid, desc.clone(), team.cloned())
+        });
+        match binding {
             Some((gtid, desc, team)) => {
                 let wait_id = desc.lock_wait_id.next();
                 let (rid, prid) = team

@@ -170,40 +170,52 @@ impl Shared {
 }
 
 /// Answers collector queries from the runtime's thread descriptors.
+///
+/// A query reads the calling thread's binding in place and checks that
+/// the runtime is alive with a plain load of its refcount: it writes no
+/// cache line another thread writes.
 struct Provider {
+    instance: u64,
     shared: std::sync::Weak<Shared>,
 }
 
-impl RuntimeInfoProvider for Provider {
-    fn thread_state(&self) -> (ThreadState, Option<(WaitIdKind, u64)>) {
-        let Some(shared) = self.shared.upgrade() else {
-            return (ThreadState::Unknown, None);
-        };
-        match tls::lookup(shared.instance) {
-            Some((_gtid, desc, _team)) => desc.query(),
-            // A thread the runtime has never seen executes serial code by
-            // definition.
-            None => (ThreadState::Serial, None),
-        }
+impl Provider {
+    fn live(&self) -> bool {
+        self.shared.strong_count() > 0
     }
 
-    fn current_region_id(&self) -> OraResult<u64> {
-        let shared = self.shared.upgrade().ok_or(OraError::Error)?;
-        match tls::lookup(shared.instance) {
-            Some((_, _, Some(team))) => Ok(team.region_id),
+    /// A field of the calling thread's current team.
+    fn team_id(&self, field: fn(&Team) -> u64) -> OraResult<u64> {
+        if !self.live() {
+            return Err(OraError::Error);
+        }
+        match tls::with_binding(self.instance, |_, _, team| team.map(|t| field(t))) {
+            Some(Some(id)) => Ok(id),
             // "When a thread is outside a parallel region, it will return
             // an error code indicating a request out of sequence and an ID
             // with the value of zero." (paper §IV-E)
             _ => Err(OraError::OutOfSequence),
         }
     }
+}
+
+impl RuntimeInfoProvider for Provider {
+    fn thread_state(&self) -> (ThreadState, Option<(WaitIdKind, u64)>) {
+        if !self.live() {
+            return (ThreadState::Unknown, None);
+        }
+        tls::with_binding(self.instance, |_, desc, _| desc.query())
+            // A thread the runtime has never seen executes serial code by
+            // definition.
+            .unwrap_or((ThreadState::Serial, None))
+    }
+
+    fn current_region_id(&self) -> OraResult<u64> {
+        self.team_id(|t| t.region_id)
+    }
 
     fn parent_region_id(&self) -> OraResult<u64> {
-        let shared = self.shared.upgrade().ok_or(OraError::Error)?;
-        match tls::lookup(shared.instance) {
-            Some((_, _, Some(team))) => Ok(team.parent_region_id),
-            _ => Err(OraError::OutOfSequence),
-        }
+        self.team_id(|t| t.parent_region_id)
     }
 
     fn supports_event(&self, event: Event) -> bool {
@@ -293,8 +305,10 @@ impl OpenMp {
         });
 
         api.set_provider(Arc::new(Provider {
+            instance,
             shared: Arc::downgrade(&shared),
-        }));
+        }))
+        .expect("a fresh API has no provider");
 
         // Export the collector entry point. Every instance exports an
         // instance-qualified name; the first also claims the canonical
@@ -413,8 +427,11 @@ impl OpenMp {
             if shared.config.nested {
                 self.nested_parallel(n.max(1), region, &f);
             } else {
-                let (_gtid, desc, team) = tls::lookup(shared.instance).expect("bound");
-                let outer = team.expect("in_parallel implies a team");
+                let (desc, outer) = tls::with_binding(shared.instance, |_, desc, team| {
+                    let team = team.expect("in_parallel implies a team");
+                    (desc.clone(), team.clone())
+                })
+                .expect("bound");
                 let solo =
                     Team::new_at_level(outer.region_id, outer.parent_region_id, 1, outer.level + 1);
                 // Make the solo team current for the duration of the
@@ -441,7 +458,7 @@ impl OpenMp {
         let n = n.max(1);
 
         // A thread that has never touched this runtime becomes its master.
-        if tls::lookup(shared.instance).is_none() {
+        if tls::with_binding(shared.instance, |_, _, _| ()).is_none() {
             tls::bind(shared.instance, 0, shared.master_serial.clone());
         }
 
@@ -535,8 +552,12 @@ impl OpenMp {
     /// `parallel` construct requests.
     fn nested_parallel<F: Fn(&ParCtx<'_>) + Sync>(&self, n: usize, region: &RegionHandle, f: &F) {
         let shared = &self.shared;
-        let (outer_gtid, outer_desc, outer_team) = tls::lookup(shared.instance).expect("bound");
-        let outer = outer_team.expect("in_parallel implies a team");
+        let (outer_gtid, outer_desc, outer) =
+            tls::with_binding(shared.instance, |gtid, desc, team| {
+                let team = team.expect("in_parallel implies a team");
+                (gtid, desc.clone(), team.clone())
+            })
+            .expect("bound");
 
         let region_id = shared.region_counter.fetch_add(1, Ordering::Relaxed) + 1;
         shared.region_calls.fetch_add(1, Ordering::Relaxed);

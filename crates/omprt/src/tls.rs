@@ -92,25 +92,27 @@ pub fn swap_desc(
     })
 }
 
-/// The calling thread's binding for `instance`:
-/// `(gtid, descriptor, current team)`.
-pub fn lookup(instance: u64) -> Option<(usize, Arc<ThreadDescriptor>, Option<Arc<Team>>)> {
+/// Read the calling thread's binding for `instance` in place:
+/// `f(gtid, descriptor, current team)`, or `None` if the thread is not
+/// bound. Nothing is cloned, so a query touches no refcount another thread
+/// shares (a team's is shared by the whole team); callers that keep the
+/// descriptor or team clone them explicitly.
+pub fn with_binding<R>(
+    instance: u64,
+    f: impl FnOnce(usize, &Arc<ThreadDescriptor>, Option<&Arc<Team>>) -> R,
+) -> Option<R> {
     ENTRIES.with(|e| {
         e.borrow()
             .iter()
             .find(|en| en.instance == instance)
-            .map(|en| (en.gtid, en.desc.clone(), en.team.clone()))
+            .map(|en| f(en.gtid, &en.desc, en.team.as_ref()))
     })
 }
 
 /// Whether the calling thread is currently executing inside a parallel
 /// region of `instance` (drives serialized nesting).
 pub fn in_parallel(instance: u64) -> bool {
-    ENTRIES.with(|e| {
-        e.borrow()
-            .iter()
-            .any(|en| en.instance == instance && en.team.is_some())
-    })
+    with_binding(instance, |_, _, team| team.is_some()).unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -121,36 +123,37 @@ mod tests {
         Arc::new(ThreadDescriptor::new(gtid))
     }
 
+    fn gtid(instance: u64) -> Option<usize> {
+        with_binding(instance, |gtid, _, _| gtid)
+    }
+
     #[test]
     fn bind_lookup_unbind() {
-        assert!(lookup(1001).is_none());
+        assert!(gtid(1001).is_none());
         bind(1001, 0, desc(0));
-        let (gtid, d, team) = lookup(1001).unwrap();
-        assert_eq!(gtid, 0);
-        assert_eq!(d.gtid, 0);
-        assert!(team.is_none());
+        let (g, d, no_team) = with_binding(1001, |g, d, t| (g, d.gtid, t.is_none())).unwrap();
+        assert_eq!((g, d), (0, 0));
+        assert!(no_team);
         unbind(1001);
-        assert!(lookup(1001).is_none());
+        assert!(gtid(1001).is_none());
     }
 
     #[test]
     fn bindings_are_per_instance() {
         bind(2001, 0, desc(0));
         bind(2002, 3, desc(3));
-        assert_eq!(lookup(2001).unwrap().0, 0);
-        assert_eq!(lookup(2002).unwrap().0, 3);
+        assert_eq!(gtid(2001), Some(0));
+        assert_eq!(gtid(2002), Some(3));
         unbind(2001);
-        assert!(lookup(2001).is_none());
-        assert!(lookup(2002).is_some());
+        assert!(gtid(2001).is_none());
+        assert!(gtid(2002).is_some());
         unbind(2002);
     }
 
     #[test]
     fn bindings_are_per_thread() {
         bind(3001, 0, desc(0));
-        let other = std::thread::spawn(|| lookup(3001).is_none())
-            .join()
-            .unwrap();
+        let other = std::thread::spawn(|| gtid(3001).is_none()).join().unwrap();
         assert!(other);
         unbind(3001);
     }
@@ -161,7 +164,7 @@ mod tests {
         set_team(4001, Some(crate::team::Team::solo(9, 0)));
         assert!(in_parallel(4001));
         bind(4001, 5, desc(5));
-        assert_eq!(lookup(4001).unwrap().0, 5);
+        assert_eq!(gtid(4001), Some(5));
         assert!(!in_parallel(4001));
         unbind(4001);
     }
@@ -173,8 +176,7 @@ mod tests {
         let parallel = desc(0);
         let old = swap_desc(5001, 0, parallel.clone()).unwrap();
         assert!(Arc::ptr_eq(&old, &serial));
-        let (_, current, _) = lookup(5001).unwrap();
-        assert!(Arc::ptr_eq(&current, &parallel));
+        assert!(with_binding(5001, |_, current, _| Arc::ptr_eq(current, &parallel)).unwrap());
         assert!(swap_desc(9999, 0, desc(0)).is_none());
         unbind(5001);
     }

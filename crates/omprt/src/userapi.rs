@@ -15,16 +15,14 @@ impl OpenMp {
     /// `omp_get_thread_num`: the calling thread's number in the current
     /// team (0 outside parallel regions).
     pub fn get_thread_num(&self) -> usize {
-        tls::lookup(self.instance_id())
-            .map(|(gtid, _, _)| gtid)
-            .unwrap_or(0)
+        tls::with_binding(self.instance_id(), |gtid, _, _| gtid).unwrap_or(0)
     }
 
     /// `omp_get_num_threads`: the current team size (1 outside parallel
     /// regions).
     pub fn get_num_threads(&self) -> usize {
-        tls::lookup(self.instance_id())
-            .and_then(|(_, _, team)| team.map(|t| t.size))
+        tls::with_binding(self.instance_id(), |_, _, team| team.map(|t| t.size))
+            .flatten()
             .unwrap_or(1)
     }
 

@@ -440,3 +440,61 @@ fn tasks_interleave_with_worksharing() {
         assert_eq!(loop_sum.load(Ordering::SeqCst), 99 * 100 / 2);
     });
 }
+
+/// ROADMAP item 1's lost wakeup: the master spawns an episode of untied
+/// tasks, the team meets at a barrier, and both threads then taskwait.
+/// With the eventcount key sampled after the failed pop it guards, the
+/// worker could park against an epoch already past every push of the next
+/// episode and the region hung as `[ExplicitBarrier, TaskWait]`. The
+/// watchdog (this thread) turns a hang into a failure carrying the thread
+/// states instead of a stuck test binary.
+#[test]
+fn barrier_then_taskwait_does_not_lose_the_wakeup() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    const REPS: usize = 10;
+    static SUM: AtomicU64 = AtomicU64::new(0);
+    let rt = Arc::new(OpenMp::with_threads(2));
+    let team_rt = Arc::clone(&rt);
+    let (progress, reps_done) = channel();
+    let runner = std::thread::spawn(move || {
+        for _ in 0..REPS {
+            for _ in 0..300 {
+                team_rt.parallel(|ctx| {
+                    for _ in 0..20 {
+                        if ctx.is_master() {
+                            for i in 0..64u64 {
+                                ctx.task_untied(move || {
+                                    SUM.fetch_add(i, Ordering::Relaxed);
+                                });
+                            }
+                        }
+                        ctx.barrier();
+                        ctx.taskwait();
+                    }
+                });
+            }
+            if progress.send(()).is_err() {
+                return;
+            }
+        }
+    });
+    for rep in 0..REPS {
+        match reps_done.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) => panic!(
+                "repetition {rep} hung; thread states: {:?}",
+                rt.registered_thread_states()
+            ),
+            // The runner panicked; joining it below reports why.
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    runner.join().expect("the runner thread panicked");
+    let per_episode = 63 * 64 / 2;
+    assert_eq!(
+        SUM.load(Ordering::Relaxed),
+        (REPS * 300 * 20) as u64 * per_episode
+    );
+}

@@ -50,6 +50,26 @@ for seed in "${seeds[@]}"; do
   run_seeded "$seed" -p ora-bench --test fault_isolation
 done
 
+# The barrier -> taskwait lost wakeup (ROADMAP item 1): the in-process
+# reproducer in 200 fresh processes, each under `timeout 5`, so a hang
+# outside the test's own watchdog still fails the sweep instead of
+# stalling it.
+echo "== stress: barrier -> taskwait wakeup, 200 processes =="
+tasking="$(cargo test -q --release --offline -p omprt --test tasking --no-run \
+  --message-format=json | grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"
+failed=0
+for _ in $(seq 200); do
+  if ! timeout 5 "$tasking" -q --exact \
+      barrier_then_taskwait_does_not_lose_the_wakeup >/dev/null 2>&1; then
+    failed=$((failed + 1))
+  fi
+done
+if (( failed > 0 )); then
+  echo "stress: barrier -> taskwait reproducer failed in $failed of 200 processes" >&2
+  echo "tasking barrier_then_taskwait ($failed/200)" >> stress-failures/failed-seeds.txt
+  status=1
+fi
+
 # Oracle-differential fuzz sweep: one block of generated scenarios per
 # stress seed (seed s covers generator seeds s*100 .. s*100+25), diffed
 # against the sequential oracle under all four collector rungs.

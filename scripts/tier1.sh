@@ -62,5 +62,13 @@ done
 "$omp_prof" fleet --ranks 2 --threads 2 --workload lu-mz --class s \
   --out-dir "$smoke/fleet" >"$smoke/fleet.txt"
 grep -q 'export byte-identical to offline merge_ranks: yes' "$smoke/fleet.txt"
+# The two surfaces whose numbers the request path feeds: the state-time
+# table (one OMP_REQ_STATE per event) and the served-request count that
+# `health` reads from the per-thread request lanes.
+"$omp_prof" --workload epcc --tool states >"$smoke/states.txt"
+grep -q 'efficiency$' "$smoke/states.txt"
+grep -Eq '^[0-9]+ .*[0-9.]+%$' "$smoke/states.txt"
+"$omp_prof" health --threads 2 >"$smoke/health.txt"
+awk '/^requests served/ { n = $NF } END { exit !(n > 0) }' "$smoke/health.txt"
 
 echo "tier1: OK"
