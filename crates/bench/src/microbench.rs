@@ -22,7 +22,7 @@
 //! Methodology: each benchmark calibrates an iteration batch that runs
 //! for at least ~1 ms, then times `sample_size` such batches and reports
 //! the min / mean / max nanoseconds per iteration. That is cruder than
-//! criterion's bootstrapped confidence intervals but needs nothing
+//! criterion's resampled confidence intervals but needs nothing
 //! beyond `std::time::Instant`, and the paper's arguments rest on
 //! order-of-magnitude comparisons (one load vs a lock), which this
 //! resolves comfortably.

@@ -2,14 +2,16 @@
 //! through the real runtime, the real byte protocol, and the real
 //! streaming trace on an EPCC-style barrier storm.
 //!
-//! Deliberately no wall-clock overhead assertions — on a shared CI
-//! machine the governed path is usually far below even the tightest
-//! budget, and timing-based thresholds flake. Deterministic convergence
-//! to the budget is covered by `ora-core`'s virtual-clock governor
-//! tests; what only a live run can check is the plumbing: the planted
-//! budget reaches the governor intact, every observed event is
-//! accounted as sampled or skipped, the sampling-rate decisions land in
-//! the trace, and rate changes never split a begin from its end.
+//! No assertion reads wall time: timing-based thresholds flake on a
+//! shared CI machine. Deterministic convergence to the budget is
+//! covered by `ora-core`'s virtual-clock governor tests; what only a
+//! live run can check is the plumbing: the planted budget reaches the
+//! governor intact, every observed event is accounted as sampled or
+//! skipped, the sampling-rate decisions land in the trace, and rate
+//! changes never split a begin from its end. One test asserts on a
+//! *fraction* of the ledger: the densest stream the runtime emits costs
+//! many times the default budget on any host, so the governor must
+//! sample it down, not merely count it.
 
 use std::sync::Arc;
 
@@ -18,7 +20,7 @@ use collector::discovery::RuntimeHandle;
 use collector::modes::{CollectionConfig, CollectionSummary};
 use omprt::{Config, OpenMp};
 use ora_core::event::Event;
-use ora_core::governor::{parse_budget, GovernorConfig, GovernorStatus};
+use ora_core::governor::{parse_budget, GovernorConfig, GovernorStatus, DEFAULT_BUDGET_PPM};
 use ora_trace::analyze::pair_intervals;
 use ora_trace::{RankedEvent, TraceReader};
 
@@ -110,6 +112,47 @@ fn tighter_budgets_never_sample_more() {
     assert!(
         tight <= loose + 0.25,
         "0.5% budget sampled {tight:.3} of the stream vs {loose:.3} under 10%"
+    );
+}
+
+/// A 2-thread barrier storm under the default budget, armed as the
+/// benchmark's governed rung arms it (collector clock, 0.1 ms windows).
+/// Unthrottled, monitored dispatch is a large multiple of the 2 % budget
+/// on this stream, so most of it must be sampled out once a cost is
+/// known — including when windows are too short to hold `MIN_KEEP`
+/// timings each.
+#[test]
+fn dense_storm_is_sampled_down_under_the_default_budget() {
+    let rt = OpenMp::with_config(Config {
+        num_threads: 2,
+        ..Config::default()
+    });
+    let handle = RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime resolves");
+    let active = CollectionConfig::Governed
+        .attach(&handle)
+        .expect("governed attach");
+    handle.install_governor(GovernorConfig {
+        budget_ppm: DEFAULT_BUDGET_PPM,
+        clock: Some(Arc::new(clock::ticks)),
+        min_window_ticks: 100_000,
+    });
+    rt.parallel(|ctx| {
+        for _ in 0..50_000 {
+            ctx.barrier();
+        }
+    });
+    drop(rt);
+    let g = handle.query_governor().expect("OMP_REQ_GOVERNOR");
+    active.finish().expect("finish");
+    assert!(g.reconciles());
+    let sampled = g.events_sampled as f64 / g.events_observed.max(1) as f64;
+    assert!(
+        sampled < 0.5,
+        "sampled {sampled:.3} of {} events after {} retunes (overhead {} ppm, cost {} milliticks)",
+        g.events_observed,
+        g.retunes,
+        g.overhead_ppm,
+        g.monitored_milliticks
     );
 }
 

@@ -535,8 +535,8 @@ impl CollectorApi {
     }
 
     /// Time the unmonitored fast path (a masked-out probe event) with
-    /// the governor clock, reducing the samples through the shared
-    /// stats pipeline. This is the denominator of the governor's
+    /// the governor clock, reducing the samples to their outlier-robust
+    /// median. This is the denominator of the governor's
     /// monitored-vs-baseline ratio.
     fn calibrate_baseline(&self) -> f64 {
         let mask = self.governor.current_mask();
@@ -560,7 +560,7 @@ impl CollectorApi {
             let end = clock();
             samples.push(end.saturating_sub(start) as f64 / f64::from(BATCH));
         }
-        crate::stats::analyze(&samples, &crate::stats::StatPolicy::default()).median
+        crate::stats::robust_median(&samples, crate::stats::MAD_K, crate::stats::MIN_KEEP)
     }
 
     /// Direct access to the callback table (diagnostics and tests).

@@ -25,11 +25,13 @@
 //!    performs only lane-local RMWs.
 //! 3. **The feedback loop.** When installed (collector rung
 //!    "governed"), the governor times every [`CAL_STRIDE`]-th sampled
-//!    dispatch with an injectable clock, runs the measurements through
-//!    the [`crate::stats`] pipeline (MAD rejection, bootstrap CI), and at
-//!    the end of each calibration window solves for per-event-pair
-//!    sampling shifts ([`plan_shifts`]) so the projected monitoring
-//!    cost fits the budget (`OMP_ORA_BUDGET`, e.g. `2%`). Decisions are
+//!    dispatch with an injectable clock, reduces the measurements to
+//!    their [`crate::stats::robust_median`] (MAD rejection, then a
+//!    median), and at the end of each calibration window solves for
+//!    per-event-pair sampling shifts ([`plan_shifts`]) so the projected
+//!    monitoring cost fits the budget (`OMP_ORA_BUDGET`, e.g. `2%`).
+//!    Timings carry over into the next window until at least
+//!    [`stats::MIN_KEEP`] have been collected. Decisions are
 //!    exposed three ways: [`GovernorStatus`] over the byte protocol
 //!    (`OMP_REQ_GOVERNOR`), sampled/skipped counters in `ApiHealth`,
 //!    and a decision log the governed collector rung writes into the
@@ -54,7 +56,7 @@ use std::time::Instant;
 
 use crate::event::{Event, ALL_EVENTS, EVENT_COUNT};
 use crate::pad::CachePadded;
-use crate::stats::{self, StatPolicy};
+use crate::stats;
 use crate::sync::{Mutex, RwLock};
 
 /// Number of dispatch lanes. Threads map to lanes by `gtid % LANE_COUNT`,
@@ -598,11 +600,12 @@ impl Governor {
         if elapsed < ctl.min_window_ticks {
             return;
         }
-        let cost_ticks = if ctl.cost_samples.len() >= StatPolicy::default().min_keep {
-            let summary = stats::analyze(&ctl.cost_samples, &StatPolicy::default());
+        let measured = ctl.cost_samples.len() >= stats::MIN_KEEP;
+        let cost_ticks = if measured {
+            let median = stats::robust_median(&ctl.cost_samples, stats::MAD_K, stats::MIN_KEEP);
             self.monitored_milliticks
-                .store(to_milliticks(summary.median), Ordering::Relaxed);
-            summary.median
+                .store(to_milliticks(median), Ordering::Relaxed);
+            median
         } else {
             self.monitored_milliticks.load(Ordering::Relaxed) as f64 / 1000.0
         };
@@ -656,7 +659,12 @@ impl Governor {
         ctl.window_start = now;
         ctl.snap_observed = totals;
         ctl.snap_sampled = sampled_total;
-        ctl.cost_samples.clear();
+        // Too few timings to measure: keep them for the next window, or a
+        // run whose windows each see fewer than MIN_KEEP never learns a
+        // cost and never throttles.
+        if measured {
+            ctl.cost_samples.clear();
+        }
         self.retunes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1026,6 +1034,44 @@ mod tests {
         assert!(
             governor.take_decisions().is_empty(),
             "drain empties the log"
+        );
+    }
+
+    #[test]
+    fn windows_short_of_min_keep_pool_their_timings_instead_of_starving() {
+        let ticks = Arc::new(TestCounter::new(0));
+        let clock_ticks = Arc::clone(&ticks);
+        let governor = Governor::new();
+        governor.prepare(GovernorConfig {
+            budget_ppm: 20_000,
+            min_window_ticks: 1,
+            clock: Some(Arc::new(move || clock_ticks.load(Ordering::Relaxed))),
+        });
+        governor.arm(1.0);
+        // Each window: dense barrier traffic far over budget, but only
+        // four timed dispatches, one short of MIN_KEEP.
+        let lane = governor.lane(0);
+        for window in 1..=3u64 {
+            for _ in 0..5_000 {
+                governor.admit(lane, Event::ThreadBeginExplicitBarrier);
+                governor.admit(lane, Event::ThreadEndExplicitBarrier);
+            }
+            for _ in 0..stats::MIN_KEEP - 1 {
+                governor.record_cost(30);
+            }
+            ticks.store(window * 1_000_000, Ordering::Relaxed);
+            governor.try_retune();
+        }
+        let status = governor.status();
+        assert_eq!(status.retunes, 3);
+        assert_eq!(
+            status.monitored_milliticks, 30_000,
+            "pooled windows measure the cost"
+        );
+        assert!(status.overhead_ppm > 0);
+        assert!(
+            governor.shift_for(Event::ThreadBeginExplicitBarrier) > 0,
+            "a known cost over budget must throttle"
         );
     }
 

@@ -71,7 +71,6 @@ pub use park::{Backoff, ParkSlot};
 pub use registry::{Callback, CallbackRegistry, EventData, FaultStats};
 pub use request::{ApiHealth, CallbackToken, OraError, OraResult, Request, RequestCode, Response};
 pub use state::{StateCell, ThreadState, WaitId, WaitIdKind, ALL_STATES, STATE_COUNT};
-pub use stats::{SampleStats, StatPolicy};
 
 /// The canonical symbol name under which an OpenMP runtime exports its
 /// collector entry point, and which a collector resolves at startup

@@ -2,7 +2,7 @@
 //! governor calibrates with (drawn from `ora_core::testutil::XorShift64`
 //! — deterministic, offline, no proptest).
 
-use ora_core::stats::{analyze, bootstrap_ci_median, median, reject_outliers, StatPolicy};
+use ora_core::stats::{median, reject_outliers, robust_median, MAD_K, MIN_KEEP};
 use ora_core::testutil::XorShift64;
 
 /// Uniform f64 in [0, 1) from the shared deterministic generator.
@@ -10,68 +10,21 @@ fn unit_f64(rng: &mut XorShift64) -> f64 {
     (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A right-skewed synthetic "timing" sample: base + uniform jitter, with
-/// an occasional multiplicative spike — the shape real repetition
-/// timings have on a shared machine.
-fn synthetic_timing(rng: &mut XorShift64, base: f64, jitter: f64) -> f64 {
-    base + jitter * unit_f64(rng)
-}
-
-// ---------------------------------------------------------------------
-// Bootstrap CI properties
-// ---------------------------------------------------------------------
-
-/// On symmetric-ish synthetic distributions, the 95% bootstrap CI of the
-/// median should contain the *true* distribution median in well over 95%
-/// of trials at these sample sizes (percentile bootstrap is conservative
-/// here). We assert a loose 80% floor so the test is immune to seed luck
-/// while still catching a broken interval (which drops to ~0-20%).
-#[test]
-fn bootstrap_ci_contains_true_median_on_synthetic_distributions() {
-    let mut rng = XorShift64::new(0xC1_C1_C1);
-    let trials = 200;
-    for (base, jitter, n) in [(10.0, 2.0, 9), (1.0, 0.1, 15), (5.0, 5.0, 25)] {
-        let true_median = base + jitter * 0.5;
-        let mut contained = 0;
-        for trial in 0..trials {
-            let samples: Vec<f64> = (0..n)
-                .map(|_| synthetic_timing(&mut rng, base, jitter))
-                .collect();
-            let (lo, hi) = bootstrap_ci_median(&samples, 400, 1000 + trial);
-            assert!(lo <= hi);
-            if lo <= true_median && true_median <= hi {
-                contained += 1;
+/// A window of `n` timings near 1.0, each a spike near 100.0 with
+/// probability 1 in 4. Returns the samples and how many are spikes.
+fn spiky_window(rng: &mut XorShift64, n: usize) -> (Vec<f64>, usize) {
+    let mut spikes = 0;
+    let samples = (0..n)
+        .map(|_| {
+            if rng.chance(1, 4) {
+                spikes += 1;
+                100.0 + unit_f64(rng)
+            } else {
+                1.0 + 0.01 * unit_f64(rng)
             }
-        }
-        let rate = contained as f64 / trials as f64;
-        assert!(
-            rate >= 0.80,
-            "CI contained the true median in only {:.0}% of trials (base {base}, n {n})",
-            rate * 100.0
-        );
-    }
-}
-
-#[test]
-fn bootstrap_ci_brackets_the_sample_median_and_is_seed_stable() {
-    let mut rng = XorShift64::new(7);
-    for _ in 0..50 {
-        let n = 3 + (rng.next_u64() % 20) as usize;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| synthetic_timing(&mut rng, 2.0, 1.0))
-            .collect();
-        let med = median(&samples);
-        let (lo, hi) = bootstrap_ci_median(&samples, 300, 99);
-        assert!(
-            lo <= med && med <= hi,
-            "CI [{lo}, {hi}] excludes median {med}"
-        );
-        assert_eq!(
-            (lo, hi),
-            bootstrap_ci_median(&samples, 300, 99),
-            "not deterministic"
-        );
-    }
+        })
+        .collect();
+    (samples, spikes)
 }
 
 // ---------------------------------------------------------------------
@@ -110,29 +63,70 @@ fn mad_rejection_drops_every_planted_outlier() {
 }
 
 #[test]
-fn analyze_never_reports_more_rejections_than_min_keep_allows() {
+fn robust_median_departs_from_the_plain_median_only_when_min_keep_survive() {
     let mut rng = XorShift64::new(33);
-    let policy = StatPolicy::default();
     for _ in 0..100 {
         let n = 2 + (rng.next_u64() % 12) as usize;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| {
-                if rng.chance(1, 4) {
-                    100.0 + unit_f64(&mut rng)
-                } else {
-                    1.0 + 0.01 * unit_f64(&mut rng)
-                }
-            })
-            .collect();
-        let s = analyze(&samples, &policy);
+        let (samples, spikes) = spiky_window(&mut rng, n);
+        let robust = robust_median(&samples, MAD_K, MIN_KEEP);
+        let survivors = reject_outliers(&samples, MAD_K).len();
         // Either enough samples survived, or nothing was rejected at all.
         assert!(
-            s.reps >= policy.min_keep || s.rejected == 0,
-            "min-repetition rule violated: reps {} rejected {}",
-            s.reps,
-            s.rejected
+            robust == median(&samples) || survivors >= MIN_KEEP,
+            "min-repetition rule violated: {survivors} of {n} survived"
         );
-        assert_eq!(s.reps + s.rejected, n);
-        assert!(s.ci_lo <= s.median && s.median <= s.ci_hi);
+        // A strict bulk majority pins the answer inside the bulk, whether
+        // the spikes were rejected or merely outvoted.
+        if 2 * (n - spikes) > n {
+            assert!(
+                (1.0..=1.01).contains(&robust),
+                "median {robust} left the bulk"
+            );
+        }
+    }
+}
+
+/// The location `analyze(..).median` reported before the resampled
+/// confidence interval and its summary struct were deleted, kept
+/// verbatim as the reference: rejection, the minimum-repetition
+/// fallback, then a median.
+fn analyze_median_reference(samples: &[f64]) -> f64 {
+    let filtered = reject_outliers(samples, 3.5);
+    let used = if filtered.len() >= 5 {
+        filtered
+    } else {
+        samples.to_vec()
+    };
+    median(&used)
+}
+
+/// The governor's planning input must not move: over seeded windows of
+/// every size the governor sees (empty, below `MIN_KEEP`, up to its
+/// 512-sample cap), with spikes, ties and integer tick counts,
+/// `robust_median` is bit-identical to the old rule.
+#[test]
+fn robust_median_is_bit_identical_to_the_old_analyze_median() {
+    let mut rng = XorShift64::new(0x5eed_0026);
+    for window in 0..200 {
+        let n = match window % 4 {
+            0 => rng.range_usize(0, MIN_KEEP),
+            1 => rng.range_usize(MIN_KEEP, MIN_KEEP + 16),
+            _ => rng.range_usize(1, 513),
+        };
+        let samples: Vec<f64> = if window % 3 == 0 {
+            // Integer tick counts, as the governor clock records them.
+            (0..n)
+                .map(|_| (20 + rng.below(8) + 400 * u64::from(rng.chance(1, 10))) as f64)
+                .collect()
+        } else {
+            spiky_window(&mut rng, n).0
+        };
+        let expected = analyze_median_reference(&samples);
+        let got = robust_median(&samples, MAD_K, MIN_KEEP);
+        assert_eq!(
+            got.to_bits(),
+            expected.to_bits(),
+            "window {window} ({n} samples): {got} vs {expected}"
+        );
     }
 }

@@ -36,6 +36,11 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # nightly fuzz job; this is the fast fixed net).
 cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
   fuzz --cases tests/fuzz_cases
+# A short seeded sweep of the governed rung alone: its ledger,
+# summary/status agreement and sampled-trace pairing, on scenarios the
+# governor actually samples down.
+cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
+  fuzz --seeds 25 --rungs governed
 
 # CLI smoke of the timeline surfaces no test drives: record → report →
 # analyze on a file, the in-memory `--tool trace` with its CSV export,
