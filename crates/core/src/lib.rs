@@ -67,7 +67,7 @@ pub use governor::{
     Admit, Governor, GovernorClock, GovernorConfig, GovernorDecision, GovernorStatus,
 };
 pub use pad::CachePadded;
-pub use park::{Backoff, ParkSlot};
+pub use park::EventCount;
 pub use registry::{Callback, CallbackRegistry, EventData, FaultStats};
 pub use request::{ApiHealth, CallbackToken, OraError, OraResult, Request, RequestCode, Response};
 pub use state::{StateCell, ThreadState, WaitId, WaitIdKind, ALL_STATES, STATE_COUNT};

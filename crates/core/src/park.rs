@@ -1,297 +1,334 @@
-//! Per-thread parking: the runtime's scalable wait/wake primitive.
+//! The runtime's one wait primitive: [`EventCount`].
 //!
-//! The first-cut runtime put every sleeping thread on one shared
-//! `Mutex`+`Condvar` pair and woke with `notify_all` — a thundering herd
-//! where one release takes the lock, wakes *every* sleeper (including
-//! threads that never slept past the spin phase), and each wakee then
-//! contends on the same lock to re-check its predicate. This module
-//! replaces that with one [`ParkSlot`] per thread: a waiter spins with
-//! exponential backoff ([`Backoff`]), then publishes a *parked* flag and
-//! blocks in [`std::thread::park`]; a releaser makes its predicate true
-//! and then issues at most one [`std::thread::Thread::unpark`] per slot
-//! whose flag says the owner actually went to sleep. No shared lock, no
-//! herd: threads that were only spinning cost the releaser one padded
-//! atomic read.
+//! Every "sleep until something changes" in the runtime has the same
+//! shape: a task waiter with nothing to run, an idle worker between
+//! regions, a barrier waiter, an out-of-turn ordered iteration. Each
+//! *tries* something, and when the try fails it sleeps until whatever
+//! could make the next try succeed has happened. An [`EventCount`] owns
+//! that shape once:
+//!
+//! * a waiter calls [`EventCount::wait_until`] with its *attempt*, a
+//!   closure returning `Some(result)` when it is done;
+//! * a notifier makes its change visible (pushes a task, passes an
+//!   ordered turn, publishes work) and then calls
+//!   [`EventCount::notify_all`].
+//!
+//! There is no public key. `wait_until` reads the key itself, before
+//! every attempt, so no caller can sample it too late.
+//!
+//! ## Waiting
+//!
+//! Between attempts a waiter polls one padded key word, not the attempt,
+//! so a task waiter does not re-lock victim deques while it spins. The
+//! poll is a three-phase ladder:
+//!
+//! 1. *Spin* with exponential backoff for the caller's budget (0 on
+//!    single-core hosts, see `omprt::spin`: spinning against a thread
+//!    that cannot run is pure waste).
+//! 2. *Yield* for [`YIELD_BUDGET`] rounds. When the thread being waited
+//!    on is runnable but not running (oversubscription), `yield_now`
+//!    hands it the CPU, which resolves short waits for one cheap syscall
+//!    instead of a park/unpark futex round trip.
+//! 3. *Park* on the waiter's own slot until a notify moves the key.
 //!
 //! ## Why no wakeup can be missed
 //!
-//! The classic hazard in "check flag, then sleep" is the store→load race:
-//! the waiter checks the predicate, the releaser sets it and sees no
-//! parked flag (skipping the wake), and the waiter then sleeps forever.
-//! [`ParkSlot`] closes this with a Dekker-style protocol built from
-//! sequentially-consistent read-modify-writes on the slot word:
+//! The key is the high half of one word; the low half counts waiters
+//! that registered to park. Both halves change only by read-modify-write.
 //!
-//! * the **waiter** swaps the slot to `PARKED`, *then* re-checks the
-//!   predicate, and only then calls `thread::park()`;
-//! * the **releaser** makes the predicate true, *then* swaps the slot to
-//!   `NOTIFIED` and unparks iff the swap returned `PARKED`.
+//! **Key before attempt.** A notifier's change happens before its key
+//! bump (a release RMW). The waiter reads the key (acquire) *before* its
+//! attempt. So if the attempt missed the change, the key it holds is
+//! older than the bump, and the bump ends its wait. A key read *after*
+//! the attempt could already include the bump of the very change the
+//! attempt missed, and the waiter would sleep past it. That is why the
+//! read lives inside `wait_until`.
 //!
-//! Both swaps are RMWs on the same atomic, so they are totally ordered.
-//! If the waiter's swap comes first, the releaser's swap observes
-//! `PARKED` and delivers an unpark token (which `thread::park` consumes
-//! even if it is delivered before the park call). If the releaser's swap
-//! comes first, the waiter's swap reads-from it — an acquire of the
-//! releaser's release — so the waiter's predicate re-check observes the
-//! update and it never sleeps. A releaser can at worst deliver one *stale*
-//! token to a waiter that already left (making some future park return
-//! spuriously), which is why every wait loop re-checks its predicate
-//! around `park()`.
+//! **Parking (Dekker).** A waiter that exhausted its spin and yield
+//! phases (1) registers with an RMW on the word, (2) swaps its slot to
+//! `PARKED`, (3) re-reads the key, and blocks in `thread::park` only if
+//! the key has still not moved. A notifier (a) bumps the key with an RMW
+//! on the same word, which also returns the waiter count, and only if
+//! that count is non-zero (b) unparks each slot that reads `PARKED`.
+//! All of these are sequentially consistent, so they fall in one total
+//! order:
+//!
+//! * if (a) precedes (3), the waiter's re-read sees the moved key and it
+//!   never sleeps;
+//! * otherwise (1) precedes (a) (both are RMWs on one word), so the
+//!   notifier sees a registered waiter, and (2) precedes (b), so it sees
+//!   `PARKED` and delivers an unpark token, which `thread::park`
+//!   consumes even if it arrives before the park call.
+//!
+//! A notifier can at worst deliver a stale token to a waiter that has
+//! already left, which makes one later park return early; every park
+//! re-reads the key around `thread::park`, so that costs one loop.
+//!
+//! **Cost.** With nobody parked, `notify_all` is one RMW and reads
+//! nothing else. Wakes go only to slots whose owner actually parked; a
+//! spinning or running owner costs the notifier nothing.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::thread::{self, Thread};
 
+use crate::pad::CachePadded;
 use crate::sync::Mutex;
 
-/// Slot word: owner is awake (or has consumed its notification).
-const IDLE: u32 = 0;
-/// Slot word: owner has announced it is about to (or did) block in
-/// `thread::park` and needs an unpark to make progress.
-const PARKED: u32 = 1;
-/// Slot word: a releaser has claimed the wake; no further unpark needed.
-const NOTIFIED: u32 = 2;
+/// One key step: the key is the word's high half.
+const KEY_ONE: u64 = 1 << 32;
+/// The word's low half: waiters registered to park.
+const WAITERS: u64 = KEY_ONE - 1;
 
-/// A single thread's parking spot.
+/// Timeslice donations attempted before parking. Sized so that a full
+/// team of waiters on one core (the worst oversubscription the stress
+/// suite drives) cycles the run queue several times, enough for every
+/// short wait to resolve, while a worker idling between parallel regions
+/// still reaches `park` within microseconds.
+const YIELD_BUDGET: u32 = 32;
+
+/// Longest burst of `spin_loop` hints between two polls of the key.
+const MAX_BURST: u32 = 64;
+
+/// A key word plus one parking slot per waiter (module docs).
 ///
-/// One thread (the *owner*) waits on the slot via [`ParkSlot::wait`] /
-/// [`ParkSlot::park_until`]; any number of other threads may call
-/// [`ParkSlot::unpark`]. The owner may change between quiescent periods
-/// (the handle is re-published on every slow-path entry), but only one
-/// thread may wait on a slot at a time.
-#[derive(Debug, Default)]
-pub struct ParkSlot {
-    state: AtomicU32,
-    /// Owner's handle, published before the owner first parks. Touched
-    /// only on the slow path (actual park / actual unpark), never while
-    /// spinning, so a plain mutex costs nothing on the hot path.
-    owner: Mutex<Option<Thread>>,
+/// `who` in [`EventCount::wait_until`] names the caller's slot and must
+/// be below the `waiters` the count was built with; two threads must not
+/// wait on one slot at the same time. Any thread may notify.
+#[derive(Debug)]
+pub struct EventCount {
+    /// Key (high half) and registered-waiter count (low half). Polled by
+    /// every spinning waiter, so it has its own line pair.
+    word: CachePadded<AtomicU64>,
+    slots: Box<[CachePadded<ParkSlot>]>,
 }
 
-impl ParkSlot {
-    /// Creates an empty slot (no owner published, state idle).
-    pub fn new() -> Self {
-        ParkSlot {
-            state: AtomicU32::new(IDLE),
-            owner: Mutex::new(None),
+impl EventCount {
+    /// An event count for up to `waiters` concurrent waiters, named
+    /// `0..waiters`.
+    pub fn new(waiters: usize) -> Self {
+        EventCount {
+            word: CachePadded::new(AtomicU64::new(0)),
+            slots: (0..waiters)
+                .map(|_| CachePadded::new(ParkSlot::default()))
+                .collect(),
         }
     }
 
-    /// Spins (with exponential backoff) for up to `spin_budget` iterations
-    /// waiting for `ready`, yields the timeslice for a bounded number of
-    /// rounds, then parks until a wake coincides with `ready` returning
-    /// true. Returns as soon as `ready` is observed true.
+    /// Runs `attempt` until it returns `Some`, and returns that value.
     ///
-    /// Pass a spin budget of 0 (the right choice on single-core or
-    /// oversubscribed hosts, see `omprt::spin`) to skip straight to the
-    /// yield phase. The yield phase is kept even then: when the thread
-    /// being waited on is runnable-but-not-running (the definition of
-    /// oversubscription), `yield_now` hands it the CPU directly, which
-    /// resolves short waits — barrier episodes, doorbell rings — for one
-    /// cheap syscall each instead of a park/unpark futex round-trip plus
-    /// two scheduler block/unblock transitions. Genuinely long waits
-    /// exhaust the bound and park, freeing the CPU entirely.
-    pub fn wait(&self, spin_budget: u32, ready: impl Fn() -> bool) {
-        let mut backoff = Backoff::new();
-        let mut spent = 0u32;
+    /// The key is read before every attempt; after a failed attempt the
+    /// caller spins for `spin_budget` backoff iterations, yields, then
+    /// parks in slot `who`, until a [`notify_all`](Self::notify_all)
+    /// moves the key. Only then is the attempt run again.
+    pub fn wait_until<T>(
+        &self,
+        who: usize,
+        spin_budget: u32,
+        mut attempt: impl FnMut() -> Option<T>,
+    ) -> T {
+        debug_assert!(who < self.slots.len(), "waiter {who} has no slot");
+        loop {
+            let seen = self.key(Ordering::Acquire);
+            if let Some(done) = attempt() {
+                return done;
+            }
+            self.await_move(who, spin_budget, seen);
+        }
+    }
+
+    /// Moves the key, waking every waiter that parked on the old one.
+    /// Call it after making the change waiters attempt to observe.
+    pub fn notify_all(&self) {
+        if self.word.fetch_add(KEY_ONE, Ordering::SeqCst) & WAITERS == 0 {
+            return;
+        }
+        for slot in self.slots.iter() {
+            slot.unpark();
+        }
+    }
+
+    fn key(&self, order: Ordering) -> u64 {
+        self.word.load(order) >> 32
+    }
+
+    /// Returns once the key differs from `seen`: spin in bursts of
+    /// `spin_loop` hints doubling up to [`MAX_BURST`] (waiters that just
+    /// missed the key re-poll quickly, long waiters rarely), yield, park.
+    fn await_move(&self, who: usize, spin_budget: u32, seen: u64) {
+        let moved = |order| self.key(order) != seen;
+        let (mut burst, mut spent) = (1, 0);
         while spent < spin_budget {
-            if ready() {
+            if moved(Ordering::Acquire) {
                 return;
             }
-            spent = spent.saturating_add(backoff.snooze());
+            (0..burst).for_each(|_| std::hint::spin_loop());
+            spent += burst;
+            burst = (burst * 2).min(MAX_BURST);
         }
         for _ in 0..YIELD_BUDGET {
-            if ready() {
+            if moved(Ordering::Acquire) {
                 return;
             }
             thread::yield_now();
         }
-        self.park_until(ready);
+        self.word.fetch_add(1, Ordering::SeqCst);
+        self.slots[who].park_until(|| moved(Ordering::SeqCst));
+        self.word.fetch_sub(1, Ordering::SeqCst);
     }
+}
 
-    /// Parks the calling thread until `ready` returns true, with no spin
-    /// phase. The predicate is re-checked after announcing the parked
-    /// state and after every (possibly spurious) wakeup.
-    pub fn park_until(&self, ready: impl Fn() -> bool) {
-        if ready() {
-            return;
-        }
-        self.publish_owner();
+/// Slot word: owner is awake (or has consumed its notification).
+const IDLE: u32 = 0;
+/// Slot word: owner is about to block (or did) and needs an unpark.
+const PARKED: u32 = 1;
+/// Slot word: a notifier has claimed the wake; no further unpark needed.
+const NOTIFIED: u32 = 2;
+
+/// One waiter's parking spot.
+#[derive(Debug, Default)]
+struct ParkSlot {
+    state: AtomicU32,
+    /// Owner's handle, published before each park. Touched only on the
+    /// slow path (an actual park or unpark), so a plain mutex costs
+    /// nothing while waiters spin.
+    owner: Mutex<Option<Thread>>,
+}
+
+impl ParkSlot {
+    /// Parks the calling thread until `moved` returns true, re-checking
+    /// after announcing `PARKED` and after every (possibly spurious)
+    /// wakeup.
+    fn park_until(&self, moved: impl Fn() -> bool) {
+        *self.owner.lock() = Some(thread::current());
         loop {
-            // Announce intent to sleep. SeqCst RMW: totally ordered with
-            // the releaser's swap in `unpark` (see module docs).
             self.state.swap(PARKED, Ordering::SeqCst);
-            if ready() {
+            if moved() {
                 break;
             }
             thread::park();
-            if ready() {
-                break;
-            }
         }
-        // Retire the announcement and absorb any in-flight notification;
-        // a racing releaser may still deliver one stale unpark token,
-        // which at worst makes a later park return spuriously.
         self.state.swap(IDLE, Ordering::SeqCst);
     }
 
-    /// Wakes the slot's owner iff it announced it was parking. Returns
-    /// whether a wake was delivered; `false` means the owner was awake
-    /// (spinning or running) and needed nothing.
-    pub fn unpark(&self) -> bool {
-        if self.state.swap(NOTIFIED, Ordering::SeqCst) == PARKED {
-            if let Some(thread) = self.owner.lock().clone() {
-                thread.unpark();
-                return true;
+    /// Wakes the owner iff it announced it was parking.
+    fn unpark(&self) {
+        if self.state.load(Ordering::SeqCst) == PARKED
+            && self.state.swap(NOTIFIED, Ordering::SeqCst) == PARKED
+        {
+            if let Some(owner) = self.owner.lock().as_ref() {
+                owner.unpark();
             }
         }
-        false
-    }
-
-    /// Records the calling thread as the slot owner (idempotent per
-    /// thread; replaces a previous owner between its waits).
-    fn publish_owner(&self) {
-        let me = thread::current();
-        let mut owner = self.owner.lock();
-        let stale = owner.as_ref().map(|t| t.id() != me.id()).unwrap_or(true);
-        if stale {
-            *owner = Some(me);
-        }
-    }
-}
-
-/// Timeslice donations attempted before parking for real. Sized so that
-/// a full team of waiters on one core (the worst oversubscription the
-/// stress suite drives) cycles the run queue several times — enough for
-/// every short wait to resolve — while a worker idling between parallel
-/// regions still reaches `park` within microseconds.
-const YIELD_BUDGET: u32 = 32;
-
-/// How many doublings the backoff performs before plateauing (2^6 = 64
-/// spin-loop hints per burst).
-const BACKOFF_LIMIT: u32 = 6;
-
-/// Exponential backoff for contended spin loops.
-///
-/// Each [`Backoff::snooze`] runs a burst of `std::hint::spin_loop` twice
-/// as long as the previous one (capped), which drains contended loops of
-/// most of their coherence traffic: threads that just missed the flag
-/// re-poll quickly, threads that have been missing it poll rarely.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    step: u32,
-}
-
-impl Backoff {
-    /// Fresh backoff, starting at a single-iteration burst.
-    pub fn new() -> Self {
-        Backoff { step: 0 }
-    }
-
-    /// Runs the next burst of spin-loop hints; returns how many
-    /// iterations the burst performed (for budget accounting).
-    pub fn snooze(&mut self) -> u32 {
-        let spins = 1u32 << self.step;
-        for _ in 0..spins {
-            std::hint::spin_loop();
-        }
-        if self.step < BACKOFF_LIMIT {
-            self.step += 1;
-        }
-        spins
-    }
-
-    /// Restarts the burst schedule (call after observing progress).
-    pub fn reset(&mut self) {
-        self.step = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    /// How long the lost-wakeup watchdog lets a wait run before it rescues
+    /// it. A correct wait never blocks at all, so this only bounds how
+    /// long a regression takes to fail.
+    const RESCUE_AFTER: Duration = Duration::from_secs(2);
 
     #[test]
-    fn ready_before_wait_returns_without_parking() {
-        let slot = ParkSlot::new();
-        slot.wait(0, || true); // must not block
-        slot.park_until(|| true);
+    fn done_on_the_first_attempt_never_waits() {
+        let count = EventCount::new(1);
+        assert_eq!(count.wait_until(0, 0, || Some(7)), 7);
     }
 
     #[test]
-    fn unpark_of_idle_slot_reports_no_wake() {
-        let slot = ParkSlot::new();
-        assert!(!slot.unpark());
-        // A stale NOTIFIED state must not confuse a later successful wait.
-        slot.wait(0, || true);
+    fn notify_with_nobody_parked_only_moves_the_key() {
+        let count = EventCount::new(2);
+        count.notify_all();
+        count.notify_all();
+        assert_eq!(count.word.load(Ordering::SeqCst), 2 * KEY_ONE);
+        assert!(count
+            .slots
+            .iter()
+            .all(|s| s.state.load(Ordering::SeqCst) == IDLE));
+    }
+
+    /// The lost-wakeup interleaving, forced with no timing: the attempt
+    /// itself notifies on its first failing call, after it has missed the
+    /// change and before the wait decides to sleep. A key read before the
+    /// attempt already differs from the bumped one, so the wait must run
+    /// the attempt again at once. A key read after the attempt would
+    /// include the bump and sleep; the watchdog then notifies after
+    /// [`RESCUE_AFTER`] and records that it had to.
+    #[test]
+    fn a_notify_racing_the_failed_attempt_is_never_lost() {
+        let count = EventCount::new(1);
+        let rescued = AtomicBool::new(false);
+        let (done, finished) = channel::<()>();
+        let mut attempts = 0;
+        thread::scope(|s| {
+            let (count, rescued) = (&count, &rescued);
+            s.spawn(move || {
+                if finished.recv_timeout(RESCUE_AFTER).is_err() {
+                    rescued.store(true, Ordering::SeqCst);
+                    count.notify_all();
+                }
+            });
+            count.wait_until(0, 0, || {
+                attempts += 1;
+                if attempts == 1 {
+                    count.notify_all();
+                    return None;
+                }
+                Some(())
+            });
+            let _ = done.send(()); // the watchdog is gone if it rescued
+        });
+        assert!(
+            !rescued.load(Ordering::SeqCst),
+            "the wait slept past a notify that raced its failed attempt"
+        );
+        assert_eq!(attempts, 2, "the wait returns on the next attempt");
     }
 
     #[test]
     fn producer_consumer_ping_pong() {
         const ROUNDS: u64 = 2_000;
-        let slot = Arc::new(ParkSlot::new());
-        let level = Arc::new(AtomicU64::new(0));
-
-        let consumer = {
-            let slot = Arc::clone(&slot);
-            let level = Arc::clone(&level);
-            thread::spawn(move || {
+        let count = EventCount::new(1);
+        let level = AtomicU64::new(0);
+        thread::scope(|s| {
+            s.spawn(|| {
                 for target in 1..=ROUNDS {
-                    slot.wait(0, || level.load(Ordering::SeqCst) >= target);
+                    count.wait_until(0, 0, || {
+                        (level.load(Ordering::SeqCst) >= target).then_some(())
+                    });
                 }
-                level.load(Ordering::SeqCst)
-            })
-        };
-
-        for _ in 0..ROUNDS {
-            level.fetch_add(1, Ordering::SeqCst);
-            slot.unpark();
-        }
-        assert_eq!(consumer.join().unwrap(), ROUNDS);
+            });
+            for _ in 0..ROUNDS {
+                level.fetch_add(1, Ordering::SeqCst);
+                count.notify_all();
+            }
+        });
+        assert_eq!(level.load(Ordering::SeqCst), ROUNDS);
     }
 
+    /// A waiter that really parks, holding a stale unpark token that
+    /// makes its first park return early, still waits for the notify,
+    /// is woken by it, and leaves no registration behind.
     #[test]
-    fn stale_token_does_not_break_next_wait() {
-        let slot = Arc::new(ParkSlot::new());
-        let flag = Arc::new(AtomicBool::new(false));
-        // Deliver a token the hard way: park, wake, then leave a NOTIFIED
-        // swap behind while the owner is already gone.
-        flag.store(true, Ordering::SeqCst);
-        slot.park_until(|| flag.load(Ordering::SeqCst));
-        slot.unpark(); // stale: owner not parked
-
-        flag.store(false, Ordering::SeqCst);
-        let waiter = {
-            let slot = Arc::clone(&slot);
-            let flag = Arc::clone(&flag);
-            thread::spawn(move || slot.wait(0, || flag.load(Ordering::SeqCst)))
-        };
-        thread::sleep(std::time::Duration::from_millis(5));
-        flag.store(true, Ordering::SeqCst);
-        slot.unpark();
-        waiter.join().unwrap();
-    }
-
-    #[test]
-    fn targeted_wake_skips_threads_that_never_parked() {
-        let slot = ParkSlot::new();
-        // Nobody parked: unpark must report that no syscall wake happened.
-        assert!(!slot.unpark());
-        assert!(!slot.unpark());
-    }
-
-    #[test]
-    fn backoff_doubles_then_plateaus() {
-        let mut b = Backoff::new();
-        let mut last = 0;
-        for _ in 0..BACKOFF_LIMIT {
-            let burst = b.snooze();
-            assert!(burst > last);
-            last = burst;
-        }
-        assert_eq!(b.snooze(), last << 1);
-        assert_eq!(b.snooze(), last << 1, "burst length must plateau");
-        b.reset();
-        assert_eq!(b.snooze(), 1);
+    fn a_parked_waiter_is_woken_and_deregisters() {
+        let count = EventCount::new(2);
+        let flag = AtomicBool::new(false);
+        thread::current().unpark(); // a token for a park that never came
+        thread::scope(|s| {
+            s.spawn(|| {
+                while count.word.load(Ordering::SeqCst) & WAITERS == 0 {
+                    thread::yield_now();
+                }
+                flag.store(true, Ordering::SeqCst);
+                count.notify_all();
+            });
+            count.wait_until(1, 0, || flag.load(Ordering::SeqCst).then_some(()));
+        });
+        assert_eq!(count.word.load(Ordering::SeqCst) & WAITERS, 0);
     }
 }

@@ -93,43 +93,6 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-/// A condition variable usable with [`Mutex`] guards, poison-free.
-#[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// A new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Atomically release `guard` and block until notified.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Block until notified and `condition` returns false.
-    pub fn wait_while<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        condition: impl FnMut(&mut T) -> bool,
-    ) -> MutexGuard<'a, T> {
-        self.0
-            .wait_while(guard, condition)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,24 +134,5 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut started = lock.lock();
-            while !*started {
-                started = cv.wait(started);
-            }
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        h.join().unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! Team barriers.
 //!
-//! One implementation: a sense-reversing combining tree whose shape is
+//! One implementation: a combining tree whose shape is
 //! derived from the team size and the machine [`Topology`], with bounded
 //! spinning before parking. SMT siblings combine at the leaves, cores
 //! combine into per-package subtrees, and package representatives meet at
@@ -17,37 +17,36 @@
 //!
 //! ## Scalability notes
 //!
-//! Arrival counters (every tree node) and the sense flag live in
-//! [`CachePadded`] cells so an arrival `fetch_add` never invalidates the
-//! line a late spinner is polling. Waiting is per-thread: each
-//! participant owns a [`ParkSlot`] and the releaser unparks only the slots
-//! whose owners actually blocked — threads still in their spin phase cost
-//! the releaser one uncontended atomic swap, and there is no shared mutex
-//! or `notify_all` herd anywhere on the path. Counter *reset* is part of
-//! the release edge: the releaser zeroes every counter and only then
-//! publishes the sense flip, so a next-episode arrival (which must first
-//! have observed the flip) can never read a stale count.
+//! Arrival counters (every tree node) live in [`CachePadded`] cells, apart
+//! from the one word waiters poll: the key of the barrier's
+//! [`EventCount`]. That key *is* the release. A thread arrives inside the
+//! first attempt of its wait, so the key `wait_until` read just before
+//! predates the arrival, and the only notify of the count is the one the
+//! last arrival makes once per episode. Every waiter leaves an episode by
+//! seeing that notify, so its next key read already includes it: the
+//! next move of the key is the next episode's release, and "the key
+//! moved" means "released". Counter *reset* is part of the release edge:
+//! the releaser zeroes every counter and only then notifies, so a
+//! next-episode arrival (which must first have seen the key move) can
+//! never read a stale count.
 //!
 //! A fork builds its team's barrier, so construction is on the fork path:
 //! everything it allocates is line-aligned (no small heap blocks left to
 //! share cache lines with other threads' scratch buffers), and the walk
 //! that shapes the tree needs no scratch storage at all.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ora_core::pad::CachePadded;
-use ora_core::park::ParkSlot;
+use ora_core::park::EventCount;
 
 use crate::topology::Topology;
 
 /// A reusable barrier for a fixed-size team.
 pub struct Barrier {
     size: usize,
-    /// Sense flag on its own line: written once per episode, polled by
-    /// every spinner — must not share a line with the arrival counter.
-    sense: CachePadded<AtomicBool>,
-    /// One parking spot per participant, each on its own line.
-    slots: Box<[CachePadded<ParkSlot>]>,
+    /// Notified once per episode, by the last arrival (module docs).
+    release: EventCount,
     tree: Tree,
 }
 
@@ -62,7 +61,7 @@ struct Tree {
     below: Vec<CachePadded<Node>>,
     /// tid → index of the node this thread arrives at, [`LEAVES_PER_LINE`]
     /// to a line; empty when `below` is (everyone arrives at the root).
-    /// Read-only after construction, so it stays off the slot lines the
+    /// Read-only after construction, so it stays off the lines the
     /// releaser writes every episode.
     leaf_of: Box<[LeafLine]>,
 }
@@ -111,10 +110,7 @@ impl Barrier {
         assert!(size >= 1, "barrier needs at least one participant");
         Barrier {
             size,
-            sense: CachePadded::new(AtomicBool::new(false)),
-            slots: (0..size)
-                .map(|_| CachePadded::new(ParkSlot::new()))
-                .collect(),
+            release: EventCount::new(size),
             tree: Tree::build(size, topo),
         }
     }
@@ -125,33 +121,30 @@ impl Barrier {
     }
 
     /// Wait until all `size` threads have called `wait` for this episode.
-    /// Reusable across episodes (sense reversal).
+    /// Reusable across episodes.
     pub fn wait(&self, tid: usize) {
         debug_assert!(tid < self.size);
         if self.size == 1 {
             return; // solo team: nothing to synchronize
         }
-        let local_sense = !self.sense.load(Ordering::Relaxed);
-        if self.tree.arrive(tid) {
-            // Reset *before* the sense flip so the reset is ordered into
-            // the release edge: a thread can only start the next episode
-            // after acquiring the flip, which makes these plain stores
-            // visible to it.
-            self.tree.reset();
-            self.sense.store(local_sense, Ordering::Release);
-            // Targeted wake: one swap per slot, a syscall only for owners
-            // that actually parked (ParkSlot reports PARKED state).
-            for (tid_other, slot) in self.slots.iter().enumerate() {
-                if tid_other != tid {
-                    slot.unpark();
+        // First attempt: arrive, and release if last. Any later attempt
+        // runs only after the key moved, which is the release.
+        let mut arrived = false;
+        self.release
+            .wait_until(tid, crate::spin::long_budget(), || {
+                if std::mem::replace(&mut arrived, true) {
+                    return Some(());
                 }
-            }
-        } else {
-            let sense = &self.sense;
-            self.slots[tid].wait(crate::spin::long_budget(), || {
-                sense.load(Ordering::Acquire) == local_sense
+                if !self.tree.arrive(tid) {
+                    return None;
+                }
+                // Reset *before* the notify so the reset is ordered into the
+                // release edge: a thread can only start the next episode after
+                // seeing the key move, which makes these plain stores visible.
+                self.tree.reset();
+                self.release.notify_all();
+                Some(())
             });
-        }
     }
 }
 
@@ -247,8 +240,7 @@ impl Tree {
 
     /// Climb from `tid`'s leaf; returns whether this thread is the last
     /// overall arrival (the releaser). Node counters are *not* reset
-    /// here; the releaser zeroes them all before publishing the sense
-    /// flip.
+    /// here; the releaser zeroes them all before its notify.
     fn arrive(&self, tid: usize) -> bool {
         let mut idx = match self.leaf_of.get(tid / LEAVES_PER_LINE) {
             Some(line) => line[tid % LEAVES_PER_LINE] as usize,
@@ -267,7 +259,7 @@ impl Tree {
         }
     }
 
-    /// Zero every arrival counter (the releaser, before the sense flip).
+    /// Zero every arrival counter (the releaser, before its notify).
     fn reset(&self) {
         for node in self.below.iter().chain([&self.root]) {
             node.count.store(0, Ordering::Relaxed);

@@ -334,16 +334,7 @@ impl<'a> ParCtx<'a> {
                     let wait_id = self.desc.ordered_wait_id.next();
                     let prev = self.desc.state.replace(ThreadState::OrderedWait);
                     self.fire(Event::ThreadBeginOrderedWait, wait_id);
-                    let budget = crate::spin::long_budget();
-                    let mut spins = 0u32;
-                    while !state.is_turn(i) {
-                        if spins < budget {
-                            spins += 1;
-                            std::hint::spin_loop();
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
+                    state.wait_turn(self.gtid, i);
                     self.desc.state.set(prev);
                     self.fire(Event::ThreadEndOrderedWait, wait_id);
                 }
@@ -537,14 +528,11 @@ impl<'a> ParCtx<'a> {
         self.team.tasks.push(task);
     }
 
-    /// Pop-and-run one eligible task, firing `TaskBegin`/`TaskEnd` with
-    /// the task's ID in the wait-ID field and keeping the state word at
-    /// `Working` for the duration. Returns whether a task ran.
-    pub(crate) fn run_one_task(&self) -> bool {
+    /// Run one popped task, firing `TaskBegin`/`TaskEnd` with the task's
+    /// ID in the wait-ID field and keeping the state word at `Working`
+    /// for the duration.
+    fn run_task(&self, task: crate::task::ErasedTask) {
         let pool = &self.team.tasks;
-        let Some(task) = pool.try_pop(self.gtid) else {
-            return false;
-        };
         let id = task.id();
         let prev = self.desc.state.replace(ThreadState::Working);
         self.fire(Event::TaskBegin, id);
@@ -552,15 +540,15 @@ impl<'a> ParCtx<'a> {
         self.fire(Event::TaskEnd, id);
         self.desc.state.set(prev);
         pool.complete();
-        true
     }
 
     /// Execute queued tasks until the team's task queue is quiescent —
     /// `#pragma omp taskwait` (with the stronger all-team-tasks semantics
     /// the implicit barrier needs). Fires the extension taskwait events
     /// and sets `THR_TSKWT_STATE` while waiting. A thread with no
-    /// eligible task parks against the pool's epoch instead of spinning,
-    /// leaving the core to whichever thread holds runnable work.
+    /// eligible task waits on the pool's event count instead of
+    /// spinning, leaving the core to whichever thread holds runnable
+    /// work.
     pub fn taskwait(&self) {
         let pool = &self.team.tasks;
         if pool.outstanding() == 0 {
@@ -569,21 +557,8 @@ impl<'a> ParCtx<'a> {
         let wait_id = self.desc.task_wait_id.next();
         let prev = self.desc.state.replace(ThreadState::TaskWait);
         self.fire(Event::TaskWaitBegin, wait_id);
-        loop {
-            // Sample the epoch *before* the pop attempt it guards: a push
-            // landing after a failed pop then moves the epoch past `seen`
-            // and the park returns at once. A key sampled after the
-            // attempt already includes that push, and the thread sleeps
-            // past queued work nobody will ring for.
-            let seen = pool.epoch();
-            if self.run_one_task() {
-                self.desc.state.set(ThreadState::TaskWait);
-                continue;
-            }
-            if pool.outstanding() == 0 {
-                break;
-            }
-            pool.park(self.gtid, seen);
+        while let Some(task) = pool.next_task(self.gtid) {
+            self.run_task(task);
         }
         self.desc.state.set(prev);
         self.fire(Event::TaskWaitEnd, wait_id);

@@ -9,7 +9,7 @@
 //! (paper §IV-D).
 
 use ora_core::pad::CachePadded;
-use ora_core::park::ParkSlot;
+use ora_core::park::EventCount;
 use ora_core::state::{StateCell, ThreadState, WaitId, WaitIdKind};
 
 /// Per-thread runtime bookkeeping: identity, current state, wait IDs.
@@ -23,10 +23,10 @@ pub struct ThreadDescriptor {
     /// of its owner while neighbours' words are read by state queries —
     /// padded so one thread's transitions never invalidate another's line.
     pub state: CachePadded<StateCell>,
-    /// This thread's parking spot for the fork/join doorbell: the worker
-    /// sleeps here between regions and `TeamSlot::publish` unparks only
-    /// the descriptors of threads in the new team.
-    pub park: CachePadded<ParkSlot>,
+    /// This thread's fork/join doorbell, a one-waiter event count: the
+    /// worker waits on it between regions, and publication notifies only
+    /// the doorbells of threads in the new team (or the leased worker).
+    pub doorbell: EventCount,
     /// Incremented each time this thread enters any (implicit or explicit)
     /// barrier.
     pub barrier_id: WaitId,
@@ -51,7 +51,7 @@ impl ThreadDescriptor {
         ThreadDescriptor {
             gtid,
             state: CachePadded::new(StateCell::new()),
-            park: CachePadded::new(ParkSlot::new()),
+            doorbell: EventCount::new(1),
             barrier_id: WaitId::new(),
             lock_wait_id: WaitId::new(),
             critical_wait_id: WaitId::new(),

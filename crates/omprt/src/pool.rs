@@ -10,16 +10,12 @@
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ora_core::event::Event;
 use ora_core::pad::CachePadded;
-#[cfg(test)]
-use std::sync::atomic::AtomicBool;
-
-#[cfg(test)]
-use ora_core::park::ParkSlot;
+use ora_core::park::EventCount;
 use ora_core::state::ThreadState;
 use psx::symtab::Ip;
 
@@ -78,8 +74,8 @@ pub(crate) struct Work {
 /// The master↔worker rendezvous: an epoch counter and the published work.
 ///
 /// Publication protocol: the master writes `work` and `team_size`, then
-/// increments `epoch` with release ordering and unparks the *participating*
-/// workers' [`ParkSlot`]s (see `Shared::publish` in `runtime.rs` — waking
+/// increments `epoch` with release ordering and rings the *participating*
+/// workers' doorbells (see `Shared::publish` in `runtime.rs` — waking
 /// lives with the descriptor table, not here). Workers acquire-load
 /// `epoch`; on a change they read `team_size` and — only if they
 /// participate (`gtid < team_size`) — the work cell. A participant cannot
@@ -87,8 +83,8 @@ pub(crate) struct Work {
 /// publication only happens after the previous region's end barrier, which
 /// every participant reaches after its last read. Non-participants never
 /// touch the cell, are not woken by publication at all, and may therefore
-/// observe epochs lagging arbitrarily behind — `wait_change` only compares
-/// for inequality, never for succession.
+/// observe epochs lagging arbitrarily behind — [`Served::next`] only
+/// compares for inequality, never for succession.
 pub(crate) struct TeamSlot {
     /// Bumped once per region by the master, polled by every spinning
     /// worker — padded so publication stores never contend with the
@@ -110,8 +106,8 @@ impl TeamSlot {
     }
 
     /// Publish a region's work (master only; callers serialize via the
-    /// runtime's fork lock). The caller is responsible for unparking the
-    /// participating workers *after* this returns.
+    /// runtime's fork lock). The caller is responsible for ringing the
+    /// participating workers' doorbells *after* this returns.
     pub(crate) fn publish(&self, work: Work) {
         let size = work.team.size;
         // Safety: no worker reads the cell between the previous region's
@@ -142,28 +138,6 @@ impl TeamSlot {
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
-
-    /// Block until the epoch differs from `last` or `shutdown` is set,
-    /// spinning (bounded, with backoff) before parking on `park` — the
-    /// calling worker's own descriptor slot. Returns the new epoch, or
-    /// `None` on shutdown. (`worker_main` inlines this predicate so it
-    /// can also watch the lease doorbell; this form pins the protocol in
-    /// isolation for the tests below.)
-    #[cfg(test)]
-    fn wait_change(&self, last: u64, shutdown: &AtomicBool, park: &ParkSlot) -> Option<u64> {
-        let epoch = &self.epoch;
-        park.wait(crate::spin::long_budget(), || {
-            epoch.load(Ordering::Acquire) != last || shutdown.load(Ordering::Relaxed)
-        });
-        let e = self.epoch.load(Ordering::Acquire);
-        if e != last {
-            // Work and shutdown can race; work wins so a final region
-            // published just before teardown still executes.
-            Some(e)
-        } else {
-            None
-        }
-    }
 }
 
 /// Per-worker sub-team lease channel.
@@ -174,15 +148,15 @@ impl TeamSlot {
 /// (workers whose gtid is outside the running top-level team are never
 /// woken by global publication, so they are exactly the idle capacity)
 /// and hands each its own `LeaseSlot`: the sub-team work, the worker's
-/// member ID inside the sub-team, and a doorbell epoch. The worker serves
+/// member ID inside the sub-team, and a publication epoch. The worker serves
 /// the lease under its *registered* descriptor — so it stays visible to
 /// state queries and health tooling mid-region — and frees itself back to
 /// the lease pool after the sub-team's closing barrier.
 ///
 /// Publication protocol mirrors [`TeamSlot`]: write the work cell and
-/// member ID, release-increment `epoch`, unpark the worker's descriptor
-/// slot. The cell is single-producer/single-consumer by construction —
-/// a worker is leased to at most one sub-team at a time (the allocator in
+/// member ID, release-increment `epoch`, ring the worker's doorbell. The
+/// cell is single-producer/single-consumer by construction — a worker is
+/// leased to at most one sub-team at a time (the allocator in
 /// `runtime.rs` guarantees it) and clears the cell when it takes the work.
 pub(crate) struct LeaseSlot {
     epoch: CachePadded<AtomicU64>,
@@ -202,7 +176,7 @@ impl LeaseSlot {
     }
 
     /// Publish a sub-team lease (nested master only; the worker must be
-    /// claimed from the lease pool first). Caller unparks the worker's
+    /// claimed from the lease pool first). Caller rings the worker's
     /// doorbell after this returns.
     pub(crate) fn publish(&self, work: Work, inner_gtid: usize) {
         // Safety: the worker is parked and unleased — nothing reads the
@@ -225,15 +199,78 @@ impl LeaseSlot {
     }
 }
 
+/// What ended a pooled worker's wait on its doorbell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    /// A nested sub-team leased this worker.
+    Lease,
+    /// A top-level region this worker participates in was published.
+    Region,
+    /// The runtime is shutting down.
+    Shutdown,
+}
+
+/// The publication epochs a worker has already served, and its doorbell
+/// wait.
+struct Served {
+    gtid: usize,
+    region: u64,
+    lease: u64,
+}
+
+impl Served {
+    fn new(gtid: usize) -> Self {
+        Served {
+            gtid,
+            region: 0,
+            lease: 0,
+        }
+    }
+
+    /// Sleeps on `doorbell` until [`Served::next`] has something to do.
+    fn wait(
+        &mut self,
+        doorbell: &EventCount,
+        slot: &TeamSlot,
+        lease: &LeaseSlot,
+        shutdown: &AtomicBool,
+    ) -> Wake {
+        doorbell.wait_until(0, crate::spin::long_budget(), || {
+            self.next(slot, lease, shutdown)
+        })
+    }
+
+    /// One attempt of the worker's doorbell wait: what to do next, or
+    /// `None` to keep sleeping. Leases come first — a leased worker is by
+    /// definition not in the current top-level team, so a pending global
+    /// epoch catch-up is a no-op for it anyway. Work of either kind wins
+    /// over a racing shutdown, so a region published just before
+    /// teardown still executes.
+    fn next(&mut self, slot: &TeamSlot, lease: &LeaseSlot, shutdown: &AtomicBool) -> Option<Wake> {
+        let lease_epoch = lease.epoch();
+        if lease_epoch != self.lease {
+            self.lease = lease_epoch;
+            return Some(Wake::Lease);
+        }
+        let epoch = slot.epoch();
+        if epoch != self.region {
+            self.region = epoch;
+            if self.gtid < slot.size() {
+                return Some(Wake::Region);
+            }
+            // Not in this region's team: stay idle.
+        }
+        shutdown.load(Ordering::Relaxed).then_some(Wake::Shutdown)
+    }
+}
+
 /// Body of a pool worker thread with global thread ID `gtid`.
 ///
-/// The worker sleeps on one doorbell (its descriptor's [`ParkSlot`]) but
+/// The worker sleeps on one doorbell (its descriptor's event count) but
 /// watches two work channels: the global [`TeamSlot`] for top-level
 /// regions it participates in, and its private [`LeaseSlot`] for nested
 /// sub-teams that leased it while it sat outside the running top-level
-/// team. Leases are checked first — a leased worker is by definition not
-/// in the current top-level team, so a pending global epoch catch-up is
-/// a no-op for it anyway.
+/// team ([`Served::next`]).
 pub(crate) fn worker_main(shared: Arc<Shared>, gtid: usize) {
     let desc = shared.descriptor(gtid);
     let lease = shared.lease_slot(gtid);
@@ -245,41 +282,12 @@ pub(crate) fn worker_main(shared: Arc<Shared>, gtid: usize) {
     desc.state.set(ThreadState::Idle);
     shared.fire(Event::ThreadBeginIdle, gtid, 0, 0, 0);
 
-    let mut last_epoch = 0u64;
-    let mut last_lease = 0u64;
+    let mut served = Served::new(gtid);
     loop {
-        {
-            let slot = &shared.slot;
-            let shutdown = &shared.shutdown;
-            let lease = &*lease;
-            desc.park.wait(crate::spin::long_budget(), || {
-                slot.epoch() != last_epoch
-                    || lease.epoch() != last_lease
-                    || shutdown.load(Ordering::Relaxed)
-            });
-        }
-
-        // Sub-team lease first; work of either kind wins over a racing
-        // shutdown so a region published just before teardown completes.
-        let lease_epoch = lease.epoch();
-        if lease_epoch != last_lease {
-            last_lease = lease_epoch;
-            serve_lease(&shared, &lease, gtid, &desc);
-            continue;
-        }
-
-        let epoch = shared.slot.epoch();
-        if epoch != last_epoch {
-            last_epoch = epoch;
-            if gtid >= shared.slot.size() {
-                continue; // not in this region's team; stay idle
-            }
-            serve_region(&shared, gtid, &desc);
-            continue;
-        }
-
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
+        match served.wait(&desc.doorbell, &shared.slot, &lease, &shared.shutdown) {
+            Wake::Lease => serve_lease(&shared, &lease, gtid, &desc),
+            Wake::Region => serve_region(&shared, gtid, &desc),
+            Wake::Shutdown => return,
         }
     }
 }
@@ -383,40 +391,63 @@ mod tests {
         assert_eq!(erased.data, erased2.data);
     }
 
+    fn region(size: usize) -> Work {
+        fn noop(_: &ParCtx<'_>) {}
+        Work {
+            team: Team::new(1, 0, size),
+            closure: ErasedClosure::new(&noop),
+            outlined: Ip(0),
+        }
+    }
+
     #[test]
     fn slot_epoch_and_doorbell() {
-        let slot = Arc::new(TeamSlot::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let park = Arc::new(ParkSlot::new());
-        let s2 = slot.clone();
-        let sd2 = shutdown.clone();
-        let p2 = park.clone();
-        let waiter = std::thread::spawn(move || s2.wait_change(0, &sd2, &p2));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let f = |_: &ParCtx<'_>| {};
-        slot.publish(Work {
-            team: Team::solo(1, 0),
-            closure: ErasedClosure::new(&f),
-            outlined: Ip(0),
+        let (slot, lease, shutdown) = (TeamSlot::new(), LeaseSlot::new(), AtomicBool::new(false));
+        let doorbell = EventCount::new(1);
+        let mut served = Served::new(1);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| served.wait(&doorbell, &slot, &lease, &shutdown));
+            slot.publish(region(2));
+            doorbell.notify_all(); // the caller-side ring `Shared::publish` does
+            assert_eq!(waiter.join().unwrap(), Wake::Region);
         });
-        park.unpark(); // the caller-side wake `publish` now delegates
-        assert_eq!(waiter.join().unwrap(), Some(1));
+        assert_eq!(served.region, 1, "the served epoch is remembered");
         slot.retire();
     }
 
     #[test]
     fn slot_shutdown_releases_waiters() {
-        let slot = Arc::new(TeamSlot::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let park = Arc::new(ParkSlot::new());
-        let s2 = slot.clone();
-        let sd2 = shutdown.clone();
-        let p2 = park.clone();
-        let waiter = std::thread::spawn(move || s2.wait_change(0, &sd2, &p2));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        shutdown.store(true, Ordering::Relaxed);
-        park.unpark();
-        assert_eq!(waiter.join().unwrap(), None);
+        let (slot, lease, shutdown) = (TeamSlot::new(), LeaseSlot::new(), AtomicBool::new(false));
+        let doorbell = EventCount::new(1);
+        let mut served = Served::new(1);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| served.wait(&doorbell, &slot, &lease, &shutdown));
+            shutdown.store(true, Ordering::SeqCst);
+            doorbell.notify_all();
+            assert_eq!(waiter.join().unwrap(), Wake::Shutdown);
+        });
+    }
+
+    /// A worker whose gtid is outside the new team sleeps through its
+    /// publication: `Shared::publish` rings only gtids `1..team_size`,
+    /// and even a ring (a lease's, a shutdown's) finds no region for it.
+    /// Work published before a shutdown still wins over it.
+    #[test]
+    fn publish_does_not_wake_nonparticipants() {
+        let (slot, lease, shutdown) = (TeamSlot::new(), LeaseSlot::new(), AtomicBool::new(false));
+        let mut outside = Served::new(2);
+        let mut inside = Served::new(1);
+        slot.publish(region(2));
+        assert_eq!(outside.next(&slot, &lease, &shutdown), None);
+        assert_eq!(outside.region, 1, "it caught up on the epoch anyway");
+        shutdown.store(true, Ordering::SeqCst);
+        assert_eq!(outside.next(&slot, &lease, &shutdown), Some(Wake::Shutdown));
+        assert_eq!(inside.next(&slot, &lease, &shutdown), Some(Wake::Region));
+        lease.publish(region(2), 1);
+        assert_eq!(outside.next(&slot, &lease, &shutdown), Some(Wake::Lease));
+        assert_eq!(outside.next(&slot, &lease, &shutdown), Some(Wake::Shutdown));
+        drop(lease.take());
+        slot.retire();
     }
 
     #[test]
@@ -432,7 +463,7 @@ mod tests {
             },
             3,
         );
-        assert_eq!(lease.epoch(), 1, "publish bumps the doorbell epoch");
+        assert_eq!(lease.epoch(), 1, "publish bumps the lease epoch");
         let (work, inner_gtid) = lease.take();
         assert_eq!(inner_gtid, 3);
         assert_eq!(work.outlined, Ip(42));
@@ -448,33 +479,5 @@ mod tests {
         assert_eq!(lease.epoch(), 2);
         let (_, inner_gtid) = lease.take();
         assert_eq!(inner_gtid, 1);
-    }
-
-    #[test]
-    fn publish_does_not_wake_nonparticipants() {
-        // A worker whose gtid is outside the new team must stay parked:
-        // the wake path walks only descriptors 1..team_size.
-        let slot = Arc::new(TeamSlot::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let park = Arc::new(ParkSlot::new());
-        let s2 = slot.clone();
-        let sd2 = shutdown.clone();
-        let p2 = park.clone();
-        let waiter = std::thread::spawn(move || s2.wait_change(0, &sd2, &p2));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let f = |_: &ParCtx<'_>| {};
-        slot.publish(Work {
-            team: Team::solo(1, 0),
-            closure: ErasedClosure::new(&f),
-            outlined: Ip(0),
-        });
-        // No unpark: the waiter (modelling a non-participant) stays
-        // blocked even though the epoch moved.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!waiter.is_finished(), "non-participant must not be woken");
-        shutdown.store(true, Ordering::Relaxed);
-        park.unpark();
-        waiter.join().unwrap();
-        slot.retire();
     }
 }

@@ -129,25 +129,25 @@ impl Shared {
             .clone()
     }
 
-    /// Publish a region's work and wake exactly the workers that
+    /// Publish a region's work and ring exactly the workers that
     /// participate in it (gtids `1..team_size`). Workers outside the team
-    /// are not woken at all — they stay parked on their descriptor slots
-    /// and catch up on the epoch whenever a team next includes them.
+    /// are not woken at all — they stay asleep on their doorbells and
+    /// catch up on the epoch whenever a team next includes them.
     pub(crate) fn publish(&self, work: Work) {
         let size = work.team.size;
         self.slot.publish(work);
         let descs = self.descriptors.read();
         for desc in descs.iter().take(size).skip(1) {
-            desc.park.unpark();
+            desc.doorbell.notify_all();
         }
     }
 
-    /// Wake every pool worker regardless of team membership (shutdown
+    /// Ring every pool worker regardless of team membership (shutdown
     /// path: all of them must observe the shutdown flag and exit).
     pub(crate) fn wake_all_workers(&self) {
         let descs = self.descriptors.read();
         for desc in descs.iter().skip(1) {
-            desc.park.unpark();
+            desc.doorbell.notify_all();
         }
     }
 
@@ -159,7 +159,7 @@ impl Shared {
     /// Publish sub-team work to a claimed worker and ring its doorbell.
     pub(crate) fn publish_lease(&self, gtid: usize, work: Work, inner_gtid: usize) {
         self.lease_slot(gtid).publish(work, inner_gtid);
-        self.descriptor(gtid).park.unpark();
+        self.descriptor(gtid).doorbell.notify_all();
     }
 
     /// Return a worker to the lease pool (the worker itself, after it has
@@ -545,11 +545,11 @@ impl OpenMp {
     ///
     /// Sub-team members come from the persistent pool: parked workers
     /// outside the running top-level team are leased (topology-compactly,
-    /// preferring the nested master's package) and woken through their
-    /// private [`LeaseSlot`] doorbells. The inner team is sized to what
-    /// was leased — `1 + leased`, which is `n` until the pool reaches
-    /// [`MAX_POOL`]; OpenMP permits delivering fewer threads than a
-    /// `parallel` construct requests.
+    /// preferring the nested master's package), handed work through their
+    /// private [`LeaseSlot`]s and woken by their doorbells. The inner team
+    /// is sized to what was leased — `1 + leased`, which is `n` until the
+    /// pool reaches [`MAX_POOL`]; OpenMP permits delivering fewer threads
+    /// than a `parallel` construct requests.
     fn nested_parallel<F: Fn(&ParCtx<'_>) + Sync>(&self, n: usize, region: &RegionHandle, f: &F) {
         let shared = &self.shared;
         let (outer_gtid, outer_desc, outer) =
@@ -738,7 +738,7 @@ impl OpenMp {
 impl Drop for OpenMp {
     fn drop(&mut self) {
         // The shutdown store must be visible to a worker woken by the
-        // unpark below (release via the slot swap / park edge).
+        // notify below (release via the doorbell's key bump).
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_all_workers();
         for handle in self.workers.lock().drain(..) {

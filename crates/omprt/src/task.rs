@@ -29,10 +29,9 @@
 //! Waiting threads ([`ParCtx::taskwait`], and the region-end drain the
 //! implicit barrier performs) execute tasks while they wait; when no
 //! eligible task exists but tasks are still outstanding elsewhere, they
-//! park on a per-thread [`ParkSlot`] against the pool's epoch counter
-//! instead of burning the timeslice the task-running thread needs. Every
-//! push bumps the epoch and rings the parked threads' doorbells; the
-//! last completion does the same so quiescence-waiters wake.
+//! wait on the pool's [`EventCount`] instead of burning the timeslice the
+//! task-running thread needs. Every push notifies it, and so does the
+//! completion that reaches quiescence.
 //!
 //! The ORA extension events `TaskBegin`/`TaskEnd` (whose wait-ID field
 //! carries the task's ID) and `TaskWaitBegin`/`TaskWaitEnd` plus the
@@ -41,13 +40,12 @@
 //! and park counts surface through `ApiHealth` after each region.
 //!
 //! [`ParCtx::taskwait`]: crate::context::ParCtx::taskwait
-//! [`ParkSlot`]: ora_core::park::ParkSlot
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use ora_core::pad::CachePadded;
-use ora_core::park::ParkSlot;
+use ora_core::park::EventCount;
 use ora_core::sync::Mutex;
 
 /// Per-thread deque capacity; spawns beyond it spill to the overflow
@@ -195,23 +193,15 @@ pub(crate) struct TaskPool {
     next_id: AtomicU64,
     /// Cheap flag so regions that never create tasks skip the drain.
     ever_used: AtomicBool,
-    /// Eventcount epoch: bumped by every push and by the completion that
-    /// reaches quiescence. Waiters sample it before deciding to park and
-    /// park against "epoch changed or quiescent".
-    epoch: AtomicU64,
-    /// Doorbells for task-starved threads, one per team thread.
-    waiters: Box<[CachePadded<ParkSlot>]>,
-    /// Bit `gtid` set ⇔ that thread is inside [`TaskPool::park`]
-    /// (threads ≥ 64 are woken unconditionally).
-    parked_mask: AtomicU64,
-    /// Number of threads inside [`TaskPool::park`] — the wake path's
-    /// one-load fast exit.
-    parked_count: AtomicUsize,
+    /// Notified by every push and by the completion that reaches
+    /// quiescence; task-starved waiters wait on it, one slot per thread.
+    signal: EventCount,
     /// Tasks executed by a thread other than their spawner.
     steals: AtomicU64,
     /// Spawns that spilled into the overflow queue.
     overflows: AtomicU64,
-    /// Park episodes in task waits (satellite of `ApiHealth`).
+    /// Waits in [`TaskPool::next_task`]: attempts that found nothing
+    /// eligible while tasks were outstanding (satellite of `ApiHealth`).
     parks: AtomicU64,
 }
 
@@ -231,13 +221,7 @@ impl TaskPool {
             outstanding: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             ever_used: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            waiters: (0..size)
-                .map(|_| CachePadded::new(ParkSlot::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            parked_mask: AtomicU64::new(0),
-            parked_count: AtomicUsize::new(0),
+            signal: EventCount::new(size),
             steals: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
             parks: AtomicU64::new(0),
@@ -245,8 +229,8 @@ impl TaskPool {
     }
 
     /// Queue a task on its owner's deque (spilling when full); returns
-    /// its ID. Wakes parked threads so stealable or owner-runnable work
-    /// never strands.
+    /// its ID. Notifies waiters so stealable or owner-runnable work never
+    /// strands.
     pub(crate) fn push(&self, mut task: ErasedTask) -> u64 {
         self.ever_used.store(true, Ordering::Relaxed);
         self.outstanding.fetch_add(1, Ordering::AcqRel);
@@ -263,10 +247,7 @@ impl TaskPool {
                 self.overflow.lock().push_back(task);
             }
         }
-        // Publish-then-wake: the epoch bump is the predicate parked
-        // threads re-check, so it must be visible before the doorbells.
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.wake_parked();
+        self.signal.notify_all();
         id
     }
 
@@ -310,11 +291,10 @@ impl TaskPool {
     }
 
     /// Mark one popped task finished; the completion reaching quiescence
-    /// rings every parked waiter (they wait for `outstanding == 0`).
+    /// notifies every waiter (they wait for `outstanding == 0`).
     pub(crate) fn complete(&self) {
         if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.epoch.fetch_add(1, Ordering::SeqCst);
-            self.wake_parked();
+            self.signal.notify_all();
         }
     }
 
@@ -328,45 +308,27 @@ impl TaskPool {
         self.ever_used.load(Ordering::Relaxed)
     }
 
-    /// Current eventcount epoch; sample before deciding to park.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+    /// The next task `gtid` may execute, or `None` once the pool is
+    /// quiescent. With nothing eligible but tasks still outstanding
+    /// elsewhere, waits on the pool's event count (spin-free on
+    /// single-core hosts, `crate::spin`).
+    pub(crate) fn next_task(&self, gtid: usize) -> Option<ErasedTask> {
+        self.signal
+            .wait_until(gtid, crate::spin::short_budget(), || self.attempt(gtid))
     }
 
-    /// Park `gtid` until the epoch moves past `seen` or the pool goes
-    /// quiescent. Spin-free on single-core hosts (`crate::spin`); every
-    /// episode is counted for `ApiHealth`.
-    pub(crate) fn park(&self, gtid: usize, seen: u64) {
-        let slot = gtid.min(self.waiters.len() - 1);
+    /// One attempt of [`TaskPool::next_task`]: a task, "done" when
+    /// quiescent, or `None` to wait. Every wait is counted for
+    /// `ApiHealth`.
+    fn attempt(&self, gtid: usize) -> Option<Option<ErasedTask>> {
+        if let Some(task) = self.try_pop(gtid) {
+            return Some(Some(task));
+        }
+        if self.outstanding() == 0 {
+            return Some(None);
+        }
         self.parks.fetch_add(1, Ordering::Relaxed);
-        self.parked_count.fetch_add(1, Ordering::SeqCst);
-        if slot < 64 {
-            self.parked_mask.fetch_or(1 << slot, Ordering::SeqCst);
-        }
-        self.waiters[slot].wait(crate::spin::short_budget(), || {
-            self.epoch.load(Ordering::SeqCst) != seen
-                || self.outstanding.load(Ordering::SeqCst) == 0
-        });
-        if slot < 64 {
-            self.parked_mask.fetch_and(!(1 << slot), Ordering::SeqCst);
-        }
-        self.parked_count.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Ring the doorbell of every thread currently in [`TaskPool::park`].
-    /// One relaxed-ish load when nobody is parked; a stale unpark token
-    /// at worst makes one future wait return spuriously (the wait
-    /// predicate is always re-checked).
-    fn wake_parked(&self) {
-        if self.parked_count.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let mask = self.parked_mask.load(Ordering::SeqCst);
-        for (i, slot) in self.waiters.iter().enumerate() {
-            if i >= 64 || mask & (1 << i) != 0 {
-                slot.unpark();
-            }
-        }
+        None
     }
 
     /// Drain the scheduler counters (steals, overflows, parks) — called
@@ -383,7 +345,10 @@ impl TaskPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
     use std::sync::Arc;
+    use std::thread;
+    use std::time::Duration;
 
     fn tied<F: FnOnce() + Send + 'static>(owner: usize, f: F) -> ErasedTask {
         unsafe { ErasedTask::new(TaskKind::Tied, owner, move |_| f()) }
@@ -508,27 +473,79 @@ mod tests {
         assert_eq!(pool.outstanding(), 0);
     }
 
-    #[test]
-    fn park_returns_on_push_and_on_quiescence() {
-        let pool = Arc::new(TaskPool::new(2));
-        // Quiescence: outstanding == 0 makes park a no-op.
-        let epoch = pool.epoch();
-        pool.park(1, epoch);
+    fn run_and_complete(pool: &TaskPool, task: ErasedTask) {
+        task.run(&TaskScope::new(pool, 0));
+        pool.complete();
+    }
 
-        // Push: a parked thread is woken by new work.
-        let pool2 = pool.clone();
-        let waiter = std::thread::spawn(move || {
-            let seen = pool2.epoch();
-            if pool2.outstanding() == 0 || pool2.try_pop(1).is_some() {
-                return;
-            }
-            pool2.park(1, seen);
+    #[test]
+    fn next_task_returns_on_push_and_on_quiescence() {
+        let pool = TaskPool::new(2);
+        assert!(pool.next_task(1).is_none(), "a quiescent pool is done");
+
+        // Thread 0's tied task keeps the pool busy but gives thread 1
+        // nothing to run: it waits until a push it may run arrives...
+        pool.push(tied(0, || {}));
+        let stolen = thread::scope(|s| {
+            let waiter = s.spawn(|| pool.next_task(1));
+            pool.push(untied(0, || {}));
+            waiter.join().unwrap().expect("the untied push")
         });
-        pool.push(untied(0, || {}));
-        waiter.join().unwrap();
+        assert_eq!(stolen.id(), 2);
+        run_and_complete(&pool, stolen);
+
+        // ...and until the completion that reaches quiescence.
+        thread::scope(|s| {
+            let waiter = s.spawn(|| pool.next_task(1).map(|t| t.id()));
+            let own = pool.try_pop(0).expect("thread 0 runs its tied task");
+            run_and_complete(&pool, own);
+            assert_eq!(waiter.join().unwrap(), None);
+        });
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// ROADMAP item 1's lost wakeup at `TaskPool` level, forced with no
+    /// timing: the attempt's own first failing call pushes a task the
+    /// waiter may run, after its pop missed it and before it decides to
+    /// wait. The wait must take that task on the next attempt. A wake key
+    /// sampled after the attempt would already include the push and
+    /// sleep past it; the watchdog then notifies after a bounded time and
+    /// records that it had to.
+    #[test]
+    fn a_push_racing_the_failed_pop_is_never_lost() {
+        let pool = TaskPool::new(2);
+        pool.push(tied(0, || {})); // outstanding, but not thread 1's
+        let rescued = AtomicBool::new(false);
+        let (done, finished) = channel::<()>();
+        let mut pushed = None;
+        let got = thread::scope(|s| {
+            let (pool, rescued) = (&pool, &rescued);
+            s.spawn(move || {
+                if finished.recv_timeout(Duration::from_secs(2)).is_err() {
+                    rescued.store(true, Ordering::SeqCst);
+                    pool.signal.notify_all();
+                }
+            });
+            let got = pool.signal.wait_until(1, 0, || {
+                let got = pool.attempt(1);
+                if got.is_none() && pushed.is_none() {
+                    pushed = Some(pool.push(untied(0, || {})));
+                }
+                got
+            });
+            let _ = done.send(()); // the watchdog is gone if it rescued
+            got
+        });
+        assert!(
+            !rescued.load(Ordering::SeqCst),
+            "taskwait slept past a push that raced its failed pop"
+        );
+        let task = got.expect("the pushed task, not quiescence");
+        assert_eq!(Some(task.id()), pushed);
+        run_and_complete(&pool, task);
         drain(&pool, 0);
         let (_, _, parks) = pool.take_stats();
-        assert!(parks >= 1, "park episodes are counted");
+        assert_eq!(parks, 1, "exactly the one failed attempt waited");
     }
 
     #[test]

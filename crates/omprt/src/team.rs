@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ora_core::pad::CachePadded;
+use ora_core::park::EventCount;
 use ora_core::sync::Mutex;
 
 use crate::barrier::Barrier;
@@ -25,13 +26,15 @@ use crate::schedule::Schedule;
 use crate::task::TaskPool;
 use crate::wordlock::WordLock;
 
-/// Turn counter of one ordered loop.
+/// Turn counter of one ordered loop, shared by the team.
 #[derive(Debug)]
 pub struct OrderedState {
-    /// Spun on by every out-of-turn thread while the turn holder stores —
-    /// padded so turn-passing never false-shares with the slot map around
-    /// it.
+    /// Read by every out-of-turn thread's attempt while the turn holder
+    /// stores — padded so turn-passing never false-shares with the slot
+    /// map around it.
     turn: CachePadded<AtomicI64>,
+    /// Notified on every turn pass; out-of-turn threads wait on it.
+    passed: EventCount,
 }
 
 impl OrderedState {
@@ -41,10 +44,18 @@ impl OrderedState {
         self.turn.load(Ordering::Acquire) == iter
     }
 
+    /// Block team thread `tid` until it is iteration `iter`'s turn.
+    pub fn wait_turn(&self, tid: usize, iter: i64) {
+        self.passed.wait_until(tid, crate::spin::long_budget(), || {
+            self.is_turn(iter).then_some(())
+        });
+    }
+
     /// Pass the turn to `next` after finishing an ordered body.
     #[inline]
     pub fn advance(&self, next: i64) {
         self.turn.store(next, Ordering::Release);
+        self.passed.notify_all();
     }
 }
 
@@ -168,6 +179,7 @@ impl Team {
             .or_insert_with(|| LoopSlot {
                 state: Arc::new(OrderedState {
                     turn: CachePadded::new(AtomicI64::new(first_iter)),
+                    passed: EventCount::new(self.size),
                 }),
                 finished: 0,
             })

@@ -1,8 +1,8 @@
-//! Seeded stress tests for the synchronization core: the per-thread
-//! parking layer under oversubscription (teams much larger than the
-//! host's core count), many-episode barrier reuse (the tree-node reset
-//! edge), and runtime shutdown racing workers that are just entering
-//! their parked state.
+//! Seeded stress tests for the synchronization core: the runtime's one
+//! wait primitive (`EventCount`) under oversubscription (teams much
+//! larger than the host's core count), many-episode barrier reuse (the
+//! tree-node reset edge), and runtime shutdown racing workers that are
+//! just entering their parked state.
 //!
 //! Deterministic given a seed; the default sweep runs under
 //! `scripts/stress.sh`. Set `ORA_FAULT_SEED` to replay a specific seed.
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use omprt::{Barrier, Config, OpenMp, Schedule, Topology};
-use ora_core::park::ParkSlot;
+use ora_core::park::EventCount;
 use ora_core::testutil::XorShift64;
 
 fn seed() -> u64 {
@@ -117,65 +117,56 @@ fn barrier_oversubscribed_64_threads_across_topologies() {
     }
 }
 
-/// Raw parking layer under oversubscription: one producer hammers N
-/// consumer slots (far more than cores) with seeded jitter on both
-/// sides. A missed wakeup hangs the test; a lost count fails it.
+/// The wait primitive under oversubscription: 12 waiters (far more than
+/// cores) on one event count, one notifier, seeded jitter on both sides.
+/// A missed wakeup hangs the test; a lost count fails it.
 #[test]
-fn park_unpark_oversubscribed_hammer() {
-    const CONSUMERS: usize = 12;
+fn event_count_oversubscribed_hammer() {
+    const WAITERS: usize = 12;
     const ROUNDS: u64 = 400;
     let base_seed = seed();
-    let slots: Arc<Vec<ParkSlot>> = Arc::new((0..CONSUMERS).map(|_| ParkSlot::new()).collect());
-    let level = Arc::new(AtomicU64::new(0));
-
-    let consumers: Vec<_> = (0..CONSUMERS)
-        .map(|i| {
-            let slots = slots.clone();
-            let level = level.clone();
-            std::thread::spawn(move || {
-                let mut rng = XorShift64::new(base_seed ^ ((i as u64 + 1) * 0x9e37_79b9));
+    let count = EventCount::new(WAITERS);
+    let level = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for who in 0..WAITERS {
+            let (count, level) = (&count, &level);
+            s.spawn(move || {
+                let mut rng = XorShift64::new(base_seed ^ ((who as u64 + 1) * 0x9e37_79b9));
                 for target in 1..=ROUNDS {
                     jitter(&mut rng);
-                    slots[i].wait(0, || level.load(Ordering::SeqCst) >= target);
+                    count.wait_until(who, 0, || {
+                        (level.load(Ordering::SeqCst) >= target).then_some(())
+                    });
                 }
-            })
-        })
-        .collect();
-
-    let mut rng = XorShift64::new(base_seed ^ 0xdead_beef);
-    for _ in 0..ROUNDS {
-        jitter(&mut rng);
-        level.fetch_add(1, Ordering::SeqCst);
-        for slot in slots.iter() {
-            slot.unpark();
+            });
         }
-    }
-    for c in consumers {
-        c.join().unwrap();
-    }
+        let mut rng = XorShift64::new(base_seed ^ 0xdead_beef);
+        for _ in 0..ROUNDS {
+            jitter(&mut rng);
+            level.fetch_add(1, Ordering::SeqCst);
+            count.notify_all();
+        }
+    });
     assert_eq!(level.load(Ordering::SeqCst), ROUNDS);
 }
 
-/// Unparks racing the transition *into* the parked state: the releaser
-/// flips the flag and unparks while the waiter is somewhere between its
-/// predicate check and `thread::park`. Every iteration must terminate —
-/// the Dekker swap protocol forbids the missed-wakeup interleaving.
+/// A notify racing a waiter's registration: the notifier flips the flag
+/// and notifies while the waiter is anywhere between its attempt and
+/// parking, over 200 seeded rounds. Every round must terminate;
+/// the park protocol forbids the missed-wakeup interleaving.
 #[test]
-fn unpark_racing_park_entry_never_loses_the_wake() {
+fn notify_racing_registration_never_loses_the_wake() {
     let base_seed = seed();
     for round in 0..200u64 {
-        let slot = Arc::new(ParkSlot::new());
-        let flag = Arc::new(AtomicBool::new(false));
-        let waiter = {
-            let slot = slot.clone();
-            let flag = flag.clone();
-            std::thread::spawn(move || slot.wait(0, || flag.load(Ordering::SeqCst)))
-        };
-        let mut rng = XorShift64::new(base_seed ^ round);
-        jitter(&mut rng);
-        flag.store(true, Ordering::SeqCst);
-        slot.unpark();
-        waiter.join().unwrap();
+        let count = EventCount::new(1);
+        let flag = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| count.wait_until(0, 0, || flag.load(Ordering::SeqCst).then_some(())));
+            let mut rng = XorShift64::new(base_seed ^ round);
+            jitter(&mut rng);
+            flag.store(true, Ordering::SeqCst);
+            count.notify_all();
+        });
     }
 }
 

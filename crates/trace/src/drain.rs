@@ -21,6 +21,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -208,7 +209,8 @@ impl<S: TraceSink> DrainState<S> {
 /// An active recording: rings + supervised drainer thread + sink.
 pub struct Recorder<S: TraceSink + 'static> {
     rings: Arc<RingSet>,
-    stop: Arc<AtomicBool>,
+    /// Dropping or sending on it stops the drainer at once.
+    stop: Sender<()>,
     supervisor: Arc<Supervisor>,
     drainer: Option<JoinHandle<Result<DrainState<S>, TraceError>>>,
     max_chunk_records: usize,
@@ -229,7 +231,7 @@ impl<S: TraceSink + 'static> Recorder<S> {
         format::encode_header(&mut header);
         sink.write_all(&header)?;
 
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel();
         let supervisor = Arc::new(Supervisor::new());
         let mut state = DrainState {
             sink,
@@ -241,7 +243,6 @@ impl<S: TraceSink + 'static> Recorder<S> {
         };
         let drainer = {
             let rings = rings.clone();
-            let stop = stop.clone();
             let sup = supervisor.clone();
             let epoch = config.epoch;
             let max = config.max_chunk_records;
@@ -253,8 +254,7 @@ impl<S: TraceSink + 'static> Recorder<S> {
                     // recording instead of silently orphaning the rings.
                     let outcome =
                         panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), TraceError> {
-                            while !stop.load(Ordering::Acquire) {
-                                std::thread::park_timeout(epoch);
+                            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(epoch) {
                                 state.sweep(&rings, max)?;
                                 sup.heartbeats.fetch_add(1, Ordering::Relaxed);
                                 sup.drained.store(state.total_drained(), Ordering::Relaxed);
@@ -315,8 +315,7 @@ impl<S: TraceSink + 'static> Recorder<S> {
     /// never panics on behalf of the drainer.
     pub fn finish(mut self) -> Result<(S, RecordingStats), TraceError> {
         let drainer = self.drainer.take().expect("finish called once");
-        self.stop.store(true, Ordering::Release);
-        drainer.thread().unpark();
+        let _ = self.stop.send(());
         let joined = drainer.join();
         // Whatever happened, the consumer is gone from here on: stragglers
         // still recording (e.g. worker threads racing shutdown) must not
@@ -426,8 +425,7 @@ impl<S: TraceSink + 'static> Drop for Recorder<S> {
     fn drop(&mut self) {
         // `finish` not called: stop the thread and discard the trace.
         if let Some(drainer) = self.drainer.take() {
-            self.stop.store(true, Ordering::Release);
-            drainer.thread().unpark();
+            let _ = self.stop.send(());
             let _ = drainer.join();
             self.rings.set_shutdown();
         }

@@ -50,25 +50,43 @@ for seed in "${seeds[@]}"; do
   run_seeded "$seed" -p ora-bench --test fault_isolation
 done
 
-# The barrier -> taskwait lost wakeup (ROADMAP item 1): the in-process
-# reproducer in 200 fresh processes, each under `timeout 5`, so a hang
-# outside the test's own watchdog still fails the sweep instead of
-# stalling it.
-echo "== stress: barrier -> taskwait wakeup, 200 processes =="
-tasking="$(cargo test -q --release --offline -p omprt --test tasking --no-run \
-  --message-format=json | grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"
-failed=0
-for _ in $(seq 200); do
-  if ! timeout 5 "$tasking" -q --exact \
-      barrier_then_taskwait_does_not_lose_the_wakeup >/dev/null 2>&1; then
-    failed=$((failed + 1))
+# The lost-wakeup reproducers, each in 200 fresh processes under
+# `timeout 5`, so a hang outside a test's own watchdog still fails the
+# sweep instead of stalling it: the barrier -> taskwait region (ROADMAP
+# item 1), the two forced key-after-attempt interleavings (EventCount
+# and TaskPool), and notify racing a waiter's registration.
+echo "== stress: lost-wakeup reproducers, 200 processes each =="
+test_bin() {
+  cargo test -q --release --offline "$@" --no-run --message-format=json \
+    | grep -o '"executable":"[^"]*"' | cut -d'"' -f4
+}
+reproducers=(
+  "$(test_bin -p omprt --test tasking) barrier_then_taskwait_does_not_lose_the_wakeup"
+  "$(test_bin -p ora-core --lib) park::tests::a_notify_racing_the_failed_attempt_is_never_lost"
+  "$(test_bin -p omprt --lib) task::tests::a_push_racing_the_failed_pop_is_never_lost"
+  "$(test_bin -p omprt --test sync_stress) notify_racing_registration_never_loses_the_wake"
+)
+for entry in "${reproducers[@]}"; do
+  read -r bin name <<<"$entry"
+  # A filter that matches nothing would pass 200 times without testing.
+  if ! "$bin" --exact "$name" --list 2>/dev/null | grep -q ': test$'; then
+    echo "stress: no test named $name in $bin" >&2
+    echo "missing reproducer $name" >> stress-failures/failed-seeds.txt
+    status=1
+    continue
+  fi
+  failed=0
+  for _ in $(seq 200); do
+    if ! timeout 5 "$bin" -q --exact "$name" >/dev/null 2>&1; then
+      failed=$((failed + 1))
+    fi
+  done
+  if (( failed > 0 )); then
+    echo "stress: $name failed in $failed of 200 processes" >&2
+    echo "$name ($failed/200)" >> stress-failures/failed-seeds.txt
+    status=1
   fi
 done
-if (( failed > 0 )); then
-  echo "stress: barrier -> taskwait reproducer failed in $failed of 200 processes" >&2
-  echo "tasking barrier_then_taskwait ($failed/200)" >> stress-failures/failed-seeds.txt
-  status=1
-fi
 
 # Oracle-differential fuzz sweep: one block of generated scenarios per
 # stress seed (seed s covers generator seeds s*100 .. s*100+25), diffed
@@ -86,17 +104,17 @@ for seed in "${seeds[@]}"; do
 done
 
 # Nested-team topology sweep: real nested forks (pooled sub-team
-# leasing, level/parent chains, leased-worker state visibility) and the
-# topology-shaped barrier exercised under several injected machine
-# shapes — the 2x4x2 reference box, a single-package SMT-less box, and
-# a package-per-core box — plus the curated nested-team fuzz cases
-# replayed under each shape.
+# leasing, level/parent chains, leased-worker state visibility), the
+# task pool's waits and the topology-shaped barrier exercised under
+# several injected machine shapes — the 2x4x2 reference box, a
+# single-package SMT-less box, and a package-per-core box — plus the
+# curated nested-team fuzz cases replayed under each shape.
 echo "== stress: nested-team topology sweep =="
 for shape in 2x4x2 1x8x1 8x1x1; do
   if ! OMP_ORA_TOPOLOGY="$shape" cargo test -q --offline -p omprt \
-      --test nested --test nested_pool_cap --test sync_stress; then
-    echo "stress: nested/sync tests FAILED under OMP_ORA_TOPOLOGY=$shape" >&2
-    echo "OMP_ORA_TOPOLOGY=$shape nested+sync_stress" >> stress-failures/failed-seeds.txt
+      --test nested --test nested_pool_cap --test sync_stress --test task_stress; then
+    echo "stress: nested/sync/task tests FAILED under OMP_ORA_TOPOLOGY=$shape" >&2
+    echo "OMP_ORA_TOPOLOGY=$shape nested+sync_stress+task_stress" >> stress-failures/failed-seeds.txt
     status=1
   fi
   for case in tests/fuzz_cases/nested_*.case; do

@@ -17,6 +17,14 @@ if ! cargo fmt --version >/dev/null 2>&1; then
 fi
 
 cargo fmt --all --check
+# One wait primitive: every sleep/wake in the crates goes through
+# `ora_core::park::EventCount`. Its parking slot and the raw
+# `thread::park` call live in park.rs alone, so a private copy of the
+# protocol cannot come back anywhere else.
+if grep -rn -e 'ParkSlot' -e 'thread::park' crates/ | grep -v '^crates/core/src/park.rs:'; then
+  echo "tier1: ParkSlot / thread::park outside crates/core/src/park.rs — wait on an EventCount" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
