@@ -289,18 +289,52 @@ impl Ring {
     }
 
     /// Drain up to `max` records into `out`. Returns how many were popped.
+    ///
+    /// One claim per batch, not per record: count the committed run from
+    /// the dequeue cursor forward, claim all of it with a single CAS on
+    /// `dequeue`, then copy and release each slot. A drop-oldest
+    /// producer's [`Ring::try_pop`] racing the claim moves the cursor and
+    /// fails the CAS, and the scan starts again from the new cursor. The
+    /// cursor only grows, so a successful CAS proves nobody claimed any
+    /// position of the run in between (no ABA).
     pub fn drain_into(&self, out: &mut Vec<RawRecord>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_pop() {
-                Some(rec) => {
-                    out.push(rec);
-                    n += 1;
-                }
-                None => break,
+        let limit = max.min(self.slots.len()) as u64;
+        loop {
+            let start = self.dequeue.load(Ordering::Relaxed);
+            // Acquire on each committed seq orders that slot's record
+            // before the copy below.
+            let mut n = 0u64;
+            while n < limit
+                && self.slots[((start + n) & self.mask) as usize]
+                    .seq
+                    .load(Ordering::Acquire)
+                    == start + n + 1
+            {
+                n += 1;
             }
+            if n == 0 {
+                return 0;
+            }
+            // Relaxed, as in `try_pop`: the claim publishes no data. The
+            // records travel through the slot seqs' release/acquire pairs.
+            if self
+                .dequeue
+                .compare_exchange(start, start + n, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+            {
+                continue;
+            }
+            out.extend((start..start + n).map(|pos| {
+                let slot = &self.slots[(pos & self.mask) as usize];
+                // SAFETY: the CAS gave us exclusive read access to every
+                // position of the run until its release store below.
+                let rec = unsafe { *slot.rec.get() };
+                // Mark the slot free for the producer one lap on.
+                slot.seq.store(pos + self.mask + 1, Ordering::Release);
+                rec
+            }));
+            return n as usize;
         }
-        n
     }
 
     /// Snapshot of this ring's counters.

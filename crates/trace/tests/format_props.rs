@@ -209,6 +209,78 @@ fn footer_round_trips_and_rejects_corruption() {
     }
 }
 
+/// Bit-at-a-time IEEE CRC-32, independent of the crate's `crc32`, so
+/// the golden values below do not lean on the code they pin.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// `(length, bitwise CRC-32)` of an encoding.
+fn fingerprint(bytes: &[u8]) -> (usize, u32) {
+    (bytes.len(), crc32_bitwise(bytes))
+}
+
+/// The encoder's bytes are the file format: a seeded stream encoded as
+/// chunks of 1, 4 096 and an odd count, and a whole `Recorder` trace
+/// over three lanes (one of them split at `max_chunk_records`), must
+/// reproduce the lengths and CRCs the format had when they were pinned.
+/// A faster encoder that changes one byte breaks old traces and fails
+/// here.
+#[test]
+fn encodings_reproduce_the_golden_bytes() {
+    let mut rng = XorShift64::new(0x601d_0001);
+    let (mut tick, mut seq) = (rng.next_u64() >> 2, rng.below(1 << 30));
+    let stream: Vec<RawRecord> = (0..1 + 4_096 + 1_537)
+        .map(|_| arb_record(&mut rng, &mut tick, &mut seq))
+        .collect();
+    let (one, rest) = stream.split_at(1);
+    let (full, odd) = rest.split_at(4_096);
+    let mut got = Vec::new();
+    for (lane, batch) in [(0, one), (5, full), (63, odd)] {
+        let mut buf = vec![0xa5; 3]; // the chunk lands after existing bytes
+        encode_chunk(&mut buf, 3, lane, batch);
+        got.push(fingerprint(&buf[3..]));
+    }
+    assert_eq!(got, GOLDEN_CHUNKS);
+
+    let cfg = TraceConfig {
+        lanes: 3,
+        capacity_per_lane: 1 << 13,
+        epoch: std::time::Duration::from_secs(3600), // only the final sweep
+        ..TraceConfig::default()
+    };
+    let recorder = Recorder::start(cfg, MemorySink::new()).unwrap();
+    let rings = recorder.rings();
+    let mut rng = XorShift64::new(0x601d_0002);
+    let (mut tick, mut seq) = (1u64 << 40, 0u64);
+    for _ in 0..12_000 {
+        let mut rec = arb_record(&mut rng, &mut tick, &mut seq);
+        rec.gtid = rng.below(5) as u32;
+        rings.record(rec);
+    }
+    let (sink, stats) = recorder.finish().unwrap();
+    assert_eq!(stats.dropped(), 0);
+    assert_eq!(fingerprint(&sink.into_bytes()), GOLDEN_TRACE);
+}
+
+const GOLDEN_CHUNKS: [(usize, u32); 3] = [
+    (30, 0x5154_b71c),
+    (73_217, 0x6308_4206),
+    (27_564, 0x3a19_cad6),
+];
+const GOLDEN_TRACE: (usize, u32) = (219_843, 0x7d03_2b42);
+
 /// End-to-end accounting: for every policy and random load shape, the
 /// footer proves `written - persisted == dropped` (drop-newest) or
 /// admits-all eviction accounting (drop-oldest), i.e. the drop counters

@@ -13,7 +13,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ora_trace::{DropPolicy, MemorySink, RawRecord, Recorder, RingSet, TraceConfig, TraceReader};
+use ora_trace::{
+    DropPolicy, MemorySink, RawRecord, Recorder, Ring, RingSet, TraceConfig, TraceReader,
+};
 
 const RECORDS_PER_THREAD: u64 = 4_000;
 
@@ -101,6 +103,98 @@ fn drop_oldest_accounts_for_every_record() {
         reader.records().unwrap().len() as u64,
         reader.record_count()
     );
+}
+
+/// The batch drain claims a whole run with one CAS on the dequeue
+/// cursor, while drop-oldest producers reclaim single slots through
+/// `try_pop` on the same cursor. Four such producers on one small lane
+/// race a thread draining in a loop. Every record must come out once:
+/// each producer's drained `seq`s strictly increase (nothing drained
+/// twice or out of order) and `drained + dropped_oldest == written`. A
+/// claim that skips the CAS hands one position to both sides and fails
+/// this, or corrupts the slot sequences so a producer spins forever,
+/// which the watchdog turns into a failure.
+#[test]
+fn batch_drain_races_drop_oldest_reclaim() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+
+    const PRODUCERS: u64 = 4;
+    const PER_PRODUCER: u64 = 50_000;
+    for capacity in [64, 256] {
+        let ring = Arc::new(Ring::new(capacity));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (done, finished) = channel();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|t| {
+                let (ring, done) = (ring.clone(), done.clone());
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        let rec = RawRecord {
+                            tick: i,
+                            gtid: t as u32,
+                            event: 1,
+                            ..RawRecord::default()
+                        };
+                        ring.record(rec, DropPolicy::Oldest);
+                        if i % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    let _ = done.send(());
+                })
+            })
+            .collect();
+        let drainer = {
+            let (ring, stop) = (ring.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut got = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    if ring.drain_into(&mut got, capacity) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                got
+            })
+        };
+        for p in 0..PRODUCERS {
+            match finished.recv_timeout(Duration::from_secs(10)) {
+                Ok(()) => {}
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("capacity {capacity}: producer {p} of {PRODUCERS} hung")
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        for h in producers {
+            h.join().expect("a producer panicked");
+        }
+        stop.store(true, Ordering::Release);
+        let mut got = drainer.join().expect("the drainer panicked");
+        ring.drain_into(&mut got, capacity);
+
+        // Producers take their seqs before they race for a slot, so only
+        // each producer's own seqs are in ring order.
+        let mut last_seq = [None; PRODUCERS as usize];
+        for r in &got {
+            let last = &mut last_seq[r.gtid as usize];
+            if let Some(prev) = last.replace(r.seq) {
+                assert!(
+                    prev < r.seq,
+                    "capacity {capacity}: producer {} seq {} drained after {prev}",
+                    r.gtid,
+                    r.seq
+                );
+            }
+        }
+        let stats = ring.stats();
+        assert_eq!(stats.written, PRODUCERS * PER_PRODUCER);
+        assert_eq!(
+            got.len() as u64 + stats.dropped_oldest,
+            stats.written,
+            "capacity {capacity}: drained + dropped_oldest != written"
+        );
+    }
 }
 
 /// Whatever the policy, each thread's surviving records keep their
