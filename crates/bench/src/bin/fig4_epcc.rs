@@ -69,7 +69,7 @@ fn main() {
             } else {
                 0.0
             };
-            row.push(fmt_pct(pct.max(0.0)));
+            row.push(fmt_pct(pct));
         }
         println!(
             "  measured {:<12} ({} thread counts)",

@@ -37,7 +37,7 @@ fn main() {
                 std::hint::black_box(kernel.run(rt, class));
             })
             .unwrap();
-            row.push(fmt_pct(result.overhead_pct().max(0.0)));
+            row.push(fmt_pct(result.overhead_pct()));
         }
         println!(
             "  measured {:<6} ({} region calls at {class:?})",

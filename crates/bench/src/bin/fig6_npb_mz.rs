@@ -40,8 +40,7 @@ fn main() {
                         .wall_secs,
                 );
             }
-            let pct = ((collected - base) / base * 100.0).max(0.0);
-            row.push(fmt_pct(pct));
+            row.push(fmt_pct((collected - base) / base * 100.0));
         }
         println!(
             "  measured {:<6} (max {} region calls/process at {class:?})",

@@ -10,22 +10,19 @@
 //! | `table1_regions` | Table I    | parallel-region counts, measured via fork events |
 //! | `table2_mz`      | Table II   | per-process region calls, computed + measured |
 //! | `breakdown`      | §V-B       | measurement vs communication overhead split |
+//! | `epcc_sync`      | Fig. 4 data | EPCC µs per directive + schedbench sweep |
 //!
-//! All binaries accept `--scale smoke|quick|paper` (default `quick`).
-//! Overhead is *judged* by the repository's one benchmark
-//! (`BENCHMARK.json`, `benchmark/`); these harnesses print the paper's
-//! tables and figures.
-//! Micro-benches (`cargo bench -p ora-bench --features bench`) cover the
-//! micro costs the paper argues about: event-dispatch fast path,
-//! always-on state stores, callstack capture, wire protocol, and the
-//! barrier/schedule ablations. They run on the dependency-free
-//! [`microbench`] harness and are gated behind the off-by-default
-//! `bench` feature so default builds stay hermetic.
+//! These binaries accept `--scale smoke|quick|paper` (default `quick`).
+//! Overhead is *measured* by the repository's one benchmark
+//! (`BENCHMARK.json`, `benchmark/`): its per-layer cells
+//! (`core.dispatch.*`, `core.message.*`, `psx.*`, `omprt.barrier.*`,
+//! `omprt.schedule.*`, `trace.*`) carry the micro costs the paper argues
+//! about. These harnesses print the paper's tables and figures, and
+//! `omp_prof` is the psrun-style CLI over every workload and tool.
 
 #![warn(missing_docs)]
 
 pub mod fleet_driver;
-pub mod microbench;
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,24 +36,34 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from the common `--scale` argument (default `quick`).
+    /// Parse the common `--scale` argument from the process arguments
+    /// (default `quick`); print the choices and exit 2 on a bad value.
     pub fn from_args() -> Scale {
         let args: Vec<String> = std::env::args().collect();
-        for pair in args.windows(2) {
-            if pair[0] == "--scale" {
-                return match pair[1].as_str() {
-                    "paper" => Scale::Paper,
-                    "smoke" => Scale::Smoke,
-                    _ => Scale::Quick,
-                };
-            }
+        Scale::parse(&args).unwrap_or_else(|e| {
+            eprintln!("{e}; expected --scale smoke|quick|paper");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `--scale smoke|quick|paper` (or the `--paper` / `--smoke`
+    /// shorthands) from `args`; no scale flag means `quick`.
+    pub fn parse(args: &[String]) -> Result<Scale, String> {
+        if let Some(i) = args.iter().position(|a| a == "--scale") {
+            return match args.get(i + 1).map(String::as_str) {
+                Some("paper") => Ok(Scale::Paper),
+                Some("quick") => Ok(Scale::Quick),
+                Some("smoke") => Ok(Scale::Smoke),
+                Some(other) => Err(format!("unknown scale `{other}`")),
+                None => Err("--scale needs a value".to_string()),
+            };
         }
         if args.iter().any(|a| a == "--paper") {
-            Scale::Paper
+            Ok(Scale::Paper)
         } else if args.iter().any(|a| a == "--smoke") {
-            Scale::Smoke
+            Ok(Scale::Smoke)
         } else {
-            Scale::Quick
+            Ok(Scale::Quick)
         }
     }
 
@@ -113,7 +120,24 @@ mod tests {
     }
 
     #[test]
+    fn scale_parses_every_spelling_and_rejects_the_rest() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Scale::parse(&args)
+        };
+        assert_eq!(parse(&["bin"]), Ok(Scale::Quick));
+        assert_eq!(parse(&["bin", "--scale", "paper"]), Ok(Scale::Paper));
+        assert_eq!(parse(&["bin", "--scale", "quick"]), Ok(Scale::Quick));
+        assert_eq!(parse(&["bin", "--scale", "smoke"]), Ok(Scale::Smoke));
+        assert_eq!(parse(&["bin", "--paper"]), Ok(Scale::Paper));
+        assert_eq!(parse(&["bin", "--smoke"]), Ok(Scale::Smoke));
+        assert!(parse(&["bin", "--scale", "papr"]).is_err());
+        assert!(parse(&["bin", "--scale"]).is_err());
+    }
+
+    #[test]
     fn pct_formatting_zeroes_sub_one() {
+        assert_eq!(fmt_pct(-3.0), "0");
         assert_eq!(fmt_pct(0.4), "0");
         assert_eq!(fmt_pct(5.23), "5.2");
         assert_eq!(fmt_pct(16.0), "16.0");

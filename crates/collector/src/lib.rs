@@ -6,7 +6,8 @@
 //! the paper's §V.
 //!
 //! * [`discovery`] — resolve the symbol and speak the wire protocol;
-//! * [`clock`] — the hardware time counter the callbacks sample;
+//! * [`clock`] — the hardware time counter the callbacks sample (the
+//!   process-wide `ora_core::clock`, re-exported);
 //! * [`profiler`] — the paper's prototype tool: fork/join/implicit-barrier
 //!   callbacks, per-region timing, join-event callstack records, offline
 //!   user-model reconstruction, and the callbacks-only mode used by the
@@ -46,7 +47,7 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
+pub use ora_core::clock;
 pub mod diff;
 pub mod discovery;
 pub mod modes;

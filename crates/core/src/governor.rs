@@ -51,9 +51,9 @@
 
 use std::array;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::Arc;
 
+use crate::clock;
 use crate::event::{Event, ALL_EVENTS, EVENT_COUNT};
 use crate::pad::CachePadded;
 use crate::stats;
@@ -98,11 +98,7 @@ const FATE_DEPTH_MAX: u32 = 64;
 pub type GovernorClock = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 fn default_clock() -> GovernorClock {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    Arc::new(|| {
-        let epoch = *EPOCH.get_or_init(Instant::now);
-        epoch.elapsed().as_nanos() as u64
-    })
+    Arc::new(clock::ticks)
 }
 
 /// Parse a budget string (`OMP_ORA_BUDGET`) into parts-per-million.

@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod clock;
 pub mod event;
 pub mod governor;
 pub mod message;

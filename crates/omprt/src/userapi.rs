@@ -5,8 +5,7 @@
 //! directly; they answer from the same thread-local context the collector
 //! provider uses.
 
-use std::sync::OnceLock;
-use std::time::Instant;
+use ora_core::clock;
 
 use crate::runtime::OpenMp;
 use crate::tls;
@@ -47,10 +46,10 @@ impl OpenMp {
 }
 
 /// `omp_get_wtime`: elapsed wall-clock seconds since an arbitrary fixed
-/// point in the past.
+/// point in the past — the epoch of the process clock
+/// ([`ora_core::clock`]), so it agrees with every collector tick.
 pub fn get_wtime() -> f64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
+    clock::to_secs(clock::ticks())
 }
 
 /// `omp_get_wtick`: timer resolution in seconds.

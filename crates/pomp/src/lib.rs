@@ -23,15 +23,15 @@
 //!   serialized nested regions, for instance, are double-counted exactly
 //!   as a source-level view would.
 //!
-//! The `pomp_vs_ora` bench in `ora-bench` measures both systems on the
-//! same workload.
+//! The workspace's `examples/pomp_compare.rs` and this crate's
+//! `tests/pomp_vs_ora.rs` run both systems on the same workload.
 
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
+use ora_core::clock::ticks;
 use ora_core::sync::{Mutex, RwLock};
 
 /// The construct kinds POMP instruments (a subset sufficient for the
@@ -62,11 +62,6 @@ pub struct RegionDescriptor {
     pub begin_line: u32,
     /// Last line of the construct.
     pub end_line: u32,
-}
-
-fn ticks() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 #[derive(Default, Clone, Copy)]

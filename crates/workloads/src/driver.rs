@@ -17,23 +17,13 @@ pub struct OverheadResult {
 
 impl OverheadResult {
     /// Percentage increase from enabling collection. The paper lists
-    /// sub-1% cases as zero overhead; we report the raw value and let the
-    /// harness round.
+    /// sub-1% cases as zero overhead; this is the raw value, and the
+    /// harnesses round it with `ora_bench::fmt_pct`.
     pub fn overhead_pct(&self) -> f64 {
         if self.base_secs <= 0.0 {
             return 0.0;
         }
         (self.collected_secs - self.base_secs) / self.base_secs * 100.0
-    }
-
-    /// The paper's presentation rule: values below 1% are listed as zero.
-    pub fn overhead_pct_clamped(&self) -> f64 {
-        let pct = self.overhead_pct();
-        if pct < 1.0 {
-            0.0
-        } else {
-            pct
-        }
     }
 }
 
@@ -171,14 +161,6 @@ mod tests {
             collected_secs: 2.1,
         };
         assert!((r.overhead_pct() - 5.0).abs() < 1e-9);
-        assert_eq!(
-            OverheadResult {
-                base_secs: 2.0,
-                collected_secs: 2.01
-            }
-            .overhead_pct_clamped(),
-            0.0
-        );
         assert_eq!(
             OverheadResult {
                 base_secs: 0.0,

@@ -25,13 +25,20 @@ if grep -rn -e 'ParkSlot' -e 'thread::park' crates/ | grep -v '^crates/core/src/
   echo "tier1: ParkSlot / thread::park outside crates/core/src/park.rs — wait on an EventCount" >&2
   exit 1
 fi
+# One meter: overhead is measured in `benchmark/` only, so no crate
+# carries bench targets or a feature-gated harness of its own.
+if grep -rn -e '\[\[bench\]\]' -e 'criterion_main!' -e '^\[features\]' crates/; then
+  echo "tier1: bench target / feature table under crates/ — overhead is measured in benchmark/ only" >&2
+  exit 1
+fi
+# One time base: the process epoch lives in ora_core::clock alone.
+if grep -rn 'OnceLock<Instant>' crates/ | grep -v '^crates/core/src/clock.rs:'; then
+  echo "tier1: OnceLock<Instant> outside crates/core/src/clock.rs — read ora_core::clock::ticks" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The micro-bench harness is feature-gated off by default; make sure the
-# measurement loops keep compiling too — and keep them lint-clean.
-cargo build -p ora-bench --features bench --offline
-cargo clippy -p ora-bench --features bench --all-targets --offline -- -D warnings
 
 # The standalone benchmark package builds against the crates' public
 # API from outside the workspace: a deletion that breaks it must fail
