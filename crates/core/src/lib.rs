@@ -8,7 +8,8 @@
 //! without either side knowing the other's internals:
 //!
 //! * the runtime exports a **single entry point** taking a byte array of
-//!   request records ([`message`]);
+//!   request records ([`message`]), read through the one bounds-checked
+//!   cursor every decoder of outside bytes uses ([`bytes`]);
 //! * the collector sends **lifecycle requests** (start / pause / resume /
 //!   stop), **event registrations** with callbacks, and **queries** for the
 //!   calling thread's state (+ wait ID) and the current/parent parallel
@@ -48,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod bytes;
 pub mod clock;
 pub mod event;
 pub mod governor;

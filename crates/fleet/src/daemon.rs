@@ -46,6 +46,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ora_core::bytes::Cursor;
 use ora_core::sync::Mutex;
 use ora_trace::format::{self, FILE_MAGIC, TAG_CHUNK, TAG_FOOTER};
 use ora_trace::{RankMergeHeap, RankedEvent, TraceError, TraceEvent};
@@ -528,23 +529,19 @@ enum Unit {
 /// Classify a sink write by its leading bytes and decode it. Touches no
 /// shared state: this is the part of ingest that runs outside the lock.
 fn decode_unit(rank: u64, payload: &[u8]) -> Result<Unit, FleetError> {
+    let mut c = Cursor::new(payload);
     match payload.first() {
         Some(_) if payload.starts_with(FILE_MAGIC) => {
-            format::decode_header(payload).map_err(|e| match e {
+            format::read_header(&mut c).map_err(|e| match e {
                 TraceError::BadVersion(v) => FleetError::BadVersion(v),
                 other => FleetError::Trace(other),
             })?;
-            if payload.len() != 8 {
-                return Err(FleetError::Protocol("header payload has trailing bytes"));
-            }
+            c.finish()?;
             Ok(Unit::Header)
         }
         Some(&TAG_CHUNK) => {
-            let mut pos = 0usize;
-            let (_, raws) = format::decode_chunk(payload, &mut pos)?;
-            if pos != payload.len() {
-                return Err(FleetError::Protocol("chunk payload has trailing bytes"));
-            }
+            let (_, raws) = format::read_chunk(&mut c)?;
+            c.finish()?;
             let rank = rank as usize;
             let mut run: Vec<RankedEvent> = Vec::with_capacity(raws.len());
             let mut sorted = true;

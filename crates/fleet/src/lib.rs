@@ -142,6 +142,15 @@ impl From<TraceError> for FleetError {
     }
 }
 
+impl From<ora_core::bytes::Error> for FleetError {
+    fn from(e: ora_core::bytes::Error) -> FleetError {
+        match e {
+            ora_core::bytes::Error::Truncated => FleetError::Truncated,
+            ora_core::bytes::Error::Malformed(why) => FleetError::Protocol(why),
+        }
+    }
+}
+
 impl From<FleetError> for std::io::Error {
     fn from(e: FleetError) -> std::io::Error {
         std::io::Error::other(e.to_string())

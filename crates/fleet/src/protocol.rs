@@ -6,7 +6,8 @@
 //! frame := len u32 LE      — bytes in (tag | body), excludes len + crc
 //!        | tag u8          — message discriminant
 //!        | body            — varint fields (ora-trace LEB128), then
-//!                            for CHUNK the raw chunk bytes
+//!                            for CHUNK the raw chunk bytes; decoded
+//!                            through `ora_core::bytes::Cursor`
 //!        | crc32 u32 LE    — IEEE CRC over (tag | body)
 //! ```
 //!
@@ -29,8 +30,8 @@
 
 use std::io::{self, Read, Write};
 
-use ora_trace::format::{crc32, get_varint, put_varint};
-use ora_trace::TraceError;
+use ora_core::bytes::Cursor;
+use ora_trace::format::{crc32, put_varint};
 
 use crate::FleetError;
 
@@ -96,22 +97,6 @@ pub enum Message {
     },
 }
 
-/// Decode a varint out of a frame body, mapping the trace-layer error
-/// onto the wire-layer vocabulary.
-fn body_varint(buf: &[u8], pos: &mut usize) -> Result<u64, FleetError> {
-    get_varint(buf, pos).map_err(|e| match e {
-        TraceError::Truncated => FleetError::Truncated,
-        _ => FleetError::Protocol("malformed varint in frame body"),
-    })
-}
-
-fn finish_body(buf: &[u8], pos: usize) -> Result<(), FleetError> {
-    if pos != buf.len() {
-        return Err(FleetError::Protocol("frame body has trailing bytes"));
-    }
-    Ok(())
-}
-
 /// Build one complete frame: `fields` as varints, then `payload`
 /// verbatim — each byte is copied exactly once, into the frame.
 fn build_frame(tag: u8, fields: &[u64], payload: &[u8]) -> Vec<u8> {
@@ -162,9 +147,9 @@ pub(crate) fn chunk_parts(framed: &[u8]) -> Result<Option<(u64, &[u8])>, FleetEr
     let Some((&MSG_CHUNK, body)) = framed.split_first() else {
         return Ok(None);
     };
-    let mut pos = 0usize;
-    let epoch = body_varint(body, &mut pos)?;
-    Ok(Some((epoch, &body[pos..])))
+    let mut c = Cursor::new(body);
+    let epoch = c.varint()?;
+    Ok(Some((epoch, &body[c.position()..])))
 }
 
 /// Decode the `(tag | body)` section of a frame whose CRC has already
@@ -176,47 +161,34 @@ pub fn decode_frame(framed: &[u8]) -> Result<Message, FleetError> {
             payload: payload.to_vec(),
         });
     }
-    let tag = *framed.first().ok_or(FleetError::Truncated)?;
-    let body = &framed[1..];
-    let mut pos = 0usize;
-    match tag {
+    let mut c = Cursor::new(framed);
+    let message = match c.u8()? {
         MSG_HELLO => {
-            let rank = body_varint(body, &mut pos)?;
-            let version = body_varint(body, &mut pos)?;
-            let ticks_per_sec = body_varint(body, &mut pos)?;
-            finish_body(body, pos)?;
+            let rank = c.varint()?;
+            let version = c.varint()?;
+            let ticks_per_sec = c.varint()?;
             let format_version = u16::try_from(version)
                 .map_err(|_| FleetError::Protocol("format version overflows u16"))?;
-            Ok(Message::Hello {
+            Message::Hello {
                 rank,
                 format_version,
                 ticks_per_sec,
-            })
+            }
         }
-        MSG_ACK => {
-            let epoch = body_varint(body, &mut pos)?;
-            finish_body(body, pos)?;
-            Ok(Message::Ack { epoch })
-        }
-        MSG_FIN => {
-            let observed = body_varint(body, &mut pos)?;
-            let drained = body_varint(body, &mut pos)?;
-            let dropped = body_varint(body, &mut pos)?;
-            finish_body(body, pos)?;
-            Ok(Message::Fin {
-                observed,
-                drained,
-                dropped,
-            })
-        }
-        MSG_FIN_ACK => {
-            let stored = body_varint(body, &mut pos)?;
-            let late = body_varint(body, &mut pos)?;
-            finish_body(body, pos)?;
-            Ok(Message::FinAck { stored, late })
-        }
-        t => Err(FleetError::UnknownMessage(t)),
-    }
+        MSG_ACK => Message::Ack { epoch: c.varint()? },
+        MSG_FIN => Message::Fin {
+            observed: c.varint()?,
+            drained: c.varint()?,
+            dropped: c.varint()?,
+        },
+        MSG_FIN_ACK => Message::FinAck {
+            stored: c.varint()?,
+            late: c.varint()?,
+        },
+        t => return Err(FleetError::UnknownMessage(t)),
+    };
+    c.finish()?;
+    Ok(message)
 }
 
 /// Write `msg` as one frame.

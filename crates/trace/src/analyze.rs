@@ -33,9 +33,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
+use ora_core::bytes::Cursor;
 use ora_core::event::{Event, EVENT_COUNT};
 
-use crate::format::{get_varint, put_varint};
+use crate::format::put_varint;
 use crate::reader::{RankedEvent, TraceEvent};
 use crate::TraceError;
 
@@ -691,22 +692,21 @@ pub fn timeline_bytes(events: &[RankedEvent]) -> Vec<u8> {
 /// Decode a fleet timeline export ([`timeline_bytes`]) back into
 /// rank-attributed records, validating magic, count, and event codes.
 pub fn decode_timeline(bytes: &[u8]) -> Result<Vec<RankedEvent>, TraceError> {
-    if bytes.len() < TIMELINE_MAGIC.len() || &bytes[..TIMELINE_MAGIC.len()] != TIMELINE_MAGIC {
+    let mut c = Cursor::new(bytes);
+    if c.bytes(TIMELINE_MAGIC.len() as u64) != Ok(&TIMELINE_MAGIC[..]) {
         return Err(TraceError::Malformed("not a fleet timeline export"));
     }
-    let mut pos = TIMELINE_MAGIC.len();
-    let count = get_varint(bytes, &mut pos)?;
-    let mut out = Vec::with_capacity(count.min(1 << 20) as usize);
+    // Every record is seven varints.
+    let count = c.count(7)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let tick = get_varint(bytes, &mut pos)?;
-        let gtid = get_varint(bytes, &mut pos)? as usize;
-        let seq = get_varint(bytes, &mut pos)?;
-        let rank = get_varint(bytes, &mut pos)? as usize;
-        let raw_event = u32::try_from(get_varint(bytes, &mut pos)?)
+        let tick = c.varint()?;
+        let gtid = c.varint()? as usize;
+        let seq = c.varint()?;
+        let rank = c.varint()? as usize;
+        let raw_event = u32::try_from(c.varint()?)
             .map_err(|_| TraceError::Malformed("timeline event code overflows u32"))?;
         let event = Event::from_u32(raw_event).ok_or(TraceError::UnknownEvent(raw_event))?;
-        let region_id = get_varint(bytes, &mut pos)?;
-        let wait_id = get_varint(bytes, &mut pos)?;
         out.push(RankedEvent {
             rank,
             record: TraceEvent {
@@ -714,14 +714,12 @@ pub fn decode_timeline(bytes: &[u8]) -> Result<Vec<RankedEvent>, TraceError> {
                 gtid,
                 seq,
                 event,
-                region_id,
-                wait_id,
+                region_id: c.varint()?,
+                wait_id: c.varint()?,
             },
         });
     }
-    if pos != bytes.len() {
-        return Err(TraceError::Malformed("trailing bytes after timeline"));
-    }
+    c.finish()?;
     Ok(out)
 }
 

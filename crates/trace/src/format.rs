@@ -59,6 +59,8 @@
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
 
+use ora_core::bytes::Cursor;
+
 use crate::ring::RawRecord;
 use crate::TraceError;
 
@@ -116,24 +118,6 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
             return;
         }
         out.push(byte | 0x80);
-    }
-}
-
-/// Decode a LEB128 varint at `*pos`, advancing it.
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos).ok_or(TraceError::Truncated)?;
-        *pos += 1;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(TraceError::Malformed("varint overflows u64"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -459,34 +443,35 @@ fn encode_payload(
     }
 }
 
-/// Decode the chunk whose tag byte is at `*pos`, advancing `*pos` past
-/// it. The payload CRC is verified before any record is produced.
-pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>), TraceError> {
-    let tag = *buf.get(*pos).ok_or(TraceError::Truncated)?;
-    if tag != TAG_CHUNK {
-        return Err(TraceError::Malformed("expected chunk tag"));
-    }
-    *pos += 1;
-    let lane = get_varint(buf, pos)?;
-    let count = get_varint(buf, pos)?;
-    // Both lengths come from the input: bound them before they size
-    // a slice or an allocation.
-    let payload_end = usize::try_from(get_varint(buf, pos)?)
-        .ok()
-        .and_then(|len| pos.checked_add(len))
-        .ok_or(TraceError::Truncated)?;
-    let payload = buf.get(*pos..payload_end).ok_or(TraceError::Truncated)?;
-    *pos = payload_end;
-    let crc_bytes = buf.get(*pos..*pos + 4).ok_or(TraceError::Truncated)?;
-    *pos += 4;
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(TraceError::CrcMismatch {
+/// `Ok` if the CRC of `data` is `stored`.
+fn check_crc(stored: u32, data: &[u8]) -> Result<(), TraceError> {
+    match crc32(data) {
+        actual if actual == stored => Ok(()),
+        actual => Err(TraceError::CrcMismatch {
             expected: stored,
             actual,
-        });
+        }),
     }
+}
+
+/// Decode the chunk whose tag byte is at `*pos` of `buf`, advancing
+/// `*pos` past it: [`read_chunk`] for callers that index a whole file.
+pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>), TraceError> {
+    let mut c = Cursor::new(buf.get(*pos..).ok_or(TraceError::Truncated)?);
+    let chunk = read_chunk(&mut c)?;
+    *pos += c.position();
+    Ok(chunk)
+}
+
+/// Decode the chunk at the cursor, advancing it past the chunk. The
+/// payload CRC is verified before any record is produced.
+pub fn read_chunk(c: &mut Cursor<'_>) -> Result<(u64, Vec<RawRecord>), TraceError> {
+    if c.u8()? != TAG_CHUNK {
+        return Err(TraceError::Malformed("expected chunk tag"));
+    }
+    let (lane, count, len) = (c.varint()?, c.varint()?, c.varint()?);
+    let payload = c.bytes(len)?;
+    check_crc(c.u32_le()?, payload)?;
 
     // Every record is six varints, so a count the payload cannot hold
     // is a lie — refused here, before it sizes the allocation.
@@ -495,43 +480,32 @@ pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>)
             "chunk count exceeds what its payload can hold",
         ));
     }
+    let mut p = Cursor::new(payload);
     let mut records = Vec::with_capacity(count as usize);
-    let mut p = 0usize;
-    let mut prev: Option<RawRecord> = None;
-    for _ in 0..count {
-        let (tick, seq) = match &prev {
-            None => (get_varint(payload, &mut p)?, get_varint(payload, &mut p)?),
-            Some(pr) => {
-                let dt = unzigzag(get_varint(payload, &mut p)?);
-                let ds = unzigzag(get_varint(payload, &mut p)?);
-                (
-                    pr.tick.wrapping_add(dt as u64),
-                    pr.seq.wrapping_add(ds as u64),
-                )
-            }
+    let mut prev = RawRecord::default();
+    for i in 0..count {
+        let (tick, seq) = if i == 0 {
+            (p.varint()?, p.varint()?)
+        } else {
+            let dt = unzigzag(p.varint()?) as u64;
+            let ds = unzigzag(p.varint()?) as u64;
+            (prev.tick.wrapping_add(dt), prev.seq.wrapping_add(ds))
         };
-        let event = get_varint(payload, &mut p)?;
-        let gtid = get_varint(payload, &mut p)?;
-        let prev_region = prev.as_ref().map_or(0, |pr| pr.region_id);
-        let dr = unzigzag(get_varint(payload, &mut p)?);
-        let region_id = prev_region.wrapping_add(dr as u64);
-        let wait_id = get_varint(payload, &mut p)?;
-        let event = u32::try_from(event).map_err(|_| TraceError::UnknownEvent(u32::MAX))?;
-        let gtid = u32::try_from(gtid).map_err(|_| TraceError::Malformed("gtid overflows u32"))?;
-        let rec = RawRecord {
+        let event = p.varint()?;
+        let gtid = p.varint()?;
+        let region_id = prev.region_id.wrapping_add(unzigzag(p.varint()?) as u64);
+        let wait_id = p.varint()?;
+        prev = RawRecord {
             tick,
             seq,
-            event,
-            gtid,
+            event: u32::try_from(event).map_err(|_| TraceError::UnknownEvent(u32::MAX))?,
+            gtid: u32::try_from(gtid).map_err(|_| TraceError::Malformed("gtid overflows u32"))?,
             region_id,
             wait_id,
         };
-        records.push(rec);
-        prev = Some(rec);
+        records.push(prev);
     }
-    if p != payload.len() {
-        return Err(TraceError::Malformed("chunk payload has trailing bytes"));
-    }
+    p.finish()?;
     Ok((lane, records))
 }
 
@@ -586,19 +560,17 @@ pub fn encode_header(out: &mut Vec<u8>) {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
 }
 
-/// Parse the file header; returns the offset of the first chunk.
-pub fn decode_header(buf: &[u8]) -> Result<usize, TraceError> {
-    if buf.len() < 8 {
-        return Err(TraceError::Truncated);
-    }
-    if &buf[..6] != FILE_MAGIC {
+/// Read the 8-byte file header at the cursor.
+pub fn read_header(c: &mut Cursor<'_>) -> Result<(), TraceError> {
+    let header = c.bytes(8)?;
+    if &header[..6] != FILE_MAGIC {
         return Err(TraceError::BadMagic);
     }
-    let version = u16::from_le_bytes([buf[6], buf[7]]);
+    let version = u16::from_le_bytes([header[6], header[7]]);
     if version != FORMAT_VERSION {
         return Err(TraceError::BadVersion(version));
     }
-    Ok(8)
+    Ok(())
 }
 
 /// Append the footer (tag, payload, CRC, length, trailing magic).
@@ -629,91 +601,58 @@ pub fn encode_footer(out: &mut Vec<u8>, footer: &Footer) {
 
 /// Locate, CRC-check, and parse the footer of a complete trace file.
 pub fn decode_footer(buf: &[u8]) -> Result<Footer, TraceError> {
-    // magic(6) + len(4) + crc(4) + tag(1) is the minimum tail.
+    // tag(1) + crc(4) + len(4) + magic(6) is the minimum tail.
     if buf.len() < 15 {
         return Err(TraceError::Truncated);
     }
-    if &buf[buf.len() - 6..] != FOOTER_MAGIC {
+    let tail_at = buf.len() - 14;
+    let mut tail = Cursor::new(&buf[tail_at..]);
+    let stored = tail.u32_le()?;
+    let payload_len = tail.u32_le()? as usize;
+    if tail.bytes(6)? != FOOTER_MAGIC {
         return Err(TraceError::MissingFooter);
     }
-    let len_at = buf.len() - 10;
-    let payload_len = u32::from_le_bytes(buf[len_at..len_at + 4].try_into().unwrap()) as usize;
-    let crc_at = len_at.checked_sub(4).ok_or(TraceError::Truncated)?;
-    let payload_at = crc_at
+    let payload_at = tail_at
         .checked_sub(payload_len)
         .ok_or(TraceError::Truncated)?;
     if payload_at == 0 || buf[payload_at - 1] != TAG_FOOTER {
         return Err(TraceError::Malformed("expected footer tag"));
     }
-    let payload = &buf[payload_at..crc_at];
-    let stored = u32::from_le_bytes(buf[crc_at..crc_at + 4].try_into().unwrap());
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(TraceError::CrcMismatch {
-            expected: stored,
-            actual,
-        });
-    }
+    let payload = &buf[payload_at..tail_at];
+    check_crc(stored, payload)?;
 
-    let mut pos = 0usize;
-    let lane_count = get_varint(payload, &mut pos)? as usize;
-    if lane_count > payload.len() {
-        return Err(TraceError::Malformed("footer lane count too large"));
-    }
+    // A lane is four varints and a chunk entry six, so neither count
+    // can size more than the payload holds.
+    let mut c = Cursor::new(payload);
+    let lane_count = c.count(4)?;
     let mut lanes = Vec::with_capacity(lane_count);
     for _ in 0..lane_count {
         lanes.push(LaneStats {
-            written: get_varint(payload, &mut pos)?,
-            dropped_newest: get_varint(payload, &mut pos)?,
-            dropped_oldest: get_varint(payload, &mut pos)?,
-            drained: get_varint(payload, &mut pos)?,
+            written: c.varint()?,
+            dropped_newest: c.varint()?,
+            dropped_oldest: c.varint()?,
+            drained: c.varint()?,
         });
     }
-    let chunk_count = get_varint(payload, &mut pos)? as usize;
-    if chunk_count > payload.len() {
-        return Err(TraceError::Malformed("footer chunk count too large"));
-    }
+    let chunk_count = c.count(6)?;
     let mut chunks = Vec::with_capacity(chunk_count);
     for _ in 0..chunk_count {
         chunks.push(ChunkMeta {
-            offset: get_varint(payload, &mut pos)?,
-            lane: get_varint(payload, &mut pos)?,
-            count: get_varint(payload, &mut pos)?,
-            min_tick: get_varint(payload, &mut pos)?,
-            max_tick: get_varint(payload, &mut pos)?,
-            region_mask: get_varint(payload, &mut pos)?,
+            offset: c.varint()?,
+            lane: c.varint()?,
+            count: c.varint()?,
+            min_tick: c.varint()?,
+            max_tick: c.varint()?,
+            region_mask: c.varint()?,
         });
     }
-    if pos != payload.len() {
-        return Err(TraceError::Malformed("footer payload has trailing bytes"));
-    }
+    c.finish()?;
     Ok(Footer { lanes, chunks })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_round_trips_edge_values() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn varint_rejects_truncation_and_overflow() {
-        assert_eq!(get_varint(&[0x80], &mut 0), Err(TraceError::Truncated));
-        let over = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
-        assert!(matches!(
-            get_varint(&over, &mut 0),
-            Err(TraceError::Malformed(_))
-        ));
-    }
 
     #[test]
     fn zigzag_round_trips() {

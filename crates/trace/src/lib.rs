@@ -141,6 +141,15 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
+impl From<ora_core::bytes::Error> for TraceError {
+    fn from(e: ora_core::bytes::Error) -> TraceError {
+        match e {
+            ora_core::bytes::Error::Truncated => TraceError::Truncated,
+            ora_core::bytes::Error::Malformed(why) => TraceError::Malformed(why),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

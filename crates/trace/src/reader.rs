@@ -13,6 +13,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::Path;
 
+use ora_core::bytes::Cursor;
 use ora_core::event::{Event, EVENT_COUNT};
 
 use crate::format::{self, ChunkMeta, Footer};
@@ -86,12 +87,26 @@ pub struct TraceReader {
 impl TraceReader {
     /// Open an encoded trace from bytes, validating header and footer.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<TraceReader, TraceError> {
-        format::decode_header(&bytes)?;
+        format::read_header(&mut Cursor::new(&bytes))?;
         let footer = format::decode_footer(&bytes)?;
+        // Index entries are in file order and name footer lanes, and a
+        // chunk of `count` records spans at least 8 + 6 × count bytes
+        // (decoding checks the count): no index can make a query decode
+        // more records, or size more lanes, than the file holds.
+        let mut end = 8u64;
         for c in &footer.chunks {
-            if c.offset as usize >= bytes.len() {
-                return Err(TraceError::Malformed("chunk index offset out of range"));
+            if c.offset < end || c.lane >= footer.lanes.len() as u64 {
+                return Err(TraceError::Malformed(
+                    "chunk index out of file order or lane range",
+                ));
             }
+            end = c
+                .offset
+                .saturating_add(c.count.saturating_mul(6))
+                .saturating_add(8);
+        }
+        if end > bytes.len() as u64 {
+            return Err(TraceError::Malformed("chunk index runs past the file"));
         }
         Ok(TraceReader { bytes, footer })
     }

@@ -110,11 +110,11 @@ fn lying_chunk_headers_are_rejected_before_allocation() {
     let batch = arb_batch(&mut rng, 8);
     let mut honest = Vec::new();
     encode_chunk(&mut honest, 0, 0, &batch);
-    let mut pos = 1;
+    let mut header = ora_core::bytes::Cursor::new(&honest[1..]);
     for _ in 0..3 {
-        ora_trace::format::get_varint(&honest, &mut pos).unwrap(); // lane, count, payload_len
+        header.varint().unwrap(); // lane, count, payload_len
     }
-    let payload = &honest[pos..honest.len() - 4];
+    let payload = &honest[1 + header.position()..honest.len() - 4];
     let crafted = |count: u64, payload_len: u64| {
         let mut chunk = vec![TAG_CHUNK];
         put_varint(&mut chunk, 0);

@@ -12,6 +12,7 @@
 #   ORA_FAULT_SEED=<seed> cargo test -p omprt --test sync_stress
 #   ORA_FAULT_SEED=<seed> cargo test -p omprt --test task_stress
 #   ORA_FAULT_SEED=<seed> cargo test -p ora-trace --test fault_props
+#   ORA_FAULT_SEED=<seed> cargo test -p ora-fleet --test hostile_bytes
 #   ORA_FAULT_SEED=<seed> cargo test -p ora-bench --test fault_isolation
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,6 +47,9 @@ for seed in "${seeds[@]}"; do
   run_seeded "$seed" -p omprt --test task_stress
   # Sink faults, dead drainers, and oversubscribed Block producers.
   run_seeded "$seed" -p ora-trace --test fault_props --test stress
+  # Structure-aware mutation of every decoder of outside bytes: typed
+  # errors only, and allocations bounded by the input's length.
+  run_seeded "$seed" -p ora-fleet --test hostile_bytes
   # Live-runtime workloads under injected collector faults.
   run_seeded "$seed" -p ora-bench --test fault_isolation
 done

@@ -36,6 +36,14 @@ if grep -rn 'OnceLock<Instant>' crates/ | grep -v '^crates/core/src/clock.rs:'; 
   echo "tier1: OnceLock<Instant> outside crates/core/src/clock.rs — read ora_core::clock::ticks" >&2
   exit 1
 fi
+# One byte cursor: every decoder of outside bytes reads through
+# `ora_core::bytes::Cursor`, so no private varint or fixed-width reader
+# with its own bounds checks comes back beside it.
+if grep -rnE 'fn (get_varint|read_u32|read_u64|body_varint)\b' crates/ \
+    | grep -v '^crates/core/src/bytes.rs:'; then
+  echo "tier1: hand-rolled byte reader outside crates/core/src/bytes.rs — read through ora_core::bytes::Cursor" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
