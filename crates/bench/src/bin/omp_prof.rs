@@ -82,8 +82,7 @@
 use std::sync::Arc;
 
 use collector::{
-    report, Profiler, RuntimeHandle, SelectivePolicy, SelectiveProfiler, StateTimer, StreamError,
-    StreamingTracer,
+    report, Profiler, ProfilerConfig, RuntimeHandle, StateTimer, StreamError, StreamingTracer,
 };
 use omprt::OpenMp;
 use ora_core::event::Event;
@@ -1013,13 +1012,20 @@ fn tool_suite() {
 
 fn tool_selective() {
     let (rt, handle) = runtime_from_args();
-    let p = SelectiveProfiler::attach(handle, SelectivePolicy::default()).unwrap();
+    // The §VI plan: no callstack for regions under 20 us, at most 8
+    // callstacks per calling context.
+    let config = ProfilerConfig {
+        min_region_secs: 20e-6,
+        max_samples_per_site: 8,
+        ..ProfilerConfig::default()
+    };
+    let p = Profiler::attach(handle, config).unwrap();
     run_workload(&rt, "cg");
     let r = p.finish();
     println!(
         "\njoins {} | sampled {} | skipped small {} | deduped {} | savings {:.1}%",
         r.joins,
-        r.sampled,
+        r.join_samples,
         r.skipped_small,
         r.skipped_dedup,
         r.savings() * 100.0

@@ -146,7 +146,11 @@ mod tests {
             threads: vec![],
             call_tree: psx::CallTree::new(),
             events_observed: 0,
+            joins: regions.len() as u64,
             join_samples: 0,
+            skipped_small: 0,
+            skipped_dedup: 0,
+            distinct_sites: 0,
             api_health: Default::default(),
         }
     }

@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use ora_core::event::Event;
 use ora_core::registry::EventData;
-use ora_core::request::{OraResult, Request};
+use ora_core::request::OraResult;
 
-use crate::discovery::{Registrations, RuntimeHandle};
+use crate::discovery::RuntimeHandle;
+use crate::lane::{Collector, Lane};
 
 /// OMPT's `ompt_scope_endpoint_t`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,127 +109,98 @@ pub enum OmptRecord {
     },
 }
 
+/// The OMPT callback an ORA event synthesizes, if it synthesizes one.
+fn translate(d: &EventData) -> Option<OmptRecord> {
+    use Endpoint::{Begin, End};
+    use MutexKind::{Critical, Lock, Ordered};
+    use SyncRegionKind::{BarrierExplicit, BarrierImplicit, Taskwait};
+    let (thread, parallel_id, wait_id) = (d.gtid, d.region_id, d.wait_id);
+    let sync = |kind, endpoint| OmptRecord::SyncRegion {
+        kind,
+        endpoint,
+        thread,
+        parallel_id,
+    };
+    let acquire = |kind| OmptRecord::MutexAcquire {
+        kind,
+        thread,
+        wait_id,
+    };
+    let acquired = |kind| OmptRecord::MutexAcquired {
+        kind,
+        thread,
+        wait_id,
+    };
+    let work = |endpoint| OmptRecord::Work {
+        endpoint,
+        thread,
+        loop_seq: wait_id,
+    };
+    Some(match d.event {
+        Event::Fork => OmptRecord::ParallelBegin {
+            parallel_id,
+            parent_parallel_id: d.parent_region_id,
+        },
+        Event::Join => OmptRecord::ParallelEnd { parallel_id },
+        Event::ThreadBeginImplicitBarrier => sync(BarrierImplicit, Begin),
+        Event::ThreadEndImplicitBarrier => sync(BarrierImplicit, End),
+        Event::ThreadBeginExplicitBarrier => sync(BarrierExplicit, Begin),
+        Event::ThreadEndExplicitBarrier => sync(BarrierExplicit, End),
+        Event::TaskWaitBegin => sync(Taskwait, Begin),
+        Event::TaskWaitEnd => sync(Taskwait, End),
+        Event::ThreadBeginLockWait => acquire(Lock),
+        Event::ThreadEndLockWait => acquired(Lock),
+        Event::ThreadBeginCriticalWait => acquire(Critical),
+        Event::ThreadEndCriticalWait => acquired(Critical),
+        Event::ThreadBeginOrderedWait => acquire(Ordered),
+        Event::ThreadEndOrderedWait => acquired(Ordered),
+        Event::LoopBegin => work(Begin),
+        Event::LoopEnd => work(End),
+        _ => return None,
+    })
+}
+
+/// The adapter's lane: the tool's sink, fed the translated records.
+struct OmptLane {
+    sink: Arc<dyn Fn(OmptRecord) + Send + Sync>,
+}
+
+impl Lane for OmptLane {
+    fn wants(&self, event: Event) -> bool {
+        translate(&EventData::bare(event, 0)).is_some()
+    }
+
+    #[inline]
+    fn on_event(&self, d: &EventData) {
+        if let Some(record) = translate(d) {
+            (self.sink)(record);
+        }
+    }
+}
+
 /// The OMPT-style tool interface: one callback receiving translated
 /// records (OMPT's `ompt_set_callback` with a single multiplexed sink,
 /// which is how most real OMPT tools structure their dispatch anyway).
-pub struct OmptAdapter;
+/// Dropping the adapter unregisters its callbacks but leaves collection
+/// started; [`finish`](OmptAdapter::finish) also stops it.
+pub struct OmptAdapter {
+    collector: Collector<OmptLane>,
+}
 
 impl OmptAdapter {
     /// Attach an OMPT-style tool to an ORA runtime: sends `Start` and
     /// registers the ORA events needed to synthesize the OMPT callbacks.
-    /// The tool is attached for as long as the returned guard lives.
+    /// The tool is attached for as long as the returned adapter lives.
     pub fn attach(
         handle: RuntimeHandle,
         sink: Arc<dyn Fn(OmptRecord) + Send + Sync>,
-    ) -> OraResult<Registrations> {
-        handle.request_one(Request::Start)?;
+    ) -> OraResult<OmptAdapter> {
+        let collector = Collector::attach(handle, OmptLane { sink })?;
+        Ok(OmptAdapter { collector })
+    }
 
-        type Translator = fn(&EventData) -> OmptRecord;
-        let translate: &[(Event, Translator)] = &[
-            (Event::Fork, |d| OmptRecord::ParallelBegin {
-                parallel_id: d.region_id,
-                parent_parallel_id: d.parent_region_id,
-            }),
-            (Event::Join, |d| OmptRecord::ParallelEnd {
-                parallel_id: d.region_id,
-            }),
-            (Event::ThreadBeginImplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierImplicit,
-                    endpoint: Endpoint::Begin,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
-                }
-            }),
-            (Event::ThreadEndImplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierImplicit,
-                    endpoint: Endpoint::End,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
-                }
-            }),
-            (Event::ThreadBeginExplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierExplicit,
-                    endpoint: Endpoint::Begin,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
-                }
-            }),
-            (Event::ThreadEndExplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierExplicit,
-                    endpoint: Endpoint::End,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
-                }
-            }),
-            (Event::TaskWaitBegin, |d| OmptRecord::SyncRegion {
-                kind: SyncRegionKind::Taskwait,
-                endpoint: Endpoint::Begin,
-                thread: d.gtid,
-                parallel_id: d.region_id,
-            }),
-            (Event::TaskWaitEnd, |d| OmptRecord::SyncRegion {
-                kind: SyncRegionKind::Taskwait,
-                endpoint: Endpoint::End,
-                thread: d.gtid,
-                parallel_id: d.region_id,
-            }),
-            (Event::ThreadBeginLockWait, |d| OmptRecord::MutexAcquire {
-                kind: MutexKind::Lock,
-                thread: d.gtid,
-                wait_id: d.wait_id,
-            }),
-            (Event::ThreadEndLockWait, |d| OmptRecord::MutexAcquired {
-                kind: MutexKind::Lock,
-                thread: d.gtid,
-                wait_id: d.wait_id,
-            }),
-            (Event::ThreadBeginCriticalWait, |d| {
-                OmptRecord::MutexAcquire {
-                    kind: MutexKind::Critical,
-                    thread: d.gtid,
-                    wait_id: d.wait_id,
-                }
-            }),
-            (Event::ThreadEndCriticalWait, |d| {
-                OmptRecord::MutexAcquired {
-                    kind: MutexKind::Critical,
-                    thread: d.gtid,
-                    wait_id: d.wait_id,
-                }
-            }),
-            (Event::ThreadBeginOrderedWait, |d| {
-                OmptRecord::MutexAcquire {
-                    kind: MutexKind::Ordered,
-                    thread: d.gtid,
-                    wait_id: d.wait_id,
-                }
-            }),
-            (Event::ThreadEndOrderedWait, |d| OmptRecord::MutexAcquired {
-                kind: MutexKind::Ordered,
-                thread: d.gtid,
-                wait_id: d.wait_id,
-            }),
-            (Event::LoopBegin, |d| OmptRecord::Work {
-                endpoint: Endpoint::Begin,
-                thread: d.gtid,
-                loop_seq: d.wait_id,
-            }),
-            (Event::LoopEnd, |d| OmptRecord::Work {
-                endpoint: Endpoint::End,
-                thread: d.gtid,
-                loop_seq: d.wait_id,
-            }),
-        ];
-
-        let mut registrations = Registrations::new(handle);
-        for &(event, f) in translate {
-            let sink = sink.clone();
-            registrations.register(event, Arc::new(move |d: &EventData| sink(f(d))))?;
-        }
-        Ok(registrations)
+    /// Stop collection and forget the callbacks.
+    pub fn finish(mut self) {
+        self.collector.stop();
     }
 }

@@ -11,20 +11,30 @@
 //! is how the §V-B breakdown separates the cost of runtime↔collector
 //! communication (event dispatch + callback invocation) from the cost of
 //! performance measurement and storage.
+//!
+//! The paper's §VI overhead-control plan is a policy of this profiler,
+//! set in [`ProfilerConfig`]: "avoid [callstack retrieval] for
+//! insignificant events and small parallel regions", and "distinguish
+//! between … the calling context for a parallel region". A join shorter
+//! than `min_region_secs` costs one comparison instead of an unwind and a
+//! store; once a calling context (callstack signature) has kept
+//! `max_samples_per_site` samples, its later joins keep none. With the
+//! defaults neither applies, and the join path hashes no stack.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use ora_core::sync::Mutex;
 
 use ora_core::event::Event;
 use ora_core::registry::EventData;
-use ora_core::request::{ApiHealth, OraResult, Request};
+use ora_core::request::{ApiHealth, OraResult};
 use psx::unwind::Backtrace;
 
 use crate::clock;
-use crate::discovery::{Registrations, RuntimeHandle};
+use crate::discovery::RuntimeHandle;
+use crate::lane::{Collector, Lane};
 use crate::report;
 
 /// Highest thread ID the per-thread accumulators cover.
@@ -41,24 +51,24 @@ pub enum Mode {
     CallbacksOnly,
 }
 
-/// Profiler configuration.
+/// Profiler configuration. The default is the paper's §V tool: a
+/// callstack for every join.
 #[derive(Debug, Clone)]
 pub struct ProfilerConfig {
     /// Callback behaviour.
     pub mode: Mode,
-    /// Record the implementation-model callstack at each join event.
-    pub capture_callstacks: bool,
-    /// Register for implicit-barrier events and accumulate per-thread
-    /// barrier time.
-    pub track_barriers: bool,
+    /// Joins of regions shorter than this (seconds) keep no callstack.
+    pub min_region_secs: f64,
+    /// Callstack samples kept per calling context.
+    pub max_samples_per_site: u64,
 }
 
 impl Default for ProfilerConfig {
     fn default() -> Self {
         ProfilerConfig {
             mode: Mode::Full,
-            capture_callstacks: true,
-            track_barriers: true,
+            min_region_secs: 0.0,
+            max_samples_per_site: u64::MAX,
         }
     }
 }
@@ -78,30 +88,50 @@ struct ThreadAccum {
     ibar_count: u64,
 }
 
+/// The join callstacks kept, and the §VI policy's account of the rest.
+#[derive(Default)]
+struct JoinSamples {
+    /// (region, duration ticks, implementation callstack) per kept join.
+    stacks: Vec<(u64, u64, Backtrace)>,
+    /// Samples kept per calling context; filled only under a per-site cap.
+    per_site: HashMap<u64, u64>,
+    skipped_small: u64,
+    skipped_dedup: u64,
+}
+
+/// The calling context of a join: a hash of its callstack.
+fn signature(bt: &Backtrace) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for ip in bt.frames() {
+        ip.0.hash(&mut h);
+    }
+    h.finish()
+}
+
 pub(crate) struct ProfState {
     mode: Mode,
-    capture_callstacks: bool,
+    min_region_secs: f64,
+    max_samples_per_site: u64,
     /// Fork tick per in-flight region (master-only writers).
     fork_tick: Mutex<HashMap<u64, u64>>,
     regions: Mutex<HashMap<u64, RegionAccum>>,
     threads: Vec<Mutex<ThreadAccum>>,
-    /// (region, duration ticks, implementation callstack) per join.
-    stacks: Mutex<Vec<(u64, u64, Backtrace)>>,
+    samples: Mutex<JoinSamples>,
     events: AtomicU64,
 }
 
-/// The four event callbacks, one method each: [`Profiler`] registers
-/// them individually, [`ToolSuite`](crate::ToolSuite)'s single callback
-/// reaches them through [`ProfState::on_event`].
+/// The four event callbacks, one method each, reached through the lane's
+/// [`on_event`](Lane::on_event).
 impl ProfState {
     pub(crate) fn new(config: &ProfilerConfig) -> ProfState {
         ProfState {
             mode: config.mode,
-            capture_callstacks: config.capture_callstacks,
+            min_region_secs: config.min_region_secs,
+            max_samples_per_site: config.max_samples_per_site,
             fork_tick: Mutex::new(HashMap::new()),
             regions: Mutex::new(HashMap::new()),
             threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
-            stacks: Mutex::new(Vec::new()),
+            samples: Mutex::default(),
             events: AtomicU64::new(0),
         }
     }
@@ -137,10 +167,23 @@ impl ProfState {
             };
             acc.max_ticks = acc.max_ticks.max(dur);
         }
-        if self.capture_callstacks {
-            let bt = psx::capture();
-            self.stacks.lock().push((d.region_id, dur, bt));
+        // Duration gate: a comparison before any capture.
+        if clock::to_secs(dur) < self.min_region_secs {
+            self.samples.lock().skipped_small += 1;
+            return;
         }
+        let bt = psx::capture();
+        let site = (self.max_samples_per_site < u64::MAX).then(|| signature(&bt));
+        let mut samples = self.samples.lock();
+        if let Some(site) = site {
+            let kept = samples.per_site.entry(site).or_default();
+            if *kept >= self.max_samples_per_site {
+                samples.skipped_dedup += 1;
+                return;
+            }
+            *kept += 1;
+        }
+        samples.stacks.push((d.region_id, dur, bt));
     }
 
     #[inline]
@@ -164,17 +207,6 @@ impl ProfState {
             acc.ibar_ticks += now.saturating_sub(acc.ibar_begin_tick);
             acc.ibar_count += 1;
             acc.ibar_begin_tick = 0;
-        }
-    }
-
-    /// Route an event from a shared callback to its method.
-    pub(crate) fn on_event(&self, d: &EventData) {
-        match d.event {
-            Event::Fork => self.on_fork(d),
-            Event::Join => self.on_join(d),
-            Event::ThreadBeginImplicitBarrier => self.on_ibar_begin(d),
-            Event::ThreadEndImplicitBarrier => self.on_ibar_end(d),
-            _ => {}
         }
     }
 
@@ -214,19 +246,51 @@ impl ProfState {
         // Offline user-model reconstruction of the recorded join stacks.
         let table = psx::SymbolTable::global();
         let mut tree = psx::CallTree::new();
-        let stacks = self.stacks.lock();
-        for (_region, dur, bt) in stacks.iter() {
+        let samples = self.samples.lock();
+        for (_region, dur, bt) in samples.stacks.iter() {
             let user = psx::reconstruct(bt, table);
             tree.add(&user, clock::to_secs(*dur));
         }
+        // Under a per-site cap the map holds every context seen; without
+        // one, the kept stacks are every context seen.
+        let sites: HashSet<u64> = (samples.per_site.keys().copied())
+            .chain(samples.stacks.iter().map(|(_, _, bt)| signature(bt)))
+            .collect();
 
         Profile {
+            joins: regions.iter().map(|r| r.calls).sum(),
             regions,
             threads,
             call_tree: tree,
             events_observed: self.events.load(Ordering::Relaxed),
-            join_samples: stacks.len() as u64,
+            join_samples: samples.stacks.len() as u64,
+            skipped_small: samples.skipped_small,
+            skipped_dedup: samples.skipped_dedup,
+            distinct_sites: sites.len() as u64,
             api_health,
+        }
+    }
+}
+
+impl Lane for ProfState {
+    fn wants(&self, event: Event) -> bool {
+        matches!(
+            event,
+            Event::Fork
+                | Event::Join
+                | Event::ThreadBeginImplicitBarrier
+                | Event::ThreadEndImplicitBarrier
+        )
+    }
+
+    #[inline]
+    fn on_event(&self, d: &EventData) {
+        match d.event {
+            Event::Fork => self.on_fork(d),
+            Event::Join => self.on_join(d),
+            Event::ThreadBeginImplicitBarrier => self.on_ibar_begin(d),
+            Event::ThreadEndImplicitBarrier => self.on_ibar_end(d),
+            _ => {}
         }
     }
 }
@@ -235,39 +299,15 @@ impl ProfState {
 /// unregisters its callbacks but leaves collection started; always call
 /// `finish`.
 pub struct Profiler {
-    registrations: Registrations,
-    state: Arc<ProfState>,
+    collector: Collector<ProfState>,
 }
 
 impl Profiler {
-    /// Attach to a runtime: send `Start` and register the fork/join (and
-    /// optionally implicit-barrier) callbacks.
+    /// Attach to a runtime: send `Start` and register the fork, join and
+    /// implicit-barrier callbacks.
     pub fn attach(handle: RuntimeHandle, config: ProfilerConfig) -> OraResult<Profiler> {
-        handle.request_one(Request::Start)?;
-        let state = Arc::new(ProfState::new(&config));
-        let mut registrations = Registrations::new(handle);
-
-        let s = state.clone();
-        registrations.register(Event::Fork, Arc::new(move |d: &EventData| s.on_fork(d)))?;
-        let s = state.clone();
-        registrations.register(Event::Join, Arc::new(move |d: &EventData| s.on_join(d)))?;
-        if config.track_barriers {
-            let s = state.clone();
-            registrations.register(
-                Event::ThreadBeginImplicitBarrier,
-                Arc::new(move |d: &EventData| s.on_ibar_begin(d)),
-            )?;
-            let s = state.clone();
-            registrations.register(
-                Event::ThreadEndImplicitBarrier,
-                Arc::new(move |d: &EventData| s.on_ibar_end(d)),
-            )?;
-        }
-
-        Ok(Profiler {
-            registrations,
-            state,
-        })
+        let collector = Collector::attach(handle, ProfState::new(&config))?;
+        Ok(Profiler { collector })
     }
 
     /// Attach with the default configuration (the paper's tool).
@@ -277,36 +317,26 @@ impl Profiler {
 
     /// Suspend event generation (`OMP_REQ_PAUSE`).
     pub fn pause(&self) -> OraResult<()> {
-        self.registrations
-            .handle()
-            .request_one(Request::Pause)
-            .map(|_| ())
+        self.collector.pause()
     }
 
     /// Resume event generation.
     pub fn resume(&self) -> OraResult<()> {
-        self.registrations
-            .handle()
-            .request_one(Request::Resume)
-            .map(|_| ())
+        self.collector.resume()
     }
 
     /// Events observed so far.
     pub fn events_observed(&self) -> u64 {
-        self.state.events.load(Ordering::Relaxed)
+        self.collector.lane().events.load(Ordering::Relaxed)
     }
 
     /// Stop collection and assemble the offline profile.
     pub fn finish(mut self) -> Profile {
-        self.registrations.stop();
+        self.collector.stop();
         // Health counters are lifetime totals and the query is answerable
         // in every phase, so post-Stop is fine.
-        let api_health = self
-            .registrations
-            .handle()
-            .query_health()
-            .unwrap_or_default();
-        self.state.profile(api_health)
+        let api_health = self.collector.handle().query_health().unwrap_or_default();
+        self.collector.lane().profile(api_health)
     }
 }
 
@@ -350,8 +380,19 @@ pub struct Profile {
     pub call_tree: psx::CallTree,
     /// Total events the callbacks observed.
     pub events_observed: u64,
+    /// Join events observed.
+    pub joins: u64,
     /// Join callstack samples recorded.
     pub join_samples: u64,
+    /// Joins that kept no callstack: region shorter than
+    /// [`ProfilerConfig::min_region_secs`].
+    pub skipped_small: u64,
+    /// Joins that kept no callstack: their calling context already held
+    /// [`ProfilerConfig::max_samples_per_site`] samples.
+    pub skipped_dedup: u64,
+    /// Distinct calling contexts among the joins whose callstack was
+    /// captured.
+    pub distinct_sites: u64,
     /// The runtime's fault-isolation counters at finish time
     /// (`OMP_REQ_HEALTH`): callback panics caught, callbacks
     /// quarantined, sequence errors.
@@ -362,6 +403,15 @@ impl Profile {
     /// Number of parallel regions profiled.
     pub fn region_count(&self) -> usize {
         self.regions.len()
+    }
+
+    /// Fraction of joins that did *not* pay for callstack capture and
+    /// storage.
+    pub fn savings(&self) -> f64 {
+        if self.joins == 0 {
+            return 0.0;
+        }
+        (self.skipped_small + self.skipped_dedup) as f64 / self.joins as f64
     }
 
     /// Total fork→join time across all regions.
@@ -412,5 +462,41 @@ impl Profile {
             ));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn signature_distinguishes_stacks() {
+        let a = Backtrace::from_ips(vec![1, 2, 3]);
+        let b = Backtrace::from_ips(vec![1, 2, 4]);
+        let c = Backtrace::from_ips(vec![1, 2, 3]);
+        assert_ne!(signature(&a), signature(&b));
+        assert_eq!(signature(&a), signature(&c));
+    }
+
+    /// The paper's tool pays for no policy: every join keeps its stack,
+    /// and no stack is hashed into a site map.
+    #[test]
+    fn default_join_path_keeps_every_stack_and_builds_no_site_map() {
+        let state = ProfState::new(&ProfilerConfig::default());
+        for region_id in 1..=3 {
+            let fork = EventData {
+                region_id,
+                ..EventData::bare(Event::Fork, 0)
+            };
+            state.on_event(&fork);
+            state.on_event(&EventData {
+                event: Event::Join,
+                ..fork
+            });
+        }
+        let samples = state.samples.lock();
+        assert_eq!(samples.stacks.len(), 3);
+        assert!(samples.per_site.is_empty());
+        assert_eq!((samples.skipped_small, samples.skipped_dedup), (0, 0));
     }
 }

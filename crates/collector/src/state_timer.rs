@@ -10,18 +10,17 @@
 //! state. The result is a per-thread breakdown of work / overhead /
 //! barrier / wait / idle time — the classic OpenMP efficiency report.
 
-use std::sync::Arc;
-
 use ora_core::pad::CachePadded;
 use ora_core::sync::Mutex;
 
-use ora_core::event::ALL_EVENTS;
+use ora_core::event::Event;
 use ora_core::registry::EventData;
-use ora_core::request::{OraResult, Request};
+use ora_core::request::OraResult;
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
 
 use crate::clock;
-use crate::discovery::{Registrations, RuntimeHandle};
+use crate::discovery::RuntimeHandle;
+use crate::lane::{Collector, Lane};
 use crate::report;
 
 pub use crate::profiler::MAX_THREADS;
@@ -58,26 +57,6 @@ impl TimerState {
         }
     }
 
-    /// The event callback: query the firing thread's state and charge
-    /// the time since its previous event to the state it was in then.
-    #[inline]
-    pub(crate) fn on_event(&self, d: &EventData) {
-        if d.gtid >= MAX_THREADS {
-            return;
-        }
-        let Ok((now_state, _)) = self.handle.query_state() else {
-            return;
-        };
-        let now = clock::ticks();
-        let mut slot = self.threads[d.gtid].lock();
-        if let Some(prev) = slot.last_state {
-            let elapsed = now.saturating_sub(slot.last_tick);
-            slot.per_state[prev.index()] += elapsed;
-        }
-        slot.last_tick = now;
-        slot.last_state = Some(now_state);
-    }
-
     /// The per-thread state-time profile accumulated so far.
     pub(crate) fn profile(&self) -> StateProfile {
         let threads = self
@@ -97,37 +76,51 @@ impl TimerState {
     }
 }
 
+impl Lane for TimerState {
+    fn wants(&self, _: Event) -> bool {
+        true
+    }
+
+    /// The event callback: query the firing thread's state and charge
+    /// the time since its previous event to the state it was in then.
+    #[inline]
+    fn on_event(&self, d: &EventData) {
+        if d.gtid >= MAX_THREADS {
+            return;
+        }
+        let Ok((now_state, _)) = self.handle.query_state() else {
+            return;
+        };
+        let now = clock::ticks();
+        let mut slot = self.threads[d.gtid].lock();
+        if let Some(prev) = slot.last_state {
+            let elapsed = now.saturating_sub(slot.last_tick);
+            slot.per_state[prev.index()] += elapsed;
+        }
+        slot.last_tick = now;
+        slot.last_state = Some(now_state);
+    }
+}
+
 /// An attached state-time profiler.
 pub struct StateTimer {
-    registrations: Registrations,
-    state: Arc<TimerState>,
+    collector: Collector<TimerState>,
 }
 
 impl StateTimer {
     /// Attach: send `Start` and register a sampling callback on every
     /// supported event.
     pub fn attach(handle: RuntimeHandle) -> OraResult<StateTimer> {
-        handle.request_one(Request::Start)?;
-        let state = Arc::new(TimerState::new(handle.clone()));
-
-        let mut registrations = Registrations::new(handle);
-        for event in ALL_EVENTS {
-            let s = state.clone();
-            registrations
-                .register_if_supported(event, Arc::new(move |d: &EventData| s.on_event(d)))?;
-        }
-        Ok(StateTimer {
-            registrations,
-            state,
-        })
+        let collector = Collector::attach(handle.clone(), TimerState::new(handle))?;
+        Ok(StateTimer { collector })
     }
 
     /// Stop collection and produce the per-thread state-time profile.
     /// The callbacks — each of which holds the runtime handle — are
     /// released, so a finished timer keeps nothing of the runtime alive.
     pub fn finish(mut self) -> StateProfile {
-        self.registrations.stop();
-        self.state.profile()
+        self.collector.stop();
+        self.collector.lane().profile()
     }
 }
 

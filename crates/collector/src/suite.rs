@@ -4,21 +4,20 @@
 //! (paper §IV-C), so two tools attached to the same runtime would clobber
 //! each other's registrations. Real tools therefore multiplex: register
 //! once, fan the stream out internally. [`ToolSuite`] is that multiplexer
-//! — a single registration pass that simultaneously produces the
-//! profiler's region/barrier report, the tracer's record stream, and the
-//! state-timer's per-thread accounting.
+//! — one collector whose lane fans out to the profiler's, tracer's and
+//! state-timer's lanes, registering the union of the events they need.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use ora_core::event::Event;
 use ora_core::registry::EventData;
-use ora_core::request::{OraError, OraResult, Request};
+use ora_core::request::OraResult;
 use ora_trace::analyze::{summarize, Summary};
 use ora_trace::{MemorySink, RankedEvent, Recorder, TraceConfig, TraceReader};
 
 use crate::clock;
-use crate::discovery::{Registrations, RuntimeHandle};
+use crate::discovery::RuntimeHandle;
+use crate::lane::{Collector, Lane};
 use crate::profiler::{ProfState, Profile, ProfilerConfig};
 use crate::report;
 use crate::state_timer::{StateProfile, TimerState};
@@ -54,7 +53,13 @@ struct SuiteState {
     events: AtomicU64,
 }
 
-impl SuiteState {
+impl Lane for SuiteState {
+    fn wants(&self, event: Event) -> bool {
+        self.profile.as_ref().is_some_and(|l| l.wants(event))
+            || self.trace.as_ref().is_some_and(|l| l.wants(event))
+            || self.state_times.as_ref().is_some_and(|l| l.wants(event))
+    }
+
     fn on_event(&self, d: &EventData) {
         self.events.fetch_add(1, Ordering::Relaxed);
         if let Some(trace) = &self.trace {
@@ -71,63 +76,51 @@ impl SuiteState {
 
 /// The multiplexing tool.
 pub struct ToolSuite {
-    registrations: Registrations,
-    state: Arc<SuiteState>,
+    collector: Collector<SuiteState>,
     recorder: Option<Recorder<MemorySink>>,
 }
 
 impl ToolSuite {
-    /// Attach with `cfg`: one `Start`, one registration pass over every
-    /// supported event.
+    /// Attach with `cfg`: one `Start`, one registration pass over the
+    /// events the enabled lanes need.
     pub fn attach(handle: RuntimeHandle, cfg: SuiteConfig) -> OraResult<ToolSuite> {
-        handle.request_one(Request::Start)?;
         let recorder = cfg.trace.then(|| {
             Recorder::start(TraceConfig::default(), MemorySink::new())
                 .expect("memory sink cannot fail")
         });
-        let state = Arc::new(SuiteState {
+        let state = SuiteState {
             profile: cfg
                 .profile
                 .then(|| ProfState::new(&ProfilerConfig::default())),
             trace: recorder.as_ref().map(|r| TraceLane::new(r.rings())),
             state_times: cfg.state_times.then(|| TimerState::new(handle.clone())),
             events: AtomicU64::new(0),
-        });
-
-        let supported = handle.supported_events();
-        let mut registrations = Registrations::new(handle);
-        for event in supported {
-            let s = state.clone();
-            registrations.register(event, Arc::new(move |d: &EventData| s.on_event(d)))?;
-        }
+        };
+        let collector = Collector::attach(handle, state)?;
         Ok(ToolSuite {
-            registrations,
-            state,
+            collector,
             recorder,
         })
     }
 
     /// Events observed so far.
     pub fn events_observed(&self) -> u64 {
-        self.state.events.load(Ordering::Relaxed)
+        self.collector.lane().events.load(Ordering::Relaxed)
     }
 
     /// Stop collection and assemble every configured report.
     pub fn finish(mut self) -> SuiteReport {
-        self.registrations.stop();
-        let api_health = self
-            .registrations
-            .handle()
-            .query_health()
-            .unwrap_or_default();
+        self.collector.stop();
+        let api_health = self.collector.handle().query_health().unwrap_or_default();
         let trace = self.recorder.map(|recorder| {
             let (sink, _) = recorder.finish().expect("memory sink cannot fail");
             TraceReader::from_bytes(sink.into_bytes()).expect("self-encoded trace decodes")
         });
+        let state = self.collector.lane();
         SuiteReport {
-            profile: self.state.profile.as_ref().map(|p| p.profile(api_health)),
+            profile: state.profile.as_ref().map(|p| p.profile(api_health)),
             trace,
-            state_times: self.state.state_times.as_ref().map(TimerState::profile),
+            state_times: state.state_times.as_ref().map(TimerState::profile),
         }
     }
 }
@@ -208,17 +201,6 @@ fn render_summary(s: &Summary) -> String {
         by_kind.map(|(e, secs, n)| vec![e.name().to_string(), format!("{secs:.6}"), n.to_string()]),
     ));
     out
-}
-
-/// Attaching two tools to one runtime clobbers registrations — make the
-/// failure mode visible for documentation purposes.
-pub fn second_attachment_would_clobber(handle: &RuntimeHandle) -> OraResult<()> {
-    // A second Start on an already-started API is the canonical signal.
-    match handle.request_one(Request::Start) {
-        Err(OraError::OutOfSequence) => Ok(()),
-        Ok(_) => Err(OraError::Error),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]

@@ -21,14 +21,15 @@ use std::sync::Arc;
 
 use ora_core::event::{Event, EVENT_COUNT};
 use ora_core::registry::EventData;
-use ora_core::request::{OraError, Request};
+use ora_core::request::OraError;
 use ora_trace::{
     pack_governor_decision, DrainerHealth, RawRecord, Recorder, RecordingStats, RingSet,
     TraceConfig, TraceError, TraceSink, GOVERNOR_EVENT_CODE,
 };
 
 use crate::clock;
-use crate::discovery::{Registrations, RuntimeHandle};
+use crate::discovery::RuntimeHandle;
+use crate::lane::{Collector, Lane};
 
 /// Why a streaming tracer could not attach or finish.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,10 +78,16 @@ impl TraceLane {
             rings,
         }
     }
+}
+
+impl Lane for TraceLane {
+    fn wants(&self, _: Event) -> bool {
+        true
+    }
 
     /// The event callback: count, timestamp, record.
     #[inline]
-    pub(crate) fn on_event(&self, d: &EventData) {
+    fn on_event(&self, d: &EventData) {
         self.counts[d.event.index()].fetch_add(1, Ordering::Relaxed);
         self.rings.record(RawRecord {
             tick: clock::ticks(),
@@ -95,38 +102,26 @@ impl TraceLane {
 
 /// A tracer streaming encoded chunks into an arbitrary [`TraceSink`].
 pub struct StreamingTracer<S: TraceSink + 'static> {
-    registrations: Registrations,
-    lane: Arc<TraceLane>,
+    collector: Collector<TraceLane>,
     recorder: Recorder<S>,
 }
 
 impl<S: TraceSink + 'static> StreamingTracer<S> {
-    /// Attach to a runtime, start collection, and register every event
-    /// the runtime supports (unsupported registrations are skipped — the
-    /// paper's runtime rejects atomic-wait events, for instance).
-    /// Events stream into `sink` via the `ora-trace` drainer under
-    /// `config`.
+    /// Start the recording, then attach to a runtime, start collection,
+    /// and register every event the runtime supports (unsupported
+    /// registrations are skipped — the paper's runtime rejects
+    /// atomic-wait events, for instance). Events stream into `sink` via
+    /// the `ora-trace` drainer under `config`. A sink that fails its
+    /// header write fails the attach before `Start` is sent.
     pub fn attach(
         handle: RuntimeHandle,
         config: TraceConfig,
         sink: S,
     ) -> Result<StreamingTracer<S>, StreamError> {
-        handle.request_one(Request::Start)?;
         let recorder = Recorder::start(config, sink)?;
-        let lane = Arc::new(TraceLane::new(recorder.rings()));
-
-        let supported = handle.supported_events();
-        let mut registrations = Registrations::new(handle);
-        for event in supported {
-            let lane = lane.clone();
-            // Unsupported optional events are fine; anything else is not.
-            registrations
-                .register_if_supported(event, Arc::new(move |d: &EventData| lane.on_event(d)))?;
-        }
-
+        let collector = Collector::attach(handle, TraceLane::new(recorder.rings()))?;
         Ok(StreamingTracer {
-            registrations,
-            lane,
+            collector,
             recorder,
         })
     }
@@ -134,7 +129,7 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
     /// Occurrences of `event` so far (counted even when the record
     /// itself was dropped by backpressure).
     pub fn count(&self, event: Event) -> u64 {
-        self.lane.counts[event.index()].load(Ordering::Relaxed)
+        self.collector.lane().counts[event.index()].load(Ordering::Relaxed)
     }
 
     /// Parallel-region calls observed (fork events).
@@ -144,7 +139,7 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
 
     /// The runtime handle this tracer is attached through.
     pub fn handle(&self) -> &RuntimeHandle {
-        self.registrations.handle()
+        self.collector.handle()
     }
 
     /// Append the governor's sampling-rate decisions to the trace as
@@ -170,7 +165,7 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
     /// and hand back the sink plus the recording's loss accounting. The
     /// callbacks (and with them the ring set) are released.
     pub fn finish(mut self) -> Result<(S, RecordingStats), StreamError> {
-        self.registrations.stop();
+        self.collector.stop();
         Ok(self.recorder.finish()?)
     }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the state-timer and selective-collection tools.
 
-use collector::{RuntimeHandle, SelectivePolicy, SelectiveProfiler, StateTimer};
+use collector::{Profiler, ProfilerConfig, RuntimeHandle, StateTimer};
 use omprt::{OpenMp, SourceFunction};
 use ora_core::state::ThreadState;
 
@@ -48,11 +48,12 @@ fn state_timer_attributes_work_and_barrier_time() {
 #[test]
 fn selective_profiler_skips_small_regions() {
     let rt = OpenMp::with_threads(2);
-    let profiler = SelectiveProfiler::attach(
+    let profiler = Profiler::attach(
         handle_for(&rt),
-        SelectivePolicy {
+        ProfilerConfig {
             min_region_secs: 3600.0, // everything is "small"
             max_samples_per_site: 8,
+            ..ProfilerConfig::default()
         },
     )
     .unwrap();
@@ -63,7 +64,7 @@ fn selective_profiler_skips_small_regions() {
 
     let report = profiler.finish();
     assert_eq!(report.joins, 20);
-    assert_eq!(report.sampled, 0);
+    assert_eq!(report.join_samples, 0);
     assert_eq!(report.skipped_small, 20);
     assert_eq!(report.savings(), 1.0);
 }
@@ -73,11 +74,12 @@ fn selective_profiler_dedups_calling_contexts() {
     let func = SourceFunction::new("sel_driver", "sel.rs", 1);
     let region = func.region("hot", 5);
     let rt = OpenMp::with_threads(2);
-    let profiler = SelectiveProfiler::attach(
+    let profiler = Profiler::attach(
         handle_for(&rt),
-        SelectivePolicy {
+        ProfilerConfig {
             min_region_secs: 0.0, // no duration gate
             max_samples_per_site: 3,
+            ..ProfilerConfig::default()
         },
     )
     .unwrap();
@@ -92,7 +94,7 @@ fn selective_profiler_dedups_calling_contexts() {
     let report = profiler.finish();
     assert_eq!(report.joins, 50);
     assert_eq!(report.distinct_sites, 1, "one calling context");
-    assert_eq!(report.sampled, 3, "capped per site");
+    assert_eq!(report.join_samples, 3, "capped per site");
     assert_eq!(report.skipped_dedup, 47);
     assert!(report.savings() > 0.9);
     // The kept samples still reconstruct to the right user model.
@@ -106,11 +108,12 @@ fn selective_profiler_keeps_distinct_contexts_apart() {
     let region_a = func.region("a", 5);
     let region_b = func.region("b", 9);
     let rt = OpenMp::with_threads(2);
-    let profiler = SelectiveProfiler::attach(
+    let profiler = Profiler::attach(
         handle_for(&rt),
-        SelectivePolicy {
+        ProfilerConfig {
             min_region_secs: 0.0,
             max_samples_per_site: 2,
+            ..ProfilerConfig::default()
         },
     )
     .unwrap();
@@ -126,7 +129,7 @@ fn selective_profiler_keeps_distinct_contexts_apart() {
     let report = profiler.finish();
     assert_eq!(report.joins, 20);
     assert_eq!(report.distinct_sites, 2);
-    assert_eq!(report.sampled, 4, "2 per site");
+    assert_eq!(report.join_samples, 4, "2 per site");
 }
 
 #[test]
@@ -147,11 +150,12 @@ fn selective_beats_full_on_stored_volume() {
     };
     let selective_samples = {
         let rt = OpenMp::with_threads(2);
-        let p = SelectiveProfiler::attach(
+        let p = Profiler::attach(
             handle_for(&rt),
-            SelectivePolicy {
+            ProfilerConfig {
                 min_region_secs: 0.0,
                 max_samples_per_site: 4,
+                ..ProfilerConfig::default()
             },
         )
         .unwrap();
@@ -159,7 +163,7 @@ fn selective_beats_full_on_stored_volume() {
         for _ in 0..runs {
             rt.parallel_region(&region, |_| {});
         }
-        p.finish().sampled
+        p.finish().join_samples
     };
     assert_eq!(full_samples, runs);
     assert!(selective_samples <= 4);

@@ -3,14 +3,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use collector::{
-    Endpoint, MutexKind, OmptAdapter, OmptRecord, Registrations, RuntimeHandle, SyncRegionKind,
-};
+use collector::{Endpoint, MutexKind, OmptAdapter, OmptRecord, RuntimeHandle, SyncRegionKind};
 use omprt::OpenMp;
 
-/// The attachment guard (the tool stays attached while it lives) and the
+/// The attached adapter (the tool stays attached while it lives) and the
 /// records the tool has received.
-fn attach(rt: &OpenMp) -> (Registrations, Arc<Mutex<Vec<OmptRecord>>>) {
+fn attach(rt: &OpenMp) -> (OmptAdapter, Arc<Mutex<Vec<OmptRecord>>>) {
     let handle = RuntimeHandle::discover_named(rt.symbol_name()).unwrap();
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = log.clone();

@@ -5,7 +5,10 @@
 
 use std::sync::Arc;
 
-use collector::{Profiler, RuntimeHandle, StateTimer, StreamingTracer};
+use collector::{
+    OmptAdapter, Profiler, ProfilerConfig, RuntimeHandle, StateTimer, StreamingTracer, SuiteConfig,
+    ToolSuite,
+};
 use omprt::OpenMp;
 use ora_core::request::CallbackToken;
 use ora_trace::{MemorySink, TraceConfig};
@@ -43,6 +46,22 @@ fn finished_collectors_leave_nothing_interned() {
         let profiler = Profiler::attach_default(handle.clone()).unwrap();
         rt.parallel(|_| {});
         profiler.finish();
+
+        let capped = ProfilerConfig {
+            max_samples_per_site: 1,
+            ..ProfilerConfig::default()
+        };
+        let profiler = Profiler::attach(handle.clone(), capped).unwrap();
+        rt.parallel(|_| {});
+        profiler.finish();
+
+        let suite = ToolSuite::attach(handle.clone(), SuiteConfig::default()).unwrap();
+        rt.parallel(|_| {});
+        suite.finish();
+
+        let ompt = OmptAdapter::attach(handle.clone(), Arc::new(|_| {})).unwrap();
+        rt.parallel(|_| {});
+        ompt.finish();
     }
     let end = next_token(&handle);
 

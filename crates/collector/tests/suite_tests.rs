@@ -1,8 +1,9 @@
 //! The multiplexing tool suite: one attachment, all reports consistent.
 
-use collector::{suite, RuntimeHandle, SuiteConfig, ToolSuite};
+use collector::{RuntimeHandle, SuiteConfig, ToolSuite};
 use omprt::OpenMp;
 use ora_core::event::Event;
+use ora_core::request::{OraError, Request};
 use ora_core::state::ThreadState;
 
 fn handle_for(rt: &OpenMp) -> RuntimeHandle {
@@ -77,6 +78,9 @@ fn second_tool_cannot_attach_to_a_started_runtime() {
     let handle = handle_for(&rt);
     let tool = ToolSuite::attach(handle.clone(), SuiteConfig::default()).unwrap();
     // The single-callback-slot model: a second tool's Start is rejected.
-    suite::second_attachment_would_clobber(&handle).unwrap();
+    assert_eq!(
+        handle.request_one(Request::Start),
+        Err(OraError::OutOfSequence)
+    );
     let _ = tool.finish();
 }

@@ -44,6 +44,14 @@ if grep -rnE 'fn (get_varint|read_u32|read_u64|body_varint)\b' crates/ \
   echo "tier1: hand-rolled byte reader outside crates/core/src/bytes.rs — read through ora_core::bytes::Cursor" >&2
   exit 1
 fi
+# One attach path: every collector tool is a lane of `lane::Collector`,
+# whose attach is the only code in the collector crate that starts
+# collection, so the handshake's failure handling exists once.
+if [ "$(grep -rn 'Request::Start' crates/collector/src | wc -l)" -ne 1 ]; then
+  grep -rn 'Request::Start' crates/collector/src >&2 || true
+  echo "tier1: Request::Start must appear exactly once under crates/collector/src — attach through lane::Collector" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -67,7 +75,8 @@ cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
 
 # CLI smoke of the timeline surfaces no test drives: record → report →
 # analyze on a file, the in-memory `--tool trace` with its CSV export,
-# the three-section `--tool suite`, and a two-rank `fleet` whose online
+# the three-section `--tool suite`, the `--tool selective` savings line,
+# and a two-rank `fleet` whose online
 # merge must equal the offline one (a merge-order regression fails the
 # push gate, not the nightly stress sweep). Output goes to files first
 # so a short-circuiting grep cannot break the pipe under `pipefail`.
@@ -87,6 +96,9 @@ sed -n '/^tick,/,$p' "$smoke/trace.txt" | sed -n 2p | grep -Eq '^[0-9]+(,[0-9]+)
 for section in profile 'state times' trace; do
   grep -q "^=== $section ===" "$smoke/suite.txt"
 done
+# The §VI policy as ProfilerConfig fields: duration gate + per-site cap.
+"$omp_prof" --workload epcc --tool selective >"$smoke/selective.txt"
+grep -Eq '^joins [0-9]+ \| sampled [0-9]+ .*\| savings [0-9.]+%$' "$smoke/selective.txt"
 "$omp_prof" fleet --ranks 2 --threads 2 --workload lu-mz --class s \
   --out-dir "$smoke/fleet" >"$smoke/fleet.txt"
 grep -q 'export byte-identical to offline merge_ranks: yes' "$smoke/fleet.txt"

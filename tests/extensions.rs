@@ -131,11 +131,12 @@ fn selective_profiler_on_lu_hp_slashes_sample_volume() {
     // calling contexts but ~1500 region calls at class S.
     let kernel = NpbKernel::lu_hp();
     let rt = OpenMp::with_threads(2);
-    let p = collector::SelectiveProfiler::attach(
+    let p = collector::Profiler::attach(
         handle_for(&rt),
-        collector::SelectivePolicy {
+        collector::ProfilerConfig {
             min_region_secs: 0.0,
             max_samples_per_site: 4,
+            ..collector::ProfilerConfig::default()
         },
     )
     .unwrap();
@@ -143,6 +144,6 @@ fn selective_profiler_on_lu_hp_slashes_sample_volume() {
     let report = p.finish();
     assert_eq!(report.joins, kernel.region_calls(NpbClass::S));
     assert_eq!(report.distinct_sites as usize, kernel.region_count());
-    assert!(report.sampled <= 4 * kernel.region_count() as u64);
+    assert!(report.join_samples <= 4 * kernel.region_count() as u64);
     assert!(report.savings() > 0.9, "savings {}", report.savings());
 }
