@@ -78,6 +78,9 @@
 //! `trace report` also accepts multiple per-rank traces — `--rank FILE`
 //! repeated, or `--ranks-dir DIR` for every `*.oratrace` in a directory
 //! — and prints the merged `(tick, gtid, seq, rank)` timeline.
+//! A trace killed before its footer is read from its complete chunks:
+//! `trace report` and `trace analyze` print `salvaged: N chunks, M bytes
+//! discarded; drop counts unknown` for it, and `trace report` exits 5.
 
 use std::sync::Arc;
 
@@ -87,8 +90,8 @@ use collector::{
 use omprt::OpenMp;
 use ora_core::event::Event;
 use ora_trace::{
-    DropPolicy, FaultMode, FaultSink, FileSink, MemorySink, RankedEvent, TraceConfig, TraceError,
-    TraceEvent, TraceReader, TraceSink,
+    DropPolicy, FaultMode, FaultSink, FileSink, MemorySink, TraceConfig, TraceError, TraceEvent,
+    TraceReader, TraceSink,
 };
 use workloads::epcc::{self, EpccConfig};
 use workloads::{NpbClass, NpbKernel};
@@ -176,10 +179,7 @@ fn trace_record() {
     };
 
     let (rt, handle) = runtime_from_args();
-    let sink = FileSink::create(&out).unwrap_or_else(|e| {
-        eprintln!("cannot create {out}: {e}");
-        std::process::exit(1);
-    });
+    let sink = or_exit(FileSink::create(&out), &format!("cannot create {out}"));
     let tracer = StreamingTracer::attach(handle, config, sink).expect("attach tracer");
     run_workload(&rt, "epcc");
     let region_calls = tracer.region_calls();
@@ -241,16 +241,23 @@ fn rank_files() -> Vec<String> {
     files
 }
 
+/// Open a trace file, saying so if it had to be salvaged.
 fn open_trace(path: &String) -> TraceReader {
-    TraceReader::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    })
+    let reader = or_exit(TraceReader::open(path), &format!("cannot read {path}"));
+    if let Some(s) = reader.salvaged() {
+        let (chunks, bytes) = (s.chunks, s.bytes_discarded);
+        println!("{path}: salvaged: {chunks} chunks, {bytes} bytes discarded; drop counts unknown");
+    }
+    reader
 }
 
-fn merge_ranks(readers: &[TraceReader]) -> Vec<RankedEvent> {
-    ora_trace::merge_ranks(readers).unwrap_or_else(|e| {
-        eprintln!("merge failed: {e}");
+/// `trace report`'s exit code when any trace it read was salvaged.
+const EXIT_SALVAGED: i32 = 5;
+
+/// `r`'s value, or exit 1 after printing `what: <error>`.
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
         std::process::exit(1);
     })
 }
@@ -308,14 +315,11 @@ fn trace_analyze() {
 
     let timeline = arg("--timeline", "");
     let events = if !timeline.is_empty() {
-        let bytes = std::fs::read(&timeline).unwrap_or_else(|e| {
-            eprintln!("cannot read {timeline}: {e}");
-            std::process::exit(1);
-        });
-        let events = analyze::decode_timeline(&bytes).unwrap_or_else(|e| {
-            eprintln!("{timeline} is not a fleet timeline export: {e}");
-            std::process::exit(1);
-        });
+        let bytes = or_exit(std::fs::read(&timeline), &format!("cannot read {timeline}"));
+        let events = or_exit(
+            analyze::decode_timeline(&bytes),
+            &format!("{timeline} is not a fleet timeline export"),
+        );
         println!(
             "analyzing fleet timeline {timeline} ({} records)",
             events.len()
@@ -328,7 +332,7 @@ fn trace_analyze() {
             files.push(arg("--in", "run.oratrace"));
         }
         let readers: Vec<TraceReader> = files.iter().map(open_trace).collect();
-        let merged = merge_ranks(&readers);
+        let merged = or_exit(ora_trace::merge_ranks(&readers), "merge failed");
         println!("analyzing {} ({} records)", files.join(", "), merged.len());
         merged
     };
@@ -348,16 +352,19 @@ fn trace_report_ranks(files: &[String], head: usize) {
     let readers: Vec<TraceReader> = files.iter().map(open_trace).collect();
     println!("merged fleet timeline over {} rank trace(s):", files.len());
     for (rank, (file, reader)) in files.iter().zip(&readers).enumerate() {
+        let dropped = reader.dropped().map_or("unknown".into(), |d| d.to_string());
         println!(
-            "  rank {rank}: {file} — {} records, {} dropped",
+            "  rank {rank}: {file} — {} records, {dropped} dropped",
             reader.record_count(),
-            reader.dropped()
         );
     }
-    let merged = merge_ranks(&readers);
+    let merged = or_exit(ora_trace::merge_ranks(&readers), "merge failed");
     println!("  merged: {} records\n", merged.len());
     print_event_counts(merged.iter().map(|e| e.record.event));
     print_head(head, merged.iter().map(|e| (Some(e.rank), &e.record)));
+    if readers.iter().any(|r| r.salvaged().is_some()) {
+        std::process::exit(EXIT_SALVAGED);
+    }
 }
 
 /// `trace report`: query a recorded binary trace offline.
@@ -372,7 +379,7 @@ fn trace_report() {
     let input = arg("--in", "run.oratrace");
     let reader = open_trace(&input);
     let has = |name: &str| std::env::args().any(|a| a == name);
-    let records = if has("--thread") {
+    let query = if has("--thread") {
         let gtid: usize = arg("--thread", "0").parse().unwrap_or(0);
         reader.for_thread(gtid)
     } else if has("--region") {
@@ -388,27 +395,29 @@ fn trace_report() {
         reader.time_range(lo, hi)
     } else {
         reader.records()
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("trace is damaged: {e}");
-        std::process::exit(1);
-    });
+    };
+    let records = or_exit(query, "trace is damaged");
     print_trace_report(&input, &reader, &records, head);
+    if reader.salvaged().is_some() {
+        std::process::exit(EXIT_SALVAGED);
+    }
 }
 
 /// The single-trace report: footer accounting, event counts, governor
 /// timeline, and the head of `records` (the query's matches).
 fn print_trace_report(input: &str, reader: &TraceReader, records: &[TraceEvent], head: usize) {
-    let footer = reader.footer();
     println!("trace: {input}");
-    println!(
-        "  persisted {} records in {} chunks | dropped {} | lanes {}",
-        reader.record_count(),
-        footer.chunks.len(),
-        reader.dropped(),
-        footer.lanes.len(),
-    );
-    if reader.dropped() > 0 {
+    let persisted = reader.record_count();
+    match reader.footer() {
+        Some(f) => println!(
+            "  persisted {persisted} records in {} chunks | dropped {} | lanes {}",
+            f.chunks.len(),
+            f.total_dropped(),
+            f.lanes.len()
+        ),
+        None => println!("  persisted {persisted} records"),
+    }
+    if let Some(footer) = reader.footer().filter(|f| f.total_dropped() > 0) {
         let lossy = footer.lanes.iter().filter(|l| l.dropped() > 0).count();
         println!("  loss detail: {lossy} lane(s) dropped records (see footer counters)");
     }

@@ -13,9 +13,9 @@
 //!
 //! Fault injection for stress runs: `kill_rank` makes one child vanish
 //! mid-stream without FIN or footer (a simulated rank crash — its lane
-//! degrades, the others must be unaffected), and `slow` delays every
-//! chunk ACK daemon-side so the producers' bounded in-flight windows
-//! actually backpressure.
+//! degrades, the others must be unaffected, and its teed file is read
+//! salvaged), and `slow` delays every chunk ACK daemon-side so the
+//! producers' bounded in-flight windows actually backpressure.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -28,7 +28,6 @@ use omprt::OpenMp;
 use ora_fleet::{
     timeline_bytes, Daemon, DaemonConfig, Endpoint, FleetListener, FleetReport, SocketSink,
 };
-use ora_trace::format::{encode_footer, encode_header, Footer};
 use ora_trace::{merge_ranks, RankedEvent, TraceConfig, TraceReader};
 use workloads::mz::MzBenchmark;
 use workloads::NpbClass;
@@ -74,16 +73,6 @@ pub fn class_key(class: NpbClass) -> &'static str {
         NpbClass::W => "w",
         NpbClass::Bsim => "b",
     }
-}
-
-/// A valid, empty trace: header followed by an empty footer. Stands in
-/// for a killed rank's (truncated, unreadable) trace file so rank
-/// indices still line up in the offline merge.
-pub fn placeholder_trace() -> Vec<u8> {
-    let mut bytes = Vec::new();
-    encode_header(&mut bytes);
-    encode_footer(&mut bytes, &Footer::default());
-    bytes
 }
 
 /// Child-process body for the hidden `fleet-rank` subcommand: connect
@@ -245,43 +234,29 @@ pub fn rank_trace_path(out_dir: &Path, rank: usize) -> PathBuf {
 }
 
 /// Compare the daemon's export against the offline `merge_ranks` of the
-/// teed per-rank trace files. A killed rank left no readable trace
-/// (header but no footer): it is stood in for by an empty placeholder
-/// offline and filtered out of the online store, so the comparison
-/// covers exactly the surviving ranks, at the same rank indices.
+/// teed per-rank trace files. A killed rank's file has no footer and is
+/// opened salvaged, so rank indices line up; but the rank may die
+/// between streaming a chunk and flushing its tee, so its records are
+/// removed from both sides by one predicate, and the comparison covers
+/// exactly the surviving ranks.
 pub fn export_matches_offline(
     report: &FleetReport,
     out_dir: &Path,
     ranks: usize,
     kill_rank: Option<usize>,
 ) -> Result<bool, String> {
-    let mut readers = Vec::with_capacity(ranks);
-    for rank in 0..ranks {
-        if kill_rank == Some(rank) {
-            readers.push(
-                TraceReader::from_bytes(placeholder_trace())
-                    .map_err(|e| format!("placeholder trace: {e}"))?,
-            );
-        } else {
+    let readers = (0..ranks)
+        .map(|rank| {
             let path = rank_trace_path(out_dir, rank);
-            readers.push(TraceReader::open(&path).map_err(|e| format!("{}: {e}", path.display()))?);
-        }
-    }
+            TraceReader::open(&path).map_err(|e| format!("{}: {e}", path.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let offline = merge_ranks(&readers).map_err(|e| format!("offline merge: {e}"))?;
-    let online = match kill_rank {
-        None => report.store.export(),
-        Some(k) => {
-            let surviving: Vec<RankedEvent> = report
-                .store
-                .records()
-                .iter()
-                .copied()
-                .filter(|e| e.rank != k)
-                .collect();
-            timeline_bytes(&surviving)
-        }
+    let surviving = |mut events: Vec<RankedEvent>| {
+        events.retain(|e| Some(e.rank) != kill_rank);
+        timeline_bytes(&events)
     };
-    Ok(online == timeline_bytes(&offline))
+    Ok(surviving(report.store.records().to_vec()) == surviving(offline))
 }
 
 #[cfg(test)]
@@ -294,13 +269,5 @@ mod tests {
         assert_eq!(mz_by_name("LU_MZ").unwrap().name, "LU-MZ");
         assert_eq!(mz_by_name("sp").unwrap().name, "SP-MZ");
         assert!(mz_by_name("cg").is_none());
-    }
-
-    #[test]
-    fn placeholder_trace_is_a_valid_empty_trace() {
-        let reader = TraceReader::from_bytes(placeholder_trace()).unwrap();
-        assert_eq!(reader.record_count(), 0);
-        assert_eq!(reader.dropped(), 0);
-        assert!(merge_ranks(&[reader]).unwrap().is_empty());
     }
 }

@@ -152,7 +152,7 @@ impl SuiteReport {
             out.push_str(&format!(
                 "\n=== trace === ({} records, {} dropped)\n",
                 records.len(),
-                t.dropped()
+                t.dropped().map_or("unknown".into(), |d| d.to_string())
             ));
             let ranked = records
                 .into_iter()

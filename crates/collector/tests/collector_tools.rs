@@ -136,7 +136,7 @@ fn tracer_counts_match_runtime_counters() {
     // 2 threads × 7 regions × (1 explicit + 1 implicit barrier).
     assert_eq!(counts[Event::ThreadBeginExplicitBarrier.index()], 14);
     assert_eq!(counts[Event::ThreadBeginImplicitBarrier.index()], 14);
-    assert_eq!((stats.dropped(), reader.dropped()), (0, 0));
+    assert_eq!((stats.dropped(), reader.dropped()), (0, Some(0)));
     // Every begin has its end.
     let records = reader.records().unwrap();
     let ranked = records
@@ -167,7 +167,7 @@ fn tracer_capacity_drops_but_keeps_counting() {
     let reader = TraceReader::from_bytes(sink.into_bytes()).unwrap();
     assert_eq!(
         reader.dropped(),
-        stats.dropped(),
+        Some(stats.dropped()),
         "the footer keeps the loss"
     );
 }

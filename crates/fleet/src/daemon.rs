@@ -1,13 +1,14 @@
 //! The aggregator daemon: one lane per rank, incremental watermark merge.
 //!
 //! Each accepted connection is one **lane**. The lane thread reads
-//! frames and classifies each CHUNK payload by its leading bytes —
-//! `ORATRC` header, `0x01` encoded chunk, `0x02` footer. The unit of
-//! work is the **sorted run**, not the record: the lane thread checks
-//! the chunk's CRC, decodes it and converts it into one key-sorted run
-//! *before* taking the state lock (so lanes of different ranks decode
-//! in parallel; the rare chunk that is not already sorted — two threads
-//! sharing a ring lane — is sorted there too). Under the lock it
+//! frames, and each CHUNK payload must be exactly one unit of the trace
+//! chunk stream (`ora_trace::format::unit`): the header, an encoded
+//! chunk, or the footer. The unit of work is the **sorted run**, not
+//! the record: the lane thread checks the chunk's CRC and decodes its
+//! records straight into one key-sorted run *before* taking the state
+//! lock (so lanes of different ranks decode in parallel; the rare chunk
+//! that is not already sorted — two threads sharing a ring lane — is
+//! sorted there too). Under the lock it
 //! validates the epoch sequence (a duplicate or a gap means the lane is
 //! misbehaving, and is reported ahead of any payload error), merges the
 //! run into the lane's own sorted *pending* buffer, and flushes; then
@@ -20,8 +21,8 @@
 //! (to a good approximation) not below the fleet minimum. A flush takes
 //! each lane's pending prefix at or below the watermark; one lane's
 //! prefix is already the run to settle, several are merged through a
-//! frontier of one record per rank (`ora_trace::RankMergeHeap`, used
-//! exactly as offline `merge_ranks_iter` uses it). The run then settles
+//! frontier of one record per rank (`ora_trace::RankMergeHeap`, the
+//! heap offline `merge_ranks_iter` is built on). The run then settles
 //! into the [`FleetStore`] with one backward merge; the records of it
 //! that still arrive below the settled frontier are counted late and
 //! land at their sorted position, so the final export is exactly the
@@ -46,9 +47,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ora_core::bytes::Cursor;
 use ora_core::sync::Mutex;
-use ora_trace::format::{self, FILE_MAGIC, TAG_CHUNK, TAG_FOOTER};
+use ora_trace::format;
 use ora_trace::{RankMergeHeap, RankedEvent, TraceError, TraceEvent};
 
 use crate::protocol::{
@@ -526,49 +526,42 @@ enum Unit {
     },
 }
 
-/// Classify a sink write by its leading bytes and decode it. Touches no
-/// shared state: this is the part of ingest that runs outside the lock.
+/// Decode one sink write, which must be exactly one unit of the chunk
+/// stream; a chunk's records go straight into one key-sorted run.
+/// Touches no shared state: this is the part of ingest that runs
+/// outside the lock.
 fn decode_unit(rank: u64, payload: &[u8]) -> Result<Unit, FleetError> {
-    let mut c = Cursor::new(payload);
-    match payload.first() {
-        Some(_) if payload.starts_with(FILE_MAGIC) => {
-            format::read_header(&mut c).map_err(|e| match e {
-                TraceError::BadVersion(v) => FleetError::BadVersion(v),
-                other => FleetError::Trace(other),
-            })?;
-            c.finish()?;
-            Ok(Unit::Header)
-        }
-        Some(&TAG_CHUNK) => {
-            let (_, raws) = format::read_chunk(&mut c)?;
-            c.finish()?;
+    let unit = format::unit(payload).map_err(|e| match e {
+        TraceError::BadVersion(v) => FleetError::BadVersion(v),
+        other => FleetError::Trace(other),
+    })?;
+    Ok(match unit {
+        format::Unit::Header => Unit::Header,
+        format::Unit::Chunk(chunk) => {
             let rank = rank as usize;
-            let mut run: Vec<RankedEvent> = Vec::with_capacity(raws.len());
+            let mut run: Vec<RankedEvent> = Vec::with_capacity(chunk.count as usize);
             let mut sorted = true;
-            for raw in &raws {
+            format::for_each_record(chunk.payload, chunk.count, |raw| {
                 let ev = RankedEvent {
                     rank,
-                    record: TraceEvent::from_raw(raw)?,
+                    record: TraceEvent::from_raw(&raw)?,
                 };
                 sorted &= run.last().is_none_or(|prev| prev.key() <= ev.key());
                 run.push(ev);
-            }
+                Ok(())
+            })?;
             // One thread per ring lane writes in key order; only threads
             // sharing a lane can interleave out of it.
             if !sorted {
                 run.sort_by_key(RankedEvent::key);
             }
-            Ok(Unit::Run(run))
+            Unit::Run(run)
         }
-        Some(&TAG_FOOTER) => {
-            let footer = format::decode_footer(payload)?;
-            Ok(Unit::Footer {
-                drained: footer.total_drained(),
-                dropped: footer.total_dropped(),
-            })
-        }
-        _ => Err(FleetError::Protocol("unclassifiable chunk payload")),
-    }
+        format::Unit::Footer(footer) => Unit::Footer {
+            drained: footer.total_drained(),
+            dropped: footer.total_dropped(),
+        },
+    })
 }
 
 /// Validate and merge one epoch-stamped payload: decode on this lane's
@@ -624,8 +617,8 @@ mod tests {
     use super::*;
     use crate::store::timeline_bytes;
     use ora_core::testutil::XorShift64;
-    use ora_trace::format::{encode_chunk, put_varint};
-    use ora_trace::RawRecord;
+    use ora_trace::format::{encode_chunk, put_varint, TAG_CHUNK};
+    use ora_trace::{RawRecord, TraceError};
 
     /// The per-record rule the run-merge replaced, kept as its
     /// reference: every pending record in one pool, a flush takes what
@@ -806,9 +799,10 @@ mod tests {
                 got: 3
             })
         );
+        // Neither tag byte, and too short for a header.
         assert_eq!(
             state.ingest(4, 0, bad()),
-            Err(FleetError::Protocol("unclassifiable chunk payload"))
+            Err(FleetError::Trace(TraceError::Truncated))
         );
         // The bad payload's epoch was still consumed, as before.
         assert_eq!(state.lanes[&4].report.epochs, 1);

@@ -22,7 +22,10 @@
 //! **Tee.** With [`SocketSink::tee`] the sink also appends every byte
 //! to a local trace file, so a rank both streams live and leaves the
 //! offline artifact `merge_ranks` reads — the fleet driver uses this to
-//! prove the online merge byte-identical to the offline one.
+//! prove the online merge byte-identical to the offline one. The tee is
+//! flushed with the recorder, once per sweep that wrote a chunk: a rank
+//! killed mid-run leaves every chunk up to its last sweep and no footer,
+//! which `TraceReader::open` salvages (the daemon may hold more).
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};

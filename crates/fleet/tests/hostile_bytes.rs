@@ -1,8 +1,8 @@
 //! Structure-aware mutation of every decoder of outside bytes.
 //!
 //! Valid inputs are generated for each decoder — request batches,
-//! trace chunks, trace footers, whole trace files, fleet timelines and
-//! fleet frames — and
+//! trace chunks, trace footers, whole trace files (and torn prefixes of
+//! them), fleet timelines and fleet frames — and
 //! then lied about where lies do damage: counts and lengths are swapped
 //! for their neighbours, the bytes that follow, or absurd values;
 //! payload bytes are flipped, extended into long varints, deleted and
@@ -386,6 +386,90 @@ fn trace_files(rng: &mut XorShift64, seed: u64) {
     }
 }
 
+/// A valid multi-chunk trace file cut at every byte, as a recording
+/// killed mid-write leaves it. A cut inside the header is `Truncated`;
+/// any later cut opens salvaged, with exactly the records of the chunks
+/// that end at or before the cut, and its streaming merge agrees with
+/// its eager one. Eight gtids share a few lanes (one lane in the last
+/// case) and each chunk starts at a random tick, so a lane's chunks
+/// interleave in tick order: with no tick bounds to go by, a salvaged
+/// reader must reorder each lane whole.
+fn torn_files(rng: &mut XorShift64, seed: u64) {
+    for case in 0..3 {
+        let lanes = if case == 2 {
+            1
+        } else {
+            rng.range_usize(2, 4) as u64
+        };
+        let mut file = Vec::new();
+        encode_header(&mut file);
+        let (mut index, mut ends, mut chunk_records) = (Vec::new(), Vec::new(), Vec::new());
+        let mut seq = 0;
+        for _ in 0..rng.range_usize(3, 6) {
+            // Seqs unique across the file keep every merge key unique.
+            let records: Vec<RawRecord> = arb_records(rng, 12)
+                .into_iter()
+                .map(|r| {
+                    seq += 1;
+                    RawRecord { seq, ..r }
+                })
+                .collect();
+            let (offset, lane) = (file.len() as u64, rng.below(lanes));
+            index.push(encode_chunk(&mut file, offset, lane, &records));
+            ends.push(file.len());
+            chunk_records.push(records);
+        }
+        let footer = Footer {
+            lanes: (0..lanes)
+                .map(|lane| {
+                    let drained = index.iter().filter(|m| m.lane == lane).map(|m| m.count);
+                    let drained = drained.sum();
+                    LaneStats {
+                        written: drained,
+                        drained,
+                        ..LaneStats::default()
+                    }
+                })
+                .collect(),
+            chunks: index.clone(),
+        };
+        encode_footer(&mut file, &footer);
+
+        for cut in 0..file.len() {
+            let input = file[..cut].to_vec();
+            let mut opened = None;
+            check("torn file", seed, case, &input, || {
+                opened = Some(TraceReader::from_bytes(input.clone()).map(|reader| {
+                    let records = reader.records();
+                    let events: Result<Vec<_>, _> = reader.events().collect();
+                    (reader.salvaged(), records, events)
+                }));
+            });
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let context = format!("seed {seed}, case {case}, cut {cut} of {}", file.len());
+            match opened.expect("decode ran") {
+                Err(e) => {
+                    assert!(cut < 8, "{context}: a cut past the header fails: {e}");
+                    assert_eq!(e, ora_trace::TraceError::Truncated, "{context}");
+                }
+                Ok((salvage, records, events)) => {
+                    let salvage = salvage.unwrap_or_else(|| panic!("{context}: not salvaged"));
+                    assert_eq!(salvage.chunks, whole, "{context}");
+                    let mut want: Vec<TraceEvent> = chunk_records[..whole]
+                        .iter()
+                        .flatten()
+                        .map(|r| TraceEvent::from_raw(r).expect("arb_records events are known"))
+                        .collect();
+                    want.sort_by_key(TraceEvent::key);
+                    let records = records.unwrap_or_else(|e| panic!("{context}: {e}"));
+                    assert_eq!(records, want, "{context}");
+                    assert_eq!(events, Ok(records), "{context}: events() disagrees");
+                }
+            }
+        }
+    }
+}
+
 fn timelines(rng: &mut XorShift64, seed: u64) {
     for case in 0..CASES {
         let events: Vec<RankedEvent> = arb_records(rng, 200)
@@ -479,6 +563,7 @@ fn hostile_bytes_get_typed_errors_and_bounded_allocations() {
     chunks(&mut rng, seed);
     footers(&mut rng, seed);
     trace_files(&mut rng, seed);
+    torn_files(&mut rng, seed);
     timelines(&mut rng, seed);
     frames(&mut rng, seed);
 }

@@ -206,6 +206,40 @@ fn diff_outcome(
     }
 }
 
+/// One kind of filtered view (per thread, per region) must partition
+/// the full merge: each view is exactly its slice of `records`, and
+/// together they cover it.
+fn diff_partition(
+    name: &str,
+    records: &[TraceEvent],
+    key: impl Fn(&TraceEvent) -> u64,
+    view: impl Fn(u64) -> Result<Vec<TraceEvent>, ora_trace::TraceError>,
+    push: &mut impl FnMut(String),
+) {
+    let mut keys: Vec<u64> = records.iter().map(&key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut covered = 0usize;
+    for k in keys {
+        match view(k) {
+            Ok(got) => {
+                let want: Vec<_> = records.iter().copied().filter(|r| key(r) == k).collect();
+                if got != want {
+                    push(format!("{name}({k}) disagrees with the merged records"));
+                }
+                covered += got.len();
+            }
+            Err(e) => push(format!("{name}({k}) failed: {e}")),
+        }
+    }
+    if covered != records.len() {
+        push(format!(
+            "{name} partitions cover {covered} of {} record(s)",
+            records.len()
+        ));
+    }
+}
+
 /// Every interval the runtime opens, it closes: no begin is left open
 /// and no end arrives unopened, for any pair a scenario can generate.
 /// Only checkable when nothing was lost to backpressure and no pause
@@ -246,32 +280,6 @@ fn diff_pairing(
     }
 }
 
-/// Split a trace file back into the units the recorder's sink was
-/// handed — the 8-byte header, each encoded chunk, the footer tail —
-/// which is exactly what a `SocketSink` producer frames, one per epoch.
-fn split_sink_units(bytes: &[u8]) -> Result<Vec<&[u8]>, String> {
-    use ora_trace::format::TAG_CHUNK;
-    if bytes.len() < 8 {
-        return Err(format!(
-            "trace is {} byte(s), shorter than a header",
-            bytes.len()
-        ));
-    }
-    let mut units = vec![&bytes[..8]];
-    let mut pos = 8usize;
-    while pos < bytes.len() && bytes[pos] == TAG_CHUNK {
-        let start = pos;
-        ora_trace::format::decode_chunk(bytes, &mut pos)
-            .map_err(|e| format!("chunk at byte {start}: {e}"))?;
-        units.push(&bytes[start..pos]);
-    }
-    if pos >= bytes.len() {
-        return Err("trace has no footer tail".into());
-    }
-    units.push(&bytes[pos..]);
-    Ok(units)
-}
-
 /// The socket rung: replay the trace through a loopback daemon and
 /// check that online aggregation agrees with everything the in-process
 /// chain established — stored records, drop accounting, and a merged
@@ -287,8 +295,10 @@ fn diff_socket(outcome: &RunOutcome, bytes: &[u8], out: &mut Vec<Mismatch>) {
         })
     };
     let s = &outcome.summary;
-    let units = match split_sink_units(bytes) {
-        Ok(u) => u,
+    // The units the recorder handed its sink — header, each chunk,
+    // footer — are what a `SocketSink` producer frames, one per epoch.
+    let units = match ora_trace::format::units(bytes).collect::<Result<Vec<_>, _>>() {
+        Ok(units) => units,
         Err(e) => return push(format!("cannot re-frame trace: {e}")),
     };
     let (client, server) = match ora_fleet::loopback() {
@@ -301,7 +311,7 @@ fn diff_socket(outcome: &RunOutcome, bytes: &[u8], out: &mut Vec<Mismatch>) {
         Ok(sink) => sink,
         Err(e) => return push(format!("HELLO failed: {e}")),
     };
-    for unit in &units {
+    for (unit, _) in &units {
         if let Err(e) = sink.write_all(unit) {
             return push(format!("streaming a sink unit failed: {e}"));
         }
@@ -385,9 +395,9 @@ fn diff_trace(
             s.records_drained
         ));
     }
-    if reader.dropped() != s.records_dropped {
+    if reader.dropped() != Some(s.records_dropped) {
         push(format!(
-            "footer dropped {} != summary dropped {}",
+            "footer dropped {:?} != summary dropped {}",
             reader.dropped(),
             s.records_dropped
         ));
@@ -417,63 +427,10 @@ fn diff_trace(
         ));
     }
 
-    // Per-thread partition: each thread's filtered view must be exactly
-    // the thread's slice of the full merge, and together they must
-    // partition it.
-    let mut gtids: Vec<usize> = records.iter().map(|r| r.gtid).collect();
-    gtids.sort_unstable();
-    gtids.dedup();
-    let mut per_thread_total = 0usize;
-    for &g in &gtids {
-        match reader.for_thread(g) {
-            Ok(view) => {
-                let want: Vec<_> = records.iter().copied().filter(|r| r.gtid == g).collect();
-                if view != want {
-                    push(format!("for_thread({g}) disagrees with the merged records"));
-                }
-                per_thread_total += view.len();
-            }
-            Err(e) => push(format!("for_thread({g}) failed: {e}")),
-        }
-    }
-    if per_thread_total != records.len() {
-        push(format!(
-            "per-thread partitions cover {} of {} record(s)",
-            per_thread_total,
-            records.len()
-        ));
-    }
-
-    // Per-region partition, same contract.
-    let mut regions: Vec<u64> = records.iter().map(|r| r.region_id).collect();
-    regions.sort_unstable();
-    regions.dedup();
-    let mut per_region_total = 0usize;
-    for &rid in &regions {
-        match reader.for_region(rid) {
-            Ok(view) => {
-                let want: Vec<_> = records
-                    .iter()
-                    .copied()
-                    .filter(|r| r.region_id == rid)
-                    .collect();
-                if view != want {
-                    push(format!(
-                        "for_region({rid}) disagrees with the merged records"
-                    ));
-                }
-                per_region_total += view.len();
-            }
-            Err(e) => push(format!("for_region({rid}) failed: {e}")),
-        }
-    }
-    if per_region_total != records.len() {
-        push(format!(
-            "per-region partitions cover {} of {} record(s)",
-            per_region_total,
-            records.len()
-        ));
-    }
+    let thread_view = |g| reader.for_thread(g as usize);
+    diff_partition("for_thread", &records, |r| r.gtid as u64, thread_view, push);
+    let region_view = |rid| reader.for_region(rid);
+    diff_partition("for_region", &records, |r| r.region_id, region_view, push);
 
     diff_pairing(scenario, outcome, &records, push);
 
@@ -494,18 +451,7 @@ fn diff_trace(
                     push("rank merge is not deterministic".into());
                 }
                 for w in m1.windows(2) {
-                    let ka = (
-                        w[0].record.tick,
-                        w[0].record.gtid,
-                        w[0].record.seq,
-                        w[0].rank,
-                    );
-                    let kb = (
-                        w[1].record.tick,
-                        w[1].record.gtid,
-                        w[1].record.seq,
-                        w[1].rank,
-                    );
+                    let (ka, kb) = (w[0].key(), w[1].key());
                     if ka > kb {
                         push(format!(
                             "rank merge key order violated: {ka:?} precedes {kb:?}"

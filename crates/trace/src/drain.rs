@@ -2,8 +2,10 @@
 //!
 //! A [`Recorder`] owns a [`RingSet`] shared with the event callbacks and
 //! one drainer thread. Every `epoch` the drainer sweeps all lanes,
-//! encodes whatever each lane accumulated as one chunk, and appends it
-//! to the sink. [`Recorder::finish`] stops the thread, performs a final
+//! encodes whatever each lane accumulated as one chunk, appends it to
+//! the sink, and flushes the sink if the sweep wrote anything, so a
+//! killed process leaves every chunk up to its last sweep for the reader
+//! to salvage. [`Recorder::finish`] stops the thread, performs a final
 //! sweep (so nothing in-flight is lost), writes the footer with the
 //! per-lane drop counters, and hands the sink back.
 //!
@@ -171,8 +173,10 @@ struct DrainState<S: TraceSink> {
 
 impl<S: TraceSink> DrainState<S> {
     /// Sweep every lane once; encode and append one chunk per non-empty
-    /// lane (splitting at `max_chunk_records`).
+    /// lane (splitting at `max_chunk_records`), then flush the sink if
+    /// any chunk was written.
     fn sweep(&mut self, rings: &RingSet, max_chunk_records: usize) -> Result<(), TraceError> {
+        let chunks_before = self.index.len();
         for lane in 0..rings.lane_count() {
             loop {
                 self.scratch.clear();
@@ -197,6 +201,9 @@ impl<S: TraceSink> DrainState<S> {
                     break;
                 }
             }
+        }
+        if self.index.len() > chunks_before {
+            self.sink.flush()?;
         }
         Ok(())
     }
@@ -458,7 +465,7 @@ mod tests {
         assert_eq!(stats.drained(), 1_000);
         assert_eq!(stats.dropped(), 0);
         let reader = TraceReader::from_bytes(sink.into_bytes()).unwrap();
-        assert_eq!(reader.footer().total_drained(), 1_000);
+        assert_eq!(reader.footer().unwrap().total_drained(), 1_000);
         assert_eq!(reader.records().unwrap().len(), 1_000);
     }
 
@@ -497,7 +504,12 @@ mod tests {
         let (sink, stats) = recorder.finish().unwrap();
         assert!(stats.chunks >= 100 / 16);
         let reader = TraceReader::from_bytes(sink.into_bytes()).unwrap();
-        assert!(reader.footer().chunks.iter().all(|c| c.count <= 16));
+        assert!(reader
+            .footer()
+            .unwrap()
+            .chunks
+            .iter()
+            .all(|c| c.count <= 16));
         assert_eq!(reader.records().unwrap().len(), 100);
     }
 
@@ -520,6 +532,7 @@ mod tests {
         let footer = TraceReader::from_bytes(sink.into_bytes())
             .unwrap()
             .footer()
+            .unwrap()
             .clone();
         assert_eq!(footer.total_dropped(), 84);
         assert_eq!(footer.lanes[0].written, 16);

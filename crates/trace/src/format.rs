@@ -51,10 +51,13 @@
 //!                                    for every region in the chunk)
 //! ```
 //!
-//! Readers locate the footer from the trailing magic + length (so a
-//! file can be mapped without scanning), verify both CRCs, and use the
-//! index to decode only the chunks a query needs. A truncated or
-//! bit-flipped file yields a typed [`TraceError`], never a panic.
+//! **A chunk stream with an index.** Every unit is self-describing and
+//! each chunk CRC-sealed, so [`units`] walks a file front to back
+//! without its footer, which is only an index: readers check it against
+//! the walk and use its tick ranges and region masks to decode only the
+//! chunks a query needs, and a file cut short reads as the valid prefix
+//! it is (see [`crate::reader`]); other damage yields a typed
+//! [`TraceError`], never a panic.
 
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
@@ -454,34 +457,17 @@ fn check_crc(stored: u32, data: &[u8]) -> Result<(), TraceError> {
     }
 }
 
-/// Decode the chunk whose tag byte is at `*pos` of `buf`, advancing
-/// `*pos` past it: [`read_chunk`] for callers that index a whole file.
-pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>), TraceError> {
-    let mut c = Cursor::new(buf.get(*pos..).ok_or(TraceError::Truncated)?);
-    let chunk = read_chunk(&mut c)?;
-    *pos += c.position();
-    Ok(chunk)
-}
-
-/// Decode the chunk at the cursor, advancing it past the chunk. The
-/// payload CRC is verified before any record is produced.
-pub fn read_chunk(c: &mut Cursor<'_>) -> Result<(u64, Vec<RawRecord>), TraceError> {
-    if c.u8()? != TAG_CHUNK {
-        return Err(TraceError::Malformed("expected chunk tag"));
-    }
-    let (lane, count, len) = (c.varint()?, c.varint()?, c.varint()?);
-    let payload = c.bytes(len)?;
-    check_crc(c.u32_le()?, payload)?;
-
-    // Every record is six varints, so a count the payload cannot hold
-    // is a lie — refused here, before it sizes the allocation.
-    if count > (payload.len() / 6) as u64 {
-        return Err(TraceError::Malformed(
-            "chunk count exceeds what its payload can hold",
-        ));
-    }
+/// Hand each record of a chunk payload, whose CRC and count a walk has
+/// checked, to `f` in order: the one record decoder. Stops at the first
+/// error, `f`'s or the payload's (a truncated record, an event or gtid
+/// past `u32`, or bytes left over after the last record).
+#[inline]
+pub fn for_each_record(
+    payload: &[u8],
+    count: u64,
+    mut f: impl FnMut(RawRecord) -> Result<(), TraceError>,
+) -> Result<(), TraceError> {
     let mut p = Cursor::new(payload);
-    let mut records = Vec::with_capacity(count as usize);
     let mut prev = RawRecord::default();
     for i in 0..count {
         let (tick, seq) = if i == 0 {
@@ -503,10 +489,110 @@ pub fn read_chunk(c: &mut Cursor<'_>) -> Result<(u64, Vec<RawRecord>), TraceErro
             region_id,
             wait_id,
         };
-        records.push(prev);
+        f(prev)?;
     }
     p.finish()?;
-    Ok((lane, records))
+    Ok(())
+}
+
+/// A chunk whose CRC and record count are checked; [`for_each_record`]
+/// decodes its payload.
+#[derive(Debug, Clone, Copy)]
+pub struct Chunk<'a> {
+    /// Ring lane the records came from.
+    pub lane: u64,
+    /// Records in the chunk (at most one per six payload bytes).
+    pub count: u64,
+    /// The encoded records.
+    pub payload: &'a [u8],
+}
+
+/// One unit of a trace's chunk stream: what the recorder hands its sink
+/// in one write.
+#[derive(Debug)]
+pub enum Unit<'a> {
+    /// The 8-byte file header, version checked.
+    Header,
+    /// One chunk.
+    Chunk(Chunk<'a>),
+    /// The footer, which runs to the end of the walked bytes.
+    Footer(Footer),
+}
+
+/// The walker under every reader of trace bytes: yields each unit of
+/// `buf` with the bytes it spans. A unit is told by its first byte —
+/// the chunk tag, the footer tag, or else a header. The first unit that
+/// fails to read is yielded as the error and ends the walk.
+pub fn units(buf: &[u8]) -> impl Iterator<Item = Result<(&[u8], Unit<'_>), TraceError>> {
+    let mut rest = buf;
+    std::iter::from_fn(move || {
+        let read = match *rest.first()? {
+            TAG_CHUNK => read_chunk(rest).map(|(len, c)| (len, Unit::Chunk(c))),
+            TAG_FOOTER => read_footer(rest).map(|f| (rest.len(), Unit::Footer(f))),
+            _ => read_header(rest).map(|()| (8, Unit::Header)),
+        };
+        Some(match read {
+            Ok((len, unit)) => {
+                let (span, tail) = rest.split_at(len);
+                rest = tail;
+                Ok((span, unit))
+            }
+            Err(e) => {
+                rest = &[];
+                Err(e)
+            }
+        })
+    })
+}
+
+/// The one unit `buf` holds, which must span all of it: how one sink
+/// write arrives.
+pub fn unit(buf: &[u8]) -> Result<Unit<'_>, TraceError> {
+    match units(buf).next().ok_or(TraceError::Truncated)?? {
+        (span, unit) if span.len() == buf.len() => Ok(unit),
+        _ => Err(TraceError::Malformed("bytes follow the unit")),
+    }
+}
+
+/// Read the chunk at the start of `rest`, checking its tag, CRC and
+/// count; returns its length in bytes with it.
+fn read_chunk(rest: &[u8]) -> Result<(usize, Chunk<'_>), TraceError> {
+    let mut c = Cursor::new(rest);
+    if c.u8()? != TAG_CHUNK {
+        return Err(TraceError::Malformed("expected chunk tag"));
+    }
+    let (lane, count, len) = (c.varint()?, c.varint()?, c.varint()?);
+    let payload = c.bytes(len)?;
+    check_crc(c.u32_le()?, payload)?;
+    // Every record is six varints, so a count the payload cannot hold
+    // is a lie — refused here, before it sizes an allocation.
+    if count > (payload.len() / 6) as u64 {
+        return Err(TraceError::Malformed(
+            "chunk count exceeds what its payload can hold",
+        ));
+    }
+    Ok((
+        c.position(),
+        Chunk {
+            lane,
+            count,
+            payload,
+        },
+    ))
+}
+
+/// Decode the chunk whose tag byte is at `*pos` of `buf` into its lane
+/// and records, advancing `*pos` past it: [`for_each_record`],
+/// collected.
+pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>), TraceError> {
+    let (len, chunk) = read_chunk(buf.get(*pos..).ok_or(TraceError::Truncated)?)?;
+    let mut records = Vec::with_capacity(chunk.count as usize);
+    for_each_record(chunk.payload, chunk.count, |r| {
+        records.push(r);
+        Ok(())
+    })?;
+    *pos += len;
+    Ok((chunk.lane, records))
 }
 
 // ---------------------------------------------------------------------
@@ -560,9 +646,9 @@ pub fn encode_header(out: &mut Vec<u8>) {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
 }
 
-/// Read the 8-byte file header at the cursor.
-pub fn read_header(c: &mut Cursor<'_>) -> Result<(), TraceError> {
-    let header = c.bytes(8)?;
+/// Check the 8-byte file header at the start of `rest`.
+fn read_header(rest: &[u8]) -> Result<(), TraceError> {
+    let header = Cursor::new(rest).bytes(8)?;
     if &header[..6] != FILE_MAGIC {
         return Err(TraceError::BadMagic);
     }
@@ -599,26 +685,34 @@ pub fn encode_footer(out: &mut Vec<u8>, footer: &Footer) {
     out.extend_from_slice(FOOTER_MAGIC);
 }
 
-/// Locate, CRC-check, and parse the footer of a complete trace file.
+/// Locate, CRC-check, and parse the footer of a complete trace file
+/// from its trailing length and magic.
 pub fn decode_footer(buf: &[u8]) -> Result<Footer, TraceError> {
-    // tag(1) + crc(4) + len(4) + magic(6) is the minimum tail.
-    if buf.len() < 15 {
-        return Err(TraceError::Truncated);
-    }
-    let tail_at = buf.len() - 14;
-    let mut tail = Cursor::new(&buf[tail_at..]);
+    let len_at = buf.len().checked_sub(10).ok_or(TraceError::Truncated)?;
+    let payload_len = Cursor::new(&buf[len_at..]).u32_le()? as usize;
+    let start = (len_at.checked_sub(5)).and_then(|at| at.checked_sub(payload_len));
+    read_footer(&buf[start.ok_or(TraceError::Truncated)?..])
+}
+
+/// Read the footer that spans all of `unit`: tag, payload, CRC, length,
+/// magic.
+fn read_footer(unit: &[u8]) -> Result<Footer, TraceError> {
+    let payload_len = unit.len().checked_sub(15).ok_or(TraceError::Truncated)?;
+    let mut tail = Cursor::new(&unit[1 + payload_len..]);
     let stored = tail.u32_le()?;
-    let payload_len = tail.u32_le()? as usize;
+    let len = tail.u32_le()?;
     if tail.bytes(6)? != FOOTER_MAGIC {
         return Err(TraceError::MissingFooter);
     }
-    let payload_at = tail_at
-        .checked_sub(payload_len)
-        .ok_or(TraceError::Truncated)?;
-    if payload_at == 0 || buf[payload_at - 1] != TAG_FOOTER {
+    if unit[0] != TAG_FOOTER {
         return Err(TraceError::Malformed("expected footer tag"));
     }
-    let payload = &buf[payload_at..tail_at];
+    if len as usize != payload_len {
+        return Err(TraceError::Malformed(
+            "footer length disagrees with its unit",
+        ));
+    }
+    let payload = &unit[1..1 + payload_len];
     check_crc(stored, payload)?;
 
     // A lane is four varints and a chunk entry six, so neither count

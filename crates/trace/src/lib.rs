@@ -12,11 +12,13 @@
 //!   into chunks through a [`TraceSink`];
 //! * [`format`] — the compact self-describing binary on-disk format
 //!   (varint deltas, CRC-validated chunks, a footer carrying drop
-//!   counters and a chunk index);
+//!   counters and a chunk index) and the one walker of its chunk
+//!   stream;
 //! * [`sink`] — the [`TraceSink`] trait with file and in-memory
 //!   implementations;
-//! * [`reader`] — offline querying: CRC-checked decode, time-range /
-//!   per-thread / per-region queries driven by the chunk index, a
+//! * [`reader`] — offline querying: a walked, CRC-checked chunk index
+//!   (salvaged from the chunks alone when the footer is missing), lazy
+//!   decode, time-range / per-thread / per-region queries, a
 //!   stable `(tick, gtid, seq)` k-way merge, and a multi-rank merge for
 //!   ProcSim (`workloads::mz`) runs;
 //! * [`analyze`] — everything read off a finished timeline: the one
@@ -59,8 +61,8 @@ pub use format::{
     GOVERNOR_EVENT_CODE,
 };
 pub use reader::{
-    merge_ranks, merge_ranks_iter, EventIter, GovernorSample, RankMergeHeap, RankMergeIter,
-    RankedEvent, RankedKey, TraceEvent, TraceReader,
+    merge_ranks, merge_ranks_iter, GovernorSample, RankMergeHeap, RankMergeIter, RankedEvent,
+    RankedKey, Salvage, TraceEvent, TraceReader,
 };
 pub use ring::{DropPolicy, RawRecord, Ring, RingSet, RingStats, DEFAULT_BLOCK_YIELD_LIMIT};
 pub use sink::{FaultMode, FaultSink, FileSink, MemorySink, TraceSink};
@@ -87,8 +89,8 @@ pub enum TraceError {
         /// CRC computed over the payload read.
         actual: u32,
     },
-    /// The file ends without a valid footer (e.g. the recording process
-    /// died before `finish`).
+    /// No footer magic where a footer should end (a reader salvages
+    /// such a file instead: see [`TraceReader::salvaged`]).
     MissingFooter,
     /// A record carries an event discriminant this build does not know.
     UnknownEvent(u32),
@@ -252,7 +254,7 @@ mod tests {
         assert_eq!(counts[Event::Fork.index()], 100);
         assert_eq!(counts[Event::Join.index()], 100);
         assert_eq!(reader.record_count(), 200);
-        assert_eq!(reader.dropped(), 0);
+        assert_eq!(reader.dropped(), Some(0));
     }
 
     /// Regression: records with *colliding ticks* must come out in a
@@ -332,12 +334,18 @@ mod tests {
             TraceReader::from_bytes(b"NOTATRACEFILE---".to_vec()).unwrap_err(),
             TraceError::BadMagic
         );
+        // A torn footer: the chunks before it are salvaged whole.
+        let whole = TraceReader::from_bytes(sample_trace_bytes()).unwrap();
         let mut bytes = sample_trace_bytes();
         bytes.truncate(bytes.len() - 3);
-        assert_eq!(
-            TraceReader::from_bytes(bytes).unwrap_err(),
-            TraceError::MissingFooter
-        );
+        let torn = TraceReader::from_bytes(bytes).unwrap();
+        let salvage = torn
+            .salvaged()
+            .expect("a trace without its footer is salvaged");
+        assert_eq!(salvage.chunks, whole.footer().unwrap().chunks.len());
+        assert!(salvage.bytes_discarded > 0);
+        assert_eq!(torn.records().unwrap(), whole.records().unwrap());
+        assert_eq!(torn.dropped(), None, "drop counts are unknown, not 0");
     }
 
     #[test]

@@ -1,27 +1,37 @@
 //! Offline trace querying.
 //!
-//! A [`TraceReader`] validates a complete trace file (header, footer,
-//! CRCs) up front, keeps the chunk index in memory, and decodes chunk
-//! payloads lazily — a time-range or per-region query touches only the
-//! chunks whose index entry can match. Cross-thread ordering is a
-//! stable k-way merge keyed by `(tick, gtid, seq)`; multi-rank runs
-//! (one trace file per simulated MPI rank) merge the same way with the
-//! rank index appended as the *final* tie-break component, so merged
-//! timelines are byte-stable across runs.
+//! A trace file is a chunk stream, and its footer is only an index. A
+//! [`TraceReader`] walks the stream once with [`format::units`]
+//! (checking every chunk's CRC) and decodes payloads lazily; a
+//! time-range or per-region query decodes only the chunks whose index
+//! entry can match. With a footer, the footer's index must agree with
+//! the walk, and supplies tick ranges, region masks and drop counters.
+//! Without a decodable footer (the recording was killed before
+//! `finish`) the walked chunks become the index, up to the first torn
+//! or CRC-bad unit: see [`TraceReader::salvaged`]. Walked entries have
+//! no tick ranges or region masks, so queries decode them all, and
+//! drop counts are unknown. A file whose footer decodes but whose
+//! stream does not walk cleanly to it is damaged, and fails to open.
+//!
+//! Cross-thread ordering is a stable k-way merge keyed by `(tick, gtid,
+//! seq)`; multi-rank runs (one trace file per simulated MPI rank) merge
+//! the same way with the rank index appended as the *final* tie-break
+//! component, so merged timelines are byte-stable across runs.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Range;
 use std::path::Path;
 
-use ora_core::bytes::Cursor;
 use ora_core::event::{Event, EVENT_COUNT};
 
-use crate::format::{self, ChunkMeta, Footer};
+use crate::format::{self, ChunkMeta, Footer, Unit, GOVERNOR_EVENT_CODE};
 use crate::ring::RawRecord;
 use crate::TraceError;
 
-/// One decoded trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One decoded trace event. Events order by their merge
+/// [`key`](Self::key) first: the fields are declared in key order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceEvent {
     /// Event time in clock ticks.
     pub tick: u64,
@@ -77,38 +87,104 @@ pub struct GovernorSample {
     pub overhead_ppm: u64,
 }
 
+/// What opening a trace without a decodable footer kept and discarded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Salvage {
+    /// Complete, CRC-checked chunks before the first torn or bad unit.
+    pub chunks: usize,
+    /// Bytes from that unit to the end of the file.
+    pub bytes_discarded: usize,
+}
+
+/// One chunk of the index, and where its CRC-checked payload lies.
+#[derive(Debug)]
+struct Indexed {
+    meta: ChunkMeta,
+    payload: Range<usize>,
+}
+
 /// An open trace file, index in memory, payloads decoded on demand.
 #[derive(Debug)]
 pub struct TraceReader {
     bytes: Vec<u8>,
-    footer: Footer,
+    /// Every chunk, in file order.
+    chunks: Vec<Indexed>,
+    footer: Option<Footer>,
+    salvage: Option<Salvage>,
 }
 
 impl TraceReader {
-    /// Open an encoded trace from bytes, validating header and footer.
+    /// Open an encoded trace from bytes: walk its chunk stream, then
+    /// check the walk against the footer's index or, without a footer,
+    /// salvage the complete chunks.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<TraceReader, TraceError> {
-        format::read_header(&mut Cursor::new(&bytes))?;
-        let footer = format::decode_footer(&bytes)?;
-        // Index entries are in file order and name footer lanes, and a
-        // chunk of `count` records spans at least 8 + 6 × count bytes
-        // (decoding checks the count): no index can make a query decode
-        // more records, or size more lanes, than the file holds.
-        let mut end = 8u64;
-        for c in &footer.chunks {
-            if c.offset < end || c.lane >= footer.lanes.len() as u64 {
-                return Err(TraceError::Malformed(
-                    "chunk index out of file order or lane range",
-                ));
+        let mut walk = format::units(&bytes);
+        match walk.next() {
+            Some(Ok((_, Unit::Header))) => {}
+            None => return Err(TraceError::Truncated),
+            Some(unit) => return Err(unit.err().unwrap_or(TraceError::BadMagic)),
+        }
+        // Where the walk stands: after the last complete chunk at the
+        // end, or at the torn unit's start.
+        let mut offset = 8;
+        let (mut chunks, mut footer, mut torn) = (Vec::new(), None, None);
+        for unit in walk {
+            match unit {
+                Ok((span, Unit::Chunk(chunk))) => {
+                    let end = offset + span.len() - 4; // the CRC ends the chunk
+                    chunks.push(Indexed {
+                        meta: ChunkMeta {
+                            offset: offset as u64,
+                            lane: chunk.lane,
+                            count: chunk.count,
+                            min_tick: 0,
+                            max_tick: u64::MAX,
+                            region_mask: u64::MAX,
+                        },
+                        payload: end - chunk.payload.len()..end,
+                    });
+                    offset += span.len();
+                }
+                Ok((_, Unit::Footer(f))) => footer = Some(f),
+                Ok((_, Unit::Header)) => {
+                    torn = Some(TraceError::Malformed("a header inside the stream"));
+                    break;
+                }
+                Err(e) => torn = Some(e),
             }
-            end = c
-                .offset
-                .saturating_add(c.count.saturating_mul(6))
-                .saturating_add(8);
         }
-        if end > bytes.len() as u64 {
-            return Err(TraceError::Malformed("chunk index runs past the file"));
-        }
-        Ok(TraceReader { bytes, footer })
+        let salvage = match &footer {
+            Some(footer) => {
+                let lanes = footer.lanes.len() as u64;
+                let agrees = footer.chunks.len() == chunks.len()
+                    && footer.chunks.iter().zip(&chunks).all(|(m, c)| {
+                        let walked = (c.meta.offset, c.meta.lane, c.meta.count);
+                        (m.offset, m.lane, m.count) == walked && m.lane < lanes
+                    });
+                if !agrees {
+                    return Err(TraceError::Malformed(
+                        "footer index disagrees with the chunk stream",
+                    ));
+                }
+                for (c, m) in chunks.iter_mut().zip(&footer.chunks) {
+                    c.meta = *m;
+                }
+                None
+            }
+            None => match torn {
+                Some(e) if format::decode_footer(&bytes).is_ok() => return Err(e),
+                _ => Some(Salvage {
+                    chunks: chunks.len(),
+                    bytes_discarded: bytes.len() - offset,
+                }),
+            },
+        };
+        Ok(TraceReader {
+            bytes,
+            chunks,
+            footer,
+            salvage,
+        })
     }
 
     /// Open a trace file from disk.
@@ -116,40 +192,44 @@ impl TraceReader {
         TraceReader::from_bytes(std::fs::read(path)?)
     }
 
-    /// The footer: per-lane drop accounting and the chunk index.
-    pub fn footer(&self) -> &Footer {
-        &self.footer
+    /// The footer (per-lane drop accounting and the chunk index), or
+    /// `None` for a salvaged trace.
+    pub fn footer(&self) -> Option<&Footer> {
+        self.footer.as_ref()
+    }
+
+    /// What was salvaged, if the trace had no decodable footer.
+    pub fn salvaged(&self) -> Option<Salvage> {
+        self.salvage
     }
 
     /// Total records persisted in the file.
     pub fn record_count(&self) -> u64 {
-        self.footer.total_drained()
+        self.chunks.iter().map(|c| c.meta.count).sum()
     }
 
-    /// Records lost to backpressure during recording (observable loss).
-    pub fn dropped(&self) -> u64 {
-        self.footer.total_dropped()
+    /// Records lost to backpressure during recording (observable loss),
+    /// or `None` for a salvaged trace, which cannot say.
+    pub fn dropped(&self) -> Option<u64> {
+        self.footer.as_ref().map(Footer::total_dropped)
     }
 
-    /// Decode one indexed chunk, verifying its CRC. Governor decision
-    /// records ([`format::GOVERNOR_EVENT_CODE`]) are metadata, not
-    /// events, and are dropped here — every event-stream query sees
-    /// only real OpenMP events; [`governor_timeline`] is the decision
-    /// records' query.
-    ///
-    /// [`governor_timeline`]: Self::governor_timeline
-    pub fn decode_chunk(&self, meta: &ChunkMeta) -> Result<Vec<TraceEvent>, TraceError> {
-        let mut pos = meta.offset as usize;
-        let (lane, raws) = format::decode_chunk(&self.bytes, &mut pos)?;
-        if lane != meta.lane || raws.len() as u64 != meta.count {
-            return Err(TraceError::Malformed(
-                "chunk disagrees with its index entry",
-            ));
-        }
-        raws.iter()
-            .filter(|r| r.event != format::GOVERNOR_EVENT_CODE)
-            .map(TraceEvent::from_raw)
-            .collect()
+    /// Hand every event of one indexed chunk to `f`. Governor decision
+    /// records ([`GOVERNOR_EVENT_CODE`]) are metadata, not events, and
+    /// are skipped: every event query sees only real OpenMP events, and
+    /// [`governor_timeline`](Self::governor_timeline) is theirs.
+    fn decode_chunk(
+        &self,
+        chunk: &Indexed,
+        mut f: impl FnMut(TraceEvent),
+    ) -> Result<(), TraceError> {
+        let payload = &self.bytes[chunk.payload.clone()];
+        format::for_each_record(payload, chunk.meta.count, |raw| {
+            if raw.event != GOVERNOR_EVENT_CODE {
+                f(TraceEvent::from_raw(&raw)?);
+            }
+            Ok(())
+        })
     }
 
     /// Decode the chunks selected by `keep`, merge them into one stream
@@ -163,18 +243,17 @@ impl TraceReader {
         // seq-ordered; sorting each lane stream (near-sorted — ticks can
         // invert only when threads share a lane) then k-way merging
         // yields a deterministic global order.
-        let mut per_lane: Vec<Vec<TraceEvent>> = Vec::new();
-        for meta in self.footer.chunks.iter().filter(|m| keep(m)) {
-            let lane = meta.lane as usize;
-            if per_lane.len() <= lane {
-                per_lane.resize_with(lane + 1, Vec::new);
-            }
-            per_lane[lane].extend(self.decode_chunk(meta)?);
+        let mut per_lane: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
+        for chunk in self.chunks.iter().filter(|c| keep(&c.meta)) {
+            let lane = per_lane.entry(chunk.meta.lane).or_default();
+            lane.reserve(chunk.meta.count as usize);
+            self.decode_chunk(chunk, |ev| lane.push(ev))?;
         }
-        for lane in &mut per_lane {
+        let mut lanes: Vec<Vec<TraceEvent>> = per_lane.into_values().collect();
+        for lane in &mut lanes {
             lane.sort_by_key(TraceEvent::key);
         }
-        Ok(kway_merge(per_lane))
+        Ok(kway_merge(lanes))
     }
 
     /// All records, stably ordered by `(tick, gtid, seq)`.
@@ -191,11 +270,11 @@ impl TraceReader {
     }
 
     /// Records of one thread, in merge order. Only that thread's lane's
-    /// chunks are decoded.
+    /// chunks are decoded — all of them on a salvaged trace, whose lane
+    /// count is unknown.
     pub fn for_thread(&self, gtid: usize) -> Result<Vec<TraceEvent>, TraceError> {
-        let lanes = self.footer.lanes.len().max(1);
-        let lane = (gtid % lanes) as u64;
-        let mut out = self.merged_where(|m| m.lane == lane)?;
+        let lane = (self.footer.as_ref()).map(|f| (gtid % f.lanes.len().max(1)) as u64);
+        let mut out = self.merged_where(|m| lane.is_none_or(|l| m.lane == l))?;
         out.retain(|r| r.gtid == gtid);
         Ok(out)
     }
@@ -214,13 +293,12 @@ impl TraceReader {
     /// [`records`](Self::records) or the other event queries.
     pub fn governor_timeline(&self) -> Result<Vec<GovernorSample>, TraceError> {
         let mut out = Vec::new();
-        for meta in &self.footer.chunks {
-            let mut pos = meta.offset as usize;
-            let (_, raws) = format::decode_chunk(&self.bytes, &mut pos)?;
-            for r in raws
-                .iter()
-                .filter(|r| r.event == format::GOVERNOR_EVENT_CODE)
-            {
+        for chunk in &self.chunks {
+            let payload = &self.bytes[chunk.payload.clone()];
+            format::for_each_record(payload, chunk.meta.count, |r| {
+                if r.event != GOVERNOR_EVENT_CODE {
+                    return Ok(());
+                }
                 let raw_event = u32::try_from(r.region_id)
                     .map_err(|_| TraceError::Malformed("governor record event overflows u32"))?;
                 let event =
@@ -235,7 +313,8 @@ impl TraceReader {
                     new_shift,
                     overhead_ppm,
                 });
-            }
+                Ok(())
+            })?;
         }
         out.sort_by_key(|s| (s.tick, s.event.index(), s.new_shift));
         Ok(out)
@@ -244,10 +323,8 @@ impl TraceReader {
     /// Per-event occurrence counts over the persisted records.
     pub fn event_counts(&self) -> Result<[u64; EVENT_COUNT], TraceError> {
         let mut counts = [0u64; EVENT_COUNT];
-        for meta in &self.footer.chunks {
-            for r in self.decode_chunk(meta)? {
-                counts[r.event.index()] += 1;
-            }
+        for chunk in &self.chunks {
+            self.decode_chunk(chunk, |r| counts[r.event.index()] += 1)?;
         }
         Ok(counts)
     }
@@ -256,160 +333,71 @@ impl TraceReader {
     /// order — the same order [`records`](Self::records) produces —
     /// decoding chunks lazily. Memory is bounded by the chunks whose
     /// tick ranges overlap at the merge frontier (typically one chunk
-    /// per lane), not by the whole trace, which is what lets the fleet
-    /// daemon and [`merge_ranks`] handle rank files far larger than RAM.
-    pub fn events(&self) -> EventIter<'_> {
-        let mut lanes: Vec<LaneCursor<'_>> = Vec::new();
-        for meta in &self.footer.chunks {
-            let lane = meta.lane as usize;
-            if lanes.len() <= lane {
-                lanes.resize_with(lane + 1, || LaneCursor::new(self));
-            }
-            lanes[lane].chunks.push(meta);
-        }
-        // A record may only leave a lane's reorder buffer once every
-        // *remaining* chunk of the lane provably starts above it; the
-        // suffix minimum of the index's min_ticks is that bound.
-        for cursor in &mut lanes {
-            let mut suffix = u64::MAX;
-            cursor.suffix_min = vec![u64::MAX; cursor.chunks.len()];
-            for i in (0..cursor.chunks.len()).rev() {
-                suffix = suffix.min(cursor.chunks[i].min_tick);
-                cursor.suffix_min[i] = suffix;
-            }
-        }
-        let mut iter = EventIter {
-            lanes,
-            heap: BinaryHeap::new(),
-            pending_error: None,
-            errored: false,
-        };
-        for i in 0..iter.lanes.len() {
-            if let Err(e) = iter.refill(i) {
-                iter.pending_error = Some(e);
-                break;
-            }
-        }
-        iter
+    /// per lane; a salvaged trace's chunks have no tick ranges, so a
+    /// whole lane), not by the whole trace, which is what lets the
+    /// fleet daemon and [`merge_ranks`] handle rank files far larger
+    /// than RAM. Yields `Err` once and then stops if a chunk fails to
+    /// decode.
+    pub fn events(&self) -> impl Iterator<Item = Result<TraceEvent, TraceError>> + '_ {
+        merge_ranks_iter(std::slice::from_ref(self)).map(|e| e.map(|e| e.record))
     }
-}
 
-/// An event tagged with its total-order key, ordered by the key alone
-/// (keys are unique within a trace: `seq` is unique per lane and a
-/// `gtid` always maps to the same lane).
-#[derive(Debug, Clone, Copy)]
-struct Keyed {
-    key: (u64, usize, u64),
-    ev: TraceEvent,
-}
-
-impl PartialEq for Keyed {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Keyed {}
-impl PartialOrd for Keyed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Keyed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+    /// One lazy cursor per lane, attributing its records to `rank`.
+    fn lane_cursors(&self, rank: usize) -> impl Iterator<Item = LaneCursor<'_>> {
+        let mut by_lane: BTreeMap<u64, Vec<&Indexed>> = BTreeMap::new();
+        for chunk in &self.chunks {
+            by_lane.entry(chunk.meta.lane).or_default().push(chunk);
+        }
+        by_lane.into_values().map(move |chunks| {
+            let mut suffix_min = vec![u64::MAX; chunks.len() + 1];
+            for i in (0..chunks.len()).rev() {
+                suffix_min[i] = suffix_min[i + 1].min(chunks[i].meta.min_tick);
+            }
+            LaneCursor {
+                reader: self,
+                rank,
+                chunks,
+                suffix_min,
+                next_chunk: 0,
+                pending: RankMergeHeap::new(),
+            }
+        })
     }
 }
 
 /// One lane's lazy decode state (see [`TraceReader::events`]).
 struct LaneCursor<'a> {
     reader: &'a TraceReader,
+    rank: usize,
     /// This lane's chunks, in file (drain) order.
-    chunks: Vec<&'a ChunkMeta>,
+    chunks: Vec<&'a Indexed>,
     /// `suffix_min[i]` = smallest `min_tick` among `chunks[i..]`.
     suffix_min: Vec<u64>,
     next_chunk: usize,
-    /// Reorder buffer: records decoded but not yet provably minimal.
-    pending: BinaryHeap<Reverse<Keyed>>,
+    /// Reorder buffer: records decoded but not yet provably next.
+    pending: RankMergeHeap,
 }
 
-impl<'a> LaneCursor<'a> {
-    fn new(reader: &'a TraceReader) -> LaneCursor<'a> {
-        LaneCursor {
-            reader,
-            chunks: Vec::new(),
-            suffix_min: Vec::new(),
-            next_chunk: 0,
-            pending: BinaryHeap::new(),
-        }
-    }
-
-    /// Pop the lane's next record in key order, decoding chunks as the
-    /// frontier requires.
-    fn next(&mut self) -> Result<Option<TraceEvent>, TraceError> {
+impl LaneCursor<'_> {
+    /// The key of the lane's next record, decoding chunks until it is
+    /// provably next: a record may only leave the reorder buffer once
+    /// every *remaining* chunk of the lane starts strictly above its
+    /// tick (an equal tick can still carry a smaller `(gtid, seq)`).
+    fn peek(&mut self) -> Result<Option<RankedKey>, TraceError> {
         loop {
-            let must_decode = match self.pending.peek() {
-                // An equal tick in a later chunk can still carry a
-                // smaller (gtid, seq); decode until strictly above.
-                Some(Reverse(top)) => self
-                    .suffix_min
-                    .get(self.next_chunk)
-                    .is_some_and(|&m| m <= top.key.0),
-                None => self.next_chunk < self.chunks.len(),
-            };
-            if !must_decode {
-                return Ok(self.pending.pop().map(|Reverse(k)| k.ev));
+            let exhausted = self.next_chunk == self.chunks.len();
+            match self.pending.peek_key() {
+                Some(top) if exhausted || top.0 < self.suffix_min[self.next_chunk] => {
+                    return Ok(Some(top))
+                }
+                None if exhausted => return Ok(None),
+                _ => {}
             }
-            let meta = self.chunks[self.next_chunk];
+            let chunk = self.chunks[self.next_chunk];
             self.next_chunk += 1;
-            for ev in self.reader.decode_chunk(meta)? {
-                self.pending.push(Reverse(Keyed { key: ev.key(), ev }));
-            }
-        }
-    }
-}
-
-/// Streaming `(tick, gtid, seq)`-ordered record iterator over one
-/// trace (see [`TraceReader::events`]). Yields `Err` once and then
-/// stops if a chunk fails to decode.
-pub struct EventIter<'a> {
-    lanes: Vec<LaneCursor<'a>>,
-    /// Merge frontier: each live lane's next record.
-    heap: BinaryHeap<Reverse<(Keyed, usize)>>,
-    /// A decode failure hit while priming the frontier, reported on the
-    /// first `next()` call.
-    pending_error: Option<TraceError>,
-    errored: bool,
-}
-
-impl EventIter<'_> {
-    /// Pull the next record of `lane` into the merge frontier.
-    fn refill(&mut self, lane: usize) -> Result<(), TraceError> {
-        if let Some(ev) = self.lanes[lane].next()? {
-            self.heap.push(Reverse((Keyed { key: ev.key(), ev }, lane)));
-        }
-        Ok(())
-    }
-
-    fn poison(&mut self, e: TraceError) -> Option<Result<TraceEvent, TraceError>> {
-        self.errored = true;
-        Some(Err(e))
-    }
-}
-
-impl Iterator for EventIter<'_> {
-    type Item = Result<TraceEvent, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.errored {
-            return None;
-        }
-        if let Some(e) = self.pending_error.take() {
-            return self.poison(e);
-        }
-        let Reverse((keyed, lane)) = self.heap.pop()?;
-        match self.refill(lane) {
-            Ok(()) => Some(Ok(keyed.ev)),
-            Err(e) => self.poison(e),
+            let (pending, rank) = (&mut self.pending, self.rank);
+            self.reader
+                .decode_chunk(chunk, |ev| pending.push(rank, ev))?;
         }
     }
 }
@@ -436,39 +424,12 @@ impl RankedEvent {
     }
 }
 
-/// The k-way merge core shared by [`merge_ranks_iter`] and the fleet
-/// daemon's watermark flush: a min-heap of rank-attributed records
-/// keyed `(tick, gtid, seq, rank)`, used as a frontier — one record per
-/// rank stream, refilled from that rank on pop.
+/// The k-way merge core shared by [`merge_ranks_iter`] (each lane's
+/// reorder buffer) and the fleet daemon's watermark flush: a min-heap
+/// of rank-attributed records keyed `(tick, gtid, seq, rank)`.
 #[derive(Debug, Default)]
 pub struct RankMergeHeap {
-    heap: BinaryHeap<Reverse<RankKeyed>>,
-}
-
-/// A ranked event ordered by its `(tick, gtid, seq, rank)` key alone
-/// (keys are unique across the fleet: `(tick, gtid, seq)` is unique
-/// within one trace and the rank disambiguates across traces).
-#[derive(Debug, Clone, Copy)]
-struct RankKeyed {
-    key: RankedKey,
-    ev: RankedEvent,
-}
-
-impl PartialEq for RankKeyed {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for RankKeyed {}
-impl PartialOrd for RankKeyed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RankKeyed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
+    heap: BinaryHeap<Reverse<(RankedKey, TraceEvent)>>,
 }
 
 impl RankMergeHeap {
@@ -477,20 +438,24 @@ impl RankMergeHeap {
         RankMergeHeap::default()
     }
 
-    /// Add one record of `rank` to the frontier.
+    /// Add one record of `rank`.
     pub fn push(&mut self, rank: usize, record: TraceEvent) {
-        let ev = RankedEvent { rank, record };
-        self.heap.push(Reverse(RankKeyed { key: ev.key(), ev }));
+        let key = RankedEvent { rank, record }.key();
+        self.heap.push(Reverse((key, record)));
     }
 
     /// The smallest buffered key, if any.
     pub fn peek_key(&self) -> Option<RankedKey> {
-        self.heap.peek().map(|Reverse(k)| k.key)
+        self.heap.peek().map(|Reverse((key, _))| *key)
     }
 
     /// Remove and return the smallest-keyed record.
     pub fn pop(&mut self) -> Option<RankedEvent> {
-        self.heap.pop().map(|Reverse(k)| k.ev)
+        let Reverse((key, record)) = self.heap.pop()?;
+        Some(RankedEvent {
+            rank: key.3,
+            record,
+        })
     }
 
     /// Buffered records.
@@ -506,40 +471,43 @@ impl RankMergeHeap {
 
 /// Streaming multi-rank merge (see [`merge_ranks`]): yields the merged
 /// timeline one record at a time without materializing any rank's
-/// events — each rank contributes exactly one frontier record plus its
-/// [`TraceReader::events`] reorder window.
+/// events. Its frontier holds the next record of every lane of every
+/// rank. Yields `Err` once and then stops if a chunk fails to decode.
 pub struct RankMergeIter<'a> {
-    streams: Vec<EventIter<'a>>,
-    heap: RankMergeHeap,
-    /// A decode failure hit while priming the per-rank frontier,
-    /// reported on the first `next()` call.
-    prime_error: Option<TraceError>,
-    errored: bool,
+    lanes: Vec<LaneCursor<'a>>,
+    /// Each live lane's next key, and the lane.
+    frontier: BinaryHeap<Reverse<(RankedKey, usize)>>,
+    /// A decode failure hit while priming the frontier, reported on the
+    /// first `next()` call.
+    error: Option<TraceError>,
+}
+
+impl RankMergeIter<'_> {
+    /// Put `lane`'s next record, if any, into the frontier.
+    fn refill(&mut self, lane: usize) -> Result<(), TraceError> {
+        if let Some(key) = self.lanes[lane].peek()? {
+            self.frontier.push(Reverse((key, lane)));
+        }
+        Ok(())
+    }
 }
 
 impl Iterator for RankMergeIter<'_> {
     type Item = Result<RankedEvent, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.errored {
-            return None;
-        }
-        if let Some(e) = self.prime_error.take() {
-            self.errored = true;
-            return Some(Err(e));
-        }
-        let ev = self.heap.pop()?;
-        // Refill the popped rank's frontier slot before yielding, so
-        // the heap always holds every live rank's next record.
-        match self.streams[ev.rank].next() {
-            Some(Ok(next)) => self.heap.push(ev.rank, next),
-            Some(Err(e)) => {
-                self.errored = true;
-                return Some(Err(e));
+        let popped = match self.error.take() {
+            Some(e) => Err(e),
+            None => {
+                let Reverse((_, lane)) = self.frontier.pop()?;
+                let ev = (self.lanes[lane].pending.pop()).expect("a frontier lane has a record");
+                self.refill(lane).map(|()| ev)
             }
-            None => {}
+        };
+        if popped.is_err() {
+            self.frontier.clear();
         }
-        Some(Ok(ev))
+        Some(popped)
     }
 }
 
@@ -548,20 +516,18 @@ impl Iterator for RankMergeIter<'_> {
 /// chunks lazily. This is the memory-bounded core the offline wrapper
 /// and the `ora-fleet` aggregator both build on.
 pub fn merge_ranks_iter(readers: &[TraceReader]) -> RankMergeIter<'_> {
+    let lanes = (readers.iter().enumerate())
+        .flat_map(|(rank, reader)| reader.lane_cursors(rank))
+        .collect();
     let mut iter = RankMergeIter {
-        streams: readers.iter().map(TraceReader::events).collect(),
-        heap: RankMergeHeap::new(),
-        prime_error: None,
-        errored: false,
+        lanes,
+        frontier: BinaryHeap::new(),
+        error: None,
     };
-    for rank in 0..iter.streams.len() {
-        match iter.streams[rank].next() {
-            Some(Ok(ev)) => iter.heap.push(rank, ev),
-            Some(Err(e)) => {
-                iter.prime_error = Some(e);
-                break;
-            }
-            None => {}
+    for lane in 0..iter.lanes.len() {
+        if let Err(e) = iter.refill(lane) {
+            iter.error = Some(e);
+            break;
         }
     }
     iter

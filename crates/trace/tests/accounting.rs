@@ -172,7 +172,7 @@ fn repeated_rank_merges_are_identical() {
 fn reconcile(policy: DropPolicy, lanes: usize, capacity: usize, attempts: &[RawRecord]) {
     let (bytes, stats) = record_batch(attempts, quiet_config(lanes, capacity, policy));
     let reader = TraceReader::from_bytes(bytes).unwrap();
-    let footer = reader.footer();
+    let footer = reader.footer().unwrap();
 
     // Every attempted record is either drained or counted dropped.
     assert_eq!(
@@ -338,7 +338,7 @@ fn lossless_runs_reconcile_with_zero_drops() {
         assert_eq!(stats.drained(), 64);
         assert_eq!(stats.dropped(), 0);
         let reader = TraceReader::from_bytes(bytes).unwrap();
-        assert_eq!(reader.dropped(), 0);
+        assert_eq!(reader.dropped(), Some(0));
         assert_eq!(reader.record_count(), 64);
     }
 }

@@ -317,7 +317,7 @@ fn footer_drop_counters_equal_written_minus_read() {
         let read = reader.records().unwrap().len() as u64;
 
         assert_eq!(read, reader.record_count(), "index agrees with decode");
-        for (i, lane) in reader.footer().lanes.iter().enumerate() {
+        for (i, lane) in reader.footer().unwrap().lanes.iter().enumerate() {
             assert_eq!(
                 lane.dropped_newest + lane.dropped_oldest,
                 lane.written + lane.dropped_newest - lane.drained,
@@ -326,17 +326,29 @@ fn footer_drop_counters_equal_written_minus_read() {
         }
         match policy {
             DropPolicy::Newest => {
-                let written: u64 = reader.footer().lanes.iter().map(|l| l.written).sum();
+                let written: u64 = reader
+                    .footer()
+                    .unwrap()
+                    .lanes
+                    .iter()
+                    .map(|l| l.written)
+                    .sum();
                 assert_eq!(written, read, "drop-newest persists exactly what it admits");
-                assert_eq!(written + reader.dropped(), produced);
+                assert_eq!(written + reader.dropped().unwrap(), produced);
             }
             DropPolicy::Oldest => {
-                let written: u64 = reader.footer().lanes.iter().map(|l| l.written).sum();
+                let written: u64 = reader
+                    .footer()
+                    .unwrap()
+                    .lanes
+                    .iter()
+                    .map(|l| l.written)
+                    .sum();
                 assert_eq!(written, produced, "drop-oldest admits everything");
-                assert_eq!(written - reader.dropped(), read);
+                assert_eq!(written - reader.dropped().unwrap(), read);
             }
             DropPolicy::Block => {
-                assert_eq!(reader.dropped(), 0, "block never loses records");
+                assert_eq!(reader.dropped(), Some(0), "block never loses records");
                 assert_eq!(read, produced);
             }
         }

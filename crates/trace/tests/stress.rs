@@ -70,7 +70,7 @@ fn hammer(policy: DropPolicy, threads: usize) -> (TraceReader, u64) {
 fn block_policy_loses_nothing_under_oversubscription() {
     let threads = oversubscribed_threads();
     let (reader, produced) = hammer(DropPolicy::Block, threads);
-    assert_eq!(reader.dropped(), 0);
+    assert_eq!(reader.dropped(), Some(0));
     assert_eq!(reader.record_count(), produced);
     assert_eq!(reader.records().unwrap().len() as u64, produced);
 }
@@ -79,11 +79,11 @@ fn block_policy_loses_nothing_under_oversubscription() {
 fn drop_newest_accounts_for_every_record() {
     let threads = oversubscribed_threads();
     let (reader, produced) = hammer(DropPolicy::Newest, threads);
-    let footer = reader.footer();
+    let footer = reader.footer().unwrap();
     // written + dropped_newest == produced (every record either entered
     // a ring or was counted at the door)...
     let written: u64 = footer.lanes.iter().map(|l| l.written).sum();
-    assert_eq!(written + reader.dropped(), produced);
+    assert_eq!(written + reader.dropped().unwrap(), produced);
     // ...and everything written was persisted (drop-newest never evicts).
     assert_eq!(reader.record_count(), written);
     assert_eq!(reader.records().unwrap().len() as u64, written);
@@ -93,12 +93,12 @@ fn drop_newest_accounts_for_every_record() {
 fn drop_oldest_accounts_for_every_record() {
     let threads = oversubscribed_threads();
     let (reader, produced) = hammer(DropPolicy::Oldest, threads);
-    let footer = reader.footer();
+    let footer = reader.footer().unwrap();
     // Drop-oldest admits everything (written == produced) and evicts
     // from the buffer, so persisted == written - dropped_oldest.
     let written: u64 = footer.lanes.iter().map(|l| l.written).sum();
     assert_eq!(written, produced);
-    assert_eq!(reader.record_count(), written - reader.dropped());
+    assert_eq!(reader.record_count(), written - reader.dropped().unwrap());
     assert_eq!(
         reader.records().unwrap().len() as u64,
         reader.record_count()

@@ -52,6 +52,20 @@ if [ "$(grep -rn 'Request::Start' crates/collector/src | wc -l)" -ne 1 ]; then
   echo "tier1: Request::Start must appear exactly once under crates/collector/src — attach through lane::Collector" >&2
   exit 1
 fi
+# One chunk-stream walker: only `ora_trace::format` classifies trace
+# units by their tag bytes or magic; every other reader of trace bytes
+# walks `format::units`. Test code (a file's `#[cfg(test)]` tail, and
+# `tests/`) may still craft units by hand.
+walkers=$(for f in $(grep -rlwE 'TAG_CHUNK|TAG_FOOTER|FILE_MAGIC' crates/*/src); do
+  [ "$f" = crates/trace/src/format.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+    /(^|[^A-Za-z0-9_])(TAG_CHUNK|TAG_FOOTER|FILE_MAGIC)([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$walkers" ]; then
+  echo "$walkers" >&2
+  echo "tier1: trace tag/magic outside crates/trace/src/format.rs — walk the stream with format::units" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -74,7 +88,8 @@ cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
   fuzz --seeds 25 --rungs governed
 
 # CLI smoke of the timeline surfaces no test drives: record → report →
-# analyze on a file, the in-memory `--tool trace` with its CSV export,
+# analyze on a file, a report of the same file with its footer cut off,
+# the in-memory `--tool trace` with its CSV export,
 # the three-section `--tool suite`, the `--tool selective` savings line,
 # and a two-rank `fleet` whose online
 # merge must equal the offline one (a merge-order regression fails the
@@ -88,6 +103,17 @@ trap 'rm -rf "$smoke"' EXIT
 grep -q '^first 5 records:$' "$smoke/report.txt"
 # analyze exits 4 when it has findings to report; both are a working CLI.
 "$omp_prof" trace analyze --in "$smoke/run.oratrace" >/dev/null || [ $? -eq 4 ]
+# A recording killed before its footer: cut the footer off (its payload
+# length is the u32 before the 6-byte trailing magic; tag, CRC, length
+# and magic add 15 bytes). `trace report` salvages the chunks, says so,
+# and exits 5.
+size=$(wc -c <"$smoke/run.oratrace")
+footer=$(( $(tail -c 10 "$smoke/run.oratrace" | head -c 4 | od -An -tu4) + 15 ))
+head -c $((size - footer)) "$smoke/run.oratrace" >"$smoke/torn.oratrace"
+status=0
+"$omp_prof" trace report --in "$smoke/torn.oratrace" --head 5 >"$smoke/torn.txt" || status=$?
+[ "$status" -eq 5 ]
+grep -Eq 'salvaged: [0-9]+ chunks, 0 bytes discarded; drop counts unknown$' "$smoke/torn.txt"
 "$omp_prof" --workload epcc --tool trace --csv >"$smoke/trace.txt"
 # The CSV section follows the report: its first line is the header.
 [ "$(sed -n '/^tick,/,$p' "$smoke/trace.txt" | head -1)" = "tick,gtid,event,region_id,wait_id" ]
