@@ -12,6 +12,8 @@ use ora_core::pad::CachePadded;
 use ora_core::park::EventCount;
 use ora_core::state::{StateCell, ThreadState, WaitId, WaitIdKind};
 
+use crate::pool::HandOff;
+
 /// Per-thread runtime bookkeeping: identity, current state, wait IDs.
 #[derive(Debug)]
 pub struct ThreadDescriptor {
@@ -24,9 +26,13 @@ pub struct ThreadDescriptor {
     /// padded so one thread's transitions never invalidate another's line.
     pub state: CachePadded<StateCell>,
     /// This thread's fork/join doorbell, a one-waiter event count: the
-    /// worker waits on it between regions, and publication notifies only
-    /// the doorbells of threads in the new team (or the leased worker).
+    /// worker waits on it between regions, and a master rings it right
+    /// after putting work in `hand_off`, so only the threads a team was
+    /// handed to wake.
     pub doorbell: EventCount,
+    /// The slot through which any master, top-level or nested, hands this
+    /// worker its next region (see `pool.rs`). The master's is unused.
+    pub(crate) hand_off: HandOff,
     /// Incremented each time this thread enters any (implicit or explicit)
     /// barrier.
     pub barrier_id: WaitId,
@@ -52,6 +58,7 @@ impl ThreadDescriptor {
             gtid,
             state: CachePadded::new(StateCell::new()),
             doorbell: EventCount::new(1),
+            hand_off: HandOff::new(),
             barrier_id: WaitId::new(),
             lock_wait_id: WaitId::new(),
             critical_wait_id: WaitId::new(),

@@ -1,4 +1,4 @@
-//! The persistent worker pool and the fork/join work-publication protocol.
+//! The persistent worker pool and the one fork/join hand-off protocol.
 //!
 //! "In our OpenMP implementation, all the threads survive (and are
 //! sleeping) in between non-nested parallel regions." (paper §IV-C1)
@@ -6,7 +6,29 @@
 //! fires, matching the paper's `__ompc_event(OMP_EVENT_FORK)` placed just
 //! before `pthread_create()` — and then sleep on a doorbell between
 //! regions, in the idle state, raising begin/end-idle events around each
-//! region they participate in.
+//! top-level region they participate in.
+//!
+//! Every team member other than the master, top-level or leased to a
+//! nested team, gets its region the same way: the master writes a
+//! [`Work`] and the member ID into the worker's own [`HandOff`] slot,
+//! release-increments the slot's epoch and rings the worker's doorbell
+//! (`Shared::hand` in `runtime.rs`). A top-level fork hands to gtids
+//! `1..n` with member ID = gtid; a nested fork hands to the workers it
+//! leased, as members `1..`. The worker acquire-loads its epoch, takes
+//! the work out of the cell and runs it in [`serve`]. Workers that are
+//! handed nothing are never woken.
+//!
+//! A slot is written by different masters over time — the top-level
+//! master, then a nested master that leased the worker, then another —
+//! and each write is safe for one reason: a slot is rewritten only after
+//! its worker took the previous work out of it and then arrived at that
+//! region's implicit barrier, and the next writer is ordered after that
+//! barrier (it is the same master past it, a master of a later region,
+//! or a nested master that leased the worker from the table the previous
+//! one returned it to after passing it). The worker may still be
+//! restoring its pool identity when the next work lands; that is harmless,
+//! because the cell it took is already empty and it compares epochs only
+//! for inequality, so it serves the new work on its next look.
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,11 +37,11 @@ use std::sync::Arc;
 
 use ora_core::event::Event;
 use ora_core::pad::CachePadded;
-use ora_core::park::EventCount;
 use ora_core::state::ThreadState;
 use psx::symtab::Ip;
 
 use crate::context::ParCtx;
+use crate::descriptor::ThreadDescriptor;
 use crate::runtime::Shared;
 use crate::team::Team;
 
@@ -27,11 +49,12 @@ use crate::team::Team;
 ///
 /// # Safety contract
 ///
-/// The master constructs this from `&F` where `F: Fn(&ParCtx) + Sync`, and
-/// keeps `F` alive until every participating thread has arrived at the
-/// region-end barrier (the master itself waits at that barrier before
-/// returning). Workers only call through the pointer between observing the
-/// epoch and arriving at that barrier, so the reference never dangles.
+/// The master constructs this from `&F` where `F: Fn(&ParCtx) + Sync`,
+/// hands it to every member through their [`HandOff`] slots, and keeps `F`
+/// alive until every member has arrived at the region's implicit barrier
+/// (the master itself waits at that barrier before returning). A worker
+/// calls through the pointer only between taking the work out of its slot
+/// and arriving at that barrier, so the reference never dangles.
 #[derive(Clone, Copy)]
 pub(crate) struct ErasedClosure {
     data: *const (),
@@ -63,217 +86,113 @@ impl ErasedClosure {
     }
 }
 
-/// The work published for one parallel region.
-#[derive(Clone)]
+/// The work handed to one team member.
 pub(crate) struct Work {
     pub team: Arc<Team>,
     pub closure: ErasedClosure,
     pub outlined: Ip,
 }
 
-/// The master↔worker rendezvous: an epoch counter and the published work.
-///
-/// Publication protocol: the master writes `work` and `team_size`, then
-/// increments `epoch` with release ordering and rings the *participating*
-/// workers' doorbells (see `Shared::publish` in `runtime.rs` — waking
-/// lives with the descriptor table, not here). Workers acquire-load
-/// `epoch`; on a change they read `team_size` and — only if they
-/// participate (`gtid < team_size`) — the work cell. A participant cannot
-/// still be reading the cell when the next region is published, because
-/// publication only happens after the previous region's end barrier, which
-/// every participant reaches after its last read. Non-participants never
-/// touch the cell, are not woken by publication at all, and may therefore
-/// observe epochs lagging arbitrarily behind — [`Served::next`] only
-/// compares for inequality, never for succession.
-pub(crate) struct TeamSlot {
-    /// Bumped once per region by the master, polled by every spinning
-    /// worker — padded so publication stores never contend with the
-    /// `team_size`/work writes next door.
+/// One worker's hand-off slot: the work of the next region it serves and
+/// the member ID it serves it under. The protocol is the module doc's.
+pub(crate) struct HandOff {
+    /// Bumped once per hand-off and polled by the spinning worker —
+    /// padded so the worker's polling never contends with the master's
+    /// writes to the cell next door.
     epoch: CachePadded<AtomicU64>,
-    team_size: AtomicUsize,
+    member: AtomicUsize,
     work: UnsafeCell<Option<Work>>,
 }
 
-unsafe impl Sync for TeamSlot {}
+// Safety: the cell has one writer at a time and the worker reads it only
+// after acquiring the epoch the writer released (module doc).
+unsafe impl Sync for HandOff {}
+// The cell is never observed across a caught unwind, so it keeps the
+// descriptor that holds it unwind-safe.
+impl std::panic::RefUnwindSafe for HandOff {}
 
-impl TeamSlot {
+impl HandOff {
     pub(crate) fn new() -> Self {
-        TeamSlot {
+        HandOff {
             epoch: CachePadded::new(AtomicU64::new(0)),
-            team_size: AtomicUsize::new(0),
+            member: AtomicUsize::new(0),
             work: UnsafeCell::new(None),
         }
     }
 
-    /// Publish a region's work (master only; callers serialize via the
-    /// runtime's fork lock). The caller is responsible for ringing the
-    /// participating workers' doorbells *after* this returns.
-    pub(crate) fn publish(&self, work: Work) {
-        let size = work.team.size;
-        // Safety: no worker reads the cell between the previous region's
-        // end barrier and this epoch increment (see type-level protocol).
+    /// Hand `work` to the slot's worker as team member `member`. The
+    /// caller rings the worker's doorbell after this returns.
+    pub(crate) fn put(&self, work: Work, member: usize) {
+        // Safety: the worker took the previous work before a barrier this
+        // writer is ordered after, and reads nothing until the increment.
         unsafe { *self.work.get() = Some(work) };
-        self.team_size.store(size, Ordering::Relaxed);
+        self.member.store(member, Ordering::Relaxed);
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Clear the published work after a region completes, dropping the
-    /// team reference (master only, after the end barrier).
-    pub(crate) fn retire(&self) {
-        unsafe { *self.work.get() = None };
-    }
-
-    /// Snapshot the published work. Only valid for participants inside the
-    /// fork/join window.
-    fn take(&self) -> Work {
-        unsafe { (*self.work.get()).clone().expect("work published") }
-    }
-
-    /// Current team size of the published region.
-    pub(crate) fn size(&self) -> usize {
-        self.team_size.load(Ordering::Relaxed)
-    }
-
-    /// Current epoch (acquire: pairs with `publish`'s release increment).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-}
-
-/// Per-worker sub-team lease channel.
-///
-/// Nested parallel regions do not publish through the global [`TeamSlot`]
-/// — that would wake the whole pool and race with the outer region it
-/// belongs to. Instead the nested master *leases* specific parked workers
-/// (workers whose gtid is outside the running top-level team are never
-/// woken by global publication, so they are exactly the idle capacity)
-/// and hands each its own `LeaseSlot`: the sub-team work, the worker's
-/// member ID inside the sub-team, and a publication epoch. The worker serves
-/// the lease under its *registered* descriptor — so it stays visible to
-/// state queries and health tooling mid-region — and frees itself back to
-/// the lease pool after the sub-team's closing barrier.
-///
-/// Publication protocol mirrors [`TeamSlot`]: write the work cell and
-/// member ID, release-increment `epoch`, ring the worker's doorbell. The
-/// cell is single-producer/single-consumer by construction — a worker is
-/// leased to at most one sub-team at a time (the allocator in
-/// `runtime.rs` guarantees it) and clears the cell when it takes the work.
-pub(crate) struct LeaseSlot {
-    epoch: CachePadded<AtomicU64>,
-    inner_gtid: AtomicUsize,
-    work: UnsafeCell<Option<Work>>,
-}
-
-unsafe impl Sync for LeaseSlot {}
-
-impl LeaseSlot {
-    pub(crate) fn new() -> Self {
-        LeaseSlot {
-            epoch: CachePadded::new(AtomicU64::new(0)),
-            inner_gtid: AtomicUsize::new(0),
-            work: UnsafeCell::new(None),
-        }
-    }
-
-    /// Publish a sub-team lease (nested master only; the worker must be
-    /// claimed from the lease pool first). Caller rings the worker's
-    /// doorbell after this returns.
-    pub(crate) fn publish(&self, work: Work, inner_gtid: usize) {
-        // Safety: the worker is parked and unleased — nothing reads the
-        // cell until the epoch increment below is observed.
-        unsafe { *self.work.get() = Some(work) };
-        self.inner_gtid.store(inner_gtid, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Current lease epoch (acquire: pairs with `publish`).
-    pub(crate) fn epoch(&self) -> u64 {
+    /// Current epoch (acquire: pairs with `put`'s release increment).
+    fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Take the published lease, clearing the cell (leased worker only).
+    /// Take the handed work and member ID, emptying the cell (the
+    /// slot's worker only, after observing a new epoch).
     fn take(&self) -> (Work, usize) {
-        // Safety: we are the single consumer, inside the lease window.
-        let work = unsafe { (*self.work.get()).take().expect("lease published") };
-        (work, self.inner_gtid.load(Ordering::Relaxed))
+        // Safety: single consumer, between `put` and the region barrier.
+        let work = unsafe { (*self.work.get()).take().expect("work handed") };
+        (work, self.member.load(Ordering::Relaxed))
+    }
+}
+
+impl std::fmt::Debug for HandOff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HandOff")
+            .field("epoch", &self.epoch.load(Ordering::Relaxed))
+            .finish()
     }
 }
 
 /// What ended a pooled worker's wait on its doorbell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wake {
-    /// A nested sub-team leased this worker.
-    Lease,
-    /// A top-level region this worker participates in was published.
-    Region,
+    /// Work was handed to this worker.
+    Work,
     /// The runtime is shutting down.
     Shutdown,
 }
 
-/// The publication epochs a worker has already served, and its doorbell
-/// wait.
+/// The last hand-off epoch a worker served, and its doorbell wait.
+#[derive(Default)]
 struct Served {
-    gtid: usize,
-    region: u64,
-    lease: u64,
+    epoch: u64,
 }
 
 impl Served {
-    fn new(gtid: usize) -> Self {
-        Served {
-            gtid,
-            region: 0,
-            lease: 0,
-        }
-    }
-
-    /// Sleeps on `doorbell` until [`Served::next`] has something to do.
-    fn wait(
-        &mut self,
-        doorbell: &EventCount,
-        slot: &TeamSlot,
-        lease: &LeaseSlot,
-        shutdown: &AtomicBool,
-    ) -> Wake {
-        doorbell.wait_until(0, crate::spin::long_budget(), || {
-            self.next(slot, lease, shutdown)
+    /// Sleeps on `desc`'s doorbell until [`Served::next`] has something
+    /// to do.
+    fn wait(&mut self, desc: &ThreadDescriptor, shutdown: &AtomicBool) -> Wake {
+        desc.doorbell.wait_until(0, crate::spin::long_budget(), || {
+            self.next(&desc.hand_off, shutdown)
         })
     }
 
     /// One attempt of the worker's doorbell wait: what to do next, or
-    /// `None` to keep sleeping. Leases come first — a leased worker is by
-    /// definition not in the current top-level team, so a pending global
-    /// epoch catch-up is a no-op for it anyway. Work of either kind wins
-    /// over a racing shutdown, so a region published just before
-    /// teardown still executes.
-    fn next(&mut self, slot: &TeamSlot, lease: &LeaseSlot, shutdown: &AtomicBool) -> Option<Wake> {
-        let lease_epoch = lease.epoch();
-        if lease_epoch != self.lease {
-            self.lease = lease_epoch;
-            return Some(Wake::Lease);
-        }
-        let epoch = slot.epoch();
-        if epoch != self.region {
-            self.region = epoch;
-            if self.gtid < slot.size() {
-                return Some(Wake::Region);
-            }
-            // Not in this region's team: stay idle.
+    /// `None` to keep sleeping. Handed work wins over a racing shutdown,
+    /// so a region handed out just before teardown still executes.
+    fn next(&mut self, hand_off: &HandOff, shutdown: &AtomicBool) -> Option<Wake> {
+        let epoch = hand_off.epoch();
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            return Some(Wake::Work);
         }
         shutdown.load(Ordering::Relaxed).then_some(Wake::Shutdown)
     }
 }
 
-/// Body of a pool worker thread with global thread ID `gtid`.
-///
-/// The worker sleeps on one doorbell (its descriptor's event count) but
-/// watches two work channels: the global [`TeamSlot`] for top-level
-/// regions it participates in, and its private [`LeaseSlot`] for nested
-/// sub-teams that leased it while it sat outside the running top-level
-/// team ([`Served::next`]).
+/// Body of a pool worker thread with global thread ID `gtid`: sleep on
+/// the doorbell, [`serve`] whatever is handed over, until shutdown.
 pub(crate) fn worker_main(shared: Arc<Shared>, gtid: usize) {
     let desc = shared.descriptor(gtid);
-    let lease = shared.lease_slot(gtid);
     crate::tls::bind(shared.instance, gtid, desc.clone());
 
     // "As soon as the threads are created, they are set to be in the
@@ -282,93 +201,58 @@ pub(crate) fn worker_main(shared: Arc<Shared>, gtid: usize) {
     desc.state.set(ThreadState::Idle);
     shared.fire(Event::ThreadBeginIdle, gtid, 0, 0, 0);
 
-    let mut served = Served::new(gtid);
-    loop {
-        match served.wait(&desc.doorbell, &shared.slot, &lease, &shared.shutdown) {
-            Wake::Lease => serve_lease(&shared, &lease, gtid, &desc),
-            Wake::Region => serve_region(&shared, gtid, &desc),
-            Wake::Shutdown => return,
-        }
+    let mut served = Served::default();
+    while served.wait(&desc, &shared.shutdown) == Wake::Work {
+        serve(&shared, gtid, &desc);
     }
 }
 
-/// Serve one top-level region from the global [`TeamSlot`].
-fn serve_region(shared: &Arc<Shared>, gtid: usize, desc: &Arc<crate::ThreadDescriptor>) {
-    let work = shared.slot.take();
-    let team = work.team.clone();
+/// Run the region handed to worker `gtid`: bind under the member ID, run
+/// the body, take the implicit barrier, restore the pool identity.
+///
+/// Only a level-1 team's members leave and re-enter the idle state. A
+/// nested team's members raise no idle events — its master fired the
+/// Fork before they woke — but keep their registered descriptor, so
+/// state queries and health tooling see them mid-region.
+fn serve(shared: &Shared, gtid: usize, desc: &Arc<ThreadDescriptor>) {
+    let (work, member) = desc.hand_off.take();
+    let team = &work.team;
+    let top_level = team.level == 1;
 
     // The idle period is over before the end-idle event fires, so a
     // state query from its callback sees the working state.
+    crate::tls::bind(shared.instance, member, desc.clone());
     crate::tls::set_team(shared.instance, Some(team.clone()));
     desc.state.set(ThreadState::Working);
-    shared.fire(
-        Event::ThreadEndIdle,
-        gtid,
-        team.region_id,
-        team.parent_region_id,
-        0,
-    );
+    if top_level {
+        shared.fire(
+            Event::ThreadEndIdle,
+            gtid,
+            team.region_id,
+            team.parent_region_id,
+            0,
+        );
+    }
 
     {
-        let ctx = ParCtx::new(shared, &team, desc, gtid);
+        let ctx = ParCtx::new(shared, team, desc, member);
         let frame = psx::enter(work.outlined);
-        // Safety: we are inside the fork/join window for this epoch.
+        // Safety: between the take above and the barrier below.
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { work.closure.call(&ctx) }));
         drop(frame);
         if result.is_err() {
             team.set_panicked();
         }
-        // The implicit barrier every participant takes at region end.
+        // The implicit barrier every member takes at region end.
         ctx.implicit_barrier();
     }
 
-    crate::tls::set_team(shared.instance, None);
-    desc.state.set(ThreadState::Idle);
-    shared.fire(Event::ThreadBeginIdle, gtid, 0, 0, 0);
-}
-
-/// Serve one nested sub-team lease, then return to the pool.
-///
-/// A lease raises no idle transitions (the Fork was fired by the nested
-/// master before this worker woke). The worker keeps its registered
-/// descriptor, binding it under the sub-team member ID, so state queries
-/// and health tooling see the thread mid-region.
-fn serve_lease(
-    shared: &Arc<Shared>,
-    lease: &LeaseSlot,
-    gtid: usize,
-    desc: &Arc<crate::ThreadDescriptor>,
-) {
-    let (work, inner_gtid) = lease.take();
-    let team = work.team.clone();
-
-    // Become sub-team member `inner_gtid` for the duration: same
-    // registered descriptor, inner team binding.
-    crate::tls::bind(shared.instance, inner_gtid, desc.clone());
-    crate::tls::set_team(shared.instance, Some(team.clone()));
-    desc.state.set(ThreadState::Working);
-
-    {
-        let ctx = ParCtx::new(shared, &team, desc, inner_gtid);
-        let frame = psx::enter(work.outlined);
-        // Safety: the nested master keeps the closure alive until every
-        // sub-team member passes the barrier below.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { work.closure.call(&ctx) }));
-        drop(frame);
-        if result.is_err() {
-            team.set_panicked();
-        }
-        ctx.implicit_barrier();
-    }
-    drop(work);
-    drop(team);
-
-    // Restore the pool identity (bind clears the team) and only then
-    // return to the lease pool — the slot must not be reclaimable while
-    // this thread still looks like a sub-team member.
+    // Restore the pool identity (binding clears the team).
     crate::tls::bind(shared.instance, gtid, desc.clone());
     desc.state.set(ThreadState::Idle);
-    shared.release_lease(gtid);
+    if top_level {
+        shared.fire(Event::ThreadBeginIdle, gtid, 0, 0, 0);
+    }
 }
 
 #[cfg(test)]
@@ -391,93 +275,69 @@ mod tests {
         assert_eq!(erased.data, erased2.data);
     }
 
-    fn region(size: usize) -> Work {
+    fn region(region_id: u64, outlined: u64) -> Work {
         fn noop(_: &ParCtx<'_>) {}
         Work {
-            team: Team::new(1, 0, size),
+            team: Team::new(region_id, 0, 2),
             closure: ErasedClosure::new(&noop),
-            outlined: Ip(0),
+            outlined: Ip(outlined),
         }
     }
 
     #[test]
-    fn slot_epoch_and_doorbell() {
-        let (slot, lease, shutdown) = (TeamSlot::new(), LeaseSlot::new(), AtomicBool::new(false));
-        let doorbell = EventCount::new(1);
-        let mut served = Served::new(1);
+    fn hand_off_epoch_and_doorbell() {
+        let (desc, shutdown) = (ThreadDescriptor::new(1), AtomicBool::new(false));
+        let mut served = Served::default();
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| served.wait(&doorbell, &slot, &lease, &shutdown));
-            slot.publish(region(2));
-            doorbell.notify_all(); // the caller-side ring `Shared::publish` does
-            assert_eq!(waiter.join().unwrap(), Wake::Region);
+            let waiter = s.spawn(|| served.wait(&desc, &shutdown));
+            desc.hand_off.put(region(1, 0), 1);
+            desc.doorbell.notify_all(); // the ring `Shared::hand` adds
+            assert_eq!(waiter.join().unwrap(), Wake::Work);
         });
-        assert_eq!(served.region, 1, "the served epoch is remembered");
-        slot.retire();
+        assert_eq!(served.epoch, 1, "the served epoch is remembered");
+        drop(desc.hand_off.take());
     }
 
     #[test]
-    fn slot_shutdown_releases_waiters() {
-        let (slot, lease, shutdown) = (TeamSlot::new(), LeaseSlot::new(), AtomicBool::new(false));
-        let doorbell = EventCount::new(1);
-        let mut served = Served::new(1);
+    fn shutdown_releases_waiters() {
+        let (desc, shutdown) = (ThreadDescriptor::new(1), AtomicBool::new(false));
+        let mut served = Served::default();
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| served.wait(&doorbell, &slot, &lease, &shutdown));
+            let waiter = s.spawn(|| served.wait(&desc, &shutdown));
             shutdown.store(true, Ordering::SeqCst);
-            doorbell.notify_all();
+            desc.doorbell.notify_all();
             assert_eq!(waiter.join().unwrap(), Wake::Shutdown);
         });
     }
 
-    /// A worker whose gtid is outside the new team sleeps through its
-    /// publication: `Shared::publish` rings only gtids `1..team_size`,
-    /// and even a ring (a lease's, a shutdown's) finds no region for it.
-    /// Work published before a shutdown still wins over it.
+    /// Work handed out before a shutdown still wins over it, once.
     #[test]
-    fn publish_does_not_wake_nonparticipants() {
-        let (slot, lease, shutdown) = (TeamSlot::new(), LeaseSlot::new(), AtomicBool::new(false));
-        let mut outside = Served::new(2);
-        let mut inside = Served::new(1);
-        slot.publish(region(2));
-        assert_eq!(outside.next(&slot, &lease, &shutdown), None);
-        assert_eq!(outside.region, 1, "it caught up on the epoch anyway");
+    fn handed_work_wins_over_a_racing_shutdown() {
+        let (hand_off, shutdown) = (HandOff::new(), AtomicBool::new(false));
+        let mut served = Served::default();
+        assert_eq!(served.next(&hand_off, &shutdown), None);
+        hand_off.put(region(1, 0), 1);
         shutdown.store(true, Ordering::SeqCst);
-        assert_eq!(outside.next(&slot, &lease, &shutdown), Some(Wake::Shutdown));
-        assert_eq!(inside.next(&slot, &lease, &shutdown), Some(Wake::Region));
-        lease.publish(region(2), 1);
-        assert_eq!(outside.next(&slot, &lease, &shutdown), Some(Wake::Lease));
-        assert_eq!(outside.next(&slot, &lease, &shutdown), Some(Wake::Shutdown));
-        drop(lease.take());
-        slot.retire();
+        assert_eq!(served.next(&hand_off, &shutdown), Some(Wake::Work));
+        assert_eq!(served.next(&hand_off, &shutdown), Some(Wake::Shutdown));
+        drop(hand_off.take());
     }
 
+    /// One slot carries top-level and leased work alike: each `put` is a
+    /// fresh epoch edge with its own member ID, and `take` empties the
+    /// cell so the next writer finds nothing left to drop under a reader.
     #[test]
-    fn lease_slot_round_trips_work_and_inner_gtid() {
-        let lease = LeaseSlot::new();
-        assert_eq!(lease.epoch(), 0);
-        let f = |_: &ParCtx<'_>| {};
-        lease.publish(
-            Work {
-                team: Team::solo(7, 0),
-                closure: ErasedClosure::new(&f),
-                outlined: Ip(42),
-            },
-            3,
-        );
-        assert_eq!(lease.epoch(), 1, "publish bumps the lease epoch");
-        let (work, inner_gtid) = lease.take();
-        assert_eq!(inner_gtid, 3);
-        assert_eq!(work.outlined, Ip(42));
-        // A second lease of the same slot is a fresh epoch edge.
-        lease.publish(
-            Work {
-                team: Team::solo(8, 0),
-                closure: ErasedClosure::new(&f),
-                outlined: Ip(43),
-            },
-            1,
-        );
-        assert_eq!(lease.epoch(), 2);
-        let (_, inner_gtid) = lease.take();
-        assert_eq!(inner_gtid, 1);
+    fn hand_off_round_trips_work_and_member() {
+        let hand_off = HandOff::new();
+        assert_eq!(hand_off.epoch(), 0);
+        hand_off.put(region(7, 42), 3);
+        assert_eq!(hand_off.epoch(), 1, "put bumps the epoch");
+        let (work, member) = hand_off.take();
+        assert_eq!((work.team.region_id, work.outlined, member), (7, Ip(42), 3));
+        hand_off.put(region(8, 43), 1);
+        assert_eq!(hand_off.epoch(), 2);
+        let (work, member) = hand_off.take();
+        assert_eq!((work.team.region_id, member), (8, 1));
+        assert!(unsafe { (*hand_off.work.get()).is_none() });
     }
 }

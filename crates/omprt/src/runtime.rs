@@ -8,6 +8,7 @@
 //! instance-qualified symbol; the first instance also claims the canonical
 //! symbol name, like the single OpenMP runtime of a real process.
 
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -27,7 +28,7 @@ use psx::symtab::{Ip, SymbolDesc, SymbolTable};
 use crate::config::Config;
 use crate::context::ParCtx;
 use crate::descriptor::ThreadDescriptor;
-use crate::pool::{worker_main, ErasedClosure, LeaseSlot, TeamSlot, Work};
+use crate::pool::{worker_main, ErasedClosure, Work};
 use crate::region::RegionHandle;
 use crate::team::Team;
 use crate::tls;
@@ -91,11 +92,10 @@ pub(crate) struct Shared {
     pub api: Arc<CollectorApi>,
     pub descriptors: RwLock<Vec<Arc<ThreadDescriptor>>>,
     pub master_serial: Arc<ThreadDescriptor>,
-    pub slot: TeamSlot,
     pub shutdown: AtomicBool,
-    /// Per-worker sub-team lease channels, index-aligned with
-    /// `descriptors` (slot 0 is the master's, never leased).
-    leases: RwLock<Vec<Arc<LeaseSlot>>>,
+    /// Size of the running (or last) top-level team: the workers a
+    /// nested fork may lease start past it.
+    top_level_size: AtomicUsize,
     /// Gtids currently leased to a nested sub-team.
     leased: Mutex<HashSet<usize>>,
     region_counter: AtomicU64,
@@ -129,17 +129,54 @@ impl Shared {
             .clone()
     }
 
-    /// Publish a region's work and ring exactly the workers that
-    /// participate in it (gtids `1..team_size`). Workers outside the team
-    /// are not woken at all — they stay asleep on their doorbells and
-    /// catch up on the epoch whenever a team next includes them.
-    pub(crate) fn publish(&self, work: Work) {
-        let size = work.team.size;
-        self.slot.publish(work);
-        let descs = self.descriptors.read();
-        for desc in descs.iter().take(size).skip(1) {
-            desc.doorbell.notify_all();
+    /// Hand `work` to pool worker `gtid`, to run as team member
+    /// `member`, and ring its doorbell — the only way a region reaches a
+    /// worker. No other worker wakes.
+    pub(crate) fn hand(&self, gtid: usize, work: Work, member: usize) {
+        let desc = &self.descriptors.read()[gtid];
+        desc.hand_off.put(work, member);
+        desc.doorbell.notify_all();
+    }
+
+    /// Run `team`'s region: hand `f` to the pool workers `members` (team
+    /// members `1..`, in order), run the master's share as member 0 under
+    /// `desc`, take the implicit barrier and absorb the team's task
+    /// counters. Returns the master's panic payload; a worker's panic is
+    /// left marked on the team.
+    fn run_team<F: Fn(&ParCtx<'_>) + Sync>(
+        &self,
+        team: &Arc<Team>,
+        members: impl IntoIterator<Item = usize>,
+        desc: &Arc<ThreadDescriptor>,
+        outlined: Ip,
+        f: &F,
+    ) -> Option<Box<dyn Any + Send>> {
+        let closure = ErasedClosure::new(f);
+        for (i, gtid) in members.into_iter().enumerate() {
+            let work = Work {
+                team: team.clone(),
+                closure,
+                outlined,
+            };
+            self.hand(gtid, work, i + 1);
         }
+        desc.state.set(ThreadState::Working);
+        let ctx = ParCtx::new(self, team, desc, 0);
+        let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+        if result.is_err() {
+            team.set_panicked();
+        }
+        // Releases only after every member arrived, so `f` outlives every
+        // call through `closure`.
+        ctx.implicit_barrier();
+
+        // Every thread drained to quiescence at the barrier above, so
+        // the scheduler counters are final for this region.
+        if team.tasks.used() {
+            let (stolen, overflows, parks) = team.tasks.take_stats();
+            self.api.task_stats().absorb(stolen, overflows, parks);
+        }
+        result.err()
     }
 
     /// Ring every pool worker regardless of team membership (shutdown
@@ -150,22 +187,16 @@ impl Shared {
             desc.doorbell.notify_all();
         }
     }
+}
 
-    /// Lease channel of worker `gtid`.
-    pub(crate) fn lease_slot(&self, gtid: usize) -> Arc<LeaseSlot> {
-        self.leases.read()[gtid].clone()
+/// Re-raise a region's panic on its master once the fork/join brackets
+/// are closed: the master's own payload, else a worker's as a message.
+fn rethrow(master_panic: Option<Box<dyn Any + Send>>, team: &Team) {
+    if let Some(payload) = master_panic {
+        resume_unwind(payload);
     }
-
-    /// Publish sub-team work to a claimed worker and ring its doorbell.
-    pub(crate) fn publish_lease(&self, gtid: usize, work: Work, inner_gtid: usize) {
-        self.lease_slot(gtid).publish(work, inner_gtid);
-        self.descriptor(gtid).doorbell.notify_all();
-    }
-
-    /// Return a worker to the lease pool (the worker itself, after it has
-    /// fully restored its pool identity).
-    pub(crate) fn release_lease(&self, gtid: usize) {
-        self.leased.lock().remove(&gtid);
+    if team.has_panicked() {
+        panic!("a worker thread panicked inside the parallel region");
     }
 }
 
@@ -295,9 +326,8 @@ impl OpenMp {
             api: api.clone(),
             descriptors: RwLock::new(vec![master_parallel]),
             master_serial: master_serial.clone(),
-            slot: TeamSlot::new(),
             shutdown: AtomicBool::new(false),
-            leases: RwLock::new(vec![Arc::new(LeaseSlot::new())]),
+            top_level_size: AtomicUsize::new(1),
             leased: Mutex::new(HashSet::new()),
             region_counter: AtomicU64::new(0),
             region_calls: AtomicU64::new(0),
@@ -477,43 +507,20 @@ impl OpenMp {
         shared.fire(Event::Fork, 0, region_id, 0, 0);
 
         self.ensure_workers(n);
+        shared.top_level_size.store(n, Ordering::Relaxed);
 
-        // Publish the outlined procedure to the team, waking only the
-        // workers that are part of it.
-        let closure = ErasedClosure::new(&f);
-        shared.publish(Work {
-            team: team.clone(),
-            closure,
-            outlined: region.outlined,
-        });
-
-        // Master switches to its parallel persona and runs its share.
+        // Master switches to its parallel persona and hands the outlined
+        // procedure to gtids `1..n`, waking only the workers of the team.
         let master_desc = shared.descriptor(0);
         tls::swap_desc(shared.instance, 0, master_desc.clone());
         tls::set_team(shared.instance, Some(team.clone()));
-        master_desc.state.set(ThreadState::Working);
 
         // The outlined frame covers the body, the closing implicit
         // barrier (which lives inside the outlined procedure, paper
         // Fig. 2), and the join event, so a callstack captured from the
         // join callback attributes to this construct.
         let outlined_frame = psx::enter(region.outlined);
-        let master_panic = {
-            let ctx = ParCtx::new(shared, &team, &master_desc, 0);
-            let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-            if result.is_err() {
-                team.set_panicked();
-            }
-            ctx.implicit_barrier();
-            result.err()
-        };
-
-        // Every thread drained to quiescence at the barrier above, so
-        // the scheduler counters are final for this region.
-        if team.tasks.used() {
-            let (stolen, overflows, parks) = team.tasks.take_stats();
-            shared.api.task_stats().absorb(stolen, overflows, parks);
-        }
+        let master_panic = shared.run_team(&team, 1..n, &master_desc, region.outlined, &f);
 
         // "In the case of a join operation, the OMP_EVENT_JOIN is
         // triggered and the state of the master thread is set to
@@ -523,18 +530,11 @@ impl OpenMp {
         shared.fire(Event::Join, 0, region_id, 0, 0);
 
         drop(outlined_frame);
-        shared.slot.retire();
         tls::set_team(shared.instance, None);
         tls::swap_desc(shared.instance, 0, shared.master_serial.clone());
         shared.master_serial.state.set(ThreadState::Serial);
         drop(fork_frame);
-
-        if let Some(payload) = master_panic {
-            resume_unwind(payload);
-        }
-        if team.has_panicked() {
-            panic!("a worker thread panicked inside the parallel region");
-        }
+        rethrow(master_panic, &team);
     }
 
     /// Fork a real nested sub-team (the `Config::nested` path). The inner
@@ -545,8 +545,8 @@ impl OpenMp {
     ///
     /// Sub-team members come from the persistent pool: parked workers
     /// outside the running top-level team are leased (topology-compactly,
-    /// preferring the nested master's package), handed work through their
-    /// private [`LeaseSlot`]s and woken by their doorbells. The inner team
+    /// preferring the nested master's package) and handed the region
+    /// exactly as a top-level fork hands it, as members `1..`. The inner team
     /// is sized to what was leased — `1 + leased`, which is `n` until the
     /// pool reaches [`MAX_POOL`]; OpenMP permits delivering fewer threads
     /// than a `parallel` construct requests.
@@ -578,54 +578,34 @@ impl OpenMp {
         );
 
         // The inner master reuses its descriptor; leased workers keep
-        // their registered ones (bound under their inner gtids).
+        // their registered ones (bound under their member IDs).
         tls::set_team(shared.instance, Some(team.clone()));
-        outer_desc.state.set(ThreadState::Working);
-
-        let closure = ErasedClosure::new(f);
-        for (i, &worker) in leased.iter().enumerate() {
-            shared.publish_lease(
-                worker,
-                Work {
-                    team: team.clone(),
-                    closure,
-                    outlined: region.outlined,
-                },
-                i + 1,
-            );
+        let outlined_frame = psx::enter(region.outlined);
+        let master_panic = shared.run_team(
+            &team,
+            leased.iter().copied(),
+            &outer_desc,
+            region.outlined,
+            f,
+        );
+        // Every member passed the barrier, so its worker may be leased
+        // again — even before it has restored its pool identity.
+        let mut table = shared.leased.lock();
+        for gtid in &leased {
+            table.remove(gtid);
         }
-
-        // The inner master's share. Its implicit barrier releases only
-        // after every leased member arrived, so `f` (referenced by the
-        // erased lease closures) outlives all calls through them.
-        {
-            let ctx = ParCtx::new(shared, &team, &outer_desc, 0);
-            let frame = psx::enter(region.outlined);
-            let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-            drop(frame);
-            if result.is_err() {
-                team.set_panicked();
-            }
-            ctx.implicit_barrier();
-        }
-
-        if team.tasks.used() {
-            let (stolen, overflows, parks) = team.tasks.take_stats();
-            shared.api.task_stats().absorb(stolen, overflows, parks);
-        }
+        drop(table);
 
         // Join: fired by the inner master as it leaves the inner barrier.
         outer_desc.state.set(ThreadState::Overhead);
         shared.fire(Event::Join, outer_gtid, region_id, outer.region_id, 0);
+        drop(outlined_frame);
         drop(fork_frame);
 
         // Restore the outer team binding and state.
         tls::set_team(shared.instance, Some(outer));
         outer_desc.state.set(prev_state);
-
-        if team.has_panicked() {
-            panic!("a thread panicked inside the nested parallel region");
-        }
+        rethrow(master_panic, &team);
     }
 
     /// Convenience: `#pragma omp parallel for reduction(+:sum)` over
@@ -648,14 +628,12 @@ impl OpenMp {
     fn ensure_workers(&self, n: usize) {
         {
             let mut descs = self.shared.descriptors.write();
-            let mut leases = self.shared.leases.write();
             while descs.len() < n {
                 // Descriptors are created (in the overhead state) before
                 // their thread exists, so state queries during creation
                 // have an answer (paper §IV-D).
                 let gtid = descs.len();
                 descs.push(Arc::new(ThreadDescriptor::new(gtid)));
-                leases.push(Arc::new(LeaseSlot::new()));
             }
         }
         let mut workers = self.workers.lock();
@@ -675,21 +653,21 @@ impl OpenMp {
     /// forking never spawns.
     ///
     /// Leasable workers are exactly those outside the running top-level
-    /// team (`gtid >= slot.size()` — global publication never wakes
+    /// team (`gtid >= top_level_size` — a top-level fork never hands to
     /// them) and not already leased to a sibling sub-team. Sizing and
     /// claiming happen under one hold of the lease table, so concurrent
     /// sibling forks cannot take each other's headroom. Assignment is
     /// topology-compact: workers on `near`'s package come first (in gtid
     /// order, so SMT siblings stay adjacent), then the rest. Returns the
-    /// claimed gtids in inner-member order; the caller maps them to
-    /// inner gtids `1..` and must publish to each exactly once.
+    /// claimed gtids in member order; the caller hands to each exactly
+    /// once, as members `1..`, and returns them after its barrier.
     fn lease_workers(&self, want: usize, near: usize) -> Vec<usize> {
         if want == 0 {
             return Vec::new();
         }
         let shared = &self.shared;
         let mut leased = shared.leased.lock();
-        let floor = shared.slot.size().max(1);
+        let floor = shared.top_level_size.load(Ordering::Relaxed);
         let target = floor
             .saturating_add(leased.len())
             .saturating_add(want)

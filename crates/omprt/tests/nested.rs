@@ -241,16 +241,65 @@ fn pooled_nested_fork_reuses_pool_workers() {
         }
     });
     assert_eq!(hits.load(Ordering::SeqCst), ROUNDS * 4);
-    // A lease released just after the master leaves the inner barrier
-    // can still look in-flight when the next fork sizes the pool, so
-    // allow a couple of sub-teams of slack — the point is that growth
-    // is O(1), not O(rounds) like ephemeral spawning would be.
-    assert!(
-        rt.spawned_workers() <= after_first + 6,
-        "repeated nested forks must lease, not spawn: {} workers after \
-         {ROUNDS} rounds (was {after_first})",
-        rt.spawned_workers()
+    assert_eq!(
+        rt.spawned_workers(),
+        after_first,
+        "repeated nested forks must lease, not spawn"
     );
+}
+
+#[test]
+fn hand_off_to_a_worker_still_finishing_a_lease() {
+    // No sleeps anywhere, so each hand-off below is likely to land while
+    // its worker is still restoring its pool identity after the last
+    // barrier: a top-level team handing to the workers a nested team just
+    // leased, and a nested fork leasing a worker the previous one just
+    // returned. Every member must still run exactly once, and the pool
+    // must neither grow nor strand a worker outside the idle state.
+    use ora_core::state::ThreadState;
+
+    const K: usize = 3;
+    const ROUNDS: usize = 2_000;
+    let rt = nested_rt(1);
+    let ran: Vec<AtomicUsize> = (0..=K).map(|_| AtomicUsize::new(0)).collect();
+    let count = |ctx: &omprt::ParCtx<'_>| {
+        ran[ctx.thread_num()].fetch_add(1, Ordering::SeqCst);
+    };
+    let each_ran_once = |what: &str| {
+        for (member, n) in ran.iter().enumerate() {
+            assert_eq!(n.swap(0, Ordering::SeqCst), 1, "{what}: member {member}");
+        }
+    };
+    for _ in 0..ROUNDS {
+        // A nested team leases workers `1..=K` under a 1-thread region...
+        rt.parallel_n(1, |_| rt.parallel_n(K + 1, count));
+        each_ran_once("nested team");
+        // ...and a top-level team hands to those same workers at once.
+        rt.parallel_n(K + 1, count);
+        each_ran_once("top-level team");
+        // Back-to-back nested forks lease the same workers again.
+        rt.parallel_n(1, |_| {
+            for _ in 0..2 {
+                rt.parallel_n(K + 1, count);
+                each_ran_once("second lease");
+            }
+        });
+    }
+    assert_eq!(rt.spawned_workers(), K, "the pool must not grow");
+
+    // The last workers restore after the master leaves the barrier.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let states = rt.registered_thread_states();
+        if states[1..].iter().all(|s| *s == ThreadState::Idle) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "workers not idle: {states:?}"
+        );
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -297,6 +346,27 @@ fn leased_sub_team_workers_are_visible_to_state_queries() {
          registered-descriptor snapshot, got {}",
         seen_working.load(Ordering::SeqCst)
     );
+}
+
+#[test]
+fn nested_master_panic_keeps_its_payload() {
+    let rt = nested_rt(1);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.parallel(|_| {
+            rt.parallel_n(2, |inner| {
+                if inner.thread_num() == 0 {
+                    panic!("inner master boom");
+                }
+            });
+        });
+    }));
+    let payload = result.expect_err("the inner master's panic propagates");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"inner master boom"),
+        "the master's own payload, not a generic message"
+    );
+    rt.parallel(|_| {});
 }
 
 #[test]

@@ -220,9 +220,10 @@ impl Unpaired {
     }
 }
 
-/// What a begin and its end agree on: `(rank, gtid, begin event, wait
-/// id)` — or `(rank, 0, Fork, region)` for a region.
-type PairKey = (usize, usize, Event, u64);
+/// What a begin and its end agree on: `(rank, gtid, begin event, region,
+/// wait id)` — `(rank, 0, Fork, region, 0)` for a region, and region 0
+/// for an idle period.
+type PairKey = (usize, usize, Event, u64, u64);
 
 /// A begin waiting for its end.
 struct Open {
@@ -246,9 +247,14 @@ impl Open {
 ///
 /// `Fork`/`Join` pair per `(rank, region)` — the join may fire on
 /// another thread than the fork did. Every other pair is keyed by
-/// `(rank, gtid, begin event, wait id)`. Begins under one key stack, and
-/// an end closes the innermost: a nested team's master reuses the outer
-/// master's gtid and wait ID 0, and both intervals must close.
+/// `(rank, gtid, begin event, region, wait id)`: a worker leased to a
+/// nested team fires under its member ID, so it can share gtid and wait
+/// ID with the outer thread of that ID, and only the region keeps their
+/// ends apart. Idle periods leave the region out, because
+/// `ThreadBeginIdle` carries region 0 and `ThreadEndIdle` the team's.
+/// Begins under one key stack, and an end closes the innermost: a
+/// serialized nested region keeps the outer region's ID, so its master
+/// reuses the outer master's key, and both intervals must close.
 pub fn pair_intervals(
     events: impl IntoIterator<Item = RankedEvent>,
     mut visit: impl FnMut(Interval),
@@ -265,8 +271,9 @@ pub fn pair_intervals(
             r.event.pair().expect("every event is half of a pair")
         };
         let key = match begin {
-            Event::Fork => (rank, 0, begin, r.region_id),
-            _ => (rank, r.gtid, begin, r.wait_id),
+            Event::Fork => (rank, 0, begin, r.region_id, 0),
+            Event::ThreadBeginIdle => (rank, r.gtid, begin, 0, r.wait_id),
+            _ => (rank, r.gtid, begin, r.region_id, r.wait_id),
         };
         match open.entry(key) {
             Entry::Vacant(slot) if r.event == begin => {
@@ -294,7 +301,7 @@ pub fn pair_intervals(
             }
         }
     }
-    for ((_, _, begin, _), (_, outer)) in open {
+    for ((_, _, begin, _, _), (_, outer)) in open {
         unpaired.begins[begin.index()] += 1 + outer.len() as u64;
     }
     unpaired
@@ -840,6 +847,26 @@ mod tests {
             .map(|iv| (iv.region_id, iv.start, iv.end))
             .collect();
         assert_eq!(masters, [(2, 30, 40), (1, 10, 60)], "innermost first");
+    }
+
+    #[test]
+    fn same_wait_key_in_two_regions_never_swaps_ends() {
+        // A worker leased to region 2 fires under member ID 1, the same
+        // gtid and wait ID as thread 1 of region 1; their barrier
+        // intervals interleave without nesting.
+        let events = [
+            ev(10, 1, Event::ThreadBeginExplicitBarrier, 1, 5),
+            ev(20, 1, Event::ThreadBeginExplicitBarrier, 2, 5),
+            ev(30, 1, Event::ThreadEndExplicitBarrier, 1, 5),
+            ev(40, 1, Event::ThreadEndExplicitBarrier, 2, 5),
+        ];
+        let (ivs, unpaired) = intervals(&events);
+        assert_eq!(unpaired, Unpaired::default());
+        let got: Vec<(u64, u64, u64)> = ivs
+            .iter()
+            .map(|iv| (iv.region_id, iv.start, iv.end))
+            .collect();
+        assert_eq!(got, [(1, 10, 30), (2, 20, 40)]);
     }
 
     #[test]

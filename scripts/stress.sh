@@ -58,8 +58,9 @@ done
 # `timeout 5`, so a hang outside a test's own watchdog still fails the
 # sweep instead of stalling it: the barrier -> taskwait region (ROADMAP
 # item 1), the two forced key-after-attempt interleavings (EventCount
-# and TaskPool), and notify racing a waiter's registration. The trace
-# ring's batch drain racing drop-oldest reclaims rides in the same loop.
+# and TaskPool), notify racing a waiter's registration, and work handed
+# to a worker still restoring after a lease. The trace ring's batch
+# drain racing drop-oldest reclaims rides in the same loop.
 echo "== stress: lost-wakeup and ring-claim reproducers, 200 processes each =="
 test_bin() {
   cargo test -q --release --offline "$@" --no-run --message-format=json \
@@ -70,6 +71,7 @@ reproducers=(
   "$(test_bin -p ora-core --lib) park::tests::a_notify_racing_the_failed_attempt_is_never_lost"
   "$(test_bin -p omprt --lib) task::tests::a_push_racing_the_failed_pop_is_never_lost"
   "$(test_bin -p omprt --test sync_stress) notify_racing_registration_never_loses_the_wake"
+  "$(test_bin -p omprt --test nested) hand_off_to_a_worker_still_finishing_a_lease"
   "$(test_bin -p ora-trace --test stress) batch_drain_races_drop_oldest_reclaim"
 )
 for entry in "${reproducers[@]}"; do

@@ -66,6 +66,18 @@ if [ -n "$walkers" ]; then
   echo "tier1: trace tag/magic outside crates/trace/src/format.rs — walk the stream with format::units" >&2
   exit 1
 fi
+# One fork path: every team member, top-level or leased to a nested
+# team, is handed its region through its descriptor's hand-off slot and
+# runs it in `pool::serve`, the one place a worker calls the region body.
+if [ "$(grep -rn '\.closure\.call(' crates/omprt/src | wc -l)" -ne 1 ]; then
+  grep -rn '\.closure\.call(' crates/omprt/src >&2 || true
+  echo "tier1: .closure.call( must appear exactly once under crates/omprt/src — run regions through pool::serve" >&2
+  exit 1
+fi
+if grep -rnE 'TeamSlot|LeaseSlot' crates/; then
+  echo "tier1: TeamSlot / LeaseSlot under crates/ — hand work through Shared::hand" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
