@@ -10,26 +10,34 @@
 //! that is not already sorted — two threads sharing a ring lane — is
 //! sorted there too). Under the lock it
 //! validates the epoch sequence (a duplicate or a gap means the lane is
-//! misbehaving, and is reported ahead of any payload error), merges the
-//! run into the lane's own sorted *pending* buffer, and flushes; then
-//! it acks the epoch.
+//! misbehaving, and is reported ahead of any payload error), hands the
+//! run to the lane's own sorted *pending* buffer, and flushes; then it
+//! acks the epoch. Each connection owns two buffers: one byte buffer
+//! that every frame is read into and every ACK encoded into, and one
+//! run buffer. A run reaches a lane that holds nothing by swap, so the
+//! lane's buffer and the run buffer trade places and both keep their
+//! capacity; otherwise it is merged in with `store::merge_run`. A record
+//! of a lane that keeps up is written twice, decoded into the run and
+//! settled into the store, and past its second chunk a lane allocates
+//! nothing beyond the store's amortised growth.
 //!
 //! **Watermark merge.** The daemon tracks, per live lane, the largest
 //! tick it has acked. The watermark is the minimum of those across live
 //! lanes: every record at or below it is safe to emit, because a live
 //! lane could still send records anywhere above its own acked tick but
-//! (to a good approximation) not below the fleet minimum. A flush takes
-//! each lane's pending prefix at or below the watermark; one lane's
-//! prefix is already the run to settle, several are merged through a
-//! frontier of one record per rank (`ora_trace::RankMergeHeap`, the
-//! heap offline `merge_ranks_iter` is built on). The run then settles
-//! into the [`FleetStore`] with one backward merge; the records of it
-//! that still arrive below the settled frontier are counted late and
-//! land at their sorted position, so the final export is exactly the
-//! offline merge regardless of timing (see [`store`]). A lane's pending
-//! buffer is touched only by that lane's chunks and by flushes that
-//! release its prefix: a lagging rank never makes another rank's
-//! buffered records move.
+//! (to a good approximation) not below the fleet minimum. A flush
+//! settles each lane's pending prefix at or below the watermark
+//! straight into the [`FleetStore`] with the same backward merge, in
+//! ascending order of first key. Each prefix displaces only the settled
+//! tail above its first key (usually nothing: an append), so a flush of
+//! k lanes moves at most k times its size when none of it is late, and
+//! at most k times what one merge of all its records would in general.
+//! Records below the frontier as it stood before the flush are counted
+//! late and land at their sorted position, so the final export is
+//! exactly the offline merge regardless of timing (see [`store`]). A
+//! lane's pending buffer is touched only by that lane's chunks and by
+//! flushes that release its prefix: a lagging rank never makes another
+//! rank's buffered records move.
 //!
 //! **Quarantine.** A lane that violates the protocol — bad CRC,
 //! epoch replay/gap, undecodable payload, wrong version — is
@@ -49,10 +57,11 @@ use std::time::Duration;
 
 use ora_core::sync::Mutex;
 use ora_trace::format;
-use ora_trace::{RankMergeHeap, RankedEvent, TraceError, TraceEvent};
+use ora_trace::{RankedEvent, TraceError, TraceEvent};
 
 use crate::protocol::{
-    chunk_parts, decode_frame, read_frame, read_frame_bytes, write_frame, Message,
+    build_frame, chunk_parts, decode_frame, read_frame, read_frame_bytes, write_frame, Message,
+    MSG_ACK,
 };
 use crate::store::{merge_run, FleetStore};
 use crate::transport::{FleetListener, FrameConn};
@@ -166,8 +175,15 @@ struct Pending {
 }
 
 impl Pending {
-    fn merge(&mut self, run: &[RankedEvent]) {
-        merge_run(&mut self.buf, self.head, run);
+    /// Take `run` in: by swap when the lane holds nothing, leaving the
+    /// lane's spare buffer in `run`, else by [`merge_run`].
+    fn merge(&mut self, run: &mut Vec<RankedEvent>) {
+        if self.head == self.buf.len() {
+            std::mem::swap(&mut self.buf, run);
+            self.head = 0;
+        } else {
+            merge_run(&mut self.buf, self.head, run);
+        }
     }
 
     /// The prefix at or below `watermark`.
@@ -206,7 +222,9 @@ struct State {
 
 impl State {
     /// Advance the watermark to the minimum acked tick across live
-    /// lanes and settle everything at or below it as one run.
+    /// lanes and settle each lane's prefix at or below it, lowest first
+    /// key first, counting lateness against the frontier as it stood
+    /// before the flush.
     fn flush(&mut self) {
         let watermark = self
             .lanes
@@ -215,18 +233,15 @@ impl State {
             .map(|l| l.acked_tick)
             .min()
             .unwrap_or(u64::MAX);
-        let ready: Vec<&[RankedEvent]> = self
+        let frontier = self.store.frontier();
+        while let Some((_, lane)) = self
             .lanes
-            .values()
-            .map(|l| l.pending.ready(watermark))
-            .filter(|r| !r.is_empty())
-            .collect();
-        match ready[..] {
-            [] => return,
-            [run] => self.store.settle_run(run),
-            _ => self.store.settle_run(&merge_prefixes(&ready)),
-        }
-        for lane in self.lanes.values_mut() {
+            .values_mut()
+            .filter_map(|l| Some((l.pending.ready(watermark).first()?.key(), l)))
+            .min_by_key(|&(first, _)| first)
+        {
+            self.store
+                .settle_run(lane.pending.ready(watermark), frontier);
             lane.pending.release(watermark);
         }
     }
@@ -237,7 +252,7 @@ impl State {
         &mut self,
         rank: u64,
         epoch: u64,
-        unit: Result<Unit, FleetError>,
+        unit: Result<Unit<'_>, FleetError>,
     ) -> Result<(), FleetError> {
         let lane = self.lanes.get_mut(&rank).expect("lane registered");
         let expected = lane.report.epochs;
@@ -259,35 +274,13 @@ impl State {
                 if let Some(last) = run.last() {
                     lane.acked_tick = lane.acked_tick.max(last.record.tick);
                 }
-                lane.pending.merge(&run);
+                lane.pending.merge(run);
             }
             Unit::Footer { drained, dropped } => lane.report.footer = Some((drained, dropped)),
         }
         self.flush();
         Ok(())
     }
-}
-
-/// Merge several ranks' key-sorted, non-empty prefixes (in rank order)
-/// into one run through a frontier of one record per rank.
-fn merge_prefixes(ready: &[&[RankedEvent]]) -> Vec<RankedEvent> {
-    let ranks: Vec<usize> = ready.iter().map(|r| r[0].rank).collect();
-    let mut rest: Vec<_> = ready.iter().map(|r| r.iter()).collect();
-    let mut frontier = RankMergeHeap::new();
-    for first in rest.iter_mut().filter_map(Iterator::next) {
-        frontier.push(first.rank, first.record);
-    }
-    let mut run = Vec::with_capacity(ready.iter().map(|r| r.len()).sum());
-    while let Some(ev) = frontier.pop() {
-        run.push(ev);
-        let i = ranks
-            .binary_search(&ev.rank)
-            .expect("a popped record's rank is one being merged");
-        if let Some(next) = rest[i].next() {
-            frontier.push(next.rank, next.record);
-        }
-    }
-    run
 }
 
 struct Shared {
@@ -438,88 +431,63 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
         lane.live = true;
     }
 
-    loop {
-        match next_inbound(shared, rank, &mut conn) {
-            Ok(Inbound::Ingested { epoch }) => {
+    // Chunks until anything else, through per-connection buffers: each
+    // frame is read into `frame`, a chunk's records are decoded into
+    // `run` on this thread, ingested under the lock (epoch check,
+    // hand-off to the lane's pending run, flush), and acked from `frame`.
+    let (mut frame, mut run) = (Vec::new(), Vec::new());
+    let last = loop {
+        match read_frame_bytes(&mut conn, &mut frame).and_then(|()| chunk_parts(&frame)) {
+            Ok(Some((epoch, payload))) => {
+                let unit = decode_unit(rank, payload, &mut run);
+                if let Err(e) = shared.state.lock().ingest(rank, epoch, unit) {
+                    break Err(e);
+                }
                 if !shared.config.slow_chunk.is_zero() {
                     std::thread::sleep(shared.config.slow_chunk);
                 }
-                if write_frame(&mut conn, &Message::Ack { epoch })
-                    .and_then(|()| conn.flush())
-                    .is_err()
-                {
-                    disconnect(shared, rank, "rank stopped reading ACKs");
-                    break;
+                build_frame(&mut frame, MSG_ACK, &[epoch], &[]);
+                if conn.write_all(&frame).and_then(|()| conn.flush()).is_err() {
+                    return disconnect(shared, rank, "rank stopped reading ACKs");
                 }
             }
-            Ok(Inbound::Other(Message::Fin {
-                observed,
-                drained,
-                dropped,
-            })) => {
-                let (stored, late) = finish_lane(
-                    shared,
-                    rank,
-                    FinStats {
-                        observed,
-                        drained,
-                        dropped,
-                    },
-                );
-                let _ = write_frame(&mut conn, &Message::FinAck { stored, late })
-                    .and_then(|()| conn.flush());
-                break;
-            }
-            Ok(Inbound::Other(_)) => {
-                quarantine(
-                    shared,
-                    rank,
-                    &FleetError::Protocol("unexpected message from producer"),
-                );
-                break;
-            }
-            Err(FleetError::Closed) => {
-                disconnect(shared, rank, "connection closed before FIN");
-                break;
-            }
-            Err(e) => {
-                quarantine(shared, rank, &e);
-                break;
-            }
+            Ok(None) => break decode_frame(&frame),
+            Err(e) => break Err(e),
         }
-    }
-}
-
-/// What [`next_inbound`] read off a lane's connection.
-enum Inbound {
-    /// A CHUNK, already merged; its epoch is owed an ACK.
-    Ingested { epoch: u64 },
-    /// Any other message.
-    Other(Message),
-}
-
-/// Read one frame. A CHUNK is ingested straight from the frame's bytes
-/// (its payload is never copied out); anything else is decoded.
-fn next_inbound(
-    shared: &Shared,
-    rank: u64,
-    conn: &mut Box<dyn FrameConn>,
-) -> Result<Inbound, FleetError> {
-    let framed = read_frame_bytes(conn)?;
-    match chunk_parts(&framed)? {
-        Some((epoch, payload)) => {
-            ingest_chunk(shared, rank, epoch, payload)?;
-            Ok(Inbound::Ingested { epoch })
+    };
+    match last {
+        Ok(Message::Fin {
+            observed,
+            drained,
+            dropped,
+        }) => {
+            let (stored, late) = finish_lane(
+                shared,
+                rank,
+                FinStats {
+                    observed,
+                    drained,
+                    dropped,
+                },
+            );
+            let _ = write_frame(&mut conn, &Message::FinAck { stored, late })
+                .and_then(|()| conn.flush());
         }
-        None => decode_frame(&framed).map(Inbound::Other),
+        Ok(_) => quarantine(
+            shared,
+            rank,
+            &FleetError::Protocol("unexpected message from producer"),
+        ),
+        Err(FleetError::Closed) => disconnect(shared, rank, "connection closed before FIN"),
+        Err(e) => quarantine(shared, rank, &e),
     }
 }
 
 /// One verbatim sink write, decoded.
-enum Unit {
+enum Unit<'r> {
     Header,
     /// A chunk's records as one key-sorted run.
-    Run(Vec<RankedEvent>),
+    Run(&'r mut Vec<RankedEvent>),
     Footer {
         drained: u64,
         dropped: u64,
@@ -527,10 +495,14 @@ enum Unit {
 }
 
 /// Decode one sink write, which must be exactly one unit of the chunk
-/// stream; a chunk's records go straight into one key-sorted run.
+/// stream; a chunk's records replace what `run` held, key-sorted.
 /// Touches no shared state: this is the part of ingest that runs
 /// outside the lock.
-fn decode_unit(rank: u64, payload: &[u8]) -> Result<Unit, FleetError> {
+fn decode_unit<'r>(
+    rank: u64,
+    payload: &[u8],
+    run: &'r mut Vec<RankedEvent>,
+) -> Result<Unit<'r>, FleetError> {
     let unit = format::unit(payload).map_err(|e| match e {
         TraceError::BadVersion(v) => FleetError::BadVersion(v),
         other => FleetError::Trace(other),
@@ -539,7 +511,8 @@ fn decode_unit(rank: u64, payload: &[u8]) -> Result<Unit, FleetError> {
         format::Unit::Header => Unit::Header,
         format::Unit::Chunk(chunk) => {
             let rank = rank as usize;
-            let mut run: Vec<RankedEvent> = Vec::with_capacity(chunk.count as usize);
+            run.clear();
+            run.reserve(chunk.count as usize);
             let mut sorted = true;
             format::for_each_record(chunk.payload, chunk.count, |raw| {
                 let ev = RankedEvent {
@@ -562,14 +535,6 @@ fn decode_unit(rank: u64, payload: &[u8]) -> Result<Unit, FleetError> {
             dropped: footer.total_dropped(),
         },
     })
-}
-
-/// Validate and merge one epoch-stamped payload: decode on this lane's
-/// thread, then take the lock for the epoch check, the merge into the
-/// lane's pending run and the flush.
-fn ingest_chunk(shared: &Shared, rank: u64, epoch: u64, payload: &[u8]) -> Result<(), FleetError> {
-    let unit = decode_unit(rank, payload);
-    shared.state.lock().ingest(rank, epoch, unit)
 }
 
 fn finish_lane(shared: &Shared, rank: u64, fin: FinStats) -> (u64, u64) {
@@ -679,120 +644,166 @@ mod tests {
         out
     }
 
+    /// The daemon's state beside the per-record reference, fed the same
+    /// chunks in the same order.
+    #[derive(Default)]
+    struct Twin {
+        state: State,
+        reference: PerRecord,
+        fed: Vec<RankedEvent>,
+        run: Vec<RankedEvent>,
+    }
+
+    impl Twin {
+        /// Decode `records` as one chunk of `rank`, ingest it into both
+        /// sides, and check that they agree.
+        fn feed(&mut self, rank: u64, records: &[RawRecord]) {
+            let unit = decode_unit(rank, &chunk_bytes(records), &mut self.run);
+            let Ok(Unit::Run(run)) = &unit else {
+                panic!("a chunk decodes to a run");
+            };
+            assert!(run.windows(2).all(|w| w[0].key() <= w[1].key()));
+            self.fed.extend_from_slice(run);
+            self.reference.ingest(rank, run);
+            let epoch = self.state.lanes[&rank].report.epochs;
+            self.state.ingest(rank, epoch, unit).expect("ingest");
+            self.check();
+        }
+
+        /// `rank` leaves the watermark.
+        fn finish(&mut self, rank: u64) {
+            self.state.lanes.get_mut(&rank).expect("lane").live = false;
+            self.state.flush();
+            self.reference.finish(rank);
+            self.check();
+        }
+
+        fn check(&self) {
+            let settled = &self.reference.settled;
+            assert_eq!(self.state.store.records(), &settled[..]);
+            assert_eq!(self.state.store.export(), timeline_bytes(settled));
+            assert_eq!(self.state.store.late_events(), self.reference.late);
+        }
+    }
+
+    /// `len` records from tick `lo` (the first) up to `hi`, in tick
+    /// order; ties and a small gtid domain on purpose.
+    fn span(rng: &mut XorShift64, lo: u64, hi: u64, seq: u64, len: u64) -> Vec<RawRecord> {
+        let mut ticks: Vec<u64> = (0..len).map(|_| lo + rng.below(hi - lo + 1)).collect();
+        ticks.sort_unstable();
+        if let Some(first) = ticks.first_mut() {
+            *first = lo;
+        }
+        let record = |(i, tick)| RawRecord {
+            tick,
+            gtid: rng.below(2) as u32,
+            seq: seq + i as u64,
+            event: 1, // Fork
+            ..RawRecord::default()
+        };
+        ticks.into_iter().enumerate().map(record).collect()
+    }
+
     /// Random mixes of sorted runs, internally unsorted runs, runs
     /// wholly below the frontier, keys equal across ranks up to the
-    /// rank, and empty runs, through decode → lane pending → flush →
-    /// store: the store must hold the key-sort of everything fed, its
-    /// export must be the canonical bytes of that, and it must count
-    /// late exactly what the per-record rule counts on the same arrival
-    /// order — after every step, not only at the end.
+    /// rank, empty runs, and rounds that leave every live lane with a
+    /// ready prefix at one flush, through decode → lane pending → flush
+    /// → store, with 3 and with 8 ranks: after every step the store
+    /// must hold what the per-record rule settles on the same arrival
+    /// order, with the same export bytes and late count; at the end,
+    /// the key-sort of everything fed.
     #[test]
     fn runs_settle_exactly_as_the_per_record_rule_did() {
-        const RANKS: u64 = 3;
         let mut rng = XorShift64::new(0xf1ee_0100);
-        for _case in 0..40 {
-            let mut state = State::default();
-            let mut reference = PerRecord::default();
-            let mut fed: Vec<RankedEvent> = Vec::new();
-            let mut clock = [1_000u64; RANKS as usize];
-            let mut next_seq = [0u64; RANKS as usize];
-            let mut last_run: Vec<RawRecord> = Vec::new();
-            for rank in 0..RANKS {
-                state.lanes.entry(rank).or_default().live = true;
-                reference.acked.insert(rank, 0);
+        for ranks in [3u64, 8] {
+            for _case in 0..40 {
+                settle_one_case(&mut rng, ranks);
             }
-            let steps = 20 + rng.below(40);
-            for step in 0..steps {
-                let live: Vec<u64> = reference.acked.keys().copied().collect();
-                let Some(&rank) = live.get(rng.below(live.len().max(1) as u64) as usize) else {
-                    break;
-                };
-                if step > 10 && rng.chance(1, 12) {
-                    // A lane finishes: it leaves the watermark.
-                    state.lanes.get_mut(&rank).expect("lane").live = false;
-                    state.flush();
-                    reference.finish(rank);
-                    assert_eq!(state.store.records(), &reference.settled[..]);
-                    continue;
-                }
-                let r = rank as usize;
-                let len = rng.below(24);
-                let mut records: Vec<RawRecord> = match rng.below(5) {
-                    // Empty.
-                    0 => Vec::new(),
-                    // The previous run again, seq and all, from
-                    // whichever rank this is: keys equal up to the rank.
-                    1 => last_run.clone(),
-                    // Wholly below everything settled so far.
-                    2 => (0..len)
-                        .map(|i| RawRecord {
-                            tick: 10 + i,
-                            seq: next_seq[r] + i,
-                            ..RawRecord::default()
-                        })
-                        .collect(),
-                    // Advancing ticks; ties and a small gtid domain on
-                    // purpose.
-                    _ => (0..len)
-                        .map(|i| {
-                            clock[r] += rng.below(6);
-                            RawRecord {
-                                tick: clock[r],
-                                gtid: rng.below(2) as u32,
-                                seq: next_seq[r] + i,
-                                ..RawRecord::default()
-                            }
-                        })
-                        .collect(),
-                };
-                next_seq[r] += len;
-                for rec in &mut records {
-                    rec.event = 1; // Fork
-                }
-                if rng.chance(1, 3) {
-                    // Internally unsorted: what two threads sharing a
-                    // ring lane produce.
-                    for i in (1..records.len()).rev() {
-                        records.swap(i, rng.below(i as u64 + 1) as usize);
-                    }
-                }
-                last_run = records.clone();
-
-                let unit = decode_unit(rank, &chunk_bytes(&records));
-                let Ok(Unit::Run(run)) = &unit else {
-                    panic!("a chunk decodes to a run");
-                };
-                assert!(run.windows(2).all(|w| w[0].key() <= w[1].key()));
-                fed.extend_from_slice(run);
-                reference.ingest(rank, run);
-                let epoch = state.lanes[&rank].report.epochs;
-                state.ingest(rank, epoch, unit).expect("ingest");
-
-                assert_eq!(state.store.records(), &reference.settled[..]);
-                assert_eq!(state.store.late_events(), reference.late);
-            }
-            for lane in state.lanes.values_mut() {
-                lane.live = false;
-            }
-            state.flush();
-            for rank in 0..RANKS {
-                reference.finish(rank);
-            }
-            fed.sort_by_key(RankedEvent::key);
-            assert_eq!(state.store.records(), &fed[..]);
-            assert_eq!(state.store.export(), timeline_bytes(&fed));
-            assert_eq!(state.store.late_events(), reference.late);
-            assert!(state.lanes.values().all(|l| l.pending.buf.is_empty()));
         }
+    }
+
+    fn settle_one_case(rng: &mut XorShift64, ranks: u64) {
+        let mut twin = Twin::default();
+        for rank in 0..ranks {
+            twin.state.lanes.entry(rank).or_default().live = true;
+            twin.reference.acked.insert(rank, 0);
+        }
+        let mut clock = vec![1_000u64; ranks as usize];
+        let mut next_seq = vec![0u64; ranks as usize];
+        let mut last_run: Vec<RawRecord> = Vec::new();
+        for step in 0..20 + rng.below(40) {
+            let live: Vec<u64> = twin.reference.acked.keys().copied().collect();
+            let Some(&rank) = live.get(rng.below(live.len().max(1) as u64) as usize) else {
+                break;
+            };
+            if step > 10 && rng.chance(1, 12) {
+                // A lane finishes: it leaves the watermark.
+                twin.finish(rank);
+                continue;
+            }
+            if live.len() > 1 && rng.chance(1, 6) {
+                // A round: every live lane sends a run from just above the
+                // watermark, the lane holding it last, so the flush that
+                // lane's run triggers finds a ready prefix in every one.
+                let acked = &twin.reference.acked;
+                let (&slow, &held) = acked.iter().min_by_key(|&(_, a)| a).expect("live");
+                for &r in live.iter().filter(|&&r| r != slow).chain([&slow]) {
+                    if r == slow {
+                        let ready = |o| !twin.state.lanes[o].pending.ready(held + 1).is_empty();
+                        assert!(live.iter().all(|o| *o == slow || ready(o)));
+                    }
+                    let (len, hi) = (1 + rng.below(12), held + 1 + rng.below(60));
+                    let records = span(rng, held + 1, hi, next_seq[r as usize], len);
+                    next_seq[r as usize] += len;
+                    twin.feed(r, &records);
+                }
+                continue;
+            }
+            let r = rank as usize;
+            let len = rng.below(24);
+            let mut records = match rng.below(5) {
+                // Empty.
+                0 => Vec::new(),
+                // The previous run again, seq and all, from whichever
+                // rank this is: keys equal up to the rank.
+                1 => last_run.clone(),
+                // Wholly below everything settled so far.
+                2 => span(rng, 10, 10 + len, next_seq[r], len),
+                // Advancing.
+                _ => {
+                    let from = clock[r];
+                    clock[r] += rng.below(6 * len + 1);
+                    span(rng, from, clock[r], next_seq[r], len)
+                }
+            };
+            next_seq[r] += len;
+            if rng.chance(1, 3) {
+                // Internally unsorted: what two threads sharing a ring
+                // lane produce.
+                for i in (1..records.len()).rev() {
+                    records.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+            last_run = records.clone();
+            twin.feed(rank, &records);
+        }
+        for rank in 0..ranks {
+            if twin.state.lanes[&rank].live {
+                twin.finish(rank);
+            }
+        }
+        twin.fed.sort_by_key(RankedEvent::key);
+        assert_eq!(twin.state.store.records(), &twin.fed[..]);
+        assert!(twin.state.lanes.values().all(|l| l.pending.buf.is_empty()));
     }
 
     #[test]
     fn an_epoch_violation_outranks_an_undecodable_payload() {
         let mut state = State::default();
         state.lanes.entry(4).or_default().live = true;
-        let bad = || decode_unit(4, &[0x7f]);
+        let mut run = Vec::new();
         assert_eq!(
-            state.ingest(4, 3, bad()),
+            state.ingest(4, 3, decode_unit(4, &[0x7f], &mut run)),
             Err(FleetError::EpochGap {
                 rank: 4,
                 expected: 0,
@@ -801,7 +812,7 @@ mod tests {
         );
         // Neither tag byte, and too short for a header.
         assert_eq!(
-            state.ingest(4, 0, bad()),
+            state.ingest(4, 0, decode_unit(4, &[0x7f], &mut run)),
             Err(FleetError::Trace(TraceError::Truncated))
         );
         // The bad payload's epoch was still consumed, as before.
@@ -820,11 +831,11 @@ mod tests {
             .expect("Fork"),
         };
         let mut pending = Pending::default();
-        pending.merge(&(0..100).map(ev).collect::<Vec<_>>());
+        pending.merge(&mut (0..100).map(ev).collect());
         pending.release(9);
         assert_eq!((pending.head, pending.buf.len()), (10, 100), "skipped");
         // A late run still lands above the released prefix.
-        pending.merge(&[ev(3), ev(50)]);
+        pending.merge(&mut vec![ev(3), ev(50)]);
         assert_eq!(pending.ready(10)[0].record.tick, 3);
         assert_eq!(pending.ready(u64::MAX).len(), 92);
         pending.release(60);

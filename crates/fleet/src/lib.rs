@@ -24,13 +24,12 @@
 //!   health/drop counters mirroring the ring accounting, quarantine of
 //!   a misbehaving rank instead of poisoning the fleet, and an
 //!   incremental merge whose unit of work is the sorted run: each lane
-//!   decodes its chunk into one key-sorted run outside the state lock
-//!   and merges it into its own pending buffer; a watermark at the
-//!   minimum acked tick across live lanes releases each lane's prefix,
-//!   several lanes' prefixes meeting in a frontier of one record per
-//!   rank (`ora_trace::RankMergeHeap`, as in offline `merge_ranks`).
+//!   decodes its chunk into its connection's run buffer outside the
+//!   state lock and hands it to its own pending buffer (by swap when
+//!   that holds nothing); a watermark at the minimum acked tick across
+//!   live lanes releases each lane's prefix straight into the store.
 //! * [`store`] — the queryable merged timeline (time-range / per-rank /
-//!   per-region), which takes each released run with one backward
+//!   per-region), which takes each released prefix with one backward
 //!   merge and whose [`export`](store::FleetStore::export) is
 //!   byte-identical to offline `merge_ranks` over the same data.
 //!

@@ -97,48 +97,48 @@ pub enum Message {
     },
 }
 
-/// Build one complete frame: `fields` as varints, then `payload`
-/// verbatim — each byte is copied exactly once, into the frame.
-fn build_frame(tag: u8, fields: &[u64], payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + 1 + 10 * fields.len() + payload.len() + 4);
+/// Encode one complete frame into `frame`, replacing what it held:
+/// `fields` as varints, then `payload` verbatim — each byte is copied
+/// exactly once, into the frame.
+pub(crate) fn build_frame(frame: &mut Vec<u8>, tag: u8, fields: &[u64], payload: &[u8]) {
+    frame.clear();
+    frame.reserve(4 + 1 + 10 * fields.len() + payload.len() + 4);
     frame.extend_from_slice(&[0; 4]);
     frame.push(tag);
     for &field in fields {
-        put_varint(&mut frame, field);
+        put_varint(frame, field);
     }
     frame.extend_from_slice(payload);
     let len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(&crc32(&frame[4..]).to_le_bytes());
-    frame
-}
-
-/// Encode one CHUNK frame straight from the sink's borrowed bytes.
-pub(crate) fn encode_chunk_frame(epoch: u64, payload: &[u8]) -> Vec<u8> {
-    build_frame(MSG_CHUNK, &[epoch], payload)
 }
 
 /// Encode `msg` as one complete frame.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
+    let mut frame = Vec::new();
+    let out = &mut frame;
     match *msg {
         Message::Hello {
             rank,
             format_version,
             ticks_per_sec,
         } => build_frame(
+            out,
             MSG_HELLO,
             &[rank, u64::from(format_version), ticks_per_sec],
             &[],
         ),
-        Message::Chunk { epoch, ref payload } => encode_chunk_frame(epoch, payload),
-        Message::Ack { epoch } => build_frame(MSG_ACK, &[epoch], &[]),
+        Message::Chunk { epoch, ref payload } => build_frame(out, MSG_CHUNK, &[epoch], payload),
+        Message::Ack { epoch } => build_frame(out, MSG_ACK, &[epoch], &[]),
         Message::Fin {
             observed,
             drained,
             dropped,
-        } => build_frame(MSG_FIN, &[observed, drained, dropped], &[]),
-        Message::FinAck { stored, late } => build_frame(MSG_FIN_ACK, &[stored, late], &[]),
+        } => build_frame(out, MSG_FIN, &[observed, drained, dropped], &[]),
+        Message::FinAck { stored, late } => build_frame(out, MSG_FIN_ACK, &[stored, late], &[]),
     }
+    frame
 }
 
 /// If `framed` (a CRC-verified `(tag | body)` section) is a CHUNK,
@@ -202,18 +202,21 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 /// mid-frame is [`FleetError::Truncated`] — the distinction the daemon
 /// uses to tell an exited rank from a damaged stream.
 pub fn read_frame(r: &mut impl Read) -> Result<Message, FleetError> {
-    decode_frame(&read_frame_bytes(r)?)
+    let mut framed = Vec::new();
+    read_frame_bytes(r, &mut framed)?;
+    decode_frame(&framed)
 }
 
-/// Read one frame and verify its CRC; returns its `(tag | body)`
-/// section undecoded (what [`decode_frame`] and [`chunk_parts`] take).
-pub(crate) fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, FleetError> {
+/// Read one frame into `framed`, replacing what it held, and verify its
+/// CRC; leaves its `(tag | body)` section undecoded (what
+/// [`decode_frame`] and [`chunk_parts`] take).
+pub(crate) fn read_frame_bytes(r: &mut impl Read, framed: &mut Vec<u8>) -> Result<(), FleetError> {
     let mut len_bytes = [0u8; 4];
     // First byte separately: EOF here is a clean close, not truncation.
     match r.read(&mut len_bytes[..1]) {
         Ok(0) => return Err(FleetError::Closed),
         Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame_bytes(r),
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame_bytes(r, framed),
         Err(e) => return Err(FleetError::Io(e.to_string())),
     }
     read_fully(r, &mut len_bytes[1..])?;
@@ -225,15 +228,16 @@ pub(crate) fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, FleetError>
         return Err(FleetError::FrameTooLarge(len));
     }
     let len = len as usize;
-    let mut framed = vec![0u8; len + 4];
-    read_fully(r, &mut framed)?;
+    framed.clear();
+    framed.resize(len + 4, 0);
+    read_fully(r, framed)?;
     let expected = u32::from_le_bytes(framed[len..].try_into().expect("four CRC bytes"));
     framed.truncate(len);
-    let actual = crc32(&framed);
+    let actual = crc32(framed);
     if expected != actual {
         return Err(FleetError::CrcMismatch { expected, actual });
     }
-    Ok(framed)
+    Ok(())
 }
 
 fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FleetError> {

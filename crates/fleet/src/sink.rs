@@ -33,7 +33,7 @@ use std::path::Path;
 
 use ora_trace::TraceSink;
 
-use crate::protocol::{encode_chunk_frame, read_frame, write_frame, Message};
+use crate::protocol::{build_frame, read_frame, write_frame, Message, MSG_CHUNK};
 use crate::transport::{connect, Endpoint, FrameConn};
 use crate::FleetError;
 
@@ -58,6 +58,8 @@ pub struct SocketSink {
     acked: u64,
     window: u64,
     tee: Option<BufWriter<File>>,
+    /// Every CHUNK frame is encoded here, so it keeps its capacity.
+    frame: Vec<u8>,
 }
 
 impl SocketSink {
@@ -84,6 +86,7 @@ impl SocketSink {
             acked: 0,
             window: window.max(1),
             tee: None,
+            frame: Vec::new(),
         })
     }
 
@@ -157,8 +160,8 @@ impl TraceSink for SocketSink {
         if let Some(tee) = &mut self.tee {
             tee.write_all(bytes)?;
         }
-        self.conn
-            .write_all(&encode_chunk_frame(self.next_epoch, bytes))?;
+        build_frame(&mut self.frame, MSG_CHUNK, &[self.next_epoch], bytes);
+        self.conn.write_all(&self.frame)?;
         self.next_epoch += 1;
         while self.next_epoch - self.acked > self.window {
             self.wait_ack()?;

@@ -1,7 +1,7 @@
 //! The merged fleet timeline: queryable, exportable, byte-stable.
 //!
-//! The daemon settles key-sorted **runs** here — everything a flush
-//! released, already in `(tick, gtid, seq, rank)` order — as the
+//! The daemon settles key-sorted **runs** here — each lane's prefix a
+//! flush released, already in `(tick, gtid, seq, rank)` order — as the
 //! watermark advances. The watermark is a *performance* frontier, not a
 //! correctness one: a record can legally arrive below it (a thread can
 //! stall between reading the clock and committing to its ring, and one
@@ -9,12 +9,12 @@
 //! routinely carries earlier ticks). A run is therefore merged into
 //! the settled timeline from the back ([`merge_run`]): it costs the
 //! run plus the settled tail it displaces, never more, and the run's
-//! records below the previous frontier are counted late. The store is
-//! **always** fully sorted and [`FleetStore::export`] is byte-identical
-//! to offline `merge_ranks` over the same data, regardless of arrival
-//! timing.
+//! records below the frontier as the flush found it are counted late.
+//! The store is **always** fully sorted and [`FleetStore::export`] is
+//! byte-identical to offline `merge_ranks` over the same data,
+//! regardless of arrival timing.
 
-use ora_trace::RankedEvent;
+use ora_trace::{RankedEvent, RankedKey};
 
 /// Magic starting every exported timeline (defined next to the decoder
 /// so encode and decode cannot drift).
@@ -43,12 +43,16 @@ impl FleetStore {
         FleetStore::default()
     }
 
-    /// Settle one key-sorted run. Records of the run below the current
-    /// frontier (the last settled key) are counted late; the run is
-    /// merged in at sorted position either way.
-    pub(crate) fn settle_run(&mut self, run: &[RankedEvent]) {
-        if let Some(last) = self.settled.last() {
-            let frontier = last.key();
+    /// The last settled key.
+    pub(crate) fn frontier(&self) -> Option<RankedKey> {
+        self.settled.last().map(RankedEvent::key)
+    }
+
+    /// Settle one key-sorted run. Records of the run below `frontier`
+    /// (a [`frontier`](Self::frontier) taken before the flush) are
+    /// counted late; the run is merged in at sorted position either way.
+    pub(crate) fn settle_run(&mut self, run: &[RankedEvent], frontier: Option<RankedKey>) {
+        if let Some(frontier) = frontier {
             self.late_events += run.partition_point(|e| e.key() < frontier) as u64;
         }
         merge_run(&mut self.settled, 0, run);
@@ -157,23 +161,24 @@ mod tests {
     #[test]
     fn late_records_are_counted_and_merged_in_order() {
         let mut store = FleetStore::new();
-        store.settle_run(&[ev(10, 0, 0, 0), ev(20, 0, 1, 0)]);
+        store.settle_run(&[ev(10, 0, 0, 0), ev(20, 0, 1, 0)], store.frontier());
         assert_eq!(store.late_events(), 0);
         // Two below the frontier, one at it (same tick, later rank),
         // one above.
-        store.settle_run(&[
+        let run = [
             ev(5, 1, 0, 1),
             ev(15, 1, 1, 1),
             ev(20, 0, 1, 1),
             ev(30, 1, 2, 1),
-        ]);
+        ];
+        store.settle_run(&run, store.frontier());
         assert_eq!(store.late_events(), 2);
         assert_eq!(store.len(), 6);
         let ticks: Vec<u64> = store.records().iter().map(|e| e.record.tick).collect();
         assert_eq!(ticks, vec![5, 10, 15, 20, 20, 30]);
         // A run wholly below the frontier, and an empty one.
-        store.settle_run(&[ev(1, 0, 0, 2), ev(2, 0, 1, 2)]);
-        store.settle_run(&[]);
+        store.settle_run(&[ev(1, 0, 0, 2), ev(2, 0, 1, 2)], store.frontier());
+        store.settle_run(&[], store.frontier());
         assert_eq!(store.late_events(), 4);
         let keys: Vec<_> = store.records().iter().map(RankedEvent::key).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
@@ -202,7 +207,7 @@ mod tests {
         let run: Vec<_> = (0..50u64)
             .map(|i| ev(i, (i % 3) as usize, i, (i % 2) as usize))
             .collect();
-        store.settle_run(&run);
+        store.settle_run(&run, store.frontier());
         assert_eq!(store.time_range(10, 19).len(), 10);
         assert_eq!(store.for_rank(0).len(), 25);
         assert_eq!(store.for_region(2).len(), 10);
@@ -214,8 +219,8 @@ mod tests {
         let mut a = FleetStore::new();
         let mut b = FleetStore::new();
         let run: Vec<_> = (0..20u64).map(|i| ev(i, 0, i, 0)).collect();
-        a.settle_run(&run);
-        b.settle_run(&run);
+        a.settle_run(&run, a.frontier());
+        b.settle_run(&run, b.frontier());
         assert_eq!(a.export(), b.export());
         assert_eq!(&a.export()[..6], TIMELINE_MAGIC);
         assert_eq!(a.export(), timeline_bytes(a.records()));

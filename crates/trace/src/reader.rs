@@ -424,9 +424,9 @@ impl RankedEvent {
     }
 }
 
-/// The k-way merge core shared by [`merge_ranks_iter`] (each lane's
-/// reorder buffer) and the fleet daemon's watermark flush: a min-heap
-/// of rank-attributed records keyed `(tick, gtid, seq, rank)`.
+/// The k-way merge core of [`merge_ranks_iter`] (each lane's reorder
+/// buffer): a min-heap of rank-attributed records keyed
+/// `(tick, gtid, seq, rank)`.
 #[derive(Debug, Default)]
 pub struct RankMergeHeap {
     heap: BinaryHeap<Reverse<(RankedKey, TraceEvent)>>,

@@ -78,6 +78,13 @@ if grep -rnE 'TeamSlot|LeaseSlot' crates/; then
   echo "tier1: TeamSlot / LeaseSlot under crates/ — hand work through Shared::hand" >&2
   exit 1
 fi
+# One merge kernel: the daemon settles each lane's ready prefix with
+# `store::merge_run`, the backward merge its pending buffers use, so no
+# heap frontier comes back beside it in the fleet crate.
+if grep -rnE 'RankMergeHeap|BinaryHeap' crates/fleet/src; then
+  echo "tier1: RankMergeHeap / BinaryHeap under crates/fleet/src — settle runs with store::merge_run" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
