@@ -219,12 +219,8 @@ impl CollectorApi {
         stats
     }
 
-    /// The health summary served to [`Request::QueryHealth`]. Querying
-    /// health also publishes any batched fired counters, so observers
-    /// that read [`CallbackRegistry::fire_count`] after a health round
-    /// trip see totals no staler than the query.
+    /// The health summary served to [`Request::QueryHealth`].
     pub fn health(&self) -> ApiHealth {
-        self.flush_event_counts();
         let stats = self.stats();
         ApiHealth {
             callback_panics: stats.callback_panics,
@@ -466,35 +462,16 @@ impl CollectorApi {
         match self.governor.admit(lane, data.event) {
             Admit::Skip => {}
             Admit::Sample => {
-                if self.registry.invoke_quiet(data) {
-                    self.governor.note_fired(lane, data.event, |event, n| {
-                        self.registry.add_fired(event, n);
-                    });
-                }
+                self.registry.invoke(data);
             }
             Admit::SampleTimed => {
                 let clock = self.governor.clock();
                 let start = clock();
-                let fired = self.registry.invoke_quiet(data);
+                self.registry.invoke(data);
                 let end = clock();
                 self.governor.record_cost(end.saturating_sub(start));
-                if fired {
-                    self.governor.note_fired(lane, data.event, |event, n| {
-                        self.registry.add_fired(event, n);
-                    });
-                }
             }
         }
-    }
-
-    /// Publish every lane's batched fired counts into the registry's
-    /// per-event counters. Dispatch batches these (every `flush_every`
-    /// events per lane) so the hot path performs no shared RMW; callers
-    /// that read [`CallbackRegistry::fire_count`] directly should flush
-    /// first. Health queries flush implicitly.
-    pub fn flush_event_counts(&self) {
-        self.governor
-            .flush_pending(|event, n| self.registry.add_fired(event, n));
     }
 
     /// Install and arm the overhead governor: adopt the budget and clock
@@ -508,11 +485,10 @@ impl CollectorApi {
     }
 
     /// Disarm the governor: sampling stops (every monitored event is
-    /// delivered again) and batched counters are published. Lifetime
-    /// sampled/skipped totals remain visible in health.
+    /// delivered again). Lifetime sampled/skipped totals remain visible
+    /// in health.
     pub fn uninstall_governor(&self) {
         self.governor.uninstall();
-        self.flush_event_counts();
     }
 
     /// Snapshot served to `OMP_REQ_GOVERNOR`.
@@ -981,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    fn governed_dispatch_reconciles_and_publishes_in_batches() {
+    fn governed_dispatch_reconciles_with_callback_runs() {
         let api = CollectorApi::new();
         api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
@@ -1022,12 +998,10 @@ mod tests {
         assert!(status.retunes >= 1);
         // Callback runs match the governor's sampled count exactly.
         assert_eq!(hits.load(Ordering::SeqCst) as u64, status.events_sampled);
-        // Health surfaces the same counters and flushes fired batches.
+        // Health surfaces the same counters.
         let health = api.health();
         assert_eq!(health.events_sampled, status.events_sampled);
         assert_eq!(health.events_skipped, status.events_skipped);
-        let fired = api.registry().fire_count(begin) + api.registry().fire_count(end);
-        assert_eq!(fired, status.events_sampled);
         // Disarming restores full delivery.
         api.uninstall_governor();
         let before = hits.load(Ordering::SeqCst);

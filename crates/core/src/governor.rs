@@ -17,13 +17,7 @@
 //!    publication); a stale *set* bit is harmless — the monitored path
 //!    re-checks the registry — while clear bits are exact at every
 //!    republish point.
-//! 2. **Batched publication.** The monitored path no longer bumps the
-//!    registry's shared per-event `fired` counter per event. It
-//!    accumulates lane-local pending counts and folds them into the
-//!    registry every `flush_every` events (adapted at retune time) or
-//!    on demand ([`CollectorApi::flush_event_counts`]), so the hot path
-//!    performs only lane-local RMWs.
-//! 3. **The feedback loop.** When installed (collector rung
+//! 2. **The feedback loop.** When installed (collector rung
 //!    "governed"), the governor times every [`CAL_STRIDE`]-th sampled
 //!    dispatch with an injectable clock, reduces the measurements to
 //!    their [`crate::stats::robust_median`] (MAD rejection, then a
@@ -47,7 +41,6 @@
 //! rung: with the governor disabled every monitored event is sampled.
 //!
 //! [`CollectorApi::event`]: crate::api::CollectorApi::event
-//! [`CollectorApi::flush_event_counts`]: crate::api::CollectorApi::flush_event_counts
 
 use std::array;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -83,9 +76,6 @@ pub const CAL_STRIDE: u64 = 64;
 /// lane-wide total, so a skipped event's bookkeeping stays within the
 /// counters planning needs anyway.
 pub const RETUNE_STRIDE: u64 = 256;
-
-/// Initial / ungoverned batch size for fired-counter publication.
-pub const DEFAULT_FLUSH_EVERY: u32 = 64;
 
 const COST_SAMPLE_CAP: usize = 512;
 const DECISION_CAP: usize = 4096;
@@ -141,16 +131,12 @@ pub struct DispatchLane {
     /// is active. Republished (never incrementally updated) on every
     /// transition; read with a single relaxed load on the fast path.
     mask: AtomicU64,
-    /// Admitted (callback-run) events.
+    /// Events admitted to their callback: the one count of deliveries.
     sampled: AtomicU64,
     /// Sampled-out events.
     skipped: AtomicU64,
     /// Per-event observation counts (window deltas drive planning).
     observed: [AtomicU64; EVENT_COUNT],
-    /// Batched not-yet-published registry `fired` increments.
-    pending_fired: [AtomicU32; EVENT_COUNT],
-    /// Sum of `pending_fired`, compared against `flush_every`.
-    pending_total: AtomicU32,
     /// Per-pair pace counters driving the power-of-two keep decision.
     pace: [AtomicU32; PAIR_COUNT],
     /// Per-pair LIFO fate stacks (bit per nesting level) so a pair's
@@ -167,8 +153,6 @@ impl DispatchLane {
             sampled: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
             observed: array::from_fn(|_| AtomicU64::new(0)),
-            pending_fired: array::from_fn(|_| AtomicU32::new(0)),
-            pending_total: AtomicU32::new(0),
             pace: array::from_fn(|_| AtomicU32::new(0)),
             fate_bits: array::from_fn(|_| AtomicU64::new(0)),
             fate_depth: array::from_fn(|_| AtomicU32::new(0)),
@@ -211,26 +195,6 @@ impl DispatchLane {
         }
         Some(self.fate_bits[slot].load(Ordering::Relaxed) & (1u64 << top) != 0)
     }
-
-    /// Record a published-pending fired count; returns true when the
-    /// batch threshold is reached (caller then drains the lane).
-    #[inline]
-    fn note_fired(&self, event: Event, flush_every: u32) -> bool {
-        self.pending_fired[event.index()].fetch_add(1, Ordering::Relaxed);
-        let total = self.pending_total.fetch_add(1, Ordering::Relaxed) + 1;
-        total >= flush_every
-    }
-
-    /// Drain pending fired counts through `publish`, resetting the lane.
-    fn drain_pending(&self, mut publish: impl FnMut(Event, u64)) {
-        self.pending_total.store(0, Ordering::Relaxed);
-        for event in ALL_EVENTS {
-            let n = self.pending_fired[event.index()].swap(0, Ordering::Relaxed);
-            if n > 0 {
-                publish(event, u64::from(n));
-            }
-        }
-    }
 }
 
 /// One sampling-rate change from a retune, for the trace decision log.
@@ -260,7 +224,9 @@ pub struct GovernorStatus {
     pub budget_ppm: u64,
     /// Monitored events that reached admission (all lanes, lifetime).
     pub events_observed: u64,
-    /// Events whose callbacks ran.
+    /// Events admitted to their callback. A callback unlinked between
+    /// admission and invoke (an unregister, Stop or quarantine racing
+    /// the dispatch) does not run, but its event still counts here.
     pub events_sampled: u64,
     /// Events sampled out by the governor.
     pub events_skipped: u64,
@@ -337,13 +303,11 @@ pub struct Governor {
     /// Per-event sampling shifts; both halves of a pair always hold the
     /// same value (written pair-wise at retune).
     shifts: [AtomicU32; EVENT_COUNT],
-    flush_every: AtomicU32,
     /// Learned plan stashed at [`Governor::uninstall`] so a re-attach
     /// starts from the converged rates instead of re-learning from
     /// scratch (short collections would otherwise spend their whole
     /// life in the transient).
     saved_shifts: [AtomicU32; EVENT_COUNT],
-    saved_flush_every: AtomicU32,
     has_saved: AtomicBool,
     retunes: AtomicU64,
     overhead_ppm: AtomicU64,
@@ -370,9 +334,7 @@ impl Governor {
             enabled: AtomicBool::new(false),
             budget_ppm: AtomicU64::new(DEFAULT_BUDGET_PPM),
             shifts: array::from_fn(|_| AtomicU32::new(0)),
-            flush_every: AtomicU32::new(DEFAULT_FLUSH_EVERY),
             saved_shifts: array::from_fn(|_| AtomicU32::new(0)),
-            saved_flush_every: AtomicU32::new(DEFAULT_FLUSH_EVERY),
             has_saved: AtomicBool::new(false),
             retunes: AtomicU64::new(0),
             overhead_ppm: AtomicU64::new(0),
@@ -422,7 +384,7 @@ impl Governor {
     /// baseline fast path next, then [`Governor::arm`]s.
     ///
     /// When an earlier attachment stashed a converged plan at
-    /// [`Governor::uninstall`], the shifts and batch size are re-seeded
+    /// [`Governor::uninstall`], the shifts are re-seeded
     /// from it instead of zeroed: the event mix rarely changes between
     /// collections of the same process, and starting from the learned
     /// rates spares a short collection the whole re-learning transient.
@@ -443,12 +405,6 @@ impl Governor {
             };
             shift.store(seed, Ordering::Relaxed);
         }
-        let flush = if reseed {
-            self.saved_flush_every.load(Ordering::Relaxed)
-        } else {
-            DEFAULT_FLUSH_EVERY
-        };
-        self.flush_every.store(flush, Ordering::Relaxed);
         let mut ctl = self.ctl.lock();
         ctl.min_window_ticks = config.min_window_ticks;
         ctl.cost_samples.clear();
@@ -471,7 +427,7 @@ impl Governor {
     }
 
     /// Disarm: sampling stops (every monitored event is again kept) and
-    /// shifts/batch sizes reset. Lifetime counters are preserved so
+    /// shifts reset. Lifetime counters are preserved so
     /// health remains monotonic, and the learned plan is stashed so the
     /// next [`Governor::prepare`] re-seeds from it (see there).
     pub fn uninstall(&self) {
@@ -480,11 +436,7 @@ impl Governor {
             saved.store(shift.load(Ordering::Relaxed), Ordering::Relaxed);
             shift.store(0, Ordering::Relaxed);
         }
-        self.saved_flush_every
-            .store(self.flush_every.load(Ordering::Relaxed), Ordering::Relaxed);
         self.has_saved.store(true, Ordering::Release);
-        self.flush_every
-            .store(DEFAULT_FLUSH_EVERY, Ordering::Relaxed);
     }
 
     /// Whether the governor is installed and armed.
@@ -497,19 +449,15 @@ impl Governor {
         self.shifts[event.index()].load(Ordering::Relaxed)
     }
 
-    /// Current fired-counter publication batch size.
-    pub fn flush_every(&self) -> u32 {
-        self.flush_every.load(Ordering::Relaxed)
-    }
-
     /// Admit one monitored event on `lane`. Called after the registry
     /// and active checks pass; bumps exactly one of sampled/skipped so
     /// the reconciliation invariant holds at rest.
     ///
     /// The bookkeeping is deliberately minimal: disarmed admission is a
     /// single lane-local RMW, and a skipped (sampled-out) event touches
-    /// only the lane counters planning consumes — no lane-wide total,
-    /// no fired-counter state. `events_observed` is derived as
+    /// only the lane counters planning consumes — no lane-wide total.
+    /// `sampled` is the one count of delivered events, and
+    /// `events_observed` is derived as
     /// `sampled + skipped` instead of being counted a third time.
     #[inline]
     pub fn admit(&self, lane: &DispatchLane, event: Event) -> Admit {
@@ -564,22 +512,6 @@ impl Governor {
             if ctl.cost_samples.len() < COST_SAMPLE_CAP {
                 ctl.cost_samples.push(ticks as f64);
             }
-        }
-    }
-
-    /// Record a batched fired count on `lane`; drains the lane through
-    /// `publish` when the adaptive batch threshold is reached.
-    #[inline]
-    pub fn note_fired(&self, lane: &DispatchLane, event: Event, publish: impl FnMut(Event, u64)) {
-        if lane.note_fired(event, self.flush_every.load(Ordering::Relaxed)) {
-            lane.drain_pending(publish);
-        }
-    }
-
-    /// Drain every lane's pending fired counts through `publish`.
-    pub fn flush_pending(&self, mut publish: impl FnMut(Event, u64)) {
-        for lane in self.lanes.iter() {
-            lane.drain_pending(&mut publish);
         }
     }
 
@@ -645,13 +577,6 @@ impl Governor {
                 }
             }
         }
-        // Deeper sampling means fewer callbacks per observed event, so
-        // publication can batch further without going stale for longer.
-        let max_shift = plan.iter().copied().max().unwrap_or(0).min(6);
-        self.flush_every.store(
-            (DEFAULT_FLUSH_EVERY << max_shift).clamp(DEFAULT_FLUSH_EVERY, 4096),
-            Ordering::Relaxed,
-        );
         ctl.window_start = now;
         ctl.snap_observed = totals;
         ctl.snap_sampled = sampled_total;
@@ -670,7 +595,8 @@ impl Governor {
         std::mem::take(&mut self.ctl.lock().decisions)
     }
 
-    /// Total admitted events across lanes (surfaces in `ApiHealth`).
+    /// Total events admitted to their callback across lanes (surfaces
+    /// in `GovernorStatus` and `ApiHealth`).
     pub fn events_sampled(&self) -> u64 {
         self.lanes
             .iter()
@@ -1086,7 +1012,6 @@ mod tests {
         // "Learn" a plan (stand-in for retune convergence).
         governor.shifts[Event::ThreadBeginExplicitBarrier.index()].store(5, Ordering::Relaxed);
         governor.shifts[Event::ThreadEndExplicitBarrier.index()].store(5, Ordering::Relaxed);
-        governor.flush_every.store(2048, Ordering::Relaxed);
 
         governor.uninstall();
         // Disarmed: every event is kept regardless of the stashed plan.
@@ -1102,7 +1027,6 @@ mod tests {
         governor.arm(1.0);
         assert_eq!(governor.shift_for(Event::ThreadBeginExplicitBarrier), 5);
         assert_eq!(governor.shift_for(Event::ThreadEndExplicitBarrier), 5);
-        assert_eq!(governor.flush_every(), 2048);
         let mut kept = 0;
         for _ in 0..320 {
             if governor.admit(lane, Event::ThreadBeginExplicitBarrier) != Admit::Skip {
@@ -1136,38 +1060,5 @@ mod tests {
         }
         governor.publish_mask(0);
         assert_eq!(governor.current_mask(), 0);
-    }
-
-    #[test]
-    fn pending_fired_batches_until_the_threshold() {
-        let governor = Governor::new();
-        let lane = governor.lane(0);
-        let published = TestCounter::new(0);
-        for _ in 0..DEFAULT_FLUSH_EVERY - 1 {
-            governor.note_fired(lane, Event::Fork, |_, n| {
-                published.fetch_add(n, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(
-            published.load(Ordering::Relaxed),
-            0,
-            "below threshold: batched"
-        );
-        governor.note_fired(lane, Event::Fork, |_, n| {
-            published.fetch_add(n, Ordering::Relaxed);
-        });
-        assert_eq!(
-            published.load(Ordering::Relaxed),
-            u64::from(DEFAULT_FLUSH_EVERY),
-            "threshold crossing drains the lane"
-        );
-        governor.flush_pending(|_, n| {
-            published.fetch_add(n, Ordering::Relaxed);
-        });
-        assert_eq!(
-            published.load(Ordering::Relaxed),
-            u64::from(DEFAULT_FLUSH_EVERY),
-            "nothing left after the drain"
-        );
     }
 }

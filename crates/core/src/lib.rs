@@ -42,8 +42,7 @@
 //!
 //! // Runtime side: fire the event at the fork point.
 //! api.event(&EventData::bare(Event::Fork, 0));
-//! # api.flush_event_counts(); // fired counters publish in batches
-//! # assert_eq!(api.registry().fire_count(Event::Fork), 1);
+//! # assert_eq!(api.health().events_sampled, 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -82,8 +82,6 @@ struct Entry {
     slot: AtomicPtr<Callback>,
     /// Bumped on every register/unregister of this entry.
     generation: AtomicU64,
-    /// How many times this event's callback has been invoked (diagnostics).
-    fired: AtomicU64,
     /// Panics the *currently published* callback has caused. Reset on
     /// every publication so a replacement gets a fresh budget.
     panics: AtomicU64,
@@ -94,7 +92,6 @@ impl Entry {
         Entry {
             slot: AtomicPtr::new(std::ptr::null_mut()),
             generation: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
             panics: AtomicU64::new(0),
         }
     }
@@ -216,20 +213,6 @@ impl CallbackRegistry {
     /// `catch_unwind` costs nothing on the non-panic path.
     #[inline]
     pub fn invoke(&self, data: &EventData) -> bool {
-        self.invoke_inner(data, true)
-    }
-
-    /// [`CallbackRegistry::invoke`] without the shared `fired` counter
-    /// bump. The governed dispatch path uses this together with
-    /// lane-local batching ([`CallbackRegistry::add_fired`]) so the hot
-    /// path performs no shared RMW per event.
-    #[inline]
-    pub fn invoke_quiet(&self, data: &EventData) -> bool {
-        self.invoke_inner(data, false)
-    }
-
-    #[inline]
-    fn invoke_inner(&self, data: &EventData, count_fired: bool) -> bool {
         let entry = &self.entries[data.event.index()];
         // The paper's check ordering: unmonitored events pay one load.
         if entry.slot.load(Ordering::Acquire).is_null() {
@@ -240,9 +223,6 @@ impl CallbackRegistry {
         let ptr = entry.slot.load(Ordering::SeqCst);
         if ptr.is_null() {
             return false;
-        }
-        if count_fired {
-            entry.fired.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: non-null slot pointers originate from Box::into_raw in
         // publish(); once unlinked they are retired, and the bag cannot
@@ -309,21 +289,6 @@ impl CallbackRegistry {
         FaultStats {
             callback_panics: self.total_panics.load(Ordering::Relaxed),
             callbacks_quarantined: self.quarantined.load(Ordering::Relaxed),
-        }
-    }
-
-    /// How many times `event`'s callback has fired.
-    pub fn fire_count(&self, event: Event) -> u64 {
-        self.entries[event.index()].fired.load(Ordering::Relaxed)
-    }
-
-    /// Fold a batched fired count into `event`'s counter (the flush half
-    /// of quiet dispatch, see [`CallbackRegistry::invoke_quiet`]).
-    pub fn add_fired(&self, event: Event, n: u64) {
-        if n > 0 {
-            self.entries[event.index()]
-                .fired
-                .fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -401,7 +366,6 @@ mod tests {
         assert!(r.invoke(&EventData::bare(Event::Fork, 0)));
         assert!(r.invoke(&EventData::bare(Event::Fork, 0)));
         assert_eq!(n.load(Ordering::SeqCst), 2);
-        assert_eq!(r.fire_count(Event::Fork), 2);
         assert!(r.unregister(Event::Fork));
         assert!(!r.unregister(Event::Fork));
         assert!(!r.invoke(&EventData::bare(Event::Fork, 0)));

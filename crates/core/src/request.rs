@@ -121,10 +121,12 @@ pub struct ApiHealth {
     pub sequence_errors: u64,
     /// Total requests served.
     pub requests: u64,
-    /// Monitored events whose callbacks ran (equals `events_skipped +
-    /// events_sampled == observed` — the governor's reconciliation
-    /// invariant; with the governor disarmed every observed event is
-    /// sampled).
+    /// Monitored events admitted to their callback. A callback unlinked
+    /// between admission and invoke (an unregister, Stop or quarantine
+    /// racing the dispatch) does not run, but its event still counts
+    /// here. With the governor disarmed every monitored event is
+    /// admitted; armed, `events_sampled + events_skipped` is the
+    /// monitored total.
     pub events_sampled: u64,
     /// Monitored events the overhead governor sampled out.
     pub events_skipped: u64,

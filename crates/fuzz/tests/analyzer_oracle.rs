@@ -10,6 +10,7 @@ use std::time::Duration;
 use collector::discovery::RuntimeHandle;
 use collector::modes::CollectionConfig;
 use omprt::OpenMp;
+use ora_core::state::ThreadState;
 use ora_fuzz::{run_under, Op, Scenario, SchedSpec};
 use ora_trace::analyze::{analyze, AnalyzeConfig, PatternKind};
 use ora_trace::{merge_ranks, TraceReader};
@@ -51,6 +52,13 @@ fn traced_events_nested(
     merge_ranks(&[reader]).expect("merge")
 }
 
+/// Whether outer-team gtids 1 and 2 are both waiting in an explicit
+/// barrier.
+fn teammates_in_explicit_barrier(rt: &OpenMp) -> bool {
+    let states = rt.registered_thread_states();
+    states.get(1..3) == Some(&[ThreadState::ExplicitBarrier; 2][..])
+}
+
 #[test]
 fn nested_inner_barriers_do_not_pollute_outer_convoy_attribution() {
     // The master forks an inner sub-team (with its own barriers) before
@@ -62,14 +70,31 @@ fn nested_inner_barriers_do_not_pollute_outer_convoy_attribution() {
     // convoy on the master (the genuine laggard: everyone else waits
     // out its inner excursion) and must not flag the short-lived inner
     // regions at all.
+    //
+    // The master is the laggard by construction, not by timing luck:
+    // before each excursion it waits until both teammates have counted
+    // themselves in and the runtime shows them in the outer barrier, so
+    // a preempted teammate can never arrive after it. It polls asleep
+    // rather than spinning on `yield_now`: a spinning master holds the
+    // core a just-released teammate needs, which pushes that teammate's
+    // barrier end a whole scheduler slice past the release and dilutes
+    // the waste share the convoy detector measures.
+    let arrived = AtomicU64::new(0);
     let events = traced_events_nested(3, |rt, ctx| {
-        for _ in 0..12 {
+        for episode in 1..=12u64 {
             if ctx.is_master() {
+                while arrived.load(Ordering::Acquire) < 2 * episode
+                    || !teammates_in_explicit_barrier(rt)
+                {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
                 rt.parallel_n(2, |inner| {
                     inner.barrier();
                     std::thread::sleep(Duration::from_micros(400));
                     inner.barrier();
                 });
+            } else {
+                arrived.fetch_add(1, Ordering::Release);
             }
             ctx.barrier();
         }

@@ -60,8 +60,10 @@ done
 # item 1), the two forced key-after-attempt interleavings (EventCount
 # and TaskPool), notify racing a waiter's registration, and work handed
 # to a worker still restoring after a lease. The trace ring's batch
-# drain racing drop-oldest reclaims rides in the same loop.
-echo "== stress: lost-wakeup and ring-claim reproducers, 200 processes each =="
+# drain racing drop-oldest reclaims and the nested-convoy analyzer
+# oracle (whose master waits for its teammates to park before it lags)
+# ride in the same loop.
+echo "== stress: lost-wakeup, ring-claim and convoy-oracle reproducers, 200 processes each =="
 test_bin() {
   cargo test -q --release --offline "$@" --no-run --message-format=json \
     | grep -o '"executable":"[^"]*"' | cut -d'"' -f4
@@ -73,6 +75,7 @@ reproducers=(
   "$(test_bin -p omprt --test sync_stress) notify_racing_registration_never_loses_the_wake"
   "$(test_bin -p omprt --test nested) hand_off_to_a_worker_still_finishing_a_lease"
   "$(test_bin -p ora-trace --test stress) batch_drain_races_drop_oldest_reclaim"
+  "$(test_bin -p ora-fuzz --test analyzer_oracle) nested_inner_barriers_do_not_pollute_outer_convoy_attribution"
 )
 for entry in "${reproducers[@]}"; do
   read -r bin name <<<"$entry"

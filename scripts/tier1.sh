@@ -85,6 +85,13 @@ if grep -rnE 'RankMergeHeap|BinaryHeap' crates/fleet/src; then
   echo "tier1: RankMergeHeap / BinaryHeap under crates/fleet/src — settle runs with store::merge_run" >&2
   exit 1
 fi
+# One delivery count: a delivered event is counted once, by its dispatch
+# lane's `sampled` word, so no second fired counter, batch flush or
+# quiet invoke path comes back beside it.
+if grep -rnE 'invoke_quiet|add_fired|flush_event_counts|fire_count|pending_fired|flush_every' crates/; then
+  echo "tier1: second delivery count under crates/ — count deliveries with the lane's sampled counter" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
