@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ora_core::event::{Event, EVENT_COUNT};
+use ora_core::pad::CachePadded;
 use ora_core::registry::EventData;
 use ora_core::request::OraError;
 use ora_trace::{
@@ -66,17 +67,32 @@ impl From<TraceError> for StreamError {
 /// What the tracer's callback touches per event: the counters (Table
 /// I/II live here) and the ring set. [`ToolSuite`](crate::ToolSuite)'s
 /// trace lane is one of these too.
+///
+/// The counters are kept per ring lane, each set on its own cache line,
+/// so a thread bumps only its lane's words and the traced path shares
+/// no written line across the team; [`StreamingTracer::count`] sums the
+/// lanes.
 pub(crate) struct TraceLane {
-    counts: [AtomicU64; EVENT_COUNT],
+    counts: Box<[CachePadded<[AtomicU64; EVENT_COUNT]>]>,
     rings: Arc<RingSet>,
 }
 
 impl TraceLane {
     pub(crate) fn new(rings: Arc<RingSet>) -> TraceLane {
         TraceLane {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            counts: (0..rings.lane_count())
+                .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
             rings,
         }
+    }
+
+    /// Occurrences of `event` summed over the lanes.
+    fn count(&self, event: Event) -> u64 {
+        self.counts
+            .iter()
+            .map(|lane| lane[event.index()].load(Ordering::Relaxed))
+            .sum()
     }
 }
 
@@ -85,18 +101,23 @@ impl Lane for TraceLane {
         true
     }
 
-    /// The event callback: count, timestamp, record.
+    /// The event callback: count, timestamp, record, all on the
+    /// thread's own lane.
     #[inline]
     fn on_event(&self, d: &EventData) {
-        self.counts[d.event.index()].fetch_add(1, Ordering::Relaxed);
-        self.rings.record(RawRecord {
-            tick: clock::ticks(),
-            seq: 0, // assigned by the ring
-            event: d.event as u32,
-            gtid: d.gtid as u32,
-            region_id: d.region_id,
-            wait_id: d.wait_id,
-        });
+        let lane = self.rings.lane_of(d.gtid);
+        self.counts[lane][d.event.index()].fetch_add(1, Ordering::Relaxed);
+        self.rings.lane(lane).record(
+            RawRecord {
+                tick: clock::ticks(),
+                seq: 0, // assigned by the ring
+                event: d.event as u32,
+                gtid: d.gtid as u32,
+                region_id: d.region_id,
+                wait_id: d.wait_id,
+            },
+            self.rings.policy(),
+        );
     }
 }
 
@@ -129,7 +150,7 @@ impl<S: TraceSink + 'static> StreamingTracer<S> {
     /// Occurrences of `event` so far (counted even when the record
     /// itself was dropped by backpressure).
     pub fn count(&self, event: Event) -> u64 {
-        self.collector.lane().counts[event.index()].load(Ordering::Relaxed)
+        self.collector.lane().count(event)
     }
 
     /// Parallel-region calls observed (fork events).

@@ -34,11 +34,18 @@ use crate::sink::TraceSink;
 use crate::TraceError;
 
 /// Tuning for a recording session.
+///
+/// The ring set reserves `lanes × capacity_per_lane × 48` bytes (48 MiB
+/// under the defaults) but touches it only as it is written: the rings
+/// are allocated zeroed and a lane's pages fault in during its first
+/// lap, so a team recording into two lanes pays for two.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Ring lanes (threads map to lanes by `gtid % lanes`).
+    /// Ring lanes (threads map to lanes by `gtid % lanes`). A lane no
+    /// thread records into costs address space only.
     pub lanes: usize,
-    /// Records each lane buffers before backpressure.
+    /// Records each lane buffers before backpressure (48 bytes a slot,
+    /// touched on the lane's first lap).
     pub capacity_per_lane: usize,
     /// What a full lane does to its producer.
     pub policy: DropPolicy,

@@ -8,6 +8,17 @@
 //! importantly — lets the *producer* reclaim a slot under the
 //! drop-oldest policy without ever taking a lock.
 //!
+//! A slot stores its sequence *relative to its index* (the logical
+//! sequence minus the index, wrapping), so the all-zero slot is exactly
+//! Vyukov's initial state, "free for lap 0". A ring is therefore
+//! allocated zeroed and never written at construction: a fresh ring is
+//! untouched memory until a producer records into it, and a lane nobody
+//! records into costs address space only. On its first lap a producer
+//! reserves a slot without reading the slot's sequence, so its first
+//! touch of each page is a write: a read first would map the shared
+//! zero page and turn the commit into a copy-on-write fault that
+//! flushes every core's TLB.
+//!
 //! The record path is exactly one **reserve/commit pair**: a
 //! compare-and-swap on the enqueue cursor reserves a slot (uncontended in
 //! the per-thread case), a release store of the slot sequence commits
@@ -62,10 +73,28 @@ pub struct RawRecord {
 }
 
 struct Slot {
-    /// Vyukov sequence: `pos` when free for the producer at cursor
-    /// `pos`, `pos + 1` once the record at `pos` is committed.
+    /// Vyukov sequence, stored relative to the slot's index `i`: the
+    /// logical value is `pos` when free for the producer at cursor `pos`,
+    /// `pos + 1` once the record at `pos` is committed, and the word
+    /// holds that minus `i`. Read and written only through
+    /// [`Slot::seq`] and [`Slot::set_seq`].
     seq: AtomicU64,
     rec: UnsafeCell<RawRecord>,
+}
+
+impl Slot {
+    /// The logical sequence of this slot, which sits at index `i`. A
+    /// zeroed slot reads `i`: free for the producer's first lap.
+    #[inline]
+    fn seq(&self, i: u64) -> u64 {
+        self.seq.load(Ordering::Acquire).wrapping_add(i)
+    }
+
+    /// Publish logical sequence `seq` for this slot at index `i`.
+    #[inline]
+    fn set_seq(&self, i: u64, seq: u64) {
+        self.seq.store(seq.wrapping_sub(i), Ordering::Release);
+    }
 }
 
 /// Per-ring counters, all updated with relaxed atomics.
@@ -122,15 +151,19 @@ unsafe impl Sync for Ring {}
 impl Ring {
     /// A ring holding up to `capacity` records (rounded up to a power of
     /// two, minimum 2).
+    ///
+    /// The slots are allocated zeroed and not written: with sequences
+    /// stored relative to the slot index, zero is every slot's initial
+    /// state, so the allocator's fresh pages stay untouched until the
+    /// producer's first lap writes them.
     pub fn new(capacity: usize) -> Ring {
         let cap = capacity.max(2).next_power_of_two();
+        // SAFETY: all-zero is a valid `Slot`: a zero `AtomicU64` (relative
+        // sequence 0, free for lap 0) and an all-zero `RawRecord` (plain
+        // integers).
+        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(cap).assume_init() };
         Ring {
-            slots: (0..cap)
-                .map(|i| Slot {
-                    seq: AtomicU64::new(i as u64),
-                    rec: UnsafeCell::new(RawRecord::default()),
-                })
-                .collect(),
+            slots,
             mask: cap as u64 - 1,
             enqueue: CachePadded::new(AtomicU64::new(0)),
             dequeue: CachePadded::new(AtomicU64::new(0)),
@@ -181,9 +214,17 @@ impl Ring {
     fn try_push(&self, rec: RawRecord) -> Result<(), RawRecord> {
         let mut pos = self.enqueue.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as i64 - pos as i64;
+            let i = pos & self.mask;
+            let slot = &self.slots[i as usize];
+            // On the first lap the slot is free by construction: only the
+            // producer whose CAS takes `pos` will ever use it, and nobody
+            // has consumed it yet. Skipping the read keeps the first touch
+            // of each page a write (see the module docs).
+            let diff = if pos <= self.mask {
+                0
+            } else {
+                slot.seq(i) as i64 - pos as i64
+            };
             if diff == 0 {
                 // Reserve: claim cursor `pos`.
                 match self.enqueue.compare_exchange_weak(
@@ -197,7 +238,7 @@ impl Ring {
                         // to this slot until the commit below publishes it.
                         unsafe { *slot.rec.get() = rec };
                         // Commit: publish the record to the consumer.
-                        slot.seq.store(pos + 1, Ordering::Release);
+                        slot.set_seq(i, pos + 1);
                         self.written.fetch_add(1, Ordering::Relaxed);
                         return Ok(());
                     }
@@ -217,9 +258,9 @@ impl Ring {
     pub fn try_pop(&self) -> Option<RawRecord> {
         let mut pos = self.dequeue.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as i64 - (pos + 1) as i64;
+            let i = pos & self.mask;
+            let slot = &self.slots[i as usize];
+            let diff = slot.seq(i) as i64 - (pos + 1) as i64;
             if diff == 0 {
                 match self.dequeue.compare_exchange_weak(
                     pos,
@@ -231,7 +272,7 @@ impl Ring {
                         // SAFETY: the CAS gave us exclusive read access.
                         let rec = unsafe { *slot.rec.get() };
                         // Mark the slot free for the producer one lap on.
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
+                        slot.set_seq(i, pos + self.mask + 1);
                         return Some(rec);
                     }
                     Err(now) => pos = now,
@@ -304,12 +345,11 @@ impl Ring {
             // Acquire on each committed seq orders that slot's record
             // before the copy below.
             let mut n = 0u64;
-            while n < limit
-                && self.slots[((start + n) & self.mask) as usize]
-                    .seq
-                    .load(Ordering::Acquire)
-                    == start + n + 1
-            {
+            while n < limit {
+                let i = (start + n) & self.mask;
+                if self.slots[i as usize].seq(i) != start + n + 1 {
+                    break;
+                }
                 n += 1;
             }
             if n == 0 {
@@ -325,12 +365,13 @@ impl Ring {
                 continue;
             }
             out.extend((start..start + n).map(|pos| {
-                let slot = &self.slots[(pos & self.mask) as usize];
+                let i = pos & self.mask;
+                let slot = &self.slots[i as usize];
                 // SAFETY: the CAS gave us exclusive read access to every
                 // position of the run until its release store below.
                 let rec = unsafe { *slot.rec.get() };
                 // Mark the slot free for the producer one lap on.
-                slot.seq.store(pos + self.mask + 1, Ordering::Release);
+                slot.set_seq(i, pos + self.mask + 1);
                 rec
             }));
             return n as usize;
@@ -457,6 +498,67 @@ mod tests {
         assert!(r.try_pop().is_none());
         assert_eq!(r.stats().written, 8);
         assert_eq!(r.stats().dropped(), 0);
+    }
+
+    #[test]
+    fn zeroed_ring_keeps_fifo_across_many_laps() {
+        // Every slot starts as the all-zero word; a lap later each one
+        // holds a sequence relative to its index. Mix the single-slot and
+        // the batch consumer over a dozen laps at varying fill levels:
+        // every record comes out exactly once, in order.
+        let r = Ring::new(4);
+        let mut out = Vec::new();
+        let mut next = 0u64;
+        for step in 0..48u64 {
+            let fill = 1 + step % 4;
+            for _ in 0..fill {
+                r.record(rec(next, 0), DropPolicy::Newest);
+                next += 1;
+            }
+            if step % 3 == 0 {
+                while let Some(got) = r.try_pop() {
+                    out.push(got);
+                }
+            } else {
+                let max = 1 + (step % 2) as usize;
+                while r.drain_into(&mut out, max) > 0 {}
+            }
+        }
+        assert!(next >= 10 * 4, "{next} records is fewer than ten laps");
+        assert_eq!(r.stats().dropped(), 0);
+        assert_eq!(out.len() as u64, next);
+        for (i, got) in out.iter().enumerate() {
+            assert_eq!(got.seq, i as u64);
+            assert_eq!(got.tick, i as u64);
+        }
+    }
+
+    #[test]
+    fn racing_producers_share_the_first_lap_exactly() {
+        // The first lap reserves without reading slot sequences: four
+        // producers filling a fresh ring to the brim must each get
+        // distinct slots, and nothing is dropped or lost.
+        const PER: u64 = 256;
+        let r = Ring::new(4 * PER as usize);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let r = &r;
+                s.spawn(move || {
+                    for i in 0..PER {
+                        r.record(rec(i, t), DropPolicy::Newest);
+                    }
+                });
+            }
+        });
+        assert_eq!(r.stats().written, 4 * PER);
+        assert_eq!(r.stats().dropped(), 0);
+        let mut got = Vec::new();
+        r.drain_into(&mut got, usize::MAX);
+        let mut seqs: Vec<u64> = got.iter().map(|g| g.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..4 * PER).collect::<Vec<_>>());
+        r.record(rec(0, 0), DropPolicy::Newest);
+        assert_eq!(r.try_pop().map(|g| g.seq), Some(4 * PER));
     }
 
     #[test]

@@ -92,6 +92,22 @@ if grep -rnE 'invoke_quiet|add_fired|flush_event_counts|fire_count|pending_fired
   echo "tier1: second delivery count under crates/ — count deliveries with the lane's sampled counter" >&2
   exit 1
 fi
+# Zeroed rings: a slot stores its sequence relative to its index, so a
+# ring is allocated zeroed and no slot is written at construction; a
+# lane nobody records into costs address space only.
+if grep -n 'AtomicU64::new(i as u64)' crates/trace/src/ring.rs \
+    || ! grep -q 'new_zeroed_slice' crates/trace/src/ring.rs; then
+  echo "tier1: crates/trace/src/ring.rs initialises its slots — allocate them zeroed (Box::new_zeroed_slice)" >&2
+  exit 1
+fi
+# Per-lane trace counters: a collector's per-event counters live one set
+# per ring lane on its own cache line, so no team-shared counter array
+# comes back on the traced path.
+if grep -rn '\[AtomicU64; EVENT_COUNT\]' crates/collector/src \
+    | grep -v 'CachePadded<\[AtomicU64; EVENT_COUNT\]>'; then
+  echo "tier1: [AtomicU64; EVENT_COUNT] outside a CachePadded under crates/collector/src — count per ring lane" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
