@@ -5,21 +5,23 @@
 //! chunk stream (`ora_trace::format::unit`): the header, an encoded
 //! chunk, or the footer. The unit of work is the **sorted run**, not
 //! the record: the lane thread checks the chunk's CRC and decodes its
-//! records straight into one key-sorted run *before* taking the state
-//! lock (so lanes of different ranks decode in parallel; the rare chunk
-//! that is not already sorted — two threads sharing a ring lane — is
-//! sorted there too). Under the lock it
-//! validates the epoch sequence (a duplicate or a gap means the lane is
-//! misbehaving, and is reported ahead of any payload error), hands the
-//! run to the lane's own sorted *pending* buffer, and flushes; then it
-//! acks the epoch. Each connection owns two buffers: one byte buffer
+//! records straight into one key-sorted run with `ora_trace::decode_run`
+//! *before* taking the state lock (so lanes of different ranks decode
+//! in parallel; the rare chunk that is not already sorted — two threads
+//! sharing a ring lane — is sorted there too). Governor decision
+//! records are metadata, not events: the decoder skips them, and the
+//! lane counts them apart ([`LaneReport::governor_records`]). Under the
+//! lock it validates the epoch sequence (a duplicate or a gap means the
+//! lane is misbehaving, and is reported ahead of any payload error),
+//! hands the run to the lane's own sorted *pending* buffer, and
+//! flushes; then it acks the epoch. Each connection owns two buffers: one byte buffer
 //! that every frame is read into and every ACK encoded into, and one
 //! run buffer. A run reaches a lane that holds nothing by swap, so the
 //! lane's buffer and the run buffer trade places and both keep their
-//! capacity; otherwise it is merged in with `store::merge_run`. A record
-//! of a lane that keeps up is written twice, decoded into the run and
-//! settled into the store, and past its second chunk a lane allocates
-//! nothing beyond the store's amortised growth.
+//! capacity; otherwise it is merged in with `ora_trace::merge_run`. A
+//! record of a lane that keeps up is written twice, decoded into the
+//! run and settled into the store, and past its second chunk a lane
+//! allocates nothing beyond the store's amortised growth.
 //!
 //! **Watermark merge.** The daemon tracks, per live lane, the largest
 //! tick it has acked. The watermark is the minimum of those across live
@@ -57,13 +59,13 @@ use std::time::Duration;
 
 use ora_core::sync::Mutex;
 use ora_trace::format;
-use ora_trace::{RankedEvent, TraceError, TraceEvent};
+use ora_trace::{decode_run, merge_run, RankedEvent, TraceError};
 
 use crate::protocol::{
     build_frame, chunk_parts, decode_frame, read_frame, read_frame_bytes, write_frame, Message,
     MSG_ACK,
 };
-use crate::store::{merge_run, FleetStore};
+use crate::store::FleetStore;
 use crate::transport::{FleetListener, FrameConn};
 use crate::FleetError;
 
@@ -106,6 +108,9 @@ pub struct LaneReport {
     pub epochs: u64,
     /// Records decoded into the merge.
     pub records: u64,
+    /// Governor decision records the lane's chunks carried: persisted
+    /// and streamed like events, but metadata, so never merged.
+    pub governor_records: u64,
     /// Whether the trace file header arrived.
     pub header_seen: bool,
     /// Per-lane ring accounting from the stream's footer, when it
@@ -123,14 +128,16 @@ impl LaneReport {
     /// Whether this lane's end-to-end accounting reconciles:
     /// the producer's observed events equal the records the daemon
     /// stored plus the drops the rank itself counted, and the footer
-    /// agrees with both sides.
+    /// agrees with both sides. Governor decision records count on the
+    /// drained side: `records + governor_records == drained`.
     pub fn reconciled(&self) -> bool {
         let (Some(fin), Some((drained, dropped))) = (self.fin, self.footer) else {
             return false;
         };
-        fin.observed == self.records + dropped
-            && fin.drained == self.records
-            && drained == self.records
+        let persisted = self.records + self.governor_records;
+        fin.observed == persisted + dropped
+            && fin.drained == persisted
+            && drained == persisted
             && fin.dropped == dropped
     }
 }
@@ -269,8 +276,9 @@ impl State {
         lane.report.epochs += 1;
         match unit? {
             Unit::Header => lane.report.header_seen = true,
-            Unit::Run(run) => {
+            Unit::Run { run, governor } => {
                 lane.report.records += run.len() as u64;
+                lane.report.governor_records += governor;
                 if let Some(last) = run.last() {
                     lane.acked_tick = lane.acked_tick.max(last.record.tick);
                 }
@@ -486,8 +494,12 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
 /// One verbatim sink write, decoded.
 enum Unit<'r> {
     Header,
-    /// A chunk's records as one key-sorted run.
-    Run(&'r mut Vec<RankedEvent>),
+    /// A chunk's events as one key-sorted run, and the governor
+    /// decision records it skipped.
+    Run {
+        run: &'r mut Vec<RankedEvent>,
+        governor: u64,
+    },
     Footer {
         drained: u64,
         dropped: u64,
@@ -495,7 +507,7 @@ enum Unit<'r> {
 }
 
 /// Decode one sink write, which must be exactly one unit of the chunk
-/// stream; a chunk's records replace what `run` held, key-sorted.
+/// stream; a chunk's events replace what `run` held, key-sorted.
 /// Touches no shared state: this is the part of ingest that runs
 /// outside the lock.
 fn decode_unit<'r>(
@@ -510,25 +522,8 @@ fn decode_unit<'r>(
     Ok(match unit {
         format::Unit::Header => Unit::Header,
         format::Unit::Chunk(chunk) => {
-            let rank = rank as usize;
-            run.clear();
-            run.reserve(chunk.count as usize);
-            let mut sorted = true;
-            format::for_each_record(chunk.payload, chunk.count, |raw| {
-                let ev = RankedEvent {
-                    rank,
-                    record: TraceEvent::from_raw(&raw)?,
-                };
-                sorted &= run.last().is_none_or(|prev| prev.key() <= ev.key());
-                run.push(ev);
-                Ok(())
-            })?;
-            // One thread per ring lane writes in key order; only threads
-            // sharing a lane can interleave out of it.
-            if !sorted {
-                run.sort_by_key(RankedEvent::key);
-            }
-            Unit::Run(run)
+            let governor = decode_run(chunk.payload, chunk.count, rank as usize, run)?;
+            Unit::Run { run, governor }
         }
         format::Unit::Footer(footer) => Unit::Footer {
             drained: footer.total_drained(),
@@ -583,7 +578,7 @@ mod tests {
     use crate::store::timeline_bytes;
     use ora_core::testutil::XorShift64;
     use ora_trace::format::{encode_chunk, put_varint, TAG_CHUNK};
-    use ora_trace::{RawRecord, TraceError};
+    use ora_trace::{RawRecord, TraceError, TraceEvent};
 
     /// The per-record rule the run-merge replaced, kept as its
     /// reference: every pending record in one pool, a flush takes what
@@ -659,7 +654,7 @@ mod tests {
         /// sides, and check that they agree.
         fn feed(&mut self, rank: u64, records: &[RawRecord]) {
             let unit = decode_unit(rank, &chunk_bytes(records), &mut self.run);
-            let Ok(Unit::Run(run)) = &unit else {
+            let Ok(Unit::Run { run, .. }) = &unit else {
                 panic!("a chunk decodes to a run");
             };
             assert!(run.windows(2).all(|w| w[0].key() <= w[1].key()));

@@ -7,14 +7,16 @@
 //! stall between reading the clock and committing to its ring, and one
 //! rank's ring lanes cover the same tick window, so a later chunk
 //! routinely carries earlier ticks). A run is therefore merged into
-//! the settled timeline from the back ([`merge_run`]): it costs the
-//! run plus the settled tail it displaces, never more, and the run's
-//! records below the frontier as the flush found it are counted late.
+//! the settled timeline from the back with `ora_trace::merge_run`, the
+//! same kernel the offline reader's lane cursors merge chunks with: it
+//! costs the run plus the settled tail it displaces, never more, and
+//! the run's records below the frontier as the flush found it are
+//! counted late.
 //! The store is **always** fully sorted and [`FleetStore::export`] is
 //! byte-identical to offline `merge_ranks` over the same data,
 //! regardless of arrival timing.
 
-use ora_trace::{RankedEvent, RankedKey};
+use ora_trace::{merge_run, RankedEvent, RankedKey};
 
 /// Magic starting every exported timeline (defined next to the decoder
 /// so encode and decode cannot drift).
@@ -110,34 +112,6 @@ impl FleetStore {
     }
 }
 
-/// Merge the key-sorted `run` into `dst[floor..]`, itself key-sorted,
-/// in place and from the back: the largest remaining record of either
-/// side moves to the highest free slot, and the merge stops as soon as
-/// the run is exhausted — what is left of `dst` is already where it
-/// belongs. `dst[..floor]` is never read or written. A record of the
-/// run goes after every `dst` record of equal key.
-pub(crate) fn merge_run(dst: &mut Vec<RankedEvent>, floor: usize, run: &[RankedEvent]) {
-    let Some(&first) = run.first() else {
-        return;
-    };
-    let mut i = dst.len();
-    if i == floor || dst[i - 1].key() <= first.key() {
-        dst.extend_from_slice(run);
-        return;
-    }
-    let mut j = run.len();
-    dst.resize(i + j, first);
-    while j > 0 {
-        if i > floor && dst[i - 1].key() > run[j - 1].key() {
-            dst[i + j - 1] = dst[i - 1];
-            i -= 1;
-        } else {
-            dst[i + j - 1] = run[j - 1];
-            j -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,23 +156,6 @@ mod tests {
         assert_eq!(store.late_events(), 4);
         let keys: Vec<_> = store.records().iter().map(RankedEvent::key).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
-    }
-
-    #[test]
-    fn merge_run_leaves_everything_below_the_floor_alone() {
-        let mut dst = vec![
-            ev(50, 0, 0, 0),
-            ev(60, 0, 1, 0),
-            ev(10, 0, 2, 0),
-            ev(30, 0, 3, 0),
-        ];
-        merge_run(
-            &mut dst,
-            2,
-            &[ev(5, 1, 0, 1), ev(20, 1, 1, 1), ev(40, 1, 2, 1)],
-        );
-        let ticks: Vec<u64> = dst.iter().map(|e| e.record.tick).collect();
-        assert_eq!(ticks, vec![50, 60, 5, 10, 20, 30, 40]);
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //!    that are not key-sorted) and a rank lagging far behind the others
 //!    in tick-space, driven frame by frame so the arrival order is the
 //!    test's, not the scheduler's.
+//!
+//! A governor decision record in a lane's stream is metadata: it is
+//! counted apart and the lane still reconciles (family 2).
 
 use std::path::PathBuf;
 
@@ -455,6 +458,53 @@ fn killed_rank_degrades_only_its_lane() {
         .collect();
     assert_eq!(timeline_bytes(&surviving), timeline_bytes(&offline));
     let _ = std::fs::remove_file(tee0);
+}
+
+/// A governor decision record is metadata the recorder persists and
+/// streams like any record. The daemon skips it as the reader does —
+/// it used to fail the chunk as "unknown event 255" and quarantine the
+/// lane — and counts it apart, so the lane still reconciles.
+#[test]
+fn a_governor_decision_record_is_counted_not_quarantined() {
+    let mut daemon = Daemon::new(DaemonConfig::default());
+    let (client, server) = loopback().unwrap();
+    daemon.spawn_conn(server);
+    let tee = temp_path("governor");
+    let sink = SocketSink::start(client, 0, 1_000_000_000, 4)
+        .unwrap()
+        .tee(&tee)
+        .unwrap();
+    let recorder = Recorder::start(quiet_config(1, 256), sink).expect("recorder");
+    for i in 0..10u64 {
+        recorder.rings().record(rec(500 + i, 0, i));
+    }
+    recorder.rings().record(RawRecord {
+        tick: 505,
+        event: ora_trace::GOVERNOR_EVENT_CODE,
+        region_id: u64::from(ora_core::event::Event::ThreadBeginExplicitBarrier as u32),
+        wait_id: ora_trace::pack_governor_decision(0, 3, 91_000),
+        ..RawRecord::default()
+    });
+    let (sink, stats) = recorder.finish().expect("finish");
+    assert_eq!(stats.drained(), 11, "the decision is a persisted record");
+    let fin = sink
+        .finish(
+            stats.drained() + stats.dropped(),
+            stats.drained(),
+            stats.dropped(),
+        )
+        .expect("fin handshake");
+    assert_eq!(fin.stored, 10);
+
+    let report = daemon.finish();
+    let lane = report.lane(0).expect("lane registered");
+    assert_eq!(lane.quarantined, None);
+    assert!(lane.finished);
+    assert_eq!((lane.records, lane.governor_records), (10, 1));
+    assert!(lane.reconciled(), "events + governor records == drained");
+    let offline = merge_ranks(&[TraceReader::open(&tee).unwrap()]).unwrap();
+    assert_eq!(report.store.export(), timeline_bytes(&offline));
+    let _ = std::fs::remove_file(tee);
 }
 
 #[test]

@@ -30,8 +30,9 @@
 //! the source trace's clock domain, so findings can be drilled into
 //! with the existing `trace report --from-us/--to-us` queries.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use ora_core::bytes::Cursor;
 use ora_core::event::{Event, EVENT_COUNT};
@@ -220,6 +221,72 @@ impl Unpaired {
     }
 }
 
+/// The analyzer's per-record maps hash with one folded multiply per
+/// word — a 64×64→128-bit product whose halves are xored, so high key
+/// bits reach the low bits that pick a bucket — instead of SipHash-1-3.
+/// Each map is keyed from a fresh [`RandomState`], so a crafted trace
+/// cannot choose its collisions.
+#[derive(Clone, Copy)]
+struct FoldState {
+    seed: u64,
+    multiplier: u64,
+}
+
+impl FoldState {
+    fn new() -> FoldState {
+        let random = RandomState::new();
+        FoldState {
+            seed: random.hash_one(0u64),
+            multiplier: random.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            state: self.seed,
+            multiplier: self.multiplier,
+        }
+    }
+}
+
+/// The hasher a [`FoldState`] builds.
+struct FoldHasher {
+    state: u64,
+    multiplier: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(self.multiplier);
+        self.state = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 /// What a begin and its end agree on: `(rank, gtid, begin event, region,
 /// wait id)` — `(rank, 0, Fork, region, 0)` for a region, and region 0
 /// for an idle period.
@@ -262,7 +329,8 @@ pub fn pair_intervals(
     // Open begins per key: the innermost, then the ones it nests in
     // (outermost first). Nesting under one key is rare, so the common
     // begin/end costs one map operation and no allocation.
-    let mut open: HashMap<PairKey, (Open, Vec<Open>)> = HashMap::new();
+    let mut open: HashMap<PairKey, (Open, Vec<Open>), FoldState> =
+        HashMap::with_hasher(FoldState::new());
     let mut unpaired = Unpaired::default();
     for RankedEvent { rank, record: r } in events {
         let begin = if r.event.is_begin() {
@@ -398,28 +466,51 @@ struct RegionActivity {
     /// regions push them out of lockstep across the team.
     barrier_intervals: Vec<(bool, Span)>,
     /// Threads that fired any event in the region.
-    threads: std::collections::BTreeSet<usize>,
+    threads: BTreeSet<usize>,
 }
 
 /// Analyze a rank-attributed event timeline. The input need not be
 /// sorted; each record is bucketed by `(rank, region)` and the
 /// detectors order evidence internally.
 pub fn analyze(events: &[RankedEvent], cfg: &AnalyzeConfig) -> AnalysisReport {
-    let mut regions: BTreeMap<(usize, u64), RegionActivity> = BTreeMap::new();
+    // Each `(rank, region)` indexes its activity through a hashed map;
+    // a record whose `(rank, region, gtid)` matches one of the last two
+    // distinct triples seen has nothing new to add, which is most of
+    // them (a team's members interleave). Region 0 is skipped before the
+    // comparison, so the initial triples match nothing.
+    let mut index: HashMap<(usize, u64), usize, FoldState> = HashMap::with_hasher(FoldState::new());
+    let mut regions: Vec<((usize, u64), RegionActivity)> = Vec::new();
+    let mut recent = [(usize::MAX, 0, 0); 2];
     for e in events {
-        if e.record.region_id != 0 {
-            regions
-                .entry((e.rank, e.record.region_id))
-                .or_default()
-                .threads
-                .insert(e.record.gtid);
+        let triple = (e.rank, e.record.region_id, e.record.gtid);
+        if triple.1 == 0 || recent.contains(&triple) {
+            continue;
         }
+        recent = [triple, recent[0]];
+        let key = (e.rank, e.record.region_id);
+        let slot = *index.entry(key).or_insert_with(|| {
+            regions.push((key, RegionActivity::default()));
+            regions.len() - 1
+        });
+        regions[slot].1.threads.insert(e.record.gtid);
     }
     // The detectors keep only the interval kinds they read, compactly.
+    // Intervals of one region tend to close in a row, so the last
+    // lookup is cached.
+    let mut last: Option<((usize, u64), usize)> = None;
     pair_intervals(events.iter().copied(), |iv| {
-        let Some(act) = regions.get_mut(&(iv.rank, iv.region_id)) else {
-            return;
+        let key = (iv.rank, iv.region_id);
+        let slot = match last {
+            Some((cached, slot)) if cached == key => slot,
+            _ => {
+                let Some(&slot) = index.get(&key) else {
+                    return;
+                };
+                last = Some((key, slot));
+                slot
+            }
         };
+        let act = &mut regions[slot].1;
         let span = Span {
             gtid: iv.gtid,
             begin: iv.start,
@@ -439,7 +530,9 @@ pub fn analyze(events: &[RankedEvent], cfg: &AnalyzeConfig) -> AnalysisReport {
         regions_scanned: regions.len(),
         ..AnalysisReport::default()
     };
-    for ((rank, region_id), act) in &regions {
+    // Regions in key order: findings that tie on the sort below keep it.
+    regions.sort_unstable_by_key(|&(key, _)| key);
+    for ((rank, region_id), act) in &mut regions {
         detect_starvation(*rank, *region_id, act, cfg, &mut report.findings);
         detect_serialized_spawn(*rank, *region_id, act, cfg, &mut report.findings);
         detect_barrier_convoy(*rank, *region_id, act, cfg, &mut report.findings);
@@ -457,10 +550,14 @@ fn task_span(act: &RegionActivity) -> Option<(u64, u64)> {
     Some((lo, hi))
 }
 
+/// Flag each task wait that ran none of its own thread's tasks while
+/// enough ran elsewhere. Sorts the region's task executions by thread
+/// and begin, in place: a wait's counts are then two binary searches in
+/// each thread's stretch.
 fn detect_starvation(
     rank: usize,
     region_id: u64,
-    act: &RegionActivity,
+    act: &mut RegionActivity,
     cfg: &AnalyzeConfig,
     out: &mut Vec<Finding>,
 ) {
@@ -471,20 +568,22 @@ fn detect_starvation(
     if span == 0 {
         return;
     }
+    act.task_execs.sort_unstable_by_key(|t| (t.gtid, t.begin));
+    let threads: Vec<&[Span]> = act.task_execs.chunk_by(|a, b| a.gtid == b.gtid).collect();
     for w in &act.task_waits {
-        let own = act
-            .task_execs
-            .iter()
-            .filter(|t| t.gtid == w.gtid && (w.begin..=w.end).contains(&t.begin))
-            .count() as u64;
+        let (mut own, mut elsewhere) = (0, 0u64);
+        for stretch in &threads {
+            let begun = stretch.partition_point(|t| t.begin <= w.end)
+                - stretch.partition_point(|t| t.begin < w.begin);
+            if stretch[0].gtid == w.gtid {
+                own = begun;
+            } else {
+                elsewhere += begun as u64;
+            }
+        }
         if own > 0 {
             continue;
         }
-        let elsewhere = act
-            .task_execs
-            .iter()
-            .filter(|t| t.gtid != w.gtid && (w.begin..=w.end).contains(&t.begin))
-            .count() as u64;
         let window = w.end.saturating_sub(w.begin);
         if elsewhere >= cfg.min_tasks && window as f64 >= cfg.starvation_frac * span as f64 {
             out.push(Finding {
@@ -938,6 +1037,82 @@ mod tests {
         assert_eq!(starved.len(), 2, "both waiting workers starved");
         assert!(starved.iter().all(|f| f.gtid == 1 || f.gtid == 2));
         assert_eq!(report.of_kind(PatternKind::BarrierConvoy).count(), 0);
+    }
+
+    /// The quadratic count `detect_starvation` replaced, kept as its
+    /// oracle: every wait scans every task execution twice. Yields each
+    /// flagged wait and the tasks that ran elsewhere during it.
+    fn starvation_by_scan(
+        act: &RegionActivity,
+        cfg: &AnalyzeConfig,
+    ) -> Vec<(usize, u64, u64, u64)> {
+        let Some((lo, hi)) = task_span(act) else {
+            return Vec::new();
+        };
+        let span = hi.saturating_sub(lo);
+        let in_window = |w: &Span, t: &Span| (w.begin..=w.end).contains(&t.begin);
+        act.task_waits
+            .iter()
+            .filter_map(|w| {
+                let own = (act.task_execs.iter())
+                    .filter(|t| t.gtid == w.gtid && in_window(w, t))
+                    .count() as u64;
+                let elsewhere = (act.task_execs.iter())
+                    .filter(|t| t.gtid != w.gtid && in_window(w, t))
+                    .count() as u64;
+                let window = w.end.saturating_sub(w.begin);
+                let flagged = span > 0
+                    && own == 0
+                    && elsewhere >= cfg.min_tasks
+                    && window as f64 >= cfg.starvation_frac * span as f64;
+                flagged.then_some((w.gtid, w.begin, w.end, elsewhere))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn starvation_counts_equal_the_quadratic_scan() {
+        let mut rng = ora_core::testutil::XorShift64::new(0x57a7_0001);
+        let cfg = AnalyzeConfig {
+            min_tasks: 3,
+            ..AnalyzeConfig::default()
+        };
+        let mut flagged = 0;
+        for case in 0..1000 {
+            let threads = 2 + rng.below(3) as usize;
+            // Coarse ticks, so task begins often sit on a wait's ends.
+            let span = |rng: &mut ora_core::testutil::XorShift64, len: u64| {
+                let begin = rng.below(40);
+                Span {
+                    gtid: rng.below(threads as u64) as usize,
+                    begin,
+                    end: begin + rng.below(len),
+                }
+            };
+            let mut act = RegionActivity {
+                task_execs: (0..rng.below(24)).map(|_| span(&mut rng, 4)).collect(),
+                task_waits: (0..rng.below(12)).map(|_| span(&mut rng, 40)).collect(),
+                ..RegionActivity::default()
+            };
+            let want = starvation_by_scan(&act, &cfg);
+            let mut found = Vec::new();
+            detect_starvation(0, 1, &mut act, &cfg, &mut found);
+            assert_eq!(found.len(), want.len(), "case {case}");
+            for (f, &(gtid, lo, hi, elsewhere)) in found.iter().zip(&want) {
+                assert_eq!(
+                    (f.gtid, f.tick_lo, f.tick_hi),
+                    (gtid, lo, hi),
+                    "case {case}"
+                );
+                let ran = format!("while {elsewhere} task(s) ran elsewhere");
+                assert!(f.detail.contains(&ran), "case {case}: {}", f.detail);
+            }
+            flagged += want.len();
+        }
+        assert!(
+            flagged > 20,
+            "the cases must exercise the detector: {flagged}"
+        );
     }
 
     #[test]

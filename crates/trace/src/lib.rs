@@ -61,8 +61,8 @@ pub use format::{
     GOVERNOR_EVENT_CODE,
 };
 pub use reader::{
-    merge_ranks, merge_ranks_iter, GovernorSample, RankMergeHeap, RankMergeIter, RankedEvent,
-    RankedKey, Salvage, TraceEvent, TraceReader,
+    decode_run, merge_ranks, merge_ranks_iter, merge_run, GovernorSample, RankMergeIter,
+    RankedEvent, RankedKey, Salvage, TraceEvent, TraceReader,
 };
 pub use ring::{DropPolicy, RawRecord, Ring, RingSet, RingStats, DEFAULT_BLOCK_YIELD_LIMIT};
 pub use sink::{FaultMode, FaultSink, FileSink, MemorySink, TraceSink};

@@ -17,9 +17,17 @@
 //! seq)`; multi-rank runs (one trace file per simulated MPI rank) merge
 //! the same way with the rank index appended as the *final* tie-break
 //! component, so merged timelines are byte-stable across runs.
+//!
+//! The streaming merge moves runs, not records. Each lane's cursor
+//! decodes a chunk into a key-sorted run with [`decode_run`] (the
+//! decoder the fleet daemon uses too) and folds it into its reorder
+//! buffer, itself one key-sorted run, with [`merge_run`] (the daemon's
+//! backward merge); the frontier across lanes is a heap of each lane's
+//! next key, advanced in place, so a record costs one sift.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 
@@ -218,18 +226,9 @@ impl TraceReader {
     /// records ([`GOVERNOR_EVENT_CODE`]) are metadata, not events, and
     /// are skipped: every event query sees only real OpenMP events, and
     /// [`governor_timeline`](Self::governor_timeline) is theirs.
-    fn decode_chunk(
-        &self,
-        chunk: &Indexed,
-        mut f: impl FnMut(TraceEvent),
-    ) -> Result<(), TraceError> {
+    fn decode_chunk(&self, chunk: &Indexed, f: impl FnMut(TraceEvent)) -> Result<(), TraceError> {
         let payload = &self.bytes[chunk.payload.clone()];
-        format::for_each_record(payload, chunk.meta.count, |raw| {
-            if raw.event != GOVERNOR_EVENT_CODE {
-                f(TraceEvent::from_raw(&raw)?);
-            }
-            Ok(())
-        })
+        for_each_event(payload, chunk.meta.count, f).map(drop)
     }
 
     /// Decode the chunks selected by `keep`, merge them into one stream
@@ -359,7 +358,11 @@ impl TraceReader {
                 chunks,
                 suffix_min,
                 next_chunk: 0,
-                pending: RankMergeHeap::new(),
+                run: Vec::new(),
+                head: 0,
+                scratch: Vec::new(),
+                decoded: 0,
+                displaced: 0,
             }
         })
     }
@@ -374,8 +377,16 @@ struct LaneCursor<'a> {
     /// `suffix_min[i]` = smallest `min_tick` among `chunks[i..]`.
     suffix_min: Vec<u64>,
     next_chunk: usize,
-    /// Reorder buffer: records decoded but not yet provably next.
-    pending: RankMergeHeap,
+    /// Reorder buffer: records decoded but not yet yielded, key-sorted
+    /// from `head` on.
+    run: Vec<RankedEvent>,
+    /// `run[..head]` has been yielded.
+    head: usize,
+    /// The chunk being folded in, decoded; kept for its capacity.
+    scratch: Vec<RankedEvent>,
+    /// Records decoded, and buffered records merges have moved.
+    decoded: usize,
+    displaced: usize,
 }
 
 impl LaneCursor<'_> {
@@ -386,19 +397,68 @@ impl LaneCursor<'_> {
     fn peek(&mut self) -> Result<Option<RankedKey>, TraceError> {
         loop {
             let exhausted = self.next_chunk == self.chunks.len();
-            match self.pending.peek_key() {
-                Some(top) if exhausted || top.0 < self.suffix_min[self.next_chunk] => {
-                    return Ok(Some(top))
+            match self.run.get(self.head) {
+                Some(top) if exhausted || top.record.tick < self.suffix_min[self.next_chunk] => {
+                    return Ok(Some(top.key()))
                 }
                 None if exhausted => return Ok(None),
                 _ => {}
             }
             let chunk = self.chunks[self.next_chunk];
             self.next_chunk += 1;
-            let (pending, rank) = (&mut self.pending, self.rank);
-            self.reader
-                .decode_chunk(chunk, |ev| pending.push(rank, ev))?;
+            let payload = &self.reader.bytes[chunk.payload.clone()];
+            decode_run(payload, chunk.meta.count, self.rank, &mut self.scratch)?;
+            self.decoded += self.scratch.len();
+            // A drained buffer trades places with the chunk's run; else
+            // the yielded prefix is reclaimed once it is half the buffer,
+            // and the run is merged in behind the head.
+            if self.head == self.run.len() {
+                std::mem::swap(&mut self.run, &mut self.scratch);
+                self.head = 0;
+                continue;
+            }
+            if self.head * 2 >= self.run.len() {
+                self.run.drain(..self.head);
+                self.head = 0;
+            }
+            // A merge costs the chunk plus the buffered tail it lands
+            // below: about a chunk when threads share the lane, but a
+            // lane whose chunks keep descending in tick (a crafted file)
+            // would make it quadratic. Past a budget, the rest of the
+            // lane is decoded behind the head and sorted once.
+            if let Some(first) = self.scratch.first().map(RankedEvent::key) {
+                let held = &self.run[self.head..];
+                self.displaced += held.len() - held.partition_point(|e| e.key() <= first);
+            }
+            if self.displaced > 8 * self.decoded {
+                self.run.extend_from_slice(&self.scratch);
+                self.buffer_rest()?;
+                continue;
+            }
+            merge_run(&mut self.run, self.head, &self.scratch);
         }
+    }
+
+    /// Decode every remaining chunk behind the head, then sort what is
+    /// held once.
+    fn buffer_rest(&mut self) -> Result<(), TraceError> {
+        let rest = &self.chunks[self.next_chunk..];
+        let count: u64 = rest.iter().map(|c| c.meta.count).sum();
+        self.run.reserve_exact(count as usize);
+        for chunk in rest {
+            let payload = &self.reader.bytes[chunk.payload.clone()];
+            decode_run(payload, chunk.meta.count, self.rank, &mut self.scratch)?;
+            self.run.extend_from_slice(&self.scratch);
+        }
+        self.next_chunk = self.chunks.len();
+        self.run[self.head..].sort_by_key(RankedEvent::key);
+        Ok(())
+    }
+
+    /// Yield the record [`peek`](Self::peek) keyed.
+    fn pop(&mut self) -> RankedEvent {
+        self.head += 1;
+        self.run[self.head - 1]
     }
 }
 
@@ -424,48 +484,81 @@ impl RankedEvent {
     }
 }
 
-/// The k-way merge core of [`merge_ranks_iter`] (each lane's reorder
-/// buffer): a min-heap of rank-attributed records keyed
-/// `(tick, gtid, seq, rank)`.
-#[derive(Debug, Default)]
-pub struct RankMergeHeap {
-    heap: BinaryHeap<Reverse<(RankedKey, TraceEvent)>>,
+/// Hand every event of one chunk's `count` records in `payload` to `f`
+/// and return how many governor decision records
+/// ([`GOVERNOR_EVENT_CODE`]) it skipped: those are metadata, not events.
+fn for_each_event(
+    payload: &[u8],
+    count: u64,
+    mut f: impl FnMut(TraceEvent),
+) -> Result<u64, TraceError> {
+    let mut skipped = 0;
+    format::for_each_record(payload, count, |raw| {
+        if raw.event == GOVERNOR_EVENT_CODE {
+            skipped += 1;
+        } else {
+            f(TraceEvent::from_raw(&raw)?);
+        }
+        Ok(())
+    })?;
+    Ok(skipped)
 }
 
-impl RankMergeHeap {
-    /// An empty heap.
-    pub fn new() -> RankMergeHeap {
-        RankMergeHeap::default()
+/// Decode one chunk's `count` records from `payload` into `run` as a
+/// key-sorted run of `rank`, replacing what `run` held, and return how
+/// many governor decision records it skipped. One thread per ring lane
+/// writes in key order, so only threads sharing a lane make a chunk
+/// that needs sorting. The lane cursors under [`merge_ranks_iter`] and
+/// the fleet daemon's ingest both decode through this function.
+pub fn decode_run(
+    payload: &[u8],
+    count: u64,
+    rank: usize,
+    run: &mut Vec<RankedEvent>,
+) -> Result<u64, TraceError> {
+    run.clear();
+    run.reserve(count as usize);
+    let mut sorted = true;
+    let skipped = for_each_event(payload, count, |record| {
+        let ev = RankedEvent { rank, record };
+        sorted &= run.last().is_none_or(|prev| prev.key() <= ev.key());
+        run.push(ev);
+    })?;
+    if !sorted {
+        run.sort_by_key(RankedEvent::key);
     }
+    Ok(skipped)
+}
 
-    /// Add one record of `rank`.
-    pub fn push(&mut self, rank: usize, record: TraceEvent) {
-        let key = RankedEvent { rank, record }.key();
-        self.heap.push(Reverse((key, record)));
+/// Merge the key-sorted `run` into `dst[floor..]`, itself key-sorted,
+/// in place and from the back: the largest remaining record of either
+/// side moves to the highest free slot, and the merge stops as soon as
+/// the run is exhausted — what is left of `dst` is already where it
+/// belongs. `dst[..floor]` is never read or written. A record of the
+/// run goes after every `dst` record of equal key. The one merge
+/// kernel of two users: a lane cursor of [`merge_ranks_iter`] folds
+/// each decoded chunk into its reorder buffer with it, and the fleet
+/// daemon folds each chunk into a lane's pending records and settles
+/// released prefixes into its store with it.
+pub fn merge_run(dst: &mut Vec<RankedEvent>, floor: usize, run: &[RankedEvent]) {
+    let Some(&first) = run.first() else {
+        return;
+    };
+    let mut i = dst.len();
+    if i == floor || dst[i - 1].key() <= first.key() {
+        dst.extend_from_slice(run);
+        return;
     }
-
-    /// The smallest buffered key, if any.
-    pub fn peek_key(&self) -> Option<RankedKey> {
-        self.heap.peek().map(|Reverse((key, _))| *key)
-    }
-
-    /// Remove and return the smallest-keyed record.
-    pub fn pop(&mut self) -> Option<RankedEvent> {
-        let Reverse((key, record)) = self.heap.pop()?;
-        Some(RankedEvent {
-            rank: key.3,
-            record,
-        })
-    }
-
-    /// Buffered records.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the heap holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    let mut j = run.len();
+    dst.resize(i + j, first);
+    while j > 0 {
+        if i > floor && dst[i - 1].key() > run[j - 1].key() {
+            dst[i + j - 1] = dst[i - 1];
+            i -= 1;
+        } else {
+            dst[i + j - 1] = run[j - 1];
+            j -= 1;
+        }
     }
 }
 
@@ -482,32 +575,32 @@ pub struct RankMergeIter<'a> {
     error: Option<TraceError>,
 }
 
-impl RankMergeIter<'_> {
-    /// Put `lane`'s next record, if any, into the frontier.
-    fn refill(&mut self, lane: usize) -> Result<(), TraceError> {
-        if let Some(key) = self.lanes[lane].peek()? {
-            self.frontier.push(Reverse((key, lane)));
-        }
-        Ok(())
-    }
-}
-
 impl Iterator for RankMergeIter<'_> {
     type Item = Result<RankedEvent, TraceError>;
 
+    /// Yield the frontier's smallest record, then rewrite its entry
+    /// with the lane's next key in place (one sift), or pop the entry
+    /// once the lane is exhausted. Ties break on the lane index.
     fn next(&mut self) -> Option<Self::Item> {
-        let popped = match self.error.take() {
-            Some(e) => Err(e),
-            None => {
-                let Reverse((_, lane)) = self.frontier.pop()?;
-                let ev = (self.lanes[lane].pending.pop()).expect("a frontier lane has a record");
-                self.refill(lane).map(|()| ev)
-            }
-        };
-        if popped.is_err() {
+        if let Some(e) = self.error.take() {
             self.frontier.clear();
+            return Some(Err(e));
         }
-        Some(popped)
+        let mut top = self.frontier.peek_mut()?;
+        let lane = &mut self.lanes[top.0 .1];
+        let ev = lane.pop();
+        match lane.peek() {
+            Ok(Some(key)) => top.0 .0 = key,
+            Ok(None) => {
+                PeekMut::pop(top);
+            }
+            Err(e) => {
+                drop(top);
+                self.frontier.clear();
+                return Some(Err(e));
+            }
+        }
+        Some(Ok(ev))
     }
 }
 
@@ -524,10 +617,14 @@ pub fn merge_ranks_iter(readers: &[TraceReader]) -> RankMergeIter<'_> {
         frontier: BinaryHeap::new(),
         error: None,
     };
-    for lane in 0..iter.lanes.len() {
-        if let Err(e) = iter.refill(lane) {
-            iter.error = Some(e);
-            break;
+    for (i, lane) in iter.lanes.iter_mut().enumerate() {
+        match lane.peek() {
+            Ok(Some(key)) => iter.frontier.push(Reverse((key, i))),
+            Ok(None) => {}
+            Err(e) => {
+                iter.error = Some(e);
+                break;
+            }
         }
     }
     iter
@@ -541,9 +638,15 @@ pub fn merge_ranks_iter(readers: &[TraceReader]) -> RankMergeIter<'_> {
 /// merged timeline is byte-stable across runs. (Keying the rank ahead
 /// of gtid — as an earlier revision did — reorders equal-tick events of
 /// different threads by which file they came from, diverging from the
-/// per-file merge order.) Thin wrapper over [`merge_ranks_iter`].
+/// per-file merge order.) Thin wrapper over [`merge_ranks_iter`] that
+/// sizes its output once, from the readers' record counts.
 pub fn merge_ranks(readers: &[TraceReader]) -> Result<Vec<RankedEvent>, TraceError> {
-    merge_ranks_iter(readers).collect()
+    let total = readers.iter().map(TraceReader::record_count).sum::<u64>();
+    let mut out = Vec::with_capacity(total as usize);
+    for ev in merge_ranks_iter(readers) {
+        out.push(ev?);
+    }
+    Ok(out)
 }
 
 /// Stable k-way merge of per-lane streams already sorted by

@@ -16,10 +16,12 @@
 //!    `CollectionSummary` and the fuzzer's trace-accounting diff lean
 //!    on.
 
+use ora_core::event::Event;
 use ora_core::testutil::XorShift64;
+use ora_trace::format;
 use ora_trace::{
-    merge_ranks, DropPolicy, MemorySink, RawRecord, Recorder, RecordingStats, TraceConfig,
-    TraceReader,
+    merge_ranks, merge_run, pack_governor_decision, DropPolicy, MemorySink, RankedEvent, RawRecord,
+    Recorder, RecordingStats, TraceConfig, TraceEvent, TraceReader, GOVERNOR_EVENT_CODE,
 };
 
 /// A paused-drainer config: one final sweep in `finish` drains
@@ -295,37 +297,226 @@ fn streaming_rank_merge_matches_full_sort() {
     assert_eq!(merge_ranks(&readers).unwrap(), reference);
 }
 
-/// The shared heap core pops in strict `(tick, gtid, seq, rank)` order
-/// no matter the push order — the invariant the fleet daemon's
-/// watermark merge leans on.
+/// Every event of one rank's trace bytes as it decodes, chunk by chunk
+/// in file order, through the format walker directly — independent of
+/// the reader's cursors and merges. A salvaged trace ends at its torn
+/// unit; governor decision records are skipped.
+fn decoded_events(rank: usize, bytes: &[u8]) -> Vec<RankedEvent> {
+    let mut out = Vec::new();
+    for unit in format::units(bytes) {
+        let Ok((_, format::Unit::Chunk(chunk))) = unit else {
+            continue;
+        };
+        format::for_each_record(chunk.payload, chunk.count, |raw| {
+            if raw.event != GOVERNOR_EVENT_CODE {
+                let record = TraceEvent::from_raw(&raw)?;
+                out.push(RankedEvent { rank, record });
+            }
+            Ok(())
+        })
+        .expect("chunk decodes");
+    }
+    out
+}
+
+/// Both merges equal a stable sort by [`ora_trace::RankedKey`] of every
+/// decoded event, on inputs built to stress the lane cursors' sorted
+/// runs: two threads sharing a ring lane (chunks out of key order),
+/// small chunks whose tick ranges overlap within a lane, a salvaged
+/// rank (no footer, so no tick ranges) beside whole ones, ticks that
+/// collide across ranks, and governor decision records interleaved
+/// with the events.
 #[test]
-fn rank_merge_heap_orders_by_full_key() {
-    let mut rng = XorShift64::new(0x57e4_0003);
-    let mut heap = ora_trace::RankMergeHeap::new();
-    let mut keys = Vec::new();
-    for i in 0..500u64 {
-        let rank = rng.below(4) as usize;
-        let ev = ora_trace::TraceEvent {
-            tick: rng.below(32),
-            gtid: rng.below(8) as usize,
-            seq: i,
-            event: ora_core::event::Event::Fork,
+fn both_merges_equal_a_stable_sort_of_every_decoded_event() {
+    let mut rng = XorShift64::new(0x57e4_0004);
+    for case in 0..24u64 {
+        let ranks = 2 + rng.below(3) as usize;
+        let salvaged = rng.below(ranks as u64) as usize;
+        let mut files = Vec::new();
+        for rank in 0..ranks {
+            let cfg = TraceConfig {
+                max_chunk_records: 4 + rng.below(29) as usize,
+                ..quiet_config(1 + rng.below(3) as usize, 1024, DropPolicy::Newest)
+            };
+            let recorder = Recorder::start(cfg, MemorySink::new()).expect("start recorder");
+            let rings = recorder.rings();
+            for i in 0..300u64 {
+                // A narrow tick window shared by every rank: collisions
+                // across ranks and overlapping chunks within a lane.
+                let tick = 7_000 + rng.below(24);
+                let gtid = rng.below(5) as u32;
+                if rng.below(16) == 0 {
+                    rings.record(RawRecord {
+                        tick,
+                        gtid,
+                        event: GOVERNOR_EVENT_CODE,
+                        region_id: u64::from(Event::ThreadBeginExplicitBarrier as u32),
+                        wait_id: pack_governor_decision(0, 2, 40_000),
+                        ..RawRecord::default()
+                    });
+                }
+                rings.record(rec(tick, gtid, i / 8));
+            }
+            let (sink, stats) = recorder.finish().expect("finish recorder");
+            assert_eq!(stats.dropped(), 0);
+            let mut bytes = sink.into_bytes();
+            if rank == salvaged {
+                bytes.truncate(bytes.len() - 3);
+            }
+            files.push(bytes);
+        }
+        let readers: Vec<TraceReader> = files
+            .iter()
+            .map(|b| TraceReader::from_bytes(b.clone()).unwrap())
+            .collect();
+        assert!(readers[salvaged].salvaged().is_some(), "case {case}");
+        let mut reference: Vec<RankedEvent> = (files.iter().enumerate())
+            .flat_map(|(rank, bytes)| decoded_events(rank, bytes))
+            .collect();
+        assert_eq!(reference.len(), 300 * ranks, "case {case}");
+        reference.sort_by_key(RankedEvent::key);
+        let streamed: Vec<_> = ora_trace::merge_ranks_iter(&readers)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        assert_eq!(streamed, reference, "case {case}: merge_ranks_iter");
+        assert_eq!(
+            merge_ranks(&readers).unwrap(),
+            reference,
+            "case {case}: merge_ranks"
+        );
+    }
+}
+
+/// A lane whose chunks descend in tick — each lands below everything
+/// buffered, which no recorder writes but a crafted file can — still
+/// merges into key order, with its footer's tick ranges and without
+/// them (salvaged), beside an ordinary rank. A lane cursor that kept
+/// merging such chunks one by one would move its whole buffer per
+/// chunk; past a budget it buffers the rest of the lane and sorts once.
+#[test]
+fn chunks_descending_in_tick_still_merge_in_key_order() {
+    let (chunks, per) = (400u64, 3u64);
+    let mut bytes = Vec::new();
+    format::encode_header(&mut bytes);
+    let mut metas = Vec::new();
+    for c in 0..chunks {
+        let records: Vec<RawRecord> = (0..per)
+            .map(|i| RawRecord {
+                seq: c * per + i,
+                ..rec((chunks - c) * 10 + i, (i % 2) as u32, c)
+            })
+            .collect();
+        let offset = bytes.len() as u64;
+        metas.push(format::encode_chunk(&mut bytes, offset, 0, &records));
+    }
+    let salvaged = bytes.clone();
+    let lanes = vec![ora_trace::LaneStats {
+        written: chunks * per,
+        drained: chunks * per,
+        ..Default::default()
+    }];
+    let footer = ora_trace::Footer {
+        lanes,
+        chunks: metas,
+    };
+    format::encode_footer(&mut bytes, &footer);
+    let ordinary: Vec<RawRecord> = (0..300).map(|i| rec(5 + i * 13, 0, i)).collect();
+    let (ordinary, _) = record_batch(&ordinary, quiet_config(1, 512, DropPolicy::Newest));
+    for file in [bytes, salvaged] {
+        let files = [file, ordinary.clone()];
+        let readers: Vec<TraceReader> = files
+            .iter()
+            .map(|b| TraceReader::from_bytes(b.clone()).unwrap())
+            .collect();
+        let mut reference: Vec<RankedEvent> = (files.iter().enumerate())
+            .flat_map(|(rank, bytes)| decoded_events(rank, bytes))
+            .collect();
+        reference.sort_by_key(RankedEvent::key);
+        assert_eq!(reference.len() as u64, chunks * per + 300);
+        assert_eq!(merge_ranks(&readers).unwrap(), reference);
+        let one: Vec<TraceEvent> = readers[0].events().map(Result::unwrap).collect();
+        assert_eq!(one, readers[0].records().unwrap());
+    }
+}
+
+fn ranked(tick: u64, gtid: usize, seq: u64, rank: usize) -> RankedEvent {
+    RankedEvent {
+        rank,
+        record: TraceEvent {
+            tick,
+            gtid,
+            seq,
+            event: Event::Fork,
             region_id: 0,
             wait_id: 0,
-        };
-        keys.push((ev.tick, ev.gtid, ev.seq, rank));
-        heap.push(rank, ev);
+        },
     }
-    keys.sort_unstable();
-    assert_eq!(heap.len(), 500);
-    let mut popped = Vec::new();
-    while let Some(k) = heap.peek_key() {
-        let ev = heap.pop().unwrap();
-        assert_eq!(ev.key(), k);
-        popped.push(k);
+}
+
+/// The shared backward merge keeps `dst[floor..]` in strict
+/// `(tick, gtid, seq, rank)` order for any sorted run, whatever the
+/// overlap — the invariant the lane cursors and the fleet daemon's
+/// watermark merge both lean on — and never touches `dst[..floor]`.
+#[test]
+fn merge_run_keeps_the_full_key_order() {
+    let mut rng = XorShift64::new(0x57e4_0003);
+    for _ in 0..200 {
+        let floor = rng.below(4) as usize;
+        let mut dst: Vec<RankedEvent> = (0..floor).map(|i| ranked(99, 0, i as u64, 9)).collect();
+        let below = dst.clone();
+        let mut all = Vec::new();
+        for _ in 0..1 + rng.below(6) {
+            let mut run: Vec<RankedEvent> = (0..rng.below(40))
+                .map(|_| {
+                    let (tick, gtid) = (rng.below(32), rng.below(8) as usize);
+                    ranked(tick, gtid, rng.next_u64(), rng.below(4) as usize)
+                })
+                .collect();
+            run.sort_by_key(RankedEvent::key);
+            all.extend_from_slice(&run);
+            merge_run(&mut dst, floor, &run);
+            assert_eq!(dst[..floor], below[..], "below the floor");
+            let keys: Vec<_> = dst[floor..].iter().map(RankedEvent::key).collect();
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
+        }
+        all.sort_by_key(RankedEvent::key);
+        assert_eq!(dst[floor..], all[..]);
     }
-    assert!(heap.is_empty());
-    assert_eq!(popped, keys);
+}
+
+/// A run merged into a buffer whose released prefix is skipped lands
+/// at sorted position above the floor; what is below stays put.
+#[test]
+fn merge_run_leaves_everything_below_the_floor_alone() {
+    let mut dst = vec![
+        ranked(50, 0, 0, 0),
+        ranked(60, 0, 1, 0),
+        ranked(10, 0, 2, 0),
+        ranked(30, 0, 3, 0),
+    ];
+    merge_run(
+        &mut dst,
+        2,
+        &[ranked(5, 1, 0, 1), ranked(20, 1, 1, 1), ranked(40, 1, 2, 1)],
+    );
+    let ticks: Vec<u64> = dst.iter().map(|e| e.record.tick).collect();
+    assert_eq!(ticks, vec![50, 60, 5, 10, 20, 30, 40]);
+}
+
+/// Equal keys: a run's record goes after every `dst` record of its key.
+#[test]
+fn merge_run_places_a_run_after_equal_keys() {
+    let tagged = |wait_id| RankedEvent {
+        rank: 0,
+        record: TraceEvent {
+            wait_id,
+            ..ranked(5, 0, 0, 0).record
+        },
+    };
+    let mut dst = vec![ranked(1, 0, 0, 0), tagged(1), ranked(9, 0, 0, 0)];
+    merge_run(&mut dst, 0, &[tagged(2)]);
+    let tags: Vec<u64> = dst.iter().map(|e| e.record.wait_id).collect();
+    assert_eq!(tags, vec![0, 1, 2, 0]);
 }
 
 /// A lossless run reconciles trivially under both lossy policies and

@@ -78,11 +78,22 @@ if grep -rnE 'TeamSlot|LeaseSlot' crates/; then
   echo "tier1: TeamSlot / LeaseSlot under crates/ — hand work through Shared::hand" >&2
   exit 1
 fi
-# One merge kernel: the daemon settles each lane's ready prefix with
-# `store::merge_run`, the backward merge its pending buffers use, so no
-# heap frontier comes back beside it in the fleet crate.
-if grep -rnE 'RankMergeHeap|BinaryHeap' crates/fleet/src; then
-  echo "tier1: RankMergeHeap / BinaryHeap under crates/fleet/src — settle runs with store::merge_run" >&2
+# One merge kernel: `ora_trace::merge_run` is the backward merge under
+# both the reader's lane cursors and the daemon's pending buffers and
+# store, so no record heap comes back beside it: no RankMergeHeap under
+# crates/, exactly one `fn merge_run`, and no heap at all in the fleet
+# crate.
+if grep -rn 'RankMergeHeap' crates/; then
+  echo "tier1: RankMergeHeap under crates/ — merge sorted runs with ora_trace::merge_run" >&2
+  exit 1
+fi
+if [ "$(grep -rnE 'fn merge_run\b' crates/ | wc -l)" -ne 1 ]; then
+  grep -rnE 'fn merge_run\b' crates/ >&2 || true
+  echo "tier1: fn merge_run must be defined exactly once under crates/ (ora_trace::reader)" >&2
+  exit 1
+fi
+if grep -rn 'BinaryHeap' crates/fleet/src; then
+  echo "tier1: BinaryHeap under crates/fleet/src — settle runs with ora_trace::merge_run" >&2
   exit 1
 fi
 # One delivery count: a delivered event is counted once, by its dispatch
