@@ -20,6 +20,9 @@
 //! omp_prof trace report --in run.oratrace --region 3 --from-us 100 --to-us 900
 //! ```
 //!
+//! `--thread`, `--region` and the `--from-us`/`--to-us` window combine:
+//! a record is reported only if it passes every filter given.
+//!
 //! The `health` and `suite` subcommands are the fault-isolation harness:
 //! `health` runs a short diagnostic workload — optionally with injected
 //! collector faults — and reports the runtime's `OMP_REQ_HEALTH`
@@ -379,24 +382,33 @@ fn trace_report() {
     let input = arg("--in", "run.oratrace");
     let reader = open_trace(&input);
     let has = |name: &str| std::env::args().any(|a| a == name);
-    let query = if has("--thread") {
-        let gtid: usize = arg("--thread", "0").parse().unwrap_or(0);
-        reader.for_thread(gtid)
-    } else if has("--region") {
-        let region: u64 = arg("--region", "0").parse().unwrap_or(0);
-        reader.for_region(region)
-    } else if has("--from-us") || has("--to-us") {
+    let gtid = has("--thread").then(|| arg("--thread", "0").parse().unwrap_or(0));
+    let region = has("--region").then(|| arg("--region", "0").parse().unwrap_or(0));
+    let window = (has("--from-us") || has("--to-us")).then(|| {
         let lo = (arg("--from-us", "0").parse().unwrap_or(0.0) * 1e3) as u64;
         let hi = (arg("--to-us", &f64::MAX.to_string())
             .parse()
             .unwrap_or(f64::MAX)
             .min(u64::MAX as f64 * 1e-3)
             * 1e3) as u64;
-        reader.time_range(lo, hi)
-    } else {
-        reader.records()
+        lo..=hi
+    });
+    // The most selective filter picks the chunks to decode; every
+    // filter given then applies to what they hold.
+    let query = match (gtid, region, &window) {
+        (Some(gtid), ..) => reader.for_thread(gtid),
+        (None, Some(region), _) => reader.for_region(region),
+        (None, None, Some(window)) => reader.time_range(*window.start(), *window.end()),
+        (None, None, None) => reader.records(),
     };
-    let records = or_exit(query, "trace is damaged");
+    let mut records = or_exit(query, "trace is damaged");
+    records.retain(|r| {
+        gtid.is_none_or(|gtid| r.gtid == gtid)
+            && region.is_none_or(|region| r.region_id == region)
+            && window
+                .as_ref()
+                .is_none_or(|window| window.contains(&r.tick))
+    });
     print_trace_report(&input, &reader, &records, head);
     if reader.salvaged().is_some() {
         std::process::exit(EXIT_SALVAGED);

@@ -18,9 +18,9 @@
 //!   implementations;
 //! * [`reader`] — offline querying: a walked, CRC-checked chunk index
 //!   (salvaged from the chunks alone when the footer is missing), lazy
-//!   decode, time-range / per-thread / per-region queries, a
-//!   stable `(tick, gtid, seq)` k-way merge, and a multi-rank merge for
-//!   ProcSim (`workloads::mz`) runs;
+//!   decode, and time-range / per-thread / per-region queries and a
+//!   multi-rank merge for ProcSim (`workloads::mz`) runs, all read off
+//!   one lazy lane-cursor merge keyed `(tick, gtid, seq)`;
 //! * [`analyze`] — everything read off a finished timeline: the one
 //!   begin/end pairing, the region/wait summary, and the
 //!   detrimental-pattern detectors.

@@ -13,17 +13,21 @@
 //! drop counts are unknown. A file whose footer decodes but whose
 //! stream does not walk cleanly to it is damaged, and fails to open.
 //!
-//! Cross-thread ordering is a stable k-way merge keyed by `(tick, gtid,
-//! seq)`; multi-rank runs (one trace file per simulated MPI rank) merge
-//! the same way with the rank index appended as the *final* tie-break
+//! Every query is one merge: a lazy cursor per lane over the chunks the
+//! query selects, merged by `(tick, gtid, seq)`, then filtered per
+//! record. [`TraceReader::events`] streams it, the other queries collect
+//! it; multi-rank runs (one trace file per simulated MPI rank) merge the
+//! same way with the rank index appended as the *final* tie-break
 //! component, so merged timelines are byte-stable across runs.
 //!
-//! The streaming merge moves runs, not records. Each lane's cursor
-//! decodes a chunk into a key-sorted run with [`decode_run`] (the
-//! decoder the fleet daemon uses too) and folds it into its reorder
-//! buffer, itself one key-sorted run, with [`merge_run`] (the daemon's
-//! backward merge); the frontier across lanes is a heap of each lane's
-//! next key, advanced in place, so a record costs one sift.
+//! The merge moves runs, not records. Each lane's cursor decodes a
+//! chunk into a key-sorted run with [`decode_run`] (the decoder the
+//! fleet daemon uses too) and folds it into its reorder buffer, itself
+//! one key-sorted run, with [`merge_run`] (the daemon's backward merge);
+//! the frontier across lanes is a heap of each lane's next key, advanced
+//! in place, so a record costs one sift. A cursor trusts the index's
+//! tick ranges to release records, so a decoded chunk outside its range
+//! fails the query as malformed.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -222,50 +226,19 @@ impl TraceReader {
         self.footer.as_ref().map(Footer::total_dropped)
     }
 
-    /// Hand every event of one indexed chunk to `f`. Governor decision
-    /// records ([`GOVERNOR_EVENT_CODE`]) are metadata, not events, and
-    /// are skipped: every event query sees only real OpenMP events, and
-    /// [`governor_timeline`](Self::governor_timeline) is theirs.
-    fn decode_chunk(&self, chunk: &Indexed, f: impl FnMut(TraceEvent)) -> Result<(), TraceError> {
-        let payload = &self.bytes[chunk.payload.clone()];
-        for_each_event(payload, chunk.meta.count, f).map(drop)
-    }
-
-    /// Decode the chunks selected by `keep`, merge them into one stream
-    /// stably ordered by `(tick, gtid, seq)`.
-    fn merged_where(
-        &self,
-        keep: impl Fn(&ChunkMeta) -> bool,
-    ) -> Result<Vec<TraceEvent>, TraceError> {
-        // Group chunk records per lane: within a lane the drainer wrote
-        // chunks in pop order, so the concatenated lane stream is
-        // seq-ordered; sorting each lane stream (near-sorted — ticks can
-        // invert only when threads share a lane) then k-way merging
-        // yields a deterministic global order.
-        let mut per_lane: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
-        for chunk in self.chunks.iter().filter(|c| keep(&c.meta)) {
-            let lane = per_lane.entry(chunk.meta.lane).or_default();
-            lane.reserve(chunk.meta.count as usize);
-            self.decode_chunk(chunk, |ev| lane.push(ev))?;
-        }
-        let mut lanes: Vec<Vec<TraceEvent>> = per_lane.into_values().collect();
-        for lane in &mut lanes {
-            lane.sort_by_key(TraceEvent::key);
-        }
-        Ok(kway_merge(lanes))
-    }
-
-    /// All records, stably ordered by `(tick, gtid, seq)`.
+    /// All records, stably ordered by `(tick, gtid, seq)`: the
+    /// lane-cursor merge behind [`events`](Self::events), collected.
     pub fn records(&self) -> Result<Vec<TraceEvent>, TraceError> {
-        self.merged_where(|_| true)
+        self.collect_where(|_| true, |_| true)
     }
 
     /// Records with `lo <= tick <= hi`, in merge order. Chunks whose
     /// tick range misses `[lo, hi]` are never decoded.
     pub fn time_range(&self, lo: u64, hi: u64) -> Result<Vec<TraceEvent>, TraceError> {
-        let mut out = self.merged_where(|m| m.overlaps_ticks(lo, hi))?;
-        out.retain(|r| (lo..=hi).contains(&r.tick));
-        Ok(out)
+        self.collect_where(
+            |m| m.overlaps_ticks(lo, hi),
+            |r| (lo..=hi).contains(&r.tick),
+        )
     }
 
     /// Records of one thread, in merge order. Only that thread's lane's
@@ -273,17 +246,27 @@ impl TraceReader {
     /// count is unknown.
     pub fn for_thread(&self, gtid: usize) -> Result<Vec<TraceEvent>, TraceError> {
         let lane = (self.footer.as_ref()).map(|f| (gtid % f.lanes.len().max(1)) as u64);
-        let mut out = self.merged_where(|m| lane.is_none_or(|l| m.lane == l))?;
-        out.retain(|r| r.gtid == gtid);
-        Ok(out)
+        self.collect_where(|m| lane.is_none_or(|l| m.lane == l), |r| r.gtid == gtid)
     }
 
     /// Records of one parallel region, in merge order. Chunks whose
     /// region mask excludes the region are never decoded.
     pub fn for_region(&self, region_id: u64) -> Result<Vec<TraceEvent>, TraceError> {
-        let mut out = self.merged_where(|m| m.may_contain_region(region_id))?;
-        out.retain(|r| r.region_id == region_id);
-        Ok(out)
+        self.collect_where(
+            |m| m.may_contain_region(region_id),
+            |r| r.region_id == region_id,
+        )
+    }
+
+    /// Merge the chunks `keep` selects and collect the records `filter`
+    /// passes, in merge order.
+    fn collect_where(
+        &self,
+        keep: impl Fn(&ChunkMeta) -> bool,
+        filter: impl Fn(&TraceEvent) -> bool,
+    ) -> Result<Vec<TraceEvent>, TraceError> {
+        let merge = RankMergeIter::new(self.lane_cursors(0, keep).collect());
+        collect_merge(merge, |e| filter(&e.record).then_some(e.record))
     }
 
     /// The governor's sampling-rate timeline: every decision record in
@@ -323,14 +306,15 @@ impl TraceReader {
     pub fn event_counts(&self) -> Result<[u64; EVENT_COUNT], TraceError> {
         let mut counts = [0u64; EVENT_COUNT];
         for chunk in &self.chunks {
-            self.decode_chunk(chunk, |r| counts[r.event.index()] += 1)?;
+            let payload = &self.bytes[chunk.payload.clone()];
+            for_each_event(payload, chunk.meta.count, |r| counts[r.event.index()] += 1)?;
         }
         Ok(counts)
     }
 
     /// A streaming iterator over all records in `(tick, gtid, seq)`
-    /// order — the same order [`records`](Self::records) produces —
-    /// decoding chunks lazily. Memory is bounded by the chunks whose
+    /// order, decoding chunks lazily; [`records`](Self::records) is this
+    /// merge collected. Memory is bounded by the chunks whose
     /// tick ranges overlap at the merge frontier (typically one chunk
     /// per lane; a salvaged trace's chunks have no tick ranges, so a
     /// whole lane), not by the whole trace, which is what lets the
@@ -341,10 +325,15 @@ impl TraceReader {
         merge_ranks_iter(std::slice::from_ref(self)).map(|e| e.map(|e| e.record))
     }
 
-    /// One lazy cursor per lane, attributing its records to `rank`.
-    fn lane_cursors(&self, rank: usize) -> impl Iterator<Item = LaneCursor<'_>> {
+    /// One lazy cursor per lane over the chunks `keep` selects,
+    /// attributing its records to `rank`.
+    fn lane_cursors(
+        &self,
+        rank: usize,
+        keep: impl Fn(&ChunkMeta) -> bool,
+    ) -> impl Iterator<Item = LaneCursor<'_>> {
         let mut by_lane: BTreeMap<u64, Vec<&Indexed>> = BTreeMap::new();
-        for chunk in &self.chunks {
+        for chunk in self.chunks.iter().filter(|c| keep(&c.meta)) {
             by_lane.entry(chunk.meta.lane).or_default().push(chunk);
         }
         by_lane.into_values().map(move |chunks| {
@@ -406,9 +395,7 @@ impl LaneCursor<'_> {
             }
             let chunk = self.chunks[self.next_chunk];
             self.next_chunk += 1;
-            let payload = &self.reader.bytes[chunk.payload.clone()];
-            decode_run(payload, chunk.meta.count, self.rank, &mut self.scratch)?;
-            self.decoded += self.scratch.len();
+            self.decode(chunk)?;
             // A drained buffer trades places with the chunk's run; else
             // the yielded prefix is reclaimed once it is half the buffer,
             // and the run is merged in behind the head.
@@ -439,18 +426,34 @@ impl LaneCursor<'_> {
         }
     }
 
+    /// Decode `chunk` into `scratch` as a key-sorted run. [`peek`](Self::peek)
+    /// trusts the index's `min_tick`, so a run outside the chunk's indexed
+    /// tick range is an error, not a silently reordered merge.
+    fn decode(&mut self, chunk: &Indexed) -> Result<(), TraceError> {
+        let payload = &self.reader.bytes[chunk.payload.clone()];
+        decode_run(payload, chunk.meta.count, self.rank, &mut self.scratch)?;
+        if let (Some(first), Some(last)) = (self.scratch.first(), self.scratch.last()) {
+            if first.record.tick < chunk.meta.min_tick || last.record.tick > chunk.meta.max_tick {
+                return Err(TraceError::Malformed(
+                    "records outside their chunk's tick range",
+                ));
+            }
+        }
+        self.decoded += self.scratch.len();
+        Ok(())
+    }
+
     /// Decode every remaining chunk behind the head, then sort what is
     /// held once.
     fn buffer_rest(&mut self) -> Result<(), TraceError> {
         let rest = &self.chunks[self.next_chunk..];
         let count: u64 = rest.iter().map(|c| c.meta.count).sum();
         self.run.reserve_exact(count as usize);
-        for chunk in rest {
-            let payload = &self.reader.bytes[chunk.payload.clone()];
-            decode_run(payload, chunk.meta.count, self.rank, &mut self.scratch)?;
+        while let Some(&chunk) = self.chunks.get(self.next_chunk) {
+            self.next_chunk += 1;
+            self.decode(chunk)?;
             self.run.extend_from_slice(&self.scratch);
         }
-        self.next_chunk = self.chunks.len();
         self.run[self.head..].sort_by_key(RankedEvent::key);
         Ok(())
     }
@@ -604,30 +607,53 @@ impl Iterator for RankMergeIter<'_> {
     }
 }
 
+impl<'a> RankMergeIter<'a> {
+    /// Prime the frontier with each lane's first key.
+    fn new(lanes: Vec<LaneCursor<'a>>) -> RankMergeIter<'a> {
+        let mut iter = RankMergeIter {
+            lanes,
+            frontier: BinaryHeap::new(),
+            error: None,
+        };
+        for (i, lane) in iter.lanes.iter_mut().enumerate() {
+            match lane.peek() {
+                Ok(Some(key)) => iter.frontier.push(Reverse((key, i))),
+                Ok(None) => {}
+                Err(e) => {
+                    iter.error = Some(e);
+                    break;
+                }
+            }
+        }
+        iter
+    }
+}
+
 /// Streaming form of [`merge_ranks`]: an iterator over the merged
 /// `(tick, gtid, seq, rank)`-ordered timeline that decodes every rank's
 /// chunks lazily. This is the memory-bounded core the offline wrapper
 /// and the `ora-fleet` aggregator both build on.
 pub fn merge_ranks_iter(readers: &[TraceReader]) -> RankMergeIter<'_> {
-    let lanes = (readers.iter().enumerate())
-        .flat_map(|(rank, reader)| reader.lane_cursors(rank))
-        .collect();
-    let mut iter = RankMergeIter {
-        lanes,
-        frontier: BinaryHeap::new(),
-        error: None,
-    };
-    for (i, lane) in iter.lanes.iter_mut().enumerate() {
-        match lane.peek() {
-            Ok(Some(key)) => iter.frontier.push(Reverse((key, i))),
-            Ok(None) => {}
-            Err(e) => {
-                iter.error = Some(e);
-                break;
-            }
-        }
+    RankMergeIter::new(
+        (readers.iter().enumerate())
+            .flat_map(|(rank, reader)| reader.lane_cursors(rank, |_| true))
+            .collect(),
+    )
+}
+
+/// Run `merge` to the end and collect what `pick` keeps, into one
+/// vector sized from its lanes' chunk counts: every query of the reader
+/// and [`merge_ranks`] collect through here.
+fn collect_merge<T>(
+    merge: RankMergeIter<'_>,
+    mut pick: impl FnMut(RankedEvent) -> Option<T>,
+) -> Result<Vec<T>, TraceError> {
+    let chunks = merge.lanes.iter().flat_map(|l| &l.chunks);
+    let mut out = Vec::with_capacity(chunks.map(|c| c.meta.count).sum::<u64>() as usize);
+    for ev in merge {
+        out.extend(pick(ev?));
     }
-    iter
+    Ok(out)
 }
 
 /// Merge per-rank traces (e.g. one file per ProcSim rank of an
@@ -638,39 +664,8 @@ pub fn merge_ranks_iter(readers: &[TraceReader]) -> RankMergeIter<'_> {
 /// merged timeline is byte-stable across runs. (Keying the rank ahead
 /// of gtid — as an earlier revision did — reorders equal-tick events of
 /// different threads by which file they came from, diverging from the
-/// per-file merge order.) Thin wrapper over [`merge_ranks_iter`] that
-/// sizes its output once, from the readers' record counts.
+/// per-file merge order.) [`merge_ranks_iter`], collected into an
+/// output sized once from the readers' record counts.
 pub fn merge_ranks(readers: &[TraceReader]) -> Result<Vec<RankedEvent>, TraceError> {
-    let total = readers.iter().map(TraceReader::record_count).sum::<u64>();
-    let mut out = Vec::with_capacity(total as usize);
-    for ev in merge_ranks_iter(readers) {
-        out.push(ev?);
-    }
-    Ok(out)
-}
-
-/// Stable k-way merge of per-lane streams already sorted by
-/// [`TraceEvent::key`].
-fn kway_merge(lanes: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let total: usize = lanes.iter().map(Vec::len).sum();
-    let mut cursors = vec![0usize; lanes.len()];
-    let mut out = Vec::with_capacity(total);
-    // Lane counts are small (≤ configured lanes); a linear scan per pop
-    // beats heap overhead for the typical 64-lane case and is trivially
-    // stable (lowest lane index wins ties).
-    while out.len() < total {
-        let mut best: Option<(usize, (u64, usize, u64))> = None;
-        for (i, lane) in lanes.iter().enumerate() {
-            if let Some(e) = lane.get(cursors[i]) {
-                let k = e.key();
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let (i, _) = best.expect("non-empty lane exists while out < total");
-        out.push(lanes[i][cursors[i]]);
-        cursors[i] += 1;
-    }
-    out
+    collect_merge(merge_ranks_iter(readers), Some)
 }

@@ -240,13 +240,13 @@ fn oldest_policy_keeps_newest_records_and_counts_loss() {
 }
 
 // ---------------------------------------------------------------------
-// Streaming merge: events() / merge_ranks_iter reproduce the
-// materializing paths exactly.
+// The merge: every query equals a stable sort of the decoded events.
 // ---------------------------------------------------------------------
 
-/// The lazy single-trace iterator yields exactly `records()`, in the
-/// same order, across lane counts and heavy tick collisions (which
-/// force the per-lane reorder buffer to hold multiple chunks).
+/// The lazy single-trace iterator and `records()` both yield a stable
+/// sort of the decoded events, across lane counts and heavy tick
+/// collisions (which force the per-lane reorder buffer to hold multiple
+/// chunks).
 #[test]
 fn streaming_events_match_materialized_records() {
     let mut rng = XorShift64::new(0x57e4_0001);
@@ -256,13 +256,14 @@ fn streaming_events_match_materialized_records() {
             .collect();
         let (bytes, stats) = record_batch(&batch, quiet_config(lanes, cap, DropPolicy::Newest));
         assert_eq!(stats.dropped(), 0);
+        let reference = sorted_records(&bytes);
         let reader = TraceReader::from_bytes(bytes).unwrap();
-        let eager = reader.records().unwrap();
         let lazy: Vec<_> = reader
             .events()
             .collect::<Result<Vec<_>, _>>()
             .expect("streaming decode");
-        assert_eq!(lazy, eager, "lanes={lanes}");
+        assert_eq!(lazy, reference, "lanes={lanes}: events()");
+        assert_eq!(reader.records().unwrap(), reference, "lanes={lanes}");
     }
 }
 
@@ -319,13 +320,23 @@ fn decoded_events(rank: usize, bytes: &[u8]) -> Vec<RankedEvent> {
     out
 }
 
+/// One trace's decoded events, stably sorted by the merge key: what
+/// every single-trace query must return before its filter.
+fn sorted_records(bytes: &[u8]) -> Vec<TraceEvent> {
+    let mut events = decoded_events(0, bytes);
+    events.sort_by_key(RankedEvent::key);
+    events.into_iter().map(|e| e.record).collect()
+}
+
 /// Both merges equal a stable sort by [`ora_trace::RankedKey`] of every
 /// decoded event, on inputs built to stress the lane cursors' sorted
 /// runs: two threads sharing a ring lane (chunks out of key order),
 /// small chunks whose tick ranges overlap within a lane, a salvaged
 /// rank (no footer, so no tick ranges) beside whole ones, ticks that
 /// collide across ranks, and governor decision records interleaved
-/// with the events.
+/// with the events. Per rank, every query equals that rank's share of
+/// the sort, filtered: the chunks a query skips by its index entry
+/// never hold a record it wants.
 #[test]
 fn both_merges_equal_a_stable_sort_of_every_decoded_event() {
     let mut rng = XorShift64::new(0x57e4_0004);
@@ -384,6 +395,37 @@ fn both_merges_equal_a_stable_sort_of_every_decoded_event() {
             reference,
             "case {case}: merge_ranks"
         );
+        for (rank, reader) in readers.iter().enumerate() {
+            let want = |keep: &dyn Fn(&TraceEvent) -> bool| -> Vec<TraceEvent> {
+                (reference.iter())
+                    .filter(|e| e.rank == rank && keep(&e.record))
+                    .map(|e| e.record)
+                    .collect()
+            };
+            let context = format!("case {case}, rank {rank}");
+            assert_eq!(reader.records().unwrap(), want(&|_| true), "{context}");
+            for (lo, hi) in [(7_000, 7_003), (7_008, 7_015), (7_020, 9_000)] {
+                assert_eq!(
+                    reader.time_range(lo, hi).unwrap(),
+                    want(&|r| (lo..=hi).contains(&r.tick)),
+                    "{context}: time_range({lo}, {hi})"
+                );
+            }
+            for gtid in 0..5 {
+                assert_eq!(
+                    reader.for_thread(gtid).unwrap(),
+                    want(&|r| r.gtid == gtid),
+                    "{context}: for_thread({gtid})"
+                );
+            }
+            for region in [0, 18, 37] {
+                assert_eq!(
+                    reader.for_region(region).unwrap(),
+                    want(&|r| r.region_id == region),
+                    "{context}: for_region({region})"
+                );
+            }
+        }
     }
 }
 
@@ -435,8 +477,64 @@ fn chunks_descending_in_tick_still_merge_in_key_order() {
         assert_eq!(reference.len() as u64, chunks * per + 300);
         assert_eq!(merge_ranks(&readers).unwrap(), reference);
         let one: Vec<TraceEvent> = readers[0].events().map(Result::unwrap).collect();
-        assert_eq!(one, readers[0].records().unwrap());
+        assert_eq!(one, sorted_records(&files[0]));
     }
+}
+
+/// A footer that lies about a chunk's tick range, re-sealed so the file
+/// opens: the lane cursors release records on the strength of
+/// `min_tick`, so a chunk claimed to start later than it does would
+/// come out of the merge behind records it precedes. Every query that
+/// decodes the chunk fails as malformed instead, and a query that skips
+/// it by the lie is not a merge to reorder.
+#[test]
+fn a_footer_lying_about_a_tick_range_fails_the_merge() {
+    let mut bytes = Vec::new();
+    format::encode_header(&mut bytes);
+    let mut metas = Vec::new();
+    for base in [100, 50] {
+        let records: Vec<RawRecord> = (0..5)
+            .map(|i| RawRecord {
+                seq: base + i,
+                ..rec(base + i, 0, 1)
+            })
+            .collect();
+        let offset = bytes.len() as u64;
+        metas.push(format::encode_chunk(&mut bytes, offset, 0, &records));
+    }
+    let honest = ora_trace::Footer {
+        lanes: vec![ora_trace::LaneStats::default()],
+        chunks: metas,
+    };
+    let mut too_late = honest.clone();
+    (too_late.chunks[1].min_tick, too_late.chunks[1].max_tick) = (200, 300);
+    let mut too_early = honest.clone();
+    too_early.chunks[0].max_tick = 103;
+    for (lie, window) in [(too_late, (250, 260)), (too_early, (100, 101))] {
+        let mut file = bytes.clone();
+        format::encode_footer(&mut file, &lie);
+        let reader = TraceReader::from_bytes(file).expect("the index agrees with the walk");
+        let malformed = |got: Result<Vec<TraceEvent>, ora_trace::TraceError>, query: &str| {
+            assert!(
+                matches!(got, Err(ora_trace::TraceError::Malformed(_))),
+                "{query} over {lie:?}: {got:?}"
+            );
+        };
+        malformed(reader.records(), "records()");
+        malformed(reader.events().collect(), "events()");
+        malformed(reader.time_range(window.0, window.1), "time_range");
+        malformed(reader.for_region(1), "for_region");
+        let ranks = merge_ranks(std::slice::from_ref(&reader));
+        malformed(
+            ranks.map(|m| m.into_iter().map(|e| e.record).collect()),
+            "merge_ranks",
+        );
+    }
+    let mut file = bytes;
+    format::encode_footer(&mut file, &honest);
+    let reader = TraceReader::from_bytes(file).unwrap();
+    let ticks: Vec<u64> = reader.records().unwrap().iter().map(|r| r.tick).collect();
+    assert_eq!(ticks, [50, 51, 52, 53, 54, 100, 101, 102, 103, 104]);
 }
 
 fn ranked(tick: u64, gtid: usize, seq: u64, rank: usize) -> RankedEvent {

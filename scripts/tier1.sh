@@ -96,6 +96,12 @@ if grep -rn 'BinaryHeap' crates/fleet/src; then
   echo "tier1: BinaryHeap under crates/fleet/src — settle runs with ora_trace::merge_run" >&2
   exit 1
 fi
+# One merge in the reader: every query collects the lane-cursor merge,
+# so no eager decode-sort-merge comes back beside it.
+if grep -rnE 'fn (kway_merge|merged_where)\b' crates/; then
+  echo "tier1: a second merge in the reader — collect the lane-cursor merge (ora_trace::reader::collect_merge)" >&2
+  exit 1
+fi
 # One delivery count: a delivered event is counted once, by its dispatch
 # lane's `sampled` word, so no second fired counter, batch flush or
 # quiet invoke path comes back beside it.
@@ -141,7 +147,8 @@ cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
   fuzz --seeds 25 --rungs governed
 
 # CLI smoke of the timeline surfaces no test drives: record → report →
-# analyze on a file, a report of the same file with its footer cut off,
+# analyze on a file, a report with combined filters, a report of the
+# same file with its footer cut off,
 # the in-memory `--tool trace` with its CSV export,
 # the three-section `--tool suite`, the `--tool selective` savings line,
 # and a two-rank `fleet` whose online
@@ -154,6 +161,11 @@ trap 'rm -rf "$smoke"' EXIT
 "$omp_prof" trace record --workload epcc --out "$smoke/run.oratrace" >/dev/null
 "$omp_prof" trace report --in "$smoke/run.oratrace" --head 5 >"$smoke/report.txt"
 grep -q '^first 5 records:$' "$smoke/report.txt"
+# Filters combine: a region's records inside a window that starts long
+# after the run are none of them.
+"$omp_prof" trace report --in "$smoke/run.oratrace" --region 1 --from-us 1000000000000 \
+  >"$smoke/filtered.txt"
+grep -q 'query matched 0 records$' "$smoke/filtered.txt"
 # analyze exits 4 when it has findings to report; both are a working CLI.
 "$omp_prof" trace analyze --in "$smoke/run.oratrace" >/dev/null || [ $? -eq 4 ]
 # A recording killed before its footer: cut the footer off (its payload
