@@ -29,6 +29,15 @@
 //! but successive events can land on the same nanosecond); consumers
 //! must break them with `(gtid, seq)`, which is exactly what
 //! `ora-trace`'s merge key does.
+//!
+//! # CPU time
+//!
+//! [`thread_cpu_ns`] and [`process_cpu_ns`] read the CPU time the calling
+//! thread and the whole process have used, not wall time: on a shared
+//! host a wall-clock difference also counts the time a thread waited for
+//! a core, while its CPU time does not. They are read through the
+//! `clock_gettime` of the C library std already links (one `unsafe`
+//! call, no crate; see DESIGN.md's dependency policy).
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -68,6 +77,54 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (result, ticks() - t0)
 }
 
+/// CPU time the calling thread has used, in nanoseconds
+/// (`CLOCK_THREAD_CPUTIME_ID`); `None` where that clock is not read
+/// (anything but 64-bit Linux).
+pub fn thread_cpu_ns() -> Option<u64> {
+    cpu_ns(CpuClock::Thread)
+}
+
+/// CPU time all threads of the process have used, in nanoseconds
+/// (`CLOCK_PROCESS_CPUTIME_ID`); `None` where that clock is not read
+/// (anything but 64-bit Linux).
+pub fn process_cpu_ns() -> Option<u64> {
+    cpu_ns(CpuClock::Process)
+}
+
+/// Linux's clock ids for the two CPU-time clocks.
+#[derive(Clone, Copy)]
+enum CpuClock {
+    Process = 2,
+    Thread = 3,
+}
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn cpu_ns(clock: CpuClock) -> Option<u64> {
+    /// `struct timespec` on 64-bit Linux: two 64-bit fields.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `clock_gettime` writes one `struct timespec`, whose layout
+    // `Timespec` matches on this target, through a pointer to a live,
+    // exclusively borrowed local, and reads nothing else.
+    let rc = unsafe { clock_gettime(clock as i32, &mut ts) };
+    (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn cpu_ns(_clock: CpuClock) -> Option<u64> {
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +140,32 @@ mod tests {
     fn time_measures_elapsed_work() {
         let ((), t) = time(|| std::thread::sleep(std::time::Duration::from_millis(10)));
         assert!(t >= 9_000_000, "slept 10ms but measured {t} ticks");
+    }
+
+    /// A spinning thread's CPU time grows about as fast as the wall
+    /// clock and a sleeping one's hardly at all. A spin can lose its
+    /// core to other work on a loaded host, so it gets a few attempts.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn cpu_clocks_count_work_and_not_sleep() {
+        let spin = std::time::Duration::from_millis(20);
+        let spun = (0..10)
+            .map(|_| {
+                let before = thread_cpu_ns().unwrap();
+                let start = Instant::now();
+                while start.elapsed() < spin {
+                    std::hint::spin_loop();
+                }
+                thread_cpu_ns().unwrap() - before
+            })
+            .find(|&ns| ns >= 15_000_000);
+        assert!(spun.is_some(), "no 20 ms spin used 15 ms of CPU");
+        let before = thread_cpu_ns().unwrap();
+        std::thread::sleep(spin);
+        let slept = thread_cpu_ns().unwrap() - before;
+        assert!(slept < 5_000_000, "a 20 ms sleep used {slept} ns of CPU");
+        let thread = thread_cpu_ns().unwrap();
+        assert!(process_cpu_ns().unwrap() >= thread);
     }
 
     #[test]

@@ -15,6 +15,17 @@
 //! The store is **always** fully sorted and [`FleetStore::export`] is
 //! byte-identical to offline `merge_ranks` over the same data,
 //! regardless of arrival timing.
+//!
+//! [`FleetStore::for_rank`] and [`FleetStore::for_region`] answer in
+//! their hits, not in the timeline: the first of them after a settle
+//! builds a query index (each rank's and each region's ascending
+//! positions in the timeline, as `u32`s in one table per key kind), and
+//! each query copies its hits out through it. A settle only drops the
+//! index, so ingest pays nothing for it; a caller that alternates
+//! settles and queries pays one O(n) build per query, as a scan would.
+
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ora_trace::{merge_run, RankedEvent, RankedKey};
 
@@ -37,6 +48,59 @@ pub struct FleetStore {
     /// Settled records, sorted by `(tick, gtid, seq, rank)`.
     settled: Vec<RankedEvent>,
     late_events: u64,
+    /// Built by the first rank or region query after a settle; a settle
+    /// drops it.
+    index: OnceLock<QueryIndex>,
+}
+
+/// Where each rank's and each region's records sit in the timeline.
+#[derive(Debug)]
+struct QueryIndex {
+    ranks: Positions,
+    regions: Positions,
+}
+
+/// The ascending timeline positions of each key's records: key `k`'s
+/// are `positions[span.0..span.1]` for `span = spans[k]`. Keys come
+/// from the wire (a rank is the `u64` of a peer's HELLO), so they are
+/// hashed, never used as an index: a key costs one entry whatever its
+/// value.
+#[derive(Debug)]
+struct Positions {
+    spans: HashMap<u64, (u32, u32)>,
+    positions: Vec<u32>,
+}
+
+impl Positions {
+    /// Counting sort of the positions of `settled` by `key`.
+    fn build(settled: &[RankedEvent], key: impl Fn(&RankedEvent) -> u64) -> Positions {
+        let mut spans: HashMap<u64, (u32, u32)> = HashMap::new();
+        for e in settled {
+            spans.entry(key(e)).or_default().1 += 1;
+        }
+        // Lay the keys out in any order; `span.1` becomes its key's
+        // write cursor, and ends at the key's end.
+        let mut at = 0;
+        for span in spans.values_mut() {
+            let count = span.1;
+            *span = (at, at);
+            at += count;
+        }
+        let mut positions = vec![0; settled.len()];
+        for (i, e) in settled.iter().enumerate() {
+            let span = spans.get_mut(&key(e)).expect("every key was counted");
+            positions[span.1 as usize] = i as u32;
+            span.1 += 1;
+        }
+        Positions { spans, positions }
+    }
+
+    /// `key`'s positions, ascending; empty for a key with no records.
+    fn of(&self, key: u64) -> &[u32] {
+        self.spans.get(&key).map_or(&[], |&(start, end)| {
+            &self.positions[start as usize..end as usize]
+        })
+    }
 }
 
 impl FleetStore {
@@ -58,6 +122,7 @@ impl FleetStore {
             self.late_events += run.partition_point(|e| e.key() < frontier) as u64;
         }
         merge_run(&mut self.settled, 0, run);
+        self.index.take();
     }
 
     /// The merged timeline, in `(tick, gtid, seq, rank)` order.
@@ -88,22 +153,37 @@ impl FleetStore {
         self.settled[start..end].to_vec()
     }
 
-    /// One rank's records, in timeline order.
+    /// One rank's records, in timeline order, copied out through the
+    /// query index (built here if a settle dropped it: one pass over the
+    /// timeline, shared with [`for_region`](Self::for_region)).
     pub fn for_rank(&self, rank: usize) -> Vec<RankedEvent> {
-        self.settled
-            .iter()
-            .copied()
-            .filter(|e| e.rank == rank)
-            .collect()
+        self.gather(self.index().ranks.of(rank as u64))
     }
 
-    /// One parallel region's records, in timeline order.
+    /// One parallel region's records, in timeline order, copied out
+    /// through the query index (built here if a settle dropped it).
     pub fn for_region(&self, region_id: u64) -> Vec<RankedEvent> {
-        self.settled
-            .iter()
-            .copied()
-            .filter(|e| e.record.region_id == region_id)
-            .collect()
+        self.gather(self.index().regions.of(region_id))
+    }
+
+    fn index(&self) -> &QueryIndex {
+        self.index.get_or_init(|| {
+            assert!(
+                u32::try_from(self.settled.len()).is_ok(),
+                "the query index holds positions as u32"
+            );
+            QueryIndex {
+                ranks: Positions::build(&self.settled, |e| e.rank as u64),
+                regions: Positions::build(&self.settled, |e| e.record.region_id),
+            }
+        })
+    }
+
+    /// The records at `positions`, in their order.
+    fn gather(&self, positions: &[u32]) -> Vec<RankedEvent> {
+        let mut hits = Vec::with_capacity(positions.len());
+        hits.extend(positions.iter().map(|&i| self.settled[i as usize]));
+        hits
     }
 
     /// Canonical export of the whole timeline (see [`timeline_bytes`]).
@@ -169,6 +249,75 @@ mod tests {
         assert_eq!(store.for_rank(0).len(), 25);
         assert_eq!(store.for_region(2).len(), 10);
         assert!(store.time_range(100, 200).is_empty());
+    }
+
+    /// What a scan would answer: the timeline filtered by `keep`.
+    fn scan(store: &FleetStore, keep: impl Fn(&RankedEvent) -> bool) -> Vec<RankedEvent> {
+        store.records().iter().copied().filter(keep).collect()
+    }
+
+    /// Every rank and region query equals a filter over the timeline.
+    fn assert_queries_match_scans(store: &FleetStore) {
+        for rank in 0..4 {
+            assert_eq!(store.for_rank(rank), scan(store, |e| e.rank == rank));
+        }
+        for region in 0..8 {
+            assert_eq!(
+                store.for_region(region),
+                scan(store, |e| e.record.region_id == region)
+            );
+        }
+    }
+
+    #[test]
+    fn a_settle_after_a_query_is_seen_by_the_next_query() {
+        let mut store = FleetStore::new();
+        let run: Vec<_> = (0..40u64)
+            .map(|i| ev(2 * i, (i % 3) as usize, i, (i % 2) as usize))
+            .collect();
+        store.settle_run(&run, store.frontier());
+        assert_queries_match_scans(&store);
+        // A late run lands in the middle of the timeline: every position
+        // above its first record moves, and rank 3 appears.
+        let late: Vec<_> = (0..20u64)
+            .map(|i| ev(2 * i + 21, 5, i, if i % 2 == 0 { 1 } else { 3 }))
+            .collect();
+        store.settle_run(&late, store.frontier());
+        assert_eq!(store.late_events(), 20);
+        assert_queries_match_scans(&store);
+        assert_eq!(store.for_rank(3).len(), 10);
+    }
+
+    #[test]
+    fn absent_ranks_and_regions_have_no_records() {
+        let mut store = FleetStore::new();
+        assert!(store.for_rank(0).is_empty());
+        assert!(store.for_region(0).is_empty());
+        let run: Vec<_> = (0..30u64).map(|i| ev(i, 0, i, 1)).collect();
+        store.settle_run(&run, store.frontier());
+        assert!(store.for_rank(0).is_empty());
+        assert!(store.for_rank(usize::MAX).is_empty());
+        assert!(store.for_region(3).is_empty());
+        assert!(store.for_region(u64::MAX).is_empty());
+        assert_eq!(store.for_rank(1).len(), 30);
+    }
+
+    /// A rank id is whatever a peer's HELLO said: a huge one costs the
+    /// index one entry, not a table as long as the id.
+    #[test]
+    fn a_huge_rank_id_costs_one_index_entry() {
+        let mut store = FleetStore::new();
+        let huge = 1usize << 40;
+        let run: Vec<_> = (0..10u64)
+            .map(|i| ev(i, 0, i, if i < 4 { huge } else { 7 }))
+            .collect();
+        store.settle_run(&run, store.frontier());
+        assert_eq!(store.for_rank(huge), scan(&store, |e| e.rank == huge));
+        assert_eq!(store.for_rank(huge).len(), 4);
+        let index = store.index.get().expect("the query built the index");
+        assert_eq!(index.ranks.spans.len(), 2);
+        assert_eq!(index.ranks.positions.len(), 10);
+        assert!(index.ranks.positions.capacity() <= 10);
     }
 
     #[test]

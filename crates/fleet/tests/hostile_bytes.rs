@@ -343,12 +343,15 @@ fn footers(rng: &mut XorShift64, seed: u64) {
 }
 
 /// Whole trace files of honest chunks whose footer index lies: entries
-/// duplicated or with their lane, count, offset or tick range
-/// rewritten, re-sealed by the footer encoder, then opened and read
-/// back in full. A tick-range lie is written back in place, where the
-/// walk still agrees with it; the merges trust those ranges, so beyond
-/// the common oracle, whatever `records()`, `events()` or
-/// `merge_ranks` returns `Ok` must be in merge-key order.
+/// duplicated or with their lane, count, offset, tick range or region
+/// mask rewritten, re-sealed by the footer encoder, then opened and read
+/// back in full. A tick-range or region-mask lie is written back in
+/// place, where the walk still agrees with it. The merges trust the
+/// tick ranges, so beyond the common oracle, whatever `records()`,
+/// `events()` or `merge_ranks` returns `Ok` must be in merge-key order.
+/// The queries skip chunks by both, so whenever `records()` is `Ok`
+/// (every chunk decoded and checked against its entry), `for_region`
+/// and `time_range` must equal their filters over it.
 fn trace_files(rng: &mut XorShift64, seed: u64) {
     for case in 0..CASES {
         let lanes = rng.range_usize(1, 4);
@@ -361,19 +364,24 @@ fn trace_files(rng: &mut XorShift64, seed: u64) {
             index.push(encode_chunk(&mut file, offset, lane, &records));
         }
         let room = file.len() as u64;
-        // Half the files lie only about tick ranges, which the walk
-        // cannot check, so they open and reach the merges.
-        let ticks_only = rng.chance(1, 2);
+        // Half the files lie only in place, about tick ranges or region
+        // masks, which the walk cannot check, so they open and reach
+        // the merges.
+        let in_place = rng.chance(1, 2);
         for _ in 0..rng.below(6) {
             let from = rng.range_usize(0, index.len());
             let mut meta = index[from];
-            match if ticks_only { 3 } else { rng.below(4) } {
+            let near = index[rng.range_usize(0, index.len())];
+            match if in_place {
+                3 + rng.below(2)
+            } else {
+                rng.below(5)
+            } {
                 0 => meta.lane = lie(rng, meta.lane, room),
                 1 => meta.count = lie(rng, meta.count, room),
                 2 => meta.offset = lie(rng, meta.offset, room),
-                _ => {
+                3 => {
                     // A neighbour's bound, or a lie about its own.
-                    let near = index[rng.range_usize(0, index.len())];
                     let tick = if rng.chance(1, 2) {
                         &mut meta.min_tick
                     } else {
@@ -383,6 +391,17 @@ fn trace_files(rng: &mut XorShift64, seed: u64) {
                         0 => near.min_tick,
                         1 => near.max_tick,
                         _ => lie(rng, *tick, room),
+                    };
+                    index[from] = meta;
+                    continue;
+                }
+                _ => {
+                    // One present region dropped, a neighbour's mask, or
+                    // a lie.
+                    meta.region_mask = match rng.below(3) {
+                        0 => meta.region_mask & !(1 << rng.below(64)),
+                        1 => near.region_mask,
+                        _ => lie(rng, meta.region_mask, room),
                     };
                     index[from] = meta;
                     continue;
@@ -402,25 +421,65 @@ fn trace_files(rng: &mut XorShift64, seed: u64) {
         encode_footer(&mut file, &footer);
         let owned = file.clone();
         let mut orders = None;
+        let mut queries = Vec::new();
         check("trace file", seed, case, &file, || {
-            if let Ok(reader) = TraceReader::from_bytes(owned) {
-                let sorted = |v: Vec<TraceEvent>| v.is_sorted_by_key(TraceEvent::key);
-                let events: Result<Vec<_>, _> = reader.events().collect();
-                let ranks = merge_ranks(std::slice::from_ref(&reader));
-                orders = Some([
-                    ("records()", reader.records().map(sorted)),
-                    ("events()", events.map(sorted)),
-                    (
-                        "merge_ranks",
-                        ranks.map(|m| m.is_sorted_by_key(RankedEvent::key)),
-                    ),
-                ]);
+            let Ok(reader) = TraceReader::from_bytes(owned) else {
+                return;
+            };
+            let sorted = |v: &Vec<TraceEvent>| v.is_sorted_by_key(TraceEvent::key);
+            let records = reader.records();
+            let events: Result<Vec<_>, _> = reader.events().collect();
+            let ranks = merge_ranks(std::slice::from_ref(&reader));
+            orders = Some([
+                ("records()", records.as_ref().ok().map(sorted)),
+                ("events()", events.as_ref().ok().map(sorted)),
+                (
+                    "merge_ranks",
+                    (ranks.as_ref().ok()).map(|m| m.is_sorted_by_key(RankedEvent::key)),
+                ),
+            ]);
+            let Ok(all) = records else {
+                return;
+            };
+            let filter = |keep: &dyn Fn(&TraceEvent) -> bool| -> Vec<TraceEvent> {
+                all.iter().copied().filter(|e| keep(e)).collect()
+            };
+            for region in [0, 1, 31, 63, 64, rng.below(128)] {
+                let want = filter(&|e| e.region_id == region);
+                queries.push((
+                    format!("for_region({region})"),
+                    reader.for_region(region),
+                    want,
+                ));
+            }
+            let (lo, hi) = match (all.first(), all.last()) {
+                (Some(a), Some(b)) => (a.tick, b.tick),
+                _ => (0, 0),
+            };
+            for _ in 0..3 {
+                let a = lo + rng.below((hi - lo).saturating_add(1));
+                let b = a.saturating_add(rng.below((hi - lo) / 4 + 1));
+                let want = filter(&|e| (a..=b).contains(&e.tick));
+                queries.push((
+                    format!("time_range({a}, {b})"),
+                    reader.time_range(a, b),
+                    want,
+                ));
             }
         });
         for (query, sorted) in orders.into_iter().flatten() {
             assert!(
-                sorted != Ok(false),
+                sorted != Some(false),
                 "{query} returned records out of merge-key order (seed {seed}, case {case})"
+            );
+        }
+        for (query, got, want) in queries {
+            assert!(
+                got.as_ref() == Ok(&want),
+                "{query} disagrees with a filter over records() (seed {seed}, case {case}): \
+                 got {} records, want {}",
+                got.map_or(-1, |v| v.len() as i64),
+                want.len()
             );
         }
     }

@@ -233,7 +233,10 @@ impl TraceReader {
     }
 
     /// Records with `lo <= tick <= hi`, in merge order. Chunks whose
-    /// tick range misses `[lo, hi]` are never decoded.
+    /// tick range misses `[lo, hi]` are never decoded, so a footer that
+    /// lies about a skipped chunk's range goes unseen here, while every
+    /// decoded chunk is checked against its own (chunks that carry their
+    /// own tick ranges would close this: ROADMAP 12a).
     pub fn time_range(&self, lo: u64, hi: u64) -> Result<Vec<TraceEvent>, TraceError> {
         self.collect_where(
             |m| m.overlaps_ticks(lo, hi),
@@ -250,7 +253,10 @@ impl TraceReader {
     }
 
     /// Records of one parallel region, in merge order. Chunks whose
-    /// region mask excludes the region are never decoded.
+    /// region mask excludes the region are never decoded, so a footer
+    /// that clears a skipped chunk's bit for the region goes unseen
+    /// here, while every decoded chunk is checked against its own mask
+    /// (chunks that carry their own masks would close this: ROADMAP 12a).
     pub fn for_region(&self, region_id: u64) -> Result<Vec<TraceEvent>, TraceError> {
         self.collect_where(
             |m| m.may_contain_region(region_id),
@@ -428,7 +434,9 @@ impl LaneCursor<'_> {
 
     /// Decode `chunk` into `scratch` as a key-sorted run. [`peek`](Self::peek)
     /// trusts the index's `min_tick`, so a run outside the chunk's indexed
-    /// tick range is an error, not a silently reordered merge.
+    /// tick range is an error, not a silently reordered merge. A region
+    /// query skips chunks by their indexed region mask, so a record of a
+    /// region the mask lacks is an error too.
     fn decode(&mut self, chunk: &Indexed) -> Result<(), TraceError> {
         let payload = &self.reader.bytes[chunk.payload.clone()];
         decode_run(payload, chunk.meta.count, self.rank, &mut self.scratch)?;
@@ -438,6 +446,12 @@ impl LaneCursor<'_> {
                     "records outside their chunk's tick range",
                 ));
             }
+        }
+        let regions = (self.scratch.iter()).fold(0u64, |m, e| m | 1 << (e.record.region_id % 64));
+        if regions & !chunk.meta.region_mask != 0 {
+            return Err(TraceError::Malformed(
+                "records of a region their chunk's mask lacks",
+            ));
         }
         self.decoded += self.scratch.len();
         Ok(())

@@ -537,6 +537,58 @@ fn a_footer_lying_about_a_tick_range_fails_the_merge() {
     assert_eq!(ticks, [50, 51, 52, 53, 54, 100, 101, 102, 103, 104]);
 }
 
+/// A footer that clears a region's bit from a chunk that holds records
+/// of it, re-sealed so the file opens: `for_region` skips chunks by
+/// that mask, so the lie would hide records from it. Every merge that
+/// decodes the chunk fails as malformed instead. (A `for_region` of the
+/// cleared region skips the chunk and never sees the lie: only chunks
+/// that carry their own masks can close that, ROADMAP 12a.)
+#[test]
+fn a_footer_lying_about_a_region_mask_fails_the_merge() {
+    let mut bytes = Vec::new();
+    format::encode_header(&mut bytes);
+    let mut metas = Vec::new();
+    for (base, regions) in [(100, [1, 2]), (200, [3, 3])] {
+        let records: Vec<RawRecord> = (0..6)
+            .map(|i| RawRecord {
+                seq: base + i,
+                ..rec(base + i, 0, regions[i as usize % 2])
+            })
+            .collect();
+        let offset = bytes.len() as u64;
+        metas.push(format::encode_chunk(&mut bytes, offset, 0, &records));
+    }
+    let honest = ora_trace::Footer {
+        lanes: vec![ora_trace::LaneStats::default()],
+        chunks: metas,
+    };
+    assert_eq!(honest.chunks[0].region_mask, 0b110);
+    let mut lie = honest.clone();
+    lie.chunks[0].region_mask &= !(1 << 2);
+    let mut file = bytes.clone();
+    format::encode_footer(&mut file, &lie);
+    let reader = TraceReader::from_bytes(file).expect("the index agrees with the walk");
+    let malformed = |got: Result<Vec<TraceEvent>, ora_trace::TraceError>, query: &str| {
+        assert!(
+            matches!(got, Err(ora_trace::TraceError::Malformed(_))),
+            "{query}: {got:?}"
+        );
+    };
+    malformed(reader.records(), "records()");
+    malformed(reader.events().collect(), "events()");
+    malformed(reader.for_region(1), "for_region(1)");
+    let ranks = merge_ranks(std::slice::from_ref(&reader));
+    malformed(
+        ranks.map(|m| m.into_iter().map(|e| e.record).collect()),
+        "merge_ranks",
+    );
+    let mut file = bytes;
+    format::encode_footer(&mut file, &honest);
+    let reader = TraceReader::from_bytes(file).unwrap();
+    assert_eq!(reader.records().unwrap().len(), 12);
+    assert_eq!(reader.for_region(2).unwrap().len(), 3);
+}
+
 fn ranked(tick: u64, gtid: usize, seq: u64, rank: usize) -> RankedEvent {
     RankedEvent {
         rank,

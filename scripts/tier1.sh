@@ -102,6 +102,14 @@ if grep -rnE 'fn (kway_merge|merged_where)\b' crates/; then
   echo "tier1: a second merge in the reader — collect the lane-cursor merge (ora_trace::reader::collect_merge)" >&2
   exit 1
 fi
+# Store queries in their hits: `FleetStore::for_rank` / `for_region`
+# copy their records out through the lazy query index, so no scan of the
+# whole timeline comes back beside it in the non-test part of store.rs.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/fleet/src/store.rs \
+    | grep -F -e '.filter(|e| e.rank ==' -e '.filter(|e| e.record.region_id =='; then
+  echo "tier1: a timeline scan in crates/fleet/src/store.rs — answer rank and region queries through the query index" >&2
+  exit 1
+fi
 # One delivery count: a delivered event is counted once, by its dispatch
 # lane's `sampled` word, so no second fired counter, batch flush or
 # quiet invoke path comes back beside it.
