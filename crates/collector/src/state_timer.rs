@@ -10,8 +10,9 @@
 //! state. The result is a per-thread breakdown of work / overhead /
 //! barrier / wait / idle time — the classic OpenMP efficiency report.
 
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+
 use ora_core::pad::CachePadded;
-use ora_core::sync::Mutex;
 
 use ora_core::event::Event;
 use ora_core::registry::EventData;
@@ -25,28 +26,28 @@ use crate::report;
 
 pub use crate::profiler::MAX_THREADS;
 
-#[derive(Clone, Copy)]
+/// One thread's accounting. An event's gtid names the one thread that
+/// fires it (a nested team's members fire under their own gtids), so
+/// only that thread writes its slot, with plain loads and stores;
+/// [`TimerState::profile`] only loads. Every access is `Relaxed`: no
+/// field publishes other data, a reader needs each counter only on its
+/// own, and the writer reads back its own stores in program order.
+#[derive(Default)]
 struct ThreadSlot {
-    last_tick: u64,
-    last_state: Option<ThreadState>,
-    per_state: [u64; STATE_COUNT],
-}
-
-impl Default for ThreadSlot {
-    fn default() -> Self {
-        ThreadSlot {
-            last_tick: 0,
-            last_state: None,
-            per_state: [0; STATE_COUNT],
-        }
-    }
+    /// Tick of the thread's previous event.
+    last_tick: AtomicU64,
+    /// `index + 1` of the state the thread was in at its previous event;
+    /// 0 before its first.
+    last_state: AtomicU32,
+    /// Ticks charged to each state, indexed by [`ThreadState::index`].
+    per_state: [AtomicU64; STATE_COUNT],
 }
 
 pub(crate) struct TimerState {
     handle: RuntimeHandle,
     /// One slot per thread, each on its own cache line: a thread's event
     /// writes only its own slot.
-    threads: Vec<CachePadded<Mutex<ThreadSlot>>>,
+    threads: Vec<CachePadded<ThreadSlot>>,
 }
 
 impl TimerState {
@@ -57,19 +58,19 @@ impl TimerState {
         }
     }
 
-    /// The per-thread state-time profile accumulated so far.
+    /// The per-thread state-time profile accumulated so far. Each slot's
+    /// counters only grow, so a later call never reports less.
     pub(crate) fn profile(&self) -> StateProfile {
         let threads = self
             .threads
             .iter()
             .enumerate()
-            .filter_map(|(gtid, slot)| {
-                let slot = slot.lock();
-                slot.last_state?;
-                Some(ThreadStateTimes {
-                    gtid,
-                    secs_per_state: std::array::from_fn(|i| clock::to_secs(slot.per_state[i])),
-                })
+            .filter(|(_, slot)| slot.last_state.load(Relaxed) != 0)
+            .map(|(gtid, slot)| ThreadStateTimes {
+                gtid,
+                secs_per_state: std::array::from_fn(|i| {
+                    clock::to_secs(slot.per_state[i].load(Relaxed))
+                }),
             })
             .collect();
         StateProfile { threads }
@@ -85,20 +86,21 @@ impl Lane for TimerState {
     /// the time since its previous event to the state it was in then.
     #[inline]
     fn on_event(&self, d: &EventData) {
-        if d.gtid >= MAX_THREADS {
+        let Some(slot) = self.threads.get(d.gtid) else {
             return;
-        }
+        };
         let Ok((now_state, _)) = self.handle.query_state() else {
             return;
         };
         let now = clock::ticks();
-        let mut slot = self.threads[d.gtid].lock();
-        if let Some(prev) = slot.last_state {
-            let elapsed = now.saturating_sub(slot.last_tick);
-            slot.per_state[prev.index()] += elapsed;
+        let prev = slot.last_state.load(Relaxed);
+        if prev != 0 {
+            let elapsed = now.saturating_sub(slot.last_tick.load(Relaxed));
+            let total = &slot.per_state[prev as usize - 1];
+            total.store(total.load(Relaxed) + elapsed, Relaxed);
         }
-        slot.last_tick = now;
-        slot.last_state = Some(now_state);
+        slot.last_tick.store(now, Relaxed);
+        slot.last_state.store(now_state.index() as u32 + 1, Relaxed);
     }
 }
 
@@ -187,5 +189,164 @@ impl StateProfile {
                 row
             }),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::Ordering::{Acquire, Release};
+
+    use omprt::OpenMp;
+
+    fn handle_for(rt: &OpenMp) -> RuntimeHandle {
+        RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime exports its symbol")
+    }
+
+    fn barrier_storm(rt: &OpenMp, regions: usize) {
+        for _ in 0..regions {
+            rt.parallel(|ctx| {
+                for _ in 0..20 {
+                    ctx.barrier();
+                }
+            });
+        }
+    }
+
+    /// A [`TimerState`] that checks, on the firing thread just after the
+    /// timer's own callback, that the thread's seconds over all states
+    /// add up to the span from its first event to this one. Only the
+    /// firing thread writes its slot, so the check reads a settled slot
+    /// at every event, with no wait for the team to go quiet.
+    struct SpanCheck {
+        timer: TimerState,
+        /// Tick of each gtid's first accounted event.
+        first: Vec<AtomicU64>,
+        checks: AtomicU64,
+        /// Largest |seconds over all states − span| / span seen, as f64 bits.
+        worst: AtomicU64,
+    }
+
+    impl Lane for SpanCheck {
+        fn wants(&self, event: Event) -> bool {
+            self.timer.wants(event)
+        }
+
+        fn on_event(&self, d: &EventData) {
+            self.timer.on_event(d);
+            let (Some(slot), Some(first)) =
+                (self.timer.threads.get(d.gtid), self.first.get(d.gtid))
+            else {
+                return;
+            };
+            let last = slot.last_tick.load(Relaxed);
+            if first.load(Relaxed) == 0 {
+                first.store(last, Relaxed);
+                return;
+            }
+            let span = clock::to_secs(last - first.load(Relaxed));
+            let secs: f64 = slot
+                .per_state
+                .iter()
+                .map(|t| clock::to_secs(t.load(Relaxed)))
+                .sum();
+            let error = if span > 0.0 {
+                (secs - span).abs() / span
+            } else {
+                secs
+            };
+            self.checks.fetch_add(1, Relaxed);
+            self.worst.fetch_max(error.to_bits(), Relaxed);
+        }
+    }
+
+    /// Every tick between a thread's first and last event is charged to
+    /// exactly one state, so its seconds over all states add up to that
+    /// span — checked at each event of a two-thread barrier storm.
+    #[test]
+    fn each_threads_state_seconds_sum_to_its_event_span() {
+        let rt = OpenMp::with_threads(2);
+        let handle = handle_for(&rt);
+        let lane = SpanCheck {
+            timer: TimerState::new(handle.clone()),
+            first: (0..2).map(|_| AtomicU64::new(0)).collect(),
+            checks: AtomicU64::new(0),
+            worst: AtomicU64::new(0),
+        };
+        let mut collector = Collector::attach(handle, lane).unwrap();
+        barrier_storm(&rt, 50);
+        collector.stop();
+
+        let lane = collector.lane();
+        // 50 regions × 20 barriers × 2 events × 2 threads, at least.
+        assert!(lane.checks.load(Relaxed) >= 4_000);
+        let worst = f64::from_bits(lane.worst.load(Relaxed));
+        assert!(
+            worst <= 1e-12,
+            "state seconds off their span by {worst} (relative)"
+        );
+        assert_eq!(
+            lane.timer.profile().threads.len(),
+            2,
+            "both threads sampled"
+        );
+    }
+
+    /// Each thread of a team that keeps opening serialized nested
+    /// regions is charged under its own gtid, so no gtid adds up more
+    /// time than the run lasted.
+    #[test]
+    fn nested_regions_charge_no_gtid_more_than_the_run() {
+        let rt = OpenMp::with_threads(2);
+        let timer = StateTimer::attach(handle_for(&rt)).unwrap();
+        let start = clock::ticks();
+        for _ in 0..200 {
+            rt.parallel(|_| rt.parallel(|inner| inner.barrier()));
+        }
+        let run = clock::to_secs(clock::ticks() - start);
+        let profile = timer.finish();
+        let gtids: Vec<usize> = profile.threads.iter().map(|t| t.gtid).collect();
+        assert_eq!(gtids, [0, 1]);
+        for t in &profile.threads {
+            assert!(
+                t.total() <= run,
+                "gtid {} charged {} s in a {run} s run",
+                t.gtid,
+                t.total()
+            );
+        }
+    }
+
+    /// `profile` reads the slots while their owners write them: it
+    /// neither panics nor reports less time than an earlier call did.
+    #[test]
+    fn profile_during_a_storm_never_reports_less_than_before() {
+        let rt = OpenMp::with_threads(2);
+        let timer = StateTimer::attach(handle_for(&rt)).unwrap();
+        let lane = timer.collector.lane();
+        let (reading, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let reads = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut reads, mut before) = (0u64, 0.0);
+                while !done.load(Acquire) {
+                    let total: f64 = lane.profile().threads.iter().map(|t| t.total()).sum();
+                    assert!(total >= before, "profile fell from {before} s to {total} s");
+                    before = total;
+                    reads += 1;
+                    reading.store(true, Release);
+                    std::thread::yield_now();
+                }
+                reads
+            });
+            while !reading.load(Acquire) {
+                std::thread::yield_now();
+            }
+            barrier_storm(&rt, 200);
+            done.store(true, Release);
+            reader.join().unwrap()
+        });
+        assert!(reads > 0);
+        assert_eq!(timer.finish().threads.len(), 2);
     }
 }

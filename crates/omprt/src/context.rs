@@ -88,11 +88,15 @@ impl<'a> ParCtx<'a> {
         self.team.level
     }
 
+    /// Fire `event` as this thread. An event names the thread by its
+    /// descriptor's gtid, not its member ID: a worker leased to a nested
+    /// team and a thread running a serialized nested region keep the
+    /// gtid they fire under everywhere else, so no two threads share one.
     #[inline]
     fn fire(&self, event: Event, wait_id: u64) {
         self.shared.fire(
             event,
-            self.gtid,
+            self.desc.gtid,
             self.team.region_id,
             self.team.parent_region_id,
             wait_id,

@@ -40,11 +40,12 @@ impl OmpLock {
         if self.raw.try_lock() {
             return;
         }
-        let binding = tls::with_binding(self.shared.instance, |gtid, desc, team| {
-            (gtid, desc.clone(), team.cloned())
+        let binding = tls::with_binding(self.shared.instance, |_, desc, team| {
+            (desc.clone(), team.cloned())
         });
         match binding {
-            Some((gtid, desc, team)) => {
+            Some((desc, team)) => {
+                let gtid = desc.gtid;
                 let wait_id = desc.lock_wait_id.next();
                 let (rid, prid) = team
                     .as_ref()

@@ -552,12 +552,12 @@ impl OpenMp {
     /// than a `parallel` construct requests.
     fn nested_parallel<F: Fn(&ParCtx<'_>) + Sync>(&self, n: usize, region: &RegionHandle, f: &F) {
         let shared = &self.shared;
-        let (outer_gtid, outer_desc, outer) =
-            tls::with_binding(shared.instance, |gtid, desc, team| {
-                let team = team.expect("in_parallel implies a team");
-                (gtid, desc.clone(), team.clone())
-            })
-            .expect("bound");
+        let (outer_desc, outer) = tls::with_binding(shared.instance, |_, desc, team| {
+            let team = team.expect("in_parallel implies a team");
+            (desc.clone(), team.clone())
+        })
+        .expect("bound");
+        let outer_gtid = outer_desc.gtid;
 
         let region_id = shared.region_counter.fetch_add(1, Ordering::Relaxed) + 1;
         shared.region_calls.fetch_add(1, Ordering::Relaxed);

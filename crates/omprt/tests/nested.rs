@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use omprt::{Config, OpenMp};
 use ora_core::event::Event;
 use ora_core::registry::EventData;
-use ora_core::request::{Request, Response};
+use ora_core::request::{OraError, Request, Response};
 
 fn nested_rt(outer: usize) -> OpenMp {
     OpenMp::with_config(Config {
@@ -384,4 +384,81 @@ fn nested_panic_propagates() {
     assert!(result.is_err());
     // Runtime survives.
     rt.parallel(|_| {});
+}
+
+/// Every event each OS thread fires, as `(gtid, thread)` pairs, while
+/// each member of a three-thread team forks two nested two-thread
+/// regions that barrier and take a contended user lock.
+fn event_threads(rt: &OpenMp) -> Vec<(usize, std::thread::ThreadId)> {
+    let api = rt.collector_api();
+    api.handle_request(Request::Start).unwrap();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for e in ora_core::event::ALL_EVENTS {
+        let log = log.clone();
+        let registered = api.register_callback(
+            e,
+            Arc::new(move |d: &EventData| {
+                log.lock()
+                    .unwrap()
+                    .push((d.gtid, std::thread::current().id()));
+            }),
+        );
+        assert!(matches!(
+            registered,
+            Ok(()) | Err(OraError::UnsupportedEvent)
+        ));
+    }
+    let lock = rt.new_lock();
+    rt.parallel(|_| {
+        for _ in 0..2 {
+            rt.parallel_n(2, |inner| {
+                inner.barrier();
+                lock.set();
+                std::thread::yield_now();
+                lock.unset();
+            });
+        }
+    });
+    api.handle_request(Request::Stop).unwrap();
+    let log = log.lock().unwrap().clone();
+    log
+}
+
+/// An event's gtid is its firing thread's descriptor gtid, never its
+/// team member ID: under serialized nesting every outer thread keeps
+/// its own gtid inside the nested region, and with real nesting a
+/// leased worker fires under its pool gtid, not the member ID it shares
+/// with an outer thread.
+#[test]
+fn an_events_gtid_names_one_thread() {
+    for nested in [false, true] {
+        let rt = OpenMp::with_config(Config {
+            num_threads: 3,
+            nested,
+            ..Config::default()
+        });
+        let mut threads_of: std::collections::BTreeMap<usize, Vec<_>> = Default::default();
+        for (gtid, thread) in event_threads(&rt) {
+            let threads = threads_of.entry(gtid).or_default();
+            if !threads.contains(&thread) {
+                threads.push(thread);
+            }
+        }
+        for (gtid, threads) in &threads_of {
+            assert_eq!(
+                threads.len(),
+                1,
+                "nested {nested}: gtid {gtid} on {threads:?}"
+            );
+        }
+        let gtids: Vec<usize> = threads_of.into_keys().collect();
+        if nested {
+            assert!(
+                gtids.len() > 3 && gtids[..3] == [0, 1, 2],
+                "leased workers fire under their own gtids: {gtids:?}"
+            );
+        } else {
+            assert_eq!(gtids, [0, 1, 2]);
+        }
+    }
 }

@@ -314,10 +314,12 @@ impl Open {
 ///
 /// `Fork`/`Join` pair per `(rank, region)` — the join may fire on
 /// another thread than the fork did. Every other pair is keyed by
-/// `(rank, gtid, begin event, region, wait id)`: a worker leased to a
-/// nested team fires under its member ID, so it can share gtid and wait
-/// ID with the outer thread of that ID, and only the region keeps their
-/// ends apart. Idle periods leave the region out, because
+/// `(rank, gtid, begin event, region, wait id)`. One thread's begins and
+/// ends nest, so gtid and wait ID alone would pair a trace of this
+/// runtime; the region keeps apart the threads of traces recorded while
+/// a worker leased to a nested team fired under its member ID, sharing
+/// gtid and wait ID with the outer thread of that ID. Idle periods leave
+/// the region out, because
 /// `ThreadBeginIdle` carries region 0 and `ThreadEndIdle` the team's.
 /// Begins under one key stack, and an end closes the innermost: a
 /// serialized nested region keeps the outer region's ID, so its master
@@ -950,9 +952,10 @@ mod tests {
 
     #[test]
     fn same_wait_key_in_two_regions_never_swaps_ends() {
-        // A worker leased to region 2 fires under member ID 1, the same
-        // gtid and wait ID as thread 1 of region 1; their barrier
-        // intervals interleave without nesting.
+        // A trace from a runtime that fired member IDs: a worker leased
+        // to region 2 fires as member 1, the same gtid and wait ID as
+        // thread 1 of region 1; their barrier intervals interleave
+        // without nesting.
         let events = [
             ev(10, 1, Event::ThreadBeginExplicitBarrier, 1, 5),
             ev(20, 1, Event::ThreadBeginExplicitBarrier, 2, 5),

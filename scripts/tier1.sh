@@ -36,6 +36,19 @@ if grep -rn 'OnceLock<Instant>' crates/ | grep -v '^crates/core/src/clock.rs:'; 
   echo "tier1: OnceLock<Instant> outside crates/core/src/clock.rs — read ora_core::clock::ticks" >&2
   exit 1
 fi
+# One counter read: the TSC is read in ora_core::clock alone, ordered
+# and scaled to nanoseconds, so no second, unscaled or unordered time
+# base comes back beside `ticks`.
+if grep -rnE '_rdtsc|__rdtscp' crates/ | grep -v '^crates/core/src/clock.rs:'; then
+  echo "tier1: _rdtsc / __rdtscp outside crates/core/src/clock.rs — read ora_core::clock::ticks" >&2
+  exit 1
+fi
+# A lock-free state callback: each StateTimer slot has one writer (the
+# thread that claimed it), which updates it with plain loads and stores.
+if grep -n 'Mutex' crates/collector/src/state_timer.rs; then
+  echo "tier1: Mutex in crates/collector/src/state_timer.rs — write the firing thread's own slot with single-writer atomics" >&2
+  exit 1
+fi
 # One byte cursor: every decoder of outside bytes reads through
 # `ora_core::bytes::Cursor`, so no private varint or fixed-width reader
 # with its own bounds checks comes back beside it.
