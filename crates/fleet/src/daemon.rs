@@ -19,27 +19,32 @@
 //! run buffer. A run reaches a lane that holds nothing by swap, so the
 //! lane's buffer and the run buffer trade places and both keep their
 //! capacity; otherwise it is merged in with `ora_trace::merge_run`. A
-//! record of a lane that keeps up is written twice, decoded into the
-//! run and settled into the store, and past its second chunk a lane
-//! allocates nothing beyond the store's amortised growth.
+//! record of a lane that keeps up is decoded into the run, merged into
+//! the flush's batch, settled into the store's tail and encoded there
+//! once, and past its second chunk a lane allocates nothing beyond the
+//! store's amortised growth.
 //!
 //! **Watermark merge.** The daemon tracks, per live lane, the largest
 //! tick it has acked. The watermark is the minimum of those across live
 //! lanes: every record at or below it is safe to emit, because a live
 //! lane could still send records anywhere above its own acked tick but
 //! (to a good approximation) not below the fleet minimum. A flush
-//! settles each lane's pending prefix at or below the watermark
-//! straight into the [`FleetStore`] with the same backward merge, in
-//! ascending order of first key. Each prefix displaces only the settled
-//! tail above its first key (usually nothing: an append), so a flush of
-//! k lanes moves at most k times its size when none of it is late, and
-//! at most k times what one merge of all its records would in general.
-//! Records below the frontier as it stood before the flush are counted
-//! late and land at their sorted position, so the final export is
-//! exactly the offline merge regardless of timing (see [`store`]). A
-//! lane's pending buffer is touched only by that lane's chunks and by
-//! flushes that release its prefix: a lagging rank never makes another
-//! rank's buffered records move.
+//! merges every lane's pending prefix at or below the watermark into
+//! one reused batch with the same backward merge, and settles the batch
+//! into the [`FleetStore`] once. Two interleaved ranks' prefixes so
+//! meet in the batch, not in the store: a settle never displaces what
+//! the previous settle of the same flush just placed, and the store's
+//! decoded tail takes one merge per flush. Records below the frontier
+//! as it stood before the flush are counted late (the rule is the one
+//! the per-lane settles used) and land at their sorted position, so the
+//! final export is exactly the offline merge regardless of timing (see
+//! [`store`]). A lane's pending buffer is touched only by that lane's
+//! chunks and by flushes that release its prefix: a lagging rank never
+//! makes another rank's buffered records move.
+//!
+//! **Seal.** [`Daemon::finish`] flushes what is left and seals the
+//! store: its decoded tail is encoded and freed, so the report's store
+//! holds the export's bytes and its export copies them.
 //!
 //! **Quarantine.** A lane that violates the protocol — bad CRC,
 //! epoch replay/gap, undecodable payload, wrong version — is
@@ -224,14 +229,18 @@ struct LaneState {
 struct State {
     lanes: BTreeMap<u64, LaneState>,
     store: FleetStore,
+    /// What one flush settles: every lane's released prefix, merged.
+    /// Reused, so a flush allocates nothing once it has reached its
+    /// size.
+    batch: Vec<RankedEvent>,
     rejected: Vec<String>,
 }
 
 impl State {
     /// Advance the watermark to the minimum acked tick across live
-    /// lanes and settle each lane's prefix at or below it, lowest first
-    /// key first, counting lateness against the frontier as it stood
-    /// before the flush.
+    /// lanes, merge every lane's prefix at or below it into the batch,
+    /// and settle the batch in one go, counting lateness against the
+    /// frontier as it stood before the flush.
     fn flush(&mut self) {
         let watermark = self
             .lanes
@@ -240,17 +249,12 @@ impl State {
             .map(|l| l.acked_tick)
             .min()
             .unwrap_or(u64::MAX);
-        let frontier = self.store.frontier();
-        while let Some((_, lane)) = self
-            .lanes
-            .values_mut()
-            .filter_map(|l| Some((l.pending.ready(watermark).first()?.key(), l)))
-            .min_by_key(|&(first, _)| first)
-        {
-            self.store
-                .settle_run(lane.pending.ready(watermark), frontier);
+        self.batch.clear();
+        for lane in self.lanes.values_mut() {
+            merge_run(&mut self.batch, 0, lane.pending.ready(watermark));
             lane.pending.release(watermark);
         }
+        self.store.settle_run(&self.batch);
     }
 
     /// Account one decoded sink write of `rank` under `epoch`. An epoch
@@ -368,14 +372,15 @@ impl Daemon {
         }
     }
 
-    /// Join every lane thread, settle everything still buffered, and
-    /// report.
+    /// Join every lane thread, settle everything still buffered, seal
+    /// the store, and report.
     pub fn finish(self) -> FleetReport {
         for t in self.threads {
             let _ = t.join();
         }
         let mut state = self.shared.state.lock();
         state.flush(); // no live lanes remain: flushes everything
+        state.store.seal();
         let state = std::mem::take(&mut *state);
         FleetReport {
             lanes: state.lanes.into_values().map(|l| l.report).collect(),

@@ -27,11 +27,14 @@
 //!   decodes its chunk into its connection's run buffer outside the
 //!   state lock and hands it to its own pending buffer (by swap when
 //!   that holds nothing); a watermark at the minimum acked tick across
-//!   live lanes releases each lane's prefix straight into the store.
+//!   live lanes releases every lane's prefix, merged into one batch
+//!   that is settled into the store once per flush.
 //! * [`store`] — the queryable merged timeline (time-range / per-rank /
-//!   per-region), which takes each released prefix with one backward
-//!   merge and whose [`export`](store::FleetStore::export) is
-//!   byte-identical to offline `merge_ranks` over the same data.
+//!   per-region), which keeps its settled records as the export's
+//!   delta-coded segments behind a decoded tail that takes each batch
+//!   with one backward merge, and whose
+//!   [`export`](store::FleetStore::export) is byte-identical to offline
+//!   `merge_ranks` over the same data.
 //!
 //! The `omp_prof serve` and `omp_prof fleet` subcommands drive this
 //! crate end to end. Like the rest of the workspace, it is std-only.

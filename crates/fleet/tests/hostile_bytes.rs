@@ -2,7 +2,8 @@
 //!
 //! Valid inputs are generated for each decoder — request batches,
 //! trace chunks, trace footers, whole trace files (and torn prefixes of
-//! them), fleet timelines and fleet frames — and
+//! them), fleet timelines (cut at segment boundaries too) and fleet
+//! frames — and
 //! then lied about where lies do damage: counts and lengths are swapped
 //! for their neighbours, the bytes that follow, or absurd values;
 //! payload bytes are flipped, extended into long varints, deleted and
@@ -29,12 +30,14 @@ use ora_core::{
     ALL_EVENTS,
 };
 use ora_fleet::protocol::{encode_frame, read_frame, Message};
-use ora_trace::analyze::{decode_timeline, timeline_bytes, TIMELINE_MAGIC};
+use ora_trace::analyze::{
+    decode_timeline, encode_segments, timeline_bytes, TIMELINE_MAGIC, TIMELINE_SEGMENT,
+};
 use ora_trace::format::{
     crc32, decode_chunk, decode_footer, encode_chunk, encode_footer, encode_header, put_varint,
     Footer, LaneStats, FOOTER_MAGIC, TAG_FOOTER,
 };
-use ora_trace::{merge_ranks, RankedEvent, RawRecord, TraceEvent, TraceReader};
+use ora_trace::{merge_ranks, RankedEvent, RawRecord, TraceError, TraceEvent, TraceReader};
 
 struct Counting;
 
@@ -549,7 +552,7 @@ fn torn_files(rng: &mut XorShift64, seed: u64) {
             match opened.expect("decode ran") {
                 Err(e) => {
                     assert!(cut < 8, "{context}: a cut past the header fails: {e}");
-                    assert_eq!(e, ora_trace::TraceError::Truncated, "{context}");
+                    assert_eq!(e, TraceError::Truncated, "{context}");
                 }
                 Ok((salvage, records, events)) => {
                     let salvage = salvage.unwrap_or_else(|| panic!("{context}: not salvaged"));
@@ -568,9 +571,13 @@ fn torn_files(rng: &mut XorShift64, seed: u64) {
     }
 }
 
+/// Timelines of up to a few segments, cut at a segment boundary (or a
+/// byte either side of one) or mutated, under a count that is honest,
+/// lies, or names a segment boundary; some keep the v1 magic.
 fn timelines(rng: &mut XorShift64, seed: u64) {
     for case in 0..CASES {
-        let events: Vec<RankedEvent> = arb_records(rng, 200)
+        let max = *rng.choose(&[200, 1100, 2600]);
+        let events: Vec<RankedEvent> = arb_records(rng, max)
             .iter()
             .map(|r| RankedEvent {
                 rank: rng.below(4) as usize,
@@ -587,16 +594,47 @@ fn timelines(rng: &mut XorShift64, seed: u64) {
         let honest = timeline_bytes(&events);
         let at = TIMELINE_MAGIC.len();
         let mut body = honest[at + varint_len(&honest[at..])..].to_vec();
-        if rng.chance(1, 2) {
-            mutate_bytes(rng, &mut body);
+        let segments = events.len().div_ceil(TIMELINE_SEGMENT);
+        let mut count = events.len() as u64;
+        match rng.below(4) {
+            0 => mutate_bytes(rng, &mut body),
+            1 => {
+                // Cut at the end of a segment, or a byte either side.
+                let whole = rng.below(segments as u64 + 1) as usize * TIMELINE_SEGMENT;
+                let mut head = Vec::new();
+                encode_segments(&mut head, &events[..whole.min(events.len())]);
+                let cut = (head.len() + rng.below(3) as usize).saturating_sub(1);
+                body.truncate(cut);
+            }
+            _ => {}
         }
-        let count = lie(rng, events.len() as u64, body.len() as u64);
-        let mut timeline = TIMELINE_MAGIC.to_vec();
+        count = match rng.below(3) {
+            // A segment boundary, or a record either side of one.
+            0 => (rng.below(segments as u64 + 2) * TIMELINE_SEGMENT as u64 + rng.below(3))
+                .saturating_sub(1),
+            1 => lie(rng, count, body.len() as u64),
+            _ => count,
+        };
+        let mut timeline = if rng.chance(1, 16) {
+            b"ORAFLT".to_vec()
+        } else {
+            TIMELINE_MAGIC.to_vec()
+        };
         put_field(rng, &mut timeline, count);
         timeline.extend_from_slice(&body);
+        let mut decoded = None;
         check("timeline", seed, case, &timeline, || {
-            let _ = decode_timeline(&timeline);
+            decoded = Some(decode_timeline(&timeline));
         });
+        if timeline.starts_with(b"ORAFLT") {
+            assert_eq!(decoded, Some(Err(TraceError::BadVersion(1))), "case {case}");
+        } else if timeline[at..] == honest[at..] {
+            assert_eq!(
+                decoded,
+                Some(Ok(events)),
+                "case {case}: the honest timeline"
+            );
+        }
     }
 }
 

@@ -9,9 +9,10 @@
 //! the hand-off to the lane's pending buffer, the flush into the store
 //! and the ACK. By chunk 2 every per-connection buffer has reached its
 //! size: chunk 1 grows the frame buffer and one run buffer, and chunk 2
-//! the run buffer the lane hands back by swap. What is left is the
-//! store's settled timeline, which at least doubles each time it grows.
-//! It lives in its own binary because the allocator is global.
+//! the run buffer the lane hands back by swap; the daemon's flush
+//! batch, reused by every flush, has reached its size too. What is left
+//! is the store's growth (see the bound below). It lives in its own
+//! binary because the allocator is global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -147,8 +148,14 @@ fn a_lane_ingests_a_chunk_without_allocating() {
     assert_eq!(report.store.len() as u64, CHUNKS * PER_CHUNK);
     assert!(report.lanes[0].quarantined.is_none());
 
-    // Chunks 3..=CHUNKS append to a store that already holds 2 chunks
-    // and at least doubles its capacity each time it grows.
+    // The bound is what a store holding 2 chunks that at least doubles
+    // each time it grows needs for chunks 3..=CHUNKS. The encoded store
+    // stays within it: its decoded tail doubles twice on its way to
+    // twice its 16-segment floor (8 chunks here), where spills hold it;
+    // and its first spill reserves the segment bytes and the segment
+    // table together, one allocation each, with room for that spill's
+    // worst case (16 segments at 70 B a record, about 1.1 MiB), more
+    // than every later spill of this stream encodes (7 B a record).
     let growths = (CHUNKS / 2).next_power_of_two().ilog2() as usize;
     assert!(
         counted <= growths,

@@ -29,6 +29,33 @@
 //! ([`decode_timeline`]). All evidence is reported as tick ranges in
 //! the source trace's clock domain, so findings can be drilled into
 //! with the existing `trace report --from-us/--to-us` queries.
+//!
+//! **Fleet timeline export (v2).** A merged timeline is exported as a
+//! magic, a record count and a stream of **segments** of
+//! [`TIMELINE_SEGMENT`] records (the last may hold fewer), in
+//! `(tick, gtid, seq, rank)` order, every integer a LEB128 varint and
+//! every signed delta zigzag-mapped first:
+//!
+//! ```text
+//! timeline := magic "ORAFL2" (6 bytes)
+//!           | varint count           — records in the timeline
+//!           | segment*               — ⌈count / 1024⌉ of them
+//! segment  := record × min(1024, records left)
+//! record   := zigzag Δtick | varint gtid | zigzag Δseq | varint rank
+//!           | varint event | zigzag Δregion_id | varint wait_id
+//! ```
+//!
+//! `tick`, `seq` and `region_id` are stored as wrapping deltas against
+//! the previous record *of the same segment*; a segment's first record
+//! takes its deltas against zero, so every segment decodes on its own
+//! and a timeline's bytes are its segments' bytes back to back. Ticks
+//! and sequence numbers climb within a segment, so the common delta
+//! fits one byte; regions repeat, so the common region delta is 0.
+//! [`encode_segments`] is the one segment encoder: [`timeline_bytes`]
+//! and the fleet store, which keeps its settled records as these
+//! segments, both call it, and [`decode_segments`] is the one decoder.
+//! A v1 export (magic `ORAFLT`, plain varints, no segments) is refused
+//! with [`TraceError::BadVersion`]`(1)`.
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -37,15 +64,28 @@ use std::hash::{BuildHasher, Hasher};
 use ora_core::bytes::Cursor;
 use ora_core::event::{Event, EVENT_COUNT};
 
-use crate::format::put_varint;
+use crate::format::{put_varint, unzigzag, write_varint, zigzag, MAX_VARINT_BYTES};
 use crate::reader::{RankedEvent, TraceEvent};
 use crate::TraceError;
 
-/// Magic starting every exported fleet timeline (`ora-fleet` encodes
-/// through this module's sibling `timeline_bytes`; the constant lives
+/// Magic starting every exported fleet timeline, version 2 (`ora-fleet`
+/// encodes through this module's [`encode_segments`]; the codec lives
 /// here so the trace crate can decode exports without a dependency
 /// cycle).
-pub const TIMELINE_MAGIC: &[u8; 6] = b"ORAFLT";
+pub const TIMELINE_MAGIC: &[u8; 6] = b"ORAFL2";
+
+/// Magic of a version-1 export, which [`decode_timeline`] refuses.
+const TIMELINE_MAGIC_V1: &[u8; 6] = b"ORAFLT";
+
+/// Records in each segment of a timeline export (the last may hold
+/// fewer).
+pub const TIMELINE_SEGMENT: usize = 1024;
+
+/// Fewest bytes one timeline record takes: seven one-byte varints.
+pub const MIN_TIMELINE_RECORD_BYTES: usize = 7;
+
+/// Most bytes one timeline record takes: seven varints of a `u64`.
+pub const MAX_TIMELINE_RECORD_BYTES: usize = 7 * MAX_VARINT_BYTES;
 
 /// Detection thresholds. The defaults are deliberately conservative:
 /// each pattern needs both a minimum amount of evidence (tasks,
@@ -777,57 +817,111 @@ fn detect_barrier_convoy(
     });
 }
 
-/// Encode a rank-attributed timeline in the canonical fleet-export
-/// byte form: magic, record count, then each record's fields as plain
-/// varints in key order. `ora-fleet`'s store export and this function
-/// must stay byte-identical — the fleet crate delegates here.
-pub fn timeline_bytes(events: &[RankedEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(events.len() * 8 + 16);
+/// Start a timeline export of `count` records: magic and count.
+/// [`timeline_bytes`] and the fleet store's export both begin here, and
+/// append the records with [`encode_segments`].
+pub fn put_timeline_head(out: &mut Vec<u8>, count: usize) {
     out.extend_from_slice(TIMELINE_MAGIC);
-    put_varint(&mut out, events.len() as u64);
-    for e in events {
-        put_varint(&mut out, e.record.tick);
-        put_varint(&mut out, e.record.gtid as u64);
-        put_varint(&mut out, e.record.seq);
-        put_varint(&mut out, e.rank as u64);
-        put_varint(&mut out, e.record.event as u64);
-        put_varint(&mut out, e.record.region_id);
-        put_varint(&mut out, e.record.wait_id);
-    }
+    put_varint(out, count as u64);
+}
+
+/// Encode a rank-attributed timeline in the canonical fleet-export
+/// byte form (see the module docs): magic, record count, segments.
+/// `ora-fleet`'s store export and this function must stay
+/// byte-identical — both encode through [`encode_segments`].
+pub fn timeline_bytes(events: &[RankedEvent]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 * MAX_VARINT_BYTES + events.len() * 9);
+    put_timeline_head(&mut out, events.len());
+    encode_segments(&mut out, events);
     out
+}
+
+/// Append `events` to `out` as timeline segments: the one segment
+/// encoder. `events` must start a segment of the timeline they belong
+/// to (its first record, or one a multiple of [`TIMELINE_SEGMENT`]
+/// records later). Each segment is written varint by varint straight
+/// into `out`'s spare capacity, whose room for the segment's worst case
+/// is checked once per segment, not per byte.
+pub fn encode_segments(out: &mut Vec<u8>, events: &[RankedEvent]) {
+    for segment in events.chunks(TIMELINE_SEGMENT) {
+        out.reserve(segment.len() * MAX_TIMELINE_RECORD_BYTES);
+        let len = out.len();
+        let buf = out.spare_capacity_mut();
+        let mut at = 0;
+        let (mut tick, mut seq, mut region) = (0u64, 0u64, 0u64);
+        for e in segment {
+            let r = &e.record;
+            at = write_varint(buf, at, zigzag(r.tick.wrapping_sub(tick) as i64));
+            at = write_varint(buf, at, r.gtid as u64);
+            at = write_varint(buf, at, zigzag(r.seq.wrapping_sub(seq) as i64));
+            at = write_varint(buf, at, e.rank as u64);
+            at = write_varint(buf, at, r.event as u64);
+            at = write_varint(buf, at, zigzag(r.region_id.wrapping_sub(region) as i64));
+            at = write_varint(buf, at, r.wait_id);
+            (tick, seq, region) = (r.tick, r.seq, r.region_id);
+        }
+        // SAFETY: the loop above initialised `len..len + at`, within the
+        // room reserved for the segment.
+        unsafe { out.set_len(len + at) };
+    }
+}
+
+/// Decode `count` records of back-to-back timeline segments, which must
+/// be all of `bytes`, onto `out`: the one segment decoder, under
+/// [`decode_timeline`] and the fleet store's reads and reopens. A
+/// record that is cut short, an event code this build does not know,
+/// or bytes left over are typed errors. `out` is only pushed to, so
+/// the caller sizes what it allocates.
+pub fn decode_segments(
+    bytes: &[u8],
+    count: usize,
+    out: &mut Vec<RankedEvent>,
+) -> Result<(), TraceError> {
+    let mut c = Cursor::new(bytes);
+    let mut left = count;
+    while left > 0 {
+        let records = left.min(TIMELINE_SEGMENT);
+        left -= records;
+        let (mut tick, mut seq, mut region) = (0u64, 0u64, 0u64);
+        for _ in 0..records {
+            tick = tick.wrapping_add(unzigzag(c.varint()?) as u64);
+            let gtid = c.varint()? as usize;
+            seq = seq.wrapping_add(unzigzag(c.varint()?) as u64);
+            let rank = c.varint()? as usize;
+            let raw_event = u32::try_from(c.varint()?)
+                .map_err(|_| TraceError::Malformed("timeline event code overflows u32"))?;
+            let event = Event::from_u32(raw_event).ok_or(TraceError::UnknownEvent(raw_event))?;
+            region = region.wrapping_add(unzigzag(c.varint()?) as u64);
+            out.push(RankedEvent {
+                rank,
+                record: TraceEvent {
+                    tick,
+                    gtid,
+                    seq,
+                    event,
+                    region_id: region,
+                    wait_id: c.varint()?,
+                },
+            });
+        }
+    }
+    c.finish()?;
+    Ok(())
 }
 
 /// Decode a fleet timeline export ([`timeline_bytes`]) back into
 /// rank-attributed records, validating magic, count, and event codes.
+/// A v1 export is [`TraceError::BadVersion`]`(1)`.
 pub fn decode_timeline(bytes: &[u8]) -> Result<Vec<RankedEvent>, TraceError> {
     let mut c = Cursor::new(bytes);
-    if c.bytes(TIMELINE_MAGIC.len() as u64) != Ok(&TIMELINE_MAGIC[..]) {
-        return Err(TraceError::Malformed("not a fleet timeline export"));
+    match c.bytes(TIMELINE_MAGIC.len() as u64) {
+        Ok(magic) if magic == TIMELINE_MAGIC => {}
+        Ok(magic) if magic == TIMELINE_MAGIC_V1 => return Err(TraceError::BadVersion(1)),
+        _ => return Err(TraceError::Malformed("not a fleet timeline export")),
     }
-    // Every record is seven varints.
-    let count = c.count(7)?;
+    let count = c.count(MIN_TIMELINE_RECORD_BYTES)?;
     let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tick = c.varint()?;
-        let gtid = c.varint()? as usize;
-        let seq = c.varint()?;
-        let rank = c.varint()? as usize;
-        let raw_event = u32::try_from(c.varint()?)
-            .map_err(|_| TraceError::Malformed("timeline event code overflows u32"))?;
-        let event = Event::from_u32(raw_event).ok_or(TraceError::UnknownEvent(raw_event))?;
-        out.push(RankedEvent {
-            rank,
-            record: TraceEvent {
-                tick,
-                gtid,
-                seq,
-                event,
-                region_id: c.varint()?,
-                wait_id: c.varint()?,
-            },
-        });
-    }
-    c.finish()?;
+    decode_segments(&bytes[c.position()..], count, &mut out)?;
     Ok(out)
 }
 
@@ -1261,6 +1355,78 @@ mod tests {
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 1);
         assert!(decode_timeline(&truncated).is_err());
+    }
+
+    /// `n` records whose fields sweep the extremes: ticks, seqs, regions
+    /// and wait IDs at and near `u64::MAX` and 0, so deltas wrap both
+    /// ways; descending runs; ranks and gtids up to `usize::MAX`.
+    fn extreme_timeline(n: usize) -> Vec<RankedEvent> {
+        let wide = [0, 1, 127, 128, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        (0..n)
+            .map(|i| {
+                let pick = |salt: usize| wide[(i * 7 + salt) % wide.len()];
+                let descending = u64::MAX - i as u64;
+                RankedEvent {
+                    rank: [0, 1, usize::MAX, usize::MAX - 3][i % 4],
+                    record: TraceEvent {
+                        tick: if i % 3 == 0 { descending } else { pick(1) },
+                        gtid: [usize::MAX, 0, 300][i % 3],
+                        seq: if i % 2 == 0 { pick(2) } else { descending },
+                        event: Event::from_u32(1 + (i % 26) as u32).expect("events 1..=26"),
+                        region_id: pick(3),
+                        wait_id: pick(5),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn timeline_codec_round_trips_at_segment_edges_and_extreme_fields() {
+        for n in [0, 1, 1023, 1024, 1025, 5000] {
+            let events = extreme_timeline(n);
+            let bytes = timeline_bytes(&events);
+            assert_eq!(&bytes[..6], TIMELINE_MAGIC);
+            assert_eq!(decode_timeline(&bytes), Ok(events.clone()), "{n} records");
+            // Segments decode on their own: the bytes of the first k
+            // whole segments are the export of the first k·1024 records.
+            let whole = n / TIMELINE_SEGMENT * TIMELINE_SEGMENT;
+            let mut head = Vec::new();
+            encode_segments(&mut head, &events[..whole]);
+            let mut rest = Vec::new();
+            encode_segments(&mut rest, &events[whole..]);
+            let mut out = Vec::new();
+            decode_segments(&head, whole, &mut out).expect("whole segments");
+            decode_segments(&rest, n - whole, &mut out).expect("the last segment");
+            assert_eq!(out, events, "{n} records, decoded in two parts");
+            let body = bytes.len() - head.len() - rest.len();
+            assert_eq!(bytes[body..], [head.clone(), rest.clone()].concat());
+            // A count one past the records is cut short; one short of
+            // them leaves bytes over.
+            assert!(decode_segments(&head, whole + 1, &mut Vec::new()).is_err());
+            assert!(decode_segments(&rest, n - whole + 1, &mut Vec::new()).is_err());
+            if n > 0 {
+                assert!(decode_segments(&bytes[body..], n - 1, &mut Vec::new()).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn a_v1_timeline_is_refused_with_its_version() {
+        // What the v1 encoder wrote for an empty and a one-record timeline.
+        assert_eq!(
+            decode_timeline(b"ORAFLT\x00"),
+            Err(TraceError::BadVersion(1))
+        );
+        assert_eq!(
+            decode_timeline(b"ORAFLT\x01\x05\x00\x00\x00\x01\x00\x00"),
+            Err(TraceError::BadVersion(1))
+        );
+        assert_eq!(
+            decode_timeline(b"ORAFL3\x00"),
+            Err(TraceError::Malformed("not a fleet timeline export"))
+        );
+        assert_eq!(decode_timeline(b"ORAFL2\x00"), Ok(Vec::new()));
     }
 
     #[test]

@@ -348,7 +348,7 @@ impl ChunkMeta {
 }
 
 /// Most bytes one varint of a `u64` takes.
-const MAX_VARINT_BYTES: usize = 10;
+pub(crate) const MAX_VARINT_BYTES: usize = 10;
 
 /// Most bytes one encoded record takes: four 64-bit varints (tick, seq,
 /// region and wait deltas) and two 32-bit ones (event, gtid).
@@ -357,7 +357,7 @@ const MAX_RECORD_BYTES: usize = 4 * MAX_VARINT_BYTES + 2 * 5;
 /// Write `v` LEB128-encoded into `buf` at `at`; returns the position
 /// after it. The caller has reserved the room.
 #[inline(always)]
-fn write_varint(buf: &mut [MaybeUninit<u8>], mut at: usize, mut v: u64) -> usize {
+pub(crate) fn write_varint(buf: &mut [MaybeUninit<u8>], mut at: usize, mut v: u64) -> usize {
     while v >= 0x80 {
         buf[at].write(v as u8 | 0x80);
         v >>= 7;

@@ -123,6 +123,24 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/
   echo "tier1: a timeline scan in crates/fleet/src/store.rs — answer rank and region queries through the query index" >&2
   exit 1
 fi
+# One timeline segment encoder: `ora_trace::analyze::encode_segments`
+# writes every segment of a v2 timeline, for `timeline_bytes` and for
+# the fleet store's settled records alike, so an export and the offline
+# encoding cannot drift apart: exactly one `fn encode_segments` under
+# crates/, and no delta coding of its own in the fleet crate.
+if [ "$(grep -rnE 'fn encode_segments\b' crates/ | wc -l)" -ne 1 ] \
+    || grep -rn 'zigzag(' crates/fleet/src; then
+  grep -rnE 'fn encode_segments\b' crates/ >&2 || true
+  echo "tier1: fn encode_segments must be defined exactly once under crates/ (ora_trace::analyze), and crates/fleet/src must not delta-code records itself" >&2
+  exit 1
+fi
+# Export copies segments: the store keeps its settled records encoded,
+# so the non-test part of store.rs never re-encodes the timeline.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/fleet/src/store.rs \
+    | grep -F 'timeline_bytes('; then
+  echo "tier1: timeline_bytes( in the non-test part of crates/fleet/src/store.rs — export copies the encoded segments" >&2
+  exit 1
+fi
 # One delivery count: a delivered event is counted once, by its dispatch
 # lane's `sampled` word, so no second fired counter, batch flush or
 # quiet invoke path comes back beside it.
