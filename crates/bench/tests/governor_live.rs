@@ -65,7 +65,7 @@ fn barrier_storm_governed(budget_ppm: u64, episodes: usize) -> GovernedRun {
     // Full quiescence (workers joined, callbacks flushed) before the
     // snapshot, so the reconciliation invariant must hold exactly.
     drop(rt);
-    let status = handle.query_governor().expect("OMP_REQ_GOVERNOR");
+    let status = handle.query_governor().expect("governor status");
     let (summary, trace) = active.finish_with_trace().expect("finish");
     GovernedRun {
         status,
@@ -142,7 +142,7 @@ fn dense_storm_is_sampled_down_under_the_default_budget() {
         }
     });
     drop(rt);
-    let g = handle.query_governor().expect("OMP_REQ_GOVERNOR");
+    let g = handle.query_governor().expect("governor status");
     active.finish().expect("finish");
     assert!(g.reconciles());
     let sampled = g.events_sampled as f64 / g.events_observed.max(1) as f64;
@@ -187,7 +187,7 @@ fn learned_shifts_survive_detach_and_reattach() {
             }
         }
     });
-    let first = handle.query_governor().expect("OMP_REQ_GOVERNOR");
+    let first = handle.query_governor().expect("governor status");
     active.finish().expect("first finish");
     assert!(first.retunes > 0, "zero budget must retune");
     assert!(first.events_skipped > 0, "zero budget must shed events");
@@ -209,7 +209,7 @@ fn learned_shifts_survive_detach_and_reattach() {
         }
     });
     drop(rt);
-    let second = handle.query_governor().expect("OMP_REQ_GOVERNOR");
+    let second = handle.query_governor().expect("governor status");
     active.finish().expect("second finish");
     assert_eq!(
         second.retunes, first.retunes,

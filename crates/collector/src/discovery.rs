@@ -178,13 +178,13 @@ impl RuntimeHandle {
         self.api.uninstall_governor();
     }
 
-    /// Query the governor's budget/overhead snapshot over the byte
-    /// protocol (`OMP_REQ_GOVERNOR`, answerable in every phase).
+    /// The governor's budget/overhead snapshot, read in-process like
+    /// the install, uninstall and decision calls beside it: only an
+    /// in-process caller can arm a governor, so the byte protocol has no
+    /// governor request (its sampled/skipped counts travel in
+    /// [`query_health`](RuntimeHandle::query_health)). Never fails.
     pub fn query_governor(&self) -> OraResult<GovernorStatus> {
-        match self.request_one(Request::QueryGovernor)? {
-            Response::Governor(g) => Ok(g),
-            _ => Err(OraError::Error),
-        }
+        Ok(self.api.governor().status())
     }
 
     /// Drain the governor's accumulated sampling-rate decisions (the

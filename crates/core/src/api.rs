@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::event::Event;
-use crate::governor::{Admit, DispatchLane, Governor, GovernorConfig, GovernorStatus};
+use crate::governor::{Admit, DispatchLane, Governor, GovernorConfig};
 use crate::message;
 use crate::pad::CachePadded;
 use crate::registry::{Callback, CallbackRegistry, EventData};
@@ -86,28 +86,6 @@ impl RequestLanes {
     }
 }
 
-/// Lifetime statistics of one API instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApiStats {
-    /// Successful `Start` requests served.
-    pub starts: u64,
-    /// Successful `Stop` requests served.
-    pub stops: u64,
-    /// Successful `Pause` requests served.
-    pub pauses: u64,
-    /// Successful `Resume` requests served.
-    pub resumes: u64,
-    /// Requests rejected with [`OraError::OutOfSequence`].
-    pub sequence_errors: u64,
-    /// Total requests served (including failed ones): the sum of the
-    /// per-thread request lanes.
-    pub requests: u64,
-    /// Callback panics caught on the dispatch path (fault isolation).
-    pub callback_panics: u64,
-    /// Callbacks quarantined after exhausting their panic budget.
-    pub callbacks_quarantined: u64,
-}
-
 /// Task-runtime scheduler counters the runtime deposits after each
 /// parallel region, served through [`ApiHealth`]. Lifetime totals, like
 /// every other health counter, so tools can watch deltas.
@@ -148,8 +126,8 @@ pub struct CollectorApi {
     next_token: AtomicU64,
     provider: OnceLock<Arc<dyn RuntimeInfoProvider>>,
     lanes: RequestLanes,
-    /// Lifecycle and out-of-sequence counters; `requests` lives in `lanes`.
-    stats: Mutex<ApiStats>,
+    /// Requests rejected with [`OraError::OutOfSequence`].
+    sequence_errors: AtomicU64,
     /// Per-thread dispatch masks + the adaptive sampling feedback loop.
     /// Always present (the lanes are the fast path's first check); only
     /// *armed* under the governed collector rung.
@@ -176,7 +154,7 @@ impl CollectorApi {
             next_token: AtomicU64::new(1),
             provider: OnceLock::new(),
             lanes: RequestLanes(std::array::from_fn(|_| CachePadded::default())),
-            stats: Mutex::new(ApiStats::default()),
+            sequence_errors: AtomicU64::new(0),
             governor: Governor::new(),
             task_stats: RuntimeTaskStats::default(),
         }
@@ -207,26 +185,18 @@ impl CollectorApi {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Snapshot of lifetime statistics. The fault counters come from the
-    /// registry's atomics, so this reflects panics caught on other
-    /// threads' dispatch paths up to the moment of the call.
-    pub fn stats(&self) -> ApiStats {
-        let mut stats = *self.stats.lock();
-        stats.requests = self.lane_distribution().iter().sum();
-        let faults = self.registry.fault_stats();
-        stats.callback_panics = faults.callback_panics;
-        stats.callbacks_quarantined = faults.callbacks_quarantined;
-        stats
-    }
-
-    /// The health summary served to [`Request::QueryHealth`].
+    /// The health summary served to [`Request::QueryHealth`]: lifetime
+    /// totals. The fault counters come from the registry's atomics, so
+    /// this reflects panics caught on other threads' dispatch paths up to
+    /// the moment of the call; `requests` is the sum of the per-thread
+    /// request lanes.
     pub fn health(&self) -> ApiHealth {
-        let stats = self.stats();
+        let faults = self.registry.fault_stats();
         ApiHealth {
-            callback_panics: stats.callback_panics,
-            callbacks_quarantined: stats.callbacks_quarantined,
-            sequence_errors: stats.sequence_errors,
-            requests: stats.requests,
+            callback_panics: faults.callback_panics,
+            callbacks_quarantined: faults.callbacks_quarantined,
+            sequence_errors: self.sequence_errors.load(Ordering::Relaxed),
+            requests: self.lane_distribution().iter().sum(),
             events_sampled: self.governor.events_sampled(),
             events_skipped: self.governor.events_skipped(),
             tasks_stolen: self.task_stats.stolen.load(Ordering::Relaxed),
@@ -263,13 +233,6 @@ impl CollectorApi {
     /// resolved the token.
     pub fn forget_callback(&self, token: CallbackToken) -> bool {
         self.tokens.lock().remove(&token.0).is_some()
-    }
-
-    /// Serve a batch of typed requests, in order, on the calling thread.
-    pub fn handle_requests(&self, requests: &[Request]) -> Vec<OraResult<Response>> {
-        let results: Vec<_> = requests.iter().map(|&req| self.serve_one(req)).collect();
-        self.lanes.note_served(results.len() as u64);
-        results
     }
 
     /// Serve a single typed request.
@@ -321,15 +284,10 @@ impl CollectorApi {
             // because the monitored path re-checks the registry.
             self.republish_masks();
         }
-        // The shared stats lock is taken only by lifecycle transitions and
-        // out-of-sequence errors, never by a query.
-        match (&req, &result) {
-            (Request::Start, Ok(_)) => self.stats.lock().starts += 1,
-            (Request::Stop, Ok(_)) => self.stats.lock().stops += 1,
-            (Request::Pause, Ok(_)) => self.stats.lock().pauses += 1,
-            (Request::Resume, Ok(_)) => self.stats.lock().resumes += 1,
-            (_, Err(OraError::OutOfSequence)) => self.stats.lock().sequence_errors += 1,
-            _ => {}
+        // Out-of-sequence errors are the only requests counted on a
+        // shared line; every served request counts in its thread's lane.
+        if matches!(result, Err(OraError::OutOfSequence)) {
+            self.sequence_errors.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
@@ -418,11 +376,6 @@ impl CollectorApi {
                 };
                 Ok(Response::Capabilities(bits))
             }
-            Request::QueryGovernor => {
-                // Like health: a tool inspecting sampling decisions must
-                // be answerable at any point. No phase gating.
-                Ok(Response::Governor(self.governor.status()))
-            }
         }
     }
 
@@ -491,12 +444,8 @@ impl CollectorApi {
         self.governor.uninstall();
     }
 
-    /// Snapshot served to `OMP_REQ_GOVERNOR`.
-    pub fn governor_status(&self) -> GovernorStatus {
-        self.governor.status()
-    }
-
-    /// Direct access to the governor (decision draining, diagnostics).
+    /// Direct access to the governor (its status snapshot, decision
+    /// draining, diagnostics).
     pub fn governor(&self) -> &Governor {
         &self.governor
     }
@@ -626,8 +575,8 @@ mod tests {
         // After a stop, start is legal again.
         assert_eq!(api.handle_request(Request::Stop), Ok(Response::Ack));
         assert_eq!(api.handle_request(Request::Start), Ok(Response::Ack));
-        assert_eq!(api.stats().sequence_errors, 1);
-        assert_eq!(api.stats().starts, 2);
+        assert_eq!(api.health().sequence_errors, 1);
+        assert_eq!(api.phase(), Phase::Active);
     }
 
     #[test]
@@ -844,17 +793,13 @@ mod tests {
             h.join().unwrap();
         }
         api.handle_request(Request::Stop).unwrap();
-        let want = ApiStats {
-            starts: 1,
-            stops: 1,
-            pauses: 1,
-            resumes: 1,
+        assert_eq!(api.phase(), Phase::Inactive);
+        let want = ApiHealth {
             sequence_errors: 8 * 50 * 2,
             requests: 4 + 8 * 50 * 4,
-            ..ApiStats::default()
+            ..ApiHealth::default()
         };
-        assert_eq!(api.stats(), want);
-        assert_eq!(api.health().requests, want.requests);
+        assert_eq!(api.health(), want);
         let dist = api.lane_distribution();
         assert_eq!(dist.iter().sum::<u64>(), want.requests);
         let used = dist.iter().filter(|&&c| c > 0).count();
@@ -897,7 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_callback_surfaces_in_stats_and_health() {
+    fn panicking_callback_surfaces_in_health() {
         let api = CollectorApi::new();
         api.set_provider(FakeProvider::new()).unwrap();
         api.handle_request(Request::Start).unwrap();
@@ -910,15 +855,12 @@ mod tests {
         for _ in 0..10 {
             api.event(&EventData::bare(Event::Fork, 0));
         }
-        let stats = api.stats();
-        assert_eq!(
-            stats.callback_panics,
-            crate::registry::DEFAULT_QUARANTINE_THRESHOLD
-        );
-        assert_eq!(stats.callbacks_quarantined, 1);
         let h = api.health();
         assert!(h.faulted());
-        assert_eq!(h.callback_panics, stats.callback_panics);
+        assert_eq!(
+            h.callback_panics,
+            crate::registry::DEFAULT_QUARANTINE_THRESHOLD
+        );
         assert_eq!(h.callbacks_quarantined, 1);
         // The quarantined event no longer dispatches.
         assert!(!api.registry().is_registered(Event::Fork));
@@ -938,22 +880,6 @@ mod tests {
         assert_eq!(api.governor().current_mask(), 0);
         api.handle_request(Request::Stop).unwrap();
         assert_eq!(api.governor().current_mask(), 0);
-    }
-
-    #[test]
-    fn governor_is_served_in_every_phase() {
-        let api = CollectorApi::new();
-        let status = api
-            .handle_request(Request::QueryGovernor)
-            .unwrap()
-            .governor()
-            .unwrap();
-        assert_eq!(status.enabled, 0);
-        assert_eq!(status.budget_ppm, crate::governor::DEFAULT_BUDGET_PPM);
-        api.handle_request(Request::Start).unwrap();
-        assert!(api.handle_request(Request::QueryGovernor).is_ok());
-        api.handle_request(Request::Stop).unwrap();
-        assert!(api.handle_request(Request::QueryGovernor).is_ok());
     }
 
     #[test]
@@ -988,7 +914,7 @@ mod tests {
             }
             ticks.fetch_add(200_000, Ordering::Relaxed);
         }
-        let status = api.governor_status();
+        let status = api.governor().status();
         assert!(status.reconciles(), "observed == sampled + skipped");
         assert_eq!(status.events_observed, 80_000);
         assert!(
@@ -1009,7 +935,7 @@ mod tests {
             api.event(&EventData::bare(begin, 0));
         }
         assert_eq!(hits.load(Ordering::SeqCst), before + 100);
-        assert!(api.governor_status().reconciles());
+        assert!(api.governor().status().reconciles());
     }
 
     #[test]

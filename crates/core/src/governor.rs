@@ -26,8 +26,9 @@
 //!    monitoring cost fits the budget (`OMP_ORA_BUDGET`, e.g. `2%`).
 //!    Timings carry over into the next window until at least
 //!    [`stats::MIN_KEEP`] have been collected. Decisions are
-//!    exposed three ways: [`GovernorStatus`] over the byte protocol
-//!    (`OMP_REQ_GOVERNOR`), sampled/skipped counters in `ApiHealth`,
+//!    exposed three ways: the [`GovernorStatus`] snapshot, read
+//!    in-process by whoever armed the governor; sampled/skipped
+//!    counters in `ApiHealth`, the byte protocol's one status reply;
 //!    and a decision log the governed collector rung writes into the
 //!    trace so `trace report` can show sampling-rate timelines.
 //!
@@ -212,10 +213,11 @@ pub struct GovernorDecision {
     pub overhead_ppm: u64,
 }
 
-/// Snapshot answered over the byte protocol (`OMP_REQ_GOVERNOR`). All
-/// fields are `u64` so the response encodes as nine little-endian words;
-/// tick costs are in **milliticks** (ticks × 1000) to keep sub-tick
-/// medians representable without floats on the wire.
+/// Snapshot of the governor ([`Governor::status`]), read in-process: a
+/// governor is armed only by a caller in the same process (its clock
+/// closure cannot cross the byte protocol), so only such a caller reads
+/// this. Tick costs are in **milliticks** (ticks × 1000) to keep sub-tick
+/// medians representable as integers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct GovernorStatus {
     /// 1 when the governor is installed and armed, else 0.
@@ -439,11 +441,6 @@ impl Governor {
         self.has_saved.store(true, Ordering::Release);
     }
 
-    /// Whether the governor is installed and armed.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
-    }
-
     /// Current sampling shift for `event` (period `2^shift`).
     pub fn shift_for(&self, event: Event) -> u32 {
         self.shifts[event.index()].load(Ordering::Relaxed)
@@ -633,7 +630,7 @@ impl Governor {
         totals
     }
 
-    /// Snapshot for `OMP_REQ_GOVERNOR`.
+    /// Snapshot of budget, counters and measured costs.
     pub fn status(&self) -> GovernorStatus {
         GovernorStatus {
             enabled: u64::from(self.enabled.load(Ordering::SeqCst)),
@@ -1015,7 +1012,7 @@ mod tests {
 
         governor.uninstall();
         // Disarmed: every event is kept regardless of the stashed plan.
-        assert!(!governor.is_enabled());
+        assert_eq!(governor.status().enabled, 0);
         let lane = governor.lane(0);
         assert_eq!(
             governor.admit(lane, Event::ThreadBeginExplicitBarrier),

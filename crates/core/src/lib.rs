@@ -63,7 +63,7 @@ pub mod stats;
 pub mod sync;
 pub mod testutil;
 
-pub use api::{ApiStats, CollectorApi, Phase, RuntimeInfoProvider};
+pub use api::{CollectorApi, Phase, RuntimeInfoProvider};
 pub use event::{Event, ALL_EVENTS, EVENT_COUNT};
 pub use governor::{
     Admit, Governor, GovernorClock, GovernorConfig, GovernorDecision, GovernorStatus,

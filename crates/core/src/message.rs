@@ -20,7 +20,6 @@
 
 use crate::bytes::{self, Cursor};
 use crate::event::Event;
-use crate::governor::GovernorStatus;
 use crate::request::{ApiHealth, CallbackToken, OraError, Request, RequestCode, Response};
 use crate::state::{ThreadState, WaitIdKind};
 
@@ -41,10 +40,6 @@ pub const CAPS_RESPONSE_BYTES: usize = 8;
 /// [`crate::request::ApiHealth`]).
 pub const HEALTH_RESPONSE_BYTES: usize = 72;
 
-/// Response-area size for a governor query: nine u64 counters (see
-/// [`crate::governor::GovernorStatus`]).
-pub const GOVERNOR_RESPONSE_BYTES: usize = 72;
-
 fn payload_bytes(req: &Request) -> usize {
     match req {
         Request::Register { .. } => 12, // event u32 + token u64
@@ -59,7 +54,6 @@ fn response_bytes(req: &Request) -> usize {
         Request::QueryCurrentPrid | Request::QueryParentPrid => PRID_RESPONSE_BYTES,
         Request::QueryCapabilities => CAPS_RESPONSE_BYTES,
         Request::QueryHealth => HEALTH_RESPONSE_BYTES,
-        Request::QueryGovernor => GOVERNOR_RESPONSE_BYTES,
         _ => 0,
     }
 }
@@ -167,7 +161,6 @@ impl RequestBatch {
             Request::QueryCurrentPrid | Request::QueryParentPrid => Response::RegionId(c.u64_le()?),
             Request::QueryCapabilities => Response::Capabilities(c.u64_le()?),
             Request::QueryHealth => Response::Health(read_health(&mut c)?),
-            Request::QueryGovernor => Response::Governor(read_governor(&mut c)?),
             _ => Response::Ack,
         })
     }
@@ -244,7 +237,6 @@ fn serve_record(
         RequestCode::ParentPrid => Request::QueryParentPrid,
         RequestCode::Capabilities => Request::QueryCapabilities,
         RequestCode::Health => Request::QueryHealth,
-        RequestCode::Governor => Request::QueryGovernor,
     };
 
     let response = serve(request)?;
@@ -259,7 +251,6 @@ fn serve_record(
         }
         Response::RegionId(word) | Response::Capabilities(word) => put_words(area, &[word]),
         Response::Health(h) => put_health(area, &h),
-        Response::Governor(g) => put_governor(area, &g),
     }
 }
 
@@ -273,9 +264,9 @@ fn put_words(area: &mut [u8], words: &[u64]) -> Result<(), OraError> {
     Ok(())
 }
 
-/// The word layout of a fixed-layout reply (`OMP_REQ_HEALTH`,
-/// `OMP_REQ_GOVERNOR`): each field once, in wire order, as one
-/// little-endian u64 each, for both directions.
+/// The word layout of the fixed-layout status reply (`OMP_REQ_HEALTH`):
+/// each field once, in wire order, as one little-endian u64 each, for
+/// both directions.
 macro_rules! word_layout {
     ($put:ident, $read:ident, $ty:ident { $($field:ident),* $(,)? }) => {
         fn $put(area: &mut [u8], s: &$ty) -> Result<(), OraError> {
@@ -301,22 +292,6 @@ word_layout!(
         tasks_stolen,
         task_overflows,
         taskwait_parks,
-    }
-);
-
-word_layout!(
-    put_governor,
-    read_governor,
-    GovernorStatus {
-        enabled,
-        budget_ppm,
-        events_observed,
-        events_sampled,
-        events_skipped,
-        retunes,
-        overhead_ppm,
-        baseline_milliticks,
-        monitored_milliticks,
     }
 );
 
@@ -506,7 +481,7 @@ mod seeded_props {
     }
 
     fn arb_request(rng: &mut XorShift64) -> Request {
-        match rng.below(12) {
+        match rng.below(11) {
             0 => Request::Start,
             1 => Request::Stop,
             2 => Request::Pause,
@@ -523,7 +498,6 @@ mod seeded_props {
             7 => Request::QueryCurrentPrid,
             8 => Request::QueryParentPrid,
             9 => Request::QueryHealth,
-            10 => Request::QueryGovernor,
             _ => Request::QueryCapabilities,
         }
     }
@@ -584,28 +558,6 @@ mod seeded_props {
             let mut batch = RequestBatch::new(&[Request::QueryHealth]);
             serve_batch(batch.as_mut_bytes(), |_| Ok(Response::Health(h)));
             assert_eq!(batch.response(0), Ok(Response::Health(h)));
-        }
-    }
-
-    /// Governor status responses round-trip for arbitrary counter values.
-    #[test]
-    fn round_trip_governor_status() {
-        let mut rng = XorShift64::new(0x6d65_7373_0006);
-        for _ in 0..256 {
-            let g = GovernorStatus {
-                enabled: rng.next_u64() & 1,
-                budget_ppm: rng.next_u64(),
-                events_observed: rng.next_u64(),
-                events_sampled: rng.next_u64(),
-                events_skipped: rng.next_u64(),
-                retunes: rng.next_u64(),
-                overhead_ppm: rng.next_u64(),
-                baseline_milliticks: rng.next_u64(),
-                monitored_milliticks: rng.next_u64(),
-            };
-            let mut batch = RequestBatch::new(&[Request::QueryGovernor]);
-            serve_batch(batch.as_mut_bytes(), |_| Ok(Response::Governor(g)));
-            assert_eq!(batch.response(0), Ok(Response::Governor(g)));
         }
     }
 

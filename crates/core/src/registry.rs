@@ -312,12 +312,6 @@ impl CallbackRegistry {
             .load(Ordering::Relaxed)
     }
 
-    /// Retired callback slots not yet reclaimed (diagnostics; trends to
-    /// zero once readers go quiescent).
-    pub fn pending_reclaims(&self) -> usize {
-        self.garbage.pending()
-    }
-
     /// The events that currently have callbacks installed.
     pub fn registered_events(&self) -> Vec<Event> {
         crate::event::ALL_EVENTS

@@ -6,7 +6,6 @@
 //! vocabulary those records encode.
 
 use crate::event::Event;
-use crate::governor::GovernorStatus;
 use crate::state::{ThreadState, WaitIdKind};
 
 /// A callback handle used by the byte protocol.
@@ -47,19 +46,15 @@ pub enum RequestCode {
     /// runtime can generate, so a collector can plan registrations in one
     /// round trip instead of probing for `UNSUPPORTED` per event.
     Capabilities = 10,
-    /// `OMP_REQ_HEALTH` (extension): query the fault-isolation counters —
-    /// caught callback panics, quarantined callbacks, sequence errors.
-    /// Answerable in every phase, like a state query.
+    /// `OMP_REQ_HEALTH` (extension): the one status reply ([`ApiHealth`]) —
+    /// caught callback panics, quarantined callbacks, sequence errors,
+    /// served requests, the governor's sampled/skipped counts and the task
+    /// scheduler's counters. Answerable in every phase, like a state query.
     Health = 11,
-    /// `OMP_REQ_GOVERNOR` (extension): query the adaptive overhead
-    /// governor — budget, sampled/skipped reconciliation counters,
-    /// measured overhead, and the monitored-vs-baseline dispatch costs.
-    /// Answerable in every phase, like a health query.
-    Governor = 12,
 }
 
 /// Number of distinct request codes.
-pub const REQUEST_CODE_COUNT: usize = 12;
+pub const REQUEST_CODE_COUNT: usize = 11;
 
 /// All request codes in discriminant order.
 pub const ALL_REQUEST_CODES: [RequestCode; REQUEST_CODE_COUNT] = [
@@ -74,7 +69,6 @@ pub const ALL_REQUEST_CODES: [RequestCode; REQUEST_CODE_COUNT] = [
     RequestCode::Resume,
     RequestCode::Capabilities,
     RequestCode::Health,
-    RequestCode::Governor,
 ];
 
 impl RequestCode {
@@ -101,7 +95,6 @@ impl RequestCode {
             RequestCode::Resume => "OMP_REQ_RESUME",
             RequestCode::Capabilities => "OMP_REQ_CAPABILITIES",
             RequestCode::Health => "OMP_REQ_HEALTH",
-            RequestCode::Governor => "OMP_REQ_GOVERNOR",
         }
     }
 }
@@ -183,8 +176,6 @@ pub enum Request {
     QueryCapabilities,
     /// Query the fault-isolation health counters (extension).
     QueryHealth,
-    /// Query the adaptive overhead governor (extension).
-    QueryGovernor,
 }
 
 impl Request {
@@ -202,7 +193,6 @@ impl Request {
             Request::QueryParentPrid => RequestCode::ParentPrid,
             Request::QueryCapabilities => RequestCode::Capabilities,
             Request::QueryHealth => RequestCode::Health,
-            Request::QueryGovernor => RequestCode::Governor,
         }
     }
 }
@@ -292,9 +282,6 @@ pub enum Response {
     /// Reply to [`Request::QueryCapabilities`]: bit `i` set means the
     /// event with [`crate::event::Event::index`] `i` is supported.
     Capabilities(u64),
-    /// Reply to [`Request::QueryGovernor`]: the overhead governor's
-    /// budget, reconciliation counters, and measured costs.
-    Governor(GovernorStatus),
 }
 
 impl Response {
@@ -318,14 +305,6 @@ impl Response {
     pub fn health(&self) -> Option<ApiHealth> {
         match self {
             Response::Health(h) => Some(*h),
-            _ => None,
-        }
-    }
-
-    /// The snapshot carried by a [`Response::Governor`], if any.
-    pub fn governor(&self) -> Option<GovernorStatus> {
-        match self {
-            Response::Governor(g) => Some(*g),
             _ => None,
         }
     }
@@ -355,6 +334,7 @@ mod tests {
             assert_eq!(RequestCode::from_u32(c as u32), Some(c));
         }
         assert_eq!(RequestCode::from_u32(0), None);
+        assert_eq!(RequestCode::from_u32(REQUEST_CODE_COUNT as u32 + 1), None);
         assert_eq!(RequestCode::from_u32(100), None);
     }
 
@@ -382,7 +362,6 @@ mod tests {
         assert_eq!(Request::QueryState.code(), RequestCode::State);
         assert_eq!(Request::QueryParentPrid.code(), RequestCode::ParentPrid);
         assert_eq!(Request::QueryHealth.code(), RequestCode::Health);
-        assert_eq!(Request::QueryGovernor.code(), RequestCode::Governor);
     }
 
     #[test]

@@ -209,7 +209,7 @@ fn churn_run(governor: Option<GovernorConfig>) -> GovernorStatus {
     // `event` has no return value, so compare against the governor's
     // count of admitted events: re-registration swaps the callback without
     // ever unlinking it, so every admitted event ran exactly once.
-    let status = api.governor_status();
+    let status = api.governor().status();
     assert_eq!(executed.load(Ordering::SeqCst), status.events_sampled);
     assert!(status.reconciles(), "observed == sampled + skipped");
     status

@@ -2,15 +2,16 @@
 //!
 //! The paper's Fig. 3 batch as the collector encodes it and as the
 //! runtime leaves it after serving, plus a batch of the fixed-layout
-//! replies (`OMP_REQ_STATE`, `OMP_REQ_HEALTH`, `OMP_REQ_GOVERNOR`) and
-//! one error code. Every field of every record is pinned as a literal
-//! byte, so an encoder or decoder change that reorders, resizes or
-//! renumbers one fails here instead of in a collector built against the
-//! old layout.
+//! replies (`OMP_REQ_STATE`, `OMP_REQ_HEALTH`) and one error code, and a
+//! record whose code no request has. Every field of every record is
+//! pinned as a literal byte, so an encoder or decoder change that
+//! reorders, resizes or renumbers one fails here instead of in a
+//! collector built against the old layout.
 
 use ora_core::message::{serve_batch, RequestBatch};
+use ora_core::request::REQUEST_CODE_COUNT;
 use ora_core::{
-    ApiHealth, CallbackToken, Event, GovernorStatus, OraError, Request, Response, ThreadState,
+    ApiHealth, CallbackToken, CollectorApi, Event, OraError, Request, Response, ThreadState,
     WaitIdKind,
 };
 
@@ -42,18 +43,6 @@ const HEALTH: ApiHealth = ApiHealth {
     taskwait_parks: 9,
 };
 
-const GOVERNOR: GovernorStatus = GovernorStatus {
-    enabled: 1,
-    budget_ppm: 20_000,
-    events_observed: 0x1_0000_0003,
-    events_sampled: 0x1_0000_0001,
-    events_skipped: 2,
-    retunes: 10,
-    overhead_ppm: 0x3039,
-    baseline_milliticks: 0xa1b2,
-    monitored_milliticks: 0xc3_d4e5,
-};
-
 const WAIT_ID: u64 = 0x0807_0605_0403_0201;
 
 /// Fixed replies; the parent-region query fails, so one record carries
@@ -67,7 +56,6 @@ fn server(req: Request) -> Result<Response, OraError> {
         Request::QueryCurrentPrid => Response::RegionId(77),
         Request::QueryParentPrid => return Err(OraError::OutOfSequence),
         Request::QueryHealth => Response::Health(HEALTH),
-        Request::QueryGovernor => Response::Governor(GOVERNOR),
         _ => Response::Ack,
     })
 }
@@ -121,13 +109,6 @@ const REPLIES_SERVED: &[u8] = &[
     0x05, 0, 0, 0, 0, 0, 0, 0,  0x06, 0, 0, 0, 0, 0, 0, 0,
     0x07, 0, 0, 0, 0, 0, 0, 0,  0x08, 0, 0, 0, 0, 0, 0, 0,
     0x09, 0, 0, 0, 0, 0, 0, 0,
-    // Governor (code 12): nine u64 words in declaration order
-    0x58, 0, 0, 0,  0x0c, 0, 0, 0,  0, 0, 0, 0,  0x48, 0, 0, 0,
-    0x01, 0, 0, 0, 0, 0, 0, 0,  0x20, 0x4e, 0, 0, 0, 0, 0, 0,
-    0x03, 0, 0, 0, 0x01, 0, 0, 0,  0x01, 0, 0, 0, 0x01, 0, 0, 0,
-    0x02, 0, 0, 0, 0, 0, 0, 0,  0x0a, 0, 0, 0, 0, 0, 0, 0,
-    0x39, 0x30, 0, 0, 0, 0, 0, 0,  0xb2, 0xa1, 0, 0, 0, 0, 0, 0,
-    0xe5, 0xd4, 0xc3, 0, 0, 0, 0, 0,
     // Parent region-ID query answered OutOfSequence (ec 2), area untouched
     0x18, 0, 0, 0,  0x06, 0, 0, 0,  0x02, 0, 0, 0,  0x08, 0, 0, 0,
     0, 0, 0, 0, 0, 0, 0, 0,
@@ -144,10 +125,9 @@ fn request_records_reproduce_the_golden_bytes() {
     let mut replies = RequestBatch::new(&[
         Request::QueryState,
         Request::QueryHealth,
-        Request::QueryGovernor,
         Request::QueryParentPrid,
     ]);
-    assert_eq!(serve_batch(replies.as_mut_bytes(), server), 4);
+    assert_eq!(serve_batch(replies.as_mut_bytes(), server), 3);
     assert_eq!(replies.as_bytes(), REPLIES_SERVED);
     assert_eq!(
         replies.responses(),
@@ -157,8 +137,37 @@ fn request_records_reproduce_the_golden_bytes() {
                 wait_id: Some((WaitIdKind::Lock, WAIT_ID)),
             }),
             Ok(Response::Health(HEALTH)),
-            Ok(Response::Governor(GOVERNOR)),
             Err(OraError::OutOfSequence),
         ]
     );
+}
+
+/// A record with code 12, one past the last request code, sized as a
+/// nine-word status query: well-formed, but no request has its code.
+#[rustfmt::skip]
+const CODE_12_SENT: &[u8] = &[
+    0x58, 0, 0, 0,  0x0c, 0, 0, 0,  0, 0, 0, 0,  0x48, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0,
+];
+
+#[test]
+fn an_unknown_code_is_refused_and_its_response_area_left_zeroed() {
+    assert_eq!(REQUEST_CODE_COUNT, 11);
+    // Only the ec slot changes: UnknownRequest (3).
+    let mut served = CODE_12_SENT.to_vec();
+    served[8] = 0x03;
+
+    let mut bytes = CODE_12_SENT.to_vec();
+    assert_eq!(serve_batch(&mut bytes, server), 1);
+    assert_eq!(bytes, served);
+
+    // The runtime entry point refuses it the same way.
+    let mut bytes = CODE_12_SENT.to_vec();
+    assert_eq!(CollectorApi::new().handle_bytes(&mut bytes), 1);
+    assert_eq!(bytes, served);
 }

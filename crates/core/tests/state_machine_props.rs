@@ -159,15 +159,16 @@ fn lifecycle_matches_reference_model() {
     }
 }
 
-/// Stats counters are consistent with the request stream: total requests
-/// equals the number of requests sent.
+/// Health counters are consistent with the request stream: total
+/// requests equals the number of requests sent, and sequence errors the
+/// number refused as out of sequence.
 #[test]
-fn stats_count_every_request() {
+fn health_counts_every_request() {
     let mut rng = XorShift64::new(0x11fe_c3c1_e002);
     for _case in 0..128 {
         let ops = arb_ops(&mut rng, 64);
         let api = CollectorApi::new();
-        let mut sent = 0u64;
+        let (mut sent, mut rejected) = (0u64, 0u64);
         for op in &ops {
             let req = match op {
                 Op::Start => Some(Request::Start),
@@ -178,10 +179,14 @@ fn stats_count_every_request() {
                 _ => None,
             };
             if let Some(req) = req {
-                let _ = api.handle_request(req);
+                if api.handle_request(req) == Err(OraError::OutOfSequence) {
+                    rejected += 1;
+                }
                 sent += 1;
             }
         }
-        assert_eq!(api.stats().requests, sent);
+        let health = api.health();
+        assert_eq!(health.requests, sent);
+        assert_eq!(health.sequence_errors, rejected);
     }
 }

@@ -107,11 +107,6 @@ impl SocketSink {
         Ok(self)
     }
 
-    /// Chunks sent so far (the next epoch number).
-    pub fn epochs_sent(&self) -> u64 {
-        self.next_epoch
-    }
-
     fn wait_ack(&mut self) -> Result<(), FleetError> {
         match read_frame(&mut self.conn)? {
             Message::Ack { epoch } => {

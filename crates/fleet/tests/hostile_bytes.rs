@@ -26,8 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ora_core::message::{serve_batch, RequestBatch};
 use ora_core::testutil::XorShift64;
 use ora_core::{
-    ApiHealth, CallbackToken, GovernorStatus, OraError, Request, Response, ThreadState, WaitIdKind,
-    ALL_EVENTS,
+    ApiHealth, CallbackToken, OraError, Request, Response, ThreadState, WaitIdKind, ALL_EVENTS,
 };
 use ora_fleet::protocol::{encode_frame, read_frame, Message};
 use ora_trace::analyze::{
@@ -194,7 +193,7 @@ fn arb_records(rng: &mut XorShift64, max: usize) -> Vec<RawRecord> {
 }
 
 fn request_batches(rng: &mut XorShift64, seed: u64) {
-    let arb_request = |rng: &mut XorShift64| match rng.below(12) {
+    let arb_request = |rng: &mut XorShift64| match rng.below(11) {
         0 => Request::Start,
         1 => Request::Stop,
         2 => Request::Pause,
@@ -210,7 +209,6 @@ fn request_batches(rng: &mut XorShift64, seed: u64) {
         7 => Request::QueryCurrentPrid,
         8 => Request::QueryParentPrid,
         9 => Request::QueryHealth,
-        10 => Request::QueryGovernor,
         _ => Request::QueryCapabilities,
     };
     let serve = |req: Request| -> Result<Response, OraError> {
@@ -223,7 +221,6 @@ fn request_batches(rng: &mut XorShift64, seed: u64) {
             Request::QueryParentPrid => return Err(OraError::OutOfSequence),
             Request::QueryCapabilities => Response::Capabilities(u64::MAX),
             Request::QueryHealth => Response::Health(ApiHealth::default()),
-            Request::QueryGovernor => Response::Governor(GovernorStatus::default()),
             _ => Response::Ack,
         })
     };

@@ -139,7 +139,7 @@ pub fn run_under(scenario: &Scenario, rung: CollectionConfig) -> Result<RunOutco
     let governor = (rung == CollectionConfig::Governed)
         .then(|| handle.query_governor())
         .transpose()
-        .map_err(|e| format!("OMP_REQ_GOVERNOR failed: {e:?}"))?;
+        .map_err(|e| format!("governor status failed: {e:?}"))?;
     let (summary, trace) = active
         .finish_with_trace()
         .map_err(|e| format!("finish({}) failed: {e}", rung.key()))?;

@@ -164,6 +164,20 @@ if grep -rn '\[AtomicU64; EVENT_COUNT\]' crates/collector/src \
   echo "tier1: [AtomicU64; EVENT_COUNT] outside a CachePadded under crates/collector/src — count per ring lane" >&2
   exit 1
 fi
+# One status request: `OMP_REQ_HEALTH` (`ApiHealth`) is the collector
+# API's one fixed-layout status reply and `handle_bytes` /
+# `handle_request` its only serve paths, so no governor request, stats
+# snapshot or typed batch path comes back beside them, and message.rs
+# lays out one reply struct.
+if grep -rnE 'QueryGovernor|OMP_REQ_GOVERNOR|GOVERNOR_RESPONSE_BYTES|ApiStats|fn handle_requests\b' crates/; then
+  echo "tier1: a second status request or serve path under crates/ — answer status with OMP_REQ_HEALTH, read the governor in-process" >&2
+  exit 1
+fi
+if [ "$(grep -c 'word_layout!(' crates/core/src/message.rs)" -gt 1 ]; then
+  grep -n 'word_layout!(' crates/core/src/message.rs >&2
+  echo "tier1: more than one word_layout! reply in crates/core/src/message.rs — OMP_REQ_HEALTH is the one fixed-layout reply" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
