@@ -18,7 +18,7 @@ use std::sync::Arc;
 use collector::clock;
 use collector::discovery::RuntimeHandle;
 use collector::modes::{CollectionConfig, CollectionSummary};
-use omprt::{Config, OpenMp};
+use omprt::{Config, OpenMp, WordLock};
 use ora_core::event::Event;
 use ora_core::governor::{parse_budget, GovernorConfig, GovernorStatus, DEFAULT_BUDGET_PPM};
 use ora_trace::analyze::pair_intervals;
@@ -53,11 +53,12 @@ fn barrier_storm_governed(budget_ppm: u64, episodes: usize) -> GovernedRun {
         ..GovernorConfig::default()
     });
 
+    static GOVERNOR_LIVE: WordLock = WordLock::new();
     rt.parallel(|ctx| {
         for round in 0..episodes {
             ctx.barrier();
             if round % 8 == 0 {
-                ctx.critical("governor-live", || {});
+                ctx.critical(&GOVERNOR_LIVE, || {});
             }
         }
     });
@@ -179,11 +180,12 @@ fn learned_shifts_survive_detach_and_reattach() {
         clock: Some(Arc::new(clock::ticks)),
         min_window_ticks: 100_000,
     });
+    static GOVERNOR_RESEED: WordLock = WordLock::new();
     rt.parallel(|ctx| {
         for round in 0..800 {
             ctx.barrier();
             if round % 8 == 0 {
-                ctx.critical("governor-reseed", || {});
+                ctx.critical(&GOVERNOR_RESEED, || {});
             }
         }
     });

@@ -4,7 +4,7 @@
 use std::sync::{Arc, Mutex};
 
 use collector::{Endpoint, MutexKind, OmptAdapter, OmptRecord, RuntimeHandle, SyncRegionKind};
-use omprt::OpenMp;
+use omprt::{OpenMp, WordLock};
 
 /// The attached adapter (the tool stays attached while it lives) and the
 /// records the tool has received.
@@ -93,10 +93,11 @@ fn sync_regions_carry_kind_and_endpoint() {
 
 #[test]
 fn mutex_callbacks_fire_on_contended_critical() {
+    static OMPT_TEST: WordLock = WordLock::new();
     let rt = OpenMp::with_threads(4);
     let (_attached, log) = attach(&rt);
     rt.parallel(|ctx| {
-        ctx.critical("ompt_test", || {
+        ctx.critical(&OMPT_TEST, || {
             std::thread::sleep(std::time::Duration::from_micros(200));
         });
     });

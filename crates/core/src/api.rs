@@ -93,8 +93,7 @@ impl RequestLanes {
 pub struct RuntimeTaskStats {
     /// Tasks executed by a thread other than their spawner.
     pub stolen: AtomicU64,
-    /// Spawns that spilled from a full per-thread deque to the overflow
-    /// queue.
+    /// Spawns pushed onto a per-thread deque already `DEQUE_CAP` deep.
     pub overflows: AtomicU64,
     /// Threads parking (not spinning) in taskwait / region-end drains.
     pub parks: AtomicU64,
@@ -246,13 +245,9 @@ impl CollectorApi {
     /// Returns the number of records processed, or -1 on a malformed
     /// stream.
     pub fn handle_bytes(&self, buf: &mut [u8]) -> i32 {
-        // Counted here, not from the return value: a stream malformed
-        // after its first records still served those.
-        let mut served = 0;
-        let n = message::serve_batch(buf, |req| {
-            served += 1;
-            self.serve_one(req)
-        });
+        // Every record whose `ec` is written counts, refused ones and
+        // those before a malformed tail included.
+        let (n, served) = message::serve_stream(buf, |req| self.serve_one(req));
         self.lanes.note_served(served);
         n
     }
@@ -461,8 +456,9 @@ impl CollectorApi {
 
     /// Time the unmonitored fast path (a masked-out probe event) with
     /// the governor clock, reducing the samples to their outlier-robust
-    /// median. This is the denominator of the governor's
-    /// monitored-vs-baseline ratio.
+    /// median. Reported as `GovernorStatus::baseline_milliticks` beside
+    /// the monitored cost; the governor's planning reads only the
+    /// monitored cost.
     fn calibrate_baseline(&self) -> f64 {
         let mask = self.governor.current_mask();
         let Some(probe) = crate::event::ALL_EVENTS

@@ -47,7 +47,8 @@ pub enum Event {
     ///
     /// The paper's OpenUH implementation deliberately leaves this event
     /// unimplemented (§IV-C7); `omprt` keeps it disabled by default for
-    /// the same reason, but can enable it for the ablation benchmark.
+    /// the same reason, and enables it only on request
+    /// (`omprt::Config::atomic_events`).
     ThreadBeginAtomicWait = 15,
     /// A thread completes a contended atomic update.
     ThreadEndAtomicWait = 16,

@@ -179,18 +179,28 @@ impl RequestBatch {
 /// return), or `-1` if the stream itself was unparseable.
 pub fn serve_batch(
     buf: &mut [u8],
-    mut serve: impl FnMut(Request) -> Result<Response, OraError>,
+    serve: impl FnMut(Request) -> Result<Response, OraError>,
 ) -> i32 {
+    serve_stream(buf, serve).0
+}
+
+/// [`serve_batch`] that also returns the number of records answered:
+/// every record whose `ec` it wrote, refused ones and those before a
+/// malformed tail included.
+pub(crate) fn serve_stream(
+    buf: &mut [u8],
+    mut serve: impl FnMut(Request) -> Result<Response, OraError>,
+) -> (i32, u64) {
     let mut off = 0usize;
-    let mut served = 0i32;
+    let mut served = 0;
     loop {
         let mut c = Cursor::new(&buf[off..]);
         let sz = match c.u32_le() {
-            Ok(0) => return served,
+            Ok(0) => return (served as i32, served),
             Ok(sz) if sz as usize >= HEADER_BYTES && c.bytes(u64::from(sz) - 4).is_ok() => {
                 sz as usize
             }
-            _ => return -1,
+            _ => return (-1, served),
         };
         let record = &mut buf[off..off + sz];
         let ec = match serve_record(record, &mut serve) {

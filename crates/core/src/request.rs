@@ -126,8 +126,8 @@ pub struct ApiHealth {
     /// Explicit tasks executed by a thread other than their spawner
     /// (work-stealing runtime; always 0 until a runtime reports).
     pub tasks_stolen: u64,
-    /// Task spawns that spilled from a full per-thread deque into the
-    /// team overflow queue.
+    /// Task spawns pushed onto a per-thread deque already `DEQUE_CAP`
+    /// (256) deep; the task still lands on its spawner's deque.
     pub task_overflows: u64,
     /// Times a thread parked (instead of spinning) inside a taskwait or
     /// region-end task drain.

@@ -171,3 +171,20 @@ fn an_unknown_code_is_refused_and_its_response_area_left_zeroed() {
     assert_eq!(CollectorApi::new().handle_bytes(&mut bytes), 1);
     assert_eq!(bytes, served);
 }
+
+#[test]
+fn every_answered_record_counts_as_a_request_refused_ones_included() {
+    let api = CollectorApi::new();
+    let requests = || api.health().requests;
+    let before = requests();
+    let mut bytes = CODE_12_SENT.to_vec();
+    assert_eq!(api.handle_bytes(&mut bytes), 1);
+    assert_eq!(requests(), before + 1, "a refused record is answered");
+
+    // Two refused records, then a size word that runs past the buffer:
+    // both got their `ec`, so both count, though the stream is malformed.
+    let record = &CODE_12_SENT[..CODE_12_SENT.len() - 4]; // no terminator
+    let mut bytes = [record, record, &[0xff, 0, 0, 0]].concat();
+    assert_eq!(api.handle_bytes(&mut bytes), -1);
+    assert_eq!(requests(), before + 3);
+}

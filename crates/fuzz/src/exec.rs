@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use collector::discovery::RuntimeHandle;
 use collector::modes::{CollectionConfig, CollectionSummary};
-use omprt::{Config, OpenMp, ParCtx};
+use omprt::{Config, OpenMp, ParCtx, WordLock};
 use ora_core::governor::GovernorStatus;
 use ora_core::request::{ApiHealth, Request};
 
@@ -325,9 +325,10 @@ fn exec_op(
             }
         }
         (Op::Critical { rounds }, OpCell::Probe(probe)) => {
+            static FUZZ: WordLock = WordLock::new();
             for _ in 0..*rounds {
                 // SAFETY: inside the named critical section.
-                ctx.critical("fuzz", || unsafe { probe.bump() });
+                ctx.critical(&FUZZ, || unsafe { probe.bump() });
             }
             ctx.barrier();
             if ctx.is_master() {

@@ -16,8 +16,8 @@ use crate::scenario::{Op, Scenario, SchedSpec};
 /// The claimer's largest per-thread batch (`omprt::schedule::BATCH_MAX`).
 const BATCH_MAX: i64 = 8;
 
-/// Per-thread deque capacity (`omprt::task::DEQUE_CAP`) — spawn counts
-/// just around it force the overflow-spill path.
+/// Per-thread deque depth (`omprt::task::DEQUE_CAP`) past which a push
+/// counts an overflow; spawn counts just around it cross that edge.
 const DEQUE_CAP: i64 = 256;
 
 /// Generate the scenario for `seed`. The same seed always yields the
@@ -74,9 +74,9 @@ fn rounds(rng: &mut XorShift64) -> i64 {
     rng.range_i64(1, 17)
 }
 
-/// A task spawn count biased toward the deque-capacity cliff, where a
-/// spawner must spill to the overflow queue (the task scheduler's
-/// claimer-hostile edge).
+/// A task spawn count biased toward the deque-depth edge, where a
+/// spawner's push starts counting overflows while its tasks stay on its
+/// own deque.
 fn task_count(rng: &mut XorShift64) -> i64 {
     match rng.below(10) {
         0..=2 => DEQUE_CAP + rng.range_i64(-1, 2), // 255 | 256 | 257

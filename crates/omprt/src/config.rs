@@ -11,7 +11,8 @@ pub struct Config {
     pub schedule: Schedule,
     /// Whether contended atomic updates raise `ATWT` state/events. The
     /// paper's OpenUH deliberately does not implement these because of the
-    /// cost (§IV-C7); the default matches, and the ablation bench flips it.
+    /// cost (§IV-C7); the default matches, and only the runtime's own
+    /// event tests enable it.
     pub atomic_events: bool,
     /// Whether nested parallel regions fork real sub-teams. The paper's
     /// compiler serializes nesting (the default here); enabling this gives

@@ -18,6 +18,7 @@ use crate::descriptor::ThreadDescriptor;
 use crate::runtime::{syms, Shared};
 use crate::schedule::{static_chunks, static_even, Chunk, DynamicLoop, Schedule};
 use crate::team::Team;
+use crate::wordlock::WordLock;
 
 /// Execution context of one thread inside one parallel region.
 pub struct ParCtx<'a> {
@@ -302,11 +303,14 @@ impl<'a> ParCtx<'a> {
     // Critical regions
     // ------------------------------------------------------------------
 
-    /// A named critical region. The wait state/events fire only when the
-    /// probe fails and the thread actually blocks (paper §IV-C4).
-    pub fn critical(&self, name: &str, body: impl FnOnce()) {
+    /// A critical region guarded by `lock`, the lock word a compiler
+    /// emits per critical name: callers declare one
+    /// `static NAME: WordLock = WordLock::new();` per name and pass it from
+    /// every site of that name. The probe is the construct's first shared
+    /// access; the wait state/events fire only when it fails and the
+    /// thread actually blocks (paper §IV-C4).
+    pub fn critical(&self, lock: &WordLock, body: impl FnOnce()) {
         let _frame = psx::enter(syms().critical);
-        let lock = self.shared.critical_lock(name);
         if !lock.try_lock() {
             let wait_id = self.desc.critical_wait_id.next();
             let prev = self.desc.state.replace(ThreadState::CriticalWait);
@@ -534,15 +538,16 @@ impl<'a> ParCtx<'a> {
 
     /// Run one popped task, firing `TaskBegin`/`TaskEnd` with the task's
     /// ID in the wait-ID field and keeping the state word at `Working`
-    /// for the duration.
+    /// for the duration. `TaskEnd` fires after the state is restored, as
+    /// every other interval's End does.
     fn run_task(&self, task: crate::task::ErasedTask) {
         let pool = &self.team.tasks;
         let id = task.id();
         let prev = self.desc.state.replace(ThreadState::Working);
         self.fire(Event::TaskBegin, id);
         task.run(&crate::task::TaskScope::new(pool, self.gtid));
-        self.fire(Event::TaskEnd, id);
         self.desc.state.set(prev);
+        self.fire(Event::TaskEnd, id);
         pool.complete();
     }
 

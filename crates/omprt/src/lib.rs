@@ -16,7 +16,7 @@
 //! * region/parent-region IDs in the team descriptor, serialized nested
 //!   regions (no fork event, outer IDs preserved);
 //! * atomic-wait events unimplemented by default (the paper's choice),
-//!   but available behind [`config::Config::atomic_events`] for ablation.
+//!   but available behind [`config::Config::atomic_events`].
 //!
 //! Every runtime call also maintains the `psx` shadow callstack, so a
 //! collector capturing at a join event sees the same implementation-model

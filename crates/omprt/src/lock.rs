@@ -19,6 +19,18 @@ use crate::wordlock::WordLock;
 /// No owner sentinel for nested locks.
 const NO_OWNER: usize = usize::MAX;
 
+thread_local! {
+    /// One byte per thread, whose address is the thread's owner key.
+    static KEY: u8 = const { 0 };
+}
+
+/// The calling thread's nested-lock owner key: the address of its
+/// [`KEY`], distinct between threads alive at once and never
+/// [`NO_OWNER`].
+fn thread_key() -> usize {
+    KEY.with(|k| k as *const u8 as usize)
+}
+
 /// A user lock (`omp_init_lock` / `omp_set_lock` / `omp_unset_lock`).
 pub struct OmpLock {
     shared: Arc<Shared>,
@@ -93,27 +105,11 @@ impl OmpNestLock {
         }
     }
 
-    fn self_key(&self) -> usize {
-        // Owner identity: the OS thread. Collisions impossible while the
-        // thread lives.
-        let id = std::thread::current().id();
-        // ThreadId has no stable integer accessor; hash it.
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        id.hash(&mut h);
-        let key = h.finish() as usize;
-        if key == NO_OWNER {
-            key - 1
-        } else {
-            key
-        }
-    }
-
     /// `omp_set_nest_lock`: "the same procedure is applied for nested
     /// locks" (paper §IV-C3) — contention raises LKWT exactly like the
     /// plain lock; re-acquisition by the owner just bumps the depth.
     pub fn set(&self) -> u64 {
-        let me = self.self_key();
+        let me = thread_key();
         if self.owner.load(Ordering::Acquire) == me {
             return self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         }
@@ -127,7 +123,7 @@ impl OmpNestLock {
     pub fn unset(&self) -> u64 {
         assert_eq!(
             self.owner.load(Ordering::Acquire),
-            self.self_key(),
+            thread_key(),
             "omp_unset_nest_lock called by non-owner"
         );
         let remaining = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
@@ -140,7 +136,7 @@ impl OmpNestLock {
 
     /// `omp_test_nest_lock`: non-blocking; returns the new depth or 0.
     pub fn test(&self) -> u64 {
-        let me = self.self_key();
+        let me = thread_key();
         if self.owner.load(Ordering::Acquire) == me {
             return self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         }

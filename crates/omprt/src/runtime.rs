@@ -9,7 +9,7 @@
 //! symbol name, like the single OpenMP runtime of a real process.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -33,7 +33,6 @@ use crate::region::RegionHandle;
 use crate::team::Team;
 use crate::tls;
 use crate::topology::Topology;
-use crate::wordlock::WordLock;
 
 /// Synthetic IPs of the runtime's own entry points, so captured
 /// implementation-model callstacks contain the `__ompc_*` frames the
@@ -100,7 +99,6 @@ pub(crate) struct Shared {
     leased: Mutex<HashSet<usize>>,
     region_counter: AtomicU64,
     region_calls: AtomicU64,
-    criticals: Mutex<HashMap<String, Arc<WordLock>>>,
 }
 
 impl Shared {
@@ -119,14 +117,6 @@ impl Shared {
     /// Descriptor of thread `gtid`.
     pub fn descriptor(&self, gtid: usize) -> Arc<ThreadDescriptor> {
         self.descriptors.read()[gtid].clone()
-    }
-
-    /// The named critical region's compiler-generated lock.
-    pub fn critical_lock(&self, name: &str) -> Arc<WordLock> {
-        let mut map = self.criticals.lock();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(WordLock::new()))
-            .clone()
     }
 
     /// Hand `work` to pool worker `gtid`, to run as team member
@@ -331,7 +321,6 @@ impl OpenMp {
             leased: Mutex::new(HashSet::new()),
             region_counter: AtomicU64::new(0),
             region_calls: AtomicU64::new(0),
-            criticals: Mutex::new(HashMap::new()),
         });
 
         api.set_provider(Arc::new(Provider {

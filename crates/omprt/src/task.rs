@@ -4,12 +4,12 @@
 //!
 //! ## Scheduling model
 //!
-//! The team's [`TaskPool`] keeps one bounded deque per team thread plus a
-//! shared overflow queue, in the classic work-stealing shape:
+//! The team's [`TaskPool`] keeps one deque per team thread and nothing
+//! shared beside them, in the classic work-stealing shape:
 //!
 //! * **Spawn** pushes onto the spawning thread's own deque (no shared
-//!   queue contention between spawners); a full deque spills into the
-//!   overflow queue and counts an overflow.
+//!   queue contention between spawners); a push onto a deque already
+//!   [`DEQUE_CAP`] deep still lands there and counts an overflow.
 //! * **Owner pop** takes from the back of the thread's own deque — LIFO,
 //!   so freshly spawned (cache-hot, deepest-in-the-tree) tasks run
 //!   first.
@@ -48,9 +48,9 @@ use ora_core::pad::CachePadded;
 use ora_core::park::EventCount;
 use ora_core::sync::Mutex;
 
-/// Per-thread deque capacity; spawns beyond it spill to the overflow
-/// queue (claimer-hostile spawn storms stay bounded per lane, and the
-/// spill is counted so tools can see it).
+/// Per-thread deque depth past which a push counts an overflow. The
+/// deque is not bounded: the task still lands on its owner's deque, and
+/// the count lets tools see a spawn storm outrunning its executors.
 pub(crate) const DEQUE_CAP: usize = 256;
 
 /// Whether a task is pinned to its spawning thread.
@@ -76,7 +76,8 @@ pub(crate) struct ErasedTask {
     /// TaskBegin/TaskEnd wait-ID field.
     id: u64,
     kind: TaskKind,
-    /// Spawning thread's gtid — the only legal executor for tied tasks.
+    /// Spawning thread's gtid: the deque the task lands on, and so the
+    /// only executor of a tied task.
     owner: usize,
 }
 
@@ -107,11 +108,6 @@ impl ErasedTask {
     /// The pool-assigned task ID (0 until pushed).
     pub(crate) fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Whether `gtid` may execute this task.
-    fn eligible_for(&self, gtid: usize) -> bool {
-        self.kind == TaskKind::Untied || self.owner == gtid
     }
 
     pub(crate) fn run(self, scope: &TaskScope<'_>) {
@@ -184,9 +180,6 @@ pub(crate) struct TaskPool {
     /// One deque per team thread, indexed by gtid; cache-padded so one
     /// thread's spawn burst never false-shares with a neighbour's.
     deques: Box<[CachePadded<Deque>]>,
-    /// Spill queue for full deques. Tied spill entries are still
-    /// owner-pinned; everyone scans this (it is expected to stay empty).
-    overflow: Mutex<VecDeque<ErasedTask>>,
     /// Tasks queued or currently executing.
     outstanding: AtomicUsize,
     /// Monotonic task IDs (carried in the TaskBegin/TaskEnd wait-ID field).
@@ -198,7 +191,7 @@ pub(crate) struct TaskPool {
     signal: EventCount,
     /// Tasks executed by a thread other than their spawner.
     steals: AtomicU64,
-    /// Spawns that spilled into the overflow queue.
+    /// Pushes onto a deque already [`DEQUE_CAP`] deep.
     overflows: AtomicU64,
     /// Waits in [`TaskPool::next_task`]: attempts that found nothing
     /// eligible while tasks were outstanding (satellite of `ApiHealth`).
@@ -217,7 +210,6 @@ impl TaskPool {
                 })
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            overflow: Mutex::new(VecDeque::new()),
             outstanding: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             ever_used: AtomicBool::new(false),
@@ -228,39 +220,33 @@ impl TaskPool {
         }
     }
 
-    /// Queue a task on its owner's deque (spilling when full); returns
-    /// its ID. Notifies waiters so stealable or owner-runnable work never
-    /// strands.
+    /// Queue a task on its owner's deque; returns its ID. Notifies
+    /// waiters so stealable or owner-runnable work never strands.
     pub(crate) fn push(&self, mut task: ErasedTask) -> u64 {
         self.ever_used.store(true, Ordering::Relaxed);
         self.outstanding.fetch_add(1, Ordering::AcqRel);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         task.id = id;
         let lane = task.owner.min(self.deques.len() - 1);
-        {
+        let depth = {
             let mut q = self.deques[lane].q.lock();
-            if q.len() < DEQUE_CAP {
-                q.push_back(task);
-            } else {
-                drop(q);
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                self.overflow.lock().push_back(task);
-            }
+            q.push_back(task);
+            q.len()
+        };
+        if depth > DEQUE_CAP {
+            self.overflows.fetch_add(1, Ordering::Relaxed);
         }
         self.signal.notify_all();
         id
     }
 
     /// Take one task `gtid` may execute: own deque from the back (LIFO),
-    /// then the overflow spill, then steal — oldest first — from the
-    /// other deques, round-robin from the right neighbour.
+    /// then steal — oldest untied first — from the other deques,
+    /// round-robin from the right neighbour.
     pub(crate) fn try_pop(&self, gtid: usize) -> Option<ErasedTask> {
         let lanes = self.deques.len();
         let me = gtid.min(lanes - 1);
         if let Some(task) = self.deques[me].q.lock().pop_back() {
-            return Some(task);
-        }
-        if let Some(task) = self.pop_overflow(gtid) {
             return Some(task);
         }
         for offset in 1..lanes {
@@ -274,20 +260,6 @@ impl TaskPool {
             }
         }
         None
-    }
-
-    /// Take the oldest overflow entry `gtid` may execute. Counts a steal
-    /// when the entry was spawned elsewhere — distribution through the
-    /// spill queue is still work leaving its spawner.
-    fn pop_overflow(&self, gtid: usize) -> Option<ErasedTask> {
-        let mut q = self.overflow.lock();
-        let pos = q.iter().position(|t| t.eligible_for(gtid))?;
-        let task = q.remove(pos).expect("position is in range");
-        drop(q);
-        if task.owner != gtid {
-            self.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(task)
     }
 
     /// Mark one popped task finished; the completion reaching quiescence
@@ -429,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_spills_are_counted_and_respect_ties() {
+    fn pushes_past_deque_cap_count_overflows_and_stay_on_the_owners_deque() {
         let pool = TaskPool::new(2);
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..DEQUE_CAP + 3 {
@@ -439,10 +411,11 @@ mod tests {
             }));
         }
         let (_, overflows, _) = pool.take_stats();
-        assert_eq!(overflows, 3, "pushes past DEQUE_CAP spill");
+        assert_eq!(overflows, 3, "pushes past DEQUE_CAP count");
+        assert_eq!(pool.deques[0].q.lock().len(), DEQUE_CAP + 3);
         assert!(
             pool.try_pop(1).is_none(),
-            "tied spills stay pinned to their owner"
+            "tied tasks past DEQUE_CAP stay pinned to their owner"
         );
         drain(&pool, 0);
         assert_eq!(ran.load(Ordering::SeqCst), DEQUE_CAP + 3);

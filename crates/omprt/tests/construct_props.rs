@@ -7,7 +7,7 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use omprt::{Config, OpenMp, Schedule};
+use omprt::{Config, OpenMp, Schedule, WordLock};
 use ora_core::event::{Event, ALL_EVENTS};
 use ora_core::registry::EventData;
 use ora_core::request::Request;
@@ -81,7 +81,8 @@ fn run_program(threads: usize, program: &[Construct]) -> Vec<EventData> {
                     ctx.single(|| {});
                 }
                 Construct::Critical => {
-                    ctx.critical("prop", || {});
+                    static PROP: WordLock = WordLock::new();
+                    ctx.critical(&PROP, || {});
                 }
                 Construct::Reduction => {
                     ctx.reduction(|| {

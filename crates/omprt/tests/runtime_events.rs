@@ -3,12 +3,13 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use omprt::{Config, OpenMp, Schedule, SourceFunction};
+use omprt::{Config, OpenMp, Schedule, SourceFunction, WordLock};
 use ora_core::event::Event;
 use ora_core::registry::EventData;
 use ora_core::request::{OraError, Request, Response};
-use ora_core::state::ThreadState;
+use ora_core::state::{ThreadState, WaitIdKind};
 
 const NT: usize = 4;
 
@@ -370,13 +371,14 @@ fn ordered_sections_execute_in_iteration_order() {
 
 #[test]
 fn critical_sections_exclude_and_fire_wait_events_only_on_contention() {
+    static UPDATE: WordLock = WordLock::new();
     let rt = OpenMp::with_threads(NT);
     let log = record(&rt, &[Event::ThreadBeginCriticalWait]);
     let shared = Arc::new(Mutex::new(0u64));
     let s = shared.clone();
     rt.parallel(move |ctx| {
         for _ in 0..100 {
-            ctx.critical("update", || {
+            ctx.critical(&UPDATE, || {
                 *s.lock().unwrap() += 1;
             });
         }
@@ -391,6 +393,182 @@ fn critical_sections_exclude_and_fire_wait_events_only_on_contention() {
             .map(|d| d.wait_id)
             .collect();
         assert!(ids.windows(2).all(|w| w[1] > w[0]), "{ids:?}");
+    }
+}
+
+/// One interval kind: its Begin/End events, the state and wait-ID kind a
+/// Begin callback reads, the state an End callback reads (the one from
+/// before the interval), and a program that raises it at least once.
+struct Interval {
+    begin: Event,
+    end: Event,
+    state: ThreadState,
+    wait: Option<WaitIdKind>,
+    before: ThreadState,
+    atomic_events: bool,
+    run: fn(&OpenMp),
+}
+
+const INTERVALS: [Interval; 8] = [
+    Interval {
+        begin: Event::ThreadBeginExplicitBarrier,
+        end: Event::ThreadEndExplicitBarrier,
+        state: ThreadState::ExplicitBarrier,
+        wait: Some(WaitIdKind::Barrier),
+        before: ThreadState::Working,
+        atomic_events: false,
+        run: |rt| rt.parallel(|ctx| ctx.barrier()),
+    },
+    Interval {
+        begin: Event::ThreadBeginImplicitBarrier,
+        end: Event::ThreadEndImplicitBarrier,
+        state: ThreadState::ImplicitBarrier,
+        wait: Some(WaitIdKind::Barrier),
+        before: ThreadState::Working,
+        atomic_events: false,
+        run: |rt| rt.parallel(|_| {}),
+    },
+    Interval {
+        begin: Event::ThreadBeginLockWait,
+        end: Event::ThreadEndLockWait,
+        state: ThreadState::LockWait,
+        wait: Some(WaitIdKind::Lock),
+        before: ThreadState::Working,
+        atomic_events: false,
+        run: |rt| {
+            let lock = rt.new_lock();
+            rt.parallel(|_| {
+                lock.set();
+                std::thread::sleep(Duration::from_micros(300));
+                lock.unset();
+            });
+        },
+    },
+    Interval {
+        begin: Event::ThreadBeginCriticalWait,
+        end: Event::ThreadEndCriticalWait,
+        state: ThreadState::CriticalWait,
+        wait: Some(WaitIdKind::Critical),
+        before: ThreadState::Working,
+        atomic_events: false,
+        run: |rt| {
+            static HELD: WordLock = WordLock::new();
+            rt.parallel(|ctx| {
+                ctx.critical(&HELD, || std::thread::sleep(Duration::from_micros(300)));
+            });
+        },
+    },
+    Interval {
+        begin: Event::ThreadBeginOrderedWait,
+        end: Event::ThreadEndOrderedWait,
+        state: ThreadState::OrderedWait,
+        wait: Some(WaitIdKind::Ordered),
+        before: ThreadState::Working,
+        atomic_events: false,
+        run: |rt| {
+            rt.parallel(|ctx| {
+                ctx.for_ordered(0, 7, 1, |_| std::thread::sleep(Duration::from_micros(100)));
+            });
+        },
+    },
+    Interval {
+        begin: Event::ThreadBeginAtomicWait,
+        end: Event::ThreadEndAtomicWait,
+        state: ThreadState::AtomicWait,
+        wait: Some(WaitIdKind::Atomic),
+        before: ThreadState::Working,
+        atomic_events: true,
+        run: |rt| {
+            let cell = AtomicU64::new(0);
+            rt.parallel(|ctx| {
+                ctx.atomic_update(&cell, |v| {
+                    std::thread::sleep(Duration::from_micros(100));
+                    v + 1
+                });
+            });
+        },
+    },
+    Interval {
+        begin: Event::TaskWaitBegin,
+        end: Event::TaskWaitEnd,
+        state: ThreadState::TaskWait,
+        wait: Some(WaitIdKind::Task),
+        before: ThreadState::Working,
+        atomic_events: false,
+        run: |rt| {
+            rt.parallel(|ctx| {
+                ctx.task(|| std::thread::sleep(Duration::from_micros(100)));
+                ctx.taskwait();
+            });
+        },
+    },
+    // A task runs inside the taskwait that drains it: its End reads
+    // the taskwait's state back, not Working.
+    Interval {
+        begin: Event::TaskBegin,
+        end: Event::TaskEnd,
+        state: ThreadState::Working,
+        wait: None,
+        before: ThreadState::TaskWait,
+        atomic_events: false,
+        run: |rt| {
+            rt.parallel(|ctx| {
+                ctx.task(|| {});
+                ctx.taskwait();
+            });
+        },
+    },
+];
+
+#[test]
+fn begin_reads_the_intervals_state_and_end_reads_the_state_before_it() {
+    for interval in &INTERVALS {
+        let rt = OpenMp::with_config(Config {
+            num_threads: NT,
+            atomic_events: interval.atomic_events,
+            ..Config::default()
+        });
+        let api = rt.collector_api();
+        api.handle_request(Request::Start).unwrap();
+        // (event, its wait-ID field, the state query's reply)
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for event in [interval.begin, interval.end] {
+            let (log, query) = (log.clone(), api.clone());
+            api.register_callback(
+                event,
+                Arc::new(move |d: &EventData| {
+                    let reply = query.handle_request(Request::QueryState).unwrap();
+                    log.lock().unwrap().push((d.event, d.wait_id, reply));
+                }),
+            )
+            .unwrap();
+        }
+        // Contended intervals fire only when a probe fails: run until one
+        // has.
+        for _ in 0..50 {
+            (interval.run)(&rt);
+            if !log.lock().unwrap().is_empty() {
+                break;
+            }
+        }
+        let log = log.lock().unwrap();
+        let name = interval.begin;
+        assert!(!log.is_empty(), "{name:?} never fired");
+        for &(event, wait_id, reply) in log.iter() {
+            let Response::State {
+                state,
+                wait_id: wait,
+            } = reply
+            else {
+                panic!("{name:?}: a state query answered {reply:?}");
+            };
+            if event == interval.begin {
+                assert_eq!(state, interval.state, "{name:?}");
+                assert_eq!(wait, interval.wait.map(|kind| (kind, wait_id)), "{name:?}");
+            } else {
+                assert_eq!(state, interval.before, "{event:?}");
+            }
+        }
     }
 }
 

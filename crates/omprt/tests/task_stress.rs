@@ -1,8 +1,8 @@
 //! Seeded stress tests for the work-stealing task scheduler under
 //! oversubscription: teams far larger than the host's core count pushing
-//! tied and untied task storms through the per-thread deques, the
-//! overflow spill, and the taskwait parking path in jittered
-//! interleavings.
+//! tied and untied task storms through the per-thread deques (past
+//! their `DEQUE_CAP` overflow depth), and the taskwait parking path in
+//! jittered interleavings.
 //!
 //! Deterministic given a seed; the default sweep runs under
 //! `scripts/stress.sh`. Set `ORA_FAULT_SEED` to replay a specific seed.
@@ -96,14 +96,14 @@ fn oversubscribed_mixed_task_storm_keeps_the_checksum() {
 }
 
 /// A single producer floods far past the per-thread deque capacity while
-/// an oversubscribed team steals: exercises the overflow spill queue and
-/// the park/wake path (consumers park waiting for work, the producer's
+/// an oversubscribed team steals: exercises a deque deeper than
+/// `DEQUE_CAP`, its overflow count, and the park/wake path (consumers park waiting for work, the producer's
 /// pushes must wake them).
 #[test]
 fn producer_flood_past_deque_capacity_drains_exactly_once() {
     let seed = seed();
     let threads = 12;
-    // Well past DEQUE_CAP (256) so the overflow queue carries real load.
+    // Well past DEQUE_CAP (256) so the producer's deque runs deep.
     let tasks = 700u64;
     let rt = OpenMp::with_config(Config {
         num_threads: threads,
@@ -135,7 +135,7 @@ fn producer_flood_past_deque_capacity_drains_exactly_once() {
     let health = rt.health();
     assert!(
         health.task_overflows > 0,
-        "a {tasks}-task flood must spill past DEQUE_CAP"
+        "a {tasks}-task flood must push past DEQUE_CAP"
     );
 }
 

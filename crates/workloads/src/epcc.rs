@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use collector::clock;
-use omprt::{OpenMp, RegionHandle, SourceFunction};
+use omprt::{OpenMp, RegionHandle, SourceFunction, WordLock};
 
 /// The directives syncbench measures (the x-axis of the paper's Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,9 +240,10 @@ fn run_directive(rt: &OpenMp, directive: Directive, inner: usize, dlen: usize, n
             });
         }
         Directive::Critical => {
+            static EPCC: WordLock = WordLock::new();
             rt.parallel_region(&r.work, |ctx| {
                 for _ in 0..inner / nthreads.max(1) {
-                    ctx.critical("epcc", || {
+                    ctx.critical(&EPCC, || {
                         std::hint::black_box(delay(dlen));
                     });
                 }

@@ -178,6 +178,14 @@ if [ "$(grep -c 'word_layout!(' crates/core/src/message.rs)" -gt 1 ]; then
   echo "tier1: more than one word_layout! reply in crates/core/src/message.rs — OMP_REQ_HEALTH is the one fixed-layout reply" >&2
   exit 1
 fi
+# One lock word per critical name, one queue per task thread: a
+# critical section takes the caller's `WordLock` (no runtime-wide name
+# map), and a task push lands on its owner's deque (no shared spill).
+if grep -rnE 'critical_lock|criticals:|pop_overflow|eligible_for' crates/omprt/src \
+    || grep -rnF 'fn critical(&self, name: &str' crates/; then
+  echo "tier1: a criticals map, a by-name critical or a task spill queue under crates/ — pass a WordLock, push onto the owner's deque" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
