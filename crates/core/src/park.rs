@@ -67,9 +67,23 @@
 //! **Cost.** With nobody parked, `notify_all` is one RMW and reads
 //! nothing else. Wakes go only to slots whose owner actually parked; a
 //! spinning or running owner costs the notifier nothing.
+//!
+//! ## A timed wait for one sleeper: [`Doorbell`]
+//!
+//! The trace drainer is the one waiter with no attempt to retry: it has
+//! work on a timer *and* on demand. It sleeps for at most its epoch, and
+//! a producer whose ring lane needs draining wakes it sooner. A
+//! [`Doorbell`] is bound to that one thread; [`Doorbell::ring`] raises a
+//! flag and unparks it, and [`Doorbell::wait`] returns once it takes the
+//! flag down or its timeout passes. The flag is what the wait returns
+//! on, so neither a spurious wake nor a stale unpark token cuts a timed
+//! wait short, and a ring that arrives while the sleeper is awake makes
+//! its next wait return at once.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use crate::pad::CachePadded;
 use crate::sync::Mutex;
@@ -177,6 +191,51 @@ impl EventCount {
     }
 }
 
+/// A wake-up call for one bound thread, with a timeout (module docs).
+#[derive(Debug, Default)]
+pub struct Doorbell {
+    /// The thread [`Doorbell::wait`]s on this bell; set once.
+    sleeper: OnceLock<Thread>,
+    /// Raised by a ring (release), taken down by the wait that returns on
+    /// it (acquire), so the sleeper sees what the ringer wrote before.
+    rung: AtomicBool,
+}
+
+impl Doorbell {
+    /// Names the one thread that waits on this bell. The first call
+    /// wins; a ring before it only raises the flag.
+    pub fn bind(&self, sleeper: Thread) {
+        let _ = self.sleeper.set(sleeper);
+    }
+
+    /// Wakes the sleeper, or makes its next wait return at once.
+    pub fn ring(&self) {
+        self.rung.store(true, Ordering::Release);
+        if let Some(sleeper) = self.sleeper.get() {
+            sleeper.unpark();
+        }
+    }
+
+    /// Sleeps until the bell rings or `timeout` passes, and returns
+    /// whether it rang. Only the bound thread may wait: a ring unparks
+    /// that thread and no other.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now().checked_add(timeout);
+        loop {
+            if self.rung.swap(false, Ordering::Acquire) {
+                return true;
+            }
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                return false;
+            }
+            thread::park_timeout(left);
+        }
+    }
+}
+
 /// Slot word: owner is awake (or has consumed its notification).
 const IDLE: u32 = 0;
 /// Slot word: owner is about to block (or did) and needs an unpark.
@@ -225,9 +284,7 @@ impl ParkSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc::channel;
-    use std::time::Duration;
 
     /// How long the lost-wakeup watchdog lets a wait run before it rescues
     /// it. A correct wait never blocks at all, so this only bounds how
@@ -309,6 +366,27 @@ mod tests {
             }
         });
         assert_eq!(level.load(Ordering::SeqCst), ROUNDS);
+    }
+
+    #[test]
+    fn a_doorbell_wait_returns_on_the_ring_not_the_timeout() {
+        let bell = Doorbell::default();
+        assert!(!bell.wait(Duration::ZERO), "an unrung bell times out");
+        bell.ring(); // before bind: the flag alone
+        assert!(bell.wait(Duration::from_secs(3600)));
+        bell.bind(thread::current());
+        thread::current().unpark(); // a stale token is not a ring
+        assert!(!bell.wait(Duration::from_millis(1)));
+        let (rang, took) = thread::scope(|s| {
+            s.spawn(|| {
+                thread::sleep(Duration::from_millis(5));
+                bell.ring();
+            });
+            let start = Instant::now();
+            (bell.wait(Duration::from_secs(3600)), start.elapsed())
+        });
+        assert!(rang);
+        assert!(took < Duration::from_secs(60), "woke after {took:?}");
     }
 
     /// A waiter that really parks, holding a stale unpark token that

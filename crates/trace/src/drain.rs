@@ -1,13 +1,19 @@
-//! The background drainer: epoch-flushes rings into a sink.
+//! The background drainer: flushes rings into a sink as they fill.
 //!
 //! A [`Recorder`] owns a [`RingSet`] shared with the event callbacks and
-//! one drainer thread. Every `epoch` the drainer sweeps all lanes,
-//! encodes whatever each lane accumulated as one chunk, appends it to
-//! the sink, and flushes the sink if the sweep wrote anything, so a
-//! killed process leaves every chunk up to its last sweep for the reader
-//! to salvage. [`Recorder::finish`] stops the thread, performs a final
-//! sweep (so nothing in-flight is lost), writes the footer with the
-//! per-lane drop counters, and hands the sink back.
+//! one drainer thread. The drainer sleeps on the ring set's
+//! [`Doorbell`](ora_core::park::Doorbell) for at most `epoch`, then
+//! sweeps all lanes: it encodes whatever each lane accumulated as one
+//! chunk, appends it to the sink, and flushes the sink if the sweep
+//! wrote anything, so a killed process leaves every chunk up to its last
+//! sweep for the reader to salvage. A [`DropPolicy::Block`] lane that is
+//! half undrained, or full, rings the doorbell (see [`crate::ring`]), so
+//! under Block the drain follows the event rate: a lane filling in a few
+//! milliseconds is swept as often as it needs, a quiet lane once an
+//! epoch. Newest and Oldest lanes are swept on the epoch alone.
+//! [`Recorder::finish`] raises the stop flag and rings the doorbell,
+//! performs a final sweep (so nothing in-flight is lost), writes the
+//! footer with the per-lane drop counters, and hands the sink back.
 //!
 //! ## Supervision
 //!
@@ -23,21 +29,20 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::format::{self, ChunkMeta, Footer, LaneStats};
-use crate::ring::{DropPolicy, RawRecord, RingSet, DEFAULT_BLOCK_YIELD_LIMIT};
+use crate::ring::{DropPolicy, RawRecord, RingSet, RingStats, DEFAULT_BLOCK_YIELD_LIMIT};
 use crate::sink::TraceSink;
 use crate::TraceError;
 
 /// Tuning for a recording session.
 ///
 /// The ring set reserves `lanes × capacity_per_lane × 48` bytes (48 MiB
-/// under the defaults) but touches it only as it is written: the rings
-/// are allocated zeroed and a lane's pages fault in during its first
+/// under the defaults) but touches it only as it is written: each ring
+/// is an anonymous mapping whose pages fault in during the lane's first
 /// lap, so a team recording into two lanes pays for two.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
@@ -49,7 +54,8 @@ pub struct TraceConfig {
     pub capacity_per_lane: usize,
     /// What a full lane does to its producer.
     pub policy: DropPolicy,
-    /// How often the drainer sweeps the lanes.
+    /// The longest a record waits for a sweep; a half-full
+    /// [`DropPolicy::Block`] lane wakes the drainer sooner.
     pub epoch: Duration,
     /// Largest record count per encoded chunk (bounds decode memory).
     pub max_chunk_records: usize,
@@ -84,6 +90,11 @@ pub struct RecordingStats {
     pub chunks: usize,
     /// Records dropped by blocked producers whose bounded wait expired.
     pub dropped_blocked: u64,
+    /// Block records that found their lane full (summed
+    /// [`RingStats::blocked_waits`]; not in the footer).
+    pub blocked_waits: u64,
+    /// Clock ticks those waits took in total (not in the footer).
+    pub blocked_wait_ticks: u64,
 }
 
 impl RecordingStats {
@@ -107,8 +118,8 @@ pub struct DrainerHealth {
     /// Whether the recording has degraded (drainer panicked or the sink
     /// failed); producers now drop instead of blocking.
     pub degraded: bool,
-    /// Sweep epochs completed — a frozen value with `alive` still true
-    /// means the drainer is wedged.
+    /// Sweeps completed — a frozen value with `alive` still true means
+    /// the drainer is wedged.
     pub heartbeats: u64,
     /// Records persisted so far.
     pub drained: u64,
@@ -119,6 +130,9 @@ pub struct DrainerHealth {
 /// Supervision state shared between the drainer thread, the producers'
 /// ring shutdown flag, and health queries.
 struct Supervisor {
+    /// Raised by `finish` or drop, before they ring the doorbell: the
+    /// drainer leaves its loop instead of sweeping.
+    stop: AtomicBool,
     alive: AtomicBool,
     degraded: AtomicBool,
     heartbeats: AtomicU64,
@@ -129,6 +143,7 @@ struct Supervisor {
 impl Supervisor {
     fn new() -> Supervisor {
         Supervisor {
+            stop: AtomicBool::new(false),
             alive: AtomicBool::new(true),
             degraded: AtomicBool::new(false),
             heartbeats: AtomicU64::new(0),
@@ -144,6 +159,12 @@ impl Supervisor {
         if slot.is_none() {
             *slot = Some(reason.to_string());
         }
+    }
+
+    /// Stop the drainer: raise the flag, then wake it.
+    fn stop(&self, rings: &RingSet) {
+        self.stop.store(true, Ordering::Release);
+        rings.doorbell().ring();
     }
 
     fn health(&self) -> DrainerHealth {
@@ -223,8 +244,6 @@ impl<S: TraceSink> DrainState<S> {
 /// An active recording: rings + supervised drainer thread + sink.
 pub struct Recorder<S: TraceSink + 'static> {
     rings: Arc<RingSet>,
-    /// Dropping or sending on it stops the drainer at once.
-    stop: Sender<()>,
     supervisor: Arc<Supervisor>,
     drainer: Option<JoinHandle<Result<DrainState<S>, TraceError>>>,
     max_chunk_records: usize,
@@ -232,8 +251,8 @@ pub struct Recorder<S: TraceSink + 'static> {
 
 impl<S: TraceSink + 'static> Recorder<S> {
     /// Start recording into `sink` under `config`. The file header is
-    /// written immediately; the drainer thread starts sweeping at
-    /// `config.epoch` cadence.
+    /// written immediately; the drainer thread sweeps at least every
+    /// `config.epoch`, and sooner when a Block lane rings.
     pub fn start(config: TraceConfig, mut sink: S) -> Result<Recorder<S>, TraceError> {
         let rings = Arc::new(RingSet::with_block_yield_limit(
             config.lanes,
@@ -245,7 +264,6 @@ impl<S: TraceSink + 'static> Recorder<S> {
         format::encode_header(&mut header);
         sink.write_all(&header)?;
 
-        let (stop, stopped) = mpsc::channel();
         let supervisor = Arc::new(Supervisor::new());
         let mut state = DrainState {
             sink,
@@ -268,7 +286,11 @@ impl<S: TraceSink + 'static> Recorder<S> {
                     // recording instead of silently orphaning the rings.
                     let outcome =
                         panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), TraceError> {
-                            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(epoch) {
+                            loop {
+                                rings.doorbell().wait(epoch);
+                                if sup.stop.load(Ordering::Acquire) {
+                                    break;
+                                }
                                 state.sweep(&rings, max)?;
                                 sup.heartbeats.fetch_add(1, Ordering::Relaxed);
                                 sup.drained.store(state.total_drained(), Ordering::Relaxed);
@@ -293,9 +315,11 @@ impl<S: TraceSink + 'static> Recorder<S> {
                 })
                 .expect("spawn drainer thread")
         };
+        // Bound before any producer holds the rings: a ring before the
+        // bind would raise the flag but not wake a parked drainer.
+        rings.doorbell().bind(drainer.thread().clone());
         Ok(Recorder {
             rings,
-            stop,
             supervisor,
             drainer: Some(drainer),
             max_chunk_records: config.max_chunk_records,
@@ -329,7 +353,7 @@ impl<S: TraceSink + 'static> Recorder<S> {
     /// never panics on behalf of the drainer.
     pub fn finish(mut self) -> Result<(S, RecordingStats), TraceError> {
         let drainer = self.drainer.take().expect("finish called once");
-        let _ = self.stop.send(());
+        self.supervisor.stop(&self.rings);
         let joined = drainer.join();
         // Whatever happened, the consumer is gone from here on: stragglers
         // still recording (e.g. worker threads racing shutdown) must not
@@ -377,11 +401,11 @@ impl<S: TraceSink + 'static> Recorder<S> {
             }
         }
 
-        let mut dropped_blocked = 0;
+        let mut total = RingStats::default();
         let lanes: Vec<LaneStats> = (0..self.rings.lane_count())
             .map(|i| {
                 let s = self.rings.lane(i).stats();
-                dropped_blocked += s.dropped_blocked;
+                total.add(&s);
                 LaneStats {
                     written: s.written,
                     // The v1 footer has two drop columns; a blocked
@@ -417,7 +441,9 @@ impl<S: TraceSink + 'static> Recorder<S> {
             RecordingStats {
                 lanes,
                 chunks: state.index.len(),
-                dropped_blocked,
+                dropped_blocked: total.dropped_blocked,
+                blocked_waits: total.blocked_waits,
+                blocked_wait_ticks: total.blocked_wait_ticks,
             },
         ))
     }
@@ -439,7 +465,7 @@ impl<S: TraceSink + 'static> Drop for Recorder<S> {
     fn drop(&mut self) {
         // `finish` not called: stop the thread and discard the trace.
         if let Some(drainer) = self.drainer.take() {
-            let _ = self.stop.send(());
+            self.supervisor.stop(&self.rings);
             let _ = drainer.join();
             self.rings.set_shutdown();
         }

@@ -8,8 +8,9 @@
 //!   records into with one reserve/commit pair (no mutex, no allocation
 //!   on the hot path), with configurable [`DropPolicy`] backpressure and
 //!   per-ring drop counters so loss is always observable;
-//! * [`drain`] — a background drainer thread that epoch-flushes rings
-//!   into chunks through a [`TraceSink`];
+//! * [`drain`] — a background drainer thread that flushes rings into
+//!   chunks through a [`TraceSink`] every epoch, and sooner when a
+//!   Block lane rings its doorbell;
 //! * [`format`] — the compact self-describing binary on-disk format
 //!   (varint deltas, CRC-validated chunks, a footer carrying drop
 //!   counters and a chunk index) and the one walker of its chunk

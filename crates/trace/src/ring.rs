@@ -10,10 +10,14 @@
 //!
 //! A slot stores its sequence *relative to its index* (the logical
 //! sequence minus the index, wrapping), so the all-zero slot is exactly
-//! Vyukov's initial state, "free for lap 0". A ring is therefore
-//! allocated zeroed and never written at construction: a fresh ring is
-//! untouched memory until a producer records into it, and a lane nobody
-//! records into costs address space only. On its first lap a producer
+//! Vyukov's initial state, "free for lap 0". A ring's slot array is
+//! therefore an anonymous mapping of its own, never written at
+//! construction: the kernel hands out zero pages on first touch, so a
+//! fresh ring is untouched memory until a producer records into it, and
+//! a lane nobody records into costs address space only. (Zeroed memory
+//! from the allocator is not enough: once a freed ring raises glibc's
+//! mmap threshold, later rings come from the heap and `calloc` zeroes
+//! them by writing.) On its first lap a producer
 //! reserves a slot without reading the slot's sequence, so its first
 //! touch of each page is a write: a read first would map the shared
 //! zero page and turn the commit into a copy-on-write fault that
@@ -24,11 +28,32 @@
 //! the per-thread case), a release store of the slot sequence commits
 //! it. No mutex, no allocation, no `Arc` traffic — the same discipline
 //! as the RCU dispatch path in `ora_core::registry`.
+//!
+//! ## The drainer's doorbell
+//!
+//! The lanes of a [`RingSet`] share one [`Doorbell`], bound to the
+//! drainer thread by `Recorder::start`. A [`DropPolicy::Block`] producer
+//! rings it in two places, both off the per-record path:
+//!
+//! * a reservation that completes a quarter lap reads the consumer
+//!   cursor once and rings if the lane is at least half undrained, so
+//!   the drainer sweeps before the lane fills;
+//! * a record that finds its lane full rings once before it waits.
+//!
+//! So a Block lane is drained at the rate it fills, not at the drainer's
+//! epoch. Newest and Oldest producers never wait and never ring: their
+//! lanes are swept on the epoch alone, so what they lose does not depend
+//! on when the drainer gets a core.
 
+use std::alloc::Layout;
 use std::cell::UnsafeCell;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
+use ora_core::clock;
 use ora_core::pad::CachePadded;
+use ora_core::park::Doorbell;
 
 /// What a producer does when its ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +65,14 @@ pub enum DropPolicy {
     /// record the incoming one. The worker pays one extra CAS; the
     /// oldest data is lost.
     Oldest,
-    /// Spin (with `yield_now`) until the drainer frees a slot, but never
-    /// forever: a ring whose consumer is gone (its [`Ring::shutdown`]
-    /// flag is set) or stalled past the yield budget degrades to a
-    /// counted drop instead of livelocking the worker inside an event
-    /// callback. Lossless while the drainer is healthy.
+    /// Ring the drainer's doorbell once, then spin (with `yield_now`)
+    /// until the drainer frees a slot, but never forever: a ring whose
+    /// consumer is gone (its [`Ring::shutdown`] flag is set) or stalled
+    /// past the yield budget degrades to a counted drop instead of
+    /// livelocking the worker inside an event callback. Lossless while
+    /// the drainer is healthy. A Block lane also rings the doorbell when
+    /// it is half undrained (module docs), so a healthy drainer usually
+    /// sweeps it before it fills.
     Block,
 }
 
@@ -109,6 +137,11 @@ pub struct RingStats {
     /// Records dropped by [`DropPolicy::Block`] producers whose bounded
     /// wait expired (dead or stalled drainer). Zero on healthy runs.
     pub dropped_blocked: u64,
+    /// [`DropPolicy::Block`] records that found their lane full and
+    /// waited for a slot, including those whose wait expired into a drop.
+    pub blocked_waits: u64,
+    /// Clock ticks those waits took in total, read on the wait path only.
+    pub blocked_wait_ticks: u64,
 }
 
 impl RingStats {
@@ -116,12 +149,139 @@ impl RingStats {
     pub fn dropped(&self) -> u64 {
         self.dropped_newest + self.dropped_oldest + self.dropped_blocked
     }
+
+    /// Add another ring's counters to these.
+    pub(crate) fn add(&mut self, s: &RingStats) {
+        self.written += s.written;
+        self.dropped_newest += s.dropped_newest;
+        self.dropped_oldest += s.dropped_oldest;
+        self.dropped_blocked += s.dropped_blocked;
+        self.blocked_waits += s.blocked_waits;
+        self.blocked_wait_ticks += s.blocked_wait_ticks;
+    }
 }
+
+/// A ring's slot array: an anonymous private mapping (module docs), so
+/// every slot starts as zero pages the kernel faults in on first touch.
+struct Slots {
+    ptr: NonNull<Slot>,
+    len: usize,
+}
+
+impl Slots {
+    /// `len` zeroed slots, none of them touched.
+    fn zeroed(len: usize) -> Slots {
+        let layout = Layout::array::<Slot>(len).expect("ring size overflows");
+        match NonNull::new(map_zeroed(layout).cast::<Slot>()) {
+            Some(ptr) => Slots { ptr, len },
+            None => std::alloc::handle_alloc_error(layout),
+        }
+    }
+}
+
+impl std::ops::Deref for Slots {
+    type Target = [Slot];
+
+    fn deref(&self) -> &[Slot] {
+        // SAFETY: `ptr` maps `len` slots for the life of `self`, and
+        // all-zero is a valid `Slot`: a zero `AtomicU64` (relative
+        // sequence 0, free for lap 0) and an all-zero `RawRecord` (plain
+        // integers).
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for Slots {
+    fn drop(&mut self) {
+        let layout = Layout::array::<Slot>(self.len).expect("ring size overflows");
+        unmap(self.ptr.as_ptr().cast(), layout);
+    }
+}
+
+/// Where the kernel's constants below are the generic ones, slots are
+/// mapped with `mmap`, declared against the C library std already links
+/// (as `ora_core::clock` declares `clock_gettime`; DESIGN.md §4).
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod os {
+    use std::alloc::Layout;
+    use std::ffi::c_void;
+
+    const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: isize,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    /// A fresh anonymous mapping of `layout.size()` bytes, or null.
+    pub(super) fn map_zeroed(layout: Layout) -> *mut u8 {
+        // SAFETY: a new private anonymous mapping aliases nothing; the
+        // kernel picks the (page-aligned) address.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                layout.size(),
+                PROT_READ_WRITE,
+                MAP_PRIVATE_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if p as isize == -1 {
+            std::ptr::null_mut()
+        } else {
+            p.cast()
+        }
+    }
+
+    /// Unmap what [`map_zeroed`] mapped for `layout`.
+    pub(super) fn unmap(ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` is a live mapping of `layout.size()` bytes that
+        // nothing refers to any more (its `Slots` is being dropped).
+        unsafe { munmap(ptr.cast(), layout.size()) };
+    }
+}
+
+/// Elsewhere, zeroed memory from the global allocator.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod os {
+    use std::alloc::Layout;
+
+    pub(super) fn map_zeroed(layout: Layout) -> *mut u8 {
+        // SAFETY: a slot array has a non-zero size (at least two slots).
+        unsafe { std::alloc::alloc_zeroed(layout) }
+    }
+
+    pub(super) fn unmap(ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc_zeroed(layout)` above.
+        unsafe { std::alloc::dealloc(ptr, layout) }
+    }
+}
+
+use os::{map_zeroed, unmap};
 
 /// One bounded lock-free ring (a lane of the [`RingSet`]).
 pub struct Ring {
-    slots: Box<[Slot]>,
+    slots: Slots,
     mask: u64,
+    /// A quarter lap minus one: a [`DropPolicy::Block`] reservation of
+    /// cursor `pos` with `(pos + 1) & quarter_mask == 0` completes a
+    /// quarter lap and checks whether to ring the doorbell.
+    quarter_mask: u64,
     /// Producer cursor. Producers CAS this on every record while the
     /// drainer CASes `dequeue`; each cursor gets its own cache line so
     /// the always-on record fast path never false-shares with draining.
@@ -134,37 +294,45 @@ pub struct Ring {
     dropped_newest: AtomicU64,
     dropped_oldest: AtomicU64,
     dropped_blocked: AtomicU64,
+    blocked_waits: AtomicU64,
+    blocked_wait_ticks: AtomicU64,
     /// Raised when the consumer is gone (drainer stopped or died);
     /// blocked producers observe it and degrade to counted drops.
     shutdown: AtomicBool,
     /// Yield budget for [`DropPolicy::Block`] waits.
     block_yield_limit: u64,
+    /// The drainer's doorbell, shared by every lane of a [`RingSet`].
+    doorbell: Arc<Doorbell>,
 }
 
-// SAFETY: slots are only written by the producer that reserved them via
-// the enqueue CAS and only read by the consumer that claimed them via
-// the dequeue CAS; the slot `seq` acquire/release handoff orders the
-// record data between the two.
+// SAFETY: the slot array is owned by the ring (mapped by `Slots::zeroed`,
+// unmapped only when the ring drops), and its slots are only written by
+// the producer that reserved them via the enqueue CAS and only read by
+// the consumer that claimed them via the dequeue CAS; the slot `seq`
+// acquire/release handoff orders the record data between the two. Every
+// other field is an atomic, an `Arc` of a `Sync` doorbell, or set before
+// the ring is shared.
 unsafe impl Send for Ring {}
 unsafe impl Sync for Ring {}
 
 impl Ring {
     /// A ring holding up to `capacity` records (rounded up to a power of
-    /// two, minimum 2).
+    /// two, minimum 2), with a doorbell of its own that nobody waits on.
     ///
-    /// The slots are allocated zeroed and not written: with sequences
-    /// stored relative to the slot index, zero is every slot's initial
-    /// state, so the allocator's fresh pages stay untouched until the
-    /// producer's first lap writes them.
+    /// The slots are mapped and not written: with sequences stored
+    /// relative to the slot index, zero is every slot's initial state,
+    /// so the fresh pages stay untouched until the producer's first lap
+    /// writes them.
     pub fn new(capacity: usize) -> Ring {
+        Ring::with_doorbell(capacity, Arc::default())
+    }
+
+    fn with_doorbell(capacity: usize, doorbell: Arc<Doorbell>) -> Ring {
         let cap = capacity.max(2).next_power_of_two();
-        // SAFETY: all-zero is a valid `Slot`: a zero `AtomicU64` (relative
-        // sequence 0, free for lap 0) and an all-zero `RawRecord` (plain
-        // integers).
-        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(cap).assume_init() };
         Ring {
-            slots,
+            slots: Slots::zeroed(cap),
             mask: cap as u64 - 1,
+            quarter_mask: (cap as u64 / 4).max(1) - 1,
             enqueue: CachePadded::new(AtomicU64::new(0)),
             dequeue: CachePadded::new(AtomicU64::new(0)),
             next_seq: AtomicU64::new(0),
@@ -172,8 +340,11 @@ impl Ring {
             dropped_newest: AtomicU64::new(0),
             dropped_oldest: AtomicU64::new(0),
             dropped_blocked: AtomicU64::new(0),
+            blocked_waits: AtomicU64::new(0),
+            blocked_wait_ticks: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             block_yield_limit: DEFAULT_BLOCK_YIELD_LIMIT,
+            doorbell,
         }
     }
 
@@ -209,9 +380,10 @@ impl Ring {
         self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Try to commit one record; `Err(rec)` means the ring is full.
+    /// Try to commit one record and return the cursor it took;
+    /// `Err(rec)` means the ring is full.
     #[inline]
-    fn try_push(&self, rec: RawRecord) -> Result<(), RawRecord> {
+    fn try_push(&self, rec: RawRecord) -> Result<u64, RawRecord> {
         let mut pos = self.enqueue.load(Ordering::Relaxed);
         loop {
             let i = pos & self.mask;
@@ -240,7 +412,7 @@ impl Ring {
                         // Commit: publish the record to the consumer.
                         slot.set_seq(i, pos + 1);
                         self.written.fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
+                        return Ok(pos);
                     }
                     Err(now) => pos = now,
                 }
@@ -306,27 +478,60 @@ impl Ring {
                 }
             }
             DropPolicy::Block => {
-                // Bounded wait: a producer is inside an event callback on
-                // an application thread, so it must never be hostage to a
-                // consumer that died (shutdown flag) or wedged (yield
-                // budget). Either way the record becomes a counted drop.
-                let mut spins = 0u32;
-                let mut yields = 0u64;
-                while self.try_push(rec).is_err() {
-                    if self.shutdown.load(Ordering::Acquire) || yields >= self.block_yield_limit {
-                        self.dropped_blocked.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        yields += 1;
-                        std::thread::yield_now();
-                    }
+                let pos = match self.try_push(rec) {
+                    Ok(pos) => pos,
+                    Err(rec) => match self.wait_to_push(rec) {
+                        Some(pos) => pos,
+                        None => return,
+                    },
+                };
+                // One read of the consumer cursor per quarter lap, never
+                // per record: wake the drainer while half the lane is
+                // still free.
+                if (pos + 1) & self.quarter_mask == 0
+                    && (pos + 1).saturating_sub(self.dequeue.load(Ordering::Relaxed))
+                        > self.mask / 2
+                {
+                    self.doorbell.ring();
                 }
             }
         }
+    }
+
+    /// A [`DropPolicy::Block`] record found its lane full: ring the
+    /// doorbell once, then wait for a free slot and return the cursor
+    /// taken, or `None` for a counted drop. The wait is bounded: a
+    /// producer is inside an event callback on an application thread, so
+    /// it must never be hostage to a consumer that died (shutdown flag)
+    /// or wedged (yield budget). Its two clock reads are the only ones on
+    /// the record path.
+    #[cold]
+    #[inline(never)]
+    fn wait_to_push(&self, rec: RawRecord) -> Option<u64> {
+        let start = clock::ticks();
+        self.doorbell.ring();
+        let mut spins = 0u32;
+        let mut yields = 0u64;
+        let pushed = loop {
+            if self.shutdown.load(Ordering::Acquire) || yields >= self.block_yield_limit {
+                self.dropped_blocked.fetch_add(1, Ordering::Relaxed);
+                break None;
+            }
+            spins += 1;
+            if spins < 64 {
+                std::hint::spin_loop();
+            } else {
+                yields += 1;
+                std::thread::yield_now();
+            }
+            if let Ok(pos) = self.try_push(rec) {
+                break Some(pos);
+            }
+        };
+        self.blocked_waits.fetch_add(1, Ordering::Relaxed);
+        self.blocked_wait_ticks
+            .fetch_add(clock::ticks().saturating_sub(start), Ordering::Relaxed);
+        pushed
     }
 
     /// Drain up to `max` records into `out`. Returns how many were popped.
@@ -385,12 +590,14 @@ impl Ring {
             dropped_newest: self.dropped_newest.load(Ordering::Relaxed),
             dropped_oldest: self.dropped_oldest.load(Ordering::Relaxed),
             dropped_blocked: self.dropped_blocked.load(Ordering::Relaxed),
+            blocked_waits: self.blocked_waits.load(Ordering::Relaxed),
+            blocked_wait_ticks: self.blocked_wait_ticks.load(Ordering::Relaxed),
         }
     }
 }
 
 /// The set of rings the collector records into: one lane per
-/// `gtid % lanes`.
+/// `gtid % lanes`, all ringing one drainer's [`Doorbell`].
 pub struct RingSet {
     lanes: Vec<Ring>,
     policy: DropPolicy,
@@ -410,12 +617,21 @@ impl RingSet {
         policy: DropPolicy,
         block_yield_limit: u64,
     ) -> RingSet {
+        let doorbell = Arc::new(Doorbell::default());
         RingSet {
             lanes: (0..lanes.max(1))
-                .map(|_| Ring::new(capacity_per_lane).with_block_yield_limit(block_yield_limit))
+                .map(|_| {
+                    Ring::with_doorbell(capacity_per_lane, doorbell.clone())
+                        .with_block_yield_limit(block_yield_limit)
+                })
                 .collect(),
             policy,
         }
+    }
+
+    /// The doorbell every lane rings for the drainer (module docs).
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.lanes[0].doorbell
     }
 
     /// Declare the consumer gone on every lane (see [`Ring::set_shutdown`]).
@@ -461,11 +677,7 @@ impl RingSet {
     pub fn total_stats(&self) -> RingStats {
         let mut total = RingStats::default();
         for l in &self.lanes {
-            let s = l.stats();
-            total.written += s.written;
-            total.dropped_newest += s.dropped_newest;
-            total.dropped_oldest += s.dropped_oldest;
-            total.dropped_blocked += s.dropped_blocked;
+            total.add(&l.stats());
         }
         total
     }
@@ -635,6 +847,44 @@ mod tests {
         r.record(rec(2, 0), DropPolicy::Block); // would spin forever before
         assert_eq!(r.stats().dropped_blocked, 1);
         assert!(!r.is_shutdown());
+    }
+
+    #[test]
+    fn tiny_block_rings_record_and_wake() {
+        // A quarter lap of a 2- or 4-slot ring is one slot: each record
+        // checks the consumer cursor, and the first record that leaves
+        // half the lane undrained rings the bell.
+        for cap in [2, 4] {
+            let set = RingSet::new(1, cap, DropPolicy::Block);
+            set.doorbell().bind(std::thread::current());
+            let mut out = Vec::new();
+            for lap in 0..3u64 {
+                for i in 0..cap as u64 {
+                    set.record(rec(lap * cap as u64 + i, 0));
+                    let rang = set.doorbell().wait(std::time::Duration::ZERO);
+                    assert_eq!(rang, 2 * (i + 1) >= cap as u64, "cap {cap}, record {i}");
+                }
+                assert_eq!(set.lane(0).drain_into(&mut out, cap), cap);
+            }
+            let s = set.total_stats();
+            assert_eq!(
+                (s.written, s.dropped(), s.blocked_waits),
+                (3 * cap as u64, 0, 0)
+            );
+            assert_eq!(out.len(), 3 * cap);
+        }
+    }
+
+    #[test]
+    fn a_full_block_lane_rings_once_and_counts_its_wait() {
+        let set = RingSet::with_block_yield_limit(1, 2, DropPolicy::Block, 8);
+        set.record(rec(0, 0));
+        set.record(rec(1, 0));
+        assert!(set.doorbell().wait(std::time::Duration::ZERO));
+        set.record(rec(2, 0)); // full, no consumer: waits, then drops
+        assert!(set.doorbell().wait(std::time::Duration::ZERO));
+        let s = set.total_stats();
+        assert_eq!((s.written, s.dropped_blocked, s.blocked_waits), (2, 1, 1));
     }
 
     #[test]

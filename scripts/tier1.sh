@@ -18,9 +18,10 @@ fi
 
 cargo fmt --all --check
 # One wait primitive: every sleep/wake in the crates goes through
-# `ora_core::park::EventCount`. Its parking slot and the raw
-# `thread::park` call live in park.rs alone, so a private copy of the
-# protocol cannot come back anywhere else.
+# `ora_core::park`: `EventCount`, or `Doorbell` for the trace drainer's
+# timed wait. The parking slot and the raw `thread::park` calls live in
+# park.rs alone, so a private copy of the protocol cannot come back
+# anywhere else.
 if grep -rn -e 'ParkSlot' -e 'thread::park' crates/ | grep -v '^crates/core/src/park.rs:'; then
   echo "tier1: ParkSlot / thread::park outside crates/core/src/park.rs — wait on an EventCount" >&2
   exit 1
@@ -148,12 +149,22 @@ if grep -rnE 'invoke_quiet|add_fired|flush_event_counts|fire_count|pending_fired
   echo "tier1: second delivery count under crates/ — count deliveries with the lane's sampled counter" >&2
   exit 1
 fi
-# Zeroed rings: a slot stores its sequence relative to its index, so a
-# ring is allocated zeroed and no slot is written at construction; a
-# lane nobody records into costs address space only.
+# Mapped rings: a slot stores its sequence relative to its index, so a
+# ring's slots are an anonymous mapping of their own and no slot is
+# written at construction; a lane nobody records into costs address
+# space only, however many ring sets the process built and freed before
+# (heap memory would be zeroed by writing once glibc raises its mmap
+# threshold).
 if grep -n 'AtomicU64::new(i as u64)' crates/trace/src/ring.rs \
-    || ! grep -q 'new_zeroed_slice' crates/trace/src/ring.rs; then
-  echo "tier1: crates/trace/src/ring.rs initialises its slots — allocate them zeroed (Box::new_zeroed_slice)" >&2
+    || ! grep -q 'mmap(' crates/trace/src/ring.rs; then
+  echo "tier1: crates/trace/src/ring.rs initialises its slots or takes them from the heap — map them (mmap) and leave them untouched" >&2
+  exit 1
+fi
+# A drain that follows the event rate: the drainer sleeps on the ring
+# set's doorbell, which a Block lane rings when it needs a sweep, not on
+# a channel timeout that only the epoch ends.
+if grep -n 'recv_timeout' crates/trace/src/drain.rs; then
+  echo "tier1: recv_timeout in crates/trace/src/drain.rs — wait on the ring set's Doorbell" >&2
   exit 1
 fi
 # Per-lane trace counters: a collector's per-event counters live one set
