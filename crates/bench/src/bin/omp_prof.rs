@@ -191,10 +191,12 @@ fn trace_record() {
     let size = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!("trace written: {out}");
     println!(
-        "  region calls {} | records {} | dropped {} | chunks {} | {} bytes ({:.1} B/record)",
+        "  region calls {} | records {} | dropped {} | blocked waits {} ({:.3} ms) | chunks {} | {} bytes ({:.1} B/record)",
         region_calls,
         stats.drained(),
         stats.dropped(),
+        stats.blocked_waits,
+        collector::clock::to_micros(stats.blocked_wait_ticks) * 1e-3,
         stats.chunks,
         size,
         size as f64 / stats.drained().max(1) as f64,

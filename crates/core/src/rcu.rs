@@ -22,14 +22,51 @@
 //! * Nothing blocks: writers that cannot free yet leave the garbage in
 //!   the bag; a later retire (or the bag's drop) reclaims it.
 //!
-//! All protocol accesses use `SeqCst`: the reader's slot-store →
-//! pointer-load and the writer's pointer-unlink → slot-scan are a
-//! store/load (Dekker) race that weaker orderings do not close. On the
-//! dispatch fast path this costs one fenced store, still far below the
-//! uncontended lock + `Arc` clone it replaces.
+//! # Fences: the writer pays them
+//!
+//! The reader's slot-store → pointer-load and the writer's pointer-unlink
+//! → slot-scan are a store/load (Dekker) race: unless something orders
+//! each side's store before its load, a reader's pin can still sit in
+//! its core's store buffer while the writer's scan reads the slot as
+//! quiescent and frees the pointer the reader just loaded. Which side
+//! pays for that order is chosen once per process, at the first retire,
+//! as `clock` chooses its counter:
+//!
+//! * **membarrier** (liburcu's "memb" flavour; Desnoyers et al., "User-Level
+//!   Implementations of Read-Copy Update", IEEE TPDS 2012). A pin stores
+//!   its epoch `Relaxed` behind a compiler fence, so the compiler cannot
+//!   move the pointer load above it; an unpin is a `Release` store. The
+//!   writer, after the unlink and before the scan, calls
+//!   `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)`, which runs a full
+//!   barrier on every CPU running a thread of this process: a reader's
+//!   pin that precedes that barrier is visible to the scan, and a pin
+//!   after it loads the unlinked pointer's replacement. The process
+//!   registers for it (`MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED`) at
+//!   that first retire.
+//! * **`SeqCst`**, wherever the kernel refuses either call or no syscall
+//!   is declared (anything but x86_64 and aarch64 Linux): a pin's store is
+//!   followed by a `SeqCst` fence, as crossbeam-epoch pins, and the writer's
+//!   unlink and scan are `SeqCst` operations, so the fence's total order
+//!   closes the race on both sides. Readers that pin before the first
+//!   retire run this side too, whichever protocol the retire then picks.
+//!
+//! Under membarrier a monitored event's pin and unpin are plain stores;
+//! the system call (about 0.1 µs alone, 1.5 µs with another thread of
+//! the process running, on the 2-core reference VM) is paid once per
+//! retire or collect, which registration does a handful of times per
+//! run. The registration itself waits for a kernel RCU grace period in a
+//! process with more than one thread: milliseconds, once.
+//! `GarbageBag::retire_all` hands a whole batch of unlinks to one
+//! barrier, so the registry's `clear` pays one however many entries it
+//! empties.
+//!
+//! A reader's epoch load is `Acquire`: a reader that sees a writer's
+//! epoch bump also sees the unlink sequenced before it, which is what
+//! lets the scan treat a slot pinned at an epoch `>= r` as harmless.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{compiler_fence, fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::pad::CachePadded;
 use crate::sync::Mutex;
@@ -64,6 +101,189 @@ static SLOTS: [CachePadded<ReaderSlot>; MAX_READERS] = [SLOT_INIT; MAX_READERS];
 /// Global epoch. Starts at 1 so no retire stamp is ever [`QUIESCENT`].
 /// Read by every pin, so it gets a line no other static can write into.
 static EPOCH: CachePadded<AtomicU64> = CachePadded::new(AtomicU64::new(1));
+
+/// Which side pays for ordering a pin before its pointer load (module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Protocol {
+    /// Readers pin with plain stores; writers call `membarrier`.
+    Membarrier,
+    /// Readers fence each pin; writers scan with `SeqCst` loads only.
+    SeqCst,
+}
+
+/// Raised once the process has registered for expedited membarriers,
+/// before any writer relies on them: from then on every writer barriers,
+/// so a reader that reads it set may pin without a fence.
+static READERS_UNFENCED: AtomicBool = AtomicBool::new(false);
+
+/// The process's protocol, chosen at the first call (the first retire).
+fn chosen() -> Protocol {
+    static CHOSEN: OnceLock<Protocol> = OnceLock::new();
+    *CHOSEN.get_or_init(|| match membarrier::register() {
+        Ok(()) => {
+            READERS_UNFENCED.store(true, Ordering::Relaxed);
+            Protocol::Membarrier
+        }
+        Err(_) => Protocol::SeqCst,
+    })
+}
+
+/// The protocol a writer on this thread runs.
+fn writer_protocol() -> Protocol {
+    #[cfg(test)]
+    if let Some(forced) = FORCED.with(Cell::get) {
+        return forced;
+    }
+    chosen()
+}
+
+/// Whether a pin on this thread may skip its fence.
+#[inline]
+fn readers_unfenced() -> bool {
+    #[cfg(test)]
+    if let Some(forced) = FORCED.with(Cell::get) {
+        return forced == Protocol::Membarrier;
+    }
+    READERS_UNFENCED.load(Ordering::Relaxed)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The protocol this test thread's pins and retires run, whatever the
+    /// process chose (see `tests::under`).
+    static FORCED: Cell<Option<Protocol>> = const { Cell::new(None) };
+}
+
+/// `membarrier(2)`, declared against the C library std already links
+/// (as `clock` declares `clock_gettime`; DESIGN.md §4).
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod membarrier {
+    use std::ffi::c_long;
+
+    #[cfg(target_arch = "x86_64")]
+    const SYS_MEMBARRIER: c_long = 324;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_MEMBARRIER: c_long = 283;
+
+    const CMD_QUERY: i32 = 0;
+    const CMD_PRIVATE_EXPEDITED: i32 = 1 << 3;
+    const CMD_REGISTER_PRIVATE_EXPEDITED: i32 = 1 << 4;
+
+    extern "C" {
+        fn syscall(number: c_long, ...) -> c_long;
+    }
+
+    /// Why the process runs the `SeqCst` protocol.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(super) enum Refusal {
+        /// The query failed with this errno: a kernel without the call,
+        /// or a seccomp filter that denies it.
+        Query(i32),
+        /// The query's command mask (here) lacks the private expedited
+        /// barrier.
+        NotOffered(i64),
+        /// Registering for it failed with this errno.
+        Register(i32),
+    }
+
+    fn membarrier(cmd: i32) -> Result<i64, i32> {
+        // SAFETY: `membarrier(cmd, flags = 0, cpu_id = 0)` reads and
+        // writes no memory of the caller; every argument is passed at the
+        // width the kernel reads it.
+        let rc = unsafe { syscall(SYS_MEMBARRIER, cmd, 0u32, 0i32) };
+        if rc < 0 {
+            Err(std::io::Error::last_os_error().raw_os_error().unwrap_or(0))
+        } else {
+            Ok(rc as i64)
+        }
+    }
+
+    /// The kernel's gate: does it offer the private expedited barrier?
+    pub(super) fn gate() -> Result<(), Refusal> {
+        let mask = membarrier(CMD_QUERY).map_err(Refusal::Query)?;
+        if mask & i64::from(CMD_PRIVATE_EXPEDITED) == 0 {
+            return Err(Refusal::NotOffered(mask));
+        }
+        Ok(())
+    }
+
+    /// Pass the gate and register the process. Idempotent.
+    pub(super) fn register() -> Result<(), Refusal> {
+        gate()?;
+        membarrier(CMD_REGISTER_PRIVATE_EXPEDITED).map_err(Refusal::Register)?;
+        Ok(())
+    }
+
+    #[cfg(test)]
+    impl Refusal {
+        /// Ask the kernel again: the refusal is its answer, not a slip of
+        /// this module's.
+        pub(super) fn confirm(&self) {
+            match self {
+                Refusal::Query(errno) => assert_eq!(membarrier(CMD_QUERY), Err(*errno)),
+                Refusal::NotOffered(mask) => {
+                    assert_eq!(membarrier(CMD_QUERY), Ok(*mask));
+                    assert_eq!(mask & i64::from(CMD_PRIVATE_EXPEDITED), 0);
+                }
+                Refusal::Register(errno) => {
+                    assert_eq!(gate(), Ok(()));
+                    assert_eq!(membarrier(CMD_REGISTER_PRIVATE_EXPEDITED), Err(*errno));
+                }
+            }
+        }
+    }
+
+    /// A full memory barrier on every CPU running a thread of this
+    /// process. Only called once [`register`] succeeded, after which the
+    /// kernel documents no failure; a failure here would leave unfenced
+    /// pins unordered, so it is fatal rather than ignored.
+    pub(super) fn barrier() {
+        if let Err(errno) = membarrier(CMD_PRIVATE_EXPEDITED) {
+            panic!("membarrier(PRIVATE_EXPEDITED) failed after registration: errno {errno}");
+        }
+    }
+}
+
+/// Elsewhere no syscall is declared, and the gate refuses.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod membarrier {
+    /// Why the process runs the `SeqCst` protocol.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(super) enum Refusal {
+        /// Not x86_64 or aarch64 Linux: no `membarrier` is declared.
+        NoSyscall,
+    }
+
+    pub(super) fn gate() -> Result<(), Refusal> {
+        Err(Refusal::NoSyscall)
+    }
+
+    pub(super) fn register() -> Result<(), Refusal> {
+        gate()
+    }
+
+    #[cfg(test)]
+    impl Refusal {
+        /// Nothing to ask: no syscall is declared for this target.
+        pub(super) fn confirm(&self) {
+            assert!(!cfg!(all(
+                target_os = "linux",
+                any(target_arch = "x86_64", target_arch = "aarch64")
+            )));
+        }
+    }
+
+    pub(super) fn barrier() {
+        unreachable!("the gate refuses every target without membarrier")
+    }
+}
 
 /// A thread's claim on one reader slot, released when the thread exits.
 struct ReaderHandle {
@@ -107,7 +327,8 @@ thread_local! {
 /// An active read-side critical section. While any `Pin` is alive on any
 /// thread, pointers unlinked *after* it was created are not reclaimed.
 ///
-/// Created by [`pin`]; ends when dropped. Cheap to nest.
+/// Created by [`pin`]; ends when dropped. Cheap to nest. Loads of
+/// published pointers made under it must be `Acquire` (or stronger).
 #[must_use = "a Pin only protects reads while it is alive"]
 pub struct Pin {
     slot: usize,
@@ -119,11 +340,28 @@ pub fn pin() -> Pin {
         let depth = r.depth.get();
         r.depth.set(depth + 1);
         if depth == 0 {
-            let e = EPOCH.load(Ordering::SeqCst);
-            SLOTS[r.idx].epoch.store(e, Ordering::SeqCst);
+            let slot = &SLOTS[r.idx].epoch;
+            let e = EPOCH.load(Ordering::Acquire);
+            slot.store(e, Ordering::Relaxed);
+            if readers_unfenced() {
+                // The writer's membarrier orders the store at run time;
+                // this only keeps the compiler from hoisting the
+                // caller's pointer load above it.
+                compiler_fence(Ordering::SeqCst);
+            } else {
+                fenced_pin();
+            }
         }
         Pin { slot: r.idx }
     })
+}
+
+/// The `SeqCst` protocol's half of a pin: the fence that orders the slot
+/// store before every later load, which the writer's `SeqCst` unlink and
+/// scan pair with (module docs).
+#[inline]
+fn fenced_pin() {
+    fence(Ordering::SeqCst);
 }
 
 impl Drop for Pin {
@@ -133,7 +371,9 @@ impl Drop for Pin {
             let depth = r.depth.get() - 1;
             r.depth.set(depth);
             if depth == 0 {
-                SLOTS[r.idx].epoch.store(QUIESCENT, Ordering::SeqCst);
+                // Release: everything the section read happens before a
+                // writer's scan that sees the slot quiescent.
+                SLOTS[r.idx].epoch.store(QUIESCENT, Ordering::Release);
             }
         });
     }
@@ -182,20 +422,35 @@ impl GarbageBag {
     /// The caller must have already made the object unreachable for *new*
     /// readers (e.g. swapped the published pointer away) before calling.
     pub fn retire(&self, item: Box<dyn Send>) {
+        self.retire_all([item]);
+    }
+
+    /// [`GarbageBag::retire`] for a batch of objects, all unlinked before
+    /// the call: one epoch bump and one barrier for the whole batch.
+    pub fn retire_all(&self, items: impl IntoIterator<Item = Box<dyn Send>>) {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_none() {
+            return;
+        }
+        let protocol = writer_protocol();
         let stamp = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
         let mut retired = self.retired.lock();
-        retired.push(Retired { stamp, _item: item });
-        Self::collect_in(&mut retired);
+        retired.extend(items.map(|item| Retired { stamp, _item: item }));
+        Self::collect_in(&mut retired, protocol);
     }
 
     /// Opportunistically free everything no reader can still observe.
     pub fn collect(&self) {
-        Self::collect_in(&mut self.retired.lock());
+        Self::collect_in(&mut self.retired.lock(), writer_protocol());
     }
 
-    fn collect_in(retired: &mut Vec<Retired>) {
+    fn collect_in(retired: &mut Vec<Retired>, protocol: Protocol) {
         if retired.is_empty() {
             return;
+        }
+        if protocol == Protocol::Membarrier {
+            // Every unlink before this point against every unfenced pin.
+            membarrier::barrier();
         }
         let horizon = min_pinned_epoch();
         // Keep an item while some reader is pinned at an epoch older than
@@ -231,8 +486,56 @@ impl GarbageBag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicPtr, AtomicUsize};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Run `f` with this thread's pins and retires under `protocol`.
+    fn under<R>(protocol: Protocol, f: impl FnOnce() -> R) -> R {
+        let before = FORCED.with(|c| c.replace(Some(protocol)));
+        let out = f();
+        FORCED.with(|c| c.set(before));
+        out
+    }
+
+    /// The membarrier protocol if this host runs it, or — where the gate
+    /// refuses it — proof that the refusal is the kernel's answer, so no
+    /// membarrier test passes by silently testing nothing.
+    fn membarrier_or_explained_refusal() -> Option<Protocol> {
+        match membarrier::gate() {
+            Ok(()) => {
+                assert_eq!(chosen(), Protocol::Membarrier);
+                Some(Protocol::Membarrier)
+            }
+            Err(why) => {
+                why.confirm();
+                assert_eq!(chosen(), Protocol::SeqCst, "refused: {why:?}");
+                None
+            }
+        }
+    }
+
+    /// Run `f` under the `SeqCst` protocol, then under membarrier unless
+    /// the host refuses it.
+    fn under_each_protocol(f: impl Fn()) {
+        under(Protocol::SeqCst, &f);
+        if let Some(membarrier) = membarrier_or_explained_refusal() {
+            under(membarrier, &f);
+        }
+    }
+
+    /// The process runs membarrier exactly when the kernel's gate passes,
+    /// and readers skip their fence exactly then.
+    #[test]
+    fn the_process_runs_membarrier_exactly_when_the_gate_passes() {
+        let gate = membarrier::gate();
+        assert_eq!(
+            chosen() == Protocol::Membarrier,
+            gate.is_ok(),
+            "gate: {gate:?}"
+        );
+        assert_eq!(READERS_UNFENCED.load(Ordering::Relaxed), gate.is_ok());
+    }
 
     /// Increments a counter when dropped, to observe reclamation.
     struct DropProbe(Arc<AtomicUsize>);
@@ -244,40 +547,61 @@ mod tests {
 
     #[test]
     fn unpinned_garbage_is_freed_on_retire() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let bag = GarbageBag::new();
-        bag.retire(Box::new(DropProbe(drops.clone())));
-        // No pinned reader on this thread or others started by this test:
-        // the retire itself may not free (stamp == its own epoch), but a
-        // follow-up retire or collect reclaims it.
-        bag.retire(Box::new(DropProbe(drops.clone())));
-        bag.collect_until_quiescent();
-        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        under_each_protocol(|| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let bag = GarbageBag::new();
+            bag.retire(Box::new(DropProbe(drops.clone())));
+            // No pinned reader on this thread or others started by this
+            // test: the retire itself may not free (stamp == its own
+            // epoch), but a follow-up retire or collect reclaims it.
+            bag.retire(Box::new(DropProbe(drops.clone())));
+            bag.collect_until_quiescent();
+            assert_eq!(drops.load(Ordering::SeqCst), 2);
+        });
     }
 
     #[test]
     fn pinned_reader_blocks_reclamation() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let bag = GarbageBag::new();
-        let guard = pin();
-        bag.retire(Box::new(DropProbe(drops.clone())));
-        bag.collect();
-        // This thread pinned *before* the retire, so the item must live.
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
-        assert_eq!(bag.pending(), 1);
-        drop(guard);
-        bag.collect_until_quiescent();
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        under_each_protocol(|| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let bag = GarbageBag::new();
+            let guard = pin();
+            bag.retire(Box::new(DropProbe(drops.clone())));
+            bag.collect();
+            // This thread pinned *before* the retire, so the item must live.
+            assert_eq!(drops.load(Ordering::SeqCst), 0);
+            assert_eq!(bag.pending(), 1);
+            drop(guard);
+            bag.collect_until_quiescent();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        });
     }
 
     #[test]
     fn readers_pinned_after_retire_do_not_block_it() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let bag = GarbageBag::new();
-        bag.retire(Box::new(DropProbe(drops.clone())));
-        let _guard = pin(); // pinned at an epoch >= the retire stamp
-        bag.collect_until_quiescent();
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        under_each_protocol(|| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let bag = GarbageBag::new();
+            bag.retire(Box::new(DropProbe(drops.clone())));
+            let _guard = pin(); // pinned at an epoch >= the retire stamp
+            bag.collect_until_quiescent();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        });
+    }
+
+    #[test]
+    fn a_batch_retire_frees_all_of_it() {
+        under_each_protocol(|| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let bag = GarbageBag::new();
+            let guard = pin();
+            bag.retire_all((0..5).map(|_| Box::new(DropProbe(drops.clone())) as Box<dyn Send>));
+            assert_eq!(bag.pending(), 5);
+            assert_eq!(drops.load(Ordering::SeqCst), 0);
+            drop(guard);
+            bag.collect_until_quiescent();
+            assert_eq!(drops.load(Ordering::SeqCst), 5);
+        });
     }
 
     #[test]
@@ -295,16 +619,18 @@ mod tests {
 
     #[test]
     fn bag_drop_reclaims_leftovers() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        {
-            let bag = GarbageBag::new();
-            let _guard = pin();
-            bag.retire(Box::new(DropProbe(drops.clone())));
-            // Pinned: nothing freed yet; dropping the bag frees anyway
-            // (exclusive ownership of the bag implies no reader inside
-            // the structure that published the item).
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        under_each_protocol(|| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            {
+                let bag = GarbageBag::new();
+                let _guard = pin();
+                bag.retire(Box::new(DropProbe(drops.clone())));
+                // Pinned: nothing freed yet; dropping the bag frees anyway
+                // (exclusive ownership of the bag implies no reader inside
+                // the structure that published the item).
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        });
     }
 
     #[test]
@@ -322,5 +648,97 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// A published object that marks its entry of the side table when
+    /// it is freed.
+    struct Probe {
+        id: usize,
+        freed: Arc<[AtomicBool]>,
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            self.freed[self.id].store(true, Ordering::Release);
+        }
+    }
+
+    /// One reader loads the published probe under a pin, reads its id,
+    /// works a little, and counts every read of a probe whose entry is
+    /// already marked freed; the test thread republishes and retires as
+    /// fast as it can. Any such read is a protocol hole: a pin the scan
+    /// missed. Before each pin the reader stores to a line the writer
+    /// stores to before each swap, so the pin's store waits in the store
+    /// buffer behind a cache miss while the pointer load runs ahead — the
+    /// reorder only the writer's barrier (or the pin's fence) forbids.
+    /// With the membarrier protocol's barrier taken out this fails within
+    /// its budget in an optimized build (a handful to hundreds of late
+    /// reads a run);
+    /// an unoptimized build spaces the pin and the load too far apart for
+    /// the store buffer to hide it, which is why `scripts/tier1.sh` also
+    /// runs this module's tests with `--release`.
+    #[test]
+    fn a_retired_pointer_is_never_read_after_its_free() {
+        const PUBLISHES: usize = 1_000_000;
+        const BUDGET: Duration = Duration::from_secs(1);
+        under_each_protocol(|| {
+            let protocol = FORCED.with(Cell::get).expect("forced");
+            let freed: Arc<[AtomicBool]> =
+                (0..=PUBLISHES).map(|_| AtomicBool::new(false)).collect();
+            let probe = |id| {
+                Box::into_raw(Box::new(Probe {
+                    id,
+                    freed: freed.clone(),
+                }))
+            };
+            let published = AtomicPtr::new(probe(0));
+            let stop = AtomicBool::new(false);
+            let traffic = CachePadded::new(AtomicU64::new(0));
+            let bag = GarbageBag::new();
+            let (late_reads, reads) = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    under(protocol, || {
+                        let (mut late, mut reads) = (0u64, 0u64);
+                        while !stop.load(Ordering::Relaxed) {
+                            traffic.store(reads, Ordering::Relaxed);
+                            let _pin = pin();
+                            let p = published.load(Ordering::Acquire);
+                            // SAFETY: loaded under the pin; only a protocol
+                            // hole frees it meanwhile, which is what this
+                            // test counts.
+                            let id = std::hint::black_box(unsafe { (*p).id });
+                            for _ in 0..32 {
+                                std::hint::spin_loop();
+                            }
+                            late += u64::from(freed[id].load(Ordering::Acquire));
+                            reads += 1;
+                        }
+                        (late, reads)
+                    })
+                });
+                let start = Instant::now();
+                for id in 1..=PUBLISHES {
+                    let next = probe(id);
+                    traffic.store(id as u64, Ordering::Relaxed);
+                    let old = published.swap(next, Ordering::SeqCst);
+                    // SAFETY: `old` came from Box::into_raw and was just
+                    // unlinked.
+                    bag.retire(unsafe { Box::from_raw(old) });
+                    if start.elapsed() > BUDGET {
+                        break;
+                    }
+                }
+                stop.store(true, Ordering::Relaxed);
+                reader.join().unwrap()
+            });
+            assert!(reads > 0, "{protocol:?}: no reader ran");
+            assert_eq!(
+                late_reads, 0,
+                "{protocol:?}: {late_reads} of {reads} reads hit a freed probe"
+            );
+            // SAFETY: every reader has joined; the last probe was never
+            // retired.
+            drop(unsafe { Box::from_raw(published.load(Ordering::Relaxed)) });
+        });
     }
 }

@@ -152,20 +152,28 @@ impl CallbackRegistry {
         }
     }
 
-    /// Swap `new` (may be null) into `entry`, retiring any old slot.
-    /// Returns whether a previous callback was present.
-    fn publish(&self, entry: &Entry, new: *mut Callback) -> bool {
+    /// Swap `new` (may be null) into `entry` and return the unlinked
+    /// previous slot, which the caller must retire.
+    fn swap_in(entry: &Entry, new: *mut Callback) -> Option<Box<Callback>> {
         let old = entry.slot.swap(new, Ordering::SeqCst);
         entry.generation.fetch_add(1, Ordering::Relaxed);
         entry.panics.store(0, Ordering::Relaxed);
-        if old.is_null() {
-            return false;
+        // SAFETY: a non-null `old` came from Box::into_raw and was just
+        // unlinked; the caller hands it to the bag, which frees it only
+        // after every reader pinned before the unlink has unpinned.
+        (!old.is_null()).then(|| unsafe { Box::from_raw(old) })
+    }
+
+    /// Swap `new` into `entry` and retire any old slot. Returns whether
+    /// a previous callback was present.
+    fn publish(&self, entry: &Entry, new: *mut Callback) -> bool {
+        match Self::swap_in(entry, new) {
+            Some(old) => {
+                self.garbage.retire(old);
+                true
+            }
+            None => false,
         }
-        // SAFETY: `old` came from Box::into_raw and was just unlinked;
-        // the bag frees it only after every reader pinned before the
-        // unlink has unpinned.
-        self.garbage.retire(unsafe { Box::from_raw(old) });
-        true
     }
 
     /// Install `cb` for `event`, replacing any previous callback.
@@ -180,11 +188,18 @@ impl CallbackRegistry {
         self.publish(entry, std::ptr::null_mut())
     }
 
-    /// Remove every callback (done on `OMP_REQ_STOP`).
+    /// Remove every callback (done on `OMP_REQ_STOP`). Every entry is
+    /// unlinked first and the lot retired together, so the writer's
+    /// reclamation barrier (see [`crate::rcu`]) is paid once, not once
+    /// per entry.
     pub fn clear(&self) {
-        for entry in &self.entries {
-            self.publish(entry, std::ptr::null_mut());
-        }
+        let unlinked: Vec<Box<dyn Send>> = self
+            .entries
+            .iter()
+            .filter_map(|entry| Self::swap_in(entry, std::ptr::null_mut()))
+            .map(|old| old as Box<dyn Send>)
+            .collect();
+        self.garbage.retire_all(unlinked);
     }
 
     /// Whether a callback is currently installed for `event`. This is the
@@ -202,8 +217,11 @@ impl CallbackRegistry {
     /// Returns whether a callback ran. The fired path performs no lock
     /// acquisition and no `Arc` refcount traffic: an unmonitored event
     /// costs one atomic load; a monitored one additionally pins the
-    /// reclamation epoch (two thread-local stores) and calls through the
-    /// published pointer. A concurrent unregister cannot free a callback
+    /// reclamation epoch (a store to the thread's reader slot, and one
+    /// to unpin: plain stores under the membarrier protocol, a fenced
+    /// pin under the `SeqCst` fallback; see [`crate::rcu`]), loads the
+    /// published pointer again with `Acquire` under the pin, and calls
+    /// through it. A concurrent unregister cannot free a callback
     /// out from under a running invocation (the pin keeps it alive), and
     /// a callback may itself (un)register events without deadlocking.
     ///
@@ -219,8 +237,10 @@ impl CallbackRegistry {
             return false;
         }
         let _pin = rcu::pin();
-        // Only a load made under the pin may be dereferenced.
-        let ptr = entry.slot.load(Ordering::SeqCst);
+        // Only a load made under the pin may be dereferenced. Acquire
+        // orders the callback's contents after its publication; the pin's
+        // order against a writer's scan is the RCU protocol's business.
+        let ptr = entry.slot.load(Ordering::Acquire);
         if ptr.is_null() {
             return false;
         }

@@ -29,6 +29,16 @@
 //! it. No mutex, no allocation, no `Arc` traffic — the same discipline
 //! as the RCU dispatch path in `ora_core::registry`.
 //!
+//! The reserved cursor is the record's identity. The producer writes it
+//! into the record as its [`RawRecord::seq`], so a lane's seqs are dense
+//! and in commit order under every policy (a record dropped by `Newest`
+//! or `Block` never reserves a cursor, so it takes no seq), and the
+//! enqueue cursor is the lane's count of written records: every
+//! successful CAS writes exactly one record, and consumers — the
+//! drainer, and a drop-oldest producer reclaiming — move only the
+//! dequeue cursor. No read-modify-write beyond the reservation is paid
+//! per record.
+//!
 //! ## The drainer's doorbell
 //!
 //! The lanes of a [`RingSet`] share one [`Doorbell`], bound to the
@@ -87,8 +97,9 @@ pub const DEFAULT_BLOCK_YIELD_LIMIT: u64 = 1 << 16;
 pub struct RawRecord {
     /// Event time in clock ticks.
     pub tick: u64,
-    /// Per-ring record sequence number (assigned at record time; the
-    /// third component of the stable merge key).
+    /// The ring cursor the record was committed at: dense and in commit
+    /// order within its lane (module docs), and the third component of
+    /// the stable merge key. Whatever the producer passes is overwritten.
     pub seq: u64,
     /// Event discriminant (`ora_core::event::Event as u32`).
     pub event: u32,
@@ -128,7 +139,7 @@ impl Slot {
 /// Per-ring counters, all updated with relaxed atomics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingStats {
-    /// Records successfully committed into the ring.
+    /// Records successfully committed into the ring: the enqueue cursor.
     pub written: u64,
     /// Incoming records discarded by [`DropPolicy::Newest`].
     pub dropped_newest: u64,
@@ -285,12 +296,10 @@ pub struct Ring {
     /// Producer cursor. Producers CAS this on every record while the
     /// drainer CASes `dequeue`; each cursor gets its own cache line so
     /// the always-on record fast path never false-shares with draining.
+    /// A cursor taken is a record written (module docs).
     enqueue: CachePadded<AtomicU64>,
     /// Consumer cursor (see `enqueue`).
     dequeue: CachePadded<AtomicU64>,
-    /// Next record sequence number for this ring.
-    next_seq: AtomicU64,
-    written: AtomicU64,
     dropped_newest: AtomicU64,
     dropped_oldest: AtomicU64,
     dropped_blocked: AtomicU64,
@@ -335,8 +344,6 @@ impl Ring {
             quarter_mask: (cap as u64 / 4).max(1) - 1,
             enqueue: CachePadded::new(AtomicU64::new(0)),
             dequeue: CachePadded::new(AtomicU64::new(0)),
-            next_seq: AtomicU64::new(0),
-            written: AtomicU64::new(0),
             dropped_newest: AtomicU64::new(0),
             dropped_oldest: AtomicU64::new(0),
             dropped_blocked: AtomicU64::new(0),
@@ -372,16 +379,8 @@ impl Ring {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Reserve the next record sequence number. Separate from the slot
-    /// reservation so a record keeps its merge identity even when the
-    /// slot write has to retry under drop-oldest.
-    #[inline]
-    fn take_seq(&self) -> u64 {
-        self.next_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Try to commit one record and return the cursor it took;
-    /// `Err(rec)` means the ring is full.
+    /// Try to commit one record, with the cursor it took as its seq, and
+    /// return that cursor; `Err(rec)` means the ring is full.
     #[inline]
     fn try_push(&self, rec: RawRecord) -> Result<u64, RawRecord> {
         let mut pos = self.enqueue.load(Ordering::Relaxed);
@@ -408,10 +407,9 @@ impl Ring {
                     Ok(_) => {
                         // SAFETY: the CAS gave us exclusive write access
                         // to this slot until the commit below publishes it.
-                        unsafe { *slot.rec.get() = rec };
+                        unsafe { *slot.rec.get() = RawRecord { seq: pos, ..rec } };
                         // Commit: publish the record to the consumer.
                         slot.set_seq(i, pos + 1);
-                        self.written.fetch_add(1, Ordering::Relaxed);
                         return Ok(pos);
                     }
                     Err(now) => pos = now,
@@ -460,8 +458,7 @@ impl Ring {
     /// Record one event under `policy`. Never allocates; never blocks
     /// unless `policy` is [`DropPolicy::Block`].
     #[inline]
-    pub fn record(&self, mut rec: RawRecord, policy: DropPolicy) {
-        rec.seq = self.take_seq();
+    pub fn record(&self, rec: RawRecord, policy: DropPolicy) {
         match policy {
             DropPolicy::Newest => {
                 if self.try_push(rec).is_err() {
@@ -586,7 +583,7 @@ impl Ring {
     /// Snapshot of this ring's counters.
     pub fn stats(&self) -> RingStats {
         RingStats {
-            written: self.written.load(Ordering::Relaxed),
+            written: self.enqueue.load(Ordering::Relaxed),
             dropped_newest: self.dropped_newest.load(Ordering::Relaxed),
             dropped_oldest: self.dropped_oldest.load(Ordering::Relaxed),
             dropped_blocked: self.dropped_blocked.load(Ordering::Relaxed),
@@ -742,6 +739,115 @@ mod tests {
         for (i, got) in out.iter().enumerate() {
             assert_eq!(got.seq, i as u64);
             assert_eq!(got.tick, i as u64);
+        }
+    }
+
+    #[test]
+    fn written_is_the_pushes_that_succeeded_and_seq_their_cursor() {
+        // No consumer but a sparse one, so every policy meets a full
+        // ring: a push succeeds unless its record is counted dropped, and
+        // the k-th successful push carries seq k.
+        for policy in [DropPolicy::Newest, DropPolicy::Oldest, DropPolicy::Block] {
+            let r = Ring::new(8).with_block_yield_limit(4);
+            let mut seq_of_tick = std::collections::HashMap::new();
+            let mut out = Vec::new();
+            for tick in 0..300u64 {
+                let lost = |s: RingStats| s.dropped_newest + s.dropped_blocked;
+                let before = lost(r.stats());
+                r.record(rec(tick, 0), policy);
+                if lost(r.stats()) == before {
+                    seq_of_tick.insert(tick, seq_of_tick.len() as u64);
+                }
+                if tick % 11 == 0 {
+                    r.drain_into(&mut out, 1 + tick as usize % 5);
+                }
+            }
+            while r.drain_into(&mut out, usize::MAX) > 0 {}
+            let s = r.stats();
+            let pushed = seq_of_tick.len() as u64;
+            assert_eq!(s.written, pushed, "{policy:?}");
+            assert!(s.dropped() > 0, "{policy:?}: the ring never filled");
+            assert_eq!(out.len() as u64 + s.dropped_oldest, pushed, "{policy:?}");
+            for got in &out {
+                assert_eq!(Some(&got.seq), seq_of_tick.get(&got.tick), "{policy:?}");
+            }
+            if policy != DropPolicy::Oldest {
+                // Nothing reclaimed: the drained seqs are every cursor.
+                let seqs: Vec<u64> = out.iter().map(|g| g.seq).collect();
+                assert_eq!(seqs, (0..pushed).collect::<Vec<_>>(), "{policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn racing_producers_and_reclaims_keep_seq_equal_to_the_cursor() {
+        // Three producers race a draining consumer over many laps of a
+        // small ring. The consumer claims cursors in order, so under Block
+        // it must see seqs 0, 1, 2, ... exactly; under Oldest, producers'
+        // reclaims take some cursors, so each batch is a run of
+        // consecutive seqs and the batches only move forward.
+        const PRODUCERS: u32 = 3;
+        const PER: u64 = 4_000;
+        for policy in [DropPolicy::Block, DropPolicy::Oldest] {
+            let r = Ring::new(16);
+            let producing = AtomicU64::new(u64::from(PRODUCERS));
+            let mut batches = Vec::new();
+            std::thread::scope(|s| {
+                for gtid in 0..PRODUCERS {
+                    let (r, producing) = (&r, &producing);
+                    s.spawn(move || {
+                        for tick in 0..PER {
+                            r.record(rec(tick, gtid), policy);
+                            if tick % 64 == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                        producing.fetch_sub(1, Ordering::Release);
+                    });
+                }
+                loop {
+                    let done = producing.load(Ordering::Acquire) == 0;
+                    let mut batch = Vec::new();
+                    if r.drain_into(&mut batch, 8) > 0 {
+                        batches.push(batch);
+                    } else if done {
+                        break;
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            let s = r.stats();
+            let total = u64::from(PRODUCERS) * PER;
+            assert_eq!(s.written, total, "{policy:?}");
+            let drained: Vec<RawRecord> = batches.iter().flatten().copied().collect();
+            assert_eq!(drained.len() as u64 + s.dropped_oldest, total, "{policy:?}");
+            for batch in &batches {
+                assert!(
+                    batch.windows(2).all(|w| w[1].seq == w[0].seq + 1),
+                    "{policy:?}"
+                );
+            }
+            assert!(
+                drained.windows(2).all(|w| w[0].seq < w[1].seq),
+                "{policy:?}"
+            );
+            for gtid in 0..PRODUCERS {
+                let ticks: Vec<u64> = drained
+                    .iter()
+                    .filter(|g| g.gtid == gtid)
+                    .map(|g| g.tick)
+                    .collect();
+                assert!(
+                    ticks.windows(2).all(|w| w[0] < w[1]),
+                    "{policy:?}: gtid {gtid} reordered"
+                );
+            }
+            if policy == DropPolicy::Block {
+                assert_eq!(s.dropped(), 0);
+                let seqs: Vec<u64> = drained.iter().map(|g| g.seq).collect();
+                assert_eq!(seqs, (0..total).collect::<Vec<_>>());
+            }
         }
     }
 

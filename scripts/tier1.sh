@@ -197,9 +197,37 @@ if grep -rnE 'critical_lock|criticals:|pop_overflow|eligible_for' crates/omprt/s
   echo "tier1: a criticals map, a by-name critical or a task spill queue under crates/ — pass a WordLock, push onto the owner's deque" >&2
   exit 1
 fi
+# Unfenced pins: a monitored event's pin and unpin are plain stores
+# (a relaxed store behind a compiler fence, a release store); the
+# `SeqCst` fence lives in `fenced_pin`, the fallback for hosts that
+# refuse membarrier, and the writer's barrier pays for the rest.
+pins=$(awk '/^pub fn pin\(/,/^}/ { print FILENAME ":" FNR ": " $0 }
+  /^impl Drop for Pin /,/^}/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/rcu.rs)
+if [ -z "$pins" ] || grep -v 'compiler_fence(Ordering::SeqCst)' <<<"$pins" | grep 'SeqCst'; then
+  echo "tier1: SeqCst in rcu::pin / Pin::drop outside the fallback — pin with plain stores, fence in fenced_pin" >&2
+  exit 1
+fi
+# The reserved cursor is the record: a ring's seq is the cursor its CAS
+# took and its written count is the enqueue cursor, so no second counter
+# is bumped per record.
+if grep -nE 'next_seq|take_seq|written\.fetch_add' crates/trace/src/ring.rs; then
+  echo "tier1: a per-record seq or written counter in crates/trace/src/ring.rs — read both off the enqueue cursor" >&2
+  exit 1
+fi
+# Hand-declared system calls: `syscall` is declared against the C
+# library in two audited places only (DESIGN.md §4).
+if grep -rn 'fn syscall(' crates/ | grep -v -e '^crates/core/src/rcu.rs:' -e '^crates/core/src/clock.rs:'; then
+  echo "tier1: syscall( declared outside crates/core/src/rcu.rs and clock.rs — keep the unsafe surface where DESIGN.md §4 audits it" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The RCU reclaim tests once more, optimized: only there is a reader's
+# pin close enough to its pointer load for the store buffer to hide it,
+# so only there does the churn test catch a writer that skips its
+# barrier.
+cargo test -q --release --offline -p ora-core --lib rcu::
 
 # The standalone benchmark package builds against the crates' public
 # API from outside the workspace: a deletion that breaks it must fail
