@@ -4,17 +4,16 @@
 //! and backs its exported `__omp_collector_api` entry point. It owns the
 //! callback table, the init/pause/resume/stop lifecycle (including the
 //! "out of sync" error on a second `Start` without an intervening `Stop`,
-//! paper §IV-B), the per-thread request lanes, and the event-dispatch
+//! paper §IV-B), the per-thread request counts, and the event-dispatch
 //! fast path with the paper's check ordering.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::event::Event;
-use crate::governor::{Admit, DispatchLane, Governor, GovernorConfig};
+use crate::governor::{Admit, Governor, GovernorConfig};
 use crate::message;
-use crate::pad::CachePadded;
 use crate::registry::{Callback, CallbackRegistry, EventData};
 use crate::request::{ApiHealth, CallbackToken, OraError, OraResult, Request, Response};
 use crate::state::{ThreadState, WaitIdKind};
@@ -58,34 +57,6 @@ pub enum Phase {
     Paused,
 }
 
-/// Number of per-thread request lanes.
-const QUEUE_SHARDS: usize = 64;
-
-static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// The calling thread's request lane, assigned on its first request.
-    static LANE: usize = NEXT_LANE.fetch_add(1, Ordering::Relaxed) % QUEUE_SHARDS;
-}
-
-/// Per-thread request lanes.
-///
-/// "Future requests to the API are pushed onto a queue associated with a
-/// thread. In this manner, we were able to avoid the contention otherwise
-/// incurred if a single global queue processed requests." (paper §IV-B)
-/// Requests are served inline on the calling thread, so what a lane keeps
-/// is that thread's served count, on a cache line of its own: a state
-/// query writes no line another thread writes.
-struct RequestLanes([CachePadded<AtomicU64>; QUEUE_SHARDS]);
-
-impl RequestLanes {
-    /// Count `n` requests served by the calling thread: one relaxed RMW
-    /// per call, however many records a batch carried.
-    fn note_served(&self, n: u64) {
-        LANE.with(|&lane| self.0[lane].fetch_add(n, Ordering::Relaxed));
-    }
-}
-
 /// Task-runtime scheduler counters the runtime deposits after each
 /// parallel region, served through [`ApiHealth`]. Lifetime totals, like
 /// every other health counter, so tools can watch deltas.
@@ -124,12 +95,12 @@ pub struct CollectorApi {
     tokens: Mutex<HashMap<u64, Callback>>,
     next_token: AtomicU64,
     provider: OnceLock<Arc<dyn RuntimeInfoProvider>>,
-    lanes: RequestLanes,
     /// Requests rejected with [`OraError::OutOfSequence`].
     sequence_errors: AtomicU64,
-    /// Per-thread dispatch masks + the adaptive sampling feedback loop.
-    /// Always present (the lanes are the fast path's first check); only
-    /// *armed* under the governed collector rung.
+    /// The dispatch mask, the per-thread lanes (delivery and request
+    /// counts) and the adaptive sampling feedback loop. Always present
+    /// (the mask is the fast path's first check); only *armed* under the
+    /// governed collector rung.
     governor: Governor,
     /// Scheduler counters deposited by the task runtime (see
     /// [`RuntimeTaskStats`]).
@@ -152,7 +123,6 @@ impl CollectorApi {
             tokens: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(1),
             provider: OnceLock::new(),
-            lanes: RequestLanes(std::array::from_fn(|_| CachePadded::default())),
             sequence_errors: AtomicU64::new(0),
             governor: Governor::new(),
             task_stats: RuntimeTaskStats::default(),
@@ -188,14 +158,14 @@ impl CollectorApi {
     /// totals. The fault counters come from the registry's atomics, so
     /// this reflects panics caught on other threads' dispatch paths up to
     /// the moment of the call; `requests` is the sum of the per-thread
-    /// request lanes.
+    /// request counts.
     pub fn health(&self) -> ApiHealth {
         let faults = self.registry.fault_stats();
         ApiHealth {
             callback_panics: faults.callback_panics,
             callbacks_quarantined: faults.callbacks_quarantined,
             sequence_errors: self.sequence_errors.load(Ordering::Relaxed),
-            requests: self.lane_distribution().iter().sum(),
+            requests: self.governor.requests(),
             events_sampled: self.governor.events_sampled(),
             events_skipped: self.governor.events_skipped(),
             tasks_stolen: self.task_stats.stolen.load(Ordering::Relaxed),
@@ -210,14 +180,17 @@ impl CollectorApi {
         self.registry.set_quarantine_threshold(n);
     }
 
-    /// Per-lane served counts of the per-thread request lanes (shows the
-    /// spread that avoids a single hot counter).
+    /// Served requests per thread slot ([`crate::rcu::thread_slot`]).
+    ///
+    /// "Future requests to the API are pushed onto a queue associated with
+    /// a thread. In this manner, we were able to avoid the contention
+    /// otherwise incurred if a single global queue processed requests."
+    /// (paper §IV-B) Requests are served inline on the calling thread, so
+    /// what its queue keeps is its served count, on the thread's own
+    /// governor lane: a state query writes no line another thread writes.
+    /// Its sum is [`ApiHealth::requests`].
     pub fn lane_distribution(&self) -> Vec<u64> {
-        self.lanes
-            .0
-            .iter()
-            .map(|l| l.load(Ordering::Relaxed))
-            .collect()
+        self.governor.requests_per_slot()
     }
 
     /// Intern a callback, obtaining the token the byte protocol carries in
@@ -237,7 +210,7 @@ impl CollectorApi {
     /// Serve a single typed request.
     pub fn handle_request(&self, request: Request) -> OraResult<Response> {
         let result = self.serve_one(request);
-        self.lanes.note_served(1);
+        self.governor.count_requests(1);
         result
     }
 
@@ -248,7 +221,7 @@ impl CollectorApi {
         // Every record whose `ec` is written counts, refused ones and
         // those before a malformed tail included.
         let (n, served) = message::serve_stream(buf, |req| self.serve_one(req));
-        self.lanes.note_served(served);
+        self.governor.count_requests(served);
         n
     }
 
@@ -273,14 +246,14 @@ impl CollectorApi {
             )
         {
             // Every lifecycle or registration transition republishes the
-            // per-thread dispatch masks (the RCU-style analogue of the
+            // dispatch mask (the RCU-style analogue of the
             // registry's own publication): clear bits are exact at each
             // republish point, and a transiently stale *set* bit is safe
             // because the monitored path re-checks the registry.
-            self.republish_masks();
+            self.republish_mask();
         }
         // Out-of-sequence errors are the only requests counted on a
-        // shared line; every served request counts in its thread's lane.
+        // shared line; every served request counts on its thread's lane.
         if matches!(result, Err(OraError::OutOfSequence)) {
             self.sequence_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -377,9 +350,9 @@ impl CollectorApi {
     /// The event-notification fast path, called from every event point in
     /// the runtime (`__ompc_event` in the paper).
     ///
-    /// The first check is one relaxed load of the calling thread's
-    /// cache-padded dispatch mask — a fully-unsubscribed event kind costs
-    /// a single local branch, touching no shared cache line. Only when
+    /// The first check is one relaxed load of the governor's cache-padded
+    /// dispatch mask — a fully-unsubscribed event kind costs a single
+    /// branch on a line no thread writes between transitions. Only when
     /// the mask bit is set does the monitored path run, which preserves
     /// the paper's ordering: "The ordering of the checks is important to
     /// avoid unnecessary checking if no callback has been registered for
@@ -391,23 +364,22 @@ impl CollectorApi {
     /// fetched and invoked.
     #[inline]
     pub fn event(&self, data: &EventData) {
-        let lane = self.governor.lane(data.gtid);
-        if lane.mask() & (1u64 << data.event.index()) == 0 {
+        if self.governor.current_mask() & (1u64 << data.event.index()) == 0 {
             return;
         }
-        self.event_monitored(lane, data);
+        self.event_monitored(data);
     }
 
     /// The monitored half of [`CollectorApi::event`], entered only when
-    /// the lane mask says the event is registered and collection active.
-    fn event_monitored(&self, lane: &DispatchLane, data: &EventData) {
+    /// the mask says the event is registered and collection active.
+    fn event_monitored(&self, data: &EventData) {
         if !self.registry.is_registered(data.event) {
             return;
         }
         if !self.active.load(Ordering::Acquire) {
             return;
         }
-        match self.governor.admit(lane, data.event) {
+        match self.governor.admit(self.governor.local_lane(), data.event) {
             Admit::Skip => {}
             Admit::Sample => {
                 self.registry.invoke(data);
@@ -445,7 +417,7 @@ impl CollectorApi {
         &self.governor
     }
 
-    fn republish_masks(&self) {
+    fn republish_mask(&self) {
         let mask = if self.active.load(Ordering::Acquire) {
             self.registry.registered_bits()
         } else {
@@ -763,15 +735,21 @@ mod tests {
     #[test]
     fn requests_spread_across_thread_lanes() {
         // Eight threads mix the byte entry point and the typed path while
-        // lifecycle transitions stay on this thread: every count is exact.
+        // lifecycle transitions stay on this thread: each thread's served
+        // requests land on its own lane, exactly.
+        const THREADS: usize = 8;
         let api = Arc::new(CollectorApi::new());
         api.set_provider(FakeProvider::new()).unwrap();
         for req in [Request::Start, Request::Pause, Request::Resume] {
             api.handle_request(req).unwrap();
         }
-        let handles: Vec<_> = (0..8)
+        // Every thread holds its slot until all have served, so no two
+        // of them can be handed the same one.
+        let all_served = Arc::new(std::sync::Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let api = Arc::clone(&api);
+                let all_served = Arc::clone(&all_served);
                 std::thread::spawn(move || {
                     let reqs = [Request::QueryState, Request::Start];
                     let mut batch = message::RequestBatch::new(&reqs);
@@ -782,12 +760,12 @@ mod tests {
                         let again = api.handle_request(Request::Resume);
                         assert_eq!(again, Err(OraError::OutOfSequence));
                     }
+                    all_served.wait();
+                    crate::rcu::thread_slot()
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let slots: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         api.handle_request(Request::Stop).unwrap();
         assert_eq!(api.phase(), Phase::Inactive);
         let want = ApiHealth {
@@ -798,8 +776,12 @@ mod tests {
         assert_eq!(api.health(), want);
         let dist = api.lane_distribution();
         assert_eq!(dist.iter().sum::<u64>(), want.requests);
+        for &slot in &slots {
+            assert_eq!(dist[slot], 50 * 4, "slot {slot}: {dist:?}");
+        }
+        assert_eq!(dist[crate::rcu::thread_slot()], 4, "this thread's lane");
         let used = dist.iter().filter(|&&c| c > 0).count();
-        assert!(used > 1, "all requests landed in one lane: {dist:?}");
+        assert_eq!(used, THREADS + 1, "one lane per thread: {dist:?}");
     }
 
     #[test]

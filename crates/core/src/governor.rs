@@ -6,17 +6,24 @@
 //! production continuous profiler does — by measuring its own overhead
 //! online and adapting until it fits a configured budget:
 //!
-//! 1. **Per-thread dispatch masks.** Every thread hashes to a
-//!    [`DispatchLane`] (cache-padded, [`LANE_COUNT`] of them) whose
-//!    `mask` word caches "this event is registered AND collection is
-//!    active" as one bit per [`Event`]. [`CollectorApi::event`] tests
-//!    that bit before touching any shared state, so a fully
-//!    unsubscribed event kind costs one local load and branch. Masks
-//!    are republished by the serve path on every lifecycle or
+//! 1. **One mask word, one lane per thread.** One cache-padded `mask`
+//!    word caches "this event is registered AND collection is active" as
+//!    one bit per [`Event`]. [`CollectorApi::event`] tests that bit
+//!    before anything else, so a fully unsubscribed event kind costs one
+//!    load of a line nobody writes between transitions, and a branch.
+//!    The serve path republishes the mask on every lifecycle or
 //!    registration transition (the RCU analogue of the registry's own
 //!    publication); a stale *set* bit is harmless — the monitored path
 //!    re-checks the registry — while clear bits are exact at every
-//!    republish point.
+//!    republish point. Past the mask, every thread counts on a
+//!    [`DispatchLane`] of its own, keyed by its [`rcu::thread_slot`]:
+//!    only that thread writes the lane, so each count is a relaxed load
+//!    and store, no locked instruction, and exact for any number of
+//!    threads and for two threads under one gtid. A lane is allocated by
+//!    its thread on first use behind a zeroed per-slot pointer table;
+//!    sums read the lanes below the table's high-water mark. The lane
+//!    also counts the thread's served requests (paper §IV-B's per-thread
+//!    request queue).
 //! 2. **The feedback loop.** When installed (collector rung
 //!    "governed"), the governor times every [`CAL_STRIDE`]-th sampled
 //!    dispatch with an injectable clock, reduces the measurements to
@@ -44,19 +51,17 @@
 //! [`CollectorApi::event`]: crate::api::CollectorApi::event
 
 use std::array;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::clock;
 use crate::event::{Event, ALL_EVENTS, EVENT_COUNT};
 use crate::pad::CachePadded;
+use crate::rcu;
 use crate::stats;
 use crate::sync::{Mutex, RwLock};
-
-/// Number of dispatch lanes. Threads map to lanes by `gtid % LANE_COUNT`,
-/// so runtimes up to 64 threads get a private lane each; beyond that,
-/// lanes are shared (still correct, just contended).
-pub const LANE_COUNT: usize = 64;
 
 /// Number of begin/end event pairs (sampling decisions are per pair).
 pub const PAIR_COUNT: usize = EVENT_COUNT / 2;
@@ -125,17 +130,21 @@ pub enum Admit {
     SampleTimed,
 }
 
-/// One per-thread slice of governor hot state. Cache-padded so a
-/// thread's dispatch counters never false-share with a neighbour's.
+/// One thread's slice of governor hot state ([`Governor::lane`]).
+///
+/// Only the thread that fetched a lane writes it: every word is a
+/// single-writer atomic that the thread updates with a relaxed load and
+/// store, and that sums read from any thread. The lane is not `Sync`, so
+/// a `&DispatchLane` cannot leave the thread that fetched it. Allocated
+/// cache-padded, so one thread's counters never false-share with
+/// another's.
 pub struct DispatchLane {
-    /// Bit `i` set ⇔ event with index `i` is registered AND collection
-    /// is active. Republished (never incrementally updated) on every
-    /// transition; read with a single relaxed load on the fast path.
-    mask: AtomicU64,
     /// Events admitted to their callback: the one count of deliveries.
     sampled: AtomicU64,
     /// Sampled-out events.
     skipped: AtomicU64,
+    /// Requests served on this thread (`ApiHealth::requests`).
+    requests: AtomicU64,
     /// Per-event observation counts (window deltas drive planning).
     observed: [AtomicU64; EVENT_COUNT],
     /// Per-pair pace counters driving the power-of-two keep decision.
@@ -145,26 +154,31 @@ pub struct DispatchLane {
     fate_bits: [AtomicU64; PAIR_COUNT],
     /// Current depth of each fate stack.
     fate_depth: [AtomicU32; PAIR_COUNT],
+    /// Not `Sync`: the lane's words have one writer, its thread.
+    _one_writer: PhantomData<Cell<()>>,
+}
+
+/// Add `n` to a counter only its lane's thread writes: a relaxed load and
+/// store, no locked instruction. Returns the new value.
+#[inline(always)]
+fn add(counter: &AtomicU64, n: u64) -> u64 {
+    let next = counter.load(Ordering::Relaxed) + n;
+    counter.store(next, Ordering::Relaxed);
+    next
 }
 
 impl DispatchLane {
     fn new() -> Self {
         DispatchLane {
-            mask: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
             observed: array::from_fn(|_| AtomicU64::new(0)),
             pace: array::from_fn(|_| AtomicU32::new(0)),
             fate_bits: array::from_fn(|_| AtomicU64::new(0)),
             fate_depth: array::from_fn(|_| AtomicU32::new(0)),
+            _one_writer: PhantomData,
         }
-    }
-
-    /// The lane's registered-and-active mask. One relaxed load — this is
-    /// the whole cost of an unsubscribed event.
-    #[inline(always)]
-    pub fn mask(&self) -> u64 {
-        self.mask.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -295,11 +309,19 @@ impl std::fmt::Debug for GovernorConfig {
 }
 
 /// The adaptive overhead governor (module docs). One per
-/// [`crate::api::CollectorApi`]; always present (the lanes double as the
-/// fast-path mask store) but only *armed* under the governed collector
-/// rung.
+/// [`crate::api::CollectorApi`]; always present (its mask is the fast
+/// path's first check, its lanes count deliveries and requests) but only
+/// *armed* under the governed collector rung.
 pub struct Governor {
-    lanes: Box<[CachePadded<DispatchLane>]>,
+    /// Bit `i` set ⇔ event with index `i` is registered AND collection
+    /// is active. Republished (never incrementally updated) on every
+    /// transition; read with a single relaxed load on the fast path.
+    mask: CachePadded<AtomicU64>,
+    /// One lane pointer per [`rcu::thread_slot`], null until that slot's
+    /// thread first needs its lane. Only the slot's holder stores one.
+    lanes: Box<[AtomicPtr<CachePadded<DispatchLane>>]>,
+    /// One past the highest slot with a lane: every sum stops here.
+    lanes_high: AtomicUsize,
     enabled: AtomicBool,
     budget_ppm: AtomicU64,
     /// Per-event sampling shifts; both halves of a pair always hold the
@@ -329,10 +351,11 @@ impl Governor {
     /// A disarmed governor with zeroed masks and counters.
     pub fn new() -> Self {
         Governor {
-            lanes: (0..LANE_COUNT)
-                .map(|_| CachePadded::new(DispatchLane::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            mask: CachePadded::new(AtomicU64::new(0)),
+            lanes: std::iter::repeat_with(AtomicPtr::default)
+                .take(rcu::THREAD_SLOTS)
+                .collect(),
+            lanes_high: AtomicUsize::new(0),
             enabled: AtomicBool::new(false),
             budget_ppm: AtomicU64::new(DEFAULT_BUDGET_PPM),
             shifts: array::from_fn(|_| AtomicU32::new(0)),
@@ -354,22 +377,90 @@ impl Governor {
         }
     }
 
-    /// The dispatch lane for `gtid`.
-    #[inline(always)]
-    pub fn lane(&self, gtid: usize) -> &DispatchLane {
-        &self.lanes[gtid & (LANE_COUNT - 1)]
+    /// The calling thread's dispatch lane, whatever `gtid` says: lanes
+    /// are keyed by the thread's [`rcu::thread_slot`], so two OS threads
+    /// under one gtid count apart and no two live threads share one.
+    #[inline]
+    pub fn lane(&self, _gtid: usize) -> &DispatchLane {
+        self.local_lane()
     }
 
-    /// Store `mask` into every lane (serve-path republication).
-    pub fn publish_mask(&self, mask: u64) {
-        for lane in self.lanes.iter() {
-            lane.mask.store(mask, Ordering::SeqCst);
+    /// The calling thread's dispatch lane, allocated on its first use.
+    #[inline]
+    pub(crate) fn local_lane(&self) -> &DispatchLane {
+        let slot = rcu::thread_slot();
+        // Relaxed: this thread stored the pointer, or an earlier holder
+        // of the slot did and handed it on through the slot's claim.
+        let lane = self.lanes[slot].load(Ordering::Relaxed);
+        if lane.is_null() {
+            return self.new_lane(slot);
         }
+        // SAFETY: a non-null entry came from `Box::into_raw` in
+        // `new_lane` and is freed only when the governor drops.
+        unsafe { &*lane }
     }
 
-    /// The currently published mask.
+    #[cold]
+    fn new_lane(&self, slot: usize) -> &DispatchLane {
+        let lane = Box::into_raw(Box::new(CachePadded::new(DispatchLane::new())));
+        self.lanes[slot].store(lane, Ordering::Release);
+        self.lanes_high.fetch_max(slot + 1, Ordering::Release);
+        // SAFETY: just allocated; freed only when the governor drops.
+        unsafe { &*lane }
+    }
+
+    /// Every lane allocated so far, in slot order, with its slot.
+    fn each_lane(&self) -> impl Iterator<Item = (usize, &DispatchLane)> {
+        let high = self.lanes_high.load(Ordering::Acquire);
+        self.lanes[..high]
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, lane)| {
+                let lane = lane.load(Ordering::Acquire);
+                // SAFETY: as in `local_lane`. Off its thread a lane is only
+                // loaded from, and every word of it is atomic.
+                (!lane.is_null()).then(|| (slot, unsafe { &**lane }))
+            })
+    }
+
+    /// Sum one single-writer word over every lane.
+    fn sum(&self, word: impl Fn(&DispatchLane) -> &AtomicU64) -> u64 {
+        self.each_lane()
+            .map(|(_, lane)| word(lane).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Store `mask` as the published mask (serve-path republication).
+    pub fn publish_mask(&self, mask: u64) {
+        self.mask.store(mask, Ordering::SeqCst);
+    }
+
+    /// The currently published mask. One relaxed load — this is the
+    /// whole cost of an unsubscribed event.
+    #[inline(always)]
     pub fn current_mask(&self) -> u64 {
-        self.lanes[0].mask()
+        self.mask.load(Ordering::Relaxed)
+    }
+
+    /// Count `n` requests served on the calling thread.
+    pub fn count_requests(&self, n: u64) {
+        add(&self.local_lane().requests, n);
+    }
+
+    /// Requests served per thread slot, up to the highest slot with a
+    /// lane; a slot without one reads 0.
+    pub fn requests_per_slot(&self) -> Vec<u64> {
+        let mut counts = Vec::new();
+        for (slot, lane) in self.each_lane() {
+            counts.resize(slot, 0);
+            counts.push(lane.requests.load(Ordering::Relaxed));
+        }
+        counts
+    }
+
+    /// Total requests served, over every thread.
+    pub fn requests(&self) -> u64 {
+        self.sum(|lane| &lane.requests)
     }
 
     /// Clone the tick source (two calls bracket a timed dispatch).
@@ -450,20 +541,21 @@ impl Governor {
     /// and active checks pass; bumps exactly one of sampled/skipped so
     /// the reconciliation invariant holds at rest.
     ///
-    /// The bookkeeping is deliberately minimal: disarmed admission is a
-    /// single lane-local RMW, and a skipped (sampled-out) event touches
-    /// only the lane counters planning consumes — no lane-wide total.
-    /// `sampled` is the one count of delivered events, and
-    /// `events_observed` is derived as
+    /// The bookkeeping is deliberately minimal: disarmed admission is one
+    /// load and store of the lane's `sampled`, and a skipped (sampled-out)
+    /// event touches only the lane counters planning consumes — no
+    /// lane-wide total. Every count is the lane thread's own, so none
+    /// takes a locked instruction. `sampled` is the one count of
+    /// delivered events, and `events_observed` is derived as
     /// `sampled + skipped` instead of being counted a third time.
     #[inline]
     pub fn admit(&self, lane: &DispatchLane, event: Event) -> Admit {
         if !self.enabled.load(Ordering::Relaxed) {
-            lane.sampled.fetch_add(1, Ordering::Relaxed);
+            add(&lane.sampled, 1);
             return Admit::Sample;
         }
         let index = event.index();
-        let seen = lane.observed[index].fetch_add(1, Ordering::Relaxed) + 1;
+        let seen = add(&lane.observed[index], 1);
         if seen.is_multiple_of(RETUNE_STRIDE) {
             self.try_retune();
         }
@@ -479,14 +571,13 @@ impl Governor {
             }
         };
         if keep {
-            let kept = lane.sampled.fetch_add(1, Ordering::Relaxed) + 1;
-            if kept.is_multiple_of(CAL_STRIDE) {
+            if add(&lane.sampled, 1).is_multiple_of(CAL_STRIDE) {
                 Admit::SampleTimed
             } else {
                 Admit::Sample
             }
         } else {
-            lane.skipped.fetch_add(1, Ordering::Relaxed);
+            add(&lane.skipped, 1);
             Admit::Skip
         }
     }
@@ -497,7 +588,8 @@ impl Governor {
         if shift == 0 {
             return true;
         }
-        let pace = lane.pace[slot].fetch_add(1, Ordering::Relaxed);
+        let pace = lane.pace[slot].load(Ordering::Relaxed);
+        lane.pace[slot].store(pace.wrapping_add(1), Ordering::Relaxed);
         pace & ((1u32 << shift) - 1) == 0
     }
 
@@ -595,34 +687,26 @@ impl Governor {
     /// Total events admitted to their callback across lanes (surfaces
     /// in `GovernorStatus` and `ApiHealth`).
     pub fn events_sampled(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|lane| lane.sampled.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|lane| &lane.sampled)
     }
 
     /// Total sampled-out events across lanes (surfaces in `ApiHealth`).
     pub fn events_skipped(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|lane| lane.skipped.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|lane| &lane.skipped)
     }
 
     /// Total events that reached admission across lanes. Derived from
     /// the two verdict counters (admission bumps exactly one of them),
-    /// so the skip path needs no third shared counter and the
-    /// reconciliation invariant holds by construction at rest.
+    /// so the skip path needs no third counter and the reconciliation
+    /// invariant holds by construction at rest.
     pub fn events_observed(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|lane| lane.sampled.load(Ordering::Relaxed) + lane.skipped.load(Ordering::Relaxed))
-            .sum()
+        self.events_sampled() + self.events_skipped()
     }
 
-    fn observed_per_event(&self) -> [u64; EVENT_COUNT] {
+    /// Per-event observation totals across lanes.
+    pub fn observed_per_event(&self) -> [u64; EVENT_COUNT] {
         let mut totals = [0u64; EVENT_COUNT];
-        for lane in self.lanes.iter() {
+        for (_, lane) in self.each_lane() {
             for (total, count) in totals.iter_mut().zip(lane.observed.iter()) {
                 *total += count.load(Ordering::Relaxed);
             }
@@ -632,16 +716,30 @@ impl Governor {
 
     /// Snapshot of budget, counters and measured costs.
     pub fn status(&self) -> GovernorStatus {
+        let (sampled, skipped) = (self.events_sampled(), self.events_skipped());
         GovernorStatus {
             enabled: u64::from(self.enabled.load(Ordering::SeqCst)),
             budget_ppm: self.budget_ppm.load(Ordering::Relaxed),
-            events_observed: self.events_observed(),
-            events_sampled: self.events_sampled(),
-            events_skipped: self.events_skipped(),
+            events_observed: sampled + skipped,
+            events_sampled: sampled,
+            events_skipped: skipped,
             retunes: self.retunes.load(Ordering::Relaxed),
             overhead_ppm: self.overhead_ppm.load(Ordering::Relaxed),
             baseline_milliticks: self.baseline_milliticks.load(Ordering::Relaxed),
             monitored_milliticks: self.monitored_milliticks.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl Drop for Governor {
+    fn drop(&mut self) {
+        for lane in self.lanes.iter() {
+            let lane = lane.load(Ordering::Relaxed);
+            if !lane.is_null() {
+                // SAFETY: from `Box::into_raw` in `new_lane`; `&mut self`
+                // means no thread still holds a `&DispatchLane`.
+                drop(unsafe { Box::from_raw(lane) });
+            }
         }
     }
 }
@@ -1049,13 +1147,44 @@ mod tests {
     }
 
     #[test]
-    fn publish_mask_reaches_every_lane() {
+    fn the_mask_is_one_word_every_thread_reads() {
         let governor = Governor::new();
         governor.publish_mask(0b1011);
-        for gtid in 0..LANE_COUNT * 2 {
-            assert_eq!(governor.lane(gtid).mask(), 0b1011);
-        }
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(governor.current_mask(), 0b1011));
+        });
         governor.publish_mask(0);
         assert_eq!(governor.current_mask(), 0);
+    }
+
+    #[test]
+    fn lanes_are_per_thread_and_allocated_on_first_use() {
+        let governor = Governor::new();
+        assert_eq!(
+            governor.each_lane().count(),
+            0,
+            "a fresh governor has no lane"
+        );
+        // Three threads name the same gtid; each counts on its own lane.
+        let barrier = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for n in 1..=3u64 {
+                let (governor, barrier) = (&governor, &barrier);
+                s.spawn(move || {
+                    for _ in 0..n {
+                        governor.admit(governor.lane(0), Event::Fork);
+                    }
+                    // Hold the slot until every thread has its lane.
+                    barrier.wait();
+                });
+            }
+        });
+        let mut sampled: Vec<u64> = governor
+            .each_lane()
+            .map(|(_, lane)| lane.sampled.load(Ordering::Relaxed))
+            .collect();
+        sampled.sort_unstable();
+        assert_eq!(sampled, [1, 2, 3]);
+        assert_eq!(governor.events_sampled(), 6);
     }
 }

@@ -29,8 +29,9 @@
 //! each side's store before its load, a reader's pin can still sit in
 //! its core's store buffer while the writer's scan reads the slot as
 //! quiescent and frees the pointer the reader just loaded. Which side
-//! pays for that order is chosen once per process, at the first retire,
-//! as `clock` chooses its counter:
+//! pays for that order is chosen once per process, at [`settle`] (which a
+//! runtime calls before it starts a thread) or else the first retire, as
+//! `clock` chooses its counter:
 //!
 //! * **membarrier** (liburcu's "memb" flavour; Desnoyers et al., "User-Level
 //!   Implementations of Read-Copy Update", IEEE TPDS 2012). A pin stores
@@ -42,20 +43,21 @@
 //!   pin that precedes that barrier is visible to the scan, and a pin
 //!   after it loads the unlinked pointer's replacement. The process
 //!   registers for it (`MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED`) at
-//!   that first retire.
+//!   that choice.
 //! * **`SeqCst`**, wherever the kernel refuses either call or no syscall
 //!   is declared (anything but x86_64 and aarch64 Linux): a pin's store is
 //!   followed by a `SeqCst` fence, as crossbeam-epoch pins, and the writer's
 //!   unlink and scan are `SeqCst` operations, so the fence's total order
-//!   closes the race on both sides. Readers that pin before the first
-//!   retire run this side too, whichever protocol the retire then picks.
+//!   closes the race on both sides. Readers that pin before the choice
+//!   run this side too, whichever protocol it then picks.
 //!
 //! Under membarrier a monitored event's pin and unpin are plain stores;
 //! the system call (about 0.1 µs alone, 1.5 µs with another thread of
 //! the process running, on the 2-core reference VM) is paid once per
 //! retire or collect, which registration does a handful of times per
 //! run. The registration itself waits for a kernel RCU grace period in a
-//! process with more than one thread: milliseconds, once.
+//! process with more than one thread: milliseconds, once, which is why
+//! [`settle`] makes it while the process has one.
 //! `GarbageBag::retire_all` hands a whole batch of unlinks to one
 //! barrier, so the registry's `clear` pays one however many entries it
 //! empties.
@@ -71,9 +73,9 @@ use std::sync::OnceLock;
 use crate::pad::CachePadded;
 use crate::sync::Mutex;
 
-/// Number of reader slots. Threads beyond this many *concurrently live*
-/// readers briefly spin waiting for an exiting thread to release a slot.
-const MAX_READERS: usize = 1024;
+/// Number of thread slots. Threads beyond this many *concurrently live*
+/// ones briefly spin waiting for an exiting thread to release a slot.
+pub const THREAD_SLOTS: usize = 1024;
 
 /// The epoch value meaning "not in a read-side critical section".
 const QUIESCENT: u64 = 0;
@@ -96,7 +98,7 @@ const SLOT_INIT: CachePadded<ReaderSlot> = CachePadded::new(ReaderSlot {
 /// neighbours (a master and its first worker) would trade one cache line
 /// back and forth per event — or not, depending on where the linker
 /// happened to start the array.
-static SLOTS: [CachePadded<ReaderSlot>; MAX_READERS] = [SLOT_INIT; MAX_READERS];
+static SLOTS: [CachePadded<ReaderSlot>; THREAD_SLOTS] = [SLOT_INIT; THREAD_SLOTS];
 
 /// Global epoch. Starts at 1 so no retire stamp is ever [`QUIESCENT`].
 /// Read by every pin, so it gets a line no other static can write into.
@@ -117,9 +119,11 @@ enum Protocol {
 /// so a reader that reads it set may pin without a fence.
 static READERS_UNFENCED: AtomicBool = AtomicBool::new(false);
 
-/// The process's protocol, chosen at the first call (the first retire).
+static CHOSEN: OnceLock<Protocol> = OnceLock::new();
+
+/// The process's protocol, chosen at the first call: [`settle`], or else
+/// the first retire.
 fn chosen() -> Protocol {
-    static CHOSEN: OnceLock<Protocol> = OnceLock::new();
     *CHOSEN.get_or_init(|| match membarrier::register() {
         Ok(()) => {
             READERS_UNFENCED.store(true, Ordering::Relaxed);
@@ -127,6 +131,21 @@ fn chosen() -> Protocol {
         }
         Err(_) => Protocol::SeqCst,
     })
+}
+
+/// Choose the process's protocol now. Registering for expedited
+/// membarriers costs under a microsecond while the process has one
+/// thread, and waits for a kernel RCU grace period (milliseconds) once it
+/// has two, so a runtime settles this before it starts its first worker
+/// rather than leaving it to the first retire, which may be a quarantine
+/// on an application thread inside event dispatch. Idempotent.
+pub fn settle() {
+    chosen();
+}
+
+/// Whether the process's protocol has been chosen ([`settle`]).
+pub fn settled() -> bool {
+    CHOSEN.get().is_some()
 }
 
 /// The protocol a writer on this thread runs.
@@ -285,7 +304,14 @@ mod membarrier {
     }
 }
 
-/// A thread's claim on one reader slot, released when the thread exits.
+/// A thread's claim on one slot, released when the thread exits.
+///
+/// The slot is the thread's identity for every per-thread structure of
+/// the crate, not only its reader epoch: [`thread_slot`] hands it out.
+/// While the thread lives no other thread holds it; on exit the release
+/// store of `claimed` publishes everything the thread wrote under the
+/// slot, and the next claimer's acquiring CAS reads it, so per-slot state
+/// passes from one owner to the next with plain loads and stores.
 struct ReaderHandle {
     idx: usize,
     depth: Cell<usize>,
@@ -322,6 +348,14 @@ impl Drop for ReaderHandle {
 
 thread_local! {
     static READER: ReaderHandle = ReaderHandle::acquire();
+}
+
+/// The calling thread's slot: below [`THREAD_SLOTS`], held by no other
+/// live thread, and handed on at exit with release/acquire (see
+/// `ReaderHandle`). Claimed on the thread's first call here or to [`pin`].
+#[inline]
+pub fn thread_slot() -> usize {
+    READER.with(|r| r.idx)
 }
 
 /// An active read-side critical section. While any `Pin` is alive on any

@@ -299,6 +299,11 @@ impl OpenMp {
 
     /// A runtime with an explicit configuration.
     pub fn with_config(config: Config) -> Self {
+        // Register for expedited membarriers while the process may still
+        // have one thread: once a worker runs, the kernel makes the call
+        // wait for an RCU grace period, and the first retire (possibly a
+        // quarantine inside some thread's event dispatch) would pay it.
+        ora_core::rcu::settle();
         let instance = INSTANCE_IDS.fetch_add(1, Ordering::Relaxed);
         let api = Arc::new(CollectorApi::new());
 

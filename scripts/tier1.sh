@@ -220,6 +220,18 @@ if grep -rn 'fn syscall(' crates/ | grep -v -e '^crates/core/src/rcu.rs:' -e '^c
   echo "tier1: syscall( declared outside crates/core/src/rcu.rs and clock.rs — keep the unsafe surface where DESIGN.md §4 audits it" >&2
   exit 1
 fi
+# One lane per thread: the governor's lanes are keyed by the thread's RCU
+# slot and written only by that thread, so no gtid-hashed lane table, no
+# round-robin request lanes and no locked add on a lane counter comes
+# back.
+if grep -rnE 'RequestLanes|NEXT_LANE|QUEUE_SHARDS|gtid & \(LANE_COUNT' crates/; then
+  echo "tier1: a gtid-hashed or round-robin lane under crates/ — count on the thread's own governor lane (rcu::thread_slot)" >&2
+  exit 1
+fi
+if grep -rnE '(\bsampled|\bskipped|\bobserved\[[^]]*\]|\bpace\[[^]]*\])\.fetch_add' crates/core/src; then
+  echo "tier1: .fetch_add on a governor lane counter in crates/core/src — a lane has one writer: load and store" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -228,6 +240,9 @@ cargo test -q --offline --workspace
 # so only there does the churn test catch a writer that skips its
 # barrier.
 cargo test -q --release --offline -p ora-core --lib rcu::
+# The governor's exactness test once more, optimized: a lane shared by
+# two threads loses updates most reliably there.
+cargo test -q --release --offline -p ora-core --test governor_exactness
 
 # The standalone benchmark package builds against the crates' public
 # API from outside the workspace: a deletion that breaks it must fail
@@ -295,7 +310,7 @@ grep -Eq '^joins [0-9]+ \| sampled [0-9]+ .*\| savings [0-9.]+%$' "$smoke/select
 grep -q 'export byte-identical to offline merge_ranks: yes' "$smoke/fleet.txt"
 # The two surfaces whose numbers the request path feeds: the state-time
 # table (one OMP_REQ_STATE per event) and the served-request count that
-# `health` reads from the per-thread request lanes.
+# `health` reads from the per-thread governor lanes.
 "$omp_prof" --workload epcc --tool states >"$smoke/states.txt"
 grep -q 'efficiency$' "$smoke/states.txt"
 grep -Eq '^[0-9]+ .*[0-9.]+%$' "$smoke/states.txt"
