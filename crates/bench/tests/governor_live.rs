@@ -28,6 +28,8 @@ use ora_trace::{RankedEvent, TraceReader};
 const BUDGETS: [&str; 3] = ["0.5%", "2%", "10%"];
 
 struct GovernedRun {
+    /// The governor right after arming, and at rest after the storm.
+    armed: GovernorStatus,
     status: GovernorStatus,
     summary: CollectionSummary,
     trace: Vec<u8>,
@@ -52,6 +54,7 @@ fn barrier_storm_governed(budget_ppm: u64, episodes: usize) -> GovernedRun {
         clock: Some(Arc::new(clock::ticks)),
         ..GovernorConfig::default()
     });
+    let armed = handle.query_governor().expect("governor status");
 
     static GOVERNOR_LIVE: WordLock = WordLock::new();
     rt.parallel(|ctx| {
@@ -69,6 +72,7 @@ fn barrier_storm_governed(budget_ppm: u64, episodes: usize) -> GovernedRun {
     let status = handle.query_governor().expect("governor status");
     let (summary, trace) = active.finish_with_trace().expect("finish");
     GovernedRun {
+        armed,
         status,
         summary,
         trace: trace.expect("governed rung returns trace bytes"),
@@ -84,13 +88,14 @@ fn planted_budgets_reach_the_governor_and_accounting_reconciles() {
 
         assert_eq!(g.enabled, 1, "{raw}: governor armed");
         assert_eq!(g.budget_ppm, budget_ppm, "{raw}: budget plumbed intact");
-        assert!(g.events_observed > 0, "{raw}: storm generated events");
         assert!(
-            g.reconciles(),
-            "{raw}: observed {} != sampled {} + skipped {}",
-            g.events_observed,
-            g.events_sampled,
-            g.events_skipped
+            g.events_observed > run.armed.events_observed,
+            "{raw}: storm generated events"
+        );
+        assert!(
+            g.reconciles_since(&run.armed),
+            "{raw}: observed, sampled and skipped moved apart: {:?} → {g:?}",
+            run.armed
         );
         // The summary is the same ledger seen through the collection.
         assert_eq!(run.summary.events_sampled, g.events_sampled, "{raw}");
@@ -137,6 +142,7 @@ fn dense_storm_is_sampled_down_under_the_default_budget() {
         clock: Some(Arc::new(clock::ticks)),
         min_window_ticks: 100_000,
     });
+    let armed = handle.query_governor().expect("governor status");
     rt.parallel(|ctx| {
         for _ in 0..50_000 {
             ctx.barrier();
@@ -145,7 +151,7 @@ fn dense_storm_is_sampled_down_under_the_default_budget() {
     drop(rt);
     let g = handle.query_governor().expect("governor status");
     active.finish().expect("finish");
-    assert!(g.reconciles());
+    assert!(g.reconciles_since(&armed), "{armed:?} → {g:?}");
     let sampled = g.events_sampled as f64 / g.events_observed.max(1) as f64;
     assert!(
         sampled < 0.5,
@@ -205,6 +211,7 @@ fn learned_shifts_survive_detach_and_reattach() {
         clock: Some(Arc::new(clock::ticks)),
         min_window_ticks: u64::MAX / 2,
     });
+    let armed = handle.query_governor().expect("governor status");
     rt.parallel(|ctx| {
         for _ in 0..100 {
             ctx.barrier();
@@ -222,7 +229,7 @@ fn learned_shifts_survive_detach_and_reattach() {
         "re-seeded shifts must skip from the first event (skipped stuck at {})",
         first.events_skipped
     );
-    assert!(second.reconciles());
+    assert!(second.reconciles_since(&armed), "{armed:?} → {second:?}");
 }
 
 #[test]

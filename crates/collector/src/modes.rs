@@ -251,10 +251,7 @@ impl ActiveCollection {
                 let profile = timer.finish();
                 Ok((
                     CollectionSummary {
-                        // The state timer has no event counter; report the
-                        // threads it saw so "did anything happen" stays
-                        // answerable.
-                        events_observed: profile.threads.len() as u64,
+                        events_observed: profile.threads.iter().map(|t| t.events).sum(),
                         ..CollectionSummary::default()
                     },
                     None,

@@ -23,22 +23,20 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering, Ordering::Relaxed};
 
 use ora_core::sync::Mutex;
 
 use ora_core::event::Event;
 use ora_core::registry::EventData;
 use ora_core::request::{ApiHealth, OraResult};
+use ora_core::thread::{self, SlotTable};
 use psx::unwind::Backtrace;
 
 use crate::clock;
 use crate::discovery::RuntimeHandle;
 use crate::lane::{Collector, Lane};
 use crate::report;
-
-/// Highest thread ID the per-thread accumulators cover.
-pub const MAX_THREADS: usize = 256;
 
 /// What the registered callbacks do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,11 +79,15 @@ struct RegionAccum {
     max_ticks: u64,
 }
 
+/// One thread's implicit-barrier time, its slot's entry of the
+/// profiler's table: single-writer words, as `StateTimer`'s.
 #[derive(Default)]
 struct ThreadAccum {
-    ibar_begin_tick: u64,
-    ibar_ticks: u64,
-    ibar_count: u64,
+    /// The gtid the thread fires under.
+    gtid: AtomicUsize,
+    ibar_begin_tick: AtomicU64,
+    ibar_ticks: AtomicU64,
+    ibar_count: AtomicU64,
 }
 
 /// The join callstacks kept, and the §VI policy's account of the rest.
@@ -115,13 +117,13 @@ pub(crate) struct ProfState {
     /// Fork tick per in-flight region (master-only writers).
     fork_tick: Mutex<HashMap<u64, u64>>,
     regions: Mutex<HashMap<u64, RegionAccum>>,
-    threads: Vec<Mutex<ThreadAccum>>,
+    threads: SlotTable<ThreadAccum>,
     samples: Mutex<JoinSamples>,
     events: AtomicU64,
 }
 
-/// The four event callbacks, one method each, reached through the lane's
-/// [`on_event`](Lane::on_event).
+/// The event callbacks, reached through the lane's
+/// [`on_event`](Lane::on_event) once it has counted the event.
 impl ProfState {
     pub(crate) fn new(config: &ProfilerConfig) -> ProfState {
         ProfState {
@@ -130,7 +132,7 @@ impl ProfState {
             max_samples_per_site: config.max_samples_per_site,
             fork_tick: Mutex::new(HashMap::new()),
             regions: Mutex::new(HashMap::new()),
-            threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
+            threads: SlotTable::new(),
             samples: Mutex::default(),
             events: AtomicU64::new(0),
         }
@@ -138,20 +140,12 @@ impl ProfState {
 
     #[inline]
     fn on_fork(&self, d: &EventData) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        if self.mode == Mode::CallbacksOnly {
-            return;
-        }
         let t = clock::ticks();
         self.fork_tick.lock().insert(d.region_id, t);
     }
 
     #[inline]
     fn on_join(&self, d: &EventData) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        if self.mode == Mode::CallbacksOnly {
-            return;
-        }
         let now = clock::ticks();
         let start = self.fork_tick.lock().remove(&d.region_id);
         let dur = start.map(|t| now.saturating_sub(t)).unwrap_or(0);
@@ -188,25 +182,20 @@ impl ProfState {
 
     #[inline]
     fn on_ibar_begin(&self, d: &EventData) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        if self.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
-            return;
-        }
-        self.threads[d.gtid].lock().ibar_begin_tick = clock::ticks();
+        let acc = self.threads.local();
+        acc.gtid.store(d.gtid, Relaxed);
+        acc.ibar_begin_tick.store(clock::ticks(), Relaxed);
     }
 
     #[inline]
-    fn on_ibar_end(&self, d: &EventData) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        if self.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
-            return;
-        }
+    fn on_ibar_end(&self) {
         let now = clock::ticks();
-        let mut acc = self.threads[d.gtid].lock();
-        if acc.ibar_begin_tick != 0 {
-            acc.ibar_ticks += now.saturating_sub(acc.ibar_begin_tick);
-            acc.ibar_count += 1;
-            acc.ibar_begin_tick = 0;
+        let acc = self.threads.local();
+        let begin = acc.ibar_begin_tick.load(Relaxed);
+        if begin != 0 {
+            thread::add(&acc.ibar_ticks, now.saturating_sub(begin));
+            thread::add(&acc.ibar_count, 1);
+            acc.ibar_begin_tick.store(0, Relaxed);
         }
     }
 
@@ -229,19 +218,17 @@ impl ProfState {
             .collect();
         regions.sort_by_key(|r| r.region_id);
 
-        let threads: Vec<ThreadProfile> = self
+        let mut threads: Vec<ThreadProfile> = self
             .threads
             .iter()
-            .enumerate()
-            .filter_map(|(gtid, acc)| {
-                let acc = acc.lock();
-                (acc.ibar_count > 0).then(|| ThreadProfile {
-                    gtid,
-                    ibar_secs: clock::to_secs(acc.ibar_ticks),
-                    ibar_count: acc.ibar_count,
-                })
+            .filter(|(_, acc)| acc.ibar_count.load(Relaxed) > 0)
+            .map(|(_, acc)| ThreadProfile {
+                gtid: acc.gtid.load(Relaxed),
+                ibar_secs: clock::to_secs(acc.ibar_ticks.load(Relaxed)),
+                ibar_count: acc.ibar_count.load(Relaxed),
             })
             .collect();
+        threads.sort_by_key(|t| t.gtid);
 
         // Offline user-model reconstruction of the recorded join stacks.
         let table = psx::SymbolTable::global();
@@ -285,12 +272,18 @@ impl Lane for ProfState {
 
     #[inline]
     fn on_event(&self, d: &EventData) {
+        if !self.wants(d.event) {
+            return;
+        }
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if self.mode == Mode::CallbacksOnly {
+            return;
+        }
         match d.event {
             Event::Fork => self.on_fork(d),
             Event::Join => self.on_join(d),
             Event::ThreadBeginImplicitBarrier => self.on_ibar_begin(d),
-            Event::ThreadEndImplicitBarrier => self.on_ibar_end(d),
-            _ => {}
+            _ => self.on_ibar_end(),
         }
     }
 }
@@ -361,7 +354,7 @@ pub struct RegionProfile {
 /// Per-thread implicit-barrier time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadProfile {
-    /// Thread ID.
+    /// The gtid the thread fired under.
     pub gtid: usize,
     /// Total time in implicit barriers.
     pub ibar_secs: f64,
@@ -498,5 +491,20 @@ mod tests {
         assert_eq!(samples.stacks.len(), 3);
         assert!(samples.per_site.is_empty());
         assert_eq!((samples.skipped_small, samples.skipped_dedup), (0, 0));
+    }
+
+    /// Implicit-barrier time from a gtid past any fixed per-gtid table
+    /// is charged.
+    #[test]
+    fn implicit_barrier_time_of_gtid_300_is_charged() {
+        let state = ProfState::new(&ProfilerConfig::default());
+        let fire = |event| state.on_event(&EventData::bare(event, 300));
+        fire(Event::ThreadBeginImplicitBarrier);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        fire(Event::ThreadEndImplicitBarrier);
+        let threads = state.profile(ApiHealth::default()).threads;
+        assert_eq!(threads.len(), 1, "{threads:?}");
+        assert_eq!((threads[0].gtid, threads[0].ibar_count), (300, 1));
+        assert!(threads[0].ibar_secs >= 1e-3, "{threads:?}");
     }
 }

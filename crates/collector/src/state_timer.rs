@@ -9,35 +9,42 @@
 //! time since the thread's previous event to the previously observed
 //! state. The result is a per-thread breakdown of work / overhead /
 //! barrier / wait / idle time — the classic OpenMP efficiency report.
+//! Threads are told apart by their slot (`ora_core::thread`), not their
+//! gtid: two OS threads firing under one gtid are two rows, each charged
+//! its own time, and every gtid the runtime hands out is charged.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-
-use ora_core::pad::CachePadded;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 use ora_core::event::Event;
 use ora_core::registry::EventData;
 use ora_core::request::OraResult;
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
+use ora_core::thread::{self, SlotTable};
 
 use crate::clock;
 use crate::discovery::RuntimeHandle;
 use crate::lane::{Collector, Lane};
 use crate::report;
 
-pub use crate::profiler::MAX_THREADS;
-
-/// One thread's accounting. An event's gtid names the one thread that
-/// fires it (a nested team's members fire under their own gtids), so
-/// only that thread writes its slot, with plain loads and stores;
+/// One thread's accounting, its slot's entry of the timer's table. Only
+/// the thread holding the slot writes it, with plain loads and stores;
 /// [`TimerState::profile`] only loads. Every access is `Relaxed`: no
 /// field publishes other data, a reader needs each counter only on its
 /// own, and the writer reads back its own stores in program order.
 #[derive(Default)]
 struct ThreadSlot {
+    /// [`thread::owner`] of the thread that wrote the entry last; 0
+    /// before the first event. A slot's next holder adds to the same row
+    /// from its own first event on: it is never charged the gap since the
+    /// last holder's.
+    owner: AtomicU64,
+    /// The gtid the thread fires under.
+    gtid: AtomicUsize,
+    /// Events charged.
+    events: AtomicU64,
     /// Tick of the thread's previous event.
     last_tick: AtomicU64,
-    /// `index + 1` of the state the thread was in at its previous event;
-    /// 0 before its first.
+    /// `index + 1` of the state the thread was in at its previous event.
     last_state: AtomicU32,
     /// Ticks charged to each state, indexed by [`ThreadState::index`].
     per_state: [AtomicU64; STATE_COUNT],
@@ -45,34 +52,34 @@ struct ThreadSlot {
 
 pub(crate) struct TimerState {
     handle: RuntimeHandle,
-    /// One slot per thread, each on its own cache line: a thread's event
-    /// writes only its own slot.
-    threads: Vec<CachePadded<ThreadSlot>>,
+    threads: SlotTable<ThreadSlot>,
 }
 
 impl TimerState {
     pub(crate) fn new(handle: RuntimeHandle) -> TimerState {
         TimerState {
             handle,
-            threads: (0..MAX_THREADS).map(|_| CachePadded::default()).collect(),
+            threads: SlotTable::new(),
         }
     }
 
-    /// The per-thread state-time profile accumulated so far. Each slot's
-    /// counters only grow, so a later call never reports less.
+    /// The per-thread state-time profile accumulated so far, one row per
+    /// thread slot in gtid order. Each slot's counters only grow, so a
+    /// later call never reports less.
     pub(crate) fn profile(&self) -> StateProfile {
-        let threads = self
+        let mut threads: Vec<ThreadStateTimes> = self
             .threads
             .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.last_state.load(Relaxed) != 0)
-            .map(|(gtid, slot)| ThreadStateTimes {
-                gtid,
+            .filter(|(_, slot)| slot.owner.load(Relaxed) != 0)
+            .map(|(_, slot)| ThreadStateTimes {
+                gtid: slot.gtid.load(Relaxed),
+                events: slot.events.load(Relaxed),
                 secs_per_state: std::array::from_fn(|i| {
                     clock::to_secs(slot.per_state[i].load(Relaxed))
                 }),
             })
             .collect();
+        threads.sort_by_key(|t| t.gtid);
         StateProfile { threads }
     }
 }
@@ -86,19 +93,23 @@ impl Lane for TimerState {
     /// the time since its previous event to the state it was in then.
     #[inline]
     fn on_event(&self, d: &EventData) {
-        let Some(slot) = self.threads.get(d.gtid) else {
-            return;
-        };
         let Ok((now_state, _)) = self.handle.query_state() else {
             return;
         };
         let now = clock::ticks();
-        let prev = slot.last_state.load(Relaxed);
-        if prev != 0 {
+        let slot = self.threads.local();
+        let owner = thread::owner();
+        if slot.owner.load(Relaxed) == owner {
             let elapsed = now.saturating_sub(slot.last_tick.load(Relaxed));
-            let total = &slot.per_state[prev as usize - 1];
-            total.store(total.load(Relaxed) + elapsed, Relaxed);
+            thread::add(
+                &slot.per_state[slot.last_state.load(Relaxed) as usize - 1],
+                elapsed,
+            );
+        } else {
+            slot.owner.store(owner, Relaxed);
+            slot.gtid.store(d.gtid, Relaxed);
         }
+        thread::add(&slot.events, 1);
         slot.last_tick.store(now, Relaxed);
         slot.last_state.store(now_state.index() as u32 + 1, Relaxed);
     }
@@ -129,8 +140,10 @@ impl StateTimer {
 /// One thread's accumulated seconds per state.
 #[derive(Debug, Clone)]
 pub struct ThreadStateTimes {
-    /// Thread ID.
+    /// The gtid the thread fired under.
     pub gtid: usize,
+    /// Events charged to the thread.
+    pub events: u64,
     /// Seconds attributed to each state, indexed by [`ThreadState::index`].
     pub secs_per_state: [f64; STATE_COUNT],
 }
@@ -197,6 +210,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::atomic::Ordering::{Acquire, Release};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     use omprt::OpenMp;
 
@@ -221,11 +236,39 @@ mod tests {
     /// at every event, with no wait for the team to go quiet.
     struct SpanCheck {
         timer: TimerState,
-        /// Tick of each gtid's first accounted event.
-        first: Vec<AtomicU64>,
+        /// Tick of each thread's first accounted event.
+        first: SlotTable<AtomicU64>,
         checks: AtomicU64,
         /// Largest |seconds over all states − span| / span seen, as f64 bits.
         worst: AtomicU64,
+    }
+
+    impl SpanCheck {
+        fn new(handle: RuntimeHandle) -> SpanCheck {
+            SpanCheck {
+                timer: TimerState::new(handle),
+                first: SlotTable::new(),
+                checks: AtomicU64::new(0),
+                worst: AtomicU64::new(0),
+            }
+        }
+
+        /// Attach, run `f`, stop; every thread's seconds matched its span
+        /// at each of at least `min_checks` events.
+        fn run(handle: RuntimeHandle, min_checks: u64, f: impl FnOnce()) -> StateProfile {
+            let mut collector = Collector::attach(handle.clone(), SpanCheck::new(handle)).unwrap();
+            f();
+            collector.stop();
+            let lane = collector.lane();
+            let checks = lane.checks.load(Relaxed);
+            assert!(checks >= min_checks, "{checks} checks");
+            let worst = f64::from_bits(lane.worst.load(Relaxed));
+            assert!(
+                worst <= 1e-12,
+                "state seconds off their span by {worst} (relative)"
+            );
+            lane.timer.profile()
+        }
     }
 
     impl Lane for SpanCheck {
@@ -235,11 +278,7 @@ mod tests {
 
         fn on_event(&self, d: &EventData) {
             self.timer.on_event(d);
-            let (Some(slot), Some(first)) =
-                (self.timer.threads.get(d.gtid), self.first.get(d.gtid))
-            else {
-                return;
-            };
+            let (slot, first) = (self.timer.threads.local(), self.first.local());
             let last = slot.last_tick.load(Relaxed);
             if first.load(Relaxed) == 0 {
                 first.store(last, Relaxed);
@@ -267,30 +306,88 @@ mod tests {
     #[test]
     fn each_threads_state_seconds_sum_to_its_event_span() {
         let rt = OpenMp::with_threads(2);
-        let handle = handle_for(&rt);
-        let lane = SpanCheck {
-            timer: TimerState::new(handle.clone()),
-            first: (0..2).map(|_| AtomicU64::new(0)).collect(),
-            checks: AtomicU64::new(0),
-            worst: AtomicU64::new(0),
-        };
-        let mut collector = Collector::attach(handle, lane).unwrap();
-        barrier_storm(&rt, 50);
-        collector.stop();
-
-        let lane = collector.lane();
         // 50 regions × 20 barriers × 2 events × 2 threads, at least.
-        assert!(lane.checks.load(Relaxed) >= 4_000);
-        let worst = f64::from_bits(lane.worst.load(Relaxed));
-        assert!(
-            worst <= 1e-12,
-            "state seconds off their span by {worst} (relative)"
-        );
-        assert_eq!(
-            lane.timer.profile().threads.len(),
-            2,
-            "both threads sampled"
-        );
+        let profile = SpanCheck::run(handle_for(&rt), 4_000, || barrier_storm(&rt, 50));
+        assert_eq!(profile.threads.len(), 2, "both threads sampled");
+    }
+
+    /// Two OS threads outside any region, each bound as gtid 0 by its
+    /// first `parallel` (the runtime's serial master), contend one
+    /// `OmpLock`, taking turns to hold it while the other waits: they are
+    /// two rows, each charged exactly its own span.
+    #[test]
+    fn two_threads_under_gtid_0_are_two_rows_each_charged_its_own_span() {
+        let rt = OpenMp::with_threads(1);
+        let lock = rt.new_lock();
+        let both = Barrier::new(2);
+        let profile = SpanCheck::run(handle_for(&rt), 2 * 3, || {
+            std::thread::scope(|s| {
+                for me in 0..2 {
+                    let (rt, lock, both) = (&rt, &lock, &both);
+                    s.spawn(move || {
+                        rt.parallel(|_| {});
+                        for turn in 0..100 {
+                            if turn % 2 == me {
+                                lock.set();
+                                both.wait();
+                                std::thread::sleep(Duration::from_micros(200));
+                                lock.unset();
+                            } else {
+                                both.wait();
+                                lock.set();
+                                lock.unset();
+                            }
+                        }
+                    });
+                }
+            });
+        });
+        let gtids: Vec<usize> = profile.threads.iter().map(|t| t.gtid).collect();
+        assert_eq!(gtids, [0, 0], "one row per thread");
+        let waits = profile.total_secs(ThreadState::LockWait);
+        assert!(waits > 0.0, "no lock wait was charged: {profile:?}");
+    }
+
+    /// An event from a gtid far past any fixed per-gtid table is charged.
+    #[test]
+    fn an_event_from_gtid_300_is_charged() {
+        let rt = OpenMp::with_threads(1);
+        let timer = TimerState::new(handle_for(&rt));
+        let fire = |event| timer.on_event(&EventData::bare(event, 300));
+        fire(Event::ThreadBeginLockWait);
+        std::thread::sleep(Duration::from_millis(1));
+        fire(Event::ThreadEndLockWait);
+        let rows = timer.profile().threads;
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert_eq!((rows[0].gtid, rows[0].events), (300, 2));
+        assert!(rows[0].total() >= 1e-3, "{rows:?}");
+    }
+
+    /// A slot handed on to a new thread is not charged the time since the
+    /// previous holder's last event: the new holder's first event
+    /// charges nothing. Threads end and start until one inherits the
+    /// slot its predecessor held.
+    #[test]
+    fn a_slots_next_holder_does_not_inherit_the_last_tick() {
+        let rt = OpenMp::with_threads(1);
+        let timer = TimerState::new(handle_for(&rt));
+        let fire = || {
+            timer.on_event(&EventData::bare(Event::Fork, 7));
+            let slot = timer.threads.local();
+            let charged: u64 = slot.per_state.iter().map(|t| t.load(Relaxed)).sum();
+            (thread::slot(), charged)
+        };
+        let mut previous = std::thread::scope(|s| s.spawn(fire).join().unwrap()).0;
+        for _ in 0..1_000 {
+            std::thread::sleep(Duration::from_millis(2));
+            let (slot, charged) = std::thread::scope(|s| s.spawn(fire).join().unwrap());
+            if slot == previous {
+                assert_eq!(charged, 0, "slot {slot}'s next holder was charged the gap");
+                return;
+            }
+            previous = slot;
+        }
+        panic!("no thread was handed its predecessor's slot");
     }
 
     /// Each thread of a team that keeps opening serialized nested

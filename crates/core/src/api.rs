@@ -180,7 +180,7 @@ impl CollectorApi {
         self.registry.set_quarantine_threshold(n);
     }
 
-    /// Served requests per thread slot ([`crate::rcu::thread_slot`]).
+    /// Served requests per thread slot ([`crate::thread::slot`]).
     ///
     /// "Future requests to the API are pushed onto a queue associated with
     /// a thread. In this manner, we were able to avoid the contention
@@ -761,7 +761,7 @@ mod tests {
                         assert_eq!(again, Err(OraError::OutOfSequence));
                     }
                     all_served.wait();
-                    crate::rcu::thread_slot()
+                    crate::thread::slot()
                 })
             })
             .collect();
@@ -779,7 +779,7 @@ mod tests {
         for &slot in &slots {
             assert_eq!(dist[slot], 50 * 4, "slot {slot}: {dist:?}");
         }
-        assert_eq!(dist[crate::rcu::thread_slot()], 4, "this thread's lane");
+        assert_eq!(dist[crate::thread::slot()], 4, "this thread's lane");
         let used = dist.iter().filter(|&&c| c > 0).count();
         assert_eq!(used, THREADS + 1, "one lane per thread: {dist:?}");
     }
@@ -885,6 +885,7 @@ mod tests {
             min_window_ticks: 10_000,
             clock: Some(Arc::new(move || t.fetch_add(1, Ordering::Relaxed))),
         });
+        let armed = api.governor().status();
         for _ in 0..4 {
             for i in 0..10_000usize {
                 api.event(&EventData::bare(begin, i % 8));
@@ -893,8 +894,11 @@ mod tests {
             ticks.fetch_add(200_000, Ordering::Relaxed);
         }
         let status = api.governor().status();
-        assert!(status.reconciles(), "observed == sampled + skipped");
-        assert_eq!(status.events_observed, 80_000);
+        assert!(
+            status.reconciles_since(&armed),
+            "Δobserved == Δsampled + Δskipped: {armed:?} → {status:?}"
+        );
+        assert_eq!(status.events_observed - armed.events_observed, 80_000);
         assert!(
             status.events_skipped > 0,
             "a 2% budget must throttle this storm"
@@ -906,14 +910,17 @@ mod tests {
         let health = api.health();
         assert_eq!(health.events_sampled, status.events_sampled);
         assert_eq!(health.events_skipped, status.events_skipped);
-        // Disarming restores full delivery.
+        // Disarming restores full delivery: every event is sampled and
+        // delivered, none skipped.
         api.uninstall_governor();
         let before = hits.load(Ordering::SeqCst);
         for _ in 0..100 {
             api.event(&EventData::bare(begin, 0));
         }
         assert_eq!(hits.load(Ordering::SeqCst), before + 100);
-        assert!(api.governor().status().reconciles());
+        let disarmed = api.governor().status();
+        assert_eq!(disarmed.events_sampled, status.events_sampled + 100);
+        assert_eq!(disarmed.events_skipped, status.events_skipped);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   region IDs ([`request`]);
 //! * the runtime fires **events** ([`event`]) through a shared lock-free
 //!   callback table ([`registry`], RCU publication via [`rcu`]) and tracks
-//!   **thread states** ([`state`]) at one relaxed store per transition.
+//!   **thread states** ([`state`]) at one relaxed store per transition;
+//!   every per-thread structure is keyed by the calling thread's slot
+//!   ([`thread`]).
 //!
 //! The [`api::CollectorApi`] ties these together; an OpenMP runtime embeds
 //! one instance and exposes [`api::CollectorApi::handle_bytes`] as its
@@ -62,6 +64,7 @@ pub mod state;
 pub mod stats;
 pub mod sync;
 pub mod testutil;
+pub mod thread;
 
 pub use api::{CollectorApi, Phase, RuntimeInfoProvider};
 pub use event::{Event, ALL_EVENTS, EVENT_COUNT};

@@ -11,14 +11,16 @@
 //!
 //! * A process-global epoch counter only ever advances when a writer
 //!   retires something.
-//! * Each reading thread owns one slot in a global table. Pinning stores
-//!   the current epoch into the slot; unpinning stores 0 (quiescent).
-//!   Pins nest (a callback may re-enter the registry).
+//! * Each reading thread owns one entry of a [`SlotTable`], at its
+//!   [`crate::thread::slot`]. Pinning stores the current epoch into the
+//!   entry; unpinning stores 0 (quiescent). Pins nest (a callback may
+//!   re-enter the registry): the entry keeps the depth, so a pin costs
+//!   one thread-local lookup and an unpin none.
 //! * A writer that unlinks a published pointer bumps the epoch to `r` and
-//!   stamps the garbage with it. The garbage may be freed once every slot
-//!   is quiescent or pinned at an epoch `>= r`: such readers pinned after
-//!   the unlink was globally visible, so they cannot have loaded the old
-//!   pointer. Readers pinned at an older epoch keep the garbage alive.
+//!   stamps the garbage with it. The garbage may be freed once every
+//!   entry is quiescent or pinned at an epoch `>= r`: such readers pinned
+//!   after the unlink was globally visible, so they cannot have loaded the
+//!   old pointer. Readers pinned at an older epoch keep the garbage alive.
 //! * Nothing blocks: writers that cannot free yet leave the garbage in
 //!   the bag; a later retire (or the bag's drop) reclaims it.
 //!
@@ -47,9 +49,11 @@
 //! * **`SeqCst`**, wherever the kernel refuses either call or no syscall
 //!   is declared (anything but x86_64 and aarch64 Linux): a pin's store is
 //!   followed by a `SeqCst` fence, as crossbeam-epoch pins, and the writer's
-//!   unlink and scan are `SeqCst` operations, so the fence's total order
-//!   closes the race on both sides. Readers that pin before the choice
-//!   run this side too, whichever protocol it then picks.
+//!   unlink is a `SeqCst` operation followed by a `SeqCst` fence before
+//!   its scan, so the fences' total order closes the race on both sides:
+//!   the scan sees the pin (and the entry it sits in), or the reader sees
+//!   the unlink. Readers that pin before the choice run this side too,
+//!   whichever protocol it then picks.
 //!
 //! Under membarrier a monitored event's pin and unpin are plain stores;
 //! the system call (about 0.1 µs alone, 1.5 µs with another thread of
@@ -66,39 +70,18 @@
 //! epoch bump also sees the unlink sequenced before it, which is what
 //! lets the scan treat a slot pinned at an epoch `>= r` as harmless.
 
+#[cfg(test)]
 use std::cell::Cell;
-use std::sync::atomic::{compiler_fence, fence, AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{compiler_fence, fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::pad::CachePadded;
 use crate::sync::Mutex;
-
-/// Number of thread slots. Threads beyond this many *concurrently live*
-/// ones briefly spin waiting for an exiting thread to release a slot.
-pub const THREAD_SLOTS: usize = 1024;
+use crate::thread::SlotTable;
 
 /// The epoch value meaning "not in a read-side critical section".
 const QUIESCENT: u64 = 0;
-
-struct ReaderSlot {
-    /// Pinned epoch, or [`QUIESCENT`].
-    epoch: AtomicU64,
-    /// Whether some live thread owns this slot.
-    claimed: AtomicBool,
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const SLOT_INIT: CachePadded<ReaderSlot> = CachePadded::new(ReaderSlot {
-    epoch: AtomicU64::new(QUIESCENT),
-    claimed: AtomicBool::new(false),
-});
-
-/// One line per slot: a pin is two stores to the owner's slot on every
-/// monitored event, and slots are claimed in index order, so unpadded
-/// neighbours (a master and its first worker) would trade one cache line
-/// back and forth per event — or not, depending on where the linker
-/// happened to start the array.
-static SLOTS: [CachePadded<ReaderSlot>; THREAD_SLOTS] = [SLOT_INIT; THREAD_SLOTS];
 
 /// Global epoch. Starts at 1 so no retire stamp is ever [`QUIESCENT`].
 /// Read by every pin, so it gets a line no other static can write into.
@@ -110,7 +93,7 @@ static EPOCH: CachePadded<AtomicU64> = CachePadded::new(AtomicU64::new(1));
 enum Protocol {
     /// Readers pin with plain stores; writers call `membarrier`.
     Membarrier,
-    /// Readers fence each pin; writers scan with `SeqCst` loads only.
+    /// Readers fence each pin; writers fence before their scan.
     SeqCst,
 }
 
@@ -237,25 +220,6 @@ mod membarrier {
         Ok(())
     }
 
-    #[cfg(test)]
-    impl Refusal {
-        /// Ask the kernel again: the refusal is its answer, not a slip of
-        /// this module's.
-        pub(super) fn confirm(&self) {
-            match self {
-                Refusal::Query(errno) => assert_eq!(membarrier(CMD_QUERY), Err(*errno)),
-                Refusal::NotOffered(mask) => {
-                    assert_eq!(membarrier(CMD_QUERY), Ok(*mask));
-                    assert_eq!(mask & i64::from(CMD_PRIVATE_EXPEDITED), 0);
-                }
-                Refusal::Register(errno) => {
-                    assert_eq!(gate(), Ok(()));
-                    assert_eq!(membarrier(CMD_REGISTER_PRIVATE_EXPEDITED), Err(*errno));
-                }
-            }
-        }
-    }
-
     /// A full memory barrier on every CPU running a thread of this
     /// process. Only called once [`register`] succeeded, after which the
     /// kernel documents no failure; a failure here would leave unfenced
@@ -288,106 +252,60 @@ mod membarrier {
         gate()
     }
 
-    #[cfg(test)]
-    impl Refusal {
-        /// Nothing to ask: no syscall is declared for this target.
-        pub(super) fn confirm(&self) {
-            assert!(!cfg!(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )));
-        }
-    }
-
     pub(super) fn barrier() {
         unreachable!("the gate refuses every target without membarrier")
     }
 }
 
-/// A thread's claim on one slot, released when the thread exits.
-///
-/// The slot is the thread's identity for every per-thread structure of
-/// the crate, not only its reader epoch: [`thread_slot`] hands it out.
-/// While the thread lives no other thread holds it; on exit the release
-/// store of `claimed` publishes everything the thread wrote under the
-/// slot, and the next claimer's acquiring CAS reads it, so per-slot state
-/// passes from one owner to the next with plain loads and stores.
-struct ReaderHandle {
-    idx: usize,
-    depth: Cell<usize>,
+/// A thread's reader state, its slot's entry of [`READERS`]: only the
+/// slot's holder writes it, writers' scans only load it.
+#[derive(Default)]
+struct Reader {
+    /// Pinned epoch, or [`QUIESCENT`].
+    epoch: AtomicU64,
+    /// Pins alive on the thread: only the outermost stores the epoch.
+    depth: AtomicUsize,
 }
 
-impl ReaderHandle {
-    fn acquire() -> ReaderHandle {
-        loop {
-            for (idx, slot) in SLOTS.iter().enumerate() {
-                if slot
-                    .claimed
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return ReaderHandle {
-                        idx,
-                        depth: Cell::new(0),
-                    };
-                }
-            }
-            // All slots claimed by live threads; wait for one to exit.
-            std::thread::yield_now();
-        }
-    }
-}
-
-impl Drop for ReaderHandle {
-    fn drop(&mut self) {
-        let slot = &SLOTS[self.idx];
-        slot.epoch.store(QUIESCENT, Ordering::SeqCst);
-        slot.claimed.store(false, Ordering::Release);
-    }
-}
-
-thread_local! {
-    static READER: ReaderHandle = ReaderHandle::acquire();
-}
-
-/// The calling thread's slot: below [`THREAD_SLOTS`], held by no other
-/// live thread, and handed on at exit with release/acquire (see
-/// `ReaderHandle`). Claimed on the thread's first call here or to [`pin`].
-#[inline]
-pub fn thread_slot() -> usize {
-    READER.with(|r| r.idx)
-}
+/// One reader entry per thread slot, each on its own line: a pin is two
+/// stores to the owner's entry on every monitored event, so neighbouring
+/// threads' entries must not share one.
+static READERS: SlotTable<Reader> = SlotTable::new();
 
 /// An active read-side critical section. While any `Pin` is alive on any
 /// thread, pointers unlinked *after* it was created are not reclaimed.
 ///
-/// Created by [`pin`]; ends when dropped. Cheap to nest. Loads of
-/// published pointers made under it must be `Acquire` (or stronger).
+/// Created by [`pin`]; ends when dropped, on the thread that made it.
+/// Cheap to nest. Loads of published pointers made under it must be
+/// `Acquire` (or stronger).
 #[must_use = "a Pin only protects reads while it is alive"]
 pub struct Pin {
-    slot: usize,
+    reader: &'static Reader,
+    /// Not `Send`: only its thread writes the reader entry.
+    _here: PhantomData<*const ()>,
 }
 
 /// Enter a read-side critical section.
 pub fn pin() -> Pin {
-    READER.with(|r| {
-        let depth = r.depth.get();
-        r.depth.set(depth + 1);
-        if depth == 0 {
-            let slot = &SLOTS[r.idx].epoch;
-            let e = EPOCH.load(Ordering::Acquire);
-            slot.store(e, Ordering::Relaxed);
-            if readers_unfenced() {
-                // The writer's membarrier orders the store at run time;
-                // this only keeps the compiler from hoisting the
-                // caller's pointer load above it.
-                compiler_fence(Ordering::SeqCst);
-            } else {
-                fenced_pin();
-            }
+    let reader = READERS.local();
+    let depth = reader.depth.load(Ordering::Relaxed);
+    reader.depth.store(depth + 1, Ordering::Relaxed);
+    if depth == 0 {
+        let e = EPOCH.load(Ordering::Acquire);
+        reader.epoch.store(e, Ordering::Relaxed);
+        if readers_unfenced() {
+            // The writer's membarrier orders the store at run time;
+            // this only keeps the compiler from hoisting the
+            // caller's pointer load above it.
+            compiler_fence(Ordering::SeqCst);
+        } else {
+            fenced_pin();
         }
-        Pin { slot: r.idx }
-    })
+    }
+    Pin {
+        reader,
+        _here: PhantomData,
+    }
 }
 
 /// The `SeqCst` protocol's half of a pin: the fence that orders the slot
@@ -400,25 +318,22 @@ fn fenced_pin() {
 
 impl Drop for Pin {
     fn drop(&mut self) {
-        READER.with(|r| {
-            debug_assert_eq!(r.idx, self.slot);
-            let depth = r.depth.get() - 1;
-            r.depth.set(depth);
-            if depth == 0 {
-                // Release: everything the section read happens before a
-                // writer's scan that sees the slot quiescent.
-                SLOTS[r.idx].epoch.store(QUIESCENT, Ordering::Release);
-            }
-        });
+        let depth = self.reader.depth.load(Ordering::Relaxed) - 1;
+        self.reader.depth.store(depth, Ordering::Relaxed);
+        if depth == 0 {
+            // Release: everything the section read happens before a
+            // writer's scan that sees the entry quiescent.
+            self.reader.epoch.store(QUIESCENT, Ordering::Release);
+        }
     }
 }
 
 /// The earliest epoch any currently pinned reader holds, or `u64::MAX`
-/// if every slot is quiescent.
+/// if every reader is quiescent. The caller has fenced (module docs).
 fn min_pinned_epoch() -> u64 {
-    SLOTS
+    READERS
         .iter()
-        .map(|s| match s.epoch.load(Ordering::SeqCst) {
+        .map(|(_, r)| match r.epoch.load(Ordering::Acquire) {
             QUIESCENT => u64::MAX,
             e => e,
         })
@@ -482,9 +397,12 @@ impl GarbageBag {
         if retired.is_empty() {
             return;
         }
-        if protocol == Protocol::Membarrier {
+        match protocol {
             // Every unlink before this point against every unfenced pin.
-            membarrier::barrier();
+            Protocol::Membarrier => membarrier::barrier(),
+            // Pairs with each pin's fence: the scan sees the pin, or the
+            // pinned reader sees the unlink.
+            Protocol::SeqCst => fence(Ordering::SeqCst),
         }
         let horizon = min_pinned_epoch();
         // Keep an item while some reader is pinned at an epoch older than
@@ -542,8 +460,10 @@ mod tests {
                 Some(Protocol::Membarrier)
             }
             Err(why) => {
-                why.confirm();
                 assert_eq!(chosen(), Protocol::SeqCst, "refused: {why:?}");
+                // Ask again: the refusal is the kernel's answer (or the
+                // target's), not a slip of this module's.
+                assert_eq!(membarrier::register(), Err(why));
                 None
             }
         }

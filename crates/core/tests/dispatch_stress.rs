@@ -142,9 +142,11 @@ fn churn_run(governor: Option<GovernorConfig>) -> GovernorStatus {
 
     let api = Arc::new(CollectorApi::new());
     api.handle_request(Request::Start).unwrap();
+    let governed = governor.is_some();
     if let Some(config) = governor {
         api.install_governor(config);
     }
+    let armed = api.governor().status();
     let executed = Arc::new(AtomicU64::new(0));
     let stop_churn = Arc::new(AtomicBool::new(false));
 
@@ -211,7 +213,16 @@ fn churn_run(governor: Option<GovernorConfig>) -> GovernorStatus {
     // ever unlinking it, so every admitted event ran exactly once.
     let status = api.governor().status();
     assert_eq!(executed.load(Ordering::SeqCst), status.events_sampled);
-    assert!(status.reconciles(), "observed == sampled + skipped");
+    if governed {
+        // Armed throughout: every observed event was sampled or skipped.
+        assert!(
+            status.reconciles_since(&armed),
+            "Δobserved == Δsampled + Δskipped: {armed:?} → {status:?}"
+        );
+        assert!(status.events_observed > armed.events_observed);
+    } else {
+        assert_eq!(status.events_skipped, 0, "disarmed: nothing skipped");
+    }
     status
 }
 

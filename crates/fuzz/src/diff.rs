@@ -12,10 +12,11 @@
 //! 4. **Trace accounting** (streaming rung) — callback counts, drain
 //!    and drop counters, footer, per-thread and per-region partitions,
 //!    event pairing, and multi-rank merge determinism all reconcile.
-//!    The `governed` rung adds the sampling reconciliation: the
-//!    governor's `observed == sampled + skipped` invariant, callbacks
-//!    ran exactly for the sampled events, decision records round-trip
-//!    through the trace, and sampling never breaks begin/end pairing.
+//!    The `governed` rung adds the sampling reconciliation: from
+//!    arming to rest the per-event observed words grew by exactly
+//!    sampled + skipped, callbacks ran exactly for the sampled events,
+//!    decision records round-trip through the trace, and sampling never
+//!    breaks begin/end pairing.
 //! 5. **Socket replay** (`socket` rung) — the streaming rung's trace
 //!    bytes are re-framed into the producer's sink-write units and
 //!    streamed through a loopback `ora-fleet` aggregator daemon; the
@@ -123,7 +124,7 @@ fn diff_outcome(
         }
         CollectionConfig::StateQueries => {
             if s.events_observed == 0 {
-                push("state rung observed no threads".into());
+                push("state rung observed no events".into());
             }
         }
         CollectionConfig::StreamingTrace => {
@@ -151,19 +152,23 @@ fn diff_outcome(
             if s.events_observed == 0 {
                 push("governed rung observed no events".into());
             }
-            // Sampling reconciliation, from the quiescent status
-            // snapshot: every monitored event was either sampled or
-            // skipped, and callbacks ran exactly for the sampled ones.
+            // Sampling reconciliation, from the status snapshots taken
+            // right after arming and at rest: every event the per-event
+            // words observed was either sampled or skipped, and callbacks
+            // ran exactly for the sampled ones.
             match &outcome.governor {
                 None => push("governed rung captured no governor status".into()),
-                Some(g) => {
-                    if g.enabled != 1 {
+                Some((armed, g)) => {
+                    if armed.enabled != 1 || g.enabled != 1 {
                         push("governor was not armed on the governed rung".into());
                     }
-                    if !g.reconciles() {
+                    if !g.reconciles_since(armed) {
                         push(format!(
-                            "governor accounting: observed {} != sampled {} + skipped {}",
-                            g.events_observed, g.events_sampled, g.events_skipped
+                            "governor accounting: observed {} != sampled {} + skipped {} \
+                             since arming ({armed:?})",
+                            g.events_observed - armed.events_observed,
+                            g.events_sampled - armed.events_sampled,
+                            g.events_skipped - armed.events_skipped
                         ));
                     }
                     if g.events_sampled != s.events_observed {

@@ -70,9 +70,9 @@ pub struct RunOutcome {
     pub summary: CollectionSummary,
     /// Encoded trace bytes (streaming rungs only).
     pub trace: Option<Vec<u8>>,
-    /// Governor snapshot taken at quiescence, while still armed
-    /// (governed rung only).
-    pub governor: Option<GovernorStatus>,
+    /// Governor snapshots taken right after the attach armed it and at
+    /// quiescence, while still armed (governed rung only).
+    pub governor: Option<(GovernorStatus, GovernorStatus)>,
 }
 
 /// Run `scenario` under `rung` and report everything observable.
@@ -88,6 +88,13 @@ pub fn run_under(scenario: &Scenario, rung: CollectionConfig) -> Result<RunOutco
     let active = rung
         .attach(&handle)
         .map_err(|e| format!("attach({}) failed: {e}", rung.key()))?;
+    let governor_status = || {
+        (rung == CollectionConfig::Governed)
+            .then(|| handle.query_governor())
+            .transpose()
+            .map_err(|e| format!("governor status failed: {e:?}"))
+    };
+    let armed = governor_status()?;
 
     // Pause/resume gating only makes sense when collection is STARTed;
     // on the paused rung it would *resume* a deliberately quiescent
@@ -136,10 +143,7 @@ pub fn run_under(scenario: &Scenario, rung: CollectionConfig) -> Result<RunOutco
     drop(rt);
     // Snapshot the governor at full quiescence, before finish disarms
     // it — the differ's reconciliation invariant is exact here.
-    let governor = (rung == CollectionConfig::Governed)
-        .then(|| handle.query_governor())
-        .transpose()
-        .map_err(|e| format!("governor status failed: {e:?}"))?;
+    let governor = armed.zip(governor_status()?);
     let (summary, trace) = active
         .finish_with_trace()
         .map_err(|e| format!("finish({}) failed: {e}", rung.key()))?;

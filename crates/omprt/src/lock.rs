@@ -11,25 +11,16 @@ use std::sync::Arc;
 
 use ora_core::event::Event;
 use ora_core::state::ThreadState;
+use ora_core::thread;
 
 use crate::runtime::{syms, OpenMp, Shared};
 use crate::tls;
 use crate::wordlock::WordLock;
 
-/// No owner sentinel for nested locks.
+/// No owner sentinel for nested locks: never a thread slot, which names
+/// a nested lock's owner ([`thread::slot`]: distinct between threads
+/// alive at once).
 const NO_OWNER: usize = usize::MAX;
-
-thread_local! {
-    /// One byte per thread, whose address is the thread's owner key.
-    static KEY: u8 = const { 0 };
-}
-
-/// The calling thread's nested-lock owner key: the address of its
-/// [`KEY`], distinct between threads alive at once and never
-/// [`NO_OWNER`].
-fn thread_key() -> usize {
-    KEY.with(|k| k as *const u8 as usize)
-}
 
 /// A user lock (`omp_init_lock` / `omp_set_lock` / `omp_unset_lock`).
 pub struct OmpLock {
@@ -109,7 +100,7 @@ impl OmpNestLock {
     /// locks" (paper §IV-C3) — contention raises LKWT exactly like the
     /// plain lock; re-acquisition by the owner just bumps the depth.
     pub fn set(&self) -> u64 {
-        let me = thread_key();
+        let me = thread::slot();
         if self.owner.load(Ordering::Acquire) == me {
             return self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         }
@@ -123,7 +114,7 @@ impl OmpNestLock {
     pub fn unset(&self) -> u64 {
         assert_eq!(
             self.owner.load(Ordering::Acquire),
-            thread_key(),
+            thread::slot(),
             "omp_unset_nest_lock called by non-owner"
         );
         let remaining = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
@@ -136,7 +127,7 @@ impl OmpNestLock {
 
     /// `omp_test_nest_lock`: non-blocking; returns the new depth or 0.
     pub fn test(&self) -> u64 {
-        let me = thread_key();
+        let me = thread::slot();
         if self.owner.load(Ordering::Acquire) == me {
             return self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         }

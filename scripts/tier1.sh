@@ -220,12 +220,24 @@ if grep -rn 'fn syscall(' crates/ | grep -v -e '^crates/core/src/rcu.rs:' -e '^c
   echo "tier1: syscall( declared outside crates/core/src/rcu.rs and clock.rs — keep the unsafe surface where DESIGN.md §4 audits it" >&2
   exit 1
 fi
-# One lane per thread: the governor's lanes are keyed by the thread's RCU
+# One lane per thread: the governor's lanes are keyed by the thread's
 # slot and written only by that thread, so no gtid-hashed lane table, no
 # round-robin request lanes and no locked add on a lane counter comes
 # back.
 if grep -rnE 'RequestLanes|NEXT_LANE|QUEUE_SHARDS|gtid & \(LANE_COUNT' crates/; then
-  echo "tier1: a gtid-hashed or round-robin lane under crates/ — count on the thread's own governor lane (rcu::thread_slot)" >&2
+  echo "tier1: a gtid-hashed or round-robin lane under crates/ — count on the thread's own governor lane (ora_core::thread::slot)" >&2
+  exit 1
+fi
+# One thread identity: every per-thread structure is an
+# `ora_core::thread::SlotTable` keyed by the thread's slot, so no
+# gtid-indexed collector table and no second lazily boxed per-slot table
+# comes back.
+if grep -rn 'MAX_THREADS' crates/collector/src; then
+  echo "tier1: MAX_THREADS under crates/collector/src — key per-thread accounting by ora_core::thread::SlotTable" >&2
+  exit 1
+fi
+if grep -rnE 'lanes_high|Box<\[AtomicPtr' crates/ | grep -v '^crates/core/src/thread.rs:'; then
+  echo "tier1: a per-slot pointer table outside crates/core/src/thread.rs — use ora_core::thread::SlotTable" >&2
   exit 1
 fi
 if grep -rnE '(\bsampled|\bskipped|\bobserved\[[^]]*\]|\bpace\[[^]]*\])\.fetch_add' crates/core/src; then
