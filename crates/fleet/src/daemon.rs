@@ -3,44 +3,36 @@
 //! Each accepted connection is one **lane**. The lane thread reads
 //! frames, and each CHUNK payload must be exactly one unit of the trace
 //! chunk stream (`ora_trace::format::unit`): the header, an encoded
-//! chunk, or the footer. The unit of work is the **sorted run**, not
-//! the record: the lane thread checks the chunk's CRC and decodes its
-//! records straight into one key-sorted run with `ora_trace::decode_run`
-//! *before* taking the state lock (so lanes of different ranks decode
-//! in parallel; the rare chunk that is not already sorted — two threads
-//! sharing a ring lane — is sorted there too). Governor decision
-//! records are metadata, not events: the decoder skips them, and the
-//! lane counts them apart ([`LaneReport::governor_records`]). Under the
-//! lock it validates the epoch sequence (a duplicate or a gap means the
-//! lane is misbehaving, and is reported ahead of any payload error),
-//! hands the run to the lane's own sorted *pending* buffer, and
-//! flushes; then it acks the epoch. Each connection owns two buffers: one byte buffer
-//! that every frame is read into and every ACK encoded into, and one
-//! run buffer. A run reaches a lane that holds nothing by swap, so the
-//! lane's buffer and the run buffer trade places and both keep their
-//! capacity; otherwise it is merged in with `ora_trace::merge_run`. A
-//! record of a lane that keeps up is decoded into the run, merged into
-//! the flush's batch, settled into the store's tail and encoded there
-//! once, and past its second chunk a lane allocates nothing beyond the
-//! store's amortised growth.
+//! chunk, or the footer. The unit of work is the **sorted run**: before
+//! taking the state lock, the lane thread checks a chunk's CRC and
+//! decodes it into one key-sorted run with `ora_trace::decode_run`, so
+//! lanes of different ranks decode in parallel (the rare chunk two
+//! threads sharing a ring lane wrote is sorted there too). Governor
+//! decision records are metadata: the decoder skips them and the lane
+//! counts them ([`LaneReport::governor_records`]). Under the lock it
+//! checks the epoch sequence (a duplicate or a gap is reported ahead of
+//! any payload error) and flushes; then it acks. A connection owns one
+//! byte buffer, for every frame read and every ACK, and one run buffer.
+//! A run's slice at or below the watermark settles straight from that
+//! buffer; a run with records above it is queued as decoded, its buffer
+//! swapped for an emptied one from the lane's free list. So a record is
+//! decoded once and merged once, into the store's tail, and past its
+//! lane's deepest queue a lane allocates nothing beyond the store's
+//! amortised growth.
 //!
 //! **Watermark merge.** The daemon tracks, per live lane, the largest
-//! tick it has acked. The watermark is the minimum of those across live
-//! lanes: every record at or below it is safe to emit, because a live
-//! lane could still send records anywhere above its own acked tick but
-//! (to a good approximation) not below the fleet minimum. A flush
-//! merges every lane's pending prefix at or below the watermark into
-//! one reused batch with the same backward merge, and settles the batch
-//! into the [`FleetStore`] once. Two interleaved ranks' prefixes so
-//! meet in the batch, not in the store: a settle never displaces what
-//! the previous settle of the same flush just placed, and the store's
-//! decoded tail takes one merge per flush. Records below the frontier
-//! as it stood before the flush are counted late (the rule is the one
-//! the per-lane settles used) and land at their sorted position, so the
-//! final export is exactly the offline merge regardless of timing (see
-//! [`store`]). A lane's pending buffer is touched only by that lane's
-//! chunks and by flushes that release its prefix: a lagging rank never
-//! makes another rank's buffered records move.
+//! tick it has acked. The watermark is their minimum: every record at
+//! or below it is safe to emit, because a live lane could still send
+//! records anywhere above its own acked tick but (to a good
+//! approximation) not below the fleet minimum. A flush reads the
+//! store's frontier once and settles each queued run's slice at or
+//! below the watermark, then the arriving run's, straight into the
+//! [`FleetStore`]; a slice's records below that frontier are counted
+//! late (the per-record rule's count) and land at their sorted
+//! position, so the export is exactly the offline merge regardless of
+//! timing (see [`store`]). A queued run settles from a cursor, so what
+//! stays never moves; one that settled whole goes back to the free
+//! list. A lagging rank never makes another rank's queued records move.
 //!
 //! **Seal.** [`Daemon::finish`] flushes what is left and seals the
 //! store: its decoded tail is encoded and freed, so the report's store
@@ -64,7 +56,7 @@ use std::time::Duration;
 
 use ora_core::sync::Mutex;
 use ora_trace::format;
-use ora_trace::{decode_run, merge_run, RankedEvent, TraceError};
+use ora_trace::{decode_run, RankedEvent, RankedKey, TraceError};
 
 use crate::protocol::{
     build_frame, chunk_parts, decode_frame, read_frame, read_frame_bytes, write_frame, Message,
@@ -175,42 +167,42 @@ impl FleetReport {
     }
 }
 
-/// One lane's records that are acked but still above the watermark,
-/// key-sorted. A released prefix is skipped by a cursor and reclaimed
-/// once it is at least half the buffer, so releasing costs what it
-/// releases and never moves what stays.
+/// One lane's acked runs that still hold records above the watermark,
+/// in arrival order (two ring lanes of a rank queue runs that overlap in
+/// tick): each key-sorted buffer and the length of its settled prefix.
+/// `free` holds the emptied buffers of runs that settled whole.
 #[derive(Debug, Default)]
 struct Pending {
-    buf: Vec<RankedEvent>,
-    /// `buf[..head]` has been released.
-    head: usize,
+    runs: Vec<(Vec<RankedEvent>, usize)>,
+    free: Vec<Vec<RankedEvent>>,
 }
 
 impl Pending {
-    /// Take `run` in: by swap when the lane holds nothing, leaving the
-    /// lane's spare buffer in `run`, else by [`merge_run`].
-    fn merge(&mut self, run: &mut Vec<RankedEvent>) {
-        if self.head == self.buf.len() {
-            std::mem::swap(&mut self.buf, run);
-            self.head = 0;
-        } else {
-            merge_run(&mut self.buf, self.head, run);
-        }
+    /// Queue `run`, whose first `settled` records have settled: its
+    /// buffer joins the queue and the caller gets an emptied one from the
+    /// free list in its place.
+    fn queue(&mut self, run: &mut Vec<RankedEvent>, settled: usize) {
+        let spare = self.free.pop().unwrap_or_default();
+        self.runs.push((std::mem::replace(run, spare), settled));
     }
 
-    /// The prefix at or below `watermark`.
-    fn ready(&self, watermark: u64) -> &[RankedEvent] {
-        let held = &self.buf[self.head..];
-        &held[..held.partition_point(|e| e.record.tick <= watermark)]
-    }
-
-    /// Drop the prefix [`ready`](Self::ready) returns for `watermark`.
-    fn release(&mut self, watermark: u64) {
-        self.head += self.ready(watermark).len();
-        if self.head * 2 >= self.buf.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
+    /// Settle each queued run's slice at or below `watermark` into
+    /// `store`, late against `frontier`, skipping it in place, and free
+    /// the runs that have settled whole.
+    fn settle(&mut self, watermark: u64, frontier: Option<RankedKey>, store: &mut FleetStore) {
+        let free = &mut self.free;
+        self.runs.retain_mut(|(buf, head)| {
+            let held = &buf[*head..];
+            let ready = held.partition_point(|e| e.record.tick <= watermark);
+            store.settle_run(&held[..ready], frontier);
+            *head += ready;
+            if *head < buf.len() {
+                return true;
+            }
+            buf.clear();
+            free.push(std::mem::take(buf));
+            false
+        });
     }
 }
 
@@ -229,19 +221,16 @@ struct LaneState {
 struct State {
     lanes: BTreeMap<u64, LaneState>,
     store: FleetStore,
-    /// What one flush settles: every lane's released prefix, merged.
-    /// Reused, so a flush allocates nothing once it has reached its
-    /// size.
-    batch: Vec<RankedEvent>,
     rejected: Vec<String>,
 }
 
 impl State {
     /// Advance the watermark to the minimum acked tick across live
-    /// lanes, merge every lane's prefix at or below it into the batch,
-    /// and settle the batch in one go, counting lateness against the
-    /// frontier as it stood before the flush.
-    fn flush(&mut self) {
+    /// lanes and settle every queued slice at or below it, then that of
+    /// the run that `arrived` on a lane, if one did, from the caller's
+    /// buffer, all late against the frontier as it stood before the
+    /// flush; the arrived run's rest is queued.
+    fn flush(&mut self, arrived: Option<(u64, &mut Vec<RankedEvent>)>) {
         let watermark = self
             .lanes
             .values()
@@ -249,12 +238,18 @@ impl State {
             .map(|l| l.acked_tick)
             .min()
             .unwrap_or(u64::MAX);
-        self.batch.clear();
+        let frontier = self.store.frontier();
         for lane in self.lanes.values_mut() {
-            merge_run(&mut self.batch, 0, lane.pending.ready(watermark));
-            lane.pending.release(watermark);
+            lane.pending.settle(watermark, frontier, &mut self.store);
         }
-        self.store.settle_run(&self.batch);
+        if let Some((rank, run)) = arrived {
+            let ready = run.partition_point(|e| e.record.tick <= watermark);
+            self.store.settle_run(&run[..ready], frontier);
+            if ready < run.len() {
+                let lane = self.lanes.get_mut(&rank).expect("lane registered");
+                lane.pending.queue(run, ready);
+            }
+        }
     }
 
     /// Account one decoded sink write of `rank` under `epoch`. An epoch
@@ -278,6 +273,7 @@ impl State {
             });
         }
         lane.report.epochs += 1;
+        let mut arrived = None;
         match unit? {
             Unit::Header => lane.report.header_seen = true,
             Unit::Run { run, governor } => {
@@ -286,11 +282,11 @@ impl State {
                 if let Some(last) = run.last() {
                     lane.acked_tick = lane.acked_tick.max(last.record.tick);
                 }
-                lane.pending.merge(run);
+                arrived = Some((rank, run));
             }
             Unit::Footer { drained, dropped } => lane.report.footer = Some((drained, dropped)),
         }
-        self.flush();
+        self.flush(arrived);
         Ok(())
     }
 }
@@ -379,7 +375,7 @@ impl Daemon {
             let _ = t.join();
         }
         let mut state = self.shared.state.lock();
-        state.flush(); // no live lanes remain: flushes everything
+        state.flush(None); // no live lanes remain: flushes everything
         state.store.seal();
         let state = std::mem::take(&mut *state);
         FleetReport {
@@ -446,8 +442,9 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
 
     // Chunks until anything else, through per-connection buffers: each
     // frame is read into `frame`, a chunk's records are decoded into
-    // `run` on this thread, ingested under the lock (epoch check,
-    // hand-off to the lane's pending run, flush), and acked from `frame`.
+    // `run` on this thread, ingested under the lock (epoch check, flush,
+    // what is left of `run` queued and swapped for a free buffer), and
+    // acked from `frame`.
     let (mut frame, mut run) = (Vec::new(), Vec::new());
     let last = loop {
         match read_frame_bytes(&mut conn, &mut frame).and_then(|()| chunk_parts(&frame)) {
@@ -544,7 +541,7 @@ fn finish_lane(shared: &Shared, rank: u64, fin: FinStats) -> (u64, u64) {
     lane.report.finished = true;
     lane.live = false;
     let stored = lane.report.records;
-    state.flush();
+    state.flush(None);
     let late = state.store.late_events();
     drop(state);
     lane_done(shared);
@@ -557,7 +554,7 @@ fn quarantine(shared: &Shared, rank: u64, error: &FleetError) {
         lane.report.quarantined = Some(error.to_string());
         lane.live = false;
     }
-    state.flush();
+    state.flush(None);
     drop(state);
     lane_done(shared);
 }
@@ -572,7 +569,7 @@ fn disconnect(shared: &Shared, rank: u64, why: &str) {
         }
         lane.live = false;
     }
-    state.flush();
+    state.flush(None);
     drop(state);
     lane_done(shared);
 }
@@ -610,8 +607,12 @@ mod tests {
             self.flush();
         }
 
+        fn watermark(&self) -> u64 {
+            self.acked.values().copied().min().unwrap_or(u64::MAX)
+        }
+
         fn flush(&mut self) {
-            let watermark = self.acked.values().copied().min().unwrap_or(u64::MAX);
+            let watermark = self.watermark();
             let (mut ready, held): (Vec<_>, Vec<_>) =
                 self.pool.iter().partition(|e| e.record.tick <= watermark);
             self.pool = held;
@@ -655,6 +656,12 @@ mod tests {
     }
 
     impl Twin {
+        /// `rank` joins the watermark with nothing acked.
+        fn join(&mut self, rank: u64) {
+            self.state.lanes.entry(rank).or_default().live = true;
+            self.reference.acked.insert(rank, 0);
+        }
+
         /// Decode `records` as one chunk of `rank`, ingest it into both
         /// sides, and check that they agree.
         fn feed(&mut self, rank: u64, records: &[RawRecord]) {
@@ -670,12 +677,41 @@ mod tests {
             self.check();
         }
 
+        /// [`feed`](Self::feed), returning 1 if its flush settled slices
+        /// of more than one run of some lane.
+        fn feed_counting_slices(&mut self, rank: u64, records: &[RawRecord]) -> u64 {
+            let mut firsts: Vec<(u64, u64)> = Vec::new();
+            firsts.extend(records.iter().map(|e| e.tick).min().map(|t| (rank, t)));
+            for (&r, lane) in &self.state.lanes {
+                let runs = lane.pending.runs.iter();
+                firsts.extend(runs.map(|(buf, head)| (r, buf[*head].record.tick)));
+            }
+            self.feed(rank, records);
+            let watermark = self.reference.watermark();
+            let settled = |lane| {
+                firsts
+                    .iter()
+                    .filter(|&&(r, t)| r == lane && t <= watermark)
+                    .count()
+            };
+            u64::from(self.state.lanes.keys().any(|&lane| settled(lane) > 1))
+        }
+
         /// `rank` leaves the watermark.
         fn finish(&mut self, rank: u64) {
             self.state.lanes.get_mut(&rank).expect("lane").live = false;
-            self.state.flush();
+            self.state.flush(None);
             self.reference.finish(rank);
             self.check();
+        }
+
+        /// Records of `rank`'s queue at or below `watermark`.
+        fn queued_at_or_below(&self, rank: &u64, watermark: u64) -> usize {
+            let runs = &self.state.lanes[rank].pending.runs;
+            let ready = |(buf, head): &(Vec<RankedEvent>, usize)| {
+                buf[*head..].partition_point(|e| e.record.tick <= watermark)
+            };
+            runs.iter().map(ready).sum()
         }
 
         fn check(&self) {
@@ -706,36 +742,56 @@ mod tests {
 
     /// Random mixes of sorted runs, internally unsorted runs, runs
     /// wholly below the frontier, keys equal across ranks up to the
-    /// rank, empty runs, and rounds that leave every live lane with a
-    /// ready prefix at one flush, through decode → lane pending → flush
-    /// → store, with 3 and with 8 ranks: after every step the store
-    /// must hold what the per-record rule settles on the same arrival
-    /// order, with the same export bytes and late count; at the end,
-    /// the key-sort of everything fed.
+    /// rank, empty runs, a second ring lane's run over the window its
+    /// rank's last run covered (so a lane queues overlapping runs), a
+    /// rank that joins late (holding the watermark down while the others
+    /// queue runs that reach below the frontier, so one flush settles
+    /// several slices of a lane, some partly late), and rounds that leave
+    /// every live lane with a ready prefix at one flush, through decode →
+    /// lane queue → flush → store, with 3 and with 8 ranks: after every
+    /// step the store must hold what the per-record rule settles on the
+    /// same arrival order, with the same export bytes and late count; at
+    /// the end, the key-sort of everything fed.
     #[test]
     fn runs_settle_exactly_as_the_per_record_rule_did() {
         let mut rng = XorShift64::new(0xf1ee_0100);
+        let mut several = 0;
         for ranks in [3u64, 8] {
             for _case in 0..40 {
-                settle_one_case(&mut rng, ranks);
+                several += settle_one_case(&mut rng, ranks);
             }
         }
+        eprintln!("{several} flushes settled several runs of one lane");
+        assert!(several > 0, "no flush settled several runs of one lane");
     }
 
-    fn settle_one_case(rng: &mut XorShift64, ranks: u64) {
+    /// One random case; returns the flushes that settled a slice of more
+    /// than one queued run of one lane.
+    fn settle_one_case(rng: &mut XorShift64, ranks: u64) -> u64 {
         let mut twin = Twin::default();
         for rank in 0..ranks {
-            twin.state.lanes.entry(rank).or_default().live = true;
-            twin.reference.acked.insert(rank, 0);
+            twin.join(rank);
         }
-        let mut clock = vec![1_000u64; ranks as usize];
-        let mut next_seq = vec![0u64; ranks as usize];
+        // Rank `ranks` may join late.
+        let slots = ranks as usize + 1;
+        let mut clock = vec![1_000u64; slots];
+        let mut window = vec![(1_000u64, 1_000u64); slots];
+        let mut next_seq = vec![0u64; slots];
         let mut last_run: Vec<RawRecord> = Vec::new();
+        let mut several = 0;
         for step in 0..20 + rng.below(40) {
             let live: Vec<u64> = twin.reference.acked.keys().copied().collect();
             let Some(&rank) = live.get(rng.below(live.len().max(1) as u64) as usize) else {
                 break;
             };
+            if step > 4 && !twin.state.lanes.contains_key(&ranks) && rng.chance(1, 10) {
+                // A late rank joins a little below the watermark, which
+                // drops to its nothing-acked until its runs lift it.
+                let held = twin.reference.acked.values().copied().min().unwrap_or(0);
+                clock[ranks as usize] = held.saturating_sub(rng.below(100)).max(10);
+                twin.join(ranks);
+                continue;
+            }
             if step > 10 && rng.chance(1, 12) {
                 // A lane finishes: it leaves the watermark.
                 twin.finish(rank);
@@ -749,19 +805,19 @@ mod tests {
                 let (&slow, &held) = acked.iter().min_by_key(|&(_, a)| a).expect("live");
                 for &r in live.iter().filter(|&&r| r != slow).chain([&slow]) {
                     if r == slow {
-                        let ready = |o| !twin.state.lanes[o].pending.ready(held + 1).is_empty();
+                        let ready = |o| twin.queued_at_or_below(o, held + 1) > 0;
                         assert!(live.iter().all(|o| *o == slow || ready(o)));
                     }
                     let (len, hi) = (1 + rng.below(12), held + 1 + rng.below(60));
                     let records = span(rng, held + 1, hi, next_seq[r as usize], len);
                     next_seq[r as usize] += len;
-                    twin.feed(r, &records);
+                    several += twin.feed_counting_slices(r, &records);
                 }
                 continue;
             }
             let r = rank as usize;
             let len = rng.below(24);
-            let mut records = match rng.below(5) {
+            let mut records = match rng.below(6) {
                 // Empty.
                 0 => Vec::new(),
                 // The previous run again, seq and all, from whichever
@@ -769,10 +825,14 @@ mod tests {
                 1 => last_run.clone(),
                 // Wholly below everything settled so far.
                 2 => span(rng, 10, 10 + len, next_seq[r], len),
+                // A second ring lane of the rank: the window its last
+                // advancing run covered.
+                3 => span(rng, window[r].0, window[r].1, next_seq[r], len),
                 // Advancing.
                 _ => {
                     let from = clock[r];
                     clock[r] += rng.below(6 * len + 1);
+                    window[r] = (from, clock[r]);
                     span(rng, from, clock[r], next_seq[r], len)
                 }
             };
@@ -785,16 +845,56 @@ mod tests {
                 }
             }
             last_run = records.clone();
-            twin.feed(rank, &records);
+            several += twin.feed_counting_slices(rank, &records);
         }
-        for rank in 0..ranks {
+        let lanes: Vec<u64> = twin.state.lanes.keys().copied().collect();
+        for rank in lanes {
             if twin.state.lanes[&rank].live {
                 twin.finish(rank);
             }
         }
         twin.fed.sort_by_key(RankedEvent::key);
         assert_eq!(twin.state.store.records(), &twin.fed[..]);
-        assert!(twin.state.lanes.values().all(|l| l.pending.buf.is_empty()));
+        assert!(twin.state.lanes.values().all(|l| l.pending.runs.is_empty()));
+        several
+    }
+
+    /// Two ring lanes of rank 0 queue overlapping runs while rank 1,
+    /// joined late, holds the watermark down; rank 1's first run lifts
+    /// it, and that one flush settles a slice of each queued run: the
+    /// first partly below the frontier, the second wholly above it.
+    #[test]
+    fn one_flush_settles_several_slices_of_one_lane() {
+        let records = |ticks: std::ops::RangeInclusive<u64>, gtid: u32| -> Vec<RawRecord> {
+            let record = |tick| RawRecord {
+                tick,
+                gtid,
+                seq: tick,
+                event: 1, // Fork
+                ..RawRecord::default()
+            };
+            ticks.map(record).collect()
+        };
+        let mut twin = Twin::default();
+        twin.join(0);
+        twin.feed(0, &records(100..=500, 0));
+        twin.join(1);
+        twin.feed(0, &records(400..=700, 0));
+        twin.feed(0, &records(600..=800, 1));
+        let heads = |twin: &Twin| -> Vec<usize> {
+            let runs = &twin.state.lanes[&0].pending.runs;
+            runs.iter().map(|&(_, head)| head).collect()
+        };
+        assert_eq!(heads(&twin), [0, 0], "both queued whole");
+        assert_eq!(twin.state.store.late_events(), 0);
+        twin.feed(1, &records(650..=650, 0));
+        // Ticks 400..=499 of the first run are below the frontier (tick
+        // 500); ticks 600..=650 of the second are not.
+        assert_eq!(twin.state.store.late_events(), 100);
+        assert_eq!(heads(&twin), [251, 51]);
+        twin.finish(0);
+        twin.finish(1);
+        assert_eq!(twin.state.store.late_events(), 100);
     }
 
     #[test]
@@ -830,16 +930,41 @@ mod tests {
             })
             .expect("Fork"),
         };
-        let mut pending = Pending::default();
-        pending.merge(&mut (0..100).map(ev).collect());
-        pending.release(9);
-        assert_eq!((pending.head, pending.buf.len()), (10, 100), "skipped");
-        // A late run still lands above the released prefix.
-        pending.merge(&mut vec![ev(3), ev(50)]);
-        assert_eq!(pending.ready(10)[0].record.tick, 3);
-        assert_eq!(pending.ready(u64::MAX).len(), 92);
-        pending.release(60);
-        assert_eq!(pending.head, 0, "reclaimed once half the buffer");
-        assert_eq!(pending.ready(u64::MAX).len(), 39);
+        // Rank 1 alone holds the watermark at `tick`; a run of rank 0
+        // arrives.
+        let mut state = State::default();
+        state.lanes.entry(0).or_default();
+        state.lanes.entry(1).or_default().live = true;
+        let arrive = |state: &mut State, tick: u64, run: &mut Vec<RankedEvent>| {
+            state.lanes.get_mut(&1).expect("lane").acked_tick = tick;
+            state.flush(Some((0, run)));
+        };
+        let held = |state: &State| -> Vec<_> {
+            let runs = state.lanes[&0].pending.runs.iter();
+            runs.map(|(buf, head)| (buf.as_ptr(), *head)).collect()
+        };
+        let mut run: Vec<_> = (0..100).map(ev).collect();
+        let first = run.as_ptr();
+        arrive(&mut state, 9, &mut run);
+        assert_eq!(held(&state), [(first, 10)], "the rest queued in place");
+        assert!(run.is_empty(), "the lane thread gets an emptied buffer");
+        // A late run arrives: it settles whole from the lane thread's
+        // buffer, one record late, beside the queued run's next slice.
+        run.extend([ev(3), ev(50)]);
+        let second = run.as_ptr();
+        arrive(&mut state, 60, &mut run);
+        assert_eq!(held(&state), [(first, 61)], "what stays never moved");
+        assert_eq!((run.as_ptr(), run.len()), (second, 2), "still the caller's");
+        assert_eq!(state.store.late_events(), 1);
+        // The queued run settles whole; its emptied buffer is the next
+        // one a lane thread whose run queues gets.
+        run.clear();
+        arrive(&mut state, 160, &mut run);
+        assert!(held(&state).is_empty());
+        run.push(ev(170));
+        arrive(&mut state, 160, &mut run);
+        assert_eq!(held(&state), [(second, 0)]);
+        assert_eq!((run.as_ptr(), run.len()), (first, 0));
+        assert_eq!(state.store.len(), 102);
     }
 }

@@ -25,14 +25,14 @@
 //!   a misbehaving rank instead of poisoning the fleet, and an
 //!   incremental merge whose unit of work is the sorted run: each lane
 //!   decodes its chunk into its connection's run buffer outside the
-//!   state lock and hands it to its own pending buffer (by swap when
-//!   that holds nothing); a watermark at the minimum acked tick across
-//!   live lanes releases every lane's prefix, merged into one batch
-//!   that is settled into the store once per flush.
+//!   state lock and queues that buffer on its lane, taking an emptied
+//!   one from the lane's free list; a watermark at the minimum acked
+//!   tick across live lanes releases each queued run's prefix, settled
+//!   straight into the store.
 //! * [`store`] — the queryable merged timeline (time-range / per-rank /
 //!   per-region), which keeps its settled records as the export's
-//!   delta-coded segments behind a decoded tail that takes each batch
-//!   with one backward merge, and whose
+//!   delta-coded segments behind a decoded tail that takes each settled
+//!   slice with one backward merge, and whose
 //!   [`export`](store::FleetStore::export) is byte-identical to offline
 //!   `merge_ranks` over the same data.
 //!

@@ -92,7 +92,8 @@ pub enum Message {
     FinAck {
         /// Records the daemon stored for this lane.
         stored: u64,
-        /// Records (fleet-wide) that settled below the watermark.
+        /// Records (fleet-wide) that settled below the settled frontier
+        /// as it stood before their flush.
         late: u64,
     },
 }

@@ -45,7 +45,8 @@ pub const DEFAULT_WINDOW: u64 = 8;
 pub struct FinReport {
     /// Records the daemon stored for this lane.
     pub stored: u64,
-    /// Records (fleet-wide) that settled below the watermark.
+    /// Records (fleet-wide) that settled below the settled frontier as
+    /// it stood before their flush.
     pub late: u64,
 }
 

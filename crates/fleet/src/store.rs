@@ -1,19 +1,17 @@
 //! The merged fleet timeline: queryable, exportable, byte-stable.
 //!
-//! The daemon settles key-sorted **runs** here — one per flush, every
-//! lane's released prefix merged, already in `(tick, gtid, seq, rank)`
-//! order — as the watermark advances. The watermark is a *performance*
-//! frontier, not a correctness one: a record can legally arrive below
-//! it (a thread can stall between reading the clock and committing to
-//! its ring, and one rank's ring lanes cover the same tick window, so a
-//! later chunk routinely carries earlier ticks). A run is therefore
-//! merged in from the back with `ora_trace::merge_run`, the same kernel
-//! the offline reader's lane cursors merge chunks with, and the run's
-//! records below the frontier as it stood before the settle are counted
-//! late (the rule the per-lane settles used: a flush now settles once).
-//! The store is **always** fully sorted and [`FleetStore::export`] is
-//! byte-identical to offline `merge_ranks` over the same data,
-//! regardless of arrival timing.
+//! The daemon settles key-sorted **runs** here as the watermark
+//! advances: each flush, every queued run's slice at or below it. The
+//! watermark is a *performance* frontier, not a correctness one: a
+//! record can legally arrive below it (a thread can stall between
+//! reading the clock and committing to its ring, and one rank's ring
+//! lanes cover the same tick window, so a later chunk routinely carries
+//! earlier ticks). A run is therefore merged in from the back with
+//! `ora_trace::merge_run`, the kernel the offline reader's lane cursors
+//! merge chunks with, and its records below the frontier as it stood
+//! before the flush are counted late. The store is **always** fully
+//! sorted and [`FleetStore::export`] is byte-identical to offline
+//! `merge_ranks` over the same data, regardless of arrival timing.
 //!
 //! **Layout.** Settled records live in the export encoding
 //! (`ora_trace::analyze`'s v2 timeline): the oldest as whole encoded
@@ -210,14 +208,14 @@ impl FleetStore {
         self.tail.last().map(RankedEvent::key).or_else(last_encoded)
     }
 
-    /// Settle one key-sorted run. Records of the run below the frontier
-    /// as it stands before the settle are counted late; the run is
-    /// merged in at sorted position either way.
-    pub(crate) fn settle_run(&mut self, run: &[RankedEvent]) {
+    /// Settle one key-sorted run. Records of the run below `frontier` (the
+    /// one read before the flush) are counted late; the run is merged in
+    /// at sorted position either way.
+    pub(crate) fn settle_run(&mut self, run: &[RankedEvent], frontier: Option<RankedKey>) {
         let Some(first) = run.first() else {
             return;
         };
-        if let Some(frontier) = self.frontier() {
+        if let Some(frontier) = frontier {
             self.late_events += run.partition_point(|e| e.key() < frontier) as u64;
         }
         // The segments holding a key above the run's first, and a sealed
@@ -338,8 +336,8 @@ impl FleetStore {
         self.len() == 0
     }
 
-    /// Records that arrived below the watermark frontier (observable
-    /// reordering, not loss — they are in the timeline regardless).
+    /// Records settled below the frontier as it stood before their flush
+    /// (observable reordering, not loss: they are in the timeline).
     pub fn late_events(&self) -> u64 {
         self.late_events
     }
@@ -424,7 +422,7 @@ mod tests {
     #[test]
     fn late_records_are_counted_and_merged_in_order() {
         let mut store = FleetStore::new();
-        store.settle_run(&[ev(10, 0, 0, 0), ev(20, 0, 1, 0)]);
+        store.settle_run(&[ev(10, 0, 0, 0), ev(20, 0, 1, 0)], store.frontier());
         assert_eq!(store.late_events(), 0);
         // Two below the frontier, one at it (same tick, later rank),
         // one above.
@@ -434,14 +432,14 @@ mod tests {
             ev(20, 0, 1, 1),
             ev(30, 1, 2, 1),
         ];
-        store.settle_run(&run);
+        store.settle_run(&run, store.frontier());
         assert_eq!(store.late_events(), 2);
         assert_eq!(store.len(), 6);
         let ticks: Vec<u64> = store.records().iter().map(|e| e.record.tick).collect();
         assert_eq!(ticks, vec![5, 10, 15, 20, 20, 30]);
         // A run wholly below the frontier, and an empty one.
-        store.settle_run(&[ev(1, 0, 0, 2), ev(2, 0, 1, 2)]);
-        store.settle_run(&[]);
+        store.settle_run(&[ev(1, 0, 0, 2), ev(2, 0, 1, 2)], store.frontier());
+        store.settle_run(&[], store.frontier());
         assert_eq!(store.late_events(), 4);
         let keys: Vec<_> = store.records().iter().map(RankedEvent::key).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
@@ -453,7 +451,7 @@ mod tests {
         let run: Vec<_> = (0..50u64)
             .map(|i| ev(i, (i % 3) as usize, i, (i % 2) as usize))
             .collect();
-        store.settle_run(&run);
+        store.settle_run(&run, store.frontier());
         assert_eq!(store.time_range(10, 19).len(), 10);
         assert_eq!(store.for_rank(0).len(), 25);
         assert_eq!(store.for_region(2).len(), 10);
@@ -484,14 +482,14 @@ mod tests {
         let run: Vec<_> = (0..40u64)
             .map(|i| ev(2 * i, (i % 3) as usize, i, (i % 2) as usize))
             .collect();
-        store.settle_run(&run);
+        store.settle_run(&run, store.frontier());
         assert_queries_match_scans(&store);
         // A late run lands in the middle of the timeline: every position
         // above its first record moves, and rank 3 appears.
         let late: Vec<_> = (0..20u64)
             .map(|i| ev(2 * i + 21, 5, i, if i % 2 == 0 { 1 } else { 3 }))
             .collect();
-        store.settle_run(&late);
+        store.settle_run(&late, store.frontier());
         assert_eq!(store.late_events(), 20);
         assert_queries_match_scans(&store);
         assert_eq!(store.for_rank(3).len(), 10);
@@ -503,7 +501,7 @@ mod tests {
         assert!(store.for_rank(0).is_empty());
         assert!(store.for_region(0).is_empty());
         let run: Vec<_> = (0..30u64).map(|i| ev(i, 0, i, 1)).collect();
-        store.settle_run(&run);
+        store.settle_run(&run, store.frontier());
         assert!(store.for_rank(0).is_empty());
         assert!(store.for_rank(usize::MAX).is_empty());
         assert!(store.for_region(3).is_empty());
@@ -520,7 +518,7 @@ mod tests {
         let run: Vec<_> = (0..10u64)
             .map(|i| ev(i, 0, i, if i < 4 { huge } else { 7 }))
             .collect();
-        store.settle_run(&run);
+        store.settle_run(&run, store.frontier());
         assert_eq!(store.for_rank(huge), scan(&store, |e| e.rank == huge));
         assert_eq!(store.for_rank(huge).len(), 4);
         let index = store.index.get().expect("the query built the index");
@@ -595,7 +593,7 @@ mod tests {
                 let expected_reach = reach(&store, &reference, run[0].key());
                 let before = store.reopened;
                 merge_run(&mut reference, 0, &run);
-                store.settle_run(&run);
+                store.settle_run(&run, store.frontier());
                 assert_eq!(store.reopened - before, expected_reach, "segments reopened");
                 if rng.chance(1, 25) {
                     store.seal();
@@ -624,8 +622,8 @@ mod tests {
         let mut a = FleetStore::new();
         let mut b = FleetStore::new();
         let run: Vec<_> = (0..20u64).map(|i| ev(i, 0, i, 0)).collect();
-        a.settle_run(&run);
-        b.settle_run(&run);
+        a.settle_run(&run, a.frontier());
+        b.settle_run(&run, b.frontier());
         assert_eq!(a.export(), b.export());
         assert_eq!(&a.export()[..6], TIMELINE_MAGIC);
         assert_eq!(a.export(), timeline_bytes(a.records()));

@@ -93,8 +93,8 @@ if grep -rnE 'TeamSlot|LeaseSlot' crates/; then
   exit 1
 fi
 # One merge kernel: `ora_trace::merge_run` is the backward merge under
-# both the reader's lane cursors and the daemon's pending buffers and
-# store, so no record heap comes back beside it: no RankMergeHeap under
+# both the reader's lane cursors and the fleet store, so no record heap
+# comes back beside it: no RankMergeHeap under
 # crates/, exactly one `fn merge_run`, and no heap at all in the fleet
 # crate.
 if grep -rn 'RankMergeHeap' crates/; then
@@ -108,6 +108,14 @@ if [ "$(grep -rnE 'fn merge_run\b' crates/ | wc -l)" -ne 1 ]; then
 fi
 if grep -rn 'BinaryHeap' crates/fleet/src; then
   echo "tier1: BinaryHeap under crates/fleet/src — settle runs with ora_trace::merge_run" >&2
+  exit 1
+fi
+# The daemon queues, the store merges: a flush settles each queued run's
+# slice straight into the store, so the code of the non-test part of
+# daemon.rs neither merges runs nor gathers them into a flush batch.
+if awk '/^#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' crates/fleet/src/daemon.rs \
+    | grep -E 'merge_run\(|\bbatch\b'; then
+  echo "tier1: merge_run( or a batch in crates/fleet/src/daemon.rs — queue decoded runs and settle their slices with FleetStore::settle_run" >&2
   exit 1
 fi
 # One merge in the reader: every query collects the lane-cursor merge,
@@ -278,9 +286,10 @@ cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
 # same file with its footer cut off,
 # the in-memory `--tool trace` with its CSV export,
 # the three-section `--tool suite`, the `--tool selective` savings line,
-# and a two-rank `fleet` whose online
-# merge must equal the offline one (a merge-order regression fails the
-# push gate, not the nightly stress sweep). Output goes to files first
+# and a two-rank and a four-rank `fleet` whose online merge must equal
+# the offline one (a merge-order regression, or one in flushes that
+# settle several lanes' queued runs, fails the push gate, not the
+# nightly stress sweep). Output goes to files first
 # so a short-circuiting grep cannot break the pipe under `pipefail`.
 omp_prof=target/release/omp_prof
 smoke="$(mktemp -d)"
@@ -317,9 +326,11 @@ done
 # The §VI policy as ProfilerConfig fields: duration gate + per-site cap.
 "$omp_prof" --workload epcc --tool selective >"$smoke/selective.txt"
 grep -Eq '^joins [0-9]+ \| sampled [0-9]+ .*\| savings [0-9.]+%$' "$smoke/selective.txt"
-"$omp_prof" fleet --ranks 2 --threads 2 --workload lu-mz --class s \
-  --out-dir "$smoke/fleet" >"$smoke/fleet.txt"
-grep -q 'export byte-identical to offline merge_ranks: yes' "$smoke/fleet.txt"
+for ranks in 2 4; do
+  "$omp_prof" fleet --ranks "$ranks" --threads 2 --workload lu-mz --class s \
+    --out-dir "$smoke/fleet$ranks" >"$smoke/fleet$ranks.txt"
+  grep -q 'export byte-identical to offline merge_ranks: yes' "$smoke/fleet$ranks.txt"
+done
 # The two surfaces whose numbers the request path feeds: the state-time
 # table (one OMP_REQ_STATE per event) and the served-request count that
 # `health` reads from the per-thread governor lanes.
