@@ -421,6 +421,21 @@ fn trace_report() {
 /// timeline, and the head of `records` (the query's matches).
 fn print_trace_report(input: &str, reader: &TraceReader, records: &[TraceEvent], head: usize) {
     println!("trace: {input}");
+    // The recording started at its first record, placed in wall-clock
+    // time by the header's clock anchor.
+    match reader.anchor() {
+        Some(a) => {
+            let first = reader.events().next().and_then(Result::ok);
+            println!(
+                "  started {} (clock anchor: tick {} at Unix {} ns, {} ticks/s)",
+                utc(a.unix_ns_at(first.map_or(a.tick, |e| e.tick))),
+                a.tick,
+                a.unix_ns,
+                a.ticks_per_sec
+            );
+        }
+        None => println!("  start time unknown: a v1 trace carries no clock anchor"),
+    }
     let persisted = reader.record_count();
     match reader.footer() {
         Some(f) => println!(
@@ -461,6 +476,29 @@ fn print_trace_report(input: &str, reader: &TraceReader, records: &[TraceEvent],
     print_head(head, records.iter().map(|r| (None, r)));
 }
 
+/// `unix_ns` as a UTC date and time to the microsecond, from the
+/// proleptic Gregorian calendar's day count (Hinnant's `civil_from_days`).
+fn utc(unix_ns: u64) -> String {
+    let secs = unix_ns / 1_000_000_000;
+    let (days, rem) = ((secs / 86_400) as i64, secs % 86_400);
+    let z = days + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    format!(
+        "{year:04}-{month:02}-{day:02} {:02}:{:02}:{:02}.{:06} UTC",
+        rem / 3_600,
+        rem / 60 % 60,
+        rem % 60,
+        unix_ns % 1_000_000_000 / 1_000
+    )
+}
+
 /// Silence the default panic hook for *injected* faults only, so fault
 /// harness runs don't spew backtraces for panics that are the test.
 fn quiet_injected_panics() {
@@ -497,10 +535,13 @@ fn attach_fault_harness(
 ) -> (RuntimeHandle, StreamingTracer<Box<dyn TraceSink>>) {
     let handle = RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime symbol");
     let sink: Box<dyn TraceSink> = if kill_drainer {
-        // Budget covers exactly the 8-byte header `Recorder::start`
-        // writes on the caller thread; the drainer's first chunk flush
-        // then panics, killing it mid-recording.
-        Box::new(FaultSink::new(8, FaultMode::Panic))
+        // Budget covers exactly the header `Recorder::start` writes on
+        // the caller thread; the drainer's first chunk flush then
+        // panics, killing it mid-recording.
+        Box::new(FaultSink::new(
+            ora_trace::format::HEADER_LEN,
+            FaultMode::Panic,
+        ))
     } else {
         Box::new(MemorySink::new())
     };

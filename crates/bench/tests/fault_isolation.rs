@@ -23,6 +23,7 @@ use omprt::OpenMp;
 use ora_core::event::Event;
 use ora_core::request::Request;
 use ora_core::testutil::XorShift64;
+use ora_trace::format::HEADER_LEN;
 use ora_trace::{DropPolicy, FaultMode, FaultSink, TraceConfig, TraceError};
 use workloads::epcc::{self, EpccConfig};
 use workloads::npb::Verification;
@@ -89,15 +90,18 @@ fn npb_results_stay_correct_with_panicking_callback_and_dead_drainer() {
     let rt = OpenMp::with_threads(4);
     let handle = handle_for(&rt);
     // Streaming tracer under Block policy, sink dies right after the
-    // 8-byte header: the drainer is killed almost immediately.
+    // A header-sized budget: the drainer is killed almost immediately.
     let config = TraceConfig {
         policy: DropPolicy::Block,
         block_yield_limit: 1024,
         ..TraceConfig::default()
     };
-    let tracer =
-        StreamingTracer::attach(handle.clone(), config, FaultSink::new(8, FaultMode::Panic))
-            .expect("attach tracer");
+    let tracer = StreamingTracer::attach(
+        handle.clone(),
+        config,
+        FaultSink::new(HEADER_LEN, FaultMode::Panic),
+    )
+    .expect("attach tracer");
     inject_panicking_barrier_callback(&handle);
 
     kernel.run(&rt, NpbClass::S);

@@ -2,22 +2,26 @@
 //!
 //! `omp_prof trace record` is SIGKILLed once at least three chunks have
 //! reached its file. Opening the file must salvage exactly the records
-//! of its complete chunks, which this test counts on its own by
-//! decoding chunk after chunk until one fails.
+//! of its complete chunks — v2 chunks behind a v2 header — which this
+//! test counts on its own by decoding chunk after chunk until one
+//! fails.
 
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ora_trace::format::decode_chunk;
+use ora_trace::format::{decode_chunk, FILE_MAGIC, FORMAT_VERSION, HEADER_LEN, TAG_CHUNK};
 use ora_trace::{RawRecord, TraceEvent, TraceReader};
 
-/// The records of every complete chunk after the 8-byte header, decoded
+/// The records of every complete v2 chunk after the v2 header, decoded
 /// one chunk at a time until one is torn or absent.
 fn complete_chunks(bytes: &[u8]) -> Vec<Vec<RawRecord>> {
     let mut chunks = Vec::new();
-    let mut pos = 8;
-    while let Ok((_, records)) = decode_chunk(bytes, &mut pos) {
+    let mut pos = HEADER_LEN;
+    while bytes.get(pos) == Some(&TAG_CHUNK) {
+        let Ok((_, records)) = decode_chunk(bytes, &mut pos) else {
+            break;
+        };
         chunks.push(records);
     }
     chunks
@@ -75,6 +79,8 @@ fn a_sigkilled_recording_reads_back_its_complete_chunks() {
     child.0.wait().expect("reap the recording");
 
     let bytes = std::fs::read(&path).expect("the killed recording left its file");
+    assert_eq!(&bytes[..6], FILE_MAGIC);
+    assert_eq!(&bytes[6..8], FORMAT_VERSION.to_le_bytes(), "a v2 recording");
     let chunks = complete_chunks(&bytes);
     assert!(chunks.len() >= 3, "{} complete chunks", chunks.len());
     let mut want: Vec<TraceEvent> = chunks
@@ -91,6 +97,7 @@ fn a_sigkilled_recording_reads_back_its_complete_chunks() {
         .salvaged()
         .expect("without a footer the trace is salvaged");
     assert_eq!(salvage.chunks, chunks.len());
+    assert!(reader.anchor().is_some(), "the v2 header's clock anchor");
     assert_eq!(reader.dropped(), None, "drop counts are unknown");
     assert_eq!(reader.record_count(), want.len() as u64);
     assert_eq!(reader.records().expect("complete chunks decode"), want);

@@ -91,12 +91,18 @@ impl<'a> Cursor<'a> {
     /// the value fits a `u64`; past that the varint is `Malformed`.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, Error> {
-        // Most fields fit one byte.
-        if let Some((&byte, rest)) = self.rest.split_first() {
-            if byte < 0x80 {
+        // Most fields fit one byte, and most of the rest two (a trace
+        // record's tick delta).
+        match *self.rest {
+            [byte, ref rest @ ..] if byte < 0x80 => {
                 self.rest = rest;
                 return Ok(u64::from(byte));
             }
+            [low, high, ref rest @ ..] if high < 0x80 => {
+                self.rest = rest;
+                return Ok(u64::from(low & 0x7f) | u64::from(high) << 7);
+            }
+            _ => {}
         }
         let mut v = 0u64;
         let mut shift = 0;
@@ -150,7 +156,8 @@ mod tests {
 
     #[test]
     fn varint_round_trips_edge_values() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+        let edges = [0u64, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64];
+        for v in edges.into_iter().chain([u64::MAX]) {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut c = Cursor::new(&buf);
@@ -172,6 +179,8 @@ mod tests {
         // Redundant zero groups are fine up to the tenth byte, not past it.
         let padded = [0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
         assert_eq!(Cursor::new(&padded).varint(), Ok(1));
+        assert_eq!(Cursor::new(&[0x81, 0x00]).varint(), Ok(1));
+        assert_eq!(Cursor::new(&[0x81, 0x80]).varint(), Err(Error::Truncated));
         let mut eleven = [0x80; 11];
         eleven[10] = 0;
         assert!(matches!(

@@ -240,6 +240,18 @@ fn read_tsc() -> u64 {
     }
 }
 
+/// Nanoseconds since the Unix epoch at tick zero: where this process's
+/// ticks sit in wall-clock time, read once (a tick and the system time,
+/// back to back) and the same for every caller after.
+pub fn unix_ns_at_zero() -> u64 {
+    static AT_ZERO: OnceLock<u64> = OnceLock::new();
+    *AT_ZERO.get_or_init(|| {
+        let tick = ticks();
+        let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+        (now.map_or(0, |d| d.as_nanos() as u64)).saturating_sub(tick)
+    })
+}
+
 /// Convert ticks to seconds.
 #[inline]
 pub fn to_secs(ticks: u64) -> f64 {

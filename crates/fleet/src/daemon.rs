@@ -3,11 +3,13 @@
 //! Each accepted connection is one **lane**. The lane thread reads
 //! frames, and each CHUNK payload must be exactly one unit of the trace
 //! chunk stream (`ora_trace::format::unit`): the header, an encoded
-//! chunk, or the footer. The unit of work is the **sorted run**: before
-//! taking the state lock, the lane thread checks a chunk's CRC and
-//! decodes it into one key-sorted run with `ora_trace::decode_run`, so
-//! lanes of different ranks decode in parallel (the rare chunk two
-//! threads sharing a ring lane wrote is sorted there too). Governor
+//! chunk, or the footer. Its HELLO may name trace format 1 or 2; each
+//! chunk is decoded by its own tag. The unit of work is the **sorted
+//! run**: before taking the state lock, the lane thread checks a
+//! chunk's CRC and decodes it into one key-sorted run with
+//! `ora_trace::decode_run`, so lanes of different ranks decode in
+//! parallel (the rare chunk two threads sharing a ring lane wrote is
+//! sorted there too). Governor
 //! decision records are metadata: the decoder skips them and the lane
 //! counts them ([`LaneReport::governor_records`]). Under the lock it
 //! checks the epoch sequence (a duplicate or a gap is reported ahead of
@@ -400,7 +402,7 @@ fn serve_connection(shared: &Shared, mut conn: Box<dyn FrameConn>) {
             format_version,
             ticks_per_sec,
         }) => {
-            if format_version != format::FORMAT_VERSION {
+            if !(format::FORMAT_VERSION_V1..=format::FORMAT_VERSION).contains(&format_version) {
                 shared.state.lock().rejected.push(format!(
                     "rank {rank}: {}",
                     FleetError::BadVersion(format_version)
@@ -522,9 +524,9 @@ fn decode_unit<'r>(
         other => FleetError::Trace(other),
     })?;
     Ok(match unit {
-        format::Unit::Header => Unit::Header,
+        format::Unit::Header(_) => Unit::Header,
         format::Unit::Chunk(chunk) => {
-            let governor = decode_run(chunk.payload, chunk.count, rank as usize, run)?;
+            let governor = decode_run(&chunk, rank as usize, run)?;
             Unit::Run { run, governor }
         }
         format::Unit::Footer(footer) => Unit::Footer {
@@ -579,7 +581,7 @@ mod tests {
     use super::*;
     use crate::store::timeline_bytes;
     use ora_core::testutil::XorShift64;
-    use ora_trace::format::{encode_chunk, put_varint, TAG_CHUNK};
+    use ora_trace::format::encode_chunk;
     use ora_trace::{RawRecord, TraceError, TraceEvent};
 
     /// The per-record rule the run-merge replaced, kept as its
@@ -632,16 +634,7 @@ mod tests {
 
     fn chunk_bytes(records: &[RawRecord]) -> Vec<u8> {
         let mut out = Vec::new();
-        if records.is_empty() {
-            // `encode_chunk` refuses an empty batch; the wire does not.
-            out.push(TAG_CHUNK);
-            for field in [0, 0, 0] {
-                put_varint(&mut out, field); // lane, count, payload_len
-            }
-            out.extend_from_slice(&format::crc32(&[]).to_le_bytes());
-        } else {
-            encode_chunk(&mut out, 0, 0, records);
-        }
+        encode_chunk(&mut out, 0, 0, records);
         out
     }
 

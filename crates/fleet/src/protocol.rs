@@ -22,7 +22,7 @@
 //! | 0x05 | FIN-ACK  | stored, late (daemon accounting)                |
 //!
 //! CHUNK payloads are exactly the bytes `ora_trace::Recorder` hands its
-//! sink — the 8-byte file header, one encoded chunk, or the footer —
+//! sink — the file header, one encoded chunk, or the footer —
 //! so the producer side needs no re-encoding and the daemon classifies
 //! each payload by its leading bytes. Epochs are per-lane sequence
 //! numbers starting at 0; the daemon acks each epoch and treats a
@@ -35,8 +35,9 @@ use ora_trace::format::{crc32, put_varint};
 
 use crate::FleetError;
 
-/// Wire protocol version, carried in HELLO alongside the trace format
-/// version (both must match for a lane to be accepted).
+/// Wire protocol version of the frames this build speaks. HELLO carries
+/// the trace format version instead; the daemon accepts a lane of any
+/// version this build reads (1 or 2).
 pub const PROTOCOL_VERSION: u16 = 1;
 
 /// Upper bound on `len`: no legitimate drainer write approaches this,

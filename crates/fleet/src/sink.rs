@@ -1,7 +1,7 @@
 //! The producer side: a [`SocketSink`] streaming a recording live.
 //!
 //! `ora_trace::Recorder` writes its sink exactly one self-contained
-//! unit per call — the 8-byte file header at start, one encoded chunk
+//! unit per call — the file header at start, one encoded chunk
 //! per drainer sweep, the footer at finish — so the sink frames each
 //! `write_all` as one epoch-stamped CHUNK message, verbatim: the
 //! drainer's borrowed bytes are copied once, into the frame. No

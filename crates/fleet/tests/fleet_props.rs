@@ -23,7 +23,11 @@
 //!    test's, not the scheduler's.
 //!
 //! A governor decision record in a lane's stream is metadata: it is
-//! counted apart and the lane still reconciles (family 2).
+//! counted apart and the lane still reconciles (family 2). A lane that
+//! speaks trace format v1 merges beside a v2 lane (family 4).
+
+#[path = "../../trace/tests/v1/mod.rs"]
+mod v1;
 
 use std::path::PathBuf;
 
@@ -551,18 +555,25 @@ struct HandRank {
     file: Vec<u8>,
     chunks: Vec<ChunkMeta>,
     records: u64,
+    /// Writes trace format v1 (header and chunks), not v2.
+    v1: bool,
 }
 
 impl HandRank {
     /// Connect, introduce `rank`, and send the trace header.
     fn open(daemon: &mut Daemon, rank: u64) -> HandRank {
+        HandRank::open_version(daemon, rank, format::FORMAT_VERSION)
+    }
+
+    /// [`open`](Self::open) for a producer of trace format `version`.
+    fn open_version(daemon: &mut Daemon, rank: u64, version: u16) -> HandRank {
         let (mut conn, server) = loopback().unwrap();
         daemon.spawn_conn(server);
         write_frame(
             &mut conn,
             &Message::Hello {
                 rank,
-                format_version: format::FORMAT_VERSION,
+                format_version: version,
                 ticks_per_sec: 1_000_000_000,
             },
         )
@@ -573,9 +584,13 @@ impl HandRank {
             file: Vec::new(),
             chunks: Vec::new(),
             records: 0,
+            v1: version == format::FORMAT_VERSION_V1,
         };
         let mut header = Vec::new();
-        format::encode_header(&mut header);
+        match hand.v1 {
+            true => v1::header(&mut header),
+            false => format::encode_header(&mut header),
+        }
         hand.send(header);
         hand
     }
@@ -607,7 +622,11 @@ impl HandRank {
 
     fn chunk(&mut self, records: &[RawRecord]) {
         let mut unit = Vec::new();
-        let meta = format::encode_chunk(&mut unit, self.file.len() as u64, 0, records);
+        let encode = match self.v1 {
+            true => v1::chunk,
+            false => format::encode_chunk,
+        };
+        let meta = encode(&mut unit, self.file.len() as u64, 0, records);
         self.chunks.push(meta);
         self.records += records.len() as u64;
         self.send(unit);
@@ -659,6 +678,31 @@ fn ticks(seq: &mut u64, from: u64, step: u64, count: u64) -> Vec<RawRecord> {
         .collect()
 }
 
+/// A producer of trace format v1 beside one of v2: the daemon accepts
+/// both HELLO versions and decodes each chunk by its tag, and its export
+/// is the offline merge of the two ranks' files, whose ticks interleave.
+#[test]
+fn a_v1_lane_beside_a_v2_lane_merges_as_offline() {
+    let mut daemon = Daemon::new(DaemonConfig::default());
+    let mut old = HandRank::open_version(&mut daemon, 0, format::FORMAT_VERSION_V1);
+    let mut new = HandRank::open(&mut daemon, 1);
+    let (mut old_seq, mut new_seq) = (0, 0);
+    for round in 0..6 {
+        old.chunk(&ticks(&mut old_seq, 1_000 + round * 100, 3, 20));
+        new.chunk(&ticks(&mut new_seq, 1_001 + round * 100, 2, 30));
+    }
+    let (old_stored, old_file) = old.close();
+    let (new_stored, new_file) = new.close();
+    assert_eq!((old_stored, new_stored), (120, 180));
+    assert!(old_file.anchor().is_none() && new_file.anchor().is_some());
+    let report = daemon.finish();
+    assert!(report.reconciled(), "{:?}", report.lanes);
+    assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+    let merged = merge_ranks(&[old_file, new_file]).unwrap();
+    assert_eq!(merged.len(), 300);
+    assert_eq!(report.store.export(), timeline_bytes(&merged));
+}
+
 #[test]
 fn a_chunk_header_claiming_u64_max_records_quarantines_only_its_lane() {
     let mut daemon = Daemon::new(DaemonConfig::default());
@@ -668,13 +712,22 @@ fn a_chunk_header_claiming_u64_max_records_quarantines_only_its_lane() {
     honest.chunk(&ticks(&mut seq, 70_000, 2, 50));
 
     // A well-formed one-record chunk, its count field rewritten to
-    // u64::MAX. The CRC covers only the payload, so it still matches.
+    // u64::MAX and its CRC re-sealed over the lie.
     let mut real = Vec::new();
     format::encode_chunk(&mut real, 0, 0, &ticks(&mut 0, 70_001, 1, 1));
-    assert_eq!(&real[..3], &[format::TAG_CHUNK, 0, 1], "tag, lane, count");
-    let mut lying = vec![format::TAG_CHUNK, 0];
-    format::put_varint(&mut lying, u64::MAX);
-    lying.extend_from_slice(&real[3..]);
+    let body = &real[2..real.len() - 4];
+    assert_eq!(
+        (real[0], usize::from(real[1]), &body[..2]),
+        (format::TAG_CHUNK, body.len(), &[0, 1][..]),
+        "tag, body length, lane, count"
+    );
+    let mut lie = vec![0];
+    format::put_varint(&mut lie, u64::MAX);
+    lie.extend_from_slice(&body[2..]);
+    let mut lying = vec![format::TAG_CHUNK];
+    format::put_varint(&mut lying, lie.len() as u64);
+    lying.extend_from_slice(&lie);
+    lying.extend_from_slice(&format::crc32(&lie).to_le_bytes());
     hostile.send_unacked(lying);
     // The daemon quarantines and closes; no ACK arrives.
     assert!(read_frame(&mut hostile.conn).is_err());

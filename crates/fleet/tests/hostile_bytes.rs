@@ -1,15 +1,17 @@
 //! Structure-aware mutation of every decoder of outside bytes.
 //!
 //! Valid inputs are generated for each decoder — request batches,
-//! trace chunks, trace footers, whole trace files (and torn prefixes of
-//! them), fleet timelines (cut at segment boundaries too) and fleet
-//! frames — and
-//! then lied about where lies do damage: counts and lengths are swapped
-//! for their neighbours, the bytes that follow, or absurd values;
-//! payload bytes are flipped, extended into long varints, deleted and
-//! cut. Chunk, footer and frame CRCs are then re-sealed over the mutated
-//! bytes, so the mutations reach the code behind the checksum instead
-//! of stopping at it.
+//! trace chunks, trace headers, trace footers, whole trace files (v1
+//! and v2, and torn prefixes of them), fleet timelines (cut at segment
+//! boundaries too) and fleet frames — and then lied about where lies do
+//! damage: counts and lengths are swapped for their neighbours, the
+//! bytes that follow, or absurd values; payload bytes are flipped,
+//! extended into long varints, deleted and cut. A v2 chunk's own tick
+//! range and region mask are lied about too, and its records are given
+//! reserved codes (27–30), metadata subtypes no build knows, and escape
+//! bits that promise fields which are not there. Chunk, footer and frame
+//! CRCs are then re-sealed over the mutated bytes, so the mutations
+//! reach the code behind the checksum instead of stopping at it.
 //!
 //! The oracle, per decode: `Ok` or a typed error, never a panic, and no
 //! single allocation larger than 16 × the input length + 4 KiB, so a
@@ -19,10 +21,14 @@
 //!
 //! Set `ORA_FAULT_SEED` to replay a specific seed.
 
+#[path = "../../trace/tests/v1/mod.rs"]
+mod v1;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use ora_core::bytes::Cursor;
 use ora_core::message::{serve_batch, RequestBatch};
 use ora_core::testutil::XorShift64;
 use ora_core::{
@@ -33,10 +39,13 @@ use ora_trace::analyze::{
     decode_timeline, encode_segments, timeline_bytes, TIMELINE_MAGIC, TIMELINE_SEGMENT,
 };
 use ora_trace::format::{
-    crc32, decode_chunk, decode_footer, encode_chunk, encode_footer, encode_header, put_varint,
-    Footer, LaneStats, FOOTER_MAGIC, TAG_FOOTER,
+    self, crc32, decode_chunk, decode_footer, encode_chunk, encode_footer, encode_header,
+    put_varint, ChunkMeta, Footer, LaneStats, Unit, FOOTER_MAGIC, HEADER_LEN, TAG_CHUNK,
+    TAG_FOOTER,
 };
-use ora_trace::{merge_ranks, RankedEvent, RawRecord, TraceError, TraceEvent, TraceReader};
+use ora_trace::{
+    decode_run, merge_ranks, RankedEvent, RawRecord, TraceError, TraceEvent, TraceReader,
+};
 
 struct Counting;
 
@@ -266,38 +275,230 @@ fn request_batches(rng: &mut XorShift64, seed: u64) {
     }
 }
 
+/// An encoded v2 chunk taken apart: its five descriptor fields (lane,
+/// count, min_tick, tick span, region mask) and its record bytes.
+fn v2_parts(chunk: &[u8]) -> ([u64; 5], Vec<u8>) {
+    let mut c = Cursor::new(chunk);
+    assert_eq!(c.u8(), Ok(TAG_CHUNK));
+    let len = c.varint().unwrap();
+    let body = c.bytes(len).unwrap();
+    let mut b = Cursor::new(body);
+    let fields = [(); 5].map(|()| b.varint().unwrap());
+    (fields, body[b.position()..].to_vec())
+}
+
+/// A v2 chunk of `fields` and `records`, sealed, each descriptor field
+/// sometimes written as a padded varint; a quarter of the time its body
+/// length lies.
+fn v2_chunk(rng: &mut XorShift64, fields: [u64; 5], records: &[u8]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for v in fields {
+        put_field(rng, &mut body, v);
+    }
+    body.extend_from_slice(records);
+    let mut chunk = vec![if rng.chance(1, 32) { 0x02 } else { TAG_CHUNK }];
+    let room = body.len() as u64;
+    let len = if rng.chance(1, 4) {
+        lie(rng, room, room)
+    } else {
+        room
+    };
+    put_field(rng, &mut chunk, len);
+    chunk.extend_from_slice(&body);
+    chunk.extend_from_slice(&crc32(&body).to_le_bytes());
+    chunk
+}
+
 fn chunks(rng: &mut XorShift64, seed: u64) {
     for case in 0..CASES {
         let records = arb_records(rng, 300);
-        let mut honest = Vec::new();
-        encode_chunk(&mut honest, 0, rng.below(64), &records);
-        let mut at = 1;
-        for _ in 0..3 {
-            at += varint_len(&honest[at..]); // lane, count, payload_len
-        }
-        let mut payload = honest[at..honest.len() - 4].to_vec();
-        if rng.chance(1, 2) {
-            mutate_bytes(rng, &mut payload);
-        }
-        let room = payload.len() as u64;
-        let mut chunk = vec![if rng.chance(1, 32) { 0x02 } else { honest[0] }];
-        let (lane, count) = (rng.below(64), lie(rng, records.len() as u64, room));
-        put_field(rng, &mut chunk, lane);
-        put_field(rng, &mut chunk, count);
-        let payload_len = if rng.chance(1, 4) {
-            lie(rng, room, room)
+        let chunk = if rng.chance(1, 4) {
+            // v1: lane, count and length before the payload, the CRC
+            // over the payload alone.
+            let mut honest = Vec::new();
+            v1::chunk(&mut honest, 0, rng.below(64), &records);
+            let mut at = 1;
+            for _ in 0..3 {
+                at += varint_len(&honest[at..]); // lane, count, payload_len
+            }
+            let mut payload = honest[at..honest.len() - 4].to_vec();
+            if rng.chance(1, 2) {
+                mutate_bytes(rng, &mut payload);
+            }
+            let room = payload.len() as u64;
+            let mut chunk = vec![if rng.chance(1, 32) { 0x02 } else { honest[0] }];
+            let (lane, count) = (rng.below(64), lie(rng, records.len() as u64, room));
+            put_field(rng, &mut chunk, lane);
+            put_field(rng, &mut chunk, count);
+            let payload_len = if rng.chance(1, 4) {
+                lie(rng, room, room)
+            } else {
+                room
+            };
+            put_field(rng, &mut chunk, payload_len);
+            chunk.extend_from_slice(&payload);
+            chunk.extend_from_slice(&crc32(&payload).to_le_bytes());
+            chunk
         } else {
-            room
+            let mut honest = Vec::new();
+            encode_chunk(&mut honest, 0, rng.below(64), &records);
+            let (mut fields, mut payload) = v2_parts(&honest);
+            if rng.chance(1, 2) {
+                mutate_bytes(rng, &mut payload);
+            }
+            let room = payload.len() as u64;
+            // Lie in the lane, the count, or the chunk's own bounds.
+            let field = rng.range_usize(0, 5);
+            fields[field] = match field {
+                4 if rng.chance(1, 2) => fields[4] & !(1 << rng.below(64)),
+                _ => lie(rng, fields[field], room),
+            };
+            v2_chunk(rng, fields, &payload)
         };
-        put_field(rng, &mut chunk, payload_len);
-        chunk.extend_from_slice(&payload);
-        chunk.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let mut chunk = chunk;
         if rng.chance(1, 8) {
             chunk.truncate(rng.range_usize(0, chunk.len()));
         }
         check("chunk", seed, case, &chunk, || {
             let _ = decode_chunk(&chunk, &mut 0);
+            // The daemon's path: one unit, decoded into a run.
+            if let Ok(Unit::Chunk(c)) = format::unit(&chunk) {
+                let _ = decode_run(&c, 0, &mut Vec::new());
+            }
         });
+    }
+}
+
+/// Where record `k` of `records` starts in their v2 encoding: a
+/// record's bytes depend only on the records before it, so this is the
+/// length of the first `k` records' encoding.
+fn record_offset(records: &[RawRecord], k: usize) -> usize {
+    if k == 0 {
+        return 0;
+    }
+    let mut prefix = Vec::new();
+    encode_chunk(&mut prefix, 0, 0, &records[..k]);
+    v2_parts(&prefix).1.len()
+}
+
+/// The bytes of the v2 record at `at` up to its escape byte: its head,
+/// any subtype or explicit event code, and its tick delta.
+fn through_tick(payload: &[u8], at: usize) -> usize {
+    let mut c = Cursor::new(&payload[at..]);
+    match c.u8().unwrap() & 0x1f {
+        31 => drop(c.u8()),
+        0 => drop(c.varint()),
+        _ => {}
+    }
+    c.varint().unwrap();
+    at + c.position()
+}
+
+/// Honest v2 chunks with one record lied about behind a re-sealed CRC:
+/// its head given a reserved code (27–30), a metadata code with a
+/// subtype no build knows, or escape bits promising fields that are not
+/// there. Each must decode to a typed error.
+fn v2_records(rng: &mut XorShift64, seed: u64) {
+    for case in 0..CASES {
+        let records = arb_records(rng, 60);
+        let mut honest = Vec::new();
+        encode_chunk(&mut honest, 0, rng.below(64), &records);
+        let (fields, mut payload) = v2_parts(&honest);
+        let kind = rng.below(3);
+        // An escape's absent fields are the last record's, cut off.
+        let k = match kind {
+            2 => records.len() - 1,
+            _ => rng.range_usize(0, records.len()),
+        };
+        let at = record_offset(&records, k);
+        let head = payload[at];
+        match kind {
+            0 => payload[at] = (head & !0x1f) | (27 + rng.below(4) as u8),
+            1 => {
+                let subtype = 2 + rng.below(254) as u8;
+                if head & 0x1f == 31 {
+                    payload[at + 1] = subtype;
+                } else {
+                    payload[at] = head | 0x1f;
+                    payload.insert(at + 1, subtype);
+                }
+            }
+            _ => {
+                // Clear SAME and name every field; end the chunk there.
+                let escape_at = through_tick(&payload, at);
+                payload[at] = head & !0x20;
+                payload.truncate(escape_at);
+                payload.push(0b111);
+            }
+        }
+        let chunk = v2_chunk(rng, fields, &payload);
+        let mut decoded = None;
+        check("v2 record", seed, case, &chunk, || {
+            decoded = Some(decode_chunk(&chunk, &mut 0));
+        });
+        let decoded = decoded.expect("decode ran");
+        assert!(
+            decoded.is_err(),
+            "a lying v2 record decoded (seed {seed}, case {case}, record {k}): {decoded:?}"
+        );
+    }
+}
+
+/// Honest v2 records under a re-sealed count of one record per two
+/// payload bytes, the most a v2 payload can be claimed to hold: alone
+/// (decoded as a chunk and as the daemon's run), and as the only chunk
+/// of a footerless file, which opens salvaged on the walked count and
+/// is read in full. Decoded records are 40–56 bytes, so a reservation
+/// sized by the count alone would be 20–28× the input.
+fn lying_counts(rng: &mut XorShift64, seed: u64) {
+    for case in 0..CASES {
+        let records = arb_records(rng, 300);
+        let mut honest = Vec::new();
+        encode_chunk(&mut honest, 0, 0, &records);
+        let (mut fields, payload) = v2_parts(&honest);
+        fields[1] = payload.len() as u64 / 2;
+        let chunk = v2_chunk(rng, fields, &payload);
+        check("lying count", seed, case, &chunk, || {
+            let _ = decode_chunk(&chunk, &mut 0);
+            if let Ok(Unit::Chunk(c)) = format::unit(&chunk) {
+                let _ = decode_run(&c, 0, &mut Vec::new());
+            }
+        });
+        let mut file = Vec::new();
+        encode_header(&mut file);
+        file.extend_from_slice(&chunk);
+        let owned = file.clone();
+        check("lying count file", seed, case, &file, || {
+            let Ok(reader) = TraceReader::from_bytes(owned) else {
+                return;
+            };
+            let _ = reader.records();
+            let _ = reader.events().count();
+            let _ = merge_ranks(std::slice::from_ref(&reader));
+        });
+    }
+}
+
+/// v2 headers cut short, or with their version rewritten: `Truncated`
+/// or `BadVersion`, never a panic.
+fn headers(rng: &mut XorShift64, seed: u64) {
+    for case in 0..CASES {
+        let mut header = Vec::new();
+        encode_header(&mut header);
+        let version = u16::from(rng.chance(1, 4)) * rng.below(1 << 16) as u16;
+        if version != 0 {
+            header[6..8].copy_from_slice(&version.to_le_bytes());
+        }
+        header.truncate(rng.range_usize(0, HEADER_LEN + 1));
+        let mut opened = None;
+        check("header", seed, case, &header, || {
+            opened = Some(TraceReader::from_bytes(header.clone()).map(|_| ()));
+        });
+        match opened.expect("decode ran") {
+            Ok(()) => assert!(header.len() >= 8, "case {case}"),
+            Err(TraceError::Truncated | TraceError::BadVersion(_)) => {}
+            Err(e) => panic!("header case {case}: {e}"),
+        }
     }
 }
 
@@ -356,12 +557,21 @@ fn trace_files(rng: &mut XorShift64, seed: u64) {
     for case in 0..CASES {
         let lanes = rng.range_usize(1, 4);
         let mut file = Vec::new();
-        encode_header(&mut file);
+        // v1 chunks carry no bounds, so only a v1 file's in-place lies
+        // about them open and reach the merges; a v2 file's fail to open.
+        type Writer = fn(&mut Vec<u8>, u64, u64, &[RawRecord]) -> ChunkMeta;
+        let chunk: Writer = if rng.chance(1, 2) {
+            v1::header(&mut file);
+            v1::chunk
+        } else {
+            encode_header(&mut file);
+            encode_chunk
+        };
         let mut index = Vec::new();
         for _ in 0..rng.range_usize(1, 6) {
             let (offset, lane) = (file.len() as u64, rng.below(lanes as u64));
             let records = arb_records(rng, 200);
-            index.push(encode_chunk(&mut file, offset, lane, &records));
+            index.push(chunk(&mut file, offset, lane, &records));
         }
         let room = file.len() as u64;
         // Half the files lie only in place, about tick ranges or region
@@ -548,7 +758,10 @@ fn torn_files(rng: &mut XorShift64, seed: u64) {
             let context = format!("seed {seed}, case {case}, cut {cut} of {}", file.len());
             match opened.expect("decode ran") {
                 Err(e) => {
-                    assert!(cut < 8, "{context}: a cut past the header fails: {e}");
+                    assert!(
+                        cut < HEADER_LEN,
+                        "{context}: a cut past the header fails: {e}"
+                    );
                     assert_eq!(e, TraceError::Truncated, "{context}");
                 }
                 Ok((salvage, records, events)) => {
@@ -694,6 +907,9 @@ fn hostile_bytes_get_typed_errors_and_bounded_allocations() {
     let mut rng = XorShift64::new(seed);
     request_batches(&mut rng, seed);
     chunks(&mut rng, seed);
+    v2_records(&mut rng, seed);
+    lying_counts(&mut rng, seed);
+    headers(&mut rng, seed);
     footers(&mut rng, seed);
     trace_files(&mut rng, seed);
     torn_files(&mut rng, seed);

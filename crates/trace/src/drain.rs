@@ -580,6 +580,10 @@ mod tests {
 
     use crate::sink::{FaultMode, FaultSink};
 
+    /// A sink budget that holds the header but no chunk: the smallest
+    /// chunk is over a dozen bytes.
+    const ONE_CHUNK_SHORT: usize = format::HEADER_LEN + 8;
+
     fn faulty_config() -> TraceConfig {
         TraceConfig {
             lanes: 1,
@@ -599,8 +603,11 @@ mod tests {
 
     #[test]
     fn erroring_sink_degrades_and_finish_reports_typed_failure() {
-        let recorder =
-            Recorder::start(faulty_config(), FaultSink::new(64, FaultMode::Error)).unwrap();
+        let recorder = Recorder::start(
+            faulty_config(),
+            FaultSink::new(ONE_CHUNK_SHORT, FaultMode::Error),
+        )
+        .unwrap();
         let rings = recorder.rings();
         for i in 0..500 {
             rings.record(rec(i, 0));
@@ -621,8 +628,11 @@ mod tests {
 
     #[test]
     fn panicking_sink_is_caught_and_reported() {
-        let recorder =
-            Recorder::start(faulty_config(), FaultSink::new(64, FaultMode::Panic)).unwrap();
+        let recorder = Recorder::start(
+            faulty_config(),
+            FaultSink::new(ONE_CHUNK_SHORT, FaultMode::Panic),
+        )
+        .unwrap();
         let rings = recorder.rings();
         for i in 0..500 {
             rings.record(rec(i, 0));
@@ -643,7 +653,8 @@ mod tests {
             policy: DropPolicy::Block,
             ..faulty_config()
         };
-        let recorder = Recorder::start(cfg, FaultSink::new(64, FaultMode::Error)).unwrap();
+        let recorder =
+            Recorder::start(cfg, FaultSink::new(ONE_CHUNK_SHORT, FaultMode::Error)).unwrap();
         let rings = recorder.rings();
         // Push until the drainer trips over its sink fault and shuts the
         // rings down; after that, a full ring must not block us.
@@ -672,8 +683,11 @@ mod tests {
 
     #[test]
     fn short_write_sink_fails_typed() {
-        let recorder =
-            Recorder::start(faulty_config(), FaultSink::new(100, FaultMode::ShortWrite)).unwrap();
+        let recorder = Recorder::start(
+            faulty_config(),
+            FaultSink::new(ONE_CHUNK_SHORT, FaultMode::ShortWrite),
+        )
+        .unwrap();
         let rings = recorder.rings();
         for i in 0..500 {
             rings.record(rec(i, 0));

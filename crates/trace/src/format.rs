@@ -1,4 +1,4 @@
-//! The `ora-trace` binary on-disk format.
+//! The `ora-trace` binary on-disk format, version 2.
 //!
 //! A trace file is a header, a sequence of self-describing chunks, and a
 //! footer, all little-endian, with every variable-length integer LEB128
@@ -6,33 +6,74 @@
 //!
 //! ```text
 //! file   := header chunk* footer
-//! header := magic "ORATRC" (6 bytes) | version u16 LE
-//! chunk  := tag 0x01
-//!         | varint lane            — ring the records came from
-//!         | varint count           — records in the chunk
-//!         | varint payload_len     — payload bytes that follow
-//!         | payload                — delta-encoded records (below)
-//!         | crc32 u32 LE           — IEEE CRC of the payload bytes
+//! header := magic "ORATRC" (6 bytes) | version u16 LE (2)
+//!         | ticks_per_sec u64 LE    — rate of the recording's clock
+//!         | anchor_tick u64 LE      — a tick of that clock …
+//!         | anchor_unix_ns u64 LE   — … and its Unix time in nanoseconds
+//! chunk  := tag 0x03
+//!         | varint body_len         — bytes in body
+//!         | body
+//!         | crc32 u32 LE            — IEEE CRC of body
+//! body   := varint lane             — ring the records came from
+//!         | varint count            — records in the chunk
+//!         | varint min_tick | varint max_tick - min_tick
+//!         | varint region_mask      — bit (id % 64) set for every region
+//!         | record*                 — count records (below)
 //! footer := tag 0x02
-//!         | footer_payload         — lane stats + chunk index (below)
-//!         | crc32 u32 LE           — IEEE CRC of footer_payload
-//!         | footer_len u32 LE      — bytes in footer_payload
+//!         | footer_payload          — lane stats + chunk index (below)
+//!         | crc32 u32 LE            — IEEE CRC of footer_payload
+//!         | footer_len u32 LE       — bytes in footer_payload
 //!         | magic "ORAFTR" (6 bytes)
 //! ```
 //!
-//! **Chunk payload.** The first record stores its `tick` and `seq`
-//! absolutely; every later record stores zigzag-varint *deltas* against
-//! its predecessor (ticks and sequence numbers are near-monotonic within
-//! a lane, so the common delta fits one byte). `region_id` is also
-//! delta-encoded (regions repeat, so the common delta is 0 — one byte),
-//! while `event`, `gtid` and `wait_id` are plain varints:
+//! A chunk's bytes depend only on its lane and records, never on where
+//! it lands in the file, and its CRC seals its lane, count, tick range
+//! and region mask with its records. The records must match the tick
+//! range and region mask exactly, so a chunk indexes itself: a trace
+//! without its footer is indexed as well as a whole one.
+//!
+//! **Records.** A record is one header byte, the zigzag delta of its
+//! tick against the previous record's (the first record's against 0),
+//! and then only the fields the header does not predict:
 //!
 //! ```text
-//! record[0]  := varint tick | varint seq | varint event | varint gtid
-//!             | varint region_id | varint wait_id
-//! record[i]  := zigzag Δtick | zigzag Δseq | varint event | varint gtid
-//!             | zigzag Δregion_id | varint wait_id
+//! record := head u8 [subtype u8 | varint event] zigzag Δtick
+//!           [escape u8 [zigzag Δseq] [varint gtid] [zigzag Δregion_id]]
+//!           [zigzag Δwait_id]
+//! head   := bits 0–4  code: 1–26 the event itself; 31 a metadata record,
+//!                      whose subtype byte follows (1: a governor
+//!                      decision, GOVERNOR_EVENT_CODE in memory); 0 any
+//!                      other event code, as the varint that follows;
+//!                      27–30 reserved
+//!           bit  5    SAME: seq is the previous seq + 1, and gtid and
+//!                      region_id are the previous record's; when clear,
+//!                      the escape byte says which of the three follow
+//!                      (bit 0 seq, bit 1 gtid, bit 2 region_id)
+//!           bits 6–7  wait_id against the last wait_id of the same
+//!                      begin/end pair in this chunk (codes 2k−1 and 2k
+//!                      pair up; every pair starts at 0): 0 equal, 1 one
+//!                      more, 2 a zigzag delta follows; 3 reserved
 //! ```
+//!
+//! Before the first record, the previous seq is `u64::MAX` (so the
+//! predicted seq is 0) and gtid and region_id are 0. A dense lane's
+//! record is therefore two bytes: its head and a one-byte tick delta.
+//!
+//! **Version 1** chunks (tag 0x01) carry no tick range or region mask,
+//! and their CRC covers only the records, each six varints:
+//!
+//! ```text
+//! chunk_v1  := tag 0x01 | varint lane | varint count | varint payload_len
+//!            | payload | crc32 u32 LE (of payload)
+//! record[0] := varint tick | varint seq | varint event | varint gtid
+//!            | varint region_id | varint wait_id
+//! record[i] := zigzag Δtick | zigzag Δseq | varint event | varint gtid
+//!            | zigzag Δregion_id | varint wait_id
+//! ```
+//!
+//! Its header is the first 8 bytes of the v2 one, with version 1. This
+//! crate reads version 1 files and never writes them; which grammar a
+//! chunk's records follow is told by its tag alone.
 //!
 //! **Footer payload.** Per-lane counters make loss *observable* — a
 //! reader can always prove how many records the file is missing — and
@@ -54,10 +95,11 @@
 //! **A chunk stream with an index.** Every unit is self-describing and
 //! each chunk CRC-sealed, so [`units`] walks a file front to back
 //! without its footer, which is only an index: readers check it against
-//! the walk and use its tick ranges and region masks to decode only the
-//! chunks a query needs, and a file cut short reads as the valid prefix
-//! it is (see [`crate::reader`]); other damage yields a typed
-//! [`TraceError`], never a panic.
+//! the walk (a v2 chunk's own tick range and region mask included) and
+//! use its tick ranges and region masks to decode only the chunks a
+//! query needs, and a file cut short reads as the valid prefix it is
+//! (see [`crate::reader`]); other damage yields a typed [`TraceError`],
+//! never a panic.
 
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
@@ -71,12 +113,20 @@ use crate::TraceError;
 pub const FILE_MAGIC: &[u8; 6] = b"ORATRC";
 /// Footer magic: ends every complete trace file.
 pub const FOOTER_MAGIC: &[u8; 6] = b"ORAFTR";
-/// Format version this crate reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
-/// Chunk tag byte.
-pub const TAG_CHUNK: u8 = 0x01;
+/// Format version this crate writes.
+pub const FORMAT_VERSION: u16 = 2;
+/// The oldest format version this crate reads.
+pub const FORMAT_VERSION_V1: u16 = 1;
+/// Chunk tag byte of the v2 layout, the one written.
+pub const TAG_CHUNK: u8 = 0x03;
+/// Chunk tag byte of the v1 layout: read, never written.
+pub const TAG_CHUNK_V1: u8 = 0x01;
 /// Footer tag byte.
 pub const TAG_FOOTER: u8 = 0x02;
+/// Bytes in a v2 file header.
+pub const HEADER_LEN: usize = 32;
+/// Bytes in a v1 file header.
+const HEADER_LEN_V1: usize = 8;
 
 /// Reserved record event code for governor sampling-rate decisions.
 ///
@@ -85,9 +135,14 @@ pub const TAG_FOOTER: u8 = 0x02;
 /// discriminant of the pair's begin event and `wait_id` packs the
 /// shifts and measured overhead (see [`pack_governor_decision`]).
 /// Real OpenMP events use discriminants 1..=26, so the code can never
-/// collide; readers drop these records from event streams and surface
-/// them through [`crate::reader::TraceReader::governor_timeline`].
+/// collide; on disk it is the metadata code with subtype
+/// [`META_GOVERNOR`]. Readers drop these records from event streams and
+/// surface them through
+/// [`crate::reader::TraceReader::governor_timeline`].
 pub const GOVERNOR_EVENT_CODE: u32 = 255;
+
+/// Metadata subtype of a governor decision record.
+const META_GOVERNOR: u8 = 1;
 
 /// Pack a governor decision's payload into a record `wait_id`:
 /// `overhead_ppm` in the high bits, the old and new sampling shifts in
@@ -347,12 +402,94 @@ impl ChunkMeta {
     }
 }
 
+/// A v2 chunk's own tick range and region mask, which its records
+/// match exactly. An empty chunk's are all zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bounds {
+    /// Smallest tick in the chunk.
+    pub min_tick: u64,
+    /// Largest tick in the chunk.
+    pub max_tick: u64,
+    /// Bit `region_id % 64` set for every region in the chunk.
+    pub region_mask: u64,
+}
+
+impl Bounds {
+    /// Widen to cover a record at `tick` in `region_id`, from the
+    /// `(u64::MAX, 0, 0)` that covers nothing.
+    #[inline(always)]
+    fn cover(&mut self, tick: u64, region_id: u64) {
+        self.min_tick = self.min_tick.min(tick);
+        self.max_tick = self.max_tick.max(tick);
+        self.region_mask |= 1u64 << (region_id % 64);
+    }
+
+    /// What [`cover`](Self::cover) starts from.
+    const NOTHING: Bounds = Bounds {
+        min_tick: u64::MAX,
+        max_tick: 0,
+        region_mask: 0,
+    };
+
+    /// The covered bounds, or the empty chunk's zeros.
+    fn settled(self, count: u64) -> Bounds {
+        if count == 0 {
+            Bounds::default()
+        } else {
+            self
+        }
+    }
+}
+
 /// Most bytes one varint of a `u64` takes.
 pub(crate) const MAX_VARINT_BYTES: usize = 10;
 
-/// Most bytes one encoded record takes: four 64-bit varints (tick, seq,
-/// region and wait deltas) and two 32-bit ones (event, gtid).
-const MAX_RECORD_BYTES: usize = 4 * MAX_VARINT_BYTES + 2 * 5;
+/// Most bytes one encoded record takes: the head, an explicit event
+/// code (a `u32` varint, which a metadata subtype byte never exceeds),
+/// the escape byte, four 64-bit varints (tick, seq, region and wait
+/// deltas) and the gtid's 32-bit one.
+const MAX_RECORD_BYTES: usize = 1 + 5 + 1 + 4 * MAX_VARINT_BYTES + 5;
+
+/// Fewest bytes one v2 record takes: its head and a one-byte tick delta.
+const MIN_RECORD_BYTES: usize = 2;
+
+/// Head bits 0–4: the record's code.
+const CODE_MASK: u8 = 0x1f;
+/// Code: an event outside 1..=26 and not a governor decision; its code
+/// follows the head as a varint.
+const CODE_EXPLICIT: u8 = 0;
+/// Code: a metadata record; its subtype byte follows the head.
+const CODE_META: u8 = 31;
+/// Head bit 5: seq is the previous seq + 1, gtid and region unchanged.
+const SAME: u8 = 0x20;
+/// Head bits 6–7: how `wait_id` relates to its pair's last one.
+const WAIT_SHIFT: u32 = 6;
+const WAIT_EQUAL: u8 = 0;
+const WAIT_NEXT: u8 = 1;
+const WAIT_DELTA: u8 = 2;
+/// Escape byte bits: which of seq, gtid and region_id follow.
+const ESC_SEQ: u8 = 1;
+const ESC_GTID: u8 = 2;
+const ESC_REGION: u8 = 4;
+/// Last wait ids, one per begin/end pair of codes (code `c` keeps its
+/// in slot `(c + 1) / 2`), the explicit code's in slot 0 and the
+/// metadata code's in slot 16.
+const WAIT_SLOTS: usize = 17;
+
+#[inline(always)]
+fn wait_slot(code: u8) -> usize {
+    (usize::from(code & CODE_MASK) + 1) >> 1
+}
+
+/// The record the first record of a chunk is predicted from.
+const BEFORE_FIRST: RawRecord = RawRecord {
+    tick: 0,
+    seq: u64::MAX,
+    event: 0,
+    gtid: 0,
+    region_id: 0,
+    wait_id: 0,
+};
 
 /// Write `v` LEB128-encoded into `buf` at `at`; returns the position
 /// after it. The caller has reserved the room.
@@ -367,82 +504,164 @@ pub(crate) fn write_varint(buf: &mut [MaybeUninit<u8>], mut at: usize, mut v: u6
     at + 1
 }
 
+/// Bytes in the varint of `v`.
+#[inline]
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Room to reserve for `count` decoded records of type `T` whose
+/// encoding spans `bytes`: the count, but never more than 16 bytes of
+/// `T` per encoded byte. A v2 record can be two bytes, so a count no
+/// record backs would otherwise size an allocation 20× (`RawRecord`) or
+/// 28× (`RankedEvent`) its input; past the cap, the vector grows as
+/// records actually decode.
+pub(crate) fn reservation<T>(count: u64, bytes: usize) -> usize {
+    let cap = bytes.saturating_mul(16) / std::mem::size_of::<T>().max(1);
+    count.min(cap as u64) as usize
+}
+
 thread_local! {
-    /// The payload scratch of [`encode_chunk`], kept per thread so its
+    /// The record scratch of [`encode_chunk`], kept per thread so its
     /// worst-case room is reserved once, not per chunk.
     static PAYLOAD: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Encode `records` as one chunk appended to `out` (which is at byte
-/// `offset` of the file) and return its index entry. `records` must be
-/// non-empty.
+/// `offset` of the file) and return its index entry.
 ///
-/// The payload is written varint by varint into a per-thread scratch
+/// The records are written varint by varint into a per-thread scratch
 /// whose room for the worst case is checked once per chunk, then copied
-/// into `out`, which grows by exactly the chunk's length.
+/// behind the chunk's descriptor into `out`, which grows by exactly the
+/// chunk's length.
 pub fn encode_chunk(out: &mut Vec<u8>, offset: u64, lane: u64, records: &[RawRecord]) -> ChunkMeta {
-    debug_assert!(!records.is_empty());
     PAYLOAD.with_borrow_mut(|payload| {
-        let meta = encode_payload(payload, offset, lane, records);
-        // Tag, lane, count, length, payload, CRC.
-        out.reserve(1 + 3 * MAX_VARINT_BYTES + payload.len() + 4);
+        let b = encode_records(payload, records);
+        let count = records.len() as u64;
+        let span = b.max_tick - b.min_tick;
+        let descriptor = [lane, count, b.min_tick, span, b.region_mask];
+        let body_len = descriptor.iter().map(|&v| varint_len(v)).sum::<usize>() + payload.len();
+        out.reserve(1 + MAX_VARINT_BYTES + body_len + 4);
         out.push(TAG_CHUNK);
-        put_varint(out, lane);
-        put_varint(out, meta.count);
-        put_varint(out, payload.len() as u64);
+        put_varint(out, body_len as u64);
+        let body_at = out.len();
+        for v in descriptor {
+            put_varint(out, v);
+        }
         out.extend_from_slice(payload);
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        meta
+        let crc = crc32(&out[body_at..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        ChunkMeta {
+            offset,
+            lane,
+            count,
+            min_tick: b.min_tick,
+            max_tick: b.max_tick,
+            region_mask: b.region_mask,
+        }
     })
 }
 
-/// Replace `payload` with the delta-encoded records and return the
-/// chunk's index entry.
-fn encode_payload(
-    payload: &mut Vec<u8>,
-    offset: u64,
-    lane: u64,
-    records: &[RawRecord],
-) -> ChunkMeta {
+/// Replace `payload` with the v2 records and return their bounds.
+///
+/// The room for the worst case is reserved once, so each byte is a
+/// plain store through a [`Writer`], with no bounds check of its own.
+fn encode_records(payload: &mut Vec<u8>, records: &[RawRecord]) -> Bounds {
     payload.clear();
     payload.reserve(records.len() * MAX_RECORD_BYTES);
-    let buf = payload.spare_capacity_mut();
-    let mut at = 0;
-    let mut min_tick = u64::MAX;
-    let mut max_tick = 0u64;
-    let mut region_mask = 0u64;
-    let mut prev = RawRecord::default();
-    for (i, r) in records.iter().enumerate() {
-        if i == 0 {
-            at = write_varint(buf, at, r.tick);
-            at = write_varint(buf, at, r.seq);
-        } else {
-            at = write_varint(buf, at, zigzag(r.tick.wrapping_sub(prev.tick) as i64));
-            at = write_varint(buf, at, zigzag(r.seq.wrapping_sub(prev.seq) as i64));
+    let start: *mut u8 = payload.spare_capacity_mut().as_mut_ptr().cast();
+    let mut w = Writer(start);
+    let mut bounds = Bounds::NOTHING;
+    let mut waits = [0u64; WAIT_SLOTS];
+    let p = BEFORE_FIRST;
+    let (mut prev_tick, mut next_seq, mut prev_gtid, mut prev_region) =
+        (p.tick, p.seq.wrapping_add(1), p.gtid, p.region_id);
+    for r in records {
+        // SAFETY: a record writes at most MAX_RECORD_BYTES, and the
+        // spare capacity holds that many for every record.
+        unsafe {
+            let head_at = w.0;
+            w.skip(1);
+            let code = match r.event {
+                1..=26 => r.event as u8,
+                GOVERNOR_EVENT_CODE => {
+                    w.byte(META_GOVERNOR);
+                    CODE_META
+                }
+                event => {
+                    w.varint(u64::from(event));
+                    CODE_EXPLICIT
+                }
+            };
+            w.varint(zigzag(r.tick.wrapping_sub(prev_tick) as i64));
+            let seq_delta = r.seq.wrapping_sub(next_seq);
+            let escape = (u8::from(seq_delta != 0) * ESC_SEQ)
+                | (u8::from(r.gtid != prev_gtid) * ESC_GTID)
+                | (u8::from(r.region_id != prev_region) * ESC_REGION);
+            let mut head = code;
+            if escape == 0 {
+                head |= SAME;
+            } else {
+                w.byte(escape);
+                if escape & ESC_SEQ != 0 {
+                    w.varint(zigzag(seq_delta as i64));
+                }
+                if escape & ESC_GTID != 0 {
+                    w.varint(u64::from(r.gtid));
+                }
+                if escape & ESC_REGION != 0 {
+                    let delta = r.region_id.wrapping_sub(prev_region);
+                    w.varint(zigzag(delta as i64));
+                }
+            }
+            let last = &mut waits[wait_slot(code)];
+            let mode = match r.wait_id.wrapping_sub(*last) {
+                0 => WAIT_EQUAL,
+                1 => WAIT_NEXT,
+                delta => {
+                    w.varint(zigzag(delta as i64));
+                    WAIT_DELTA
+                }
+            };
+            *last = r.wait_id;
+            head_at.write(head | mode << WAIT_SHIFT);
         }
-        at = write_varint(buf, at, u64::from(r.event));
-        at = write_varint(buf, at, u64::from(r.gtid));
-        at = write_varint(
-            buf,
-            at,
-            zigzag(r.region_id.wrapping_sub(prev.region_id) as i64),
-        );
-        at = write_varint(buf, at, r.wait_id);
-        min_tick = min_tick.min(r.tick);
-        max_tick = max_tick.max(r.tick);
-        region_mask |= 1u64 << (r.region_id % 64);
-        prev = *r;
+        bounds.cover(r.tick, r.region_id);
+        (prev_tick, next_seq, prev_gtid, prev_region) =
+            (r.tick, r.seq.wrapping_add(1), r.gtid, r.region_id);
     }
-    // SAFETY: the loop above wrote every byte of `0..at`.
-    unsafe { payload.set_len(at) };
+    // SAFETY: the loop above wrote every byte from `start` to `w`, all
+    // within the spare capacity.
+    unsafe { payload.set_len(w.0.offset_from(start) as usize) };
+    bounds.settled(records.len() as u64)
+}
 
-    ChunkMeta {
-        offset,
-        lane,
-        count: records.len() as u64,
-        min_tick,
-        max_tick,
-        region_mask,
+/// A write position in reserved, uninitialised bytes. Every method is
+/// `unsafe`: the caller guarantees the room for what it writes.
+struct Writer(*mut u8);
+
+impl Writer {
+    /// Leave `n` bytes to be written later.
+    #[inline(always)]
+    unsafe fn skip(&mut self, n: usize) {
+        self.0 = self.0.add(n);
+    }
+
+    /// Write one byte.
+    #[inline(always)]
+    unsafe fn byte(&mut self, b: u8) {
+        self.0.write(b);
+        self.0 = self.0.add(1);
+    }
+
+    /// Write `v` LEB128-encoded: at most [`MAX_VARINT_BYTES`].
+    #[inline(always)]
+    unsafe fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
     }
 }
 
@@ -457,12 +676,99 @@ fn check_crc(stored: u32, data: &[u8]) -> Result<(), TraceError> {
     }
 }
 
-/// Hand each record of a chunk payload, whose CRC and count a walk has
-/// checked, to `f` in order: the one record decoder. Stops at the first
-/// error, `f`'s or the payload's (a truncated record, an event or gtid
-/// past `u32`, or bytes left over after the last record).
+/// Hand each record of a chunk, whose CRC and count a walk has checked,
+/// to `f` in order: the one record decoder, which reads the v1 or the
+/// v2 grammar as the chunk's tag said. Stops at the first error, `f`'s
+/// or the records' (a truncated record, a reserved code or mode, an
+/// event or gtid past `u32`, records that disagree with the chunk's
+/// bounds, or bytes left over after the last record).
 #[inline]
 pub fn for_each_record(
+    chunk: &Chunk<'_>,
+    f: impl FnMut(RawRecord) -> Result<(), TraceError>,
+) -> Result<(), TraceError> {
+    match chunk.bounds {
+        Some(bounds) => for_each_v2(chunk.payload, chunk.count, bounds, f),
+        None => for_each_v1(chunk.payload, chunk.count, f),
+    }
+}
+
+/// [`for_each_record`] for a v2 chunk, checking the records against its
+/// `bounds`.
+#[inline]
+fn for_each_v2(
+    payload: &[u8],
+    count: u64,
+    bounds: Bounds,
+    mut f: impl FnMut(RawRecord) -> Result<(), TraceError>,
+) -> Result<(), TraceError> {
+    let mut p = Cursor::new(payload);
+    let mut seen = Bounds::NOTHING;
+    let mut waits = [0u64; WAIT_SLOTS];
+    let mut prev = BEFORE_FIRST;
+    for _ in 0..count {
+        let head = p.u8()?;
+        let code = head & CODE_MASK;
+        let event = match code {
+            1..=26 => u32::from(code),
+            CODE_META => match p.u8()? {
+                META_GOVERNOR => GOVERNOR_EVENT_CODE,
+                _ => return Err(TraceError::Malformed("unknown metadata subtype")),
+            },
+            CODE_EXPLICIT => {
+                u32::try_from(p.varint()?).map_err(|_| TraceError::UnknownEvent(u32::MAX))?
+            }
+            _ => return Err(TraceError::Malformed("reserved record code")),
+        };
+        let tick = prev.tick.wrapping_add(unzigzag(p.varint()?) as u64);
+        let (mut seq, mut gtid, mut region_id) =
+            (prev.seq.wrapping_add(1), prev.gtid, prev.region_id);
+        if head & SAME == 0 {
+            let escape = p.u8()?;
+            if escape == 0 || escape > ESC_SEQ | ESC_GTID | ESC_REGION {
+                return Err(TraceError::Malformed("escape byte names no field it can"));
+            }
+            if escape & ESC_SEQ != 0 {
+                seq = seq.wrapping_add(unzigzag(p.varint()?) as u64);
+            }
+            if escape & ESC_GTID != 0 {
+                gtid = u32::try_from(p.varint()?)
+                    .map_err(|_| TraceError::Malformed("gtid overflows u32"))?;
+            }
+            if escape & ESC_REGION != 0 {
+                region_id = region_id.wrapping_add(unzigzag(p.varint()?) as u64);
+            }
+        }
+        let last = &mut waits[wait_slot(code)];
+        *last = match head >> WAIT_SHIFT {
+            WAIT_EQUAL => *last,
+            WAIT_NEXT => last.wrapping_add(1),
+            WAIT_DELTA => last.wrapping_add(unzigzag(p.varint()?) as u64),
+            _ => return Err(TraceError::Malformed("reserved wait-id mode")),
+        };
+        seen.cover(tick, region_id);
+        prev = RawRecord {
+            tick,
+            seq,
+            event,
+            gtid,
+            region_id,
+            wait_id: *last,
+        };
+        f(prev)?;
+    }
+    p.finish()?;
+    if seen.settled(count) != bounds {
+        return Err(TraceError::Malformed(
+            "records disagree with their chunk's tick range or region mask",
+        ));
+    }
+    Ok(())
+}
+
+/// [`for_each_record`] for a v1 chunk.
+#[inline]
+fn for_each_v1(
     payload: &[u8],
     count: u64,
     mut f: impl FnMut(RawRecord) -> Result<(), TraceError>,
@@ -496,13 +802,17 @@ pub fn for_each_record(
 }
 
 /// A chunk whose CRC and record count are checked; [`for_each_record`]
-/// decodes its payload.
+/// decodes its records.
 #[derive(Debug, Clone, Copy)]
 pub struct Chunk<'a> {
     /// Ring lane the records came from.
     pub lane: u64,
-    /// Records in the chunk (at most one per six payload bytes).
+    /// Records in the chunk (at most one per two payload bytes in v2,
+    /// per six in v1).
     pub count: u64,
+    /// The chunk's own tick range and region mask: `Some` for a v2
+    /// chunk, `None` for a v1 chunk, which carries none.
+    pub bounds: Option<Bounds>,
     /// The encoded records.
     pub payload: &'a [u8],
 }
@@ -511,8 +821,9 @@ pub struct Chunk<'a> {
 /// in one write.
 #[derive(Debug)]
 pub enum Unit<'a> {
-    /// The 8-byte file header, version checked.
-    Header,
+    /// The file header, version checked: a v2 header's clock anchor, or
+    /// `None` for a v1 header.
+    Header(Option<Anchor>),
     /// One chunk.
     Chunk(Chunk<'a>),
     /// The footer, which runs to the end of the walked bytes.
@@ -521,15 +832,16 @@ pub enum Unit<'a> {
 
 /// The walker under every reader of trace bytes: yields each unit of
 /// `buf` with the bytes it spans. A unit is told by its first byte —
-/// the chunk tag, the footer tag, or else a header. The first unit that
+/// a chunk tag, the footer tag, or else a header. The first unit that
 /// fails to read is yielded as the error and ends the walk.
 pub fn units(buf: &[u8]) -> impl Iterator<Item = Result<(&[u8], Unit<'_>), TraceError>> {
     let mut rest = buf;
     std::iter::from_fn(move || {
         let read = match *rest.first()? {
             TAG_CHUNK => read_chunk(rest).map(|(len, c)| (len, Unit::Chunk(c))),
+            TAG_CHUNK_V1 => read_chunk_v1(rest).map(|(len, c)| (len, Unit::Chunk(c))),
             TAG_FOOTER => read_footer(rest).map(|f| (rest.len(), Unit::Footer(f))),
-            _ => read_header(rest).map(|()| (8, Unit::Header)),
+            _ => read_header(rest).map(|(len, anchor)| (len, Unit::Header(anchor))),
         };
         Some(match read {
             Ok((len, unit)) => {
@@ -554,40 +866,79 @@ pub fn unit(buf: &[u8]) -> Result<Unit<'_>, TraceError> {
     }
 }
 
-/// Read the chunk at the start of `rest`, checking its tag, CRC and
-/// count; returns its length in bytes with it.
+/// Read the v2 chunk at the start of `rest`, checking its CRC, tick
+/// range and count; returns its length in bytes with it.
 fn read_chunk(rest: &[u8]) -> Result<(usize, Chunk<'_>), TraceError> {
     let mut c = Cursor::new(rest);
-    if c.u8()? != TAG_CHUNK {
-        return Err(TraceError::Malformed("expected chunk tag"));
-    }
-    let (lane, count, len) = (c.varint()?, c.varint()?, c.varint()?);
-    let payload = c.bytes(len)?;
-    check_crc(c.u32_le()?, payload)?;
-    // Every record is six varints, so a count the payload cannot hold
-    // is a lie — refused here, before it sizes an allocation.
-    if count > (payload.len() / 6) as u64 {
-        return Err(TraceError::Malformed(
-            "chunk count exceeds what its payload can hold",
-        ));
-    }
+    c.u8()?; // the tag
+    let len = c.varint()?;
+    let body = c.bytes(len)?;
+    check_crc(c.u32_le()?, body)?;
+    let mut b = Cursor::new(body);
+    let (lane, count, min_tick, span) = (b.varint()?, b.varint()?, b.varint()?, b.varint()?);
+    let bounds = Bounds {
+        min_tick,
+        max_tick: (min_tick.checked_add(span))
+            .ok_or(TraceError::Malformed("chunk tick range overflows"))?,
+        region_mask: b.varint()?,
+    };
+    let payload = &body[b.position()..];
+    check_count(count, payload, MIN_RECORD_BYTES)?;
     Ok((
         c.position(),
         Chunk {
             lane,
             count,
+            bounds: Some(bounds),
             payload,
         },
     ))
+}
+
+/// Read the v1 chunk at the start of `rest`, checking its CRC and count;
+/// returns its length in bytes with it.
+fn read_chunk_v1(rest: &[u8]) -> Result<(usize, Chunk<'_>), TraceError> {
+    let mut c = Cursor::new(rest);
+    c.u8()?; // the tag
+    let (lane, count, len) = (c.varint()?, c.varint()?, c.varint()?);
+    let payload = c.bytes(len)?;
+    check_crc(c.u32_le()?, payload)?;
+    check_count(count, payload, 6)?;
+    Ok((
+        c.position(),
+        Chunk {
+            lane,
+            count,
+            bounds: None,
+            payload,
+        },
+    ))
+}
+
+/// A count the payload cannot hold at `min_record_bytes` a record is a
+/// lie — refused here, before it sizes an allocation.
+fn check_count(count: u64, payload: &[u8], min_record_bytes: usize) -> Result<(), TraceError> {
+    if count > (payload.len() / min_record_bytes) as u64 {
+        return Err(TraceError::Malformed(
+            "chunk count exceeds what its payload can hold",
+        ));
+    }
+    Ok(())
 }
 
 /// Decode the chunk whose tag byte is at `*pos` of `buf` into its lane
 /// and records, advancing `*pos` past it: [`for_each_record`],
 /// collected.
 pub fn decode_chunk(buf: &[u8], pos: &mut usize) -> Result<(u64, Vec<RawRecord>), TraceError> {
-    let (len, chunk) = read_chunk(buf.get(*pos..).ok_or(TraceError::Truncated)?)?;
-    let mut records = Vec::with_capacity(chunk.count as usize);
-    for_each_record(chunk.payload, chunk.count, |r| {
+    let rest = buf.get(*pos..).ok_or(TraceError::Truncated)?;
+    let (len, chunk) = match rest.first() {
+        Some(&TAG_CHUNK_V1) => read_chunk_v1(rest)?,
+        Some(&TAG_CHUNK) => read_chunk(rest)?,
+        Some(_) => return Err(TraceError::Malformed("expected chunk tag")),
+        None => return Err(TraceError::Truncated),
+    };
+    let mut records = Vec::with_capacity(reservation::<RawRecord>(chunk.count, len));
+    for_each_record(&chunk, |r| {
         records.push(r);
         Ok(())
     })?;
@@ -640,23 +991,69 @@ impl Footer {
     }
 }
 
-/// Append the 8-byte file header.
-pub fn encode_header(out: &mut Vec<u8>) {
-    out.extend_from_slice(FILE_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+/// Where a recording's ticks sit in wall-clock time: the clock anchor a
+/// v2 header carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Anchor {
+    /// Ticks per second of the recording's clock.
+    pub ticks_per_sec: u64,
+    /// A tick of the recording's clock.
+    pub tick: u64,
+    /// Nanoseconds since the Unix epoch at `tick`.
+    pub unix_ns: u64,
 }
 
-/// Check the 8-byte file header at the start of `rest`.
-fn read_header(rest: &[u8]) -> Result<(), TraceError> {
-    let header = Cursor::new(rest).bytes(8)?;
-    if &header[..6] != FILE_MAGIC {
+impl Anchor {
+    /// This process's clock (`ora_core::clock`): tick zero and its Unix
+    /// time, the same for every header the process writes.
+    pub fn process() -> Anchor {
+        Anchor {
+            ticks_per_sec: ora_core::clock::TICKS_PER_SEC,
+            tick: 0,
+            unix_ns: ora_core::clock::unix_ns_at_zero(),
+        }
+    }
+
+    /// Nanoseconds since the Unix epoch at `tick` (clamped to `u64`; a
+    /// zero tick rate reads as the anchor itself).
+    pub fn unix_ns_at(&self, tick: u64) -> u64 {
+        let since = i128::from(tick) - i128::from(self.tick);
+        let ns = since * 1_000_000_000 / i128::from(self.ticks_per_sec.max(1));
+        let ns = if self.ticks_per_sec == 0 { 0 } else { ns };
+        (i128::from(self.unix_ns) + ns).clamp(0, i128::from(u64::MAX)) as u64
+    }
+}
+
+/// Append the file header, anchored to this process's clock.
+pub fn encode_header(out: &mut Vec<u8>) {
+    let anchor = Anchor::process();
+    out.extend_from_slice(FILE_MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    for v in [anchor.ticks_per_sec, anchor.tick, anchor.unix_ns] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Check the file header at the start of `rest`; returns its length and,
+/// for a v2 header, its clock anchor.
+fn read_header(rest: &[u8]) -> Result<(usize, Option<Anchor>), TraceError> {
+    let mut c = Cursor::new(rest);
+    if c.bytes(6)? != FILE_MAGIC {
         return Err(TraceError::BadMagic);
     }
-    let version = u16::from_le_bytes([header[6], header[7]]);
-    if version != FORMAT_VERSION {
-        return Err(TraceError::BadVersion(version));
+    let version = c.bytes(2)?;
+    match u16::from_le_bytes([version[0], version[1]]) {
+        FORMAT_VERSION => {
+            let anchor = Anchor {
+                ticks_per_sec: c.u64_le()?,
+                tick: c.u64_le()?,
+                unix_ns: c.u64_le()?,
+            };
+            Ok((HEADER_LEN, Some(anchor)))
+        }
+        FORMAT_VERSION_V1 => Ok((HEADER_LEN_V1, None)),
+        version => Err(TraceError::BadVersion(version)),
     }
-    Ok(())
 }
 
 /// Append the footer (tag, payload, CRC, length, trailing magic).
@@ -896,6 +1293,35 @@ mod tests {
             decode_footer(&corrupt),
             Err(TraceError::CrcMismatch { .. }) | Err(TraceError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn the_header_carries_the_process_clock_anchor() {
+        let mut header = Vec::new();
+        encode_header(&mut header);
+        assert_eq!(header.len(), HEADER_LEN);
+        match unit(&header) {
+            Ok(Unit::Header(Some(anchor))) => assert_eq!(anchor, Anchor::process()),
+            other => panic!("{other:?}"),
+        }
+        let a = Anchor {
+            ticks_per_sec: 1_000_000_000,
+            tick: 1_000,
+            unix_ns: 5_000,
+        };
+        assert_eq!(a.unix_ns_at(1_500), 5_500);
+        assert_eq!(a.unix_ns_at(0), 4_000);
+        assert_eq!(a.unix_ns_at(u64::MAX), u64::MAX);
+        let micros = Anchor {
+            ticks_per_sec: 1_000_000,
+            ..a
+        };
+        assert_eq!(micros.unix_ns_at(1_003), 8_000);
+        let stopped = Anchor {
+            ticks_per_sec: 0,
+            ..a
+        };
+        assert_eq!(stopped.unix_ns_at(9), 5_000);
     }
 
     #[test]

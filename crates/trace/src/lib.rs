@@ -12,9 +12,11 @@
 //!   chunks through a [`TraceSink`] every epoch, and sooner when a
 //!   Block lane rings its doorbell;
 //! * [`format`] — the compact self-describing binary on-disk format
-//!   (varint deltas, CRC-validated chunks, a footer carrying drop
+//!   (a record is one header byte plus a tick delta in the common case;
+//!   CRC-validated chunks that carry their own tick ranges and region
+//!   masks; a header with a clock anchor; a footer carrying drop
 //!   counters and a chunk index) and the one walker of its chunk
-//!   stream;
+//!   stream, which still reads version 1 files;
 //! * [`sink`] — the [`TraceSink`] trait with file and in-memory
 //!   implementations;
 //! * [`reader`] — offline querying: a walked, CRC-checked chunk index
@@ -58,7 +60,7 @@ pub use analyze::{
 };
 pub use drain::{DrainerHealth, Recorder, RecordingStats, TraceConfig};
 pub use format::{
-    pack_governor_decision, unpack_governor_decision, ChunkMeta, Footer, LaneStats,
+    pack_governor_decision, unpack_governor_decision, Anchor, ChunkMeta, Footer, LaneStats,
     GOVERNOR_EVENT_CODE,
 };
 pub use reader::{

@@ -4,14 +4,17 @@
 //! [`TraceReader`] walks the stream once with [`format::units`]
 //! (checking every chunk's CRC) and decodes payloads lazily; a
 //! time-range or per-region query decodes only the chunks whose index
-//! entry can match. With a footer, the footer's index must agree with
-//! the walk, and supplies tick ranges, region masks and drop counters.
-//! Without a decodable footer (the recording was killed before
-//! `finish`) the walked chunks become the index, up to the first torn
-//! or CRC-bad unit: see [`TraceReader::salvaged`]. Walked entries have
-//! no tick ranges or region masks, so queries decode them all, and
-//! drop counts are unknown. A file whose footer decodes but whose
-//! stream does not walk cleanly to it is damaged, and fails to open.
+//! entry can match. A v2 chunk carries its own tick range and region
+//! mask, so the walk alone indexes it. With a footer, the footer's index
+//! must agree with the walk — a v2 chunk's tick range and region mask
+//! included — and supplies drop counters, and for v1 chunks, which
+//! carry none, the tick ranges and region masks. Without a decodable
+//! footer (the recording was killed before `finish`) the walked chunks
+//! become the index, up to the first torn or CRC-bad unit: see
+//! [`TraceReader::salvaged`]. Drop counts are then unknown, and walked
+//! v1 entries have no tick ranges or region masks, so queries decode
+//! them all. A file whose footer decodes but whose stream does not walk
+//! cleanly to it is damaged, and fails to open.
 //!
 //! Every query is one merge: a lazy cursor per lane over the chunks the
 //! query selects, merged by `(tick, gtid, seq)`, then filtered per
@@ -37,7 +40,7 @@ use std::path::Path;
 
 use ora_core::event::{Event, EVENT_COUNT};
 
-use crate::format::{self, ChunkMeta, Footer, Unit, GOVERNOR_EVENT_CODE};
+use crate::format::{self, Anchor, Bounds, Chunk, ChunkMeta, Footer, Unit, GOVERNOR_EVENT_CODE};
 use crate::ring::RawRecord;
 use crate::TraceError;
 
@@ -108,11 +111,25 @@ pub struct Salvage {
     pub bytes_discarded: usize,
 }
 
-/// One chunk of the index, and where its CRC-checked payload lies.
+/// One chunk of the index, where its CRC-checked payload lies, and a
+/// v2 chunk's own bounds.
 #[derive(Debug)]
 struct Indexed {
     meta: ChunkMeta,
     payload: Range<usize>,
+    bounds: Option<Bounds>,
+}
+
+impl Indexed {
+    /// The chunk, read from the reader's `bytes`.
+    fn chunk<'a>(&self, bytes: &'a [u8]) -> Chunk<'a> {
+        Chunk {
+            lane: self.meta.lane,
+            count: self.meta.count,
+            bounds: self.bounds,
+            payload: &bytes[self.payload.clone()],
+        }
+    }
 }
 
 /// An open trace file, index in memory, payloads decoded on demand.
@@ -123,6 +140,7 @@ pub struct TraceReader {
     chunks: Vec<Indexed>,
     footer: Option<Footer>,
     salvage: Option<Salvage>,
+    anchor: Option<Anchor>,
 }
 
 impl TraceReader {
@@ -131,34 +149,42 @@ impl TraceReader {
     /// salvage the complete chunks.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<TraceReader, TraceError> {
         let mut walk = format::units(&bytes);
-        match walk.next() {
-            Some(Ok((_, Unit::Header))) => {}
-            None => return Err(TraceError::Truncated),
-            Some(unit) => return Err(unit.err().unwrap_or(TraceError::BadMagic)),
-        }
         // Where the walk stands: after the last complete chunk at the
         // end, or at the torn unit's start.
-        let mut offset = 8;
+        let (mut offset, anchor) = match walk.next() {
+            Some(Ok((span, Unit::Header(anchor)))) => (span.len(), anchor),
+            None => return Err(TraceError::Truncated),
+            Some(unit) => return Err(unit.err().unwrap_or(TraceError::BadMagic)),
+        };
         let (mut chunks, mut footer, mut torn) = (Vec::new(), None, None);
         for unit in walk {
             match unit {
                 Ok((span, Unit::Chunk(chunk))) => {
-                    let end = offset + span.len() - 4; // the CRC ends the chunk
+                    // The CRC ends the chunk. A v1 chunk's bounds are
+                    // unknown until a footer gives them: it may hold any
+                    // tick and region.
+                    let end = offset + span.len() - 4;
+                    let b = chunk.bounds.unwrap_or(Bounds {
+                        min_tick: 0,
+                        max_tick: u64::MAX,
+                        region_mask: u64::MAX,
+                    });
                     chunks.push(Indexed {
                         meta: ChunkMeta {
                             offset: offset as u64,
                             lane: chunk.lane,
                             count: chunk.count,
-                            min_tick: 0,
-                            max_tick: u64::MAX,
-                            region_mask: u64::MAX,
+                            min_tick: b.min_tick,
+                            max_tick: b.max_tick,
+                            region_mask: b.region_mask,
                         },
                         payload: end - chunk.payload.len()..end,
+                        bounds: chunk.bounds,
                     });
                     offset += span.len();
                 }
                 Ok((_, Unit::Footer(f))) => footer = Some(f),
-                Ok((_, Unit::Header)) => {
+                Ok((_, Unit::Header(_))) => {
                     torn = Some(TraceError::Malformed("a header inside the stream"));
                     break;
                 }
@@ -176,6 +202,13 @@ impl TraceReader {
                 if !agrees {
                     return Err(TraceError::Malformed(
                         "footer index disagrees with the chunk stream",
+                    ));
+                }
+                let v2_lies = (footer.chunks.iter().zip(&chunks))
+                    .any(|(m, c)| c.bounds.is_some() && *m != c.meta);
+                if v2_lies {
+                    return Err(TraceError::Malformed(
+                        "footer index disagrees with a chunk's own tick range or region mask",
                     ));
                 }
                 for (c, m) in chunks.iter_mut().zip(&footer.chunks) {
@@ -196,6 +229,7 @@ impl TraceReader {
             chunks,
             footer,
             salvage,
+            anchor,
         })
     }
 
@@ -213,6 +247,13 @@ impl TraceReader {
     /// What was salvaged, if the trace had no decodable footer.
     pub fn salvaged(&self) -> Option<Salvage> {
         self.salvage
+    }
+
+    /// The header's clock anchor, which places the trace's ticks in
+    /// Unix time ([`Anchor::unix_ns_at`]), or `None` for a v1 trace,
+    /// whose header carries none.
+    pub fn anchor(&self) -> Option<Anchor> {
+        self.anchor
     }
 
     /// Total records persisted in the file.
@@ -233,10 +274,11 @@ impl TraceReader {
     }
 
     /// Records with `lo <= tick <= hi`, in merge order. Chunks whose
-    /// tick range misses `[lo, hi]` are never decoded, so a footer that
-    /// lies about a skipped chunk's range goes unseen here, while every
-    /// decoded chunk is checked against its own (chunks that carry their
-    /// own tick ranges would close this: ROADMAP 12a).
+    /// tick range misses `[lo, hi]` are never decoded. A v2 chunk's
+    /// range is its own, which the footer must repeat to open at all;
+    /// in a v1 trace the range is the footer's word, so a footer that
+    /// lies about a skipped v1 chunk's range goes unseen here, while
+    /// every decoded chunk is checked against it.
     pub fn time_range(&self, lo: u64, hi: u64) -> Result<Vec<TraceEvent>, TraceError> {
         self.collect_where(
             |m| m.overlaps_ticks(lo, hi),
@@ -253,10 +295,10 @@ impl TraceReader {
     }
 
     /// Records of one parallel region, in merge order. Chunks whose
-    /// region mask excludes the region are never decoded, so a footer
-    /// that clears a skipped chunk's bit for the region goes unseen
-    /// here, while every decoded chunk is checked against its own mask
-    /// (chunks that carry their own masks would close this: ROADMAP 12a).
+    /// region mask excludes the region are never decoded. As with
+    /// [`time_range`](Self::time_range), a v2 chunk's mask is its own;
+    /// a footer that clears a skipped v1 chunk's bit for the region goes
+    /// unseen here, while every decoded chunk is checked against it.
     pub fn for_region(&self, region_id: u64) -> Result<Vec<TraceEvent>, TraceError> {
         self.collect_where(
             |m| m.may_contain_region(region_id),
@@ -282,8 +324,7 @@ impl TraceReader {
     pub fn governor_timeline(&self) -> Result<Vec<GovernorSample>, TraceError> {
         let mut out = Vec::new();
         for chunk in &self.chunks {
-            let payload = &self.bytes[chunk.payload.clone()];
-            format::for_each_record(payload, chunk.meta.count, |r| {
+            format::for_each_record(&chunk.chunk(&self.bytes), |r| {
                 if r.event != GOVERNOR_EVENT_CODE {
                     return Ok(());
                 }
@@ -312,8 +353,7 @@ impl TraceReader {
     pub fn event_counts(&self) -> Result<[u64; EVENT_COUNT], TraceError> {
         let mut counts = [0u64; EVENT_COUNT];
         for chunk in &self.chunks {
-            let payload = &self.bytes[chunk.payload.clone()];
-            for_each_event(payload, chunk.meta.count, |r| counts[r.event.index()] += 1)?;
+            for_each_event(&chunk.chunk(&self.bytes), |r| counts[r.event.index()] += 1)?;
         }
         Ok(counts)
     }
@@ -322,7 +362,7 @@ impl TraceReader {
     /// order, decoding chunks lazily; [`records`](Self::records) is this
     /// merge collected. Memory is bounded by the chunks whose
     /// tick ranges overlap at the merge frontier (typically one chunk
-    /// per lane; a salvaged trace's chunks have no tick ranges, so a
+    /// per lane; a salvaged v1 trace's chunks have no tick ranges, so a
     /// whole lane), not by the whole trace, which is what lets the
     /// fleet daemon and [`merge_ranks`] handle rank files far larger
     /// than RAM. Yields `Err` once and then stops if a chunk fails to
@@ -436,10 +476,19 @@ impl LaneCursor<'_> {
     /// trusts the index's `min_tick`, so a run outside the chunk's indexed
     /// tick range is an error, not a silently reordered merge. A region
     /// query skips chunks by their indexed region mask, so a record of a
-    /// region the mask lacks is an error too.
+    /// region the mask lacks is an error too. A v2 chunk's index entry is
+    /// its own bounds, which the decoder has matched exactly; only a v1
+    /// chunk's records are checked here.
     fn decode(&mut self, chunk: &Indexed) -> Result<(), TraceError> {
-        let payload = &self.reader.bytes[chunk.payload.clone()];
-        decode_run(payload, chunk.meta.count, self.rank, &mut self.scratch)?;
+        decode_run(
+            &chunk.chunk(&self.reader.bytes),
+            self.rank,
+            &mut self.scratch,
+        )?;
+        self.decoded += self.scratch.len();
+        if chunk.bounds.is_some() {
+            return Ok(());
+        }
         if let (Some(first), Some(last)) = (self.scratch.first(), self.scratch.last()) {
             if first.record.tick < chunk.meta.min_tick || last.record.tick > chunk.meta.max_tick {
                 return Err(TraceError::Malformed(
@@ -453,7 +502,6 @@ impl LaneCursor<'_> {
                 "records of a region their chunk's mask lacks",
             ));
         }
-        self.decoded += self.scratch.len();
         Ok(())
     }
 
@@ -462,7 +510,9 @@ impl LaneCursor<'_> {
     fn buffer_rest(&mut self) -> Result<(), TraceError> {
         let rest = &self.chunks[self.next_chunk..];
         let count: u64 = rest.iter().map(|c| c.meta.count).sum();
-        self.run.reserve_exact(count as usize);
+        let bytes = rest.iter().map(|c| c.payload.len()).sum();
+        self.run
+            .reserve_exact(format::reservation::<RankedEvent>(count, bytes));
         while let Some(&chunk) = self.chunks.get(self.next_chunk) {
             self.next_chunk += 1;
             self.decode(chunk)?;
@@ -501,16 +551,12 @@ impl RankedEvent {
     }
 }
 
-/// Hand every event of one chunk's `count` records in `payload` to `f`
-/// and return how many governor decision records
-/// ([`GOVERNOR_EVENT_CODE`]) it skipped: those are metadata, not events.
-fn for_each_event(
-    payload: &[u8],
-    count: u64,
-    mut f: impl FnMut(TraceEvent),
-) -> Result<u64, TraceError> {
+/// Hand every event of `chunk` to `f` and return how many governor
+/// decision records ([`GOVERNOR_EVENT_CODE`]) it skipped: those are
+/// metadata, not events.
+fn for_each_event(chunk: &Chunk<'_>, mut f: impl FnMut(TraceEvent)) -> Result<u64, TraceError> {
     let mut skipped = 0;
-    format::for_each_record(payload, count, |raw| {
+    format::for_each_record(chunk, |raw| {
         if raw.event == GOVERNOR_EVENT_CODE {
             skipped += 1;
         } else {
@@ -521,22 +567,24 @@ fn for_each_event(
     Ok(skipped)
 }
 
-/// Decode one chunk's `count` records from `payload` into `run` as a
-/// key-sorted run of `rank`, replacing what `run` held, and return how
-/// many governor decision records it skipped. One thread per ring lane
-/// writes in key order, so only threads sharing a lane make a chunk
-/// that needs sorting. The lane cursors under [`merge_ranks_iter`] and
-/// the fleet daemon's ingest both decode through this function.
+/// Decode `chunk`'s records into `run` as a key-sorted run of `rank`,
+/// replacing what `run` held, and return how many governor decision
+/// records it skipped. One thread per ring lane writes in key order, so
+/// only threads sharing a lane make a chunk that needs sorting. The
+/// lane cursors under [`merge_ranks_iter`] and the fleet daemon's
+/// ingest both decode through this function.
 pub fn decode_run(
-    payload: &[u8],
-    count: u64,
+    chunk: &Chunk<'_>,
     rank: usize,
     run: &mut Vec<RankedEvent>,
 ) -> Result<u64, TraceError> {
     run.clear();
-    run.reserve(count as usize);
+    run.reserve(format::reservation::<RankedEvent>(
+        chunk.count,
+        chunk.payload.len(),
+    ));
     let mut sorted = true;
-    let skipped = for_each_event(payload, count, |record| {
+    let skipped = for_each_event(chunk, |record| {
         let ev = RankedEvent { rank, record };
         sorted &= run.last().is_none_or(|prev| prev.key() <= ev.key());
         run.push(ev);
@@ -656,14 +704,16 @@ pub fn merge_ranks_iter(readers: &[TraceReader]) -> RankMergeIter<'_> {
 }
 
 /// Run `merge` to the end and collect what `pick` keeps, into one
-/// vector sized from its lanes' chunk counts: every query of the reader
-/// and [`merge_ranks`] collect through here.
+/// vector sized from its lanes' chunk counts (capped by their bytes):
+/// every query of the reader and [`merge_ranks`] collect through here.
 fn collect_merge<T>(
     merge: RankMergeIter<'_>,
     mut pick: impl FnMut(RankedEvent) -> Option<T>,
 ) -> Result<Vec<T>, TraceError> {
-    let chunks = merge.lanes.iter().flat_map(|l| &l.chunks);
-    let mut out = Vec::with_capacity(chunks.map(|c| c.meta.count).sum::<u64>() as usize);
+    let chunks = || merge.lanes.iter().flat_map(|l| &l.chunks);
+    let count = chunks().map(|c| c.meta.count).sum();
+    let bytes = chunks().map(|c| c.payload.len()).sum();
+    let mut out = Vec::with_capacity(format::reservation::<T>(count, bytes));
     for ev in merge {
         out.extend(pick(ev?));
     }

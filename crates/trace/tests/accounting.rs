@@ -16,6 +16,8 @@
 //!    `CollectionSummary` and the fuzzer's trace-accounting diff lean
 //!    on.
 
+mod v1;
+
 use ora_core::event::Event;
 use ora_core::testutil::XorShift64;
 use ora_trace::format;
@@ -308,7 +310,7 @@ fn decoded_events(rank: usize, bytes: &[u8]) -> Vec<RankedEvent> {
         let Ok((_, format::Unit::Chunk(chunk))) = unit else {
             continue;
         };
-        format::for_each_record(chunk.payload, chunk.count, |raw| {
+        format::for_each_record(&chunk, |raw| {
             if raw.event != GOVERNOR_EVENT_CODE {
                 let record = TraceEvent::from_raw(&raw)?;
                 out.push(RankedEvent { rank, record });
@@ -481,16 +483,13 @@ fn chunks_descending_in_tick_still_merge_in_key_order() {
     }
 }
 
-/// A footer that lies about a chunk's tick range, re-sealed so the file
-/// opens: the lane cursors release records on the strength of
-/// `min_tick`, so a chunk claimed to start later than it does would
-/// come out of the merge behind records it precedes. Every query that
-/// decodes the chunk fails as malformed instead, and a query that skips
-/// it by the lie is not a merge to reorder.
-#[test]
-fn a_footer_lying_about_a_tick_range_fails_the_merge() {
+/// Two chunks of one lane, ticks 100–104 then 50–54 (all region 1),
+/// written by `header` and `chunk`, and their index entries.
+type ChunkWriter = fn(&mut Vec<u8>, u64, u64, &[RawRecord]) -> format::ChunkMeta;
+
+fn two_chunks(header: fn(&mut Vec<u8>), chunk: ChunkWriter) -> (Vec<u8>, ora_trace::Footer) {
     let mut bytes = Vec::new();
-    format::encode_header(&mut bytes);
+    header(&mut bytes);
     let mut metas = Vec::new();
     for base in [100, 50] {
         let records: Vec<RawRecord> = (0..5)
@@ -500,17 +499,38 @@ fn a_footer_lying_about_a_tick_range_fails_the_merge() {
             })
             .collect();
         let offset = bytes.len() as u64;
-        metas.push(format::encode_chunk(&mut bytes, offset, 0, &records));
+        metas.push(chunk(&mut bytes, offset, 0, &records));
     }
     let honest = ora_trace::Footer {
         lanes: vec![ora_trace::LaneStats::default()],
         chunks: metas,
     };
+    (bytes, honest)
+}
+
+/// Two lies about [`two_chunks`]' tick ranges: the second chunk claimed
+/// to start later than it does, the first to end earlier.
+fn tick_range_lies(honest: &ora_trace::Footer) -> [ora_trace::Footer; 2] {
     let mut too_late = honest.clone();
     (too_late.chunks[1].min_tick, too_late.chunks[1].max_tick) = (200, 300);
     let mut too_early = honest.clone();
     too_early.chunks[0].max_tick = 103;
-    for (lie, window) in [(too_late, (250, 260)), (too_early, (100, 101))] {
+    [too_late, too_early]
+}
+
+/// A v1 footer that lies about a chunk's tick range, re-sealed so the
+/// file opens: v1 chunks carry no range of their own, and the lane
+/// cursors release records on the strength of the footer's `min_tick`,
+/// so a chunk claimed to start later than it does would come out of the
+/// merge behind records it precedes. Every query that decodes the chunk
+/// fails as malformed instead, and a query that skips it by the lie is
+/// not a merge to reorder — but misses its records, which only a chunk
+/// that carries its own range can show (the v2 test below).
+#[test]
+fn a_footer_lying_about_a_tick_range_fails_the_merge() {
+    let (bytes, honest) = two_chunks(v1::header, v1::chunk);
+    let windows = [(250, 260), (100, 101)];
+    for (lie, window) in tick_range_lies(&honest).into_iter().zip(windows) {
         let mut file = bytes.clone();
         format::encode_footer(&mut file, &lie);
         let reader = TraceReader::from_bytes(file).expect("the index agrees with the walk");
@@ -530,6 +550,11 @@ fn a_footer_lying_about_a_tick_range_fails_the_merge() {
             "merge_ranks",
         );
     }
+    let [too_late, _] = tick_range_lies(&honest);
+    let mut file = bytes.clone();
+    format::encode_footer(&mut file, &too_late);
+    let reader = TraceReader::from_bytes(file).unwrap();
+    assert_eq!(reader.time_range(50, 60), Ok(vec![]), "what v1 cannot see");
     let mut file = bytes;
     format::encode_footer(&mut file, &honest);
     let reader = TraceReader::from_bytes(file).unwrap();
@@ -537,16 +562,35 @@ fn a_footer_lying_about_a_tick_range_fails_the_merge() {
     assert_eq!(ticks, [50, 51, 52, 53, 54, 100, 101, 102, 103, 104]);
 }
 
-/// A footer that clears a region's bit from a chunk that holds records
-/// of it, re-sealed so the file opens: `for_region` skips chunks by
-/// that mask, so the lie would hide records from it. Every merge that
-/// decodes the chunk fails as malformed instead. (A `for_region` of the
-/// cleared region skips the chunk and never sees the lie: only chunks
-/// that carry their own masks can close that, ROADMAP 12a.)
+/// The same lies about v2 chunks, which carry their own tick ranges:
+/// the file fails to open with a typed error, so no query can skip a
+/// chunk by a lie (a v1 file answers `time_range(50, 60)` with nothing).
 #[test]
-fn a_footer_lying_about_a_region_mask_fails_the_merge() {
+fn a_v2_footer_lying_about_a_tick_range_fails_to_open() {
+    let (bytes, honest) = two_chunks(format::encode_header, format::encode_chunk);
+    for lie in tick_range_lies(&honest) {
+        let mut file = bytes.clone();
+        format::encode_footer(&mut file, &lie);
+        let got = TraceReader::from_bytes(file).map(|r| r.time_range(50, 60));
+        assert!(
+            matches!(got, Err(ora_trace::TraceError::Malformed(_))),
+            "{lie:?}: {got:?}"
+        );
+    }
+    let mut file = bytes;
+    format::encode_footer(&mut file, &honest);
+    let reader = TraceReader::from_bytes(file).unwrap();
+    let ticks: Vec<u64> = (reader.time_range(50, 60).unwrap().iter())
+        .map(|r| r.tick)
+        .collect();
+    assert_eq!(ticks, [50, 51, 52, 53, 54]);
+}
+
+/// Two chunks of one lane, regions {1, 2} then {3}, written by `header`
+/// and `chunk`, and their index entries.
+fn two_region_chunks(header: fn(&mut Vec<u8>), chunk: ChunkWriter) -> (Vec<u8>, ora_trace::Footer) {
     let mut bytes = Vec::new();
-    format::encode_header(&mut bytes);
+    header(&mut bytes);
     let mut metas = Vec::new();
     for (base, regions) in [(100, [1, 2]), (200, [3, 3])] {
         let records: Vec<RawRecord> = (0..6)
@@ -556,13 +600,26 @@ fn a_footer_lying_about_a_region_mask_fails_the_merge() {
             })
             .collect();
         let offset = bytes.len() as u64;
-        metas.push(format::encode_chunk(&mut bytes, offset, 0, &records));
+        metas.push(chunk(&mut bytes, offset, 0, &records));
     }
     let honest = ora_trace::Footer {
         lanes: vec![ora_trace::LaneStats::default()],
         chunks: metas,
     };
     assert_eq!(honest.chunks[0].region_mask, 0b110);
+    (bytes, honest)
+}
+
+/// A v1 footer that clears a region's bit from a chunk that holds
+/// records of it, re-sealed so the file opens: `for_region` skips
+/// chunks by that mask, so the lie would hide records from it. Every
+/// merge that decodes the chunk fails as malformed instead. (A
+/// `for_region` of the cleared region skips the chunk and never sees
+/// the lie: only chunks that carry their own masks close that, as v2
+/// chunks do.)
+#[test]
+fn a_footer_lying_about_a_region_mask_fails_the_merge() {
+    let (bytes, honest) = two_region_chunks(v1::header, v1::chunk);
     let mut lie = honest.clone();
     lie.chunks[0].region_mask &= !(1 << 2);
     let mut file = bytes.clone();
@@ -582,10 +639,30 @@ fn a_footer_lying_about_a_region_mask_fails_the_merge() {
         ranks.map(|m| m.into_iter().map(|e| e.record).collect()),
         "merge_ranks",
     );
+    assert_eq!(reader.for_region(2), Ok(vec![]), "what v1 cannot see");
     let mut file = bytes;
     format::encode_footer(&mut file, &honest);
     let reader = TraceReader::from_bytes(file).unwrap();
     assert_eq!(reader.records().unwrap().len(), 12);
+    assert_eq!(reader.for_region(2).unwrap().len(), 3);
+}
+
+/// The same lie about a v2 chunk, which carries its own mask: the file
+/// fails to open with a typed error.
+#[test]
+fn a_v2_footer_lying_about_a_region_mask_fails_to_open() {
+    let (bytes, honest) = two_region_chunks(format::encode_header, format::encode_chunk);
+    let mut lie = honest.clone();
+    lie.chunks[0].region_mask &= !(1 << 2);
+    let mut file = bytes.clone();
+    format::encode_footer(&mut file, &lie);
+    assert!(matches!(
+        TraceReader::from_bytes(file),
+        Err(ora_trace::TraceError::Malformed(_))
+    ));
+    let mut file = bytes;
+    format::encode_footer(&mut file, &honest);
+    let reader = TraceReader::from_bytes(file).unwrap();
     assert_eq!(reader.for_region(2).unwrap().len(), 3);
 }
 

@@ -79,10 +79,10 @@ fn produce_and_finish(
     recorder.finish()
 }
 
-/// Budgets large enough for the 8-byte header but too small for the
+/// Budgets large enough for the file header but too small for the
 /// record volume, so the sink always faults mid-recording.
 fn seeded_budget(rng: &mut XorShift64) -> usize {
-    8 + rng.below(512) as usize
+    ora_trace::format::HEADER_LEN + rng.below(512) as usize
 }
 
 #[test]
@@ -142,8 +142,14 @@ fn short_write_preserves_accepted_prefix() {
 fn blocked_producers_survive_a_dead_drainer_under_oversubscription() {
     let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
     let threads = cores * 4;
-    let err = produce_and_finish(FaultMode::Panic, 8, DropPolicy::Block, threads, 4_000)
-        .expect_err("zero data budget kills the drainer on its first flush");
+    let err = produce_and_finish(
+        FaultMode::Panic,
+        ora_trace::format::HEADER_LEN,
+        DropPolicy::Block,
+        threads,
+        4_000,
+    )
+    .expect_err("zero data budget kills the drainer on its first flush");
     // Reaching this line at all is the property (no livelock). The
     // accounting must add up: whatever was neither drained nor dropped
     // never left the rings, but nothing may be double-counted.
@@ -169,7 +175,7 @@ fn blocked_producers_survive_a_dead_drainer_under_oversubscription() {
 fn accepted_bytes_survive_the_fault() {
     let recorder = Recorder::start(
         fault_config(DropPolicy::Newest),
-        FaultSink::new(4096, FaultMode::Error),
+        FaultSink::new(1024, FaultMode::Error),
     )
     .unwrap();
     let rings = recorder.rings();
@@ -188,6 +194,8 @@ fn accepted_bytes_survive_the_fault() {
         other => panic!("expected DrainerFailed, got {other:?}"),
     }
     // The recorder consumed the sink; accepted bytes were checked by the
-    // sink's own budget accounting — 50k records cannot fit in 4 KiB, so
-    // the fault must have fired, which DrainerFailed above proves.
+    // sink's own budget accounting — the final sweep alone drains a full
+    // 1 024-record lane, at two bytes a record at least, which cannot fit
+    // in 1 KiB, so the fault must have fired, which DrainerFailed above
+    // proves.
 }

@@ -80,6 +80,19 @@ if [ -n "$walkers" ]; then
   echo "tier1: trace tag/magic outside crates/trace/src/format.rs — walk the stream with format::units" >&2
   exit 1
 fi
+# One trace writer: version 2. The reader still decodes v1 chunks, but
+# nothing under crates/*/src writes one again: the v1 tag and version
+# appear only where format.rs defines and reads them, `fn encode_chunk`
+# is defined once, and the v1 payload encoder is gone.
+v1_writers=$( (grep -rnw -e 'TAG_CHUNK_V1' -e 'FORMAT_VERSION_V1' crates/*/src \
+    | grep -vE 'pub const (TAG_CHUNK_V1|FORMAT_VERSION_V1)|TAG_CHUNK_V1\) =>|TAG_CHUNK_V1 =>|FORMAT_VERSION_V1 =>|FORMAT_VERSION_V1\.\.=' ;
+  grep -rnE 'fn encode_payload\b' crates/*/src) || true)
+if [ -n "$v1_writers" ] || [ "$(grep -rnE 'fn encode_chunk\b' crates/ | wc -l)" -ne 1 ]; then
+  echo "$v1_writers" >&2
+  grep -rnE 'fn encode_chunk\b' crates/ >&2 || true
+  echo "tier1: a v1 trace writer under crates/*/src — write chunks with format::encode_chunk (v2); v1 is read only" >&2
+  exit 1
+fi
 # One fork path: every team member, top-level or leased to a nested
 # team, is handed its region through its descriptor's hand-off slot and
 # runs it in `pool::serve`, the one place a worker calls the region body.
@@ -294,9 +307,15 @@ cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
 omp_prof=target/release/omp_prof
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
-"$omp_prof" trace record --workload epcc --out "$smoke/run.oratrace" >/dev/null
+"$omp_prof" trace record --workload epcc --out "$smoke/run.oratrace" >"$smoke/record.txt"
+# Trace format v2 writes a dense record in two bytes: the epcc recording
+# stays at or below 6 bytes a record (v1 wrote about 9).
+awk '/B\/record\)$/ { v = $(NF-1); gsub(/[(]/, "", v); n = v + 0; seen = 1 }
+  END { if (!seen || n > 6.0) { print "tier1: epcc trace at " n " B/record, above 6.0" > "/dev/stderr"; exit 1 } }' \
+  "$smoke/record.txt"
 "$omp_prof" trace report --in "$smoke/run.oratrace" --head 5 >"$smoke/report.txt"
 grep -q '^first 5 records:$' "$smoke/report.txt"
+grep -Eq '^  started [0-9]{4}-[0-9]{2}-[0-9]{2} [0-9:.]+ UTC' "$smoke/report.txt"
 # Filters combine: a region's records inside a window that starts long
 # after the run are none of them.
 "$omp_prof" trace report --in "$smoke/run.oratrace" --region 1 --from-us 1000000000000 \
